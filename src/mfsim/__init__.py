@@ -47,12 +47,12 @@ from .harness import (
 from .loss import (
     LossConfig,
     LossPattern,
-    RoundEffect,
+    RoundBranch,
     backup_entangle,
     backup_round,
-    classify_round_effect,
     loss_channel,
     photon_copy,
+    round_branches,
 )
 from .pauli import (
     ErrorFrame,

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration error, 3 register-size cap exceeded.
+Exit codes: 0 success, 2 configuration error, 3 register-size cap exceeded,
+4 a ``cnot-demo`` rotation ran out of rounds (the residual angle is printed).
 The output directory of ``simulate`` can be overridden with the
 ``MFSIM_OUT_DIR`` environment variable.
 """
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from .compiler import compile_plan, round_budget, schedule_parallel, serial_success_probability
-from .errors import ConfigError, ResourceError, UsageError
+from .errors import ConfigError, IncompleteRotationError, ResourceError, UsageError
 from .feedback import EpsilonPolicy, PolicyMode
 from .harness import (
     ProtocolConfig,
@@ -29,6 +30,7 @@ from .harness import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
+EXIT_INCOMPLETE = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,6 +108,9 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except IncompleteRotationError as exc:
+        print(f"incomplete rotation: {exc}", file=sys.stderr)
+        return EXIT_INCOMPLETE
     return EXIT_OK
 
 

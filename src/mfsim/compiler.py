@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,6 +64,8 @@ class HamiltonianSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
+        if self.n_qubits < 1:
+            raise UsageError(f"a Hamiltonian needs at least one qubit, got {self.n_qubits}")
         for term in self.terms:
             for s in term.sites:
                 if not 0 <= s < self.n_qubits:

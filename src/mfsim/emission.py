@@ -103,44 +103,29 @@ def joint_emission(
     return out
 
 
+# Photon-pair state behind each outcome.  Basis index p1 + 2*p2 with |1> = H,
+# so |HV> is index 1 and |VH> index 2.
+_E4 = np.eye(4, dtype=complex)
+BELL_STATES = {
+    BeamSplitterOutcome.MINUS: (_E4[1] - _E4[2]) / np.sqrt(2),
+    BeamSplitterOutcome.PLUS: (_E4[1] + _E4[2]) / np.sqrt(2),
+    BeamSplitterOutcome.HH: _E4[3],
+    BeamSplitterOutcome.VV: _E4[0],
+}
+
+
 def bell_projectors() -> list[np.ndarray]:
     """Projectors for (MINUS, PLUS, HH, VV) on two photon modes (first mode = low bit)."""
-    # Basis index = p1 + 2*p2 with |1> = H:  |HV> = index 1, |VH> = index 2.
-    hv = np.zeros(4, dtype=complex)
-    vh = np.zeros(4, dtype=complex)
-    hv[1] = 1.0
-    vh[2] = 1.0
-    minus = (hv - vh) / np.sqrt(2)
-    plus = (hv + vh) / np.sqrt(2)
-    hh = np.zeros(4, dtype=complex)
-    vv = np.zeros(4, dtype=complex)
-    hh[3] = 1.0
-    vv[0] = 1.0
-    return [np.outer(v, v.conj()) for v in (minus, plus, hh, vv)]
+    return [np.outer(v, v.conj()) for v in BELL_STATES.values()]
 
-
-_OUTCOME_ORDER = (
-    BeamSplitterOutcome.MINUS,
-    BeamSplitterOutcome.PLUS,
-    BeamSplitterOutcome.HH,
-    BeamSplitterOutcome.VV,
-)
 
 # Unitaries returning each collapsed two-mode state to |VV>, so the modes are
 # emptied after detection.  Completed arbitrarily on the orthogonal complement.
 def _reset_unitaries() -> dict[BeamSplitterOutcome, np.ndarray]:
-    hv = np.zeros(4, dtype=complex); hv[1] = 1.0
-    vh = np.zeros(4, dtype=complex); vh[2] = 1.0
-    states = {
-        BeamSplitterOutcome.MINUS: (hv - vh) / np.sqrt(2),
-        BeamSplitterOutcome.PLUS: (hv + vh) / np.sqrt(2),
-        BeamSplitterOutcome.HH: np.eye(4, dtype=complex)[3],
-        BeamSplitterOutcome.VV: np.eye(4, dtype=complex)[0],
-    }
     out = {}
-    for outcome, v in states.items():
+    for outcome, v in BELL_STATES.items():
         basis = [v]
-        for e in np.eye(4, dtype=complex):
+        for e in _E4:
             w = e.copy()
             for b in basis:
                 w = w - np.vdot(b, w) * b
@@ -161,7 +146,7 @@ def beamsplitter_measure(
 ) -> tuple[BeamSplitterOutcome, StateVector, float]:
     """Incomplete Bell measurement of the two photon modes; modes are emptied after."""
     idx, collapsed, prob = measure(state, photons, bell_projectors(), rng)
-    outcome = _OUTCOME_ORDER[idx]
+    outcome = tuple(BELL_STATES)[idx]
     emptied = apply_two_qubit(collapsed, photons, _RESETS[outcome])
     return outcome, emptied, prob
 

@@ -13,16 +13,14 @@ swapped (the time direction is inverted).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Protocol
+from typing import Optional
 
 import numpy as np
 
-from .emission import BeamSplitterOutcome, joint_emission, beamsplitter_measure
 from .errors import IncompleteRotationError, UsageError
-from .loss import BackupRoundResult, LossConfig, LossPattern, backup_round, loss_channel, \
-    _environment_measure_and_reset
+from .loss import LossConfig, round_branches
 from .pauli import (
     ErrorFrame,
     PauliAxis,
@@ -30,7 +28,7 @@ from .pauli import (
     conjugation_unitary,
     frame_conjugate_direction,
 )
-from .statevec import StateVector, apply_local
+from .statevec import StateVector, apply_local, draw_branch
 
 _ANGLE_TOL = 1e-12
 
@@ -94,87 +92,6 @@ class RoundRecord:
         return d
 
 
-@dataclass(frozen=True)
-class RoundOutcome:
-    """Effective result of one round, in the undressed (X-basis) picture."""
-
-    label: str
-    direction: Optional[int]  # +-1 physical rotation direction, None if no rotation
-    flips: tuple[bool, bool]  # X byproducts on the (first, second) pair atom
-    b_bits: Optional[tuple[int, int]] = None
-    loss: Optional[LossPattern] = None
-
-
-class RoundEngine(Protocol):
-    def attempt(
-        self, state: StateVector, pair: tuple[int, int], eps: float, rng: np.random.Generator
-    ) -> tuple[StateVector, RoundOutcome]: ...
-
-
-_OUTCOME_TO_ROUND = {
-    BeamSplitterOutcome.PLUS: (1, (False, False)),
-    BeamSplitterOutcome.MINUS: (-1, (False, False)),
-    BeamSplitterOutcome.HH: (None, (True, False)),
-    BeamSplitterOutcome.VV: (None, (False, True)),
-}
-
-
-class DirectRoundEngine:
-    """Round via direct photon emission and beam-splitter measurement.
-
-    With a lossy polarization channel a missing photon is heralded; the round
-    is then discarded (the damage to the atoms goes unrecorded, which is why
-    the direct protocol is not loss-tolerant).  With occupation encoding the
-    loss is silent and the measured outcome is trusted as-is.
-    """
-
-    def __init__(self, photons: tuple[int, int], loss_cfg: Optional[LossConfig] = None):
-        self.photons = photons
-        self.loss_cfg = loss_cfg
-
-    def attempt(self, state, pair, eps, rng):
-        state = joint_emission(state, pair, self.photons, eps)
-        if self.loss_cfg is not None and self.loss_cfg.p_loss > 0.0:
-            state, pattern = loss_channel(state, self.photons, self.loss_cfg, rng)
-            if pattern.detectable:
-                for q, was_lost in zip(self.photons, pattern.lost):
-                    if not was_lost:
-                        state = _environment_measure_and_reset(state, q, rng)
-                return state, RoundOutcome("loss", None, (False, False), loss=pattern)
-        else:
-            pattern = None
-        outcome, state, _ = beamsplitter_measure(state, self.photons, rng)
-        direction, flips = _OUTCOME_TO_ROUND[outcome]
-        return state, RoundOutcome(outcome.value, direction, flips, loss=pattern)
-
-
-class BackupRoundEngine:
-    """Round via the backup-atom protocol; photon losses only cost retries."""
-
-    def __init__(
-        self,
-        photons: tuple[int, int],
-        backup_of: dict[int, int],
-        loss_cfg: LossConfig,
-    ):
-        if not loss_cfg.backup_enabled:
-            raise UsageError("BackupRoundEngine requires backup_enabled")
-        self.photons = photons
-        self.backup_of = backup_of
-        self.loss_cfg = loss_cfg
-
-    def attempt(self, state, pair, eps, rng):
-        pair_b = (self.backup_of[pair[0]], self.backup_of[pair[1]])
-        state, res = backup_round(
-            state, pair, pair_b, self.photons, eps, self.loss_cfg, rng
-        )
-        if res.loss.any_lost:
-            label = "loss"
-        else:
-            label = res.bs_outcome.value
-        return state, RoundOutcome(label, res.direction, res.flips, res.b_bits, res.loss)
-
-
 def _pair_string(n: int, pair: tuple[int, int], k: PauliAxis, l: PauliAxis,
                  first: bool, second: bool) -> PauliString:
     sites = {}
@@ -194,10 +111,12 @@ def realize_v_kl(
     policy: EpsilonPolicy,
     frame: ErrorFrame,
     rng: np.random.Generator,
-    engine: Optional[RoundEngine] = None,
+    loss: Optional[LossConfig] = None,
 ) -> tuple[StateVector, ErrorFrame, list[RoundRecord]]:
     """Realize e^{i t s_k x s_l} on ``pair`` modulo the tracked error frame.
 
+    Each round applies one branch of ``round_branches(eps, loss)`` (lossless
+    when ``loss`` is None) to the pair, drawn with probability ||K psi||^2.
     On success the frame-corrected output equals the exact rotation applied
     to the frame-corrected input, up to global phase.  Raises
     IncompleteRotationError (with state, frame, and residual attached) if
@@ -216,9 +135,7 @@ def realize_v_kl(
     if abs(residual) <= _ANGLE_TOL:
         return state, frame, records
 
-    if engine is None:
-        engine = DirectRoundEngine(tuple(state.layout.photon_qubits[:2]))
-
+    loss = loss or LossConfig()
     # u e^{it XX} u^dag = e^{it (u X u^dag) x (u X u^dag)}, so enter the inner
     # X-basis picture with u^dag and leave it with u.
     dressed = k is not PauliAxis.X or l is not PauliAxis.X
@@ -231,17 +148,16 @@ def realize_v_kl(
         aimed = abs(residual)
         eps = policy.eps_for(aimed)
         sign_swap = frame_conjugate_direction(frame, target)
-        state, out = engine.attempt(state, pair, eps, rng)
+        branches = round_branches(eps, loss)
+        index, state, _ = draw_branch(state, pair, [br.kraus for br in branches], rng)
+        out = branches[index]
 
         if out.flips[0] or out.flips[1]:
             frame = frame.updated(_pair_string(n, pair, k, l, *out.flips))
         if out.direction is not None:
             residual = reduce_angle(residual - sign_swap * out.direction * aimed)
 
-        records.append(
-            RoundRecord(out.label, eps, aimed, str(frame), out.b_bits,
-                        out.loss.lost if out.loss else None)
-        )
+        records.append(RoundRecord(out.label, eps, aimed, str(frame), out.b_bits, out.lost))
         if abs(residual) <= _ANGLE_TOL:
             residual = 0.0
             break
@@ -266,9 +182,9 @@ def realize_v(
     policy: EpsilonPolicy,
     frame: ErrorFrame,
     rng: np.random.Generator,
-    engine: Optional[RoundEngine] = None,
+    loss: Optional[LossConfig] = None,
 ) -> tuple[StateVector, ErrorFrame, list[RoundRecord]]:
     """Realize e^{it XX} on ``pair`` modulo the tracked error frame."""
     return realize_v_kl(
-        state, pair, PauliAxis.X, PauliAxis.X, t_target, policy, frame, rng, engine
+        state, pair, PauliAxis.X, PauliAxis.X, t_target, policy, frame, rng, loss
     )

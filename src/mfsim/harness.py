@@ -8,47 +8,45 @@ bit-identical regardless of execution order.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .compiler import HamiltonianSpec, TrotterPlan, compile_plan, round_budget, schedule_parallel
-from .emission import (
-    BeamSplitterOutcome,
-    PhotonEncoding,
-    joint_emission,
-    bell_projectors,
-    outcome_probabilities,
-)
+from .compiler import HamiltonianSpec, compile_plan
+from .emission import BeamSplitterOutcome, PhotonEncoding, outcome_probabilities
 from .errors import ConfigError, IncompleteRotationError, ResourceError
-from .feedback import (
-    BackupRoundEngine,
-    DirectRoundEngine,
-    EpsilonPolicy,
-    PolicyMode,
-    RoundRecord,
-    realize_v,
-    realize_v_kl,
-)
-from .loss import LossConfig
-from .pauli import ErrorFrame, PauliString
+from .feedback import EpsilonPolicy, PolicyMode, RoundRecord, realize_v, realize_v_kl
+from .loss import LossConfig, round_branches
+from .pauli import ErrorFrame
 from .statevec import (
     DEFAULT_QUBIT_CAP,
     RegisterLayout,
     StateVector,
-    _apply_subset_operator,
     apply_local,
     apply_pauli_string,
     exact_evolution,
 )
 
 _H_GATE = np.array([[1, 1], [1, -1]], dtype=float) / np.sqrt(2)
+
+_TOP_KEYS = {
+    "hamiltonian", "t", "n_steps", "policy", "loss", "initial_state", "trajectories", "master_seed",
+}
+
+
+def _check_keys(d, path: str, known: set) -> dict:
+    """``d`` itself, after checking it is an object with no key outside ``known``."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path or 'configuration'} must be an object")
+    unknown = sorted(set(d) - known)
+    if unknown:
+        prefix = f"{path}." if path else ""
+        raise ConfigError("unknown key " + ", ".join(prefix + str(k) for k in unknown))
+    return d
 
 
 @dataclass(frozen=True)
@@ -64,30 +62,44 @@ class ProtocolConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProtocolConfig":
+        """Parse a configuration object; ConfigError names the first bad or unknown key."""
         try:
-            h = HamiltonianSpec.from_dict(d["hamiltonian"])
+            _check_keys(d, "", _TOP_KEYS)
+            ham = _check_keys(d["hamiltonian"], "hamiltonian", {"n_qubits", "terms"})
+            for i, term in enumerate(ham.get("terms", [])):
+                _check_keys(term, f"hamiltonian.terms[{i}]", {"sites", "axes", "coeff"})
+            h = HamiltonianSpec.from_dict(ham)
             t = float(d["t"])
             n_steps = int(d["n_steps"])
-            pol = d.get("policy", {})
+            pol = _check_keys(d.get("policy", {}), "policy", {"mode", "max_rounds"})
             policy = EpsilonPolicy(
                 mode=PolicyMode(pol.get("mode", "residual_exact")),
                 max_rounds=int(pol.get("max_rounds", 64)),
             )
-            lo = d.get("loss", {})
+            lo = _check_keys(d.get("loss", {}), "loss", {"p_loss", "encoding", "backup_enabled"})
             loss = LossConfig(
                 p_loss=float(lo.get("p_loss", 0.0)),
                 encoding=PhotonEncoding(lo.get("encoding", "polarization")),
                 backup_enabled=bool(lo.get("backup_enabled", False)),
             )
             initial = d.get("initial_state", "all_zeros")
+            if not isinstance(initial, str):
+                if len(_check_keys(initial, "initial_state", {"random_seed", "amplitudes"})) != 1:
+                    raise ConfigError("initial_state needs exactly one of random_seed, amplitudes")
             trajectories = int(d.get("trajectories", 1))
             master_seed = int(d.get("master_seed", 0))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad configuration: {exc}") from exc
+        if not math.isfinite(t):
+            raise ConfigError(f"t must be finite, got {t}")
         if n_steps < 1:
             raise ConfigError("n_steps must be at least 1")
+        if policy.max_rounds < 1:
+            raise ConfigError("policy.max_rounds must be at least 1")
         if trajectories < 0:
             raise ConfigError("trajectories must be non-negative")
+        if master_seed < 0:
+            raise ConfigError("master_seed must be non-negative")
         return cls(h, t, n_steps, policy, loss, initial, trajectories, master_seed)
 
     @classmethod
@@ -142,34 +154,29 @@ def _initial_data_amplitudes(cfg: ProtocolConfig) -> np.ndarray:
         if init == "all_plus":
             return np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
         raise ConfigError(f"unknown initial-state preset {init!r}")
-    if isinstance(init, np.ndarray):
-        amp = init.astype(complex)
-    elif isinstance(init, dict) and "random_seed" in init:
-        return haar_random_amplitudes(n, np.random.default_rng(int(init["random_seed"])))
-    elif isinstance(init, dict) and "amplitudes" in init:
-        amp = np.array([complex(re, im) for re, im in init["amplitudes"]])
-    else:
-        raise ConfigError(f"cannot interpret initial state {init!r}")
+    try:
+        if isinstance(init, np.ndarray):
+            amp = init.astype(complex)
+        elif "random_seed" in init:
+            return haar_random_amplitudes(n, np.random.default_rng(int(init["random_seed"])))
+        else:
+            amp = np.array([complex(float(re), float(im)) for re, im in init["amplitudes"]])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot interpret initial state {init!r}: {exc}") from exc
     if amp.shape != (dim,):
         raise ConfigError(f"initial state has {amp.shape[0]} amplitudes, expected {dim}")
     nrm = np.linalg.norm(amp)
-    if nrm < 1e-12:
-        raise ConfigError("initial state has zero norm")
+    if not 1e-12 <= nrm < math.inf:
+        raise ConfigError(f"initial state has norm {nrm}")
     return amp / nrm
 
 
-def build_register(cfg: ProtocolConfig) -> tuple[RegisterLayout, StateVector]:
-    """Full register (data, optional backups, photon pair) in its initial state."""
+def build_register(cfg: ProtocolConfig) -> StateVector:
+    """The data register in its initial state; photons and backups live in the round tables."""
     n = cfg.hamiltonian.n_qubits
-    layout = RegisterLayout.build(n, with_backup=cfg.loss.backup_enabled)
-    if layout.n_qubits > DEFAULT_QUBIT_CAP:
-        raise ResourceError(
-            f"register of {layout.n_qubits} qubits exceeds the cap of {DEFAULT_QUBIT_CAP}"
-        )
-    data_amp = _initial_data_amplitudes(cfg)
-    full = np.zeros(1 << layout.n_qubits, dtype=complex)
-    full[: data_amp.size] = data_amp  # data qubits are the low bits; rest in |0>
-    return layout, StateVector(full, layout)
+    if n > DEFAULT_QUBIT_CAP:
+        raise ResourceError(f"register of {n} qubits exceeds the cap of {DEFAULT_QUBIT_CAP}")
+    return StateVector(_initial_data_amplitudes(cfg), RegisterLayout.build(n, n_photons=0))
 
 
 @dataclass
@@ -184,7 +191,6 @@ class TrajectoryStats:
     fidelity_vs_oracle: float
     failed: bool
     failure_reason: Optional[str]
-    wall_time: float  # kept in memory only; excluded from reports for reproducibility
     records: list[RoundRecord] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -203,29 +209,17 @@ class TrajectoryStats:
         }
 
 
-def _make_engine(cfg: ProtocolConfig, layout: RegisterLayout):
-    photons = tuple(layout.photon_qubits[:2])
-    if cfg.loss.backup_enabled:
-        return BackupRoundEngine(photons, layout.backup_of, cfg.loss)
-    loss_cfg = cfg.loss if cfg.loss.p_loss > 0.0 else None
-    return DirectRoundEngine(photons, loss_cfg)
-
-
-def _oracle_state(cfg: ProtocolConfig, layout: RegisterLayout) -> np.ndarray:
-    u = exact_evolution(cfg.hamiltonian, cfg.t)
-    return u @ _initial_data_amplitudes(cfg)
+def _oracle_state(cfg: ProtocolConfig) -> np.ndarray:
+    return exact_evolution(cfg.hamiltonian, cfg.t) @ _initial_data_amplitudes(cfg)
 
 
 def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
     """Execute the compiled plan once, then compare against the exact oracle."""
-    started = time.perf_counter()
     rng = trajectory_rng(cfg.master_seed, index)
-    layout, state = build_register(cfg)
-    n = layout.n_qubits
+    state = build_register(cfg)
     plan = compile_plan(cfg.hamiltonian, cfg.t, cfg.n_steps)
-    engine = _make_engine(cfg, layout)
 
-    frame = ErrorFrame.identity(n)
+    frame = ErrorFrame.identity(state.n_qubits)
     all_records: list[RoundRecord] = []
     rounds_per_rotation: list[int] = []
     failed = False
@@ -236,7 +230,7 @@ def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
             try:
                 state, frame, recs = realize_v_kl(
                     state, rot.sites, rot.axes[0], rot.axes[1], rot.angle,
-                    cfg.policy, frame, rng, engine,
+                    cfg.policy, frame, rng, cfg.loss,
                 )
             except IncompleteRotationError as exc:
                 state, frame, recs = exc.state, exc.frame, exc.records
@@ -252,10 +246,7 @@ def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
             break
 
     corrected = apply_pauli_string(state, frame.byproduct)
-    data_dim = 1 << cfg.hamiltonian.n_qubits
-    data_amp = corrected.amplitudes[:data_dim]
-    oracle = _oracle_state(cfg, layout)
-    fid = float(abs(np.vdot(oracle, data_amp)) ** 2)
+    fid = float(abs(np.vdot(_oracle_state(cfg), corrected.amplitudes)) ** 2)
 
     histogram: dict[str, int] = {}
     loss_events = 0
@@ -281,7 +272,6 @@ def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
         fidelity_vs_oracle=fid,
         failed=failed,
         failure_reason=failure_reason,
-        wall_time=time.perf_counter() - started,
         records=all_records,
     )
 
@@ -347,20 +337,17 @@ def aggregate_report(cfg: ProtocolConfig, stats: list[TrajectoryStats]) -> dict:
 def probe_rounds(eps: float, samples: int, rng: np.random.Generator) -> dict:
     """Sample the four-outcome law at fixed eps.
 
-    The outcome distribution of a round is independent of the atomic state,
-    so the Born probabilities are computed once through the full emission and
-    projection machinery and the outcomes drawn as one multinomial.
+    The outcome distribution of a lossless round is independent of the atomic
+    state, so the Born probabilities are read once from the round's Kraus
+    table (on the pair state |00>) and the outcomes drawn as one multinomial.
     """
-    layout = RegisterLayout.build(2)
-    state = StateVector.computational_basis(layout, 0)
-    photons = tuple(layout.photon_qubits)
-    state = joint_emission(state, (0, 1), photons, eps)
-    probs = []
-    for proj in bell_projectors():
-        branch = _apply_subset_operator(state, photons, proj)
-        probs.append(float(np.vdot(branch, branch).real))
-    counts = rng.multinomial(samples, np.array(probs) / sum(probs))
-    labels = ["minus", "plus", "hh", "vv"]
+    weights = {
+        br.label: float(np.vdot(br.kraus[:, 0], br.kraus[:, 0]).real)
+        for br in round_branches(eps, LossConfig())
+    }
+    labels = [o.value for o in BeamSplitterOutcome]
+    probs = np.array([weights.get(lab, 0.0) for lab in labels])
+    counts = rng.multinomial(samples, probs / probs.sum())
     analytic = outcome_probabilities(eps)
     return {
         "eps": eps,
@@ -410,36 +397,23 @@ def cnot_demo(
     basis inputs plus two superposition inputs.
     """
     a1, a2, b1, b2 = cnot_dressing()
-    loss = LossConfig(
-        p_loss=p_loss,
-        encoding=PhotonEncoding.POLARIZATION,
-        backup_enabled=backup,
-    )
-    layout = RegisterLayout.build(2, with_backup=backup)
-    photons = tuple(layout.photon_qubits)
-    if backup:
-        engine = BackupRoundEngine(photons, layout.backup_of, loss)
-    else:
-        engine = DirectRoundEngine(photons, loss if p_loss > 0 else None)
+    loss = LossConfig(p_loss=p_loss, backup_enabled=backup)
+    layout = RegisterLayout.build(2, n_photons=0)
 
     fidelities = []
     total_rounds = 0
     for i, data_amp in enumerate(_cnot_demo_inputs()):
         rng = trajectory_rng(master_seed, i)
-        full = np.zeros(1 << layout.n_qubits, dtype=complex)
-        full[:4] = data_amp
-        state = StateVector(full, layout)
-        state = apply_local(state, 0, b1)
+        state = apply_local(StateVector(data_amp, layout), 0, b1)
         state = apply_local(state, 1, b2)
-        frame = ErrorFrame.identity(layout.n_qubits)
-        state, frame, recs = realize_v(state, (0, 1), t, policy, frame, rng, engine)
+        frame = ErrorFrame.identity(2)
+        state, frame, recs = realize_v(state, (0, 1), t, policy, frame, rng, loss)
         total_rounds += len(recs)
         state = apply_pauli_string(state, frame.byproduct)
         state = apply_local(state, 0, a1)
         state = apply_local(state, 1, a2)
-        got = state.amplitudes[:4]
         want = CNOT_MATRIX @ data_amp
-        fidelities.append(float(abs(np.vdot(want, got)) ** 2))
+        fidelities.append(float(abs(np.vdot(want, state.amplitudes)) ** 2))
 
     return {
         "t": t,

@@ -1,28 +1,37 @@
-"""Photon-loss channel and the backup-qubit protocol that makes rounds loss-tolerant.
+"""Photon-loss channel, the backup-qubit protocol, and each round compiled to Kraus operators.
 
 A lost photon is modeled as an environment measurement of its mode in the
 computational {V, H} basis whose outcome is sampled but hidden from the
 protocol; the mode is then emptied.  This keeps every trajectory a pure
 state while reproducing the dephasing the loss induces on the protocol's
 branch structure.
+
+``round_branches`` compiles one round of this photon-level model into 4x4
+Kraus operators on the atom pair, so trajectories evolve data qubits only and
+draw each branch with probability ||K psi||^2 (a quantum-jump unravelling).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
-from enum import Enum
+from typing import Optional
 
 import numpy as np
 
 from .emission import (
+    BELL_STATES,
     PhotonEncoding,
     beamsplitter_measure,
     BeamSplitterOutcome,
     emission_unitary,
+    joint_emission,
     _PHASE_I_ON_H,
 )
 from .errors import ProtocolError, UsageError
-from .statevec import StateVector, apply_local, apply_two_qubit, measure
+from .statevec import QubitRole, RegisterLayout, StateVector, apply_local, apply_two_qubit, measure
 
 _RESET_ATOL = 1e-10
 
@@ -83,14 +92,14 @@ def photon_copy(state: StateVector, atom_b: int, photon: int) -> StateVector:
     return apply_two_qubit(state, (atom_b, photon), _COPY_GATE)
 
 
-def _environment_measure_and_reset(
+def _measure_bit_and_reset(
     state: StateVector, qubit: int, rng: np.random.Generator
-) -> StateVector:
-    """Collapse one mode in the computational basis and empty it; outcome hidden."""
+) -> tuple[int, StateVector]:
+    """Collapse one qubit in the computational basis and reset it to |0>."""
     outcome, state, _ = measure(state, [qubit], [_P0, _P1], rng)
     if outcome == 1:
         state = apply_local(state, qubit, _X)
-    return state
+    return outcome, state
 
 
 def loss_channel(
@@ -105,7 +114,7 @@ def loss_channel(
         is_lost = bool(rng.random() < cfg.p_loss)
         lost.append(is_lost)
         if is_lost:
-            state = _environment_measure_and_reset(state, q, rng)
+            _, state = _measure_bit_and_reset(state, q, rng)
     lost_t = (lost[0], lost[1])
     detectable = (
         (lost_t[0] or lost_t[1]) if cfg.encoding is PhotonEncoding.POLARIZATION else False
@@ -142,13 +151,44 @@ def _measure_sign_and_reset(
     return outcome, state
 
 
-def _measure_bit_and_reset(
-    state: StateVector, qubit: int, rng: np.random.Generator
-) -> tuple[int, StateVector]:
-    outcome, state, _ = measure(state, [qubit], [_P0, _P1], rng)
-    if outcome == 1:
-        state = apply_local(state, qubit, _X)
-    return outcome, state
+# Direct-round effect of each beam-splitter outcome: (rotation direction, X flips on the pair).
+_OUTCOME_EFFECT = {
+    BeamSplitterOutcome.MINUS: (-1, (False, False)),
+    BeamSplitterOutcome.PLUS: (1, (False, False)),
+    BeamSplitterOutcome.HH: (None, (True, False)),
+    BeamSplitterOutcome.VV: (None, (False, True)),
+}
+
+
+def _backup_effect(outcome: Optional[BeamSplitterOutcome], bits: tuple[int, int]):
+    """(rotation direction, X flips) of a backup round.
+
+    With both photons detected, ``bits`` are the backups' sign bits and their
+    product fixes the time direction.  After a loss (``outcome`` None) they
+    are the backups' computational values, which name the Pauli branch.
+    """
+    if outcome is None:
+        return None, (bits[0] == 1, bits[1] == 0)
+    direction, flips = _OUTCOME_EFFECT[outcome]
+    if direction is not None and (bits[0] + bits[1]) % 2:
+        direction = -direction
+    return direction, flips
+
+
+def _backup_stage(
+    state: StateVector,
+    pair_a: tuple[int, int],
+    pair_b: tuple[int, int],
+    photons: tuple[int, int],
+    eps: float,
+) -> StateVector:
+    """Unitary part of a backup round: backup entangling, photon copy, i phase on photon 1."""
+    state = backup_entangle(state, pair_a[0], pair_b[0], eps)
+    state = backup_entangle(state, pair_a[1], pair_b[1], 1.0 - eps)
+    state = apply_local(state, pair_a[1], _X)
+    state = photon_copy(state, pair_b[0], photons[0])
+    state = photon_copy(state, pair_b[1], photons[1])
+    return apply_local(state, photons[0], _PHASE_I_ON_H)
 
 
 def backup_round(
@@ -168,75 +208,119 @@ def backup_round(
     backup atoms are measured in the computational basis instead, which
     collapses the register onto a known Pauli branch (no rotation, retry).
     """
-    atom_a, atom_a2 = pair_a
     bak_a, bak_a2 = pair_b
-    p1, p2 = photons
-
-    state = backup_entangle(state, atom_a, bak_a, eps)
-    state = backup_entangle(state, atom_a2, bak_a2, 1.0 - eps)
-    state = apply_local(state, atom_a2, _X)
-    state = photon_copy(state, bak_a, p1)
-    state = photon_copy(state, bak_a2, p2)
-    state = apply_local(state, p1, _PHASE_I_ON_H)
-
+    state = _backup_stage(state, pair_a, pair_b, photons, eps)
     state, pattern = loss_channel(state, photons, cfg, rng)
 
     if not pattern.any_lost:
         outcome, state, _ = beamsplitter_measure(state, photons, rng)
         s1, state = _measure_sign_and_reset(state, bak_a, rng)
         s2, state = _measure_sign_and_reset(state, bak_a2, rng)
-        sign_product = -1 if (s1 + s2) % 2 else 1
-        if outcome is BeamSplitterOutcome.PLUS:
-            return state, BackupRoundResult(outcome, sign_product, (False, False), (s1, s2), pattern)
-        if outcome is BeamSplitterOutcome.MINUS:
-            return state, BackupRoundResult(outcome, -sign_product, (False, False), (s1, s2), pattern)
-        if outcome is BeamSplitterOutcome.HH:
-            return state, BackupRoundResult(outcome, None, (True, False), (s1, s2), pattern)
-        return state, BackupRoundResult(outcome, None, (False, True), (s1, s2), pattern)
+        direction, flips = _backup_effect(outcome, (s1, s2))
+        return state, BackupRoundResult(outcome, direction, flips, (s1, s2), pattern)
 
     # A photon is missing: clear any surviving mode, then read the backups in
     # the computational basis to collapse onto a known Pauli branch.
     for q, was_lost in zip(photons, pattern.lost):
         if not was_lost:
-            state = _environment_measure_and_reset(state, q, rng)
+            _, state = _measure_bit_and_reset(state, q, rng)
     b1, state = _measure_bit_and_reset(state, bak_a, rng)
     b2, state = _measure_bit_and_reset(state, bak_a2, rng)
-    flips = (b1 == 1, b2 == 0)
+    _, flips = _backup_effect(None, (b1, b2))
     return state, BackupRoundResult(None, None, flips, (b1, b2), pattern)
 
 
-class RoundEffect(Enum):
-    PLUS_ROTATION = "plus_rotation"
-    MINUS_ROTATION = "minus_rotation"
-    KNOWN_PAULI = "known_pauli"
-    UNRESOLVED = "unresolved"
+@dataclass(frozen=True)
+class RoundBranch:
+    """One way a round can act on the atom pair, with what the controller records for it.
 
-
-def classify_round_effect(
-    state_before: StateVector,
-    state_after: StateVector,
-    pair: tuple[int, int],
-    t_round: float,
-    frame_delta,
-) -> RoundEffect:
-    """Identify what operation a round actually applied, by oracle comparison.
-
-    ``frame_delta`` is the Pauli string the round's bookkeeping claims was
-    picked up.  UNRESOLVED signals a bug in the round implementation.
+    ``kraus`` is a 4x4 operator on the (first, second) atom, first the low bit.
+    Branches that differ only in a hidden environment bit share their record.
     """
-    from .statevec import apply_pauli_string, fidelity  # deferred: thin test oracle
 
-    threshold = 1.0 - 1e-9
-    xx = np.kron(_X, _X)
-    for effect, t in (
-        (RoundEffect.PLUS_ROTATION, t_round),
-        (RoundEffect.MINUS_ROTATION, -t_round),
-    ):
-        rot = np.cos(t) * np.eye(4) + 1j * np.sin(t) * xx
-        cand = apply_two_qubit(state_before, pair, rot)
-        if fidelity(cand, state_after) >= threshold:
-            return effect
-    cand = apply_pauli_string(state_before, frame_delta)
-    if fidelity(cand, state_after) >= threshold:
-        return RoundEffect.KNOWN_PAULI
-    return RoundEffect.UNRESOLVED
+    kraus: np.ndarray
+    label: str
+    direction: Optional[int]  # +-1 for e^{+-i t XX}, None for no rotation
+    flips: tuple[bool, bool]  # X byproducts on the (first, second) atom
+    b_bits: Optional[tuple[int, int]] = None  # backup-atom readings
+    lost: Optional[tuple[bool, bool]] = None  # photons lost, where loss is modeled
+
+
+_LOSS_PATTERNS = ((True, False), (False, True), (True, True))
+_PAIR_BITS = ((0, 0), (1, 0), (0, 1), (1, 1))  # (first, second): index first + 2*second
+_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)  # |+>, |->
+_E2, _E4 = np.eye(2), np.eye(4)
+_ZERO_BRANCH = 1e-24  # squared norm under which a branch's operator counts as zero
+
+
+def _round_outcomes(loss: LossConfig):
+    """(mode state, record) for every outcome of a round, the state weighted by its loss amplitude.
+
+    Mode states run over the photon pair, index p1 + 2*p2; in the backup
+    round the backup pair adds two low bits.
+    """
+    p, backup = loss.p_loss, loss.backup_enabled
+    lost = (False, False) if p > 0.0 or backup else None
+    for o, v in BELL_STATES.items():
+        if not backup:
+            yield (1.0 - p) * v, (o.value, *_OUTCOME_EFFECT[o], None, lost)
+        for bits in _PAIR_BITS if backup else ():  # backups read in the sign basis
+            modes = np.outer(v, np.outer(_SIGNS[bits[1]], _SIGNS[bits[0]])).ravel()
+            yield (1.0 - p) * modes, (o.value, *_backup_effect(o, bits), bits, lost)
+    for lost in _LOSS_PATTERNS if p > 0.0 else ():
+        w = math.sqrt(p ** sum(lost) * (1.0 - p) ** (2 - sum(lost)))
+        if backup:  # the environment reads both photons, then the backups are read
+            for h, (i, bits) in itertools.product(_E4, enumerate(_PAIR_BITS)):
+                modes = np.outer(h, _E4[i]).ravel()
+                yield w * modes, ("loss", *_backup_effect(None, bits), bits, lost)
+        elif loss.encoding is PhotonEncoding.POLARIZATION:
+            # heralded: the round is discarded, the environment reads both photons
+            for h in _E4:
+                yield w * h, ("loss", None, (False, False), None, lost)
+        else:  # silent: a lost photon is read (bit h) and emptied before the Bell measurement
+            for bits in itertools.product(*((0, 1) if l else (None,) for l in lost)):
+                first, second = (_E2 if h is None else np.outer(_E2[0], _E2[h]) for h in bits)
+                emptied = np.kron(second, first)
+                for o, v in BELL_STATES.items():
+                    yield w * emptied.T @ v, (o.value, *_OUTCOME_EFFECT[o], None, lost)
+
+
+@functools.lru_cache(maxsize=256)
+def round_branches(eps: float, loss: LossConfig) -> tuple[RoundBranch, ...]:
+    """Every branch of one feedback round at strength ``eps``, as Kraus operators on the pair.
+
+    The round kind follows from ``loss``: the backup round when
+    ``backup_enabled``, else the direct round, lossless at p_loss 0, with
+    heralded loss under polarization encoding and silent loss under
+    occupation encoding.  The photon-level model's unitary stage runs on the
+    pair's basis states and its photon and backup modes are contracted with
+    the state each outcome leaves them in; hidden environment bits give
+    separate branches, and branches whose operator is zero are dropped.
+    Lossless rounds list (minus, plus, hh, vv) in that order.  Raises
+    ProtocolError if the branches do not sum to a trace-preserving map.
+    """
+    if loss.backup_enabled:
+        layout = RegisterLayout.build(2, with_backup=True)
+        stage = functools.partial(
+            _backup_stage, pair_a=(0, 1), pair_b=(2, 3), photons=(4, 5), eps=eps
+        )
+    else:
+        layout = RegisterLayout.build(2)
+        stage = functools.partial(joint_emission, pair=(0, 1), photons=(2, 3), eps=eps)
+    # One run on the pair maximally entangled with two reference qubits above
+    # the layout covers all four input basis states: the references label them.
+    n = layout.n_qubits
+    choi = np.zeros(1 << (n + 2), dtype=complex)
+    choi[[j + (j << n) for j in range(4)]] = 1.0
+    extended = RegisterLayout(layout.roles + (QubitRole.DATA_A,) * 2, layout.backup_of)
+    out = stage(StateVector(choi, extended)).amplitudes
+    tensor = out.reshape(4, -1, 4).transpose(1, 2, 0)  # (mode state, atom out, atom in)
+
+    modes, records = zip(*_round_outcomes(loss))
+    kraus = np.tensordot(np.conj(modes), tensor, axes=1)
+    kraus.flags.writeable = False
+    gram = np.einsum("bki,bkj->bij", kraus.conj(), kraus)
+    if not np.allclose(gram.sum(axis=0), np.eye(4), atol=1e-10):
+        raise ProtocolError(f"round branches at eps={eps} are not trace preserving")
+    weights = np.einsum("bii->b", gram).real
+    return tuple(RoundBranch(k, *r) for k, r, w in zip(kraus, records, weights) if w > _ZERO_BRANCH)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ProtocolError, ResourceError, UsageError
+from .errors import ResourceError, UsageError
 from .pauli import PauliString
 
 DEFAULT_QUBIT_CAP = 12
@@ -53,16 +53,9 @@ class RegisterLayout:
     def n_qubits(self) -> int:
         return len(self.roles)
 
-    def qubits_with_role(self, role: QubitRole) -> list[int]:
-        return [i for i, r in enumerate(self.roles) if r is role]
-
-    @property
-    def data_qubits(self) -> list[int]:
-        return self.qubits_with_role(QubitRole.DATA_A)
-
     @property
     def photon_qubits(self) -> list[int]:
-        return self.qubits_with_role(QubitRole.PHOTON_MODE)
+        return [i for i, r in enumerate(self.roles) if r is QubitRole.PHOTON_MODE]
 
     @classmethod
     def build(cls, n_data: int, with_backup: bool = False, n_photons: int = 2) -> "RegisterLayout":
@@ -171,20 +164,35 @@ def apply_two_qubit(state: StateVector, qubits: tuple[int, int], u: np.ndarray) 
     return StateVector(t.reshape(-1), state.layout)
 
 
-def _apply_subset_operator(state: StateVector, qubits: Sequence[int], m: np.ndarray) -> np.ndarray:
-    """Apply an arbitrary 2^k x 2^k matrix on the given qubits; returns raw amplitudes.
+def draw_branch(
+    state: StateVector,
+    qubits: Sequence[int],
+    operators: Sequence[np.ndarray],
+    rng: np.random.Generator,
+) -> tuple[int, StateVector, np.ndarray]:
+    """Apply each operator on ``qubits`` and keep one branch, drawn by its squared norm.
 
-    Matrix index convention: first listed qubit is the least significant bit.
+    The operators are 2^k x 2^k matrices, first listed qubit the low bit.  One
+    uniform number is compared with the running sum of the branch weights
+    ||K_i psi||^2 in operator order.  Returns (branch index, renormalized
+    branch, weights of all branches).
     """
     n = state.n_qubits
     k = len(qubits)
-    mk = np.asarray(m, dtype=complex).reshape([2] * (2 * k))
+    ops = np.asarray(operators, dtype=complex)
+    mk = ops.reshape([len(ops)] + [2] * (2 * k))
     t = state.amplitudes.reshape([2] * n)
     # Axis for matrix bit j (significance j) is position k-1-j of the reshaped block.
     in_axes = [n - 1 - q for q in reversed(qubits)]
-    t = np.tensordot(mk, t, axes=(list(range(k, 2 * k)), in_axes))
-    t = np.moveaxis(t, list(range(k)), in_axes)
-    return t.reshape(-1)
+    t = np.tensordot(mk, t, axes=(list(range(k + 1, 2 * k + 1)), in_axes))
+    t = np.moveaxis(t, list(range(1, k + 1)), [ax + 1 for ax in in_axes])
+    branches = t.reshape(len(ops), -1)
+    probs = np.einsum("ij,ij->i", branches.conj(), branches).real
+
+    r = rng.random() * probs.sum()
+    index = min(int(np.searchsorted(np.cumsum(probs), r, side="right")), len(probs) - 1)
+    collapsed = branches[index] / np.sqrt(probs[index])
+    return index, StateVector(collapsed, state.layout), probs
 
 
 def measure(
@@ -207,21 +215,10 @@ def measure(
         if not np.allclose(p @ p, p, atol=_PROJECTOR_ATOL):
             raise UsageError(f"projector {i} is not idempotent")
 
-    branches = [_apply_subset_operator(state, qubits, p) for p in mats]
-    probs = np.array([float(np.vdot(b, b).real) for b in branches])
+    outcome, collapsed, probs = draw_branch(state, qubits, mats, rng)
     if abs(probs.sum() - state.norm_squared()) > _PROJECTOR_ATOL:
         raise UsageError("projector probabilities do not sum to the state norm")
-
-    r = rng.random() * probs.sum()
-    acc = 0.0
-    outcome = len(probs) - 1
-    for i, p in enumerate(probs):
-        acc += p
-        if r < acc:
-            outcome = i
-            break
-    collapsed = branches[outcome] / np.sqrt(probs[outcome])
-    return outcome, StateVector(collapsed, state.layout), float(probs[outcome])
+    return outcome, collapsed, float(probs[outcome])
 
 
 def expm_i_hermitian(h: np.ndarray, t: float) -> np.ndarray:

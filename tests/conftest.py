@@ -1,8 +1,16 @@
+from enum import Enum
+
 import numpy as np
 import pytest
 
 from mfsim.harness import haar_random_amplitudes
-from mfsim.statevec import RegisterLayout, StateVector
+from mfsim.statevec import (
+    RegisterLayout,
+    StateVector,
+    apply_pauli_string,
+    apply_two_qubit,
+    fidelity,
+)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -35,6 +43,41 @@ def embedded_state(data_amp, layout):
 def random_two_atom_state(rng, with_backup=False):
     layout = RegisterLayout.build(2, with_backup=with_backup)
     return layout, embedded_state(haar_random_amplitudes(2, rng), layout)
+
+
+class RoundEffect(Enum):
+    PLUS_ROTATION = "plus_rotation"
+    MINUS_ROTATION = "minus_rotation"
+    KNOWN_PAULI = "known_pauli"
+    UNRESOLVED = "unresolved"
+
+
+def classify_round_effect(
+    state_before: StateVector,
+    state_after: StateVector,
+    pair: tuple[int, int],
+    t_round: float,
+    frame_delta,
+) -> RoundEffect:
+    """Identify what operation a round actually applied, by oracle comparison.
+
+    ``frame_delta`` is the Pauli string the round's bookkeeping claims was
+    picked up.  UNRESOLVED signals a bug in the round implementation.
+    """
+    threshold = 1.0 - 1e-9
+    xx = np.kron(X, X)
+    for effect, t in (
+        (RoundEffect.PLUS_ROTATION, t_round),
+        (RoundEffect.MINUS_ROTATION, -t_round),
+    ):
+        rot = np.cos(t) * np.eye(4) + 1j * np.sin(t) * xx
+        cand = apply_two_qubit(state_before, pair, rot)
+        if fidelity(cand, state_after) >= threshold:
+            return effect
+    cand = apply_pauli_string(state_before, frame_delta)
+    if fidelity(cand, state_after) >= threshold:
+        return RoundEffect.KNOWN_PAULI
+    return RoundEffect.UNRESOLVED
 
 
 @pytest.fixture

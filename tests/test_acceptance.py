@@ -19,7 +19,7 @@ from mfsim.compiler import (
     schedule_parallel,
 )
 from mfsim.emission import PhotonEncoding
-from mfsim.feedback import BackupRoundEngine, EpsilonPolicy, realize_v, realize_v_kl
+from mfsim.feedback import EpsilonPolicy, realize_v, realize_v_kl
 from mfsim.harness import (
     ProtocolConfig,
     cnot_demo,

@@ -1,8 +1,14 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mfsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, main
+from mfsim.cli import EXIT_CONFIG, EXIT_INCOMPLETE, EXIT_OK, EXIT_RESOURCE, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+XX_PAIR = {"n_qubits": 2, "terms": [{"sites": [0, 1], "axes": "XX", "coeff": 1.0}]}
 
 
 @pytest.fixture
@@ -69,10 +75,42 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path / "none.json")]) == EXIT_CONFIG
 
     def test_register_cap_exit_code(self, tmp_path):
-        cfg = {"hamiltonian": {"n_qubits": 11, "terms": []}, "t": 0.1, "n_steps": 1}
+        cfg = {"hamiltonian": {"n_qubits": 13, "terms": []}, "t": 0.1, "n_steps": 1}
         path = tmp_path / "big.json"
         path.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(path)]) == EXIT_RESOURCE
+
+
+    @pytest.mark.parametrize("bad,named", [
+        ({"loss": {"p_los": 0.9, "backup_enabled": True}}, "loss.p_los"),
+        ({"polcy": {}}, "polcy"),
+        ({"policy": {"max_round": 8}}, "policy.max_round"),
+        ({"hamiltonian": {**XX_PAIR, "n_qbits": 2}}, "hamiltonian.n_qbits"),
+        ({"hamiltonian": {"n_qubits": 2, "terms": [{"sites": [0, 1], "axes": "XX", "coef": 1}]}},
+         "hamiltonian.terms[0].coef"),
+        ({"initial_state": {"random_seed": 1, "seed": 2}}, "initial_state.seed"),
+        ({"t": "nan"}, "t must be finite"),
+        ({"t": "inf"}, "t must be finite"),
+        ({"policy": {"max_rounds": 0}}, "policy.max_rounds"),
+        ({"initial_state": {"amplitudes": [[1]] * 4}}, "initial state"),
+        ({"initial_state": {"amplitudes": [[1, "x"]] * 4}}, "initial state"),
+        ({"initial_state": {"amplitudes": [[1, "nan"]] * 4}}, "initial state has norm"),
+        ({"initial_state": {"random_seed": -2}}, "initial state"),
+        ({"hamiltonian": {"n_qubits": -1, "terms": []}}, "at least one qubit"),
+        ({"master_seed": -1}, "master_seed"),
+    ])
+    def test_bad_config_exits_2_without_traceback(self, bad, named, tmp_path):
+        cfg = {"hamiltonian": XX_PAIR, "t": 0.3, "n_steps": 1, **bad}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfsim.cli", "simulate", "--config", str(path),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env={"PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error:") and named in proc.stderr
 
 
 class TestProbeRound:
@@ -124,6 +162,14 @@ class TestCnotDemoCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["backup"] is True
         assert out["process_fidelity"] >= 1 - 1e-9
+
+
+    def test_incomplete_rotation_exit_code(self, capsys):
+        code = main(["cnot-demo", "--p-loss", "0.9", "--max-rounds", "2"])
+        assert code == EXIT_INCOMPLETE
+        err = capsys.readouterr().err
+        assert "residual angle" in err
+        assert "Traceback" not in err
 
 
 class TestOracle:

@@ -1,0 +1,207 @@
+"""Round tables against the photon-level model they are compiled from.
+
+Every round kind is checked on an eps grid: the Kraus operators are complete,
+each lossless and backup branch is the operation its record names, and each
+post-state the photon-level model produces is the renormalized K psi of a
+branch with the same visible record.  A chi-square test compares the
+photon-level record frequencies with ||K psi||^2.
+"""
+
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import mfsim.emission
+import mfsim.feedback
+import mfsim.harness
+import mfsim.loss
+from mfsim.emission import PhotonEncoding, beamsplitter_measure, joint_emission
+from mfsim.harness import ProtocolConfig, haar_random_amplitudes, run_trajectory
+from mfsim.loss import LossConfig, backup_round, loss_channel, round_branches
+from mfsim.statevec import RegisterLayout
+
+from conftest import X, embedded_state, kron_le, rot_xx
+
+KINDS = {
+    "lossless": LossConfig(),
+    "heralded": LossConfig(p_loss=0.3),
+    "occupation": LossConfig(p_loss=0.3, encoding=PhotonEncoding.OCCUPATION),
+    "backup": LossConfig(backup_enabled=True),
+    "backup-loss60": LossConfig(p_loss=0.6, backup_enabled=True),
+    "backup-loss90": LossConfig(p_loss=0.9, backup_enabled=True),
+}
+EPS_GRID = [round(0.05 * i, 2) for i in range(1, 20)]  # 0.05, 0.10, ..., 0.95
+
+# The paper's direct-round rule: (rotation direction, X flips on the pair).
+DIRECT_EFFECT = {
+    "minus": (-1, (False, False)),
+    "plus": (1, (False, False)),
+    "hh": (None, (True, False)),
+    "vv": (None, (False, True)),
+}
+
+
+def record(branch):
+    return (branch.label, branch.direction, branch.flips, branch.b_bits, branch.lost)
+
+
+def photon_level_round(psi, eps, loss, rng):
+    """One round of the photon-level model on the pair state ``psi``.
+
+    Returns the record the controller sees and the pair's state afterwards;
+    photon and backup modes end every round emptied.
+    """
+    if loss.backup_enabled:
+        layout = RegisterLayout.build(2, with_backup=True)
+        st, res = backup_round(embedded_state(psi, layout), (0, 1), (2, 3), (4, 5), eps, loss, rng)
+        label = "loss" if res.loss.any_lost else res.bs_outcome.value
+        return (label, res.direction, res.flips, res.b_bits, res.loss.lost), st.amplitudes
+    photons = (2, 3)
+    st = joint_emission(embedded_state(psi, RegisterLayout.build(2)), (0, 1), photons, eps)
+    lost = None
+    if loss.p_loss > 0.0:
+        st, pattern = loss_channel(st, photons, loss, rng)
+        lost = pattern.lost
+        if pattern.detectable:
+            # the round is discarded; the environment also reads the surviving mode
+            st, _ = loss_channel(st, photons, LossConfig(p_loss=1.0), rng)
+            return ("loss", None, (False, False), None, lost), st.amplitudes
+    outcome, st, _ = beamsplitter_measure(st, photons, rng)
+    return (outcome.value, *DIRECT_EFFECT[outcome.value], None, lost), st.amplitudes
+
+
+def named_operation(branch, eps):
+    if branch.direction is not None:
+        return rot_xx(branch.direction * math.atan2(eps, 1.0 - eps))
+    return kron_le(*(X if f else np.eye(2) for f in branch.flips))
+
+
+def chi2_sf(x, dof):
+    """Upper tail of the chi-square law (Wilson-Hilferty normal approximation)."""
+    h = 2.0 / (9.0 * dof)
+    z = ((x / dof) ** (1.0 / 3.0) - (1.0 - h)) / math.sqrt(h)
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_branches_are_complete(kind):
+    for eps in EPS_GRID:
+        branches = round_branches(eps, KINDS[kind])
+        total = sum(b.kraus.conj().T @ b.kraus for b in branches)
+        assert np.max(np.abs(total - np.eye(4))) <= 1e-12, eps
+
+
+@pytest.mark.parametrize("kind", ["lossless", "backup", "backup-loss60", "backup-loss90"])
+def test_branches_are_their_named_operation(kind):
+    for eps in EPS_GRID:
+        for b in round_branches(eps, KINDS[kind]):
+            u = named_operation(b, eps)
+            c = np.trace(u.conj().T @ b.kraus) / 4
+            assert abs(c) > 0
+            assert np.max(np.abs(b.kraus - c * u)) <= 1e-10, (eps, record(b))
+
+
+def test_lossless_table_is_the_four_outcomes_in_order():
+    for eps in EPS_GRID:
+        assert [b.label for b in round_branches(eps, LossConfig())] == ["minus", "plus", "hh", "vv"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_photon_level_post_states_are_branches(kind):
+    rng = np.random.default_rng(2024)
+    loss = KINDS[kind]
+    for eps in EPS_GRID:
+        table = round_branches(eps, loss)
+        for _ in range(12):
+            psi = haar_random_amplitudes(2, rng)
+            seen, after = photon_level_round(psi, eps, loss, rng)
+            assert np.linalg.norm(after[4:]) <= 1e-10  # ancillas emptied
+            best = 0.0
+            for b in table:
+                if record(b) == seen:
+                    k_psi = b.kraus @ psi
+                    overlap = np.vdot(k_psi, after[:4]) / np.linalg.norm(k_psi)
+                    best = max(best, abs(overlap) ** 2)
+            assert best >= 1 - 1e-10, (eps, seen)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_photon_level_frequencies_follow_branch_weights(kind):
+    loss = KINDS[kind]
+    eps, n = 0.3, 1200
+    rng = np.random.default_rng(77)
+    psi = haar_random_amplitudes(2, rng)
+    expected = Counter()
+    for b in round_branches(eps, loss):
+        expected[record(b)] += n * float(np.linalg.norm(b.kraus @ psi) ** 2)
+    observed = Counter(photon_level_round(psi, eps, loss, rng)[0] for _ in range(n))
+    assert set(observed) <= set(expected)
+    # records expected fewer than 5 times share one bin
+    bins = [(observed[r], e) for r, e in expected.items() if e >= 5]
+    rare = [r for r, e in expected.items() if e < 5]
+    if rare:
+        bins.append((sum(observed[r] for r in rare), sum(expected[r] for r in rare)))
+    stat = sum((o - e) ** 2 / e for o, e in bins)
+    assert chi2_sf(stat, len(bins) - 1) > 1e-3, (stat, len(bins))
+
+
+CONFIGS = {
+    "trotter": {
+        "hamiltonian": {
+            "n_qubits": 3,
+            "terms": [
+                {"sites": [0, 1], "axes": "XX", "coeff": 1.0},
+                {"sites": [1, 2], "axes": "ZZ", "coeff": 0.7},
+            ],
+        },
+        "t": 0.5,
+        "n_steps": 4,
+        "initial_state": {"random_seed": 3},
+    },
+    "backup-loss60": {
+        "hamiltonian": {
+            "n_qubits": 3,
+            "terms": [{"sites": [0, 2], "axes": "YZ", "coeff": 1.0}],
+        },
+        "t": 0.8,
+        "n_steps": 3,
+        "policy": {"max_rounds": 4000},
+        "loss": {"p_loss": 0.6, "backup_enabled": True},
+        "initial_state": {"random_seed": 4},
+    },
+}
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_cold_and_warm_table_cache_agree(name):
+    cfg = ProtocolConfig.from_dict({**CONFIGS[name], "master_seed": 11})
+    round_branches.cache_clear()
+    cold = [run_trajectory(cfg, i).to_dict() for i in range(3)]
+    warm = [run_trajectory(cfg, i).to_dict() for i in range(3)]
+    assert cold == warm
+
+
+def test_warm_trajectory_evolves_data_qubits_only(monkeypatch):
+    cfg = ProtocolConfig.from_dict({**CONFIGS["backup-loss60"], "master_seed": 12})
+    first = run_trajectory(cfg, 0)  # builds every table this trajectory needs
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the photon-level model ran inside a trajectory")
+
+    for module in (mfsim.emission, mfsim.loss, mfsim.feedback, mfsim.harness):
+        for name in ("joint_emission", "beamsplitter_measure", "loss_channel", "backup_round"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    sizes = set()
+    draw = mfsim.feedback.draw_branch
+
+    def spy(state, *args):
+        sizes.add(state.amplitudes.size)
+        return draw(state, *args)
+
+    monkeypatch.setattr(mfsim.feedback, "draw_branch", spy)
+    again = run_trajectory(cfg, 0)
+    assert sizes == {2**3}
+    assert again.to_dict() == first.to_dict()

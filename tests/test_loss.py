@@ -9,17 +9,15 @@ from mfsim.harness import haar_random_amplitudes
 from mfsim.loss import (
     LossConfig,
     LossPattern,
-    RoundEffect,
     backup_entangle,
     backup_round,
-    classify_round_effect,
     loss_channel,
     photon_copy,
 )
 from mfsim.pauli import PauliAxis, PauliString
 from mfsim.statevec import RegisterLayout, StateVector
 
-from conftest import embedded_state, kron_le, rot_xx, X
+from conftest import RoundEffect, classify_round_effect, embedded_state, kron_le, rot_xx, X
 
 
 def backup_register(rng, n_data=2):
