@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration error, 3 register-size cap exceeded,
-4 a ``cnot-demo`` rotation ran out of rounds (the residual angle is printed).
+Exit codes: 0 success, 2 configuration error or a numeric flag out of range,
+3 register-size cap exceeded, 4 a ``cnot-demo`` rotation ran out of rounds
+(the residual angle is printed).
 The output directory of ``simulate`` can be overridden with the
 ``MFSIM_OUT_DIR`` environment variable.
 """
@@ -31,6 +32,17 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_INCOMPLETE = 4
+
+# (subcommand, flag, accepted values, test) for the numeric flags argparse only types.
+_FLAG_BOUNDS = (
+    ("probe-round", "--eps", "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    ("probe-round", "--samples", ">= 1", lambda v: v >= 1),
+    ("probe-round", "--seed", ">= 0", lambda v: v >= 0),
+    ("schedule", "--confidence", "in (0, 1)", lambda v: 0.0 < v < 1.0),
+    ("cnot-demo", "--p-loss", "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    ("cnot-demo", "--seed", ">= 0", lambda v: v >= 0),
+    ("cnot-demo", "--max-rounds", ">= 1", lambda v: v >= 1),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,9 +74,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_flags(args: argparse.Namespace) -> None:
+    for command, flag, accepted, ok in _FLAG_BOUNDS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if args.command == command and not ok(value):
+            raise UsageError(f"{flag}={value} must be {accepted}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         if args.command == "simulate":
             cfg = ProtocolConfig.from_json_file(args.config)
             report, stats = run_ensemble(cfg)

@@ -3,11 +3,11 @@
 Each round aims an angle, emits, measures, and updates a running residual:
 a Plus outcome subtracts the aimed angle, a Minus outcome adds it (so the
 next round aims double, reproducing the eps-doubling policy), and HH/VV
-outcomes only multiply the Pauli error frame.  For a conjugated rotation
-e^{it s_k x s_l} the pair is dressed with u_k (x) u_l around the loop and
-byproducts are recorded as s_k / s_l at the pair sites.  If the incoming
-frame anticommutes with the rotation axis the roles of Plus and Minus are
-swapped (the time direction is inverted).
+outcomes only multiply the Pauli error frame.  A rotation e^{it s_k x s_l}
+draws from the round table for the axis pair (k, l), whose byproducts are
+s_k / s_l at the pair sites.  If the incoming frame anticommutes with the
+rotation axis the roles of Plus and Minus are swapped (the time direction is
+inverted).
 """
 
 from __future__ import annotations
@@ -21,14 +21,8 @@ import numpy as np
 
 from .errors import IncompleteRotationError, UsageError
 from .loss import LossConfig, round_branches
-from .pauli import (
-    ErrorFrame,
-    PauliAxis,
-    PauliString,
-    conjugation_unitary,
-    frame_conjugate_direction,
-)
-from .statevec import StateVector, apply_local, draw_branch
+from .pauli import ErrorFrame, PauliAxis, PauliString, frame_conjugate_direction
+from .statevec import StateVector, apply_local, draw_branch  # noqa: F401 (perfbench traces it)
 
 _ANGLE_TOL = 1e-12
 
@@ -115,17 +109,16 @@ def realize_v_kl(
 ) -> tuple[StateVector, ErrorFrame, list[RoundRecord]]:
     """Realize e^{i t s_k x s_l} on ``pair`` modulo the tracked error frame.
 
-    Each round applies one branch of ``round_branches(eps, loss)`` (lossless
-    when ``loss`` is None) to the pair, drawn with probability ||K psi||^2.
-    On success the frame-corrected output equals the exact rotation applied
-    to the frame-corrected input, up to global phase.  Raises
+    Each round applies one branch of ``round_branches(eps, loss, (k, l))``
+    (lossless when ``loss`` is None) to the pair, drawn with probability
+    ||K psi||^2.  On success the frame-corrected output equals the exact
+    rotation applied to the frame-corrected input, up to global phase.  Raises
     IncompleteRotationError (with state, frame, and residual attached) if
     max_rounds is exhausted.
     """
     if k is PauliAxis.I or l is PauliAxis.I:
         raise UsageError("rotation axes must be X, Y, or Z")
-    a, b = pair
-    if a == b:
+    if pair[0] == pair[1]:
         raise UsageError("rotation needs two distinct qubits")
     n = state.n_qubits
     target = _pair_string(n, pair, k, l, True, True)
@@ -136,19 +129,11 @@ def realize_v_kl(
         return state, frame, records
 
     loss = loss or LossConfig()
-    # u e^{it XX} u^dag = e^{it (u X u^dag) x (u X u^dag)}, so enter the inner
-    # X-basis picture with u^dag and leave it with u.
-    dressed = k is not PauliAxis.X or l is not PauliAxis.X
-    if dressed:
-        u_k, u_l = conjugation_unitary(k), conjugation_unitary(l)
-        state = apply_local(state, a, u_k.conj().T)
-        state = apply_local(state, b, u_l.conj().T)
-
     for _ in range(policy.max_rounds):
         aimed = abs(residual)
         eps = policy.eps_for(aimed)
         sign_swap = frame_conjugate_direction(frame, target)
-        branches = round_branches(eps, loss)
+        branches = round_branches(eps, loss, (k, l))
         index, state, _ = draw_branch(state, pair, [br.kraus for br in branches], rng)
         out = branches[index]
 
@@ -161,10 +146,6 @@ def realize_v_kl(
         if abs(residual) <= _ANGLE_TOL:
             residual = 0.0
             break
-
-    if dressed:
-        state = apply_local(state, a, u_k)
-        state = apply_local(state, b, u_l)
 
     if abs(residual) > _ANGLE_TOL:
         err = IncompleteRotationError(residual, records)

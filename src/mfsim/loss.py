@@ -31,6 +31,7 @@ from .emission import (
     _PHASE_I_ON_H,
 )
 from .errors import ProtocolError, UsageError
+from .pauli import PauliAxis, conjugation_unitary
 from .statevec import QubitRole, RegisterLayout, StateVector, apply_local, apply_two_qubit, measure
 
 _RESET_ATOL = 1e-10
@@ -234,14 +235,15 @@ def backup_round(
 class RoundBranch:
     """One way a round can act on the atom pair, with what the controller records for it.
 
-    ``kraus`` is a 4x4 operator on the (first, second) atom, first the low bit.
-    Branches that differ only in a hidden environment bit share their record.
+    ``kraus`` is a 4x4 operator on the (first, second) atom, first the low bit,
+    in the table for the axis pair (k, l).  Branches that differ only in a
+    hidden environment bit share their record.
     """
 
     kraus: np.ndarray
     label: str
-    direction: Optional[int]  # +-1 for e^{+-i t XX}, None for no rotation
-    flips: tuple[bool, bool]  # X byproducts on the (first, second) atom
+    direction: Optional[int]  # +-1 for e^{+-i t s_k x s_l}, None for no rotation
+    flips: tuple[bool, bool]  # s_k on the first atom, s_l on the second
     b_bits: Optional[tuple[int, int]] = None  # backup-atom readings
     lost: Optional[tuple[bool, bool]] = None  # photons lost, where loss is modeled
 
@@ -286,7 +288,9 @@ def _round_outcomes(loss: LossConfig):
 
 
 @functools.lru_cache(maxsize=256)
-def round_branches(eps: float, loss: LossConfig) -> tuple[RoundBranch, ...]:
+def round_branches(
+    eps: float, loss: LossConfig, axes: tuple[PauliAxis, PauliAxis] = (PauliAxis.X, PauliAxis.X)
+) -> tuple[RoundBranch, ...]:
     """Every branch of one feedback round at strength ``eps``, as Kraus operators on the pair.
 
     The round kind follows from ``loss``: the backup round when
@@ -296,6 +300,9 @@ def round_branches(eps: float, loss: LossConfig) -> tuple[RoundBranch, ...]:
     pair's basis states and its photon and backup modes are contracted with
     the state each outcome leaves them in; hidden environment bits give
     separate branches, and branches whose operator is zero are dropped.
+    The model acts in the XX picture; for the axis pair ``axes`` = (k, l)
+    every operator is conjugated by u_k (x) u_l (``conjugation_unitary``),
+    since u e^{it XX} u^dag = e^{it s_k x s_l} and u X u^dag = s_k.
     Lossless rounds list (minus, plus, hh, vv) in that order.  Raises
     ProtocolError if the branches do not sum to a trace-preserving map.
     """
@@ -317,7 +324,8 @@ def round_branches(eps: float, loss: LossConfig) -> tuple[RoundBranch, ...]:
     tensor = out.reshape(4, -1, 4).transpose(1, 2, 0)  # (mode state, atom out, atom in)
 
     modes, records = zip(*_round_outcomes(loss))
-    kraus = np.tensordot(np.conj(modes), tensor, axes=1)
+    u = np.kron(conjugation_unitary(axes[1]), conjugation_unitary(axes[0]))
+    kraus = u @ np.tensordot(np.conj(modes), tensor, axes=1) @ u.conj().T
     kraus.flags.writeable = False
     gram = np.einsum("bki,bkj->bij", kraus.conj(), kraus)
     if not np.allclose(gram.sum(axis=0), np.eye(4), atol=1e-10):

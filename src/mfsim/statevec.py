@@ -132,36 +132,34 @@ def _check_unitary(u: np.ndarray, dim: int) -> np.ndarray:
     return u
 
 
+def _apply_stack(amplitudes: np.ndarray, qubits: Sequence[int], ops: np.ndarray) -> np.ndarray:
+    """Apply each operator of a (B, 2^k, 2^k) stack on ``qubits``; returns (B, 2^n) amplitudes.
+
+    First listed qubit is the low bit of the operator index.
+    """
+    n = amplitudes.size.bit_length() - 1
+    k = len(qubits)
+    if len(set(qubits)) != k or not all(0 <= q < n for q in qubits):
+        raise UsageError(f"qubits {tuple(qubits)} are not distinct qubits of a {n}-qubit register")
+    mk = ops.reshape([len(ops)] + [2] * (2 * k))
+    t = amplitudes.reshape([2] * n)
+    # Axis for matrix bit j (significance j) is position k-1-j of the reshaped block.
+    in_axes = [n - 1 - q for q in reversed(qubits)]
+    t = np.tensordot(mk, t, axes=(list(range(k + 1, 2 * k + 1)), in_axes))
+    t = np.moveaxis(t, list(range(1, k + 1)), [ax + 1 for ax in in_axes])
+    return t.reshape(len(ops), -1)
+
+
 def apply_local(state: StateVector, qubit: int, u: np.ndarray) -> StateVector:
     """Apply a 2x2 unitary to one qubit."""
-    n = state.n_qubits
-    if not 0 <= qubit < n:
-        raise UsageError(f"qubit {qubit} out of range for {n}-qubit register")
     u = _check_unitary(u, 2)
-    t = state.amplitudes.reshape([2] * n)
-    ax = n - 1 - qubit
-    t = np.tensordot(u, t, axes=([1], [ax]))
-    t = np.moveaxis(t, 0, ax)
-    return StateVector(t.reshape(-1), state.layout)
+    return StateVector(_apply_stack(state.amplitudes, (qubit,), u[None])[0], state.layout)
 
 
 def apply_two_qubit(state: StateVector, qubits: tuple[int, int], u: np.ndarray) -> StateVector:
     """Apply a 4x4 unitary on two qubits (first listed qubit is the low bit)."""
-    a, b = qubits
-    n = state.n_qubits
-    if a == b:
-        raise UsageError("two-qubit operation needs distinct qubits")
-    for q in (a, b):
-        if not 0 <= q < n:
-            raise UsageError(f"qubit {q} out of range for {n}-qubit register")
     u = _check_unitary(u, 4)
-    # Row index r = bit_a + 2*bit_b, so reshape axes are (b_out, a_out, b_in, a_in).
-    u4 = u.reshape(2, 2, 2, 2)
-    t = state.amplitudes.reshape([2] * n)
-    ax_a, ax_b = n - 1 - a, n - 1 - b
-    t = np.tensordot(u4, t, axes=([2, 3], [ax_b, ax_a]))
-    t = np.moveaxis(t, [0, 1], [ax_b, ax_a])
-    return StateVector(t.reshape(-1), state.layout)
+    return StateVector(_apply_stack(state.amplitudes, qubits, u[None])[0], state.layout)
 
 
 def draw_branch(
@@ -177,16 +175,7 @@ def draw_branch(
     ||K_i psi||^2 in operator order.  Returns (branch index, renormalized
     branch, weights of all branches).
     """
-    n = state.n_qubits
-    k = len(qubits)
-    ops = np.asarray(operators, dtype=complex)
-    mk = ops.reshape([len(ops)] + [2] * (2 * k))
-    t = state.amplitudes.reshape([2] * n)
-    # Axis for matrix bit j (significance j) is position k-1-j of the reshaped block.
-    in_axes = [n - 1 - q for q in reversed(qubits)]
-    t = np.tensordot(mk, t, axes=(list(range(k + 1, 2 * k + 1)), in_axes))
-    t = np.moveaxis(t, list(range(1, k + 1)), [ax + 1 for ax in in_axes])
-    branches = t.reshape(len(ops), -1)
+    branches = _apply_stack(state.amplitudes, qubits, np.asarray(operators, dtype=complex))
     probs = np.einsum("ij,ij->i", branches.conj(), branches).real
 
     r = rng.random() * probs.sum()

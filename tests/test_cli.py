@@ -179,3 +179,27 @@ class TestOracle:
         out = json.loads(capsys.readouterr().out)
         # commuting XX chain: plan is exact
         assert out["noiseless_plan_fidelity"] == pytest.approx(1.0)
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("args,flag", [
+        (["probe-round", "--eps", "nan"], "--eps"),
+        (["probe-round", "--eps", "0.3", "--samples", "-1"], "--samples"),
+        (["probe-round", "--eps", "0.3", "--samples", "0"], "--samples"),
+        (["probe-round", "--eps", "0.3", "--seed", "-1"], "--seed"),
+        (["cnot-demo", "--p-loss", "1.5"], "--p-loss"),
+        (["cnot-demo", "--seed", "-1"], "--seed"),
+        (["cnot-demo", "--max-rounds", "0"], "--max-rounds"),
+        (["schedule", "--confidence", "1.0"], "--confidence"),
+        (["schedule", "--confidence", "1.5"], "--confidence"),
+        (["schedule", "--confidence", "0"], "--confidence"),
+        (["schedule", "--confidence", "nan"], "--confidence"),
+    ])
+    def test_out_of_range_flag_exits_2(self, args, flag, config_file, capsys):
+        if args[0] == "schedule":
+            args = args + ["--config", str(config_file)]
+        assert main(args) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and flag in captured.err
+        assert "Traceback" not in captured.err

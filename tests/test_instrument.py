@@ -1,12 +1,14 @@
 """Round tables against the photon-level model they are compiled from.
 
-Every round kind is checked on an eps grid: the Kraus operators are complete,
-each lossless and backup branch is the operation its record names, and each
-post-state the photon-level model produces is the renormalized K psi of a
-branch with the same visible record.  A chi-square test compares the
-photon-level record frequencies with ||K psi||^2.
+Every round kind is checked on an eps grid: the Kraus operators are complete
+for all nine rotation axis pairs, each lossless and backup branch is the
+operation its record names on those axes, and each post-state the
+photon-level model produces is the renormalized K psi of a branch with the
+same visible record.  A chi-square test compares the photon-level record
+frequencies with ||K psi||^2.
 """
 
+import itertools
 import math
 from collections import Counter
 
@@ -17,12 +19,14 @@ import mfsim.emission
 import mfsim.feedback
 import mfsim.harness
 import mfsim.loss
+import mfsim.statevec
 from mfsim.emission import PhotonEncoding, beamsplitter_measure, joint_emission
 from mfsim.harness import ProtocolConfig, haar_random_amplitudes, run_trajectory
 from mfsim.loss import LossConfig, backup_round, loss_channel, round_branches
+from mfsim.pauli import PauliAxis
 from mfsim.statevec import RegisterLayout
 
-from conftest import X, embedded_state, kron_le, rot_xx
+from conftest import AXIS_MATS, embedded_state, kron_le
 
 KINDS = {
     "lossless": LossConfig(),
@@ -33,6 +37,7 @@ KINDS = {
     "backup-loss90": LossConfig(p_loss=0.9, backup_enabled=True),
 }
 EPS_GRID = [round(0.05 * i, 2) for i in range(1, 20)]  # 0.05, 0.10, ..., 0.95
+AXIS_PAIRS = list(itertools.product((PauliAxis.X, PauliAxis.Y, PauliAxis.Z), repeat=2))
 
 # The paper's direct-round rule: (rotation direction, X flips on the pair).
 DIRECT_EFFECT = {
@@ -72,10 +77,13 @@ def photon_level_round(psi, eps, loss, rng):
     return (outcome.value, *DIRECT_EFFECT[outcome.value], None, lost), st.amplitudes
 
 
-def named_operation(branch, eps):
+def named_operation(branch, eps, axes):
+    """e^{+-i theta s_k x s_l}, s_k (x) 1 or 1 (x) s_l, as ``branch`` names it on ``axes``."""
+    sk, sl = (AXIS_MATS[a.value] for a in axes)
     if branch.direction is not None:
-        return rot_xx(branch.direction * math.atan2(eps, 1.0 - eps))
-    return kron_le(*(X if f else np.eye(2) for f in branch.flips))
+        theta = branch.direction * math.atan2(eps, 1.0 - eps)
+        return math.cos(theta) * np.eye(4) + 1j * math.sin(theta) * kron_le(sk, sl)
+    return kron_le(*(s if f else np.eye(2) for s, f in zip((sk, sl), branch.flips)))
 
 
 def chi2_sf(x, dof):
@@ -87,20 +95,20 @@ def chi2_sf(x, dof):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_branches_are_complete(kind):
-    for eps in EPS_GRID:
-        branches = round_branches(eps, KINDS[kind])
+    for eps, axes in itertools.product(EPS_GRID, AXIS_PAIRS):
+        branches = round_branches(eps, KINDS[kind], axes)
         total = sum(b.kraus.conj().T @ b.kraus for b in branches)
-        assert np.max(np.abs(total - np.eye(4))) <= 1e-12, eps
+        assert np.max(np.abs(total - np.eye(4))) <= 1e-12, (eps, axes)
 
 
 @pytest.mark.parametrize("kind", ["lossless", "backup", "backup-loss60", "backup-loss90"])
 def test_branches_are_their_named_operation(kind):
-    for eps in EPS_GRID:
-        for b in round_branches(eps, KINDS[kind]):
-            u = named_operation(b, eps)
+    for eps, axes in itertools.product(EPS_GRID, AXIS_PAIRS):
+        for b in round_branches(eps, KINDS[kind], axes):
+            u = named_operation(b, eps, axes)
             c = np.trace(u.conj().T @ b.kraus) / 4
             assert abs(c) > 0
-            assert np.max(np.abs(b.kraus - c * u)) <= 1e-10, (eps, record(b))
+            assert np.max(np.abs(b.kraus - c * u)) <= 1e-10, (eps, axes, record(b))
 
 
 def test_lossless_table_is_the_four_outcomes_in_order():
@@ -205,3 +213,20 @@ def test_warm_trajectory_evolves_data_qubits_only(monkeypatch):
     again = run_trajectory(cfg, 0)
     assert sizes == {2**3}
     assert again.to_dict() == first.to_dict()
+
+
+def test_warm_trajectory_validates_only_its_final_frame_correction(monkeypatch):
+    cfg = ProtocolConfig.from_dict({**CONFIGS["trotter"], "master_seed": 13})
+    run_trajectory(cfg, 0)  # builds every table this trajectory needs
+    calls = []
+    check = mfsim.statevec._check_unitary
+
+    def spy(u, dim):
+        calls.append(dim)
+        return check(u, dim)
+
+    monkeypatch.setattr(mfsim.statevec, "_check_unitary", spy)
+    again = run_trajectory(cfg, 0)
+    # apply_pauli_string checks one 2x2 gate per non-identity site of the frame
+    assert again.rounds_total > 0
+    assert calls == [2] * sum(a != "I" for a in again.final_frame)
