@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .emission import BeamSplitterOutcome, outcome_probabilities
 from .errors import ConfigError, UsageError
+from .feedback import EpsilonPolicy
 from .pauli import PauliAxis, PauliString
 
 # Round-success law shared with the feedback controller: a round at strength
@@ -204,9 +206,7 @@ def _round_success_probability(angle: float) -> float:
     a = abs(math.remainder(angle, math.pi))
     if a <= 1e-15:
         return 1.0
-    s, c = math.sin(a), math.cos(a)
-    eps = s / (s + c) if a <= math.pi / 2 else 1.0
-    return 0.5 * ((1.0 - eps) ** 2 + eps**2)
+    return outcome_probabilities(EpsilonPolicy().eps_for(a))[BeamSplitterOutcome.PLUS]
 
 
 def round_budget(plan: TrotterPlan, confidence: float = 0.99) -> dict:

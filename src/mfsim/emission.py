@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ProtocolError, UsageError
-from .statevec import StateVector, apply_local, apply_two_qubit, measure
+from .statevec import StateVector, apply_local, apply_two_qubit, measure_and_reset
 
 _VACUUM_ATOL = 1e-10
 
@@ -65,13 +65,18 @@ def emission_unitary(eps: float) -> np.ndarray:
     return u
 
 
-def _require_vacuum(state: StateVector, photon: int) -> None:
-    if state.prob_qubit_one(photon) > _VACUUM_ATOL:
-        raise ProtocolError(f"photon mode {photon} is not in |V> before emission")
+def _require_vacuum(state: StateVector, mode: int) -> None:
+    """Raise ProtocolError unless ``mode`` (a photon mode or a backup atom) is in |0>."""
+    if state.prob_qubit_one(mode) > _VACUUM_ATOL:
+        raise ProtocolError(f"mode {mode} is not in |0> (|V> for a photon) before use")
 
 
 def u_eps(state: StateVector, atom: int, photon: int, eps: float) -> StateVector:
-    """Emit: entangle ``atom`` with the vacuum photon mode at strength ``eps``."""
+    """Emit: entangle ``atom`` with the vacuum photon mode at strength ``eps``.
+
+    The backup protocol applies the same unitary with a reset backup atom in
+    the photon role (``loss.backup_entangle``).
+    """
     _require_vacuum(state, photon)
     return apply_two_qubit(state, (atom, photon), emission_unitary(eps))
 
@@ -114,41 +119,14 @@ BELL_STATES = {
 }
 
 
-def bell_projectors() -> list[np.ndarray]:
-    """Projectors for (MINUS, PLUS, HH, VV) on two photon modes (first mode = low bit)."""
-    return [np.outer(v, v.conj()) for v in BELL_STATES.values()]
-
-
-# Unitaries returning each collapsed two-mode state to |VV>, so the modes are
-# emptied after detection.  Completed arbitrarily on the orthogonal complement.
-def _reset_unitaries() -> dict[BeamSplitterOutcome, np.ndarray]:
-    out = {}
-    for outcome, v in BELL_STATES.items():
-        basis = [v]
-        for e in _E4:
-            w = e.copy()
-            for b in basis:
-                w = w - np.vdot(b, w) * b
-            nrm = np.linalg.norm(w)
-            if nrm > 1e-9:
-                basis.append(w / nrm)
-        out[outcome] = np.array(basis).conj()  # rows are bras; maps v -> |00>
-    return out
-
-
-_RESETS = _reset_unitaries()
-
-
 def beamsplitter_measure(
     state: StateVector,
     photons: tuple[int, int],
     rng: np.random.Generator,
 ) -> tuple[BeamSplitterOutcome, StateVector, float]:
     """Incomplete Bell measurement of the two photon modes; modes are emptied after."""
-    idx, collapsed, prob = measure(state, photons, bell_projectors(), rng)
-    outcome = tuple(BELL_STATES)[idx]
-    emptied = apply_two_qubit(collapsed, photons, _RESETS[outcome])
-    return outcome, emptied, prob
+    idx, emptied, prob = measure_and_reset(state, photons, list(BELL_STATES.values()), rng)
+    return tuple(BELL_STATES)[idx], emptied, prob
 
 
 def outcome_probabilities(eps: float) -> dict[BeamSplitterOutcome, float]:

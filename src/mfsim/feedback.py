@@ -129,10 +129,13 @@ def realize_v_kl(
         return state, frame, records
 
     loss = loss or LossConfig()
+    # A round's byproducts s_k (x) 1 and 1 (x) s_l both commute with the target
+    # s_k (x) s_l, so the frame's commutation with it, and this sign, hold for
+    # the whole rotation.
+    sign_swap = frame_conjugate_direction(frame, target)
     for _ in range(policy.max_rounds):
         aimed = abs(residual)
         eps = policy.eps_for(aimed)
-        sign_swap = frame_conjugate_direction(frame, target)
         branches = round_branches(eps, loss, (k, l))
         index, state, _ = draw_branch(state, pair, [br.kraus for br in branches], rng)
         out = branches[index]

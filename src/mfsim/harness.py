@@ -8,6 +8,7 @@ bit-identical regardless of execution order.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -101,6 +102,13 @@ class ProtocolConfig:
         if master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
         return cls(h, t, n_steps, policy, loss, initial, trajectories, master_seed)
+
+    @functools.cached_property
+    def oracle_state(self) -> np.ndarray:
+        """Exact final data amplitudes e^{itH}|psi_0>, computed once per config (read-only)."""
+        oracle = exact_evolution(self.hamiltonian, self.t) @ _initial_data_amplitudes(self)
+        oracle.flags.writeable = False
+        return oracle
 
     @classmethod
     def from_json_file(cls, path) -> "ProtocolConfig":
@@ -209,10 +217,6 @@ class TrajectoryStats:
         }
 
 
-def _oracle_state(cfg: ProtocolConfig) -> np.ndarray:
-    return exact_evolution(cfg.hamiltonian, cfg.t) @ _initial_data_amplitudes(cfg)
-
-
 def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
     """Execute the compiled plan once, then compare against the exact oracle."""
     rng = trajectory_rng(cfg.master_seed, index)
@@ -246,7 +250,7 @@ def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
             break
 
     corrected = apply_pauli_string(state, frame.byproduct)
-    fid = float(abs(np.vdot(_oracle_state(cfg), corrected.amplitudes)) ** 2)
+    fid = float(abs(np.vdot(cfg.oracle_state, corrected.amplitudes)) ** 2)
 
     histogram: dict[str, int] = {}
     loss_events = 0
@@ -432,8 +436,7 @@ def noiseless_plan_fidelity(cfg: ProtocolConfig) -> float:
 
     u_plan = plan_unitary(plan)
     psi0 = _initial_data_amplitudes(cfg)
-    u_exact = exact_evolution(cfg.hamiltonian, cfg.t)
-    return float(abs(np.vdot(u_exact @ psi0, u_plan @ psi0)) ** 2)
+    return float(abs(np.vdot(cfg.oracle_state, u_plan @ psi0)) ** 2)
 
 
 def emit_report(

@@ -26,22 +26,27 @@ from .emission import (
     PhotonEncoding,
     beamsplitter_measure,
     BeamSplitterOutcome,
-    emission_unitary,
     joint_emission,
+    u_eps,
     _PHASE_I_ON_H,
+    _require_vacuum,
 )
 from .errors import ProtocolError, UsageError
 from .pauli import PauliAxis, conjugation_unitary
-from .statevec import QubitRole, RegisterLayout, StateVector, apply_local, apply_two_qubit, measure
-
-_RESET_ATOL = 1e-10
+from .statevec import (
+    QubitRole,
+    RegisterLayout,
+    StateVector,
+    apply_local,
+    apply_two_qubit,
+    measure_and_reset,
+)
 
 _X = np.array([[0, 1], [1, 0]], dtype=float)
-_H = np.array([[1, 1], [1, -1]], dtype=float) / np.sqrt(2)
-_P0 = np.diag([1.0, 0.0]).astype(complex)
-_P1 = np.diag([0.0, 1.0]).astype(complex)
-_PLUS = np.full((2, 2), 0.5, dtype=complex)                 # |+><+|
-_MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)  # |-><-|
+# Measurement bases, one vector per row: computational (one qubit, a mode pair)
+# and sign {|+>, |->}.  The sampled model and the round tables both read them.
+_E2, _E4 = np.eye(2), np.eye(4)
+_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
 
 # CNOT with the first listed qubit (the backup atom) as control.
 _COPY_GATE = np.array(
@@ -72,15 +77,10 @@ class LossConfig:
             raise UsageError("the backup protocol requires polarization encoding")
 
 
-def backup_entangle(state: StateVector, atom_a: int, atom_b: int, eps: float) -> StateVector:
-    """Entangle a data atom with its reset backup atom at strength ``eps``.
-
-    Same unitary as photon emission, with the backup atom playing the photon
-    role: |a>_A |0>_B -> sqrt(1-eps)|a>|0> + sqrt(eps)|a xor 1>|1>.
-    """
-    if state.prob_qubit_one(atom_b) > _RESET_ATOL:
-        raise ProtocolError(f"backup qubit {atom_b} is not reset to |0>")
-    return apply_two_qubit(state, (atom_a, atom_b), emission_unitary(eps))
+# Entangling a data atom with its reset backup atom at strength eps is photon
+# emission with the backup atom in the photon role:
+# |a>_A |0>_B -> sqrt(1-eps)|a>|0> + sqrt(eps)|a xor 1>|1>.
+backup_entangle = u_eps
 
 
 def photon_copy(state: StateVector, atom_b: int, photon: int) -> StateVector:
@@ -88,19 +88,8 @@ def photon_copy(state: StateVector, atom_b: int, photon: int) -> StateVector:
 
     |0>_B -> |0>_B |V>,  |1>_B -> |1>_B |H>; the backup keeps its state.
     """
-    if state.prob_qubit_one(photon) > _RESET_ATOL:
-        raise ProtocolError(f"photon mode {photon} is not in |V> before copying")
+    _require_vacuum(state, photon)
     return apply_two_qubit(state, (atom_b, photon), _COPY_GATE)
-
-
-def _measure_bit_and_reset(
-    state: StateVector, qubit: int, rng: np.random.Generator
-) -> tuple[int, StateVector]:
-    """Collapse one qubit in the computational basis and reset it to |0>."""
-    outcome, state, _ = measure(state, [qubit], [_P0, _P1], rng)
-    if outcome == 1:
-        state = apply_local(state, qubit, _X)
-    return outcome, state
 
 
 def loss_channel(
@@ -115,7 +104,7 @@ def loss_channel(
         is_lost = bool(rng.random() < cfg.p_loss)
         lost.append(is_lost)
         if is_lost:
-            _, state = _measure_bit_and_reset(state, q, rng)
+            _, state, _ = measure_and_reset(state, [q], _E2, rng)
     lost_t = (lost[0], lost[1])
     detectable = (
         (lost_t[0] or lost_t[1]) if cfg.encoding is PhotonEncoding.POLARIZATION else False
@@ -139,17 +128,6 @@ class BackupRoundResult:
     flips: tuple[bool, bool]
     b_bits: tuple[int, int]
     loss: LossPattern
-
-
-def _measure_sign_and_reset(
-    state: StateVector, qubit: int, rng: np.random.Generator
-) -> tuple[int, StateVector]:
-    """Measure one backup atom in the (|0>+-|1>)/sqrt2 basis and reset it to |0>."""
-    outcome, state, _ = measure(state, [qubit], [_PLUS, _MINUS], rng)
-    state = apply_local(state, qubit, _H)
-    if outcome == 1:
-        state = apply_local(state, qubit, _X)
-    return outcome, state
 
 
 # Direct-round effect of each beam-splitter outcome: (rotation direction, X flips on the pair).
@@ -215,8 +193,8 @@ def backup_round(
 
     if not pattern.any_lost:
         outcome, state, _ = beamsplitter_measure(state, photons, rng)
-        s1, state = _measure_sign_and_reset(state, bak_a, rng)
-        s2, state = _measure_sign_and_reset(state, bak_a2, rng)
+        s1, state, _ = measure_and_reset(state, [bak_a], _SIGNS, rng)
+        s2, state, _ = measure_and_reset(state, [bak_a2], _SIGNS, rng)
         direction, flips = _backup_effect(outcome, (s1, s2))
         return state, BackupRoundResult(outcome, direction, flips, (s1, s2), pattern)
 
@@ -224,9 +202,9 @@ def backup_round(
     # the computational basis to collapse onto a known Pauli branch.
     for q, was_lost in zip(photons, pattern.lost):
         if not was_lost:
-            _, state = _measure_bit_and_reset(state, q, rng)
-    b1, state = _measure_bit_and_reset(state, bak_a, rng)
-    b2, state = _measure_bit_and_reset(state, bak_a2, rng)
+            _, state, _ = measure_and_reset(state, [q], _E2, rng)
+    b1, state, _ = measure_and_reset(state, [bak_a], _E2, rng)
+    b2, state, _ = measure_and_reset(state, [bak_a2], _E2, rng)
     _, flips = _backup_effect(None, (b1, b2))
     return state, BackupRoundResult(None, None, flips, (b1, b2), pattern)
 
@@ -250,8 +228,6 @@ class RoundBranch:
 
 _LOSS_PATTERNS = ((True, False), (False, True), (True, True))
 _PAIR_BITS = ((0, 0), (1, 0), (0, 1), (1, 1))  # (first, second): index first + 2*second
-_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)  # |+>, |->
-_E2, _E4 = np.eye(2), np.eye(4)
 _ZERO_BRANCH = 1e-24  # squared norm under which a branch's operator counts as zero
 
 

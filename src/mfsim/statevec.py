@@ -89,9 +89,6 @@ class StateVector:
     def n_qubits(self) -> int:
         return self.layout.n_qubits
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.amplitudes.copy(), self.layout)
-
     def norm_squared(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
@@ -208,6 +205,26 @@ def measure(
     if abs(probs.sum() - state.norm_squared()) > _PROJECTOR_ATOL:
         raise UsageError("projector probabilities do not sum to the state norm")
     return outcome, collapsed, float(probs[outcome])
+
+
+def measure_and_reset(
+    state: StateVector,
+    qubits: Sequence[int],
+    basis: Sequence[np.ndarray],
+    rng: np.random.Generator,
+) -> tuple[int, StateVector, float]:
+    """Measure ``qubits`` in an orthonormal basis (one vector per row), then reset them to |0...0>.
+
+    The measurement runs through ``measure`` on the projectors |v_i><v_i|, so
+    its checks validate the basis.  The reset is the unitary whose rows are
+    the conjugated basis vectors with the observed one first; it maps v_i to
+    |0...0>.  Returns (outcome index, reset state, outcome probability).
+    """
+    basis = np.asarray(basis, dtype=complex)
+    index, collapsed, prob = measure(state, qubits, [np.outer(v, v.conj()) for v in basis], rng)
+    reset = np.roll(basis, -index, axis=0).conj()
+    emptied = _apply_stack(collapsed.amplitudes, qubits, reset[None])[0]
+    return index, StateVector(emptied, state.layout), prob
 
 
 def expm_i_hermitian(h: np.ndarray, t: float) -> np.ndarray:

@@ -14,12 +14,13 @@ from mfsim.feedback import (
     reduce_angle,
 )
 from mfsim.harness import haar_random_amplitudes
-from mfsim.pauli import ErrorFrame, PauliAxis, PauliString
+from mfsim.pauli import ErrorFrame, PauliAxis, PauliString, frame_conjugate_direction
 from mfsim.statevec import RegisterLayout, StateVector, apply_pauli_string, exact_evolution
 
 from conftest import AXIS_MATS, embedded_state, kron_le, rot_xx
 
 POLICY = EpsilonPolicy()
+AXES = [PauliAxis.X, PauliAxis.Y, PauliAxis.Z]
 
 
 def two_atom_state(rng):
@@ -230,6 +231,18 @@ class TestRealizeVkl:
         zz = kron_le(AXIS_MATS["Z"], AXIS_MATS["Z"])
         want = (np.cos(t) * np.eye(4) + 1j * np.sin(t) * zz) @ psi
         assert abs(np.vdot(want, got)) ** 2 >= 1 - 1e-9
+
+    @pytest.mark.parametrize("k,l", list(itertools.product(AXES, repeat=2)))
+    def test_round_byproducts_keep_the_frame_sign(self, k, l):
+        # the sign is read once per rotation, so no byproduct may change it
+        pair = (2, 0)
+        target = PauliString.embed(3, {pair[0]: k, pair[1]: l})
+        flips = (PauliString.embed(3, {pair[0]: k}), PauliString.embed(3, {pair[1]: l}))
+        for axes in itertools.product(AXES + [PauliAxis.I], repeat=3):
+            frame = ErrorFrame(PauliString(axes, 0))
+            sign = frame_conjugate_direction(frame, target)
+            for flip in flips:
+                assert frame_conjugate_direction(frame.updated(flip), target) == sign
 
     def test_rejects_identity_axis(self, rng):
         psi, st = two_atom_state(rng)

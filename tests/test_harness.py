@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import mfsim.harness
 from mfsim.compiler import HamiltonianSpec
 from mfsim.errors import ConfigError, ResourceError
 from mfsim.feedback import EpsilonPolicy, PolicyMode
@@ -22,6 +23,7 @@ from mfsim.harness import (
     run_trajectory,
     trajectory_rng,
 )
+from mfsim.statevec import exact_evolution
 
 from conftest import kron_le
 
@@ -167,6 +169,19 @@ class TestRunTrajectory:
 
 
 class TestEnsembleAndReport:
+    def test_oracle_evolved_once_per_config(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return exact_evolution(*args, **kwargs)
+
+        monkeypatch.setattr(mfsim.harness, "exact_evolution", counting)
+        cfg = chain_config(trajectories=5)
+        _, stats = run_ensemble(cfg)
+        assert len(stats) == 5 and len(calls) == 1
+        assert noiseless_plan_fidelity(cfg) <= 1.0 and len(calls) == 1
+
     def test_report_shape(self):
         cfg = chain_config()
         report, stats = run_ensemble(cfg)

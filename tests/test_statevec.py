@@ -17,6 +17,7 @@ from mfsim.statevec import (
     expm_i_hermitian,
     fidelity,
     measure,
+    measure_and_reset,
 )
 
 from conftest import H, I2, X, Z, embedded_state, kron_le
@@ -133,6 +134,100 @@ class TestMeasure:
             seen[o] = p
             assert p == pytest.approx(abs(st.amplitudes[o]) ** 2, abs=1e-12)
         assert abs(sum(seen.values()) - 1.0) <= 1e-10
+
+
+SIGNS = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_E4 = np.eye(4, dtype=complex)
+BELL = np.array([(_E4[1] - _E4[2]) / np.sqrt(2), (_E4[1] + _E4[2]) / np.sqrt(2), _E4[3], _E4[0]])
+# (basis, measured qubits of a 4-qubit register); the complex Y basis checks the conjugation
+RESET_CASES = {
+    "computational": (np.eye(2, dtype=complex), (1,)),
+    "sign": (SIGNS, (2,)),
+    "bell": (BELL, (3, 1)),
+    "y": (np.array([[1, 1j], [1, -1j]]) / np.sqrt(2), (0,)),
+}
+
+
+def contract(amp, qubits, v):
+    """<v|psi> on ``qubits`` (first listed the low bit of v), over the other qubits in order."""
+    n = amp.size.bit_length() - 1
+    rest = [q for q in range(n) if q not in qubits]
+    out = np.zeros(1 << len(rest), dtype=complex)
+    for j, a in enumerate(amp):
+        m = sum(((j >> q) & 1) << t for t, q in enumerate(qubits))
+        r = sum(((j >> q) & 1) << t for t, q in enumerate(rest))
+        out[r] += np.conj(v[m]) * a
+    return out
+
+
+def old_measure_and_reset(state, qubits, basis, rng):
+    """The separate helpers measure_and_reset replaced, written out."""
+    projs = [np.outer(v, v.conj()) for v in basis]
+    outcome, st, prob = measure(state, qubits, projs, rng)
+    if len(qubits) == 2:  # Gram-Schmidt completion of the observed Bell state
+        rows = [basis[outcome]]
+        for e in _E4:
+            w = e - sum(np.vdot(b, e) * b for b in rows)
+            if np.linalg.norm(w) > 1e-9:
+                rows.append(w / np.linalg.norm(w))
+        return outcome, apply_two_qubit(st, qubits, np.array(rows).conj()), prob
+    if basis is SIGNS:
+        st = apply_local(st, qubits[0], H)
+    if outcome == 1:
+        st = apply_local(st, qubits[0], X)
+    return outcome, st, prob
+
+
+class TestMeasureAndReset:
+    @pytest.mark.parametrize("case", sorted(RESET_CASES))
+    def test_frequencies_follow_born_rule(self, case, rng):
+        basis, qubits = RESET_CASES[case]
+        st = embedded_state(haar_random_amplitudes(4, rng), RegisterLayout.build(4, n_photons=0))
+        want = np.array([np.linalg.norm(contract(st.amplitudes, qubits, v)) ** 2 for v in basis])
+        n = 2000
+        counts = np.zeros(len(basis))
+        for _ in range(n):
+            counts[measure_and_reset(st, qubits, basis, rng)[0]] += 1
+        assert np.all(np.abs(counts - n * want) <= 4 * np.sqrt(n * want * (1 - want)) + 1)
+
+    @pytest.mark.parametrize("case", sorted(RESET_CASES))
+    def test_measured_qubits_end_empty_and_rest_is_projection(self, case, rng):
+        basis, qubits = RESET_CASES[case]
+        layout = RegisterLayout.build(4, n_photons=0)
+        for _ in range(20):
+            st = embedded_state(haar_random_amplitudes(4, rng), layout)
+            i, out, prob = measure_and_reset(st, qubits, basis, rng)
+            rest = contract(st.amplitudes, qubits, basis[i])
+            assert prob == pytest.approx(np.linalg.norm(rest) ** 2, abs=1e-12)
+            # the measured qubits are |0...0>, so <0...0| on them keeps the whole state
+            kept = contract(out.amplitudes, qubits, np.eye(1 << len(qubits))[0])
+            assert np.linalg.norm(kept) == pytest.approx(1.0, abs=1e-12)
+            assert np.max(np.abs(kept - rest / np.linalg.norm(rest))) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["bell", "computational", "sign"])
+    def test_same_draws_as_separate_helpers(self, case):
+        basis, qubits = RESET_CASES[case]
+        layout = RegisterLayout.build(4, n_photons=0)
+        for seed in range(40):
+            st = embedded_state(haar_random_amplitudes(4, np.random.default_rng(seed)), layout)
+            new = measure_and_reset(st, qubits, basis, np.random.default_rng([seed, 1]))
+            old = old_measure_and_reset(st, qubits, basis, np.random.default_rng([seed, 1]))
+            assert new[0] == old[0]
+            assert new[2] == pytest.approx(old[2], abs=1e-12)
+            assert np.max(np.abs(new[1].amplitudes - old[1].amplitudes)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            [[1, 0], [1, 1]],  # neither unit nor orthogonal
+            [[1, 0], [np.sqrt(0.5), np.sqrt(0.5)]],  # unit but not orthogonal
+            [[1, 0], [0, 2]],  # orthogonal but not unit
+            [[1, 0]],  # incomplete
+        ],
+    )
+    def test_non_orthonormal_basis_rejected(self, basis, rng):
+        with pytest.raises(UsageError):
+            measure_and_reset(basis_state(2, 1), (0,), np.array(basis, dtype=complex), rng)
 
 
 class TestExactEvolution:
