@@ -48,6 +48,7 @@ from .loss import (
     LossConfig,
     LossPattern,
     RoundBranch,
+    RoundTable,
     backup_entangle,
     backup_round,
     loss_channel,

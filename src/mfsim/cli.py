@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .compiler import compile_plan, round_budget, schedule_parallel, serial_success_probability
+from .compiler import round_budget, schedule_parallel, serial_success_probability
 from .errors import ConfigError, IncompleteRotationError, ResourceError, UsageError
 from .feedback import EpsilonPolicy, PolicyMode
 from .harness import (
@@ -98,7 +98,7 @@ def main(argv=None) -> int:
             print(json.dumps(result, sort_keys=True, indent=2))
         elif args.command == "schedule":
             cfg = ProtocolConfig.from_json_file(args.config)
-            plan = schedule_parallel(compile_plan(cfg.hamiltonian, cfg.t, cfg.n_steps))
+            plan = schedule_parallel(cfg.plan)
             budget = round_budget(plan, confidence=args.confidence)
             n_terms = len(cfg.hamiltonian.terms)
             print(json.dumps({

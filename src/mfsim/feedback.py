@@ -136,9 +136,9 @@ def realize_v_kl(
     for _ in range(policy.max_rounds):
         aimed = abs(residual)
         eps = policy.eps_for(aimed)
-        branches = round_branches(eps, loss, (k, l))
-        index, state, _ = draw_branch(state, pair, [br.kraus for br in branches], rng)
-        out = branches[index]
+        table = round_branches(eps, loss, (k, l))
+        index, state, _ = draw_branch(state, pair, table.kraus, rng)
+        out = table.branches[index]
 
         if out.flips[0] or out.flips[1]:
             frame = frame.updated(_pair_string(n, pair, k, l, *out.flips))
@@ -147,16 +147,12 @@ def realize_v_kl(
 
         records.append(RoundRecord(out.label, eps, aimed, str(frame), out.b_bits, out.lost))
         if abs(residual) <= _ANGLE_TOL:
-            residual = 0.0
-            break
+            return state, frame, records
 
-    if abs(residual) > _ANGLE_TOL:
-        err = IncompleteRotationError(residual, records)
-        err.state = state  # resumable: caller may retry with t = residual
-        err.frame = frame
-        raise err
-
-    return state, frame, records
+    err = IncompleteRotationError(residual, records)
+    err.state = state  # resumable: caller may retry with t = residual
+    err.frame = frame
+    raise err
 
 
 def realize_v(

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .compiler import HamiltonianSpec, compile_plan
+from .compiler import HamiltonianSpec, TrotterPlan, compile_plan
 from .emission import BeamSplitterOutcome, PhotonEncoding, outcome_probabilities
 from .errors import ConfigError, IncompleteRotationError, ResourceError
 from .feedback import EpsilonPolicy, PolicyMode, RoundRecord, realize_v, realize_v_kl
@@ -104,9 +104,21 @@ class ProtocolConfig:
         return cls(h, t, n_steps, policy, loss, initial, trajectories, master_seed)
 
     @functools.cached_property
+    def plan(self) -> TrotterPlan:
+        """The compiled Trotter plan, computed once per config."""
+        return compile_plan(self.hamiltonian, self.t, self.n_steps)
+
+    @functools.cached_property
+    def initial_amplitudes(self) -> np.ndarray:
+        """Normalized initial data amplitudes, computed once per config (read-only)."""
+        amp = _initial_data_amplitudes(self)
+        amp.flags.writeable = False
+        return amp
+
+    @functools.cached_property
     def oracle_state(self) -> np.ndarray:
         """Exact final data amplitudes e^{itH}|psi_0>, computed once per config (read-only)."""
-        oracle = exact_evolution(self.hamiltonian, self.t) @ _initial_data_amplitudes(self)
+        oracle = exact_evolution(self.hamiltonian, self.t) @ self.initial_amplitudes
         oracle.flags.writeable = False
         return oracle
 
@@ -184,7 +196,7 @@ def build_register(cfg: ProtocolConfig) -> StateVector:
     n = cfg.hamiltonian.n_qubits
     if n > DEFAULT_QUBIT_CAP:
         raise ResourceError(f"register of {n} qubits exceeds the cap of {DEFAULT_QUBIT_CAP}")
-    return StateVector(_initial_data_amplitudes(cfg), RegisterLayout.build(n, n_photons=0))
+    return StateVector(cfg.initial_amplitudes, RegisterLayout.build(n, n_photons=0))
 
 
 @dataclass
@@ -221,32 +233,23 @@ def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
     """Execute the compiled plan once, then compare against the exact oracle."""
     rng = trajectory_rng(cfg.master_seed, index)
     state = build_register(cfg)
-    plan = compile_plan(cfg.hamiltonian, cfg.t, cfg.n_steps)
-
     frame = ErrorFrame.identity(state.n_qubits)
     all_records: list[RoundRecord] = []
     rounds_per_rotation: list[int] = []
-    failed = False
     failure_reason = None
 
-    for _ in range(plan.n_steps):
-        for rot in plan.sweep_rotations():
-            try:
-                state, frame, recs = realize_v_kl(
-                    state, rot.sites, rot.axes[0], rot.axes[1], rot.angle,
-                    cfg.policy, frame, rng, cfg.loss,
-                )
-            except IncompleteRotationError as exc:
-                state, frame, recs = exc.state, exc.frame, exc.records
-                failed = True
-                failure_reason = (
-                    f"rotation on {rot.sites} incomplete, residual {exc.residual:.3e}"
-                )
-            all_records.extend(recs)
-            rounds_per_rotation.append(len(recs))
-            if failed:
-                break
-        if failed:
+    for rot in (r for _ in range(cfg.plan.n_steps) for r in cfg.plan.sweep_rotations()):
+        try:
+            state, frame, recs = realize_v_kl(
+                state, rot.sites, rot.axes[0], rot.axes[1], rot.angle,
+                cfg.policy, frame, rng, cfg.loss,
+            )
+        except IncompleteRotationError as exc:
+            state, frame, recs = exc.state, exc.frame, exc.records
+            failure_reason = f"rotation on {rot.sites} incomplete, residual {exc.residual:.3e}"
+        all_records.extend(recs)
+        rounds_per_rotation.append(len(recs))
+        if failure_reason is not None:
             break
 
     corrected = apply_pauli_string(state, frame.byproduct)
@@ -274,7 +277,7 @@ def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
         photon_retry_counts=retry_counts,
         final_frame=str(frame),
         fidelity_vs_oracle=fid,
-        failed=failed,
+        failed=failure_reason is not None,
         failure_reason=failure_reason,
         records=all_records,
     )
@@ -295,8 +298,7 @@ def aggregate_report(cfg: ProtocolConfig, stats: list[TrajectoryStats]) -> dict:
         for k, v in s.outcome_histogram.items():
             histogram[k] = histogram.get(k, 0) + v
     per_rotation: dict[str, list[int]] = {}
-    plan = compile_plan(cfg.hamiltonian, cfg.t, cfg.n_steps)
-    sweep = list(plan.sweep_rotations())
+    sweep = list(cfg.plan.sweep_rotations())
     for s in stats:
         for i, count in enumerate(s.rounds_per_rotation):
             rot = sweep[i % len(sweep)] if sweep else None
@@ -345,10 +347,9 @@ def probe_rounds(eps: float, samples: int, rng: np.random.Generator) -> dict:
     state, so the Born probabilities are read once from the round's Kraus
     table (on the pair state |00>) and the outcomes drawn as one multinomial.
     """
-    weights = {
-        br.label: float(np.vdot(br.kraus[:, 0], br.kraus[:, 0]).real)
-        for br in round_branches(eps, LossConfig())
-    }
+    table = round_branches(eps, LossConfig())
+    on_00 = (abs(table.kraus[:, :, 0]) ** 2).sum(axis=1)  # ||K|00>||^2 per branch
+    weights = {br.label: w for br, w in zip(table.branches, on_00)}
     labels = [o.value for o in BeamSplitterOutcome]
     probs = np.array([weights.get(lab, 0.0) for lab in labels])
     counts = rng.multinomial(samples, probs / probs.sum())
@@ -431,12 +432,10 @@ def cnot_demo(
 
 def noiseless_plan_fidelity(cfg: ProtocolConfig) -> float:
     """Fidelity of the dense noiseless plan execution against the exact oracle."""
-    plan = compile_plan(cfg.hamiltonian, cfg.t, cfg.n_steps)
+    oracle = cfg.oracle_state  # checks the dense cap before the plan's matrix is built
     from .compiler import plan_unitary
 
-    u_plan = plan_unitary(plan)
-    psi0 = _initial_data_amplitudes(cfg)
-    return float(abs(np.vdot(cfg.oracle_state, u_plan @ psi0)) ** 2)
+    return float(abs(np.vdot(oracle, plan_unitary(cfg.plan) @ cfg.initial_amplitudes)) ** 2)
 
 
 def emit_report(

@@ -28,7 +28,6 @@ from .emission import (
     BeamSplitterOutcome,
     joint_emission,
     u_eps,
-    _PHASE_I_ON_H,
     _require_vacuum,
 )
 from .errors import ProtocolError, UsageError
@@ -37,12 +36,10 @@ from .statevec import (
     QubitRole,
     RegisterLayout,
     StateVector,
-    apply_local,
     apply_two_qubit,
     measure_and_reset,
 )
 
-_X = np.array([[0, 1], [1, 0]], dtype=float)
 # Measurement bases, one vector per row: computational (one qubit, a mode pair)
 # and sign {|+>, |->}.  The sampled model and the round tables both read them.
 _E2, _E4 = np.eye(2), np.eye(4)
@@ -161,13 +158,13 @@ def _backup_stage(
     photons: tuple[int, int],
     eps: float,
 ) -> StateVector:
-    """Unitary part of a backup round: backup entangling, photon copy, i phase on photon 1."""
-    state = backup_entangle(state, pair_a[0], pair_b[0], eps)
-    state = backup_entangle(state, pair_a[1], pair_b[1], 1.0 - eps)
-    state = apply_local(state, pair_a[1], _X)
+    """Unitary part of a backup round: joint emission into the backup atoms, two photon copies.
+
+    A copy is diagonal on its control, so the i phase on backup 1 acts as on photon 1.
+    """
+    state = joint_emission(state, pair_a, pair_b, eps)
     state = photon_copy(state, pair_b[0], photons[0])
-    state = photon_copy(state, pair_b[1], photons[1])
-    return apply_local(state, photons[0], _PHASE_I_ON_H)
+    return photon_copy(state, pair_b[1], photons[1])
 
 
 def backup_round(
@@ -211,19 +208,28 @@ def backup_round(
 
 @dataclass(frozen=True)
 class RoundBranch:
-    """One way a round can act on the atom pair, with what the controller records for it.
+    """What the controller records for one way a round can act on the atom pair.
 
-    ``kraus`` is a 4x4 operator on the (first, second) atom, first the low bit,
-    in the table for the axis pair (k, l).  Branches that differ only in a
-    hidden environment bit share their record.
+    Branches that differ only in a hidden environment bit share their record.
     """
 
-    kraus: np.ndarray
     label: str
     direction: Optional[int]  # +-1 for e^{+-i t s_k x s_l}, None for no rotation
     flips: tuple[bool, bool]  # s_k on the first atom, s_l on the second
     b_bits: Optional[tuple[int, int]] = None  # backup-atom readings
     lost: Optional[tuple[bool, bool]] = None  # photons lost, where loss is modeled
+
+
+@dataclass(frozen=True)
+class RoundTable:
+    """Every branch of one round: ``kraus[i]`` is the operator of ``branches[i]``.
+
+    ``kraus`` is a read-only (B, 4, 4) stack of operators on the (first,
+    second) atom, first the low bit, in the table for the axis pair (k, l).
+    """
+
+    kraus: np.ndarray
+    branches: tuple[RoundBranch, ...]
 
 
 _LOSS_PATTERNS = ((True, False), (False, True), (True, True))
@@ -266,7 +272,7 @@ def _round_outcomes(loss: LossConfig):
 @functools.lru_cache(maxsize=256)
 def round_branches(
     eps: float, loss: LossConfig, axes: tuple[PauliAxis, PauliAxis] = (PauliAxis.X, PauliAxis.X)
-) -> tuple[RoundBranch, ...]:
+) -> RoundTable:
     """Every branch of one feedback round at strength ``eps``, as Kraus operators on the pair.
 
     The round kind follows from ``loss``: the backup round when
@@ -302,9 +308,10 @@ def round_branches(
     modes, records = zip(*_round_outcomes(loss))
     u = np.kron(conjugation_unitary(axes[1]), conjugation_unitary(axes[0]))
     kraus = u @ np.tensordot(np.conj(modes), tensor, axes=1) @ u.conj().T
-    kraus.flags.writeable = False
     gram = np.einsum("bki,bkj->bij", kraus.conj(), kraus)
     if not np.allclose(gram.sum(axis=0), np.eye(4), atol=1e-10):
         raise ProtocolError(f"round branches at eps={eps} are not trace preserving")
-    weights = np.einsum("bii->b", gram).real
-    return tuple(RoundBranch(k, *r) for k, r, w in zip(kraus, records, weights) if w > _ZERO_BRANCH)
+    keep = np.einsum("bii->b", gram).real > _ZERO_BRANCH
+    kraus = kraus[keep]
+    kraus.flags.writeable = False
+    return RoundTable(kraus, tuple(RoundBranch(*r) for r, k in zip(records, keep) if k))

@@ -8,6 +8,7 @@ listed qubit is the low bit.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -21,7 +22,7 @@ from .pauli import PauliString
 DEFAULT_QUBIT_CAP = 12
 
 _UNITARY_ATOL = 1e-12
-_PROJECTOR_ATOL = 1e-10
+_BASIS_ATOL = 1e-10
 
 
 class QubitRole(Enum):
@@ -101,11 +102,7 @@ class StateVector:
 
     def prob_qubit_one(self, qubit: int) -> float:
         """Probability of finding ``qubit`` in |1>."""
-        t = self.amplitudes.reshape([2] * self.n_qubits)
-        ax = self.n_qubits - 1 - qubit
-        sl = [slice(None)] * self.n_qubits
-        sl[ax] = 1
-        branch = t[tuple(sl)]
+        branch = self.amplitudes[_subset_index(self.n_qubits, (qubit,))[1]]
         return float(np.vdot(branch, branch).real)
 
     def dump(self, threshold: float = 1e-14) -> list[list]:
@@ -129,82 +126,86 @@ def _check_unitary(u: np.ndarray, dim: int) -> np.ndarray:
     return u
 
 
-def _apply_stack(amplitudes: np.ndarray, qubits: Sequence[int], ops: np.ndarray) -> np.ndarray:
-    """Apply each operator of a (B, 2^k, 2^k) stack on ``qubits``; returns (B, 2^n) amplitudes.
+@functools.lru_cache(maxsize=256)
+def _subset_index(n: int, qubits: tuple[int, ...]) -> np.ndarray:
+    """Read-only (2^k, 2^(n-k)) amplitude indices; row j lists those where ``qubits`` read j.
 
-    First listed qubit is the low bit of the operator index.
+    The first listed qubit is the low bit of j; columns run over the other
+    qubits.  An invalid qubit list raises before it is cached, so on every call.
     """
-    n = amplitudes.size.bit_length() - 1
     k = len(qubits)
     if len(set(qubits)) != k or not all(0 <= q < n for q in qubits):
-        raise UsageError(f"qubits {tuple(qubits)} are not distinct qubits of a {n}-qubit register")
-    mk = ops.reshape([len(ops)] + [2] * (2 * k))
-    t = amplitudes.reshape([2] * n)
-    # Axis for matrix bit j (significance j) is position k-1-j of the reshaped block.
-    in_axes = [n - 1 - q for q in reversed(qubits)]
-    t = np.tensordot(mk, t, axes=(list(range(k + 1, 2 * k + 1)), in_axes))
-    t = np.moveaxis(t, list(range(1, k + 1)), [ax + 1 for ax in in_axes])
-    return t.reshape(len(ops), -1)
+        raise UsageError(f"qubits {qubits} are not distinct qubits of a {n}-qubit register")
+    order = list(qubits) + [q for q in range(n) if q not in qubits]
+    local = np.arange(1 << n).reshape(-1, 1 << k).T  # local index j + 2^k * column
+    idx = sum(((local >> b) & 1) << q for b, q in enumerate(order))
+    idx.flags.writeable = False
+    return idx
+
+
+def _apply(state: StateVector, qubits: tuple[int, ...], u: np.ndarray) -> StateVector:
+    idx = _subset_index(state.n_qubits, qubits)
+    out = np.empty_like(state.amplitudes)
+    out[idx] = u @ state.amplitudes[idx]
+    return StateVector(out, state.layout)
 
 
 def apply_local(state: StateVector, qubit: int, u: np.ndarray) -> StateVector:
     """Apply a 2x2 unitary to one qubit."""
-    u = _check_unitary(u, 2)
-    return StateVector(_apply_stack(state.amplitudes, (qubit,), u[None])[0], state.layout)
+    return _apply(state, (qubit,), _check_unitary(u, 2))
 
 
 def apply_two_qubit(state: StateVector, qubits: tuple[int, int], u: np.ndarray) -> StateVector:
     """Apply a 4x4 unitary on two qubits (first listed qubit is the low bit)."""
-    u = _check_unitary(u, 4)
-    return StateVector(_apply_stack(state.amplitudes, qubits, u[None])[0], state.layout)
+    return _apply(state, tuple(qubits), _check_unitary(u, 4))
 
 
 def draw_branch(
     state: StateVector,
     qubits: Sequence[int],
-    operators: Sequence[np.ndarray],
+    operators: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[int, StateVector, np.ndarray]:
     """Apply each operator on ``qubits`` and keep one branch, drawn by its squared norm.
 
-    The operators are 2^k x 2^k matrices, first listed qubit the low bit.  One
-    uniform number is compared with the running sum of the branch weights
+    ``operators`` is a (B, 2^k, 2^k) stack, first listed qubit the low bit.
+    One uniform number is compared with the running sum of the branch weights
     ||K_i psi||^2 in operator order.  Returns (branch index, renormalized
     branch, weights of all branches).
     """
-    branches = _apply_stack(state.amplitudes, qubits, np.asarray(operators, dtype=complex))
-    probs = np.einsum("ij,ij->i", branches.conj(), branches).real
+    idx = _subset_index(state.n_qubits, tuple(qubits))
+    branches = operators @ state.amplitudes[idx]
+    probs = np.einsum("bij,bij->b", branches.conj(), branches).real
 
     r = rng.random() * probs.sum()
     index = min(int(np.searchsorted(np.cumsum(probs), r, side="right")), len(probs) - 1)
-    collapsed = branches[index] / np.sqrt(probs[index])
-    return index, StateVector(collapsed, state.layout), probs
+    out = np.empty_like(state.amplitudes)
+    out[idx] = branches[index] / np.sqrt(probs[index])
+    return index, StateVector(out, state.layout), probs
 
 
 def measure(
     state: StateVector,
     qubits: Sequence[int],
-    projectors: Sequence[np.ndarray],
+    operators: Sequence[np.ndarray],
     rng: np.random.Generator,
 ) -> tuple[int, StateVector, float]:
-    """Projective measurement over a complete orthogonal projector set on ``qubits``.
+    """Measure ``qubits`` with a complete set of Kraus operators: one ``draw_branch``.
 
-    Returns (outcome index, renormalized collapsed state, outcome probability).
+    ``operators`` is a (B, 2^k, 2^k) stack with sum_i K_i^dag K_i = 1, for
+    example a complete set of orthogonal projectors.  Returns (outcome index,
+    renormalized post-measurement state, outcome probability).
     """
-    k = len(qubits)
-    dim = 1 << k
-    mats = [np.asarray(p, dtype=complex) for p in projectors]
-    total = sum(mats)
-    if not np.allclose(total, np.eye(dim), atol=_PROJECTOR_ATOL):
-        raise UsageError("projectors do not sum to the identity on the measured subset")
-    for i, p in enumerate(mats):
-        if not np.allclose(p @ p, p, atol=_PROJECTOR_ATOL):
-            raise UsageError(f"projector {i} is not idempotent")
-
-    outcome, collapsed, probs = draw_branch(state, qubits, mats, rng)
-    if abs(probs.sum() - state.norm_squared()) > _PROJECTOR_ATOL:
-        raise UsageError("projector probabilities do not sum to the state norm")
-    return outcome, collapsed, float(probs[outcome])
+    kraus = np.asarray(operators, dtype=complex)
+    dim = 1 << len(qubits)
+    complete = kraus.shape[1:] == (dim, dim) and np.allclose(
+        np.einsum("bki,bkj->ij", kraus.conj(), kraus), np.eye(dim), atol=_BASIS_ATOL)
+    if not complete:
+        raise UsageError(f"operators of shape {kraus.shape} are not a complete set on {qubits}")
+    index, out, probs = draw_branch(state, qubits, kraus, rng)
+    if abs(probs.sum() - state.norm_squared()) > _BASIS_ATOL:
+        raise UsageError("branch weights do not sum to the state norm")
+    return index, out, float(probs[index])
 
 
 def measure_and_reset(
@@ -215,16 +216,18 @@ def measure_and_reset(
 ) -> tuple[int, StateVector, float]:
     """Measure ``qubits`` in an orthonormal basis (one vector per row), then reset them to |0...0>.
 
-    The measurement runs through ``measure`` on the projectors |v_i><v_i|, so
-    its checks validate the basis.  The reset is the unitary whose rows are
-    the conjugated basis vectors with the observed one first; it maps v_i to
-    |0...0>.  Returns (outcome index, reset state, outcome probability).
+    One ``measure`` over the Kraus operators |0...0><v_i|, which are complete
+    exactly when the square basis is orthonormal: outcome i has probability
+    ||<v_i|psi>||^2 and leaves the measured qubits in |0...0> and the rest in
+    the normalized <v_i|psi>.  Returns (outcome index, reset state, outcome
+    probability).
     """
     basis = np.asarray(basis, dtype=complex)
-    index, collapsed, prob = measure(state, qubits, [np.outer(v, v.conj()) for v in basis], rng)
-    reset = np.roll(basis, -index, axis=0).conj()
-    emptied = _apply_stack(collapsed.amplitudes, qubits, reset[None])[0]
-    return index, StateVector(emptied, state.layout), prob
+    if basis.shape != (1 << len(qubits),) * 2:
+        raise UsageError(f"basis of shape {basis.shape} is not square on {len(qubits)} qubits")
+    kraus = np.zeros((len(basis),) * 3, dtype=complex)
+    kraus[:, 0, :] = basis.conj()
+    return measure(state, qubits, kraus, rng)
 
 
 def expm_i_hermitian(h: np.ndarray, t: float) -> np.ndarray:
@@ -234,14 +237,14 @@ def expm_i_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(1j * t * w)) @ v.conj().T
 
 
-def exact_evolution(h, t: float, qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+def exact_evolution(h, t: float) -> np.ndarray:
     """Exact unitary exp(i t H) for a Hamiltonian given as weighted Pauli terms.
 
     ``h`` is a HamiltonianSpec (anything with ``n_qubits`` and ``to_matrix()``).
     """
-    if h.n_qubits > qubit_cap:
+    if h.n_qubits > DEFAULT_QUBIT_CAP:
         raise ResourceError(
-            f"register of {h.n_qubits} qubits exceeds the dense cap of {qubit_cap}"
+            f"register of {h.n_qubits} qubits exceeds the dense cap of {DEFAULT_QUBIT_CAP}"
         )
     return expm_i_hermitian(h.to_matrix(), t)
 

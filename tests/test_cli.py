@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import mfsim.compiler
 from mfsim.cli import EXIT_CONFIG, EXIT_INCOMPLETE, EXIT_OK, EXIT_RESOURCE, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -179,6 +180,17 @@ class TestOracle:
         out = json.loads(capsys.readouterr().out)
         # commuting XX chain: plan is exact
         assert out["noiseless_plan_fidelity"] == pytest.approx(1.0)
+
+    def test_register_cap_before_dense_plan(self, tmp_path, monkeypatch):
+        def forbidden(plan):
+            raise AssertionError(f"dense plan matrix built for {plan.n_qubits} qubits")
+
+        monkeypatch.setattr(mfsim.compiler, "plan_unitary", forbidden)
+        term = {"sites": [0, 1], "axes": "XX", "coeff": 1.0}
+        cfg = {"hamiltonian": {"n_qubits": 13, "terms": [term]}, "t": 0.1, "n_steps": 1}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["oracle", "--config", str(path)]) == EXIT_RESOURCE
 
 
 class TestNumericFlags:

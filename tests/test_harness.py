@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import mfsim.harness
-from mfsim.compiler import HamiltonianSpec
-from mfsim.errors import ConfigError, ResourceError
+from mfsim.compiler import HamiltonianSpec, compile_plan
+from mfsim.errors import ConfigError, IncompleteRotationError, ResourceError
 from mfsim.feedback import EpsilonPolicy, PolicyMode
 from mfsim.harness import (
     CNOT_MATRIX,
@@ -167,6 +167,23 @@ class TestRunTrajectory:
                 assert "incomplete" in stats.failure_reason
         assert failures > 0
 
+    def test_stops_at_first_incomplete_rotation(self, monkeypatch):
+        real, calls = mfsim.harness.realize_v_kl, []
+
+        def fail_second(state, *args):
+            calls.append(args)
+            if len(calls) == 2:
+                err = IncompleteRotationError(0.25, [])
+                err.state, err.frame = state, args[5]
+                raise err
+            return real(state, *args)
+
+        monkeypatch.setattr(mfsim.harness, "realize_v_kl", fail_second)
+        stats = run_trajectory(chain_config(n_steps=4), 0)
+        assert len(calls) == 2 and stats.failed
+        assert len(stats.rounds_per_rotation) == 2 and stats.rounds_per_rotation[1] == 0
+        assert stats.failure_reason == "rotation on (1, 2) incomplete, residual 2.500e-01"
+
 
 class TestEnsembleAndReport:
     def test_oracle_evolved_once_per_config(self, monkeypatch):
@@ -181,6 +198,20 @@ class TestEnsembleAndReport:
         _, stats = run_ensemble(cfg)
         assert len(stats) == 5 and len(calls) == 1
         assert noiseless_plan_fidelity(cfg) <= 1.0 and len(calls) == 1
+
+    def test_plan_compiled_once_per_config(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return compile_plan(*args)
+
+        monkeypatch.setattr(mfsim.harness, "compile_plan", counting)
+        cfg = chain_config(trajectories=5)
+        _, stats = run_ensemble(cfg)
+        assert len(stats) == 5 and len(calls) == 1
+        assert noiseless_plan_fidelity(cfg) <= 1.0 and len(calls) == 1
+        assert not cfg.initial_amplitudes.flags.writeable
 
     def test_report_shape(self):
         cfg = chain_config()

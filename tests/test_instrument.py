@@ -96,24 +96,27 @@ def chi2_sf(x, dof):
 @pytest.mark.parametrize("kind", KINDS)
 def test_branches_are_complete(kind):
     for eps, axes in itertools.product(EPS_GRID, AXIS_PAIRS):
-        branches = round_branches(eps, KINDS[kind], axes)
-        total = sum(b.kraus.conj().T @ b.kraus for b in branches)
+        table = round_branches(eps, KINDS[kind], axes)
+        assert table.kraus.shape == (len(table.branches), 4, 4)
+        total = sum(k.conj().T @ k for k in table.kraus)
         assert np.max(np.abs(total - np.eye(4))) <= 1e-12, (eps, axes)
 
 
 @pytest.mark.parametrize("kind", ["lossless", "backup", "backup-loss60", "backup-loss90"])
 def test_branches_are_their_named_operation(kind):
     for eps, axes in itertools.product(EPS_GRID, AXIS_PAIRS):
-        for b in round_branches(eps, KINDS[kind], axes):
+        table = round_branches(eps, KINDS[kind], axes)
+        for k, b in zip(table.kraus, table.branches):
             u = named_operation(b, eps, axes)
-            c = np.trace(u.conj().T @ b.kraus) / 4
+            c = np.trace(u.conj().T @ k) / 4
             assert abs(c) > 0
-            assert np.max(np.abs(b.kraus - c * u)) <= 1e-10, (eps, axes, record(b))
+            assert np.max(np.abs(k - c * u)) <= 1e-10, (eps, axes, record(b))
 
 
 def test_lossless_table_is_the_four_outcomes_in_order():
     for eps in EPS_GRID:
-        assert [b.label for b in round_branches(eps, LossConfig())] == ["minus", "plus", "hh", "vv"]
+        labels = [b.label for b in round_branches(eps, LossConfig()).branches]
+        assert labels == ["minus", "plus", "hh", "vv"]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -127,9 +130,9 @@ def test_photon_level_post_states_are_branches(kind):
             seen, after = photon_level_round(psi, eps, loss, rng)
             assert np.linalg.norm(after[4:]) <= 1e-10  # ancillas emptied
             best = 0.0
-            for b in table:
+            for k, b in zip(table.kraus, table.branches):
                 if record(b) == seen:
-                    k_psi = b.kraus @ psi
+                    k_psi = k @ psi
                     overlap = np.vdot(k_psi, after[:4]) / np.linalg.norm(k_psi)
                     best = max(best, abs(overlap) ** 2)
             assert best >= 1 - 1e-10, (eps, seen)
@@ -142,8 +145,9 @@ def test_photon_level_frequencies_follow_branch_weights(kind):
     rng = np.random.default_rng(77)
     psi = haar_random_amplitudes(2, rng)
     expected = Counter()
-    for b in round_branches(eps, loss):
-        expected[record(b)] += n * float(np.linalg.norm(b.kraus @ psi) ** 2)
+    table = round_branches(eps, loss)
+    for k, b in zip(table.kraus, table.branches):
+        expected[record(b)] += n * float(np.linalg.norm(k @ psi) ** 2)
     observed = Counter(photon_level_round(psi, eps, loss, rng)[0] for _ in range(n))
     assert set(observed) <= set(expected)
     # records expected fewer than 5 times share one bin

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from mfsim.statevec import (
     apply_local,
     apply_pauli_string,
     apply_two_qubit,
+    draw_branch,
     exact_evolution,
     expm_i_hermitian,
     fidelity,
@@ -20,7 +22,7 @@ from mfsim.statevec import (
     measure_and_reset,
 )
 
-from conftest import H, I2, X, Z, embedded_state, kron_le
+from conftest import AXIS_MATS, H, I2, X, Z, embedded_state, kron_le
 
 
 def basis_state(n, index=0):
@@ -93,6 +95,97 @@ class TestApplyTwoQubit:
         assert np.max(np.abs(joint.amplitudes - local.amplitudes)) <= 1e-12
 
 
+def on_qubits(op, qubits, n):
+    """Dense 2^n x 2^n matrix of ``op`` acting on ``qubits`` (first listed the low bit).
+
+    Built from the Pauli expansion of ``op`` with kron_le, independently of
+    the amplitude index map.
+    """
+    k = len(qubits)
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    for paulis in itertools.product("IXYZ", repeat=k):
+        mats = [AXIS_MATS[p] for p in paulis]
+        c = np.trace(kron_le(*mats).conj().T @ op) / (1 << k)
+        sites = [I2] * n
+        for q, m in zip(qubits, mats):
+            sites[q] = m
+        out += c * kron_le(*sites)
+    return out
+
+
+def random_matrix(rng, dim):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(random_matrix(rng, dim))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_state(rng, n):
+    return embedded_state(haar_random_amplitudes(n, rng), RegisterLayout.build(n, n_photons=0))
+
+
+def ordered_pairs(n_max):
+    return [(n, pair) for n in range(2, n_max + 1) for pair in itertools.permutations(range(n), 2)]
+
+
+class TestSubsetIndex:
+    """Every state update indexes through one cached map; check it against dense oracles."""
+
+    @pytest.mark.parametrize("n,pair", ordered_pairs(5), ids=str)
+    def test_apply_two_qubit_matches_dense(self, n, pair, rng):
+        u, st = random_unitary(rng, 4), random_state(rng, n)
+        want = on_qubits(u, pair, n) @ st.amplitudes
+        assert np.max(np.abs(apply_two_qubit(st, pair, u).amplitudes - want)) <= 1e-12
+
+    @pytest.mark.parametrize("n,pair", ordered_pairs(5), ids=str)
+    def test_draw_branch_matches_dense(self, n, pair, rng):
+        ops, st = np.array([random_matrix(rng, 4) for _ in range(3)]), random_state(rng, n)
+        dense = [on_qubits(k, pair, n) @ st.amplitudes for k in ops]
+        want = np.array([np.vdot(b, b).real for b in dense])
+        for seed in range(8):
+            i, out, probs = draw_branch(st, pair, ops, np.random.default_rng(seed))
+            r = np.random.default_rng(seed).random() * want.sum()
+            assert i == int(np.searchsorted(np.cumsum(want), r, side="right"))
+            assert np.max(np.abs(probs - want)) <= 1e-12 * want.sum()
+            assert np.max(np.abs(out.amplitudes - dense[i] / np.sqrt(want[i]))) <= 1e-12
+
+    @pytest.mark.parametrize("qubits", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+    def test_measurement_on_every_qubit(self, qubits, rng):
+        basis = random_unitary(rng, 8)
+        for _ in range(10):
+            st = random_state(rng, 3)
+            i, out, prob = measure_and_reset(st, qubits, basis, rng)
+            # no qubit is left over: |0..0><v_i| leaves <v_i|psi> on |000>
+            want = on_qubits(np.outer(np.eye(8)[0], basis[i].conj()), qubits, 3) @ st.amplitudes
+            assert prob == pytest.approx(np.vdot(want, want).real, abs=1e-12)
+            assert np.max(np.abs(out.amplitudes - want / np.sqrt(prob))) <= 1e-12
+            assert abs(out.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_prob_qubit_one_matches_dense_sum(self, n, rng):
+        st = random_state(rng, n)
+        for q in range(n):
+            want = sum(abs(a) ** 2 for j, a in enumerate(st.amplitudes) if (j >> q) & 1)
+            assert st.prob_qubit_one(q) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("qubits", [(1, 1), (0, 3), (-1, 0), (2, 0, 2)])
+    def test_invalid_qubits_raise_on_every_call(self, qubits, rng):
+        st = random_state(rng, 3)
+        ops = np.eye(1 << len(qubits))[None]
+        for _ in range(2):
+            with pytest.raises(UsageError):
+                draw_branch(st, qubits, ops, rng)
+            if len(qubits) == 2:
+                with pytest.raises(UsageError):
+                    apply_two_qubit(st, qubits, np.eye(4))
+        for q in (3, -1):
+            for _ in range(2):
+                with pytest.raises(UsageError):
+                    apply_local(st, q, X)
+
+
 class TestMeasure:
     P0 = np.diag([1.0, 0.0]).astype(complex)
     P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -135,6 +228,19 @@ class TestMeasure:
             assert p == pytest.approx(abs(st.amplitudes[o]) ** 2, abs=1e-12)
         assert abs(sum(seen.values()) - 1.0) <= 1e-10
 
+    def test_complete_kraus_set_matches_dense(self, rng):
+        g = 0.3  # amplitude damping on qubit 1: complete, but its operators are not projectors
+        kraus = np.array([[[1, 0], [0, np.sqrt(1 - g)]], [[0, np.sqrt(g)], [0, 0]]], dtype=complex)
+        st = random_state(rng, 2)
+        dense = [on_qubits(k, (1,), 2) @ st.amplitudes for k in kraus]
+        want = np.array([np.vdot(b, b).real for b in dense])
+        for seed in range(8):
+            i, out, prob = measure(st, [1], kraus, np.random.default_rng(seed))
+            r = np.random.default_rng(seed).random() * want.sum()
+            assert i == int(np.searchsorted(np.cumsum(want), r, side="right"))
+            assert prob == pytest.approx(want[i], abs=1e-12)
+            assert np.max(np.abs(out.amplitudes - dense[i] / np.sqrt(prob))) <= 1e-12
+
 
 SIGNS = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _E4 = np.eye(4, dtype=complex)
@@ -160,10 +266,19 @@ def contract(amp, qubits, v):
     return out
 
 
+def projective_draw(state, qubits, projectors, rng):
+    """A dense projective draw: one uniform against the running sum of ||P_i psi||^2."""
+    branches = [on_qubits(p, qubits, state.n_qubits) @ state.amplitudes for p in projectors]
+    probs = np.array([np.vdot(b, b).real for b in branches])
+    r = rng.random() * probs.sum()
+    i = min(int(np.searchsorted(np.cumsum(probs), r, side="right")), len(probs) - 1)
+    return i, StateVector(branches[i] / np.sqrt(probs[i]), state.layout), float(probs[i])
+
+
 def old_measure_and_reset(state, qubits, basis, rng):
     """The separate helpers measure_and_reset replaced, written out."""
     projs = [np.outer(v, v.conj()) for v in basis]
-    outcome, st, prob = measure(state, qubits, projs, rng)
+    outcome, st, prob = projective_draw(state, qubits, projs, rng)
     if len(qubits) == 2:  # Gram-Schmidt completion of the observed Bell state
         rows = [basis[outcome]]
         for e in _E4:
