@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,23 @@ from .emission import BeamSplitterOutcome, outcome_probabilities
 from .errors import ConfigError, UsageError
 from .feedback import EpsilonPolicy
 from .pauli import PauliAxis, PauliString
+
+
+def config_int(value, key: str) -> int:
+    """A config integer: an int or an integral float such as 16.0, never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def config_bool(value, key: str) -> bool:
+    """A config flag: JSON true or false only."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
 
 # Round-success law shared with the feedback controller: a round at strength
 # eps resolves the aimed rotation (Plus outcome) with probability
@@ -47,13 +65,13 @@ class PairTerm:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "PairTerm":
+    def from_dict(cls, d: dict, key: str) -> "PairTerm":
         try:
-            sites = tuple(int(s) for s in d["sites"])
+            sites = tuple(config_int(s, f"{key}.sites") for s in d["sites"])
             axes = tuple(PauliAxis(c) for c in d["axes"])
             coeff = float(d["coeff"])
         except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"malformed Hamiltonian term {d!r}") from exc
+            raise ConfigError(f"malformed Hamiltonian term {d!r}: {exc}") from exc
         if len(sites) != 2 or len(axes) != 2:
             raise ConfigError(f"malformed Hamiltonian term {d!r}")
         return cls(sites, axes, coeff)
@@ -89,8 +107,9 @@ class HamiltonianSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "HamiltonianSpec":
         try:
-            n = int(d["n_qubits"])
-            terms = tuple(PairTerm.from_dict(t) for t in d["terms"])
+            n = config_int(d["n_qubits"], "hamiltonian.n_qubits")
+            terms = tuple(
+                PairTerm.from_dict(t, f"hamiltonian.terms[{i}]") for i, t in enumerate(d["terms"]))
         except (KeyError, TypeError) as exc:
             raise ConfigError("malformed Hamiltonian spec") from exc
         try:

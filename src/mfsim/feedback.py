@@ -12,6 +12,7 @@ inverted).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,9 +23,10 @@ import numpy as np
 from .errors import IncompleteRotationError, UsageError
 from .loss import LossConfig, round_branches
 from .pauli import ErrorFrame, PauliAxis, PauliString, frame_conjugate_direction
-from .statevec import StateVector, apply_local, draw_branch  # noqa: F401 (perfbench traces it)
+from .statevec import StateVector, _apply, apply_local  # noqa: F401 (perfbench traces it)
 
 _ANGLE_TOL = 1e-12
+_PAIR_IDENTITY = np.eye(4)
 
 
 class PolicyMode(Enum):
@@ -86,16 +88,6 @@ class RoundRecord:
         return d
 
 
-def _pair_string(n: int, pair: tuple[int, int], k: PauliAxis, l: PauliAxis,
-                 first: bool, second: bool) -> PauliString:
-    sites = {}
-    if first:
-        sites[pair[0]] = k
-    if second:
-        sites[pair[1]] = l
-    return PauliString.embed(n, sites)
-
-
 def realize_v_kl(
     state: StateVector,
     pair: tuple[int, int],
@@ -109,19 +101,19 @@ def realize_v_kl(
 ) -> tuple[StateVector, ErrorFrame, list[RoundRecord]]:
     """Realize e^{i t s_k x s_l} on ``pair`` modulo the tracked error frame.
 
-    Each round applies one branch of ``round_branches(eps, loss, (k, l))``
-    (lossless when ``loss`` is None) to the pair, drawn with probability
-    ||K psi||^2.  On success the frame-corrected output equals the exact
-    rotation applied to the frame-corrected input, up to global phase.  Raises
-    IncompleteRotationError (with state, frame, and residual attached) if
-    max_rounds is exhausted.
+    Each round draws a branch of ``round_branches(eps, loss, (k, l))`` (lossless
+    when ``loss`` is None) from its state-independent weights; the drawn
+    unitaries act on the pair once, when the rotation ends.  On success the
+    frame-corrected output equals the exact rotation applied to the
+    frame-corrected input, up to global phase.  Raises IncompleteRotationError
+    (with state, frame, and residual attached) if max_rounds is exhausted.
     """
     if k is PauliAxis.I or l is PauliAxis.I:
         raise UsageError("rotation axes must be X, Y, or Z")
     if pair[0] == pair[1]:
         raise UsageError("rotation needs two distinct qubits")
     n = state.n_qubits
-    target = _pair_string(n, pair, k, l, True, True)
+    target = PauliString.embed(n, {pair[0]: k, pair[1]: l})
 
     residual = reduce_angle(t_target)
     records: list[RoundRecord] = []
@@ -133,24 +125,27 @@ def realize_v_kl(
     # s_k (x) s_l, so the frame's commutation with it, and this sign, hold for
     # the whole rotation.
     sign_swap = frame_conjugate_direction(frame, target)
+    pair_op = _PAIR_IDENTITY
     for _ in range(policy.max_rounds):
         aimed = abs(residual)
         eps = policy.eps_for(aimed)
         table = round_branches(eps, loss, (k, l))
-        index, state, _ = draw_branch(state, pair, table.kraus, rng)
+        index = bisect.bisect_right(table.cumulative, rng.random())
+        pair_op = table.unitaries[index] @ pair_op
         out = table.branches[index]
 
-        if out.flips[0] or out.flips[1]:
-            frame = frame.updated(_pair_string(n, pair, k, l, *out.flips))
+        flipped = {s: a for s, a, f in zip(pair, (k, l), out.flips) if f}
+        if flipped:
+            frame = frame.updated(PauliString.embed(n, flipped))
         if out.direction is not None:
             residual = reduce_angle(residual - sign_swap * out.direction * aimed)
 
         records.append(RoundRecord(out.label, eps, aimed, str(frame), out.b_bits, out.lost))
         if abs(residual) <= _ANGLE_TOL:
-            return state, frame, records
+            return _apply(state, pair, pair_op), frame, records
 
     err = IncompleteRotationError(residual, records)
-    err.state = state  # resumable: caller may retry with t = residual
+    err.state = _apply(state, pair, pair_op)  # resumable: caller may retry with t = residual
     err.frame = frame
     raise err
 

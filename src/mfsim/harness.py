@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .compiler import HamiltonianSpec, TrotterPlan, compile_plan
+from .compiler import HamiltonianSpec, TrotterPlan, compile_plan, config_bool, config_int
 from .emission import BeamSplitterOutcome, PhotonEncoding, outcome_probabilities
 from .errors import ConfigError, IncompleteRotationError, ResourceError
 from .feedback import EpsilonPolicy, PolicyMode, RoundRecord, realize_v, realize_v_kl
@@ -71,24 +71,24 @@ class ProtocolConfig:
                 _check_keys(term, f"hamiltonian.terms[{i}]", {"sites", "axes", "coeff"})
             h = HamiltonianSpec.from_dict(ham)
             t = float(d["t"])
-            n_steps = int(d["n_steps"])
+            n_steps = config_int(d["n_steps"], "n_steps")
             pol = _check_keys(d.get("policy", {}), "policy", {"mode", "max_rounds"})
             policy = EpsilonPolicy(
                 mode=PolicyMode(pol.get("mode", "residual_exact")),
-                max_rounds=int(pol.get("max_rounds", 64)),
+                max_rounds=config_int(pol.get("max_rounds", 64), "policy.max_rounds"),
             )
             lo = _check_keys(d.get("loss", {}), "loss", {"p_loss", "encoding", "backup_enabled"})
             loss = LossConfig(
                 p_loss=float(lo.get("p_loss", 0.0)),
                 encoding=PhotonEncoding(lo.get("encoding", "polarization")),
-                backup_enabled=bool(lo.get("backup_enabled", False)),
+                backup_enabled=config_bool(lo.get("backup_enabled", False), "loss.backup_enabled"),
             )
             initial = d.get("initial_state", "all_zeros")
             if not isinstance(initial, str):
                 if len(_check_keys(initial, "initial_state", {"random_seed", "amplitudes"})) != 1:
                     raise ConfigError("initial_state needs exactly one of random_seed, amplitudes")
-            trajectories = int(d.get("trajectories", 1))
-            master_seed = int(d.get("master_seed", 0))
+            trajectories = config_int(d.get("trajectories", 1), "trajectories")
+            master_seed = config_int(d.get("master_seed", 0), "master_seed")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad configuration: {exc}") from exc
         if not math.isfinite(t):
@@ -178,7 +178,8 @@ def _initial_data_amplitudes(cfg: ProtocolConfig) -> np.ndarray:
         if isinstance(init, np.ndarray):
             amp = init.astype(complex)
         elif "random_seed" in init:
-            return haar_random_amplitudes(n, np.random.default_rng(int(init["random_seed"])))
+            seed = config_int(init["random_seed"], "initial_state.random_seed")
+            return haar_random_amplitudes(n, np.random.default_rng(seed))
         else:
             amp = np.array([complex(float(re), float(im)) for re, im in init["amplitudes"]])
     except (KeyError, TypeError, ValueError) as exc:

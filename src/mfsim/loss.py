@@ -7,8 +7,8 @@ state while reproducing the dephasing the loss induces on the protocol's
 branch structure.
 
 ``round_branches`` compiles one round of this photon-level model into 4x4
-Kraus operators on the atom pair, so trajectories evolve data qubits only and
-draw each branch with probability ||K psi||^2 (a quantum-jump unravelling).
+Kraus operators on the atom pair, each a weighted unitary, so trajectories
+evolve data qubits only and draw each round from the weights alone.
 """
 
 from __future__ import annotations
@@ -226,10 +226,14 @@ class RoundTable:
 
     ``kraus`` is a read-only (B, 4, 4) stack of operators on the (first,
     second) atom, first the low bit, in the table for the axis pair (k, l).
+    Each is a weighted unitary sqrt(w_i) U_i: ``unitaries`` stacks the U_i and
+    ``cumulative`` holds the running sums of the w_i, the last exactly 1.0.
     """
 
     kraus: np.ndarray
     branches: tuple[RoundBranch, ...]
+    unitaries: np.ndarray
+    cumulative: tuple[float, ...]
 
 
 _LOSS_PATTERNS = ((True, False), (False, True), (True, True))
@@ -286,7 +290,8 @@ def round_branches(
     every operator is conjugated by u_k (x) u_l (``conjugation_unitary``),
     since u e^{it XX} u^dag = e^{it s_k x s_l} and u X u^dag = s_k.
     Lossless rounds list (minus, plus, hh, vv) in that order.  Raises
-    ProtocolError if the branches do not sum to a trace-preserving map.
+    ProtocolError unless each K^dag K = w 1 and the w sum to one, so a draw
+    does not depend on the pair's state.
     """
     if loss.backup_enabled:
         layout = RegisterLayout.build(2, with_backup=True)
@@ -309,9 +314,14 @@ def round_branches(
     u = np.kron(conjugation_unitary(axes[1]), conjugation_unitary(axes[0]))
     kraus = u @ np.tensordot(np.conj(modes), tensor, axes=1) @ u.conj().T
     gram = np.einsum("bki,bkj->bij", kraus.conj(), kraus)
-    if not np.allclose(gram.sum(axis=0), np.eye(4), atol=1e-10):
-        raise ProtocolError(f"round branches at eps={eps} are not trace preserving")
-    keep = np.einsum("bii->b", gram).real > _ZERO_BRANCH
-    kraus = kraus[keep]
-    kraus.flags.writeable = False
-    return RoundTable(kraus, tuple(RoundBranch(*r) for r, k in zip(records, keep) if k))
+    weights = np.einsum("bii->b", gram).real / 4
+    if not (np.allclose(gram, weights[:, None, None] * np.eye(4), atol=1e-10)
+            and abs(weights.sum() - 1.0) <= 1e-10):
+        raise ProtocolError(f"round branches at eps={eps} are not weighted unitaries")
+    keep = weights > _ZERO_BRANCH
+    kraus, weights = kraus[keep], weights[keep]
+    unitaries = kraus / np.sqrt(weights)[:, None, None]
+    cumulative = (*(np.cumsum(weights[:-1]) / weights.sum()).tolist(), 1.0)
+    kraus.flags.writeable = unitaries.flags.writeable = False
+    branches = tuple(RoundBranch(*r) for r, k in zip(records, keep) if k)
+    return RoundTable(kraus, branches, unitaries, cumulative)

@@ -160,41 +160,19 @@ def apply_two_qubit(state: StateVector, qubits: tuple[int, int], u: np.ndarray) 
     return _apply(state, tuple(qubits), _check_unitary(u, 4))
 
 
-def draw_branch(
-    state: StateVector,
-    qubits: Sequence[int],
-    operators: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[int, StateVector, np.ndarray]:
-    """Apply each operator on ``qubits`` and keep one branch, drawn by its squared norm.
-
-    ``operators`` is a (B, 2^k, 2^k) stack, first listed qubit the low bit.
-    One uniform number is compared with the running sum of the branch weights
-    ||K_i psi||^2 in operator order.  Returns (branch index, renormalized
-    branch, weights of all branches).
-    """
-    idx = _subset_index(state.n_qubits, tuple(qubits))
-    branches = operators @ state.amplitudes[idx]
-    probs = np.einsum("bij,bij->b", branches.conj(), branches).real
-
-    r = rng.random() * probs.sum()
-    index = min(int(np.searchsorted(np.cumsum(probs), r, side="right")), len(probs) - 1)
-    out = np.empty_like(state.amplitudes)
-    out[idx] = branches[index] / np.sqrt(probs[index])
-    return index, StateVector(out, state.layout), probs
-
-
 def measure(
     state: StateVector,
     qubits: Sequence[int],
     operators: Sequence[np.ndarray],
     rng: np.random.Generator,
 ) -> tuple[int, StateVector, float]:
-    """Measure ``qubits`` with a complete set of Kraus operators: one ``draw_branch``.
+    """Measure ``qubits`` with a complete set of Kraus operators: keep one branch.
 
-    ``operators`` is a (B, 2^k, 2^k) stack with sum_i K_i^dag K_i = 1, for
-    example a complete set of orthogonal projectors.  Returns (outcome index,
-    renormalized post-measurement state, outcome probability).
+    ``operators`` is a (B, 2^k, 2^k) stack with sum_i K_i^dag K_i = 1 (first
+    listed qubit the low bit), e.g. orthogonal projectors.  One uniform number
+    is compared with the running sum of the weights ||K_i psi||^2 in operator
+    order.  Returns (outcome index, renormalized post-measurement state,
+    outcome probability).
     """
     kraus = np.asarray(operators, dtype=complex)
     dim = 1 << len(qubits)
@@ -202,10 +180,16 @@ def measure(
         np.einsum("bki,bkj->ij", kraus.conj(), kraus), np.eye(dim), atol=_BASIS_ATOL)
     if not complete:
         raise UsageError(f"operators of shape {kraus.shape} are not a complete set on {qubits}")
-    index, out, probs = draw_branch(state, qubits, kraus, rng)
+    idx = _subset_index(state.n_qubits, tuple(qubits))
+    branches = kraus @ state.amplitudes[idx]
+    probs = np.einsum("bij,bij->b", branches.conj(), branches).real
     if abs(probs.sum() - state.norm_squared()) > _BASIS_ATOL:
         raise UsageError("branch weights do not sum to the state norm")
-    return index, out, float(probs[index])
+    r = rng.random() * probs.sum()
+    index = min(int(np.searchsorted(np.cumsum(probs), r, side="right")), len(probs) - 1)
+    out = np.empty_like(state.amplitudes)
+    out[idx] = branches[index] / np.sqrt(probs[index])
+    return index, StateVector(out, state.layout), float(probs[index])
 
 
 def measure_and_reset(

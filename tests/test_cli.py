@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,18 @@ class TestSimulate:
         ({"initial_state": {"random_seed": -2}}, "initial state"),
         ({"hamiltonian": {"n_qubits": -1, "terms": []}}, "at least one qubit"),
         ({"master_seed": -1}, "master_seed"),
+        # JSON reads 1e400 as Infinity; an integer key takes only integral numbers
+        ({"n_steps": math.inf}, "n_steps"),
+        ({"trajectories": math.inf}, "trajectories"),
+        ({"master_seed": -math.inf}, "master_seed"),
+        ({"policy": {"max_rounds": math.inf}}, "policy.max_rounds"),
+        ({"hamiltonian": {"n_qubits": math.inf, "terms": []}}, "hamiltonian.n_qubits"),
+        ({"hamiltonian": {"n_qubits": 2, "terms": [{"sites": [0, math.inf], "axes": "XX",
+                                                    "coeff": 1}]}}, "hamiltonian.terms[0].sites"),
+        ({"initial_state": {"random_seed": math.inf}}, "initial_state.random_seed"),
+        ({"n_steps": 2.7}, "n_steps"),
+        ({"trajectories": True}, "trajectories"),
+        ({"loss": {"backup_enabled": "false"}}, "loss.backup_enabled"),
     ])
     def test_bad_config_exits_2_without_traceback(self, bad, named, tmp_path):
         cfg = {"hamiltonian": XX_PAIR, "t": 0.3, "n_steps": 1, **bad}

@@ -65,6 +65,19 @@ class TestProtocolConfig:
         with pytest.raises(ConfigError):
             chain_config(n_steps=0)
 
+    def test_integral_floats_read_as_integers(self):
+        ints = chain_config(n_steps=16, policy={"max_rounds": 64})
+        floats = chain_config(
+            hamiltonian={"n_qubits": 3.0, "terms": [
+                {"sites": [0.0, 1.0], "axes": "XX", "coeff": 1.0},
+                {"sites": [1, 2.0], "axes": "ZZ", "coeff": 0.7}]},
+            n_steps=16.0, trajectories=3.0, master_seed=7.0, policy={"max_rounds": 64.0},
+            initial_state={"random_seed": 11.0},
+        )
+        assert json.dumps(floats.to_dict()) == json.dumps(ints.to_dict()).replace(
+            '"random_seed": 11', '"random_seed": 11.0')
+        assert np.array_equal(floats.initial_amplitudes, ints.initial_amplitudes)
+
     def test_bad_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")

@@ -1,11 +1,12 @@
 """Round tables against the photon-level model they are compiled from.
 
 Every round kind is checked on an eps grid: the Kraus operators are complete
-for all nine rotation axis pairs, each lossless and backup branch is the
-operation its record names on those axes, and each post-state the
-photon-level model produces is the renormalized K psi of a branch with the
-same visible record.  A chi-square test compares the photon-level record
-frequencies with ||K psi||^2.
+for all nine rotation axis pairs, each is a weighted unitary, each lossless
+and backup branch is the operation its record names on those axes, and each
+post-state the photon-level model produces is the renormalized K psi of a
+branch with the same visible record.  A chi-square test compares the
+photon-level record frequencies with ||K psi||^2, and the controller's
+classical draw is compared with a draw on the state every round.
 """
 
 import itertools
@@ -21,12 +22,14 @@ import mfsim.harness
 import mfsim.loss
 import mfsim.statevec
 from mfsim.emission import PhotonEncoding, beamsplitter_measure, joint_emission
+from mfsim.errors import IncompleteRotationError, ProtocolError
+from mfsim.feedback import EpsilonPolicy, RoundRecord, realize_v_kl, reduce_angle
 from mfsim.harness import ProtocolConfig, haar_random_amplitudes, run_trajectory
 from mfsim.loss import LossConfig, backup_round, loss_channel, round_branches
-from mfsim.pauli import PauliAxis
-from mfsim.statevec import RegisterLayout
+from mfsim.pauli import ErrorFrame, PauliAxis, PauliString, frame_conjugate_direction
+from mfsim.statevec import RegisterLayout, StateVector, measure
 
-from conftest import AXIS_MATS, embedded_state, kron_le
+from conftest import AXIS_MATS, H, embedded_state, kron_le
 
 KINDS = {
     "lossless": LossConfig(),
@@ -100,6 +103,28 @@ def test_branches_are_complete(kind):
         assert table.kraus.shape == (len(table.branches), 4, 4)
         total = sum(k.conj().T @ k for k in table.kraus)
         assert np.max(np.abs(total - np.eye(4))) <= 1e-12, (eps, axes)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_branch_is_a_weighted_unitary(kind):
+    rng = np.random.default_rng(5)
+    for eps, axes in itertools.product([0.0, 1.0, *EPS_GRID], AXIS_PAIRS):
+        table = round_branches(eps, KINDS[kind], axes)
+        assert table.cumulative[-1] == 1.0
+        weights = np.diff(table.cumulative, prepend=0.0)
+        psi = haar_random_amplitudes(2, rng)
+        for k, u, w in zip(table.kraus, table.unitaries, weights):
+            assert np.max(np.abs(k.conj().T @ k - w * np.eye(4))) <= 1e-12, (eps, axes)
+            assert np.linalg.norm(k @ psi) ** 2 == pytest.approx(w, abs=1e-12)
+            assert np.max(np.abs(np.sqrt(w) * u - k)) <= 1e-12, (eps, axes)
+
+
+def test_non_unitary_branch_fails_the_build(monkeypatch):
+    # The environment reads lost photons in a Hadamard-rotated basis: the 16
+    # branches stay complete, but the loss branches are no longer unitaries.
+    monkeypatch.setattr(mfsim.loss, "_E4", kron_le(H, H))
+    with pytest.raises(ProtocolError):
+        round_branches.__wrapped__(0.3, LossConfig(p_loss=0.3))
 
 
 @pytest.mark.parametrize("kind", ["lossless", "backup", "backup-loss60", "backup-loss90"])
@@ -206,16 +231,18 @@ def test_warm_trajectory_evolves_data_qubits_only(monkeypatch):
         for name in ("joint_emission", "beamsplitter_measure", "loss_channel", "backup_round"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
-    sizes = set()
-    draw = mfsim.feedback.draw_branch
+    sizes = []
+    update = mfsim.feedback._apply
 
     def spy(state, *args):
-        sizes.add(state.amplitudes.size)
-        return draw(state, *args)
+        sizes.append(state.amplitudes.size)
+        return update(state, *args)
 
-    monkeypatch.setattr(mfsim.feedback, "draw_branch", spy)
+    monkeypatch.setattr(mfsim.feedback, "_apply", spy)
     again = run_trajectory(cfg, 0)
-    assert sizes == {2**3}
+    assert set(sizes) == {2**3}
+    # one state update per rotation that took at least one round
+    assert len(sizes) == sum(1 for count in again.rounds_per_rotation if count > 0)
     assert again.to_dict() == first.to_dict()
 
 
@@ -234,3 +261,71 @@ def test_warm_trajectory_validates_only_its_final_frame_correction(monkeypatch):
     # apply_pauli_string checks one 2x2 gate per non-identity site of the frame
     assert again.rounds_total > 0
     assert calls == [2] * sum(a != "I" for a in again.final_frame)
+
+
+def state_draw_rotation(state, pair, axes, t, policy, frame, rng, loss):
+    """A rotation drawn on the state every round: ``measure`` with the round's Kraus table.
+
+    Returns (state, frame, records, residual); a residual above the angle
+    tolerance means max_rounds ran out.
+    """
+    n = state.n_qubits
+    sign_swap = frame_conjugate_direction(frame, PauliString.embed(n, dict(zip(pair, axes))))
+    residual, records = reduce_angle(t), []
+    for _ in range(policy.max_rounds):
+        if abs(residual) <= 1e-12:
+            break
+        aimed = abs(residual)
+        eps = policy.eps_for(aimed)
+        table = round_branches(eps, loss, axes)
+        index, state, _ = measure(state, pair, table.kraus, rng)
+        b = table.branches[index]
+        flipped = {s: a for s, a, f in zip(pair, axes, b.flips) if f}
+        if flipped:
+            frame = frame.updated(PauliString.embed(n, flipped))
+        if b.direction is not None:
+            residual = reduce_angle(residual - sign_swap * b.direction * aimed)
+        records.append(RoundRecord(b.label, eps, aimed, str(frame), b.b_bits, b.lost))
+    return state, frame, records, residual
+
+
+def rotation_case(seed, axes, anticommuting):
+    """A Haar 3-qubit state, an angle, and an incoming frame of the given sign on pair (2, 0)."""
+    rng = np.random.default_rng(seed)
+    state = StateVector(haar_random_amplitudes(3, rng), RegisterLayout.build(3, n_photons=0))
+    sites = {1: PauliAxis.Y}  # off the pair: commutes with the rotation either way
+    if anticommuting:
+        sites[2] = next(a for a in (PauliAxis.X, PauliAxis.Y, PauliAxis.Z) if a is not axes[0])
+    frame = ErrorFrame.identity(3).updated(PauliString.embed(3, sites))
+    sign = frame_conjugate_direction(frame, PauliString.embed(3, dict(zip((2, 0), axes))))
+    assert sign == (-1 if anticommuting else 1)
+    return state, float(rng.uniform(-1.5, 1.5)), frame
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_classical_draw_equals_state_draw(kind):
+    loss, policy, pair = KINDS[kind], EpsilonPolicy(max_rounds=100_000), (2, 0)
+    cases = itertools.product(AXIS_PAIRS, (False, True))
+    for seed, (axes, anticommuting) in enumerate(cases):
+        state, t, frame = rotation_case(seed, axes, anticommuting)
+        want, want_frame, want_records, residual = state_draw_rotation(
+            state, pair, axes, t, policy, frame, np.random.default_rng(seed), loss)
+        assert abs(residual) <= 1e-12
+        got, got_frame, got_records = realize_v_kl(
+            state, pair, *axes, t, policy, frame, np.random.default_rng(seed), loss)
+        assert got_records == want_records and got_frame == want_frame, (axes, anticommuting)
+        assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-12
+
+
+def test_exhausted_rotation_state_equals_state_draw():
+    loss, policy = KINDS["backup-loss90"], EpsilonPolicy(max_rounds=2)
+    pair, axes = (2, 0), (PauliAxis.Y, PauliAxis.Z)
+    state, t, frame = rotation_case(3, axes, True)
+    want, want_frame, want_records, residual = state_draw_rotation(
+        state, pair, axes, t, policy, frame, np.random.default_rng(3), loss)
+    assert abs(residual) > 1e-12 and len(want_records) == 2
+    with pytest.raises(IncompleteRotationError) as info:
+        realize_v_kl(state, pair, *axes, t, policy, frame, np.random.default_rng(3), loss)
+    exc = info.value
+    assert (exc.records, exc.frame, exc.residual) == (want_records, want_frame, residual)
+    assert np.max(np.abs(exc.state.amplitudes - want.amplitudes)) <= 1e-12

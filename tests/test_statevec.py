@@ -14,7 +14,6 @@ from mfsim.statevec import (
     apply_local,
     apply_pauli_string,
     apply_two_qubit,
-    draw_branch,
     exact_evolution,
     expm_i_hermitian,
     fidelity,
@@ -141,15 +140,24 @@ class TestSubsetIndex:
 
     @pytest.mark.parametrize("n,pair", ordered_pairs(5), ids=str)
     def test_draw_branch_matches_dense(self, n, pair, rng):
-        ops, st = np.array([random_matrix(rng, 4) for _ in range(3)]), random_state(rng, n)
+        # measure's draw on a complete random Kraus set K_i S^(-1/2), S = sum_i K_i^dag K_i
+        raw, st = np.array([random_matrix(rng, 4) for _ in range(3)]), random_state(rng, n)
+        w, v = np.linalg.eigh(np.einsum("bki,bkj->ij", raw.conj(), raw))
+        ops = raw @ (v / np.sqrt(w)) @ v.conj().T
         dense = [on_qubits(k, pair, n) @ st.amplitudes for k in ops]
         want = np.array([np.vdot(b, b).real for b in dense])
-        for seed in range(8):
-            i, out, probs = draw_branch(st, pair, ops, np.random.default_rng(seed))
+        assert want.sum() == pytest.approx(1.0, abs=1e-12)
+        drawn = set()
+        for seed in range(1000):  # until every branch has been drawn
+            i, out, prob = measure(st, pair, ops, np.random.default_rng(seed))
             r = np.random.default_rng(seed).random() * want.sum()
             assert i == int(np.searchsorted(np.cumsum(want), r, side="right"))
-            assert np.max(np.abs(probs - want)) <= 1e-12 * want.sum()
+            assert prob == pytest.approx(want[i], abs=1e-12)
             assert np.max(np.abs(out.amplitudes - dense[i] / np.sqrt(want[i]))) <= 1e-12
+            drawn.add(i)
+            if len(drawn) == len(ops):
+                break
+        assert drawn == set(range(len(ops)))
 
     @pytest.mark.parametrize("qubits", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
     def test_measurement_on_every_qubit(self, qubits, rng):
@@ -173,10 +181,10 @@ class TestSubsetIndex:
     @pytest.mark.parametrize("qubits", [(1, 1), (0, 3), (-1, 0), (2, 0, 2)])
     def test_invalid_qubits_raise_on_every_call(self, qubits, rng):
         st = random_state(rng, 3)
-        ops = np.eye(1 << len(qubits))[None]
+        ops = np.eye(1 << len(qubits))[None]  # complete, so only the qubits are at fault
         for _ in range(2):
             with pytest.raises(UsageError):
-                draw_branch(st, qubits, ops, rng)
+                measure(st, qubits, ops, rng)
             if len(qubits) == 2:
                 with pytest.raises(UsageError):
                     apply_two_qubit(st, qubits, np.eye(4))
