@@ -8,11 +8,17 @@ draws from the round table for the axis pair (k, l), whose byproducts are
 s_k / s_l at the pair sites.  If the incoming frame anticommutes with the
 rotation axis the roles of Plus and Minus are swapped (the time direction is
 inverted).
+
+A rotation therefore only ever aims at its doubling levels.  Each level,
+with its round table, is built once per (angle, policy, loss, axes, sign)
+and reused, so a round is one bisection into the level's weights and, when
+the branch flips a qubit, an XOR of the frame's x/z masks.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,11 +28,10 @@ import numpy as np
 
 from .errors import IncompleteRotationError, UsageError
 from .loss import LossConfig, round_branches
-from .pauli import ErrorFrame, PauliAxis, PauliString, frame_conjugate_direction
+from .pauli import ErrorFrame, PauliAxis, PauliString, frame_conjugate_direction, mask_text
 from .statevec import StateVector, _apply, apply_local  # noqa: F401 (perfbench traces it)
 
 _ANGLE_TOL = 1e-12
-_PAIR_IDENTITY = np.eye(4)
 
 
 class PolicyMode(Enum):
@@ -88,6 +93,44 @@ class RoundRecord:
         return d
 
 
+class _Level:
+    """One doubling level of a rotation: the residual it aims at and its round table.
+
+    ``rotation`` is (policy, loss, axes, sign_swap).  ``next[i]`` is the level
+    after branch i: this level when the branch does not rotate, None when it
+    closes the residual.  The successors, and with them their tables, are
+    built on the first round drawn at this level.
+    """
+
+    def __init__(self, residual: float, rotation: tuple):
+        policy, loss, axes, _ = self.rotation = rotation
+        self.residual = residual
+        self.aimed = abs(residual)
+        self.eps = policy.eps_for(self.aimed)
+        table = round_branches(self.eps, loss, axes)
+        self.cumulative, self.branches = table.cumulative, table.branches
+        self.unitaries = tuple(table.unitaries)
+        # the pair atoms a branch flips: bit 0 the first, bit 1 the second
+        self.flips = tuple(b.flips[0] + 2 * b.flips[1] for b in self.branches)
+
+    @functools.cached_property
+    def next(self) -> tuple[Optional["_Level"], ...]:
+        sign_swap = self.rotation[3]
+        moved = {d: _level(reduce_angle(self.residual - sign_swap * d * self.aimed), self.rotation)
+                 for d in {b.direction for b in self.branches} - {None}}
+        return tuple(self if b.direction is None else moved[b.direction] for b in self.branches)
+
+
+def _level(residual: float, rotation: tuple) -> Optional[_Level]:
+    return _Level(residual, rotation) if abs(residual) > _ANGLE_TOL else None
+
+
+@functools.lru_cache(maxsize=64)
+def _first_level(t_target, policy, loss, axes, sign_swap) -> Optional[_Level]:
+    """The level a rotation starts at; None when its angle is a multiple of pi."""
+    return _level(reduce_angle(t_target), (policy, loss, axes, sign_swap))
+
+
 def realize_v_kl(
     state: StateVector,
     pair: tuple[int, int],
@@ -102,10 +145,11 @@ def realize_v_kl(
     """Realize e^{i t s_k x s_l} on ``pair`` modulo the tracked error frame.
 
     Each round draws a branch of ``round_branches(eps, loss, (k, l))`` (lossless
-    when ``loss`` is None) from its state-independent weights; the drawn
-    unitaries act on the pair once, when the rotation ends.  On success the
-    frame-corrected output equals the exact rotation applied to the
-    frame-corrected input, up to global phase.  Raises IncompleteRotationError
+    when ``loss`` is None) from its state-independent weights, read from the
+    rotation's cached doubling levels; the drawn unitaries act on the pair
+    once, when the rotation ends.  On success the frame-corrected output
+    equals the exact rotation applied to the frame-corrected input, up to
+    global phase.  Raises IncompleteRotationError
     (with state, frame, and residual attached) if max_rounds is exhausted.
     """
     if k is PauliAxis.I or l is PauliAxis.I:
@@ -114,39 +158,47 @@ def realize_v_kl(
         raise UsageError("rotation needs two distinct qubits")
     n = state.n_qubits
     target = PauliString.embed(n, {pair[0]: k, pair[1]: l})
-
-    residual = reduce_angle(t_target)
-    records: list[RoundRecord] = []
-    if abs(residual) <= _ANGLE_TOL:
-        return state, frame, records
-
-    loss = loss or LossConfig()
     # A round's byproducts s_k (x) 1 and 1 (x) s_l both commute with the target
     # s_k (x) s_l, so the frame's commutation with it, and this sign, hold for
     # the whole rotation.
     sign_swap = frame_conjugate_direction(frame, target)
-    pair_op = _PAIR_IDENTITY
+    level = _first_level(t_target, policy, loss or LossConfig(), (k, l), sign_swap)
+    records: list[RoundRecord] = []
+    if level is None:
+        return state, frame, records
+
+    # The frame as masks; branch flip code c XORs in flips[c].
+    a, b = pair
+    flips = ((0, 0), (k.x_bit << a, k.z_bit << a), (l.x_bit << b, l.z_bit << b),
+             (target.x, target.z))
+    x, z = frame.byproduct.x, frame.byproduct.z
+    text = str(frame)
+    flipped = False
+    drawn = []
+    draw = rng.random
     for _ in range(policy.max_rounds):
-        aimed = abs(residual)
-        eps = policy.eps_for(aimed)
-        table = round_branches(eps, loss, (k, l))
-        index = bisect.bisect_right(table.cumulative, rng.random())
-        pair_op = table.unitaries[index] @ pair_op
-        out = table.branches[index]
+        i = bisect.bisect_right(level.cumulative, draw())
+        drawn.append(level.unitaries[i])
+        code = level.flips[i]
+        if code:
+            dx, dz = flips[code]
+            x, z = x ^ dx, z ^ dz
+            text = mask_text(n, x, z)
+            flipped = True
+        out = level.branches[i]
+        records.append(RoundRecord(out.label, level.eps, level.aimed, text, out.b_bits, out.lost))
+        level = level.next[i]
+        if level is None:
+            break
 
-        flipped = {s: a for s, a, f in zip(pair, (k, l), out.flips) if f}
-        if flipped:
-            frame = frame.updated(PauliString.embed(n, flipped))
-        if out.direction is not None:
-            residual = reduce_angle(residual - sign_swap * out.direction * aimed)
-
-        records.append(RoundRecord(out.label, eps, aimed, str(frame), out.b_bits, out.lost))
-        if abs(residual) <= _ANGLE_TOL:
-            return _apply(state, pair, pair_op), frame, records
-
-    err = IncompleteRotationError(residual, records)
-    err.state = _apply(state, pair, pair_op)  # resumable: caller may retry with t = residual
-    err.frame = frame
+    if drawn:  # one pair operator, multiplied in draw order
+        state = _apply(state, pair, functools.reduce(lambda op, u: u @ op, drawn))
+    if flipped:
+        frame = ErrorFrame(PauliString.from_masks(n, x, z))
+    if level is None:
+        return state, frame, records
+    err = IncompleteRotationError(level.residual, records)
+    err.state, err.frame = state, frame  # resumable: caller may retry with t = residual
     raise err
 
 

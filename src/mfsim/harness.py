@@ -11,6 +11,7 @@ import csv
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -101,7 +102,15 @@ class ProtocolConfig:
             raise ConfigError("trajectories must be non-negative")
         if master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
-        return cls(h, t, n_steps, policy, loss, initial, trajectories, master_seed)
+        if n_steps > sys.float_info.max:
+            raise ConfigError("n_steps exceeds the largest float, so no rotation angle is defined")
+        cfg = cls(h, t, n_steps, policy, loss, initial, trajectories, master_seed)
+        # compile_plan makes one rotation per term, in term order
+        for i, rot in enumerate(cfg.plan.sweep_rotations()):
+            if not math.isfinite(rot.angle):
+                raise ConfigError(f"rotation angle t * hamiltonian.terms[{i}].coeff / n_steps "
+                                  f"is {rot.angle}, not finite")
+        return cfg
 
     @functools.cached_property
     def plan(self) -> TrotterPlan:
@@ -127,7 +136,7 @@ class ProtocolConfig:
         try:
             with open(path) as f:
                 data = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or integer literal
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(data)
 

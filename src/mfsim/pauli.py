@@ -1,17 +1,22 @@
 """Exact Pauli-string algebra with i-power phase tracking.
 
 A :class:`PauliString` is a tensor product of single-qubit Pauli operators
-together with a global factor ``i**phase_power``.  The same type doubles as
-the byproduct-operator frame (:class:`ErrorFrame`) that records the known
-Pauli flips accumulated by the measurement protocol; frames ignore the
-global phase by convention.
+together with a global factor ``i**phase_power``.  It is stored in the
+symplectic form of Aaronson & Gottesman (PRA 70, 052328 (2004)): bit q of
+the integer masks ``x`` and ``z`` says whether qubit q carries an X and a Z
+factor, with X = (1, 0), Z = (0, 1) and Y = (1, 1), so products and
+commutation are bitwise operations.  The same type doubles as the
+byproduct-operator frame (:class:`ErrorFrame`) that records the known Pauli
+flips accumulated by the measurement protocol; frames ignore the global
+phase by convention.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -24,6 +29,11 @@ class PauliAxis(Enum):
     Y = "Y"
     Z = "Z"
 
+    def __init__(self, value: str):
+        # symplectic bits of the axis
+        self.x_bit = int(value in "XY")
+        self.z_bit = int(value in "YZ")
+
     def matrix(self) -> np.ndarray:
         return _AXIS_MATRICES[self]
 
@@ -35,36 +45,37 @@ _AXIS_MATRICES = {
     PauliAxis.Z: np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# Single-qubit products: (a, b) -> (c, p) with  sigma_a . sigma_b = i**p . sigma_c.
-_SINGLE_PRODUCT: dict[tuple[PauliAxis, PauliAxis], tuple[PauliAxis, int]] = {}
-for _a in PauliAxis:
-    _SINGLE_PRODUCT[(PauliAxis.I, _a)] = (_a, 0)
-    _SINGLE_PRODUCT[(_a, PauliAxis.I)] = (_a, 0)
-    _SINGLE_PRODUCT[(_a, _a)] = (PauliAxis.I, 0)
-# X.Y = iZ, Y.Z = iX, Z.X = iY and the reversed orders pick up i**3.
-for _a, _b, _c in (
-    (PauliAxis.X, PauliAxis.Y, PauliAxis.Z),
-    (PauliAxis.Y, PauliAxis.Z, PauliAxis.X),
-    (PauliAxis.Z, PauliAxis.X, PauliAxis.Y),
-):
-    _SINGLE_PRODUCT[(_a, _b)] = (_c, 1)
-    _SINGLE_PRODUCT[(_b, _a)] = (_c, 3)
+@functools.lru_cache(maxsize=4096)
+def mask_text(n: int, x: int, z: int) -> str:
+    """The n-letter text of the Pauli string with masks (x, z), qubit 0 first (letter x + 2z)."""
+    return "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in range(n))
 
 
 @dataclass(frozen=True)
 class PauliString:
-    """Phased tensor product of Pauli axes over a fixed-size register."""
+    """Phased tensor product of Pauli axes over a fixed-size register, held as x/z masks."""
 
-    axes: tuple[PauliAxis, ...]
+    n: int
+    x: int
+    z: int
     phase_power: int = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "axes", tuple(self.axes))
-        object.__setattr__(self, "phase_power", self.phase_power % 4)
+    def __init__(self, axes: Iterable[PauliAxis], phase_power: int = 0):
+        axes = tuple(axes)
+        self.__dict__.update(
+            n=len(axes), x=sum(a.x_bit << q for q, a in enumerate(axes)),
+            z=sum(a.z_bit << q for q, a in enumerate(axes)), phase_power=phase_power % 4)
+
+    @classmethod
+    def from_masks(cls, n: int, x: int, z: int, phase_power: int = 0) -> "PauliString":
+        """The string on ``n`` qubits with symplectic masks ``x`` and ``z``."""
+        p = object.__new__(cls)
+        p.__dict__.update(n=n, x=x, z=z, phase_power=phase_power % 4)
+        return p
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":
-        return cls((PauliAxis.I,) * n)
+        return cls.from_masks(n, 0, 0)
 
     @classmethod
     def from_str(cls, text: str, phase_power: int = 0) -> "PauliString":
@@ -77,22 +88,27 @@ class PauliString:
     @classmethod
     def embed(cls, n: int, sites: Mapping[int, PauliAxis]) -> "PauliString":
         """All-identity string of length ``n`` with the given axes placed at ``sites``."""
-        axes = [PauliAxis.I] * n
+        x = z = 0
         for q, a in sites.items():
             if not 0 <= q < n:
                 raise UsageError(f"site {q} outside register of size {n}")
-            axes[q] = a
-        return cls(tuple(axes))
+            x |= a.x_bit << q
+            z |= a.z_bit << q
+        return cls.from_masks(n, x, z)
+
+    @property
+    def axes(self) -> tuple[PauliAxis, ...]:
+        return tuple(map(PauliAxis, str(self)))
 
     def __len__(self) -> int:
-        return len(self.axes)
+        return self.n
 
     def __str__(self) -> str:
-        return "".join(a.value for a in self.axes)
+        return mask_text(self.n, self.x, self.z)
 
     @property
     def is_identity(self) -> bool:
-        return all(a is PauliAxis.I for a in self.axes)
+        return not (self.x | self.z)
 
     def matrix(self) -> np.ndarray:
         """Dense matrix in little-endian qubit order (qubit 0 = low index bit)."""
@@ -103,28 +119,25 @@ class PauliString:
 
 
 def multiply(p: PauliString, q: PauliString) -> PauliString:
-    """Exact product p.q with the correct i-power phase."""
+    """Exact product p.q with the correct i-power phase.
+
+    Each qubit's sigma(x, z) is i**(x z) X**x Z**z, and moving Z**z1 past
+    X**x2 gives (-1)**(z1 x2), so the product is sigma(x1^x2, z1^z2) times
+    i to the power |x1 z1| + |x2 z2| - |x3 z3| + 2|z1 x2| (popcounts).
+    """
     if len(p) != len(q):
         raise UsageError(f"length mismatch: {len(p)} vs {len(q)}")
-    axes = []
-    phase = p.phase_power + q.phase_power
-    for a, b in zip(p.axes, q.axes):
-        c, dp = _SINGLE_PRODUCT[(a, b)]
-        axes.append(c)
-        phase += dp
-    return PauliString(tuple(axes), phase)
+    x, z = p.x ^ q.x, p.z ^ q.z
+    phase = (p.phase_power + q.phase_power + (p.x & p.z).bit_count() + (q.x & q.z).bit_count()
+             - (x & z).bit_count() + 2 * (p.z & q.x).bit_count())
+    return PauliString.from_masks(p.n, x, z, phase)
 
 
 def commutes(p: PauliString, q: PauliString) -> bool:
     """True iff the number of sites where both are non-I and different is even."""
     if len(p) != len(q):
         raise UsageError(f"length mismatch: {len(p)} vs {len(q)}")
-    n_anti = sum(
-        1
-        for a, b in zip(p.axes, q.axes)
-        if a is not PauliAxis.I and b is not PauliAxis.I and a is not b
-    )
-    return n_anti % 2 == 0
+    return not ((p.x & q.z) ^ (p.z & q.x)).bit_count() & 1
 
 
 def conjugation_unitary(k: PauliAxis) -> np.ndarray:
@@ -155,7 +168,7 @@ class ErrorFrame:
     def updated(self, correction: PauliString) -> "ErrorFrame":
         """Frame after the physical state picked up ``correction`` (left-multiplied)."""
         prod = multiply(correction, self.byproduct)
-        return ErrorFrame(PauliString(prod.axes, 0))
+        return ErrorFrame(PauliString.from_masks(prod.n, prod.x, prod.z))
 
     def __str__(self) -> str:
         return str(self.byproduct)

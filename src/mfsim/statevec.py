@@ -86,6 +86,13 @@ class StateVector:
                 f"amplitude vector has shape {self.amplitudes.shape}, expected ({dim},)"
             )
 
+    @classmethod
+    def _wrap(cls, amplitudes: np.ndarray, layout: RegisterLayout) -> "StateVector":
+        """A state around a complex array this module built: no copy and no shape check."""
+        state = object.__new__(cls)
+        state.amplitudes, state.layout = amplitudes, layout
+        return state
+
     @property
     def n_qubits(self) -> int:
         return self.layout.n_qubits
@@ -98,7 +105,7 @@ class StateVector:
         dim = 1 << layout.n_qubits
         amp = np.zeros(dim, dtype=complex)
         amp[index] = 1.0
-        return cls(amp, layout)
+        return cls._wrap(amp, layout)
 
     def prob_qubit_one(self, qubit: int) -> float:
         """Probability of finding ``qubit`` in |1>."""
@@ -147,7 +154,7 @@ def _apply(state: StateVector, qubits: tuple[int, ...], u: np.ndarray) -> StateV
     idx = _subset_index(state.n_qubits, qubits)
     out = np.empty_like(state.amplitudes)
     out[idx] = u @ state.amplitudes[idx]
-    return StateVector(out, state.layout)
+    return StateVector._wrap(out, state.layout)
 
 
 def apply_local(state: StateVector, qubit: int, u: np.ndarray) -> StateVector:
@@ -189,7 +196,7 @@ def measure(
     index = min(int(np.searchsorted(np.cumsum(probs), r, side="right")), len(probs) - 1)
     out = np.empty_like(state.amplitudes)
     out[idx] = branches[index] / np.sqrt(probs[index])
-    return index, StateVector(out, state.layout), float(probs[index])
+    return index, StateVector._wrap(out, state.layout), float(probs[index])
 
 
 def measure_and_reset(
@@ -251,5 +258,5 @@ def apply_pauli_string(state: StateVector, p: PauliString) -> StateVector:
         if axis is not PauliAxis.I:
             out = apply_local(out, q, axis.matrix())
     if p.phase_power:
-        out = StateVector(out.amplitudes * (1j ** p.phase_power), out.layout)
+        out = StateVector._wrap(out.amplitudes * (1j ** p.phase_power), out.layout)
     return out

@@ -126,6 +126,42 @@ class TestSimulate:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("config error:") and named in proc.stderr
 
+    @pytest.mark.parametrize("command", ["simulate", "schedule"])
+    @pytest.mark.parametrize("bad,named", [
+        # an integer literal of 401 digits parses, but no float holds it
+        ({"n_steps": 10**400}, "n_steps"),
+        # finite t and coeff whose product overflows to an infinite angle
+        ({"t": 1e308, "hamiltonian": {"n_qubits": 2, "terms": [
+            {"sites": [0, 1], "axes": "XX", "coeff": 1e308}]}}, "hamiltonian.terms[0].coeff"),
+    ])
+    def test_unrepresentable_rotation_angle_exits_2(self, command, bad, named, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"hamiltonian": XX_PAIR, "t": 0.3, "n_steps": 1, **bad}))
+        out = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfsim.cli", command, "--config", str(path), *out],
+            capture_output=True, text=True, env={"PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error:") and named in proc.stderr
+
+    @pytest.mark.parametrize("text", [
+        b'{"n_steps": 1' + b"0" * 5000 + b"}",  # past Python's 4300-digit integer limit
+        b'{"t": "\xff"}',  # not UTF-8
+    ])
+    def test_unreadable_config_text_exits_2(self, text, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfsim.cli", "simulate", "--config", str(path),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env={"PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error: cannot read config")
+
 
 class TestProbeRound:
     def test_prints_distribution(self, capsys):

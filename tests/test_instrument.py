@@ -23,7 +23,7 @@ import mfsim.loss
 import mfsim.statevec
 from mfsim.emission import PhotonEncoding, beamsplitter_measure, joint_emission
 from mfsim.errors import IncompleteRotationError, ProtocolError
-from mfsim.feedback import EpsilonPolicy, RoundRecord, realize_v_kl, reduce_angle
+from mfsim.feedback import EpsilonPolicy, PolicyMode, RoundRecord, realize_v_kl, reduce_angle
 from mfsim.harness import ProtocolConfig, haar_random_amplitudes, run_trajectory
 from mfsim.loss import LossConfig, backup_round, loss_channel, round_branches
 from mfsim.pauli import ErrorFrame, PauliAxis, PauliString, frame_conjugate_direction
@@ -329,3 +329,73 @@ def test_exhausted_rotation_state_equals_state_draw():
     exc = info.value
     assert (exc.records, exc.frame, exc.residual) == (want_records, want_frame, residual)
     assert np.max(np.abs(exc.state.amplitudes - want.amplitudes)) <= 1e-12
+
+
+# The controller walks a cached chain of doubling levels; the per-round loop
+# above looks every round's table up afresh.  Both must draw the same rounds.
+POLICY_MODES = list(PolicyMode)
+
+
+@pytest.mark.parametrize("mode", POLICY_MODES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_level_chain_equals_per_round_loop(kind, mode):
+    loss, policy, pair = KINDS[kind], EpsilonPolicy(mode, max_rounds=100_000), (2, 0)
+    # Both frame signs share a seed, so an angle; the sign is part of the level key.
+    for seed, anticommuting in itertools.product(range(4), (False, True)):
+        axes = AXIS_PAIRS[(3 * seed + len(kind)) % len(AXIS_PAIRS)]
+        state, t, frame = rotation_case(100 + seed, axes, anticommuting)
+        t *= 3.0  # also reduce angles beyond (-pi/2, pi/2]
+        for draw in range(2):  # the second rotation reuses the first one's levels
+            rng_seed = 1000 * seed + 10 * anticommuting + draw
+            want, want_frame, want_records, residual = state_draw_rotation(
+                state, pair, axes, t, policy, frame, np.random.default_rng(rng_seed), loss)
+            assert abs(residual) <= 1e-12
+            got, got_frame, got_records = realize_v_kl(
+                state, pair, *axes, t, policy, frame, np.random.default_rng(rng_seed), loss)
+            assert got_records == want_records, (axes, anticommuting, draw)
+            assert got_frame == want_frame and str(got_frame) == want_records[-1].frame_after
+            assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-12
+
+
+@pytest.mark.parametrize("mode,seed", [(PolicyMode.RESIDUAL_EXACT, 384),
+                                       (PolicyMode.PAPER_DOUBLING, 191)])
+def test_exhausted_rotation_at_a_deep_level_equals_per_round_loop(mode, seed):
+    policy, pair, axes = EpsilonPolicy(mode, max_rounds=12), (2, 0), (PauliAxis.X, PauliAxis.Y)
+    state, t, frame = rotation_case(seed, axes, True)
+    want, want_frame, want_records, residual = state_draw_rotation(
+        state, pair, axes, t, policy, frame, np.random.default_rng(seed), LossConfig())
+    assert abs(residual) > 1e-12 and len({r.aimed_angle for r in want_records}) >= 6
+    with pytest.raises(IncompleteRotationError) as info:
+        realize_v_kl(state, pair, *axes, t, policy, frame, np.random.default_rng(seed))
+    exc = info.value
+    assert (exc.records, exc.frame, exc.residual) == (want_records, want_frame, residual)
+    assert np.max(np.abs(exc.state.amplitudes - want.amplitudes)) <= 1e-12
+
+
+LEVEL_CONFIGS = {
+    **CONFIGS,
+    "paper-doubling": {**CONFIGS["trotter"], "policy": {"mode": "paper_doubling"}},
+}
+
+
+@pytest.mark.parametrize("name", LEVEL_CONFIGS)
+def test_cold_and_warm_level_cache_agree(name):
+    cfg = ProtocolConfig.from_dict({**LEVEL_CONFIGS[name], "master_seed": 14})
+    round_branches.cache_clear()
+    mfsim.feedback._first_level.cache_clear()
+    cold = [run_trajectory(cfg, i).to_dict() for i in range(3)]
+    mfsim.feedback._first_level.cache_clear()  # levels rebuilt from warm tables
+    rebuilt = [run_trajectory(cfg, i).to_dict() for i in range(3)]
+    warm = [run_trajectory(cfg, i).to_dict() for i in range(3)]
+    assert cold == rebuilt == warm
+
+
+def test_warm_rotation_looks_up_no_table(monkeypatch):
+    cfg = ProtocolConfig.from_dict({**CONFIGS["backup-loss60"], "master_seed": 15})
+    first = run_trajectory(cfg, 0)  # builds every level this trajectory reaches
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a warm rotation looked up a round table")
+
+    monkeypatch.setattr(mfsim.feedback, "round_branches", forbidden)
+    assert run_trajectory(cfg, 0).to_dict() == first.to_dict()

@@ -137,3 +137,50 @@ class TestTextFormat:
     def test_invalid_character(self):
         with pytest.raises(UsageError):
             PauliString.from_str("XQZ")
+
+
+# Masks against dense matrices on up to 6 qubits: products, commutation and text.
+sized_pairs = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.lists(st.sampled_from(AXES), min_size=n, max_size=n),
+                        st.lists(st.sampled_from(AXES), min_size=n, max_size=n),
+                        st.integers(0, 3), st.integers(0, 3)))
+
+
+def dense(axes, phase_power):
+    m = np.array([[1]], dtype=complex)
+    for a in axes:
+        m = np.kron(AXIS_MATS[a.value], m)
+    return 1j ** phase_power * m
+
+
+class TestMasksAgainstDense:
+    @given(sized_pairs)
+    def test_multiply(self, case):
+        axes_p, axes_q, ph_p, ph_q = case
+        prod = multiply(PauliString(axes_p, ph_p), PauliString(axes_q, ph_q))
+        assert np.array_equal(prod.matrix(), dense(axes_p, ph_p) @ dense(axes_q, ph_q))
+
+    @given(sized_pairs)
+    def test_commutes(self, case):
+        axes_p, axes_q, ph_p, ph_q = case
+        p, q = dense(axes_p, ph_p), dense(axes_q, ph_q)
+        assert commutes(PauliString(axes_p, ph_p), PauliString(axes_q, ph_q)) == bool(
+            np.array_equal(p @ q, q @ p))
+
+    @given(sized_pairs)
+    def test_text_and_axes(self, case):
+        axes_p, _, ph_p, _ = case
+        p = PauliString(axes_p, ph_p)
+        assert str(p) == "".join(a.value for a in axes_p)
+        assert p.axes == tuple(axes_p) and len(p) == len(axes_p)
+        assert np.array_equal(p.matrix(), dense(axes_p, ph_p))
+        assert PauliString.from_masks(len(p), p.x, p.z, ph_p) == p
+
+    @given(sized_pairs)
+    def test_frame_update_drops_the_phase(self, case):
+        axes_p, axes_q, ph_p, ph_q = case
+        frame = ErrorFrame(PauliString(axes_q, ph_q)).updated(PauliString(axes_p, ph_p))
+        prod = dense(axes_p, ph_p) @ dense(axes_q, ph_q)
+        assert frame.byproduct.phase_power == 0
+        # equal up to a global phase: |tr(F^dag P)| is the full dimension
+        assert abs(np.vdot(frame.byproduct.matrix(), prod)) == pytest.approx(len(prod))

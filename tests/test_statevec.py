@@ -428,3 +428,26 @@ class TestApplyPauliString:
         p = PauliString.from_str("XYZ", phase_power=1)
         out = apply_pauli_string(st, p)
         assert np.allclose(out.amplitudes, p.matrix() @ st.amplitudes, atol=1e-12)
+
+
+class TestConstructorChecks:
+    def test_public_constructor_converts_and_checks_shape(self):
+        layout = RegisterLayout.build(1, n_photons=0)
+        st = StateVector([1, 0], layout)
+        assert st.amplitudes.dtype == complex
+        with pytest.raises(UsageError):
+            StateVector(np.zeros(4), layout)
+
+    def test_updates_build_states_without_the_checks(self, rng, monkeypatch):
+        layout = RegisterLayout.build(3, n_photons=0)
+        st = embedded_state(haar_random_amplitudes(3, rng), layout)
+
+        def forbidden(self):
+            raise AssertionError("an update re-ran the constructor checks")
+
+        monkeypatch.setattr(StateVector, "__post_init__", forbidden)
+        out = apply_two_qubit(apply_local(st, 1, H), (2, 0), kron_le(X, Z))
+        out = apply_pauli_string(out, PauliString.from_str("XYZ", phase_power=1))
+        _, out, _ = measure(out, [1], np.stack([np.diag([1, 0]), np.diag([0, 1])]), rng)
+        assert out.amplitudes.dtype == complex and out.amplitudes.shape == (8,)
+        assert StateVector.computational_basis(layout, 5).amplitudes[5] == 1.0
