@@ -11,8 +11,12 @@ inverted).
 
 A rotation therefore only ever aims at its doubling levels.  Each level,
 with its round table, is built once per (angle, policy, loss, axes, sign)
-and reused, so a round is one bisection into the level's weights and, when
-the branch flips a qubit, an XOR of the frame's x/z masks.
+and reused, so a round is one bisection into the level's weights, four
+complex multiplications and, when the branch flips a qubit, an XOR of the
+frame's x/z masks.  Every branch unitary of an axis pair is diagonal in one
+basis (``RoundTable.projectors``), so the drawn unitaries commute and their
+product is the running product of their eigenvalue phases; the pair
+operator is built from those four numbers once per rotation.
 """
 
 from __future__ import annotations
@@ -96,6 +100,9 @@ class RoundRecord:
 class _Level:
     """One doubling level of a rotation: the residual it aims at and its round table.
 
+    ``phases[i]`` are the eigenvalues of branch i's unitary and ``projectors``
+    the table's eigenprojectors, flattened to (4, 16); every level of an axis
+    pair has the same projectors.
     ``rotation`` is (policy, loss, axes, sign_swap).  ``next[i]`` is the level
     after branch i: this level when the branch does not rotate, None when it
     closes the residual.  The successors, and with them their tables, are
@@ -109,7 +116,8 @@ class _Level:
         self.eps = policy.eps_for(self.aimed)
         table = round_branches(self.eps, loss, axes)
         self.cumulative, self.branches = table.cumulative, table.branches
-        self.unitaries = tuple(table.unitaries)
+        self.phases = tuple(tuple(p) for p in table.phases.tolist())
+        self.projectors = table.projectors.reshape(4, 16)
         # the pair atoms a branch flips: bit 0 the first, bit 1 the second
         self.flips = tuple(b.flips[0] + 2 * b.flips[1] for b in self.branches)
 
@@ -146,10 +154,12 @@ def realize_v_kl(
 
     Each round draws a branch of ``round_branches(eps, loss, (k, l))`` (lossless
     when ``loss`` is None) from its state-independent weights, read from the
-    rotation's cached doubling levels; the drawn unitaries act on the pair
-    once, when the rotation ends.  On success the frame-corrected output
-    equals the exact rotation applied to the frame-corrected input, up to
-    global phase.  Raises IncompleteRotationError
+    rotation's cached doubling levels, and multiplies the branch unitary's
+    eigenvalues into four running phases; the unitaries share the table's
+    eigenprojectors, so their product is sum_j d_j P_j and acts on the pair once,
+    when the rotation ends or runs out of rounds.  On success the
+    frame-corrected output equals the exact rotation applied to the
+    frame-corrected input, up to global phase.  Raises IncompleteRotationError
     (with state, frame, and residual attached) if max_rounds is exhausted.
     """
     if k is PauliAxis.I or l is PauliAxis.I:
@@ -174,11 +184,13 @@ def realize_v_kl(
     x, z = frame.byproduct.x, frame.byproduct.z
     text = str(frame)
     flipped = False
-    drawn = []
+    projectors = level.projectors  # the same basis at every level of the rotation
+    d0 = d1 = d2 = d3 = 1.0 + 0j  # eigenvalues of the product of the drawn unitaries
     draw = rng.random
     for _ in range(policy.max_rounds):
         i = bisect.bisect_right(level.cumulative, draw())
-        drawn.append(level.unitaries[i])
+        p0, p1, p2, p3 = level.phases[i]
+        d0, d1, d2, d3 = d0 * p0, d1 * p1, d2 * p2, d3 * p3
         code = level.flips[i]
         if code:
             dx, dz = flips[code]
@@ -191,8 +203,8 @@ def realize_v_kl(
         if level is None:
             break
 
-    if drawn:  # one pair operator, multiplied in draw order
-        state = _apply(state, pair, functools.reduce(lambda op, u: u @ op, drawn))
+    if records:  # one pair operator: sum_j d_j P_j
+        state = _apply(state, pair, (np.array((d0, d1, d2, d3)) @ projectors).reshape(4, 4))
     if flipped:
         frame = ErrorFrame(PauliString.from_masks(n, x, z))
     if level is None:

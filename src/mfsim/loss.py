@@ -228,17 +228,36 @@ class RoundTable:
     second) atom, first the low bit, in the table for the axis pair (k, l).
     Each is a weighted unitary sqrt(w_i) U_i: ``unitaries`` stacks the U_i and
     ``cumulative`` holds the running sums of the w_i, the last exactly 1.0.
+    Every U_i is diagonal in one basis per axis pair: ``projectors`` is the
+    read-only (4, 4, 4) stack of its rank-one projectors P_j and the read-only
+    (B, 4) ``phases`` hold the unit-modulus eigenvalues, so
+    U_i = sum_j phases[i, j] P_j.
     """
 
     kraus: np.ndarray
     branches: tuple[RoundBranch, ...]
     unitaries: np.ndarray
     cumulative: tuple[float, ...]
+    projectors: np.ndarray
+    phases: np.ndarray
 
 
 _LOSS_PATTERNS = ((True, False), (False, True), (True, True))
 _PAIR_BITS = ((0, 0), (1, 0), (0, 1), (1, 1))  # (first, second): index first + 2*second
-_ZERO_BRANCH = 1e-24  # squared norm under which a branch's operator counts as zero
+_ZERO_BRANCH = 1e-24  # weight w (K^dag K = w 1) under which a branch counts as zero
+
+
+def _sign_projectors(axes: tuple[PauliAxis, PauliAxis]) -> np.ndarray:
+    """The (4, 4, 4) stack (1 +- s_k)/2 (x) (1 +- s_l)/2 for ``axes`` = (k, l), first atom low bit.
+
+    In the XX picture every branch is a sum of II, XI, IX and XX (emission
+    flips an atom exactly when it fills that atom's mode), so after the
+    conjugation for (k, l) it is diagonal in the joint eigenbasis of s_k (x) 1
+    and 1 (x) s_l, which these rank-one projectors span.  Their entries are
+    0, +-1/2 and +-i/2, exact in floating point, so they sum to 1 exactly.
+    """
+    k, l = ([(np.eye(2) + s * a.matrix()) / 2 for s in (1, -1)] for a in axes)
+    return np.array([np.kron(pl, pk) for pl in l for pk in k])
 
 
 def _round_outcomes(loss: LossConfig):
@@ -291,7 +310,8 @@ def round_branches(
     since u e^{it XX} u^dag = e^{it s_k x s_l} and u X u^dag = s_k.
     Lossless rounds list (minus, plus, hh, vv) in that order.  Raises
     ProtocolError unless each K^dag K = w 1 and the w sum to one, so a draw
-    does not depend on the pair's state.
+    does not depend on the pair's state, and unless each unitary is diagonal
+    in ``_sign_projectors(axes)``, so the unitaries commute.
     """
     if loss.backup_enabled:
         layout = RegisterLayout.build(2, with_backup=True)
@@ -321,7 +341,13 @@ def round_branches(
     keep = weights > _ZERO_BRANCH
     kraus, weights = kraus[keep], weights[keep]
     unitaries = kraus / np.sqrt(weights)[:, None, None]
+    projectors = _sign_projectors(axes)
+    phases = np.einsum("jik,bki->bj", projectors, unitaries)  # tr(P_j U_b)
+    if np.abs(np.einsum("bj,jik->bik", phases, projectors) - unitaries).max() > 1e-10:
+        raise ProtocolError(f"round branches at eps={eps} do not share one eigenbasis")
+    phases /= np.abs(phases)  # unit modulus, so a long product does not drift
     cumulative = (*(np.cumsum(weights[:-1]) / weights.sum()).tolist(), 1.0)
-    kraus.flags.writeable = unitaries.flags.writeable = False
+    for a in (kraus, unitaries, projectors, phases):
+        a.flags.writeable = False
     branches = tuple(RoundBranch(*r) for r, k in zip(records, keep) if k)
-    return RoundTable(kraus, branches, unitaries, cumulative)
+    return RoundTable(kraus, branches, unitaries, cumulative, projectors, phases)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResourceError, UsageError
-from .pauli import PauliString
+from .pauli import PauliAxis, PauliString
 
 DEFAULT_QUBIT_CAP = 12
 
@@ -124,11 +124,20 @@ class StateVector:
         return json.dumps(self.dump(threshold))
 
 
+def _is_identity(g: np.ndarray, atol: float) -> bool:
+    """The verdict of ``np.allclose(g, identity, atol=atol)`` without its overhead.
+
+    |g - 1| <= atol + 1e-5 |1| entrywise, allclose's default rtol; NaN and inf are never close.
+    """
+    eye = np.eye(len(g))
+    return (np.abs(g - eye) <= atol + 1e-5 * eye).all()
+
+
 def _check_unitary(u: np.ndarray, dim: int) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (dim, dim):
         raise UsageError(f"operator has shape {u.shape}, expected ({dim}, {dim})")
-    if not np.allclose(u.conj().T @ u, np.eye(dim), atol=_UNITARY_ATOL * dim * 10):
+    if not _is_identity(u.conj().T @ u, _UNITARY_ATOL * dim * 10):
         raise UsageError("operator is not unitary")
     return u
 
@@ -183,8 +192,8 @@ def measure(
     """
     kraus = np.asarray(operators, dtype=complex)
     dim = 1 << len(qubits)
-    complete = kraus.shape[1:] == (dim, dim) and np.allclose(
-        np.einsum("bki,bkj->ij", kraus.conj(), kraus), np.eye(dim), atol=_BASIS_ATOL)
+    complete = kraus.shape[1:] == (dim, dim) and _is_identity(
+        np.einsum("bki,bkj->ij", kraus.conj(), kraus), _BASIS_ATOL)
     if not complete:
         raise UsageError(f"operators of shape {kraus.shape} are not a complete set on {qubits}")
     idx = _subset_index(state.n_qubits, tuple(qubits))
@@ -252,8 +261,6 @@ def apply_pauli_string(state: StateVector, p: PauliString) -> StateVector:
     if len(p) != state.n_qubits:
         raise UsageError("Pauli string length does not match register")
     out = state
-    from .pauli import PauliAxis  # local import to avoid cycle at module load
-
     for q, axis in enumerate(p.axes):
         if axis is not PauliAxis.I:
             out = apply_local(out, q, axis.matrix())

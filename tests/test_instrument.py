@@ -9,6 +9,7 @@ photon-level record frequencies with ||K psi||^2, and the controller's
 classical draw is compared with a draw on the state every round.
 """
 
+import bisect
 import itertools
 import math
 from collections import Counter
@@ -26,7 +27,8 @@ from mfsim.errors import IncompleteRotationError, ProtocolError
 from mfsim.feedback import EpsilonPolicy, PolicyMode, RoundRecord, realize_v_kl, reduce_angle
 from mfsim.harness import ProtocolConfig, haar_random_amplitudes, run_trajectory
 from mfsim.loss import LossConfig, backup_round, loss_channel, round_branches
-from mfsim.pauli import ErrorFrame, PauliAxis, PauliString, frame_conjugate_direction
+from mfsim.pauli import (
+    ErrorFrame, PauliAxis, PauliString, conjugation_unitary, frame_conjugate_direction)
 from mfsim.statevec import RegisterLayout, StateVector, measure
 
 from conftest import AXIS_MATS, H, embedded_state, kron_le
@@ -125,6 +127,32 @@ def test_non_unitary_branch_fails_the_build(monkeypatch):
     monkeypatch.setattr(mfsim.loss, "_E4", kron_le(H, H))
     with pytest.raises(ProtocolError):
         round_branches.__wrapped__(0.3, LossConfig(p_loss=0.3))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_branch_unitaries_are_diagonal_in_the_table_basis(kind):
+    # In the XX picture every branch lies in span{II, XI, IX, XX}, diagonal in
+    # the sign basis; conjugation for the axis pair carries that basis along.
+    for eps, axes in itertools.product([0.0, 1.0, *EPS_GRID], AXIS_PAIRS):
+        table = round_branches(eps, KINDS[kind], axes)
+        w = kron_le(*(conjugation_unitary(a) for a in axes)) @ kron_le(H, H)
+        assert np.max(np.abs(table.projectors - np.einsum("ij,kj->jik", w, w.conj()))) <= 1e-12
+        assert np.array_equal(table.projectors.sum(axis=0), np.eye(4))
+        diagonal = w.conj().T @ table.unitaries @ w
+        assert np.max(np.abs(diagonal * (1 - np.eye(4)))) <= 1e-12, (eps, axes)
+        assert table.phases.shape == (len(table.branches), 4)
+        assert np.max(np.abs(np.abs(table.phases) - 1.0)) <= 1e-12, (eps, axes)
+        rebuilt = (w * table.phases[:, None, :]) @ w.conj().T
+        assert np.max(np.abs(rebuilt - table.unitaries)) <= 1e-12, (eps, axes)
+        assert not (table.projectors.flags.writeable or table.phases.flags.writeable)
+
+
+def test_branch_outside_the_basis_fails_the_build(monkeypatch):
+    # The computational basis does not diagonalize the rotating branches.
+    computational = np.array([np.diag(e) for e in np.eye(4)])
+    monkeypatch.setattr(mfsim.loss, "_sign_projectors", lambda axes: computational)
+    with pytest.raises(ProtocolError):
+        round_branches.__wrapped__(0.3, LossConfig())
 
 
 @pytest.mark.parametrize("kind", ["lossless", "backup", "backup-loss60", "backup-loss90"])
@@ -399,3 +427,65 @@ def test_warm_rotation_looks_up_no_table(monkeypatch):
 
     monkeypatch.setattr(mfsim.feedback, "round_branches", forbidden)
     assert run_trajectory(cfg, 0).to_dict() == first.to_dict()
+
+
+class Replay:
+    """An rng stand-in that hands out a fixed list of uniforms, one per ``random()``."""
+
+    def __init__(self, uniforms):
+        self._uniforms = iter(uniforms)
+
+    def random(self):
+        return next(self._uniforms)
+
+
+def unclosed_rotation(axes, t, policy, sign_swap, loss, rng):
+    """Uniforms for ``policy.max_rounds`` rounds that never draw a branch closing the rotation.
+
+    Returns them with the drawn unitaries multiplied in draw order, one 4x4
+    matmul a round.  Minus-type branches still move the rotation to ever
+    deeper doubling levels, so the product mixes rotations and byproducts.
+    """
+    residual, uniforms, product = reduce_angle(t), [], np.eye(4)
+    while len(uniforms) < policy.max_rounds:
+        aimed = abs(residual)
+        table = round_branches(policy.eps_for(aimed), loss, axes)
+        u = rng.random()
+        i = bisect.bisect_right(table.cumulative, u)
+        direction = table.branches[i].direction
+        moved = residual if direction is None else reduce_angle(
+            residual - sign_swap * direction * aimed)
+        if abs(moved) <= 1e-12:
+            continue  # this branch would close the rotation: draw again
+        uniforms.append(u)
+        product = table.unitaries[i] @ product
+        residual = moved
+    return uniforms, product
+
+
+LONG_KINDS = {
+    "backup-loss90": KINDS["backup-loss90"],
+    "heralded-50": LossConfig(p_loss=0.5),
+    "occupation-50": LossConfig(p_loss=0.5, encoding=PhotonEncoding.OCCUPATION),
+}
+
+
+@pytest.mark.parametrize("anticommuting", [False, True])
+@pytest.mark.parametrize("kind", LONG_KINDS)
+def test_long_rotation_phase_product_equals_ordered_matmul(kind, anticommuting):
+    loss, policy, pair = LONG_KINDS[kind], EpsilonPolicy(max_rounds=320), (2, 0)
+    axes = (PauliAxis.Y, PauliAxis.X)
+    state, t, frame = rotation_case(21, axes, anticommuting)
+    sign = frame_conjugate_direction(frame, PauliString.embed(3, dict(zip(pair, axes))))
+    uniforms, product = unclosed_rotation(
+        axes, t, policy, sign, loss, np.random.default_rng(21 + anticommuting))
+    want, want_frame, want_records, residual = state_draw_rotation(
+        state, pair, axes, t, policy, frame, Replay(uniforms), loss)
+    assert abs(residual) > 1e-12 and len(want_records) == policy.max_rounds
+    with pytest.raises(IncompleteRotationError) as info:
+        realize_v_kl(state, pair, *axes, t, policy, frame, Replay(uniforms), loss)
+    exc = info.value
+    assert (exc.records, exc.frame, exc.residual) == (want_records, want_frame, residual)
+    matmul = mfsim.statevec._apply(state, pair, product)
+    assert np.max(np.abs(exc.state.amplitudes - matmul.amplitudes)) <= 1e-12
+    assert np.max(np.abs(exc.state.amplitudes - want.amplitudes)) <= 1e-12

@@ -451,3 +451,55 @@ class TestConstructorChecks:
         _, out, _ = measure(out, [1], np.stack([np.diag([1, 0]), np.diag([0, 1])]), rng)
         assert out.amplitudes.dtype == complex and out.amplitudes.shape == (8,)
         assert StateVector.computational_basis(layout, 5).amplitudes[5] == 1.0
+
+
+# Entry perturbations from zero through both sides of each check's tolerance,
+# then values no tolerance admits.
+PERTURBATIONS = [0.0, *(10.0 ** e for e in np.arange(-12.0, -2.5, 0.5)), np.nan, np.inf, -np.inf]
+
+
+def perturbed(u, size):
+    """``u`` with one entry moved by ``size`` along 1, i or -1, one matrix per direction."""
+    for (i, j), unit in zip(((0, 0), (0, 1), (1, 1)), (1.0, 1j, -1.0)):
+        v = u.copy()
+        v[i, j] += size * unit
+        yield v
+
+
+def rejected(call, message):
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            call()
+        except UsageError as exc:
+            assert message in str(exc)
+            return True
+    return False
+
+
+class TestIdentityChecksMatchAllclose:
+    """The unitarity and completeness checks give ``np.allclose``'s verdicts (rtol 1e-5)."""
+
+    @pytest.mark.parametrize("size", PERTURBATIONS)
+    def test_unitary_check(self, size, rng):
+        state = random_state(rng, 2)
+        for u in (AXIS_MATS["Y"], random_unitary(rng, 4)):
+            dim = len(u)
+            apply = (lambda v: apply_local(state, 0, v)) if dim == 2 else (
+                lambda v: apply_two_qubit(state, (0, 1), v))
+            for v in perturbed(u, size):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    close = np.allclose(v.conj().T @ v, np.eye(dim), atol=1e-12 * dim * 10)
+                assert rejected(lambda: apply(v), "not unitary") == (not close), (dim, size)
+
+    @pytest.mark.parametrize("size", PERTURBATIONS)
+    def test_completeness_check(self, size, rng):
+        state = random_state(rng, 2)
+        projectors = np.array([np.outer(w, w.conj()) for w in random_unitary(rng, 4).T])
+        for k in perturbed(projectors[1], size):
+            kraus = projectors.copy()
+            kraus[1] = k
+            with np.errstate(invalid="ignore", over="ignore"):
+                gram = np.einsum("bki,bkj->ij", kraus.conj(), kraus)
+                close = np.allclose(gram, np.eye(4), atol=1e-10)
+            verdict = rejected(lambda: measure(state, [0, 1], kraus, rng), "not a complete set")
+            assert verdict == (not close), size
