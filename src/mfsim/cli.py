@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration error or a numeric flag out of range,
-3 register-size cap exceeded, 4 a ``cnot-demo`` rotation ran out of rounds
-(the residual angle is printed).
+Exit codes: 0 success, 2 configuration error, a numeric flag out of range or
+an output directory ``simulate`` cannot write (``output error:`` and the path
+are printed), 3 register-size cap exceeded, 4 a ``cnot-demo`` rotation ran
+out of rounds (the residual angle is printed).
 The output directory of ``simulate`` can be overridden with the
 ``MFSIM_OUT_DIR`` environment variable.
 """
@@ -89,7 +90,11 @@ def main(argv=None) -> int:
             cfg = ProtocolConfig.from_json_file(args.config)
             report, stats = run_ensemble(cfg)
             out_dir = os.environ.get("MFSIM_OUT_DIR", args.out)
-            written = emit_report(report, stats, out_dir, fmt=args.format)
+            try:
+                written = emit_report(report, stats, out_dir, fmt=args.format)
+            except OSError as exc:
+                print(f"output error: {out_dir}: {exc.__cause__ or exc}", file=sys.stderr)
+                return EXIT_CONFIG
             for path in written:
                 print(path)
         elif args.command == "probe-round":

@@ -31,6 +31,18 @@ def config_int(value, key: str) -> int:
     return int(value)
 
 
+def config_float(value, key: str) -> float:
+    """A config real: a finite JSON number (integer or fraction), never a bool or a string."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:  # an integer literal past the largest float
+            value = math.inf
+    if not isinstance(value, float) or not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite and a JSON number, got {value!r}")
+    return value
+
+
 def config_bool(value, key: str) -> bool:
     """A config flag: JSON true or false only."""
     if not isinstance(value, bool):
@@ -69,7 +81,7 @@ class PairTerm:
         try:
             sites = tuple(config_int(s, f"{key}.sites") for s in d["sites"])
             axes = tuple(PauliAxis(c) for c in d["axes"])
-            coeff = float(d["coeff"])
+            coeff = config_float(d["coeff"], f"{key}.coeff")
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"malformed Hamiltonian term {d!r}: {exc}") from exc
         if len(sites) != 2 or len(axes) != 2:

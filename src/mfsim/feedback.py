@@ -15,8 +15,9 @@ and reused, so a round is one bisection into the level's weights, four
 complex multiplications and, when the branch flips a qubit, an XOR of the
 frame's x/z masks.  Every branch unitary of an axis pair is diagonal in one
 basis (``RoundTable.projectors``), so the drawn unitaries commute and their
-product is the running product of their eigenvalue phases; the pair
-operator is built from those four numbers once per rotation.
+product is the running product of their eigenvalue phases.  That product is
+a sum of the four Pauli strings I, s_k, s_l and s_k s_l on the pair, which
+updates the state once per rotation as one index gather.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ import numpy as np
 
 from .errors import IncompleteRotationError, UsageError
 from .loss import LossConfig, round_branches
-from .pauli import ErrorFrame, PauliAxis, PauliString, frame_conjugate_direction, mask_text
-from .statevec import StateVector, _apply, apply_local  # noqa: F401 (perfbench traces it)
+from .pauli import ErrorFrame, PauliAxis, PauliString, mask_text
+from .statevec import StateVector, apply_local  # noqa: F401 (perfbench traces it)
+from .statevec import _apply_pauli_sum as _apply
 
 _ANGLE_TOL = 1e-12
 
@@ -100,9 +102,8 @@ class RoundRecord:
 class _Level:
     """One doubling level of a rotation: the residual it aims at and its round table.
 
-    ``phases[i]`` are the eigenvalues of branch i's unitary and ``projectors``
-    the table's eigenprojectors, flattened to (4, 16); every level of an axis
-    pair has the same projectors.
+    ``phases[i]`` are the eigenvalues of branch i's unitary on the table's
+    eigenprojectors, which every level of an axis pair shares.
     ``rotation`` is (policy, loss, axes, sign_swap).  ``next[i]`` is the level
     after branch i: this level when the branch does not rotate, None when it
     closes the residual.  The successors, and with them their tables, are
@@ -117,7 +118,6 @@ class _Level:
         table = round_branches(self.eps, loss, axes)
         self.cumulative, self.branches = table.cumulative, table.branches
         self.phases = tuple(tuple(p) for p in table.phases.tolist())
-        self.projectors = table.projectors.reshape(4, 16)
         # the pair atoms a branch flips: bit 0 the first, bit 1 the second
         self.flips = tuple(b.flips[0] + 2 * b.flips[1] for b in self.branches)
 
@@ -147,44 +147,52 @@ def realize_v_kl(
     t_target: float,
     policy: EpsilonPolicy,
     frame: ErrorFrame,
-    rng: np.random.Generator,
+    rng,
     loss: Optional[LossConfig] = None,
 ) -> tuple[StateVector, ErrorFrame, list[RoundRecord]]:
     """Realize e^{i t s_k x s_l} on ``pair`` modulo the tracked error frame.
 
     Each round draws a branch of ``round_branches(eps, loss, (k, l))`` (lossless
     when ``loss`` is None) from its state-independent weights, read from the
-    rotation's cached doubling levels, and multiplies the branch unitary's
-    eigenvalues into four running phases; the unitaries share the table's
-    eigenprojectors, so their product is sum_j d_j P_j and acts on the pair once,
-    when the rotation ends or runs out of rounds.  On success the
-    frame-corrected output equals the exact rotation applied to the
-    frame-corrected input, up to global phase.  Raises IncompleteRotationError
-    (with state, frame, and residual attached) if max_rounds is exhausted.
+    rotation's cached doubling levels, with one ``rng.random()`` (a numpy
+    Generator or any object whose ``random()`` returns a uniform in [0, 1)),
+    and multiplies the branch unitary's eigenvalues into four running phases.
+    The unitaries share the table's eigenprojectors P_j = (1 +- s_k)/2 (x)
+    (1 +- s_l)/2, so their product sum_j d_j P_j is a sum of the Pauli strings
+    I, s_k, s_l and s_k s_l on the pair, applied once, when the rotation ends
+    or runs out of rounds.  On success the frame-corrected output equals the
+    exact rotation applied to the frame-corrected input, up to global phase.
+    Raises IncompleteRotationError (with state, frame, and residual attached)
+    if max_rounds is exhausted.
     """
     if k is PauliAxis.I or l is PauliAxis.I:
         raise UsageError("rotation axes must be X, Y, or Z")
     if pair[0] == pair[1]:
         raise UsageError("rotation needs two distinct qubits")
     n = state.n_qubits
-    target = PauliString.embed(n, {pair[0]: k, pair[1]: l})
+    for site in pair:
+        if not 0 <= site < n:
+            raise UsageError(f"site {site} outside register of size {n}")
+    if frame.byproduct.n != n:
+        raise UsageError(f"length mismatch: {frame.byproduct.n} vs {n}")
+    # The masks of I, s_k, s_l and s_k s_l on the pair: flips[c] is XORed into
+    # the frame by a branch with flip code c, and the Pauli sum's terms.
+    a, b = pair
+    ka, lb = (k.x_bit << a, k.z_bit << a), (l.x_bit << b, l.z_bit << b)
+    flips = ((0, 0), ka, lb, (ka[0] | lb[0], ka[1] | lb[1]))
+    tx, tz = flips[3]
+    x, z = frame.byproduct.x, frame.byproduct.z
     # A round's byproducts s_k (x) 1 and 1 (x) s_l both commute with the target
     # s_k (x) s_l, so the frame's commutation with it, and this sign, hold for
     # the whole rotation.
-    sign_swap = frame_conjugate_direction(frame, target)
+    sign_swap = -1 if ((x & tz) ^ (z & tx)).bit_count() & 1 else 1
     level = _first_level(t_target, policy, loss or LossConfig(), (k, l), sign_swap)
     records: list[RoundRecord] = []
     if level is None:
         return state, frame, records
 
-    # The frame as masks; branch flip code c XORs in flips[c].
-    a, b = pair
-    flips = ((0, 0), (k.x_bit << a, k.z_bit << a), (l.x_bit << b, l.z_bit << b),
-             (target.x, target.z))
-    x, z = frame.byproduct.x, frame.byproduct.z
     text = str(frame)
     flipped = False
-    projectors = level.projectors  # the same basis at every level of the rotation
     d0 = d1 = d2 = d3 = 1.0 + 0j  # eigenvalues of the product of the drawn unitaries
     draw = rng.random
     for _ in range(policy.max_rounds):
@@ -203,8 +211,9 @@ def realize_v_kl(
         if level is None:
             break
 
-    if records:  # one pair operator: sum_j d_j P_j
-        state = _apply(state, pair, (np.array((d0, d1, d2, d3)) @ projectors).reshape(4, 4))
+    if records:  # sum_j d_j P_j, with P_j's sign bits j = (s_k bit) + 2 (s_l bit)
+        state = _apply(state, (d0 + d1 + d2 + d3) / 4, flips[1:], (
+            (d0 - d1 + d2 - d3) / 4, (d0 + d1 - d2 - d3) / 4, (d0 - d1 - d2 + d3) / 4))
     if flipped:
         frame = ErrorFrame(PauliString.from_masks(n, x, z))
     if level is None:

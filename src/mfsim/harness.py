@@ -9,16 +9,25 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 import sys
+import types
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .compiler import HamiltonianSpec, TrotterPlan, compile_plan, config_bool, config_int
+from .compiler import (
+    HamiltonianSpec,
+    TrotterPlan,
+    compile_plan,
+    config_bool,
+    config_float,
+    config_int,
+)
 from .emission import BeamSplitterOutcome, PhotonEncoding, outcome_probabilities
 from .errors import ConfigError, IncompleteRotationError, ResourceError
 from .feedback import EpsilonPolicy, PolicyMode, RoundRecord, realize_v, realize_v_kl
@@ -71,7 +80,7 @@ class ProtocolConfig:
             for i, term in enumerate(ham.get("terms", [])):
                 _check_keys(term, f"hamiltonian.terms[{i}]", {"sites", "axes", "coeff"})
             h = HamiltonianSpec.from_dict(ham)
-            t = float(d["t"])
+            t = config_float(d["t"], "t")
             n_steps = config_int(d["n_steps"], "n_steps")
             pol = _check_keys(d.get("policy", {}), "policy", {"mode", "max_rounds"})
             policy = EpsilonPolicy(
@@ -80,7 +89,7 @@ class ProtocolConfig:
             )
             lo = _check_keys(d.get("loss", {}), "loss", {"p_loss", "encoding", "backup_enabled"})
             loss = LossConfig(
-                p_loss=float(lo.get("p_loss", 0.0)),
+                p_loss=config_float(lo.get("p_loss", 0.0), "loss.p_loss"),
                 encoding=PhotonEncoding(lo.get("encoding", "polarization")),
                 backup_enabled=config_bool(lo.get("backup_enabled", False), "loss.backup_enabled"),
             )
@@ -92,8 +101,6 @@ class ProtocolConfig:
             master_seed = config_int(d.get("master_seed", 0), "master_seed")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad configuration: {exc}") from exc
-        if not math.isfinite(t):
-            raise ConfigError(f"t must be finite, got {t}")
         if n_steps < 1:
             raise ConfigError("n_steps must be at least 1")
         if policy.max_rounds < 1:
@@ -163,6 +170,22 @@ class ProtocolConfig:
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     """Deterministic per-trajectory generator, a pure function of (seed, index)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([master_seed, index])))
+
+
+_UNIFORM_BLOCK = 64
+
+
+def _block_uniforms(rng: np.random.Generator):
+    """An object whose ``random()`` yields the draws of ``rng.random()``, taken a block at a time.
+
+    ``rng.random(k)`` returns exactly the next k scalar draws in order, so the
+    stream equals one ``rng.random()`` per call while each call is a C-level
+    ``next``; the generator must feed nothing else, since it runs ahead of the
+    stream by up to a block.
+    """
+    blocks = iter(lambda: rng.random(_UNIFORM_BLOCK).tolist(), None)
+    uniforms = itertools.chain.from_iterable(blocks)
+    return types.SimpleNamespace(random=functools.partial(next, uniforms))
 
 
 def haar_random_amplitudes(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
@@ -241,7 +264,7 @@ class TrajectoryStats:
 
 def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
     """Execute the compiled plan once, then compare against the exact oracle."""
-    rng = trajectory_rng(cfg.master_seed, index)
+    rng = _block_uniforms(trajectory_rng(cfg.master_seed, index))
     state = build_register(cfg)
     frame = ErrorFrame.identity(state.n_qubits)
     all_records: list[RoundRecord] = []

@@ -166,6 +166,46 @@ def _apply(state: StateVector, qubits: tuple[int, ...], u: np.ndarray) -> StateV
     return StateVector._wrap(out, state.layout)
 
 
+@functools.lru_cache(maxsize=256)
+def _pauli_stack(n: int, masks: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (m, 2^n) gather indices and phases of the Pauli strings with ``masks``.
+
+    Row r is P_r = sigma(x_r, z_r) = i^|x_r z_r| X^x_r Z^z_r for masks[r] =
+    (x_r, z_r), the form of ``pauli.PauliString``:
+    (P_r psi)[i] = phase[r, i] psi[index[r, i]] with index = i ^ x_r and
+    phase = i^|x_r z_r| (-1)^|index & z_r| (|.| a popcount).  At the 12-qubit
+    cap a string takes 96 KB, so an entry of a rotation's three strings takes
+    288 KB and a full cache 72 MB, below one of the dense oracle's 4096 x 4096
+    complex matrices (256 MB).
+    """
+    x, z = (np.array(m).reshape(-1, 1) for m in zip(*masks))
+    index = np.arange(1 << n) ^ x
+    parity = index & z
+    for shift in (32, 16, 8, 4, 2, 1):  # fold the popcount's parity into bit 0
+        parity ^= parity >> shift
+    phase = (1 - 2 * (parity & 1)) * np.array(
+        [[(1, 1j, -1, -1j)[(xr & zr).bit_count() % 4]] for xr, zr in masks])
+    for a in (index, phase):
+        a.flags.writeable = False
+    return index, phase
+
+
+def _apply_pauli_sum(state: StateVector, c0: complex, masks: tuple[tuple[int, int], ...],
+                     coeffs: Sequence[complex]) -> StateVector:
+    """(c0 + sum_r coeffs[r] P_r) psi for the Pauli strings of ``_pauli_stack(n, masks)``.
+
+    One gather, one in-place multiply by the phases and one dot.  The
+    identity term is a scaled copy of psi rather than a row of the stack,
+    which at 12 qubits saves more than the extra add costs.
+    """
+    index, phase = _pauli_stack(state.n_qubits, masks)
+    terms = state.amplitudes[index]
+    terms *= phase
+    out = state.amplitudes * c0
+    out += np.dot(coeffs, terms)
+    return StateVector._wrap(out, state.layout)
+
+
 def apply_local(state: StateVector, qubit: int, u: np.ndarray) -> StateVector:
     """Apply a 2x2 unitary to one qubit."""
     return _apply(state, (qubit,), _check_unitary(u, 2))

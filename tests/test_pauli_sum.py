@@ -1,0 +1,131 @@
+"""The once-per-rotation state update as a Pauli sum, and the trajectory's block uniforms.
+
+A rotation's operator sum_j d_j P_j on the eigenprojectors of s_k (x) 1 and
+1 (x) s_l is c0 + c1 s_k + c2 s_l + c3 s_k s_l, which ``statevec`` applies
+as one index gather over the Pauli strings' masks.  These tests check the
+gather against dense Pauli matrices and against the 4x4 pair operator, and
+check that ``run_trajectory``'s block stream of uniforms gives the records a
+bare generator gives.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import mfsim.statevec
+from mfsim.errors import IncompleteRotationError, UsageError
+from mfsim.feedback import EpsilonPolicy, realize_v_kl
+from mfsim.harness import (
+    ProtocolConfig,
+    _block_uniforms,
+    haar_random_amplitudes,
+    run_trajectory,
+    trajectory_rng,
+)
+from mfsim.loss import _sign_projectors
+from mfsim.pauli import ErrorFrame, PauliAxis, PauliString
+from mfsim.statevec import RegisterLayout, StateVector, _apply_pauli_sum, _pauli_stack
+
+AXES = (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
+
+
+def state_of(amplitudes):
+    n = amplitudes.size.bit_length() - 1
+    return StateVector(amplitudes, RegisterLayout.build(n, n_photons=0))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pauli_stack_rows_equal_dense_pauli_matrices(n):
+    rng = np.random.default_rng(40 + n)
+    masks = tuple((int(rng.integers(1 << n)), int(rng.integers(1 << n))) for _ in range(12))
+    index, phase = _pauli_stack(n, masks)
+    assert index.shape == phase.shape == (len(masks), 1 << n)
+    assert not index.flags.writeable and not phase.flags.writeable
+    rows = np.arange(1 << n)
+    for r, (x, z) in enumerate(masks):
+        gathered = np.zeros((1 << n, 1 << n), dtype=complex)
+        gathered[rows, index[r]] = phase[r]
+        assert np.array_equal(gathered, PauliString.from_masks(n, x, z).matrix())
+
+
+def pair_cases():
+    for n in range(2, 6):
+        pairs = {(0, 1), (1, 0), (0, n - 1), (n - 1, 0)}
+        for a, b in sorted(pairs):
+            for k, l in itertools.product(AXES, AXES):
+                yield n, (a, b), k, l
+
+
+@pytest.mark.parametrize("n, pair, k, l", list(pair_cases()))
+def test_pauli_sum_equals_pair_operator_on_eigenprojectors(n, pair, k, l):
+    rng = np.random.default_rng(n * 100 + pair[0] * 10 + pair[1])
+    state = state_of(haar_random_amplitudes(n, rng))
+    d0, d1, d2, d3 = d = np.exp(2j * np.pi * rng.random(4))
+    pair_operator = np.einsum("j,jik->ik", d, _sign_projectors((k, l)))
+    want = mfsim.statevec._apply(state, pair, pair_operator)
+    a, b = pair
+    masks = ((k.x_bit << a, k.z_bit << a), (l.x_bit << b, l.z_bit << b),
+             ((k.x_bit << a) | (l.x_bit << b), (k.z_bit << a) | (l.z_bit << b)))
+    got = _apply_pauli_sum(state, (d0 + d1 + d2 + d3) / 4, masks,
+                           ((d0 - d1 + d2 - d3) / 4, (d0 + d1 - d2 - d3) / 4,
+                            (d0 - d1 - d2 + d3) / 4))
+    assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-13
+    assert got.layout == state.layout
+
+
+@pytest.mark.parametrize("pair, site", [((0, 3), 3), ((5, 1), 5), ((-1, 2), -1)])
+def test_rotation_on_a_site_outside_the_register_raises(pair, site):
+    state = state_of(haar_random_amplitudes(3, np.random.default_rng(0)))
+    with pytest.raises(UsageError, match=f"site {site} outside register of size 3"):
+        realize_v_kl(state, pair, PauliAxis.X, PauliAxis.Z, 0.3, EpsilonPolicy(),
+                     ErrorFrame.identity(3), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_block_stream_equals_scalar_draws_across_block_boundaries(seed):
+    stream = _block_uniforms(trajectory_rng(seed, 3))
+    scalar = trajectory_rng(seed, 3)
+    count = 3 * 64 + 29  # three block boundaries and part of a fourth block
+    assert [stream.random() for _ in range(count)] == [scalar.random() for _ in range(count)]
+
+
+def reference_trajectory(cfg, index):
+    """``run_trajectory``'s rotation loop driven by the bare generator: (records, final frame)."""
+    rng = trajectory_rng(cfg.master_seed, index)
+    n = cfg.hamiltonian.n_qubits
+    state = StateVector(cfg.initial_amplitudes, RegisterLayout.build(n, n_photons=0))
+    frame, records = ErrorFrame.identity(n), []
+    for _ in range(cfg.plan.n_steps):
+        for rot in cfg.plan.sweep_rotations():
+            try:
+                state, frame, recs = realize_v_kl(state, rot.sites, *rot.axes, rot.angle,
+                                                  cfg.policy, frame, rng, cfg.loss)
+            except IncompleteRotationError as exc:  # the trajectory stops here
+                return records + exc.records, str(exc.frame)
+            records.extend(recs)
+    return records, str(frame)
+
+
+CONFIGS = {
+    "lossless": {
+        "hamiltonian": {"n_qubits": 3, "terms": [{"sites": [0, 1], "axes": "XX", "coeff": 1.0},
+                                                 {"sites": [2, 1], "axes": "ZY", "coeff": 0.7}]},
+        "t": 0.5, "n_steps": 32, "master_seed": 11, "initial_state": {"random_seed": 4},
+    },
+    "backup": {
+        "hamiltonian": {"n_qubits": 2, "terms": [{"sites": [0, 1], "axes": "XX", "coeff": 1.0}]},
+        "t": 0.8, "n_steps": 6, "master_seed": 12,
+        "loss": {"p_loss": 0.6, "backup_enabled": True}, "policy": {"max_rounds": 40000},
+    },
+}
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_trajectory_records_equal_a_bare_generator_loop(name):
+    cfg = ProtocolConfig.from_dict(CONFIGS[name])
+    for index in range(4):
+        stats = run_trajectory(cfg, index)
+        records, frame = reference_trajectory(cfg, index)
+        assert stats.rounds_total > 64  # the stream crossed at least one block boundary
+        assert (stats.records, stats.final_frame) == (records, frame)
