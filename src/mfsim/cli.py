@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error, a numeric flag out of range or
 an output directory ``simulate`` cannot write (``output error:`` and the path
-are printed), 3 register-size cap exceeded, 4 a ``cnot-demo`` rotation ran
-out of rounds (the residual angle is printed).
+are printed, before the first trajectory runs), 3 register-size cap exceeded,
+4 a ``cnot-demo`` rotation ran out of rounds (the residual angle is printed).
 The output directory of ``simulate`` can be overridden with the
 ``MFSIM_OUT_DIR`` environment variable.
 """
@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -82,19 +83,40 @@ def _check_flags(args: argparse.Namespace) -> None:
             raise UsageError(f"{flag}={value} must be {accepted}")
 
 
+def _check_out_dir(out_dir) -> None:
+    """Raise OSError unless ``out_dir`` is, or can be made as, a writable directory.
+
+    Creates nothing, so a run that then fails for another reason leaves no trace.
+    """
+    path = Path(out_dir).absolute()
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"{existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise PermissionError(f"{existing} is not writable")
+
+
+def _output_error(out_dir, exc: OSError) -> int:
+    print(f"output error: {out_dir}: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_flags(args)
         if args.command == "simulate":
             cfg = ProtocolConfig.from_json_file(args.config)
-            report, stats = run_ensemble(cfg)
             out_dir = os.environ.get("MFSIM_OUT_DIR", args.out)
+            try:
+                _check_out_dir(out_dir)
+            except OSError as exc:
+                return _output_error(out_dir, exc)
+            report, stats = run_ensemble(cfg)
             try:
                 written = emit_report(report, stats, out_dir, fmt=args.format)
             except OSError as exc:
-                print(f"output error: {out_dir}: {exc.__cause__ or exc}", file=sys.stderr)
-                return EXIT_CONFIG
+                return _output_error(out_dir, exc.__cause__ or exc)
             for path in written:
                 print(path)
         elif args.command == "probe-round":

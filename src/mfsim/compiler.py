@@ -9,7 +9,6 @@ schedule.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -187,9 +186,6 @@ class TrotterPlan:
             "n_steps": self.n_steps,
             "sweeps": [[r.to_dict() for r in layer] for layer in self.layers],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def compile_plan(h: HamiltonianSpec, t: float, n: int) -> TrotterPlan:

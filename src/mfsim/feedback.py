@@ -3,21 +3,21 @@
 Each round aims an angle, emits, measures, and updates a running residual:
 a Plus outcome subtracts the aimed angle, a Minus outcome adds it (so the
 next round aims double, reproducing the eps-doubling policy), and HH/VV
-outcomes only multiply the Pauli error frame.  A rotation e^{it s_k x s_l}
-draws from the round table for the axis pair (k, l), whose byproducts are
-s_k / s_l at the pair sites.  If the incoming frame anticommutes with the
-rotation axis the roles of Plus and Minus are swapped (the time direction is
-inverted).
+outcomes only multiply the Pauli error frame.  If the incoming frame
+anticommutes with the rotation axis the roles of Plus and Minus are swapped
+(the time direction is inverted).
 
-A rotation therefore only ever aims at its doubling levels.  Each level,
-with its round table, is built once per (angle, policy, loss, axes, sign)
-and reused, so a round is one bisection into the level's weights, four
-complex multiplications and, when the branch flips a qubit, an XOR of the
-frame's x/z masks.  Every branch unitary of an axis pair is diagonal in one
-basis (``RoundTable.projectors``), so the drawn unitaries commute and their
-product is the running product of their eigenvalue phases.  That product is
-a sum of the four Pauli strings I, s_k, s_l and s_k s_l on the pair, which
-updates the state once per rotation as one index gather.
+A rotation therefore walks the doubling chain t, 2t, 4t, ... (mod pi).
+Conjugating by u_k (x) u_l maps e^{it XX} to e^{it s_k x s_l} and leaves a
+round's weights, records and eigenphases unchanged, so each level of the
+chain, with its XX round table, is built once per (angle, policy, loss) and
+shared by every axis pair and frame sign.  A round is one bisection into the
+level's weights, four complex multiplications and, when the branch flips a
+qubit (s_k / s_l at the pair sites), an XOR of the frame's x/z masks.  The
+drawn unitaries are diagonal in the eigenbasis of s_k (x) 1 and 1 (x) s_l,
+so their product is the running product of their eigenvalue phases, a sum of
+the Pauli strings I, s_k, s_l and s_k s_l on the pair that updates the state
+once per rotation as one index gather.
 """
 
 from __future__ import annotations
@@ -100,43 +100,43 @@ class RoundRecord:
 
 
 class _Level:
-    """One doubling level of a rotation: the residual it aims at and its round table.
+    """One level of a residual's doubling chain: the residual it aims at and its round table.
 
-    ``phases[i]`` are the eigenvalues of branch i's unitary on the table's
-    eigenprojectors, which every level of an axis pair shares.
-    ``rotation`` is (policy, loss, axes, sign_swap).  ``next[i]`` is the level
-    after branch i: this level when the branch does not rotate, None when it
-    closes the residual.  The successors, and with them their tables, are
-    built on the first round drawn at this level.
+    ``phases[i]`` are the eigenvalues of branch i's unitary on the XX table's
+    eigenprojectors, the same for every axis pair.  ``next[s < 0][i]`` is
+    the level after branch i under frame sign s: this level when the branch
+    does not rotate, None when s times its direction is the residual's sign
+    (the branch closes it), else the level at the doubled residual, built,
+    with its table, on the first round drawn here.
     """
 
-    def __init__(self, residual: float, rotation: tuple):
-        policy, loss, axes, _ = self.rotation = rotation
-        self.residual = residual
+    def __init__(self, residual: float, policy: EpsilonPolicy, loss: LossConfig):
+        self.residual, self.policy, self.loss = residual, policy, loss
         self.aimed = abs(residual)
         self.eps = policy.eps_for(self.aimed)
-        table = round_branches(self.eps, loss, axes)
+        table = round_branches(self.eps, loss)
         self.cumulative, self.branches = table.cumulative, table.branches
         self.phases = tuple(tuple(p) for p in table.phases.tolist())
         # the pair atoms a branch flips: bit 0 the first, bit 1 the second
         self.flips = tuple(b.flips[0] + 2 * b.flips[1] for b in self.branches)
 
     @functools.cached_property
-    def next(self) -> tuple[Optional["_Level"], ...]:
-        sign_swap = self.rotation[3]
-        moved = {d: _level(reduce_angle(self.residual - sign_swap * d * self.aimed), self.rotation)
-                 for d in {b.direction for b in self.branches} - {None}}
-        return tuple(self if b.direction is None else moved[b.direction] for b in self.branches)
+    def next(self) -> tuple[tuple[Optional["_Level"], ...], ...]:
+        r, sign = self.residual, 1 if self.residual > 0 else -1
+        rotates = any(b.direction for b in self.branches)
+        doubled = _level(reduce_angle(r + r), self.policy, self.loss) if rotates else None
+        return tuple(tuple(self if b.direction is None else None if s * b.direction == sign
+                           else doubled for b in self.branches) for s in (1, -1))
 
 
-def _level(residual: float, rotation: tuple) -> Optional[_Level]:
-    return _Level(residual, rotation) if abs(residual) > _ANGLE_TOL else None
+def _level(residual: float, policy: EpsilonPolicy, loss: LossConfig) -> Optional[_Level]:
+    return _Level(residual, policy, loss) if abs(residual) > _ANGLE_TOL else None
 
 
 @functools.lru_cache(maxsize=64)
-def _first_level(t_target, policy, loss, axes, sign_swap) -> Optional[_Level]:
+def _first_level(t_target, policy, loss) -> Optional[_Level]:
     """The level a rotation starts at; None when its angle is a multiple of pi."""
-    return _level(reduce_angle(t_target), (policy, loss, axes, sign_swap))
+    return _level(reduce_angle(t_target), policy, loss)
 
 
 def realize_v_kl(
@@ -152,16 +152,16 @@ def realize_v_kl(
 ) -> tuple[StateVector, ErrorFrame, list[RoundRecord]]:
     """Realize e^{i t s_k x s_l} on ``pair`` modulo the tracked error frame.
 
-    Each round draws a branch of ``round_branches(eps, loss, (k, l))`` (lossless
-    when ``loss`` is None) from its state-independent weights, read from the
-    rotation's cached doubling levels, with one ``rng.random()`` (a numpy
-    Generator or any object whose ``random()`` returns a uniform in [0, 1)),
-    and multiplies the branch unitary's eigenvalues into four running phases.
-    The unitaries share the table's eigenprojectors P_j = (1 +- s_k)/2 (x)
-    (1 +- s_l)/2, so their product sum_j d_j P_j is a sum of the Pauli strings
-    I, s_k, s_l and s_k s_l on the pair, applied once, when the rotation ends
-    or runs out of rounds.  On success the frame-corrected output equals the
-    exact rotation applied to the frame-corrected input, up to global phase.
+    Each round draws a branch of the XX table ``round_branches(eps, loss)``
+    (lossless when ``loss`` is None; the (k, l) table has the same weights,
+    records and eigenphases) from the angle's cached doubling levels with one
+    ``rng.random()`` (a numpy Generator or any object whose ``random()``
+    returns a uniform in [0, 1)) and multiplies the branch's eigenvalues on
+    P_j = (1 +- s_k)/2 (x) (1 +- s_l)/2 into four running phases d_j.  Then
+    sum_j d_j P_j, a sum of the Pauli strings I, s_k, s_l and s_k s_l on the
+    pair, is applied once, when the rotation ends or runs out of rounds.  On
+    success the frame-corrected output equals the exact rotation applied to
+    the frame-corrected input, up to global phase.
     Raises IncompleteRotationError (with state, frame, and residual attached)
     if max_rounds is exhausted.
     """
@@ -184,9 +184,9 @@ def realize_v_kl(
     x, z = frame.byproduct.x, frame.byproduct.z
     # A round's byproducts s_k (x) 1 and 1 (x) s_l both commute with the target
     # s_k (x) s_l, so the frame's commutation with it, and this sign, hold for
-    # the whole rotation.
-    sign_swap = -1 if ((x & tz) ^ (z & tx)).bit_count() & 1 else 1
-    level = _first_level(t_target, policy, loss or LossConfig(), (k, l), sign_swap)
+    # the whole rotation: it picks the level's successors.
+    swapped = ((x & tz) ^ (z & tx)).bit_count() & 1
+    level = _first_level(t_target, policy, loss or LossConfig())
     records: list[RoundRecord] = []
     if level is None:
         return state, frame, records
@@ -207,7 +207,7 @@ def realize_v_kl(
             flipped = True
         out = level.branches[i]
         records.append(RoundRecord(out.label, level.eps, level.aimed, text, out.b_bits, out.lost))
-        level = level.next[i]
+        level = level.next[swapped][i]
         if level is None:
             break
 

@@ -67,7 +67,7 @@ class ProtocolConfig:
     n_steps: int
     policy: EpsilonPolicy = EpsilonPolicy()
     loss: LossConfig = LossConfig()
-    initial_state: object = "all_zeros"  # preset name, {"random_seed": k}, or amplitudes
+    initial_state: object = "all_zeros"  # preset name, {"random_seed": k} or {"amplitudes": ...}
     trajectories: int = 1
     master_seed: int = 0
 
@@ -148,9 +148,6 @@ class ProtocolConfig:
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
-        init = self.initial_state
-        if isinstance(init, np.ndarray):
-            init = {"amplitudes": [[float(a.real), float(a.imag)] for a in init]}
         return {
             "hamiltonian": self.hamiltonian.to_dict(),
             "t": self.t,
@@ -161,7 +158,7 @@ class ProtocolConfig:
                 "encoding": self.loss.encoding.value,
                 "backup_enabled": self.loss.backup_enabled,
             },
-            "initial_state": init,
+            "initial_state": self.initial_state,
             "trajectories": self.trajectories,
             "master_seed": self.master_seed,
         }
@@ -207,13 +204,10 @@ def _initial_data_amplitudes(cfg: ProtocolConfig) -> np.ndarray:
             return np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
         raise ConfigError(f"unknown initial-state preset {init!r}")
     try:
-        if isinstance(init, np.ndarray):
-            amp = init.astype(complex)
-        elif "random_seed" in init:
+        if "random_seed" in init:
             seed = config_int(init["random_seed"], "initial_state.random_seed")
             return haar_random_amplitudes(n, np.random.default_rng(seed))
-        else:
-            amp = np.array([complex(float(re), float(im)) for re, im in init["amplitudes"]])
+        amp = np.array([complex(float(re), float(im)) for re, im in init["amplitudes"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot interpret initial state {init!r}: {exc}") from exc
     if amp.shape != (dim,):
@@ -318,6 +312,7 @@ def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
 
 def run_ensemble(cfg: ProtocolConfig) -> tuple[dict, list[TrajectoryStats]]:
     """Run all trajectories and aggregate; failed trajectories are kept, not resampled."""
+    build_register(cfg)  # the register cap and the initial state hold even for no trajectory
     stats = [run_trajectory(cfg, i) for i in range(cfg.trajectories)]
     return aggregate_report(cfg, stats), stats
 
@@ -334,8 +329,8 @@ def aggregate_report(cfg: ProtocolConfig, stats: list[TrajectoryStats]) -> dict:
     sweep = list(cfg.plan.sweep_rotations())
     for s in stats:
         for i, count in enumerate(s.rounds_per_rotation):
-            rot = sweep[i % len(sweep)] if sweep else None
-            key = f"{rot.sites[0]}-{rot.sites[1]}:{rot.axes[0].value}{rot.axes[1].value}" if rot else "?"
+            rot = sweep[i % len(sweep)]
+            key = f"{rot.sites[0]}-{rot.sites[1]}:{rot.axes[0].value}{rot.axes[1].value}"
             per_rotation.setdefault(key, []).append(count)
 
     n_out = sum(histogram.values())

@@ -32,13 +32,7 @@ from .emission import (
 )
 from .errors import ProtocolError, UsageError
 from .pauli import PauliAxis, conjugation_unitary
-from .statevec import (
-    QubitRole,
-    RegisterLayout,
-    StateVector,
-    apply_two_qubit,
-    measure_and_reset,
-)
+from .statevec import RegisterLayout, StateVector, apply_two_qubit, measure_and_reset
 
 # Measurement bases, one vector per row: computational (one qubit, a mode pair)
 # and sign {|+>, |->}.  The sampled model and the round tables both read them.
@@ -307,27 +301,28 @@ def round_branches(
     separate branches, and branches whose operator is zero are dropped.
     The model acts in the XX picture; for the axis pair ``axes`` = (k, l)
     every operator is conjugated by u_k (x) u_l (``conjugation_unitary``),
-    since u e^{it XX} u^dag = e^{it s_k x s_l} and u X u^dag = s_k.
+    since u e^{it XX} u^dag = e^{it s_k x s_l} and u X u^dag = s_k.  That
+    leaves the weights, records and eigenphases unchanged, so the feedback
+    controller reads the XX table (the default ``axes``) for every axis pair.
     Lossless rounds list (minus, plus, hh, vv) in that order.  Raises
     ProtocolError unless each K^dag K = w 1 and the w sum to one, so a draw
     does not depend on the pair's state, and unless each unitary is diagonal
     in ``_sign_projectors(axes)``, so the unitaries commute.
     """
     if loss.backup_enabled:
-        layout = RegisterLayout.build(2, with_backup=True)
         stage = functools.partial(
             _backup_stage, pair_a=(0, 1), pair_b=(2, 3), photons=(4, 5), eps=eps
         )
     else:
-        layout = RegisterLayout.build(2)
         stage = functools.partial(joint_emission, pair=(0, 1), photons=(2, 3), eps=eps)
-    # One run on the pair maximally entangled with two reference qubits above
-    # the layout covers all four input basis states: the references label them.
-    n = layout.n_qubits
-    choi = np.zeros(1 << (n + 2), dtype=complex)
+    # One run on the pair maximally entangled with two reference qubits, counted
+    # as two more modes above the photon modes, covers all four input basis
+    # states: the references label them.
+    layout = RegisterLayout.build(2, with_backup=loss.backup_enabled, n_photons=2 + 2)
+    n = layout.n_qubits - 2
+    choi = np.zeros(1 << layout.n_qubits, dtype=complex)
     choi[[j + (j << n) for j in range(4)]] = 1.0
-    extended = RegisterLayout(layout.roles + (QubitRole.DATA_A,) * 2, layout.backup_of)
-    out = stage(StateVector(choi, extended)).amplitudes
+    out = stage(StateVector(choi, layout)).amplitudes
     tensor = out.reshape(4, -1, 4).transpose(1, 2, 0)  # (mode state, atom out, atom in)
 
     modes, records = zip(*_round_outcomes(loss))

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,50 +24,35 @@ _UNITARY_ATOL = 1e-12
 _BASIS_ATOL = 1e-10
 
 
-class QubitRole(Enum):
-    DATA_A = "data_a"
-    BACKUP_B = "backup_b"
-    PHOTON_MODE = "photon_mode"
-
-
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Role assignment for every qubit plus the data<->backup pairing.
+    """A register by counts: data qubits first, then one backup per data qubit, then photon modes.
 
     Photon-mode qubits live in the single-excitation subspace with
     |0> = V (vacuum or V polarization) and |1> = H.
     """
 
-    roles: tuple[QubitRole, ...]
-    backup_of: dict[int, int] = field(default_factory=dict)  # data qubit -> backup qubit
-
-    def __post_init__(self):
-        object.__setattr__(self, "roles", tuple(self.roles))
-        for a, b in self.backup_of.items():
-            if self.roles[a] is not QubitRole.DATA_A:
-                raise UsageError(f"qubit {a} paired as data but has role {self.roles[a]}")
-            if self.roles[b] is not QubitRole.BACKUP_B:
-                raise UsageError(f"qubit {b} paired as backup but has role {self.roles[b]}")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.roles)
-
-    @property
-    def photon_qubits(self) -> list[int]:
-        return [i for i, r in enumerate(self.roles) if r is QubitRole.PHOTON_MODE]
+    n_data: int
+    with_backup: bool = False
+    n_photons: int = 2
 
     @classmethod
     def build(cls, n_data: int, with_backup: bool = False, n_photons: int = 2) -> "RegisterLayout":
         """Standard layout: data qubits first, then backups, then photon modes."""
-        roles = [QubitRole.DATA_A] * n_data
-        backup_of = {}
-        if with_backup:
-            for i in range(n_data):
-                backup_of[i] = n_data + i
-            roles += [QubitRole.BACKUP_B] * n_data
-        roles += [QubitRole.PHOTON_MODE] * n_photons
-        return cls(tuple(roles), backup_of)
+        return cls(n_data, with_backup, n_photons)
+
+    @property
+    def n_qubits(self) -> int:
+        return self.n_data * (2 if self.with_backup else 1) + self.n_photons
+
+    @property
+    def photon_qubits(self) -> list[int]:
+        return list(range(self.n_qubits - self.n_photons, self.n_qubits))
+
+    @property
+    def backup_of(self) -> dict[int, int]:
+        """Data qubit -> its backup qubit."""
+        return {i: self.n_data + i for i in range(self.n_data)} if self.with_backup else {}
 
 
 @dataclass

@@ -1,0 +1,130 @@
+"""The doubling chain of a rotation angle, shared by every axis pair and frame sign.
+
+A rotation at angle t walks the levels t, 2t, 4t, ... (mod pi).  Conjugating
+a round by u_k (x) u_l leaves its weights, records and eigenphases unchanged,
+so the levels are keyed by (angle, policy, loss) alone, read the XX table,
+and hold one successor tuple per frame sign.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import mfsim.feedback
+from mfsim.feedback import EpsilonPolicy, PolicyMode, _first_level, realize_v_kl, reduce_angle
+from mfsim.harness import ProtocolConfig, haar_random_amplitudes, run_trajectory
+from mfsim.loss import LossConfig, round_branches
+from mfsim.pauli import ErrorFrame, PauliAxis, PauliString, frame_conjugate_direction
+from mfsim.statevec import RegisterLayout, StateVector
+
+AXES = (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
+AXIS_PAIRS = list(itertools.product(AXES, repeat=2))
+PAIR = (2, 0)
+LOSSES = [LossConfig(), LossConfig(p_loss=0.3),
+          LossConfig(p_loss=0.6, backup_enabled=True)]
+
+
+def heisenberg(n_qubits, **extra):
+    """An XX+YY+ZZ chain with one coefficient, so every bond rotates by the same angle."""
+    terms = [{"sites": [i, i + 1], "axes": axes, "coeff": 1.0}
+             for i in range(n_qubits - 1) for axes in ("XX", "YY", "ZZ")]
+    return ProtocolConfig.from_dict({
+        "hamiltonian": {"n_qubits": n_qubits, "terms": terms}, "t": 0.9, "n_steps": 4,
+        "initial_state": {"random_seed": 2}, **extra})
+
+
+def frame_with_sign(axes, sign):
+    """A 3-qubit frame that commutes (sign 1) or anticommutes (sign -1) with the rotation."""
+    sites = {1: PauliAxis.Y}  # off the pair: no effect on the sign
+    if sign < 0:
+        sites[PAIR[0]] = next(a for a in AXES if a is not axes[0])
+    frame = ErrorFrame.identity(3).updated(PauliString.embed(3, sites))
+    assert frame_conjugate_direction(frame, PauliString.embed(3, dict(zip(PAIR, axes)))) == sign
+    return frame
+
+
+@pytest.fixture
+def cold_caches():
+    round_branches.cache_clear()
+    _first_level.cache_clear()
+    yield
+    _first_level.cache_clear()
+
+
+@pytest.fixture
+def built_levels(monkeypatch):
+    """Every ``_Level`` built while the test runs, in build order."""
+    levels = []
+    init = mfsim.feedback._Level.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        levels.append(self)
+
+    monkeypatch.setattr(mfsim.feedback._Level, "__init__", spy)
+    return levels
+
+
+@pytest.mark.parametrize("loss", LOSSES, ids=["lossless", "heralded", "backup-loss60"])
+def test_one_angle_keys_one_first_level(loss, cold_caches):
+    rng = np.random.default_rng(5)
+    state = StateVector(haar_random_amplitudes(3, rng), RegisterLayout.build(3, n_photons=0))
+    policy = EpsilonPolicy(max_rounds=10_000)
+    for axes, sign in itertools.product(AXIS_PAIRS, (1, -1)):
+        realize_v_kl(state, PAIR, *axes, 0.7, policy, frame_with_sign(axes, sign), rng, loss)
+    info = _first_level.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 2 * len(AXIS_PAIRS) - 1)
+
+
+@pytest.mark.parametrize("mode", list(PolicyMode))
+@pytest.mark.parametrize("loss", LOSSES, ids=["lossless", "heralded", "backup-loss60"])
+def test_successors_stay_close_or_double(mode, loss, cold_caches, built_levels):
+    policy = EpsilonPolicy(mode, max_rounds=10_000)
+    rng = np.random.default_rng(7)
+    state = StateVector(haar_random_amplitudes(3, rng), RegisterLayout.build(3, n_photons=0))
+    for axes, sign, t in itertools.product(AXIS_PAIRS, (1, -1), (0.7, -2.9)):
+        realize_v_kl(state, PAIR, *axes, t, policy, frame_with_sign(axes, sign), rng, loss)
+    stepped = [level for level in built_levels if "next" in vars(level)]
+    assert stepped and len(built_levels) > 2
+    for level in stepped:
+        assert (level.policy, level.loss) == (policy, loss)
+        doubled = {s for s in itertools.chain(*level.next) if s not in (level, None)}
+        assert len(doubled) <= 1  # both frame signs share the doubled level
+        for s in doubled:
+            assert s.residual == reduce_angle(level.residual + level.residual)
+            assert (s.policy, s.loss) == (policy, loss)
+        for sign, successors in zip((1, -1), level.next):
+            for branch, succ in zip(level.branches, successors):
+                if branch.direction is None:
+                    assert succ is level
+                elif sign * branch.direction * level.residual > 0:
+                    assert succ is None  # the branch closes the residual
+                else:
+                    assert succ is not None and succ in doubled
+
+
+def test_controller_reads_only_the_xx_table(monkeypatch, cold_caches):
+    cfg = heisenberg(3, master_seed=4, loss={"p_loss": 0.6, "backup_enabled": True})
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return round_branches(*args, **kwargs)
+
+    monkeypatch.setattr(mfsim.feedback, "round_branches", spy)
+    run_trajectory(cfg, 0)
+    assert calls and all(len(args) == 2 and not kwargs for args, kwargs in calls)
+
+
+@pytest.mark.parametrize("extra", [{}, {"loss": {"p_loss": 0.6, "backup_enabled": True}},
+                                   {"policy": {"mode": "paper_doubling", "max_rounds": 8}}],
+                         ids=["lossless", "backup-loss60", "paper-doubling"])
+def test_heisenberg_warm_run_reproduces_cold_run(extra, cold_caches, built_levels):
+    cfg = heisenberg(3, master_seed=21, **extra)
+    cold = [run_trajectory(cfg, i).to_dict() for i in range(4)]
+    n_built = len(built_levels)
+    warm = [run_trajectory(cfg, i).to_dict() for i in range(4)]
+    assert warm == cold
+    assert len(built_levels) == n_built  # the warm run walked the cold run's levels
+    assert _first_level.cache_info().currsize == 1  # XX, YY and ZZ on two bonds: one angle
