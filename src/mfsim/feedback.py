@@ -12,8 +12,9 @@ Conjugating by u_k (x) u_l maps e^{it XX} to e^{it s_k x s_l} and leaves a
 round's weights, records and eigenphases unchanged, so each level of the
 chain, with its XX round table, is built once per (angle, policy, loss) and
 shared by every axis pair and frame sign.  A round is one bisection into the
-level's weights, four complex multiplications and, when the branch flips a
-qubit (s_k / s_l at the pair sites), an XOR of the frame's x/z masks.  The
+level's weights, four complex multiplications, when the branch flips a qubit
+(s_k / s_l at the pair sites) an XOR of the frame's x/z masks, and a lookup
+of the level's one record for that branch and frame text.  The
 drawn unitaries are diagonal in the eigenbasis of s_k (x) 1 and 1 (x) s_l,
 so their product is the running product of their eigenvalue phases, a sum of
 the Pauli strings I, s_k, s_l and s_k s_l on the pair that updates the state
@@ -74,9 +75,9 @@ def reduce_angle(t: float) -> float:
     return r
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoundRecord:
-    """Audit entry for one feedback round."""
+    """Audit entry for one feedback round; one instance serves every round with its values."""
 
     outcome: str
     eps_used: float
@@ -86,17 +87,9 @@ class RoundRecord:
     lost: Optional[tuple[bool, bool]] = None
 
     def to_dict(self) -> dict:
-        d = {
-            "outcome": self.outcome,
-            "eps_used": self.eps_used,
-            "aimed_angle": self.aimed_angle,
-            "frame_after": self.frame_after,
-        }
-        if self.b_measurements is not None:
-            d["b_measurements"] = list(self.b_measurements)
-        if self.lost is not None:
-            d["lost"] = list(self.lost)
-        return d
+        """The fields by name, tuples as lists; the optional ones only when set."""
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in vars(self).items() if v is not None}
 
 
 class _Level:
@@ -107,7 +100,8 @@ class _Level:
     the level after branch i under frame sign s: this level when the branch
     does not rotate, None when s times its direction is the residual's sign
     (the branch closes it), else the level at the doubled residual, built,
-    with its table, on the first round drawn here.
+    with its table, on the first round drawn here.  ``records[i]`` maps a
+    frame's text to the one record of branch i drawn here with that frame.
     """
 
     def __init__(self, residual: float, policy: EpsilonPolicy, loss: LossConfig):
@@ -119,6 +113,7 @@ class _Level:
         self.phases = tuple(tuple(p) for p in table.phases.tolist())
         # the pair atoms a branch flips: bit 0 the first, bit 1 the second
         self.flips = tuple(b.flips[0] + 2 * b.flips[1] for b in self.branches)
+        self.records: tuple[dict[str, RoundRecord], ...] = tuple({} for _ in self.branches)
 
     @functools.cached_property
     def next(self) -> tuple[tuple[Optional["_Level"], ...], ...]:
@@ -133,9 +128,9 @@ def _level(residual: float, policy: EpsilonPolicy, loss: LossConfig) -> Optional
     return _Level(residual, policy, loss) if abs(residual) > _ANGLE_TOL else None
 
 
-@functools.lru_cache(maxsize=64)
+@functools.cache
 def _first_level(t_target, policy, loss) -> Optional[_Level]:
-    """The level a rotation starts at; None when its angle is a multiple of pi."""
+    """The level a rotation starts at, kept for every angle run; None for a multiple of pi."""
     return _level(reduce_angle(t_target), policy, loss)
 
 
@@ -205,8 +200,12 @@ def realize_v_kl(
             x, z = x ^ dx, z ^ dz
             text = mask_text(n, x, z)
             flipped = True
-        out = level.branches[i]
-        records.append(RoundRecord(out.label, level.eps, level.aimed, text, out.b_bits, out.lost))
+        rec = level.records[i].get(text)
+        if rec is None:
+            out = level.branches[i]
+            rec = level.records[i][text] = RoundRecord(
+                out.label, level.eps, level.aimed, text, out.b_bits, out.lost)
+        records.append(rec)
         level = level.next[swapped][i]
         if level is None:
             break

@@ -207,7 +207,9 @@ def _initial_data_amplitudes(cfg: ProtocolConfig) -> np.ndarray:
         if "random_seed" in init:
             seed = config_int(init["random_seed"], "initial_state.random_seed")
             return haar_random_amplitudes(n, np.random.default_rng(seed))
-        amp = np.array([complex(float(re), float(im)) for re, im in init["amplitudes"]])
+        key = "initial_state.amplitudes"
+        amp = np.array([complex(config_float(re, key), config_float(im, key))
+                        for re, im in init["amplitudes"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot interpret initial state {init!r}: {exc}") from exc
     if amp.shape != (dim,):
@@ -241,6 +243,11 @@ class TrajectoryStats:
     records: list[RoundRecord] = field(default_factory=list)
 
     def to_dict(self) -> dict:
+        """The audit entry; ``emit_report`` writes ``json.dumps(to_dict(), sort_keys=True)``."""
+        return {**self.summary(), "rounds": [r.to_dict() for r in self.records]}
+
+    def summary(self) -> dict:
+        """The audit entry without its rounds."""
         return {
             "trajectory": self.index,
             "rounds_total": self.rounds_total,
@@ -252,7 +259,6 @@ class TrajectoryStats:
             "fidelity_vs_oracle": self.fidelity_vs_oracle,
             "failed": self.failed,
             "failure_reason": self.failure_reason,
-            "rounds": [r.to_dict() for r in self.records],
         }
 
 
@@ -466,6 +472,22 @@ def noiseless_plan_fidelity(cfg: ProtocolConfig) -> float:
     return float(abs(np.vdot(oracle, plan_unitary(cfg.plan) @ cfg.initial_amplitudes)) ** 2)
 
 
+def _audit_lines(stats: list[TrajectoryStats]):
+    """Each trajectory's ``json.dumps(s.to_dict(), sort_keys=True)`` line, records encoded once.
+
+    A record's text is cached by id, unique while ``stats`` holds the record;
+    the rounds go at ``"rounds": 0``, whose bare quotes no JSON string can contain.
+    """
+    texts: dict[int, str] = {}
+    for s in stats:
+        for r in s.records:
+            if id(r) not in texts:
+                texts[id(r)] = json.dumps(r.to_dict(), sort_keys=True)
+        line = json.dumps({**s.summary(), "rounds": 0}, sort_keys=True)
+        head, _, tail = line.partition('"rounds": 0')
+        yield f'{head}"rounds": [{", ".join([texts[id(r)] for r in s.records])}]{tail}\n'
+
+
 def emit_report(
     report: dict,
     stats: list[TrajectoryStats],
@@ -487,8 +509,7 @@ def emit_report(
 
         audit_path = out / "audit.jsonl"
         with open(audit_path, "w") as f:
-            for s in stats:
-                f.write(json.dumps(s.to_dict(), sort_keys=True) + "\n")
+            f.writelines(_audit_lines(stats))
         written.append(audit_path)
 
         if fmt == "csv":

@@ -7,6 +7,7 @@ operators carry that conjugation, so with the same seed both give the same
 rounds, the same state and the same frame once X is read as s_k and s_l.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -52,8 +53,7 @@ def dressed_xx(state, k, l, t, frame, rng, loss):
     state, inner, recs = realize_v(state, PAIR, t, POLICY, inner, rng, loss)
     for q, u in zip(PAIR, us):
         state = apply_local(state, q, u)
-    for r in recs:
-        r.frame_after = map_frame(r.frame_after, us)
+    recs = [dataclasses.replace(r, frame_after=map_frame(r.frame_after, us)) for r in recs]
     return state, ErrorFrame(PauliString.from_str(map_frame(str(inner), us))), recs
 
 

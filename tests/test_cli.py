@@ -96,7 +96,7 @@ class TestSimulate:
         ({"policy": {"max_rounds": 0}}, "policy.max_rounds"),
         ({"initial_state": {"amplitudes": [[1]] * 4}}, "initial state"),
         ({"initial_state": {"amplitudes": [[1, "x"]] * 4}}, "initial state"),
-        ({"initial_state": {"amplitudes": [[1, "nan"]] * 4}}, "initial state has norm"),
+        ({"initial_state": {"amplitudes": [[0, 0]] * 4}}, "initial state has norm"),
         ({"initial_state": {"random_seed": -2}}, "initial state"),
         ({"hamiltonian": {"n_qubits": -1, "terms": []}}, "at least one qubit"),
         ({"master_seed": -1}, "master_seed"),
@@ -112,6 +112,9 @@ class TestSimulate:
         ({"n_steps": 2.7}, "n_steps"),
         ({"trajectories": True}, "trajectories"),
         ({"loss": {"backup_enabled": "false"}}, "loss.backup_enabled"),
+        ({"initial_state": {"amplitudes": [[True, 0]] + [[0, 0]] * 3}}, "initial_state.amplitudes"),
+        ({"initial_state": {"amplitudes": [["0.5", 0]] * 4}}, "initial_state.amplitudes"),
+        ({"initial_state": {"amplitudes": [[1, "nan"]] * 4}}, "initial_state.amplitudes"),
     ])
     def test_bad_config_exits_2_without_traceback(self, bad, named, tmp_path):
         cfg = {"hamiltonian": XX_PAIR, "t": 0.3, "n_steps": 1, **bad}

@@ -368,7 +368,7 @@ POLICY_MODES = list(PolicyMode)
 @pytest.mark.parametrize("kind", KINDS)
 def test_level_chain_equals_per_round_loop(kind, mode):
     loss, policy, pair = KINDS[kind], EpsilonPolicy(mode, max_rounds=100_000), (2, 0)
-    # Both frame signs share a seed, so an angle; the sign is part of the level key.
+    # Both frame signs share a seed, so an angle, and walk one chain of levels.
     for seed, anticommuting in itertools.product(range(4), (False, True)):
         axes = AXIS_PAIRS[(3 * seed + len(kind)) % len(AXIS_PAIRS)]
         state, t, frame = rotation_case(100 + seed, axes, anticommuting)
