@@ -116,7 +116,7 @@ def main(argv=None) -> int:
             try:
                 written = emit_report(report, stats, out_dir, fmt=args.format)
             except OSError as exc:
-                return _output_error(out_dir, exc.__cause__ or exc)
+                return _output_error(out_dir, exc)
             for path in written:
                 print(path)
         elif args.command == "probe-round":

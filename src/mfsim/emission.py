@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ProtocolError, UsageError
-from .statevec import StateVector, apply_local, apply_two_qubit, measure_and_reset
+from .statevec import StateVector, _apply, measure_and_reset
 
 _VACUUM_ATOL = 1e-10
 
@@ -78,9 +78,10 @@ def u_eps(state: StateVector, atom: int, photon: int, eps: float) -> StateVector
     the photon role (``loss.backup_entangle``).
     """
     _require_vacuum(state, photon)
-    return apply_two_qubit(state, (atom, photon), emission_unitary(eps))
+    return _apply(state, (atom, photon), emission_unitary(eps))
 
 
+_X_GATE = np.array([[0.0, 1.0], [1.0, 0.0]])
 _PHASE_I_ON_H = np.diag([1.0, 1.0j])
 
 
@@ -103,9 +104,8 @@ def joint_emission(
     p1, p2 = photons
     out = u_eps(state, atom_a, p1, eps)
     out = u_eps(out, atom_b, p2, 1.0 - eps)
-    out = apply_local(out, atom_b, np.array([[0, 1], [1, 0]], dtype=float))
-    out = apply_local(out, p1, _PHASE_I_ON_H)
-    return out
+    out = _apply(out, (atom_b,), _X_GATE)
+    return _apply(out, (p1,), _PHASE_I_ON_H)
 
 
 # Photon-pair state behind each outcome.  Basis index p1 + 2*p2 with |1> = H,

@@ -31,13 +31,13 @@ from .compiler import (
 from .emission import BeamSplitterOutcome, PhotonEncoding, outcome_probabilities
 from .errors import ConfigError, IncompleteRotationError, ResourceError
 from .feedback import EpsilonPolicy, PolicyMode, RoundRecord, realize_v, realize_v_kl
-from .loss import LossConfig, round_branches
+from .loss import CNOT_MATRIX, LossConfig, round_branches
 from .pauli import ErrorFrame
 from .statevec import (
     DEFAULT_QUBIT_CAP,
     RegisterLayout,
     StateVector,
-    apply_local,
+    _apply,
     apply_pauli_string,
     exact_evolution,
 )
@@ -117,6 +117,7 @@ class ProtocolConfig:
             if not math.isfinite(rot.angle):
                 raise ConfigError(f"rotation angle t * hamiltonian.terms[{i}].coeff / n_steps "
                                   f"is {rot.angle}, not finite")
+        _initial_state(initial, h.n_qubits)
         return cfg
 
     @functools.cached_property
@@ -127,7 +128,7 @@ class ProtocolConfig:
     @functools.cached_property
     def initial_amplitudes(self) -> np.ndarray:
         """Normalized initial data amplitudes, computed once per config (read-only)."""
-        amp = _initial_data_amplitudes(self)
+        amp = _initial_state(self.initial_state, self.hamiltonian.n_qubits)()
         amp.flags.writeable = False
         return amp
 
@@ -191,33 +192,39 @@ def haar_random_amplitudes(n_qubits: int, rng: np.random.Generator) -> np.ndarra
     return v / np.linalg.norm(v)
 
 
-def _initial_data_amplitudes(cfg: ProtocolConfig) -> np.ndarray:
-    n = cfg.hamiltonian.n_qubits
-    dim = 1 << n
-    init = cfg.initial_state
+_PRESETS = {
+    "all_zeros": lambda dim: np.eye(1, dim, dtype=complex)[0],
+    "all_plus": lambda dim: np.full(dim, 1.0 / math.sqrt(dim), dtype=complex),
+}
+
+
+def _initial_state(init, n: int):
+    """Check ``initial_state`` for n qubits; return a function building its normalized amplitudes.
+
+    Presets and the Haar draw wait for that call, so a register past the dense cap still parses.
+    """
     if isinstance(init, str):
-        if init == "all_zeros":
-            amp = np.zeros(dim, dtype=complex)
-            amp[0] = 1.0
-            return amp
-        if init == "all_plus":
-            return np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-        raise ConfigError(f"unknown initial-state preset {init!r}")
+        if init not in _PRESETS:
+            raise ConfigError(f"unknown initial-state preset {init!r}")
+        return lambda: _PRESETS[init](1 << n)
     try:
         if "random_seed" in init:
             seed = config_int(init["random_seed"], "initial_state.random_seed")
-            return haar_random_amplitudes(n, np.random.default_rng(seed))
+            if seed < 0:  # numpy's text; parsing does not import numpy.random
+                raise ValueError("expected non-negative integer")
+            return lambda: haar_random_amplitudes(n, np.random.default_rng(seed))
         key = "initial_state.amplitudes"
         amp = np.array([complex(config_float(re, key), config_float(im, key))
                         for re, im in init["amplitudes"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot interpret initial state {init!r}: {exc}") from exc
+    dim = 1 << n if n < 63 else f"2**{n}"  # no JSON list holds 2^63 entries
     if amp.shape != (dim,):
         raise ConfigError(f"initial state has {amp.shape[0]} amplitudes, expected {dim}")
     nrm = np.linalg.norm(amp)
     if not 1e-12 <= nrm < math.inf:
         raise ConfigError(f"initial state has norm {nrm}")
-    return amp / nrm
+    return lambda: amp / nrm
 
 
 def build_register(cfg: ProtocolConfig) -> StateVector:
@@ -410,11 +417,6 @@ def cnot_dressing() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return a1, a2, b1, b2
 
 
-CNOT_MATRIX = np.array(
-    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
-)
-
-
 def _cnot_demo_inputs() -> list[np.ndarray]:
     basis = [np.eye(4, dtype=complex)[i] for i in range(4)]
     plus_plus = np.full(4, 0.5, dtype=complex)
@@ -443,14 +445,12 @@ def cnot_demo(
     total_rounds = 0
     for i, data_amp in enumerate(_cnot_demo_inputs()):
         rng = trajectory_rng(master_seed, i)
-        state = apply_local(StateVector(data_amp, layout), 0, b1)
-        state = apply_local(state, 1, b2)
+        state = _apply(_apply(StateVector(data_amp, layout), (0,), b1), (1,), b2)
         frame = ErrorFrame.identity(2)
         state, frame, recs = realize_v(state, (0, 1), t, policy, frame, rng, loss)
         total_rounds += len(recs)
         state = apply_pauli_string(state, frame.byproduct)
-        state = apply_local(state, 0, a1)
-        state = apply_local(state, 1, a2)
+        state = _apply(_apply(state, (0,), a1), (1,), a2)
         want = CNOT_MATRIX @ data_amp
         fidelities.append(float(abs(np.vdot(want, state.amplitudes)) ** 2))
 
@@ -500,26 +500,23 @@ def emit_report(
     produce byte-identical files.
     """
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        written = []
-        report_path = out / "report.json"
-        report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-        written.append(report_path)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    report_path = out / "report.json"
+    report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    written.append(report_path)
 
-        audit_path = out / "audit.jsonl"
-        with open(audit_path, "w") as f:
-            f.writelines(_audit_lines(stats))
-        written.append(audit_path)
+    audit_path = out / "audit.jsonl"
+    with open(audit_path, "w") as f:
+        f.writelines(_audit_lines(stats))
+    written.append(audit_path)
 
-        if fmt == "csv":
-            csv_path = out / "rounds_per_rotation.csv"
-            with open(csv_path, "w", newline="") as f:
-                w = csv.writer(f)
-                w.writerow(["rotation_site", "mean_rounds"])
-                for key, val in report.get("rounds_per_rotation_site", {}).items():
-                    w.writerow([key, val])
-            written.append(csv_path)
-        return written
-    except OSError as exc:
-        raise OSError(f"failed writing report under {out}: {exc}") from exc
+    if fmt == "csv":
+        csv_path = out / "rounds_per_rotation.csv"
+        with open(csv_path, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["rotation_site", "mean_rounds"])
+            for key, val in report.get("rounds_per_rotation_site", {}).items():
+                w.writerow([key, val])
+        written.append(csv_path)
+    return written

@@ -32,16 +32,16 @@ from .emission import (
 )
 from .errors import ProtocolError, UsageError
 from .pauli import PauliAxis, conjugation_unitary
-from .statevec import RegisterLayout, StateVector, apply_two_qubit, measure_and_reset
+from .statevec import RegisterLayout, StateVector, _apply, measure_and_reset
 
 # Measurement bases, one vector per row: computational (one qubit, a mode pair)
 # and sign {|+>, |->}.  The sampled model and the round tables both read them.
 _E2, _E4 = np.eye(2), np.eye(4)
 _SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
 
-# CNOT with the first listed qubit (the backup atom) as control.
-_COPY_GATE = np.array(
-    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=float
+# CNOT with the first listed qubit as control: the backup atom in ``photon_copy``.
+CNOT_MATRIX = np.array(
+    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
 )
 
 
@@ -80,7 +80,7 @@ def photon_copy(state: StateVector, atom_b: int, photon: int) -> StateVector:
     |0>_B -> |0>_B |V>,  |1>_B -> |1>_B |H>; the backup keeps its state.
     """
     _require_vacuum(state, photon)
-    return apply_two_qubit(state, (atom_b, photon), _COPY_GATE)
+    return _apply(state, (atom_b, photon), CNOT_MATRIX)
 
 
 def loss_channel(
@@ -241,8 +241,9 @@ _PAIR_BITS = ((0, 0), (1, 0), (0, 1), (1, 1))  # (first, second): index first + 
 _ZERO_BRANCH = 1e-24  # weight w (K^dag K = w 1) under which a branch counts as zero
 
 
+@functools.cache
 def _sign_projectors(axes: tuple[PauliAxis, PauliAxis]) -> np.ndarray:
-    """The (4, 4, 4) stack (1 +- s_k)/2 (x) (1 +- s_l)/2 for ``axes`` = (k, l), first atom low bit.
+    """The read-only stack (1 +- s_k)/2 (x) (1 +- s_l)/2 for ``axes`` = (k, l), first atom low bit.
 
     In the XX picture every branch is a sum of II, XI, IX and XX (emission
     flips an atom exactly when it fills that atom's mode), so after the
@@ -251,7 +252,9 @@ def _sign_projectors(axes: tuple[PauliAxis, PauliAxis]) -> np.ndarray:
     0, +-1/2 and +-i/2, exact in floating point, so they sum to 1 exactly.
     """
     k, l = ([(np.eye(2) + s * a.matrix()) / 2 for s in (1, -1)] for a in axes)
-    return np.array([np.kron(pl, pk) for pl in l for pk in k])
+    projectors = np.array([np.kron(pl, pk) for pl in l for pk in k])
+    projectors.flags.writeable = False
+    return projectors
 
 
 def _round_outcomes(loss: LossConfig):
@@ -342,7 +345,7 @@ def round_branches(
         raise ProtocolError(f"round branches at eps={eps} do not share one eigenbasis")
     phases /= np.abs(phases)  # unit modulus, so a long product does not drift
     cumulative = (*(np.cumsum(weights[:-1]) / weights.sum()).tolist(), 1.0)
-    for a in (kraus, unitaries, projectors, phases):
+    for a in (kraus, unitaries, phases):
         a.flags.writeable = False
     branches = tuple(RoundBranch(*r) for r, k in zip(records, keep) if k)
     return RoundTable(kraus, branches, unitaries, cumulative, projectors, phases)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResourceError, UsageError
-from .pauli import PauliAxis, PauliString
+from .pauli import PauliString
 
 DEFAULT_QUBIT_CAP = 12
 
@@ -144,6 +144,7 @@ def _subset_index(n: int, qubits: tuple[int, ...]) -> np.ndarray:
 
 
 def _apply(state: StateVector, qubits: tuple[int, ...], u: np.ndarray) -> StateVector:
+    """``u`` on ``qubits``, unchecked: for the gates this package builds itself."""
     idx = _subset_index(state.n_qubits, qubits)
     out = np.empty_like(state.amplitudes)
     out[idx] = u @ state.amplitudes[idx]
@@ -281,13 +282,12 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 
 def apply_pauli_string(state: StateVector, p: PauliString) -> StateVector:
-    """Apply a Pauli string as local gates (its global phase is applied too)."""
+    """Apply a Pauli string, its global phase too, as one row of ``_pauli_stack``."""
     if len(p) != state.n_qubits:
         raise UsageError("Pauli string length does not match register")
-    out = state
-    for q, axis in enumerate(p.axes):
-        if axis is not PauliAxis.I:
-            out = apply_local(out, q, axis.matrix())
+    index, phase = _pauli_stack(state.n_qubits, ((p.x, p.z),))
+    out = state.amplitudes[index[0]]
+    out *= phase[0]
     if p.phase_power:
-        out = StateVector._wrap(out.amplitudes * (1j ** p.phase_power), out.layout)
-    return out
+        out *= 1j ** p.phase_power
+    return StateVector._wrap(out, state.layout)

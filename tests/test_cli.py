@@ -200,6 +200,31 @@ class TestSchedule:
         tight = json.loads(capsys.readouterr().out)["budget"]["parallel_depth"]
         assert tight > loose
 
+    @pytest.mark.parametrize("command", ["schedule", "oracle", "simulate"])
+    @pytest.mark.parametrize("initial,named", [
+        ("bogus", "unknown initial-state preset 'bogus'"),
+        ({"random_seed": -1}, "cannot interpret initial state"),
+        ({"amplitudes": [[1, 0]] * 3}, "initial state has 3 amplitudes, expected 4"),
+    ])
+    def test_bad_initial_state_exits_2(self, command, initial, named, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"hamiltonian": XX_PAIR, "t": 0.3, "n_steps": 1, "initial_state": initial}))
+        out = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+        assert main([command, "--config", str(path), *out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("initial", ["all_plus", {"random_seed": 3}])
+    def test_runs_past_the_register_cap(self, initial, tmp_path, capsys):
+        terms = [{"sites": [q, q + 1], "axes": "XX", "coeff": 1.0} for q in range(39)]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"hamiltonian": {"n_qubits": 40, "terms": terms},
+                                    "t": 0.3, "n_steps": 1, "initial_state": initial}))
+        assert main(["schedule", "--config", str(path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["budget"]["layers_per_sweep"] == 2
+
 
 class TestCnotDemoCommand:
     def test_noiseless(self, capsys):

@@ -107,14 +107,24 @@ class TestInitialStates:
         assert st.amplitudes[0] == pytest.approx(1.0)
 
     def test_wrong_length_rejected(self):
-        cfg = chain_config(initial_state={"amplitudes": [[1.0, 0.0], [0.0, 0.0]]})
         with pytest.raises(ConfigError):
-            build_register(cfg)
+            build_register(chain_config(initial_state={"amplitudes": [[1.0, 0.0], [0.0, 0.0]]}))
 
     def test_unknown_preset(self):
-        cfg = chain_config(initial_state="sideways")
         with pytest.raises(ConfigError):
-            build_register(cfg)
+            build_register(chain_config(initial_state="sideways"))
+
+    def test_parsing_builds_no_amplitudes(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("amplitudes built")
+
+        monkeypatch.setattr(mfsim.harness, "haar_random_amplitudes", forbidden)
+        presets = dict.fromkeys(mfsim.harness._PRESETS, forbidden)
+        monkeypatch.setattr(mfsim.harness, "_PRESETS", presets)
+        big = {"hamiltonian": {"n_qubits": 40, "terms": []}, "t": 0.1, "n_steps": 1}
+        for initial in ("all_zeros", "all_plus", {"random_seed": 3}):
+            cfg = ProtocolConfig.from_dict({**big, "initial_state": initial})
+            assert cfg.to_dict()["initial_state"] == initial
 
     def test_register_cap(self):
         cfg = ProtocolConfig.from_dict(
@@ -263,6 +273,11 @@ class TestEnsembleAndReport:
             emit_report(report, stats, tmp_path / sub)
         for name in ("report.json", "audit.jsonl"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_emit_report_raises_the_os_error_itself(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        with pytest.raises(NotADirectoryError):
+            emit_report({}, [], tmp_path / "file" / "run")
 
     def test_no_wall_time_in_outputs(self, tmp_path):
         cfg = chain_config(trajectories=1)

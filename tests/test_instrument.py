@@ -23,7 +23,7 @@ import mfsim.harness
 import mfsim.loss
 import mfsim.statevec
 from mfsim.emission import PhotonEncoding, beamsplitter_measure, joint_emission
-from mfsim.errors import IncompleteRotationError, ProtocolError
+from mfsim.errors import IncompleteRotationError, ProtocolError, UsageError
 from mfsim.feedback import EpsilonPolicy, PolicyMode, RoundRecord, realize_v_kl, reduce_angle
 from mfsim.harness import ProtocolConfig, haar_random_amplitudes, run_trajectory
 from mfsim.loss import LossConfig, backup_round, loss_channel, round_branches
@@ -286,9 +286,56 @@ def test_warm_trajectory_validates_only_its_final_frame_correction(monkeypatch):
 
     monkeypatch.setattr(mfsim.statevec, "_check_unitary", spy)
     again = run_trajectory(cfg, 0)
-    # apply_pauli_string checks one 2x2 gate per non-identity site of the frame
-    assert again.rounds_total > 0
-    assert calls == [2] * sum(a != "I" for a in again.final_frame)
+    # apply_pauli_string applies the frame as one Pauli gather, which no gate check sees
+    assert again.rounds_total > 0 and again.final_frame.strip("I")
+    assert calls == []
+
+
+@pytest.fixture
+def unitary_checks(monkeypatch):
+    """The dimensions of every ``_check_unitary`` call made while the test runs."""
+    calls = []
+    check = mfsim.statevec._check_unitary
+
+    def spy(u, dim):
+        calls.append(dim)
+        return check(u, dim)
+
+    monkeypatch.setattr(mfsim.statevec, "_check_unitary", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cold_table_build_checks_no_gate(kind, unitary_checks):
+    for axes in AXIS_PAIRS:
+        round_branches.__wrapped__(0.3, KINDS[kind], axes)
+    assert unitary_checks == []
+
+
+def test_stage_gates_and_the_cnot_demo_check_no_gate(unitary_checks):
+    layout = RegisterLayout.build(2, with_backup=True)
+    state = StateVector.computational_basis(layout)
+    state = mfsim.loss.photon_copy(joint_emission(state, (0, 1), (2, 3), 0.3), 2, 4)
+    assert state.norm_squared() == pytest.approx(1.0)
+    assert mfsim.harness.cnot_demo(EpsilonPolicy())["process_fidelity"] == pytest.approx(1.0)
+    assert unitary_checks == []
+
+
+def test_caller_gates_are_still_checked(unitary_checks):
+    state = StateVector.computational_basis(RegisterLayout.build(2, n_photons=0))
+    with pytest.raises(UsageError, match="not unitary"):
+        mfsim.statevec.apply_local(state, 0, np.diag([1.0, 2.0]))
+    with pytest.raises(UsageError, match="not unitary"):
+        mfsim.statevec.apply_two_qubit(state, (0, 1), np.diag([1.0, 1.0, 1.0, 2.0]))
+    assert unitary_checks == [2, 4]
+
+
+def test_sign_projectors_are_built_once_per_axis_pair():
+    for axes in AXIS_PAIRS:
+        projectors = mfsim.loss._sign_projectors(axes)
+        assert projectors is mfsim.loss._sign_projectors(axes)
+        assert not projectors.flags.writeable
+        assert round_branches.__wrapped__(0.3, LossConfig(), axes).projectors is projectors
 
 
 def state_draw_rotation(state, pair, axes, t, policy, frame, rng, loss):

@@ -7,10 +7,11 @@ import pytest
 from mfsim.compiler import HamiltonianSpec
 from mfsim.errors import ResourceError, UsageError
 from mfsim.harness import haar_random_amplitudes
-from mfsim.pauli import PauliString
+from mfsim.pauli import PauliAxis, PauliString
 from mfsim.statevec import (
     RegisterLayout,
     StateVector,
+    _apply,
     apply_local,
     apply_pauli_string,
     apply_two_qubit,
@@ -428,6 +429,25 @@ class TestApplyPauliString:
         p = PauliString.from_str("XYZ", phase_power=1)
         out = apply_pauli_string(st, p)
         assert np.allclose(out.amplitudes, p.matrix() @ st.amplitudes, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_its_site_gates_bit_for_bit(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(50):
+            st = random_state(rng, n)
+            axes = [PauliAxis(a) for a in rng.choice(list("IXYZ"), size=n)]
+            by_site = st
+            for q, a in enumerate(axes):
+                if a is not PauliAxis.I:
+                    by_site = _apply(by_site, (q,), a.matrix())
+            for phase_power in range(4):
+                want = by_site.amplitudes * 1j ** phase_power if phase_power else by_site.amplitudes
+                out = apply_pauli_string(st, PauliString(axes, phase_power))
+                assert np.array_equal(out.amplitudes, want), (axes, phase_power)
+
+    def test_length_must_match(self):
+        with pytest.raises(UsageError, match="length"):
+            apply_pauli_string(basis_state(2), PauliString.from_str("XYZ"))
 
 
 class TestConstructorChecks:
