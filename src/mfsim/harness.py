@@ -451,8 +451,7 @@ def cnot_demo(
         total_rounds += len(recs)
         state = apply_pauli_string(state, frame.byproduct)
         state = _apply(_apply(state, (0,), a1), (1,), a2)
-        want = CNOT_MATRIX @ data_amp
-        fidelities.append(float(abs(np.vdot(want, state.amplitudes)) ** 2))
+        fidelities.append(float(abs(np.vdot(CNOT_MATRIX @ data_amp, state.amplitudes)) ** 2))
 
     return {
         "t": t,

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResourceError, UsageError
-from .pauli import PauliString
+from .pauli import PauliAxis, PauliString
 
 DEFAULT_QUBIT_CAP = 12
 
@@ -282,12 +282,13 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 
 def apply_pauli_string(state: StateVector, p: PauliString) -> StateVector:
-    """Apply a Pauli string, its global phase too, as one row of ``_pauli_stack``."""
+    """Apply a Pauli string as local gates (its global phase is applied too)."""
     if len(p) != state.n_qubits:
         raise UsageError("Pauli string length does not match register")
-    index, phase = _pauli_stack(state.n_qubits, ((p.x, p.z),))
-    out = state.amplitudes[index[0]]
-    out *= phase[0]
+    out = state
+    for q, axis in enumerate(p.axes):
+        if axis is not PauliAxis.I:
+            out = apply_local(out, q, axis.matrix())
     if p.phase_power:
-        out *= 1j ** p.phase_power
-    return StateVector._wrap(out, state.layout)
+        out = StateVector._wrap(out.amplitudes * (1j ** p.phase_power), out.layout)
+    return out

@@ -286,9 +286,9 @@ def test_warm_trajectory_validates_only_its_final_frame_correction(monkeypatch):
 
     monkeypatch.setattr(mfsim.statevec, "_check_unitary", spy)
     again = run_trajectory(cfg, 0)
-    # apply_pauli_string applies the frame as one Pauli gather, which no gate check sees
-    assert again.rounds_total > 0 and again.final_frame.strip("I")
-    assert calls == []
+    # apply_pauli_string checks one 2x2 gate per non-identity site of the frame
+    assert again.rounds_total > 0
+    assert calls == [2] * sum(a != "I" for a in again.final_frame)
 
 
 @pytest.fixture
@@ -312,13 +312,27 @@ def test_cold_table_build_checks_no_gate(kind, unitary_checks):
     assert unitary_checks == []
 
 
-def test_stage_gates_and_the_cnot_demo_check_no_gate(unitary_checks):
+def test_stage_gates_check_no_gate(unitary_checks):
     layout = RegisterLayout.build(2, with_backup=True)
     state = StateVector.computational_basis(layout)
     state = mfsim.loss.photon_copy(joint_emission(state, (0, 1), (2, 3), 0.3), 2, 4)
     assert state.norm_squared() == pytest.approx(1.0)
-    assert mfsim.harness.cnot_demo(EpsilonPolicy())["process_fidelity"] == pytest.approx(1.0)
     assert unitary_checks == []
+
+
+def test_cnot_demo_checks_only_its_frame_corrections(unitary_checks, monkeypatch):
+    frames = []
+    correct = mfsim.harness.apply_pauli_string
+
+    def spy(state, p):
+        frames.append(p)
+        return correct(state, p)
+
+    monkeypatch.setattr(mfsim.harness, "apply_pauli_string", spy)
+    assert mfsim.harness.cnot_demo(EpsilonPolicy())["process_fidelity"] == pytest.approx(1.0)
+    # the dressing gates go unchecked; each frame correction checks its non-identity sites
+    assert len(frames) == 6
+    assert unitary_checks == [2] * sum(a is not PauliAxis.I for p in frames for a in p.axes)
 
 
 def test_caller_gates_are_still_checked(unitary_checks):
