@@ -49,9 +49,27 @@ def config_bool(value, key: str) -> bool:
     return value
 
 
-# Round-success law shared with the feedback controller: a round at strength
-# eps resolves the aimed rotation (Plus outcome) with probability
-# ((1-eps)^2 + eps^2) / 2, which is at least 1/4 and at most 1/2.
+def config_choice(enum, value, key: str):
+    """A config choice: the member of ``enum`` whose value is ``value``."""
+    try:
+        return enum(value)
+    except ValueError:
+        values = ", ".join(repr(m.value) for m in enum)
+        raise ConfigError(f"{key} must be one of {values}, got {value!r}") from None
+
+
+def config_object(d, path: str, optional=(), required=()) -> dict:
+    """``d``, once checked to be an object with the keys ``required`` and ``optional`` ones only."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path or 'configuration'} must be an object")
+    prefix = f"{path}." if path else ""
+    unknown = sorted(set(d) - set(optional) - set(required))
+    if unknown:
+        raise ConfigError("unknown key " + ", ".join(prefix + str(k) for k in unknown))
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ConfigError("missing key " + ", ".join(prefix + k for k in missing))
+    return d
 
 
 @dataclass(frozen=True)
@@ -76,16 +94,20 @@ class PairTerm:
         }
 
     @classmethod
-    def from_dict(cls, d: dict, key: str) -> "PairTerm":
-        try:
-            sites = tuple(config_int(s, f"{key}.sites") for s in d["sites"])
-            axes = tuple(PauliAxis(c) for c in d["axes"])
-            coeff = config_float(d["coeff"], f"{key}.coeff")
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"malformed Hamiltonian term {d!r}: {exc}") from exc
-        if len(sites) != 2 or len(axes) != 2:
-            raise ConfigError(f"malformed Hamiltonian term {d!r}")
-        return cls(sites, axes, coeff)
+    def from_dict(cls, d: dict, key: str, n_qubits: int) -> "PairTerm":
+        """The term at config key ``key`` on ``n_qubits`` qubits; ConfigError names a bad field."""
+        config_object(d, key, required=("sites", "axes", "coeff"))
+        sites, axes = d["sites"], d["axes"]
+        if not isinstance(sites, (list, tuple)) or len(sites) != 2:
+            raise ConfigError(f"{key}.sites must be a list of two sites, got {sites!r}")
+        sites = tuple(config_int(s, f"{key}.sites") for s in sites)
+        if sites[0] == sites[1] or not all(0 <= s < n_qubits for s in sites):
+            raise ConfigError(f"{key}.sites must be two distinct sites in [0, {n_qubits}), "
+                              f"got {list(sites)}")
+        if not (isinstance(axes, str) and len(axes) == 2 and set(axes) <= set("XYZ")):
+            raise ConfigError(f"{key}.axes must be two letters of X, Y, Z, got {axes!r}")
+        return cls(sites, (PauliAxis(axes[0]), PauliAxis(axes[1])),
+                   config_float(d["coeff"], f"{key}.coeff"))
 
 
 @dataclass(frozen=True)
@@ -117,16 +139,15 @@ class HamiltonianSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HamiltonianSpec":
-        try:
-            n = config_int(d["n_qubits"], "hamiltonian.n_qubits")
-            terms = tuple(
-                PairTerm.from_dict(t, f"hamiltonian.terms[{i}]") for i, t in enumerate(d["terms"]))
-        except (KeyError, TypeError) as exc:
-            raise ConfigError("malformed Hamiltonian spec") from exc
-        try:
-            return cls(n, terms)
-        except UsageError as exc:
-            raise ConfigError(str(exc)) from exc
+        """The config object ``hamiltonian``; ConfigError names the first bad or missing key."""
+        config_object(d, "hamiltonian", required=("n_qubits", "terms"))
+        n, terms = config_int(d["n_qubits"], "hamiltonian.n_qubits"), d["terms"]
+        if n < 1:
+            raise ConfigError(f"hamiltonian.n_qubits must give at least one qubit, got {n}")
+        if not isinstance(terms, (list, tuple)):
+            raise ConfigError(f"hamiltonian.terms must be a list, got {terms!r}")
+        return cls(n, tuple(PairTerm.from_dict(t, f"hamiltonian.terms[{i}]", n)
+                            for i, t in enumerate(terms)))
 
     @classmethod
     def chain_1d(cls, n_qubits: int, axes: str = "XX", coeff: float = 1.0) -> "HamiltonianSpec":
@@ -229,7 +250,7 @@ def plan_unitary(plan: TrotterPlan) -> np.ndarray:
 
 
 def _round_success_probability(angle: float) -> float:
-    """Plus-outcome probability for the first round aiming ``angle`` (exact law)."""
+    """Plus-outcome probability ((1-eps)^2 + eps^2) / 2 of the first round aiming ``angle``."""
     a = abs(math.remainder(angle, math.pi))
     if a <= 1e-15:
         return 1.0
@@ -237,12 +258,14 @@ def _round_success_probability(angle: float) -> float:
 
 
 def round_budget(plan: TrotterPlan, confidence: float = 0.99) -> dict:
-    """Expected feedback-round costs of a plan.
+    """First-level estimate of a plan's feedback-round costs.
 
-    serial_rounds: sum over all rotations of the geometric mean 1/q where q
-    is the rotation's Plus probability.  parallel_depth: per layer, the
-    smallest round allowance r with (1 - (1-q_min)^r)^g >= confidence for the
-    g rotations in the layer, summed over layers and sweeps.
+    Each rotation counts 1/q rounds, q the Plus probability of its first
+    round under the default policy with no loss; later doubling levels, the
+    plan's policy and loss are left out, so the counts run low.
+    serial_rounds: the sum of 1/q over all rotations.  parallel_depth: per
+    layer, the smallest round allowance r with (1 - (1-q_min)^r)^g >=
+    confidence for the g rotations in the layer, summed over layers and sweeps.
     """
     if plan.rotations_per_sweep == 0:
         return {

@@ -148,15 +148,15 @@ def realize_v_kl(
     """Realize e^{i t s_k x s_l} on ``pair`` modulo the tracked error frame.
 
     Each round draws a branch of the XX table ``round_branches(eps, loss)``
-    (lossless when ``loss`` is None; the (k, l) table has the same weights,
-    records and eigenphases) from the angle's cached doubling levels with one
-    ``rng.random()`` (a numpy Generator or any object whose ``random()``
-    returns a uniform in [0, 1)) and multiplies the branch's eigenvalues on
-    P_j = (1 +- s_k)/2 (x) (1 +- s_l)/2 into four running phases d_j.  Then
-    sum_j d_j P_j, a sum of the Pauli strings I, s_k, s_l and s_k s_l on the
-    pair, is applied once, when the rotation ends or runs out of rounds.  On
-    success the frame-corrected output equals the exact rotation applied to
-    the frame-corrected input, up to global phase.
+    (lossless when ``loss`` is None; conjugation by u_k (x) u_l carries it to
+    (k, l) with the same weights, records and eigenphases) from the angle's
+    cached doubling levels with one ``rng.random()`` (a numpy Generator or
+    any object whose ``random()`` returns a uniform in [0, 1)) and multiplies
+    its eigenvalues on P_j = (1 +- s_k)/2 (x) (1 +- s_l)/2 into four running
+    phases d_j.  Then sum_j d_j P_j, a sum of the Pauli strings I, s_k, s_l
+    and s_k s_l on the pair, is applied once, when the rotation ends or runs
+    out of rounds.  On success the frame-corrected output equals the exact
+    rotation applied to the frame-corrected input, up to global phase.
     Raises IncompleteRotationError (with state, frame, and residual attached)
     if max_rounds is exhausted.
     """

@@ -25,8 +25,10 @@ from .compiler import (
     TrotterPlan,
     compile_plan,
     config_bool,
+    config_choice,
     config_float,
     config_int,
+    config_object,
 )
 from .emission import BeamSplitterOutcome, PhotonEncoding, outcome_probabilities
 from .errors import ConfigError, IncompleteRotationError, ResourceError
@@ -44,21 +46,6 @@ from .statevec import (
 
 _H_GATE = np.array([[1, 1], [1, -1]], dtype=float) / np.sqrt(2)
 
-_TOP_KEYS = {
-    "hamiltonian", "t", "n_steps", "policy", "loss", "initial_state", "trajectories", "master_seed",
-}
-
-
-def _check_keys(d, path: str, known: set) -> dict:
-    """``d`` itself, after checking it is an object with no key outside ``known``."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path or 'configuration'} must be an object")
-    unknown = sorted(set(d) - known)
-    if unknown:
-        prefix = f"{path}." if path else ""
-        raise ConfigError("unknown key " + ", ".join(prefix + str(k) for k in unknown))
-    return d
-
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -73,29 +60,28 @@ class ProtocolConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProtocolConfig":
-        """Parse a configuration object; ConfigError names the first bad or unknown key."""
+        """Parse a configuration object; ConfigError names the first bad, unknown or missing key."""
         try:
-            _check_keys(d, "", _TOP_KEYS)
-            ham = _check_keys(d["hamiltonian"], "hamiltonian", {"n_qubits", "terms"})
-            for i, term in enumerate(ham.get("terms", [])):
-                _check_keys(term, f"hamiltonian.terms[{i}]", {"sites", "axes", "coeff"})
-            h = HamiltonianSpec.from_dict(ham)
+            config_object(d, "", ("policy", "loss", "initial_state", "trajectories", "master_seed"),
+                          ("hamiltonian", "t", "n_steps"))
+            h = HamiltonianSpec.from_dict(d["hamiltonian"])
             t = config_float(d["t"], "t")
             n_steps = config_int(d["n_steps"], "n_steps")
-            pol = _check_keys(d.get("policy", {}), "policy", {"mode", "max_rounds"})
+            pol = config_object(d.get("policy", {}), "policy", {"mode", "max_rounds"})
             policy = EpsilonPolicy(
-                mode=PolicyMode(pol.get("mode", "residual_exact")),
+                mode=config_choice(PolicyMode, pol.get("mode", "residual_exact"), "policy.mode"),
                 max_rounds=config_int(pol.get("max_rounds", 64), "policy.max_rounds"),
             )
-            lo = _check_keys(d.get("loss", {}), "loss", {"p_loss", "encoding", "backup_enabled"})
+            lo = config_object(d.get("loss", {}), "loss", {"p_loss", "encoding", "backup_enabled"})
             loss = LossConfig(
                 p_loss=config_float(lo.get("p_loss", 0.0), "loss.p_loss"),
-                encoding=PhotonEncoding(lo.get("encoding", "polarization")),
+                encoding=config_choice(
+                    PhotonEncoding, lo.get("encoding", "polarization"), "loss.encoding"),
                 backup_enabled=config_bool(lo.get("backup_enabled", False), "loss.backup_enabled"),
             )
             initial = d.get("initial_state", "all_zeros")
             if not isinstance(initial, str):
-                if len(_check_keys(initial, "initial_state", {"random_seed", "amplitudes"})) != 1:
+                if len(config_object(initial, "initial_state", {"random_seed", "amplitudes"})) != 1:
                     raise ConfigError("initial_state needs exactly one of random_seed, amplitudes")
             trajectories = config_int(d.get("trajectories", 1), "trajectories")
             master_seed = config_int(d.get("master_seed", 0), "master_seed")

@@ -31,7 +31,7 @@ from .emission import (
     _require_vacuum,
 )
 from .errors import ProtocolError, UsageError
-from .pauli import PauliAxis, conjugation_unitary
+from .pauli import PauliAxis
 from .statevec import RegisterLayout, StateVector, _apply, measure_and_reset
 
 # Measurement bases, one vector per row: computational (one qubit, a mode pair)
@@ -219,20 +219,18 @@ class RoundTable:
     """Every branch of one round: ``kraus[i]`` is the operator of ``branches[i]``.
 
     ``kraus`` is a read-only (B, 4, 4) stack of operators on the (first,
-    second) atom, first the low bit, in the table for the axis pair (k, l).
-    Each is a weighted unitary sqrt(w_i) U_i: ``unitaries`` stacks the U_i and
-    ``cumulative`` holds the running sums of the w_i, the last exactly 1.0.
-    Every U_i is diagonal in one basis per axis pair: ``projectors`` is the
-    read-only (4, 4, 4) stack of its rank-one projectors P_j and the read-only
-    (B, 4) ``phases`` hold the unit-modulus eigenvalues, so
-    U_i = sum_j phases[i, j] P_j.
+    second) atom, first the low bit, in the XX picture.  Each is a weighted
+    unitary sqrt(w_i) U_i: ``unitaries`` stacks the U_i and ``cumulative``
+    holds the running sums of the w_i, the last exactly 1.0.  Every U_i is
+    diagonal in the joint eigenbasis of X (x) 1 and 1 (x) X: the read-only
+    (B, 4) ``phases`` hold its unit-modulus eigenvalues on the projectors
+    ``_SIGN_PROJECTORS``, so U_i = sum_j phases[i, j] P_j.
     """
 
     kraus: np.ndarray
     branches: tuple[RoundBranch, ...]
     unitaries: np.ndarray
     cumulative: tuple[float, ...]
-    projectors: np.ndarray
     phases: np.ndarray
 
 
@@ -240,21 +238,14 @@ _LOSS_PATTERNS = ((True, False), (False, True), (True, True))
 _PAIR_BITS = ((0, 0), (1, 0), (0, 1), (1, 1))  # (first, second): index first + 2*second
 _ZERO_BRANCH = 1e-24  # weight w (K^dag K = w 1) under which a branch counts as zero
 
-
-@functools.cache
-def _sign_projectors(axes: tuple[PauliAxis, PauliAxis]) -> np.ndarray:
-    """The read-only stack (1 +- s_k)/2 (x) (1 +- s_l)/2 for ``axes`` = (k, l), first atom low bit.
-
-    In the XX picture every branch is a sum of II, XI, IX and XX (emission
-    flips an atom exactly when it fills that atom's mode), so after the
-    conjugation for (k, l) it is diagonal in the joint eigenbasis of s_k (x) 1
-    and 1 (x) s_l, which these rank-one projectors span.  Their entries are
-    0, +-1/2 and +-i/2, exact in floating point, so they sum to 1 exactly.
-    """
-    k, l = ([(np.eye(2) + s * a.matrix()) / 2 for s in (1, -1)] for a in axes)
-    projectors = np.array([np.kron(pl, pk) for pl in l for pk in k])
-    projectors.flags.writeable = False
-    return projectors
+# The read-only stack (1 +- X)/2 (x) (1 +- X)/2, first atom low bit: P_j with
+# j = (first sign bit) + 2 (second sign bit).  Emission flips an atom exactly
+# when it fills that atom's mode, so every branch is a sum of II, XI, IX and XX,
+# diagonal in these rank-one projectors.  Their entries are 0 and +-1/2, exact
+# in floating point, so they sum to 1 exactly.
+_X_SIGNS = [(np.eye(2) + s * PauliAxis.X.matrix()) / 2 for s in (1, -1)]
+_SIGN_PROJECTORS = np.array([np.kron(second, first) for second in _X_SIGNS for first in _X_SIGNS])
+_SIGN_PROJECTORS.flags.writeable = False
 
 
 def _round_outcomes(loss: LossConfig):
@@ -290,9 +281,7 @@ def _round_outcomes(loss: LossConfig):
 
 
 @functools.lru_cache(maxsize=256)
-def round_branches(
-    eps: float, loss: LossConfig, axes: tuple[PauliAxis, PauliAxis] = (PauliAxis.X, PauliAxis.X)
-) -> RoundTable:
+def round_branches(eps: float, loss: LossConfig) -> RoundTable:
     """Every branch of one feedback round at strength ``eps``, as Kraus operators on the pair.
 
     The round kind follows from ``loss``: the backup round when
@@ -302,15 +291,14 @@ def round_branches(
     pair's basis states and its photon and backup modes are contracted with
     the state each outcome leaves them in; hidden environment bits give
     separate branches, and branches whose operator is zero are dropped.
-    The model acts in the XX picture; for the axis pair ``axes`` = (k, l)
-    every operator is conjugated by u_k (x) u_l (``conjugation_unitary``),
-    since u e^{it XX} u^dag = e^{it s_k x s_l} and u X u^dag = s_k.  That
-    leaves the weights, records and eigenphases unchanged, so the feedback
-    controller reads the XX table (the default ``axes``) for every axis pair.
+    The table is in the XX picture, the one the model acts in.  The feedback
+    controller reads it for every axis pair (k, l): u e^{it XX} u^dag =
+    e^{it s_k x s_l} and u X u^dag = s_k for u = u_k (x) u_l, so the
+    weights, records and eigenphases hold on the projectors of s_k and s_l.
     Lossless rounds list (minus, plus, hh, vv) in that order.  Raises
     ProtocolError unless each K^dag K = w 1 and the w sum to one, so a draw
     does not depend on the pair's state, and unless each unitary is diagonal
-    in ``_sign_projectors(axes)``, so the unitaries commute.
+    in ``_SIGN_PROJECTORS``, so the unitaries commute.
     """
     if loss.backup_enabled:
         stage = functools.partial(
@@ -329,8 +317,7 @@ def round_branches(
     tensor = out.reshape(4, -1, 4).transpose(1, 2, 0)  # (mode state, atom out, atom in)
 
     modes, records = zip(*_round_outcomes(loss))
-    u = np.kron(conjugation_unitary(axes[1]), conjugation_unitary(axes[0]))
-    kraus = u @ np.tensordot(np.conj(modes), tensor, axes=1) @ u.conj().T
+    kraus = np.tensordot(np.conj(modes), tensor, axes=1)
     gram = np.einsum("bki,bkj->bij", kraus.conj(), kraus)
     weights = np.einsum("bii->b", gram).real / 4
     if not (np.allclose(gram, weights[:, None, None] * np.eye(4), atol=1e-10)
@@ -339,13 +326,12 @@ def round_branches(
     keep = weights > _ZERO_BRANCH
     kraus, weights = kraus[keep], weights[keep]
     unitaries = kraus / np.sqrt(weights)[:, None, None]
-    projectors = _sign_projectors(axes)
-    phases = np.einsum("jik,bki->bj", projectors, unitaries)  # tr(P_j U_b)
-    if np.abs(np.einsum("bj,jik->bik", phases, projectors) - unitaries).max() > 1e-10:
+    phases = np.einsum("jik,bki->bj", _SIGN_PROJECTORS, unitaries)  # tr(P_j U_b)
+    if np.abs(np.einsum("bj,jik->bik", phases, _SIGN_PROJECTORS) - unitaries).max() > 1e-10:
         raise ProtocolError(f"round branches at eps={eps} do not share one eigenbasis")
     phases /= np.abs(phases)  # unit modulus, so a long product does not drift
     cumulative = (*(np.cumsum(weights[:-1]) / weights.sum()).tolist(), 1.0)
     for a in (kraus, unitaries, phases):
         a.flags.writeable = False
     branches = tuple(RoundBranch(*r) for r, k in zip(records, keep) if k)
-    return RoundTable(kraus, branches, unitaries, cumulative, projectors, phases)
+    return RoundTable(kraus, branches, unitaries, cumulative, phases)

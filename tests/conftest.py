@@ -28,6 +28,15 @@ def kron_le(*ops):
     return m
 
 
+def sign_projectors(axes):
+    """The stack (1 +- s_k)/2 (x) (1 +- s_l)/2 for ``axes`` = (k, l), first atom low bit.
+
+    P_j has sign bit j & 1 on the first atom and j >> 1 on the second.
+    """
+    k, l = ([(np.eye(2) + s * a.matrix()) / 2 for s in (1, -1)] for a in axes)
+    return np.array([np.kron(pl, pk) for pl in l for pk in k])
+
+
 def rot_xx(t):
     xx = kron_le(X, X)
     return np.cos(t) * np.eye(4) + 1j * np.sin(t) * xx

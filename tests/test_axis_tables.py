@@ -1,10 +1,11 @@
-"""Axis-pair round tables against the dressing construction they replace.
+"""Rotations on any axis pair against the dressing construction they replace.
 
 A rotation e^{it s_k x s_l} can be built from the XX rotation: dress the pair
 with u_k^dag (x) u_l^dag, run ``realize_v`` on the XX table, undress with
-u_k (x) u_l.  ``realize_v_kl`` draws from the table for (k, l), whose
-operators carry that conjugation, so with the same seed both give the same
-rounds, the same state and the same frame once X is read as s_k and s_l.
+u_k (x) u_l.  ``realize_v_kl`` draws from the same XX table and applies its
+eigenphases on the eigenprojectors of s_k and s_l, and its byproducts as s_k
+and s_l, so with the same seed both give the same rounds, the same state and
+the same frame once X is read as s_k and s_l.
 """
 
 import dataclasses

@@ -10,6 +10,8 @@ import mfsim.compiler
 from mfsim.cli import EXIT_CONFIG, EXIT_INCOMPLETE, EXIT_OK, EXIT_RESOURCE, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# the package from the source tree, and no bytecode written into it
+CHILD_ENV = {"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
 XX_PAIR = {"n_qubits": 2, "terms": [{"sites": [0, 1], "axes": "XX", "coeff": 1.0}]}
 
 
@@ -115,6 +117,16 @@ class TestSimulate:
         ({"initial_state": {"amplitudes": [[True, 0]] + [[0, 0]] * 3}}, "initial_state.amplitudes"),
         ({"initial_state": {"amplitudes": [["0.5", 0]] * 4}}, "initial_state.amplitudes"),
         ({"initial_state": {"amplitudes": [[1, "nan"]] * 4}}, "initial_state.amplitudes"),
+        ({"policy": {"mode": "x"}}, "policy.mode"),
+        ({"loss": {"encoding": "x"}}, "loss.encoding"),
+        ({"hamiltonian": {"n_qubits": 2, "terms": 5}}, "hamiltonian.terms"),
+        ({"hamiltonian": {"terms": XX_PAIR["terms"]}}, "hamiltonian.n_qubits"),
+        ({"hamiltonian": {"n_qubits": 2, "terms": [{"sites": [0, 0], "axes": "XX", "coeff": 1}]}},
+         "hamiltonian.terms[0].sites"),
+        ({"hamiltonian": {"n_qubits": 2, "terms": [{"sites": [0, 1], "axes": "IX", "coeff": 1}]}},
+         "hamiltonian.terms[0].axes"),
+        ({"hamiltonian": {"n_qubits": 2, "terms": [{"sites": [0, 5], "axes": "XX", "coeff": 1}]}},
+         "hamiltonian.terms[0].sites"),
     ])
     def test_bad_config_exits_2_without_traceback(self, bad, named, tmp_path):
         cfg = {"hamiltonian": XX_PAIR, "t": 0.3, "n_steps": 1, **bad}
@@ -123,7 +135,7 @@ class TestSimulate:
         proc = subprocess.run(
             [sys.executable, "-m", "mfsim.cli", "simulate", "--config", str(path),
              "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env={"PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, env=CHILD_ENV,
         )
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr
@@ -143,7 +155,7 @@ class TestSimulate:
         out = ["--out", str(tmp_path / "out")] if command == "simulate" else []
         proc = subprocess.run(
             [sys.executable, "-m", "mfsim.cli", command, "--config", str(path), *out],
-            capture_output=True, text=True, env={"PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, env=CHILD_ENV,
         )
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr
@@ -159,7 +171,7 @@ class TestSimulate:
         proc = subprocess.run(
             [sys.executable, "-m", "mfsim.cli", "simulate", "--config", str(path),
              "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env={"PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, env=CHILD_ENV,
         )
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr

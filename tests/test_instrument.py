@@ -1,18 +1,20 @@
 """Round tables against the photon-level model they are compiled from.
 
-Every round kind is checked on an eps grid: the Kraus operators are complete
-for all nine rotation axis pairs, each is a weighted unitary, each lossless
-and backup branch is the operation its record names on those axes, and each
-post-state the photon-level model produces is the renormalized K psi of a
-branch with the same visible record.  A chi-square test compares the
-photon-level record frequencies with ||K psi||^2, and the controller's
-classical draw is compared with a draw on the state every round.
+Every round kind is checked on an eps grid: the Kraus operators, carried
+from the XX table to all nine rotation axis pairs, are complete, each is a
+weighted unitary, each lossless and backup branch is the operation its
+record names on those axes, and each post-state the photon-level model
+produces is the renormalized K psi of a branch with the same visible
+record.  A chi-square test compares the photon-level record frequencies
+with ||K psi||^2, and the controller's classical draw is compared with a
+draw on the state every round.
 """
 
 import bisect
+import functools
 import itertools
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from mfsim.pauli import (
     ErrorFrame, PauliAxis, PauliString, conjugation_unitary, frame_conjugate_direction)
 from mfsim.statevec import RegisterLayout, StateVector, measure
 
-from conftest import AXIS_MATS, H, embedded_state, kron_le
+from conftest import AXIS_MATS, H, I2, X, embedded_state, kron_le, sign_projectors
 
 KINDS = {
     "lossless": LossConfig(),
@@ -51,6 +53,24 @@ DIRECT_EFFECT = {
     "hh": (None, (True, False)),
     "vv": (None, (False, True)),
 }
+
+
+AxisTable = namedtuple("AxisTable", "kraus branches unitaries cumulative projectors phases")
+
+
+@functools.cache  # the per-round reference loop looks a table up every round
+def axis_table(eps, loss, axes):
+    """The XX round table carried to the axis pair ``axes`` = (k, l) by u = u_k (x) u_l.
+
+    u e^{it XX} u^dag = e^{it s_k x s_l} and u X u^dag = s_k, so the weights,
+    records and eigenphases are the XX table's, and ``projectors`` are the
+    eigenprojectors of s_k (x) 1 and 1 (x) s_l.
+    """
+    table = round_branches(eps, loss)
+    u = kron_le(*(conjugation_unitary(a) for a in axes))
+    kraus, unitaries = (u @ m @ u.conj().T for m in (table.kraus, table.unitaries))
+    return AxisTable(kraus, table.branches, unitaries, table.cumulative,
+                     sign_projectors(axes), table.phases)
 
 
 def record(branch):
@@ -101,7 +121,7 @@ def chi2_sf(x, dof):
 @pytest.mark.parametrize("kind", KINDS)
 def test_branches_are_complete(kind):
     for eps, axes in itertools.product(EPS_GRID, AXIS_PAIRS):
-        table = round_branches(eps, KINDS[kind], axes)
+        table = axis_table(eps, KINDS[kind], axes)
         assert table.kraus.shape == (len(table.branches), 4, 4)
         total = sum(k.conj().T @ k for k in table.kraus)
         assert np.max(np.abs(total - np.eye(4))) <= 1e-12, (eps, axes)
@@ -111,7 +131,7 @@ def test_branches_are_complete(kind):
 def test_every_branch_is_a_weighted_unitary(kind):
     rng = np.random.default_rng(5)
     for eps, axes in itertools.product([0.0, 1.0, *EPS_GRID], AXIS_PAIRS):
-        table = round_branches(eps, KINDS[kind], axes)
+        table = axis_table(eps, KINDS[kind], axes)
         assert table.cumulative[-1] == 1.0
         weights = np.diff(table.cumulative, prepend=0.0)
         psi = haar_random_amplitudes(2, rng)
@@ -132,9 +152,10 @@ def test_non_unitary_branch_fails_the_build(monkeypatch):
 @pytest.mark.parametrize("kind", KINDS)
 def test_branch_unitaries_are_diagonal_in_the_table_basis(kind):
     # In the XX picture every branch lies in span{II, XI, IX, XX}, diagonal in
-    # the sign basis; conjugation for the axis pair carries that basis along.
+    # the sign basis; conjugation for the axis pair carries that basis along,
+    # so the XX table's phases hold on the eigenprojectors of s_k and s_l.
     for eps, axes in itertools.product([0.0, 1.0, *EPS_GRID], AXIS_PAIRS):
-        table = round_branches(eps, KINDS[kind], axes)
+        table = axis_table(eps, KINDS[kind], axes)
         w = kron_le(*(conjugation_unitary(a) for a in axes)) @ kron_le(H, H)
         assert np.max(np.abs(table.projectors - np.einsum("ij,kj->jik", w, w.conj()))) <= 1e-12
         assert np.array_equal(table.projectors.sum(axis=0), np.eye(4))
@@ -144,13 +165,13 @@ def test_branch_unitaries_are_diagonal_in_the_table_basis(kind):
         assert np.max(np.abs(np.abs(table.phases) - 1.0)) <= 1e-12, (eps, axes)
         rebuilt = (w * table.phases[:, None, :]) @ w.conj().T
         assert np.max(np.abs(rebuilt - table.unitaries)) <= 1e-12, (eps, axes)
-        assert not (table.projectors.flags.writeable or table.phases.flags.writeable)
+        assert not table.phases.flags.writeable
 
 
 def test_branch_outside_the_basis_fails_the_build(monkeypatch):
     # The computational basis does not diagonalize the rotating branches.
     computational = np.array([np.diag(e) for e in np.eye(4)])
-    monkeypatch.setattr(mfsim.loss, "_sign_projectors", lambda axes: computational)
+    monkeypatch.setattr(mfsim.loss, "_SIGN_PROJECTORS", computational)
     with pytest.raises(ProtocolError):
         round_branches.__wrapped__(0.3, LossConfig())
 
@@ -158,7 +179,7 @@ def test_branch_outside_the_basis_fails_the_build(monkeypatch):
 @pytest.mark.parametrize("kind", ["lossless", "backup", "backup-loss60", "backup-loss90"])
 def test_branches_are_their_named_operation(kind):
     for eps, axes in itertools.product(EPS_GRID, AXIS_PAIRS):
-        table = round_branches(eps, KINDS[kind], axes)
+        table = axis_table(eps, KINDS[kind], axes)
         for k, b in zip(table.kraus, table.branches):
             u = named_operation(b, eps, axes)
             c = np.trace(u.conj().T @ k) / 4
@@ -308,7 +329,8 @@ def unitary_checks(monkeypatch):
 @pytest.mark.parametrize("kind", KINDS)
 def test_cold_table_build_checks_no_gate(kind, unitary_checks):
     for axes in AXIS_PAIRS:
-        round_branches.__wrapped__(0.3, KINDS[kind], axes)
+        round_branches.cache_clear()
+        axis_table.__wrapped__(0.3, KINDS[kind], axes)
     assert unitary_checks == []
 
 
@@ -344,12 +366,16 @@ def test_caller_gates_are_still_checked(unitary_checks):
     assert unitary_checks == [2, 4]
 
 
-def test_sign_projectors_are_built_once_per_axis_pair():
-    for axes in AXIS_PAIRS:
-        projectors = mfsim.loss._sign_projectors(axes)
-        assert projectors is mfsim.loss._sign_projectors(axes)
-        assert not projectors.flags.writeable
-        assert round_branches.__wrapped__(0.3, LossConfig(), axes).projectors is projectors
+def test_sign_projectors_are_one_exact_read_only_stack():
+    projectors = mfsim.loss._SIGN_PROJECTORS
+    assert not projectors.flags.writeable
+    signs = np.array([[1, 1], [1, -1]])
+    exact = np.array([np.outer(v, v) / 4 for v in (np.kron(b, a) for b in signs for a in signs)])
+    assert np.array_equal(projectors, exact)
+    # P_j holds sign bit j & 1 of X on the first atom and j >> 1 on the second
+    for j, p in enumerate(projectors):
+        assert np.array_equal(kron_le(X, I2) @ p, (1 - 2 * (j & 1)) * p)
+        assert np.array_equal(kron_le(I2, X) @ p, (1 - 2 * (j >> 1)) * p)
 
 
 def state_draw_rotation(state, pair, axes, t, policy, frame, rng, loss):
@@ -366,7 +392,7 @@ def state_draw_rotation(state, pair, axes, t, policy, frame, rng, loss):
             break
         aimed = abs(residual)
         eps = policy.eps_for(aimed)
-        table = round_branches(eps, loss, axes)
+        table = axis_table(eps, loss, axes)
         index, state, _ = measure(state, pair, table.kraus, rng)
         b = table.branches[index]
         flipped = {s: a for s, a, f in zip(pair, axes, b.flips) if f}
@@ -510,7 +536,7 @@ def unclosed_rotation(axes, t, policy, sign_swap, loss, rng):
     residual, uniforms, product = reduce_angle(t), [], np.eye(4)
     while len(uniforms) < policy.max_rounds:
         aimed = abs(residual)
-        table = round_branches(policy.eps_for(aimed), loss, axes)
+        table = axis_table(policy.eps_for(aimed), loss, axes)
         u = rng.random()
         i = bisect.bisect_right(table.cumulative, u)
         direction = table.branches[i].direction

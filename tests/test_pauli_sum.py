@@ -23,9 +23,10 @@ from mfsim.harness import (
     run_trajectory,
     trajectory_rng,
 )
-from mfsim.loss import _sign_projectors
 from mfsim.pauli import ErrorFrame, PauliAxis, PauliString
 from mfsim.statevec import RegisterLayout, StateVector, _apply_pauli_sum, _pauli_stack
+
+from conftest import sign_projectors
 
 AXES = (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
 
@@ -62,7 +63,7 @@ def test_pauli_sum_equals_pair_operator_on_eigenprojectors(n, pair, k, l):
     rng = np.random.default_rng(n * 100 + pair[0] * 10 + pair[1])
     state = state_of(haar_random_amplitudes(n, rng))
     d0, d1, d2, d3 = d = np.exp(2j * np.pi * rng.random(4))
-    pair_operator = np.einsum("j,jik->ik", d, _sign_projectors((k, l)))
+    pair_operator = np.einsum("j,jik->ik", d, sign_projectors((k, l)))
     want = mfsim.statevec._apply(state, pair, pair_operator)
     a, b = pair
     masks = ((k.x_bit << a, k.z_bit << a), (l.x_bit << b, l.z_bit << b),
