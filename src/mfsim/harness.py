@@ -85,6 +85,8 @@ class ProtocolConfig:
                     raise ConfigError("initial_state needs exactly one of random_seed, amplitudes")
             trajectories = config_int(d.get("trajectories", 1), "trajectories")
             master_seed = config_int(d.get("master_seed", 0), "master_seed")
+        except ConfigError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad configuration: {exc}") from exc
         if n_steps < 1:
@@ -191,7 +193,9 @@ def _initial_state(init, n: int):
     """
     if isinstance(init, str):
         if init not in _PRESETS:
-            raise ConfigError(f"unknown initial-state preset {init!r}")
+            presets = ", ".join(map(repr, _PRESETS))
+            raise ConfigError(f"initial_state names an unknown initial-state preset {init!r}, "
+                              f"expected one of {presets} or an object")
         return lambda: _PRESETS[init](1 << n)
     try:
         if "random_seed" in init:
@@ -325,11 +329,10 @@ def aggregate_report(cfg: ProtocolConfig, stats: list[TrajectoryStats]) -> dict:
         for k, v in s.outcome_histogram.items():
             histogram[k] = histogram.get(k, 0) + v
     per_rotation: dict[str, list[int]] = {}
-    sweep = list(cfg.plan.sweep_rotations())
+    keys = [f"{r.sites[0]}-{r.sites[1]}:{r.axes[0].value}{r.axes[1].value}"
+            for r in cfg.plan.sweep_rotations()]
     for s in stats:
-        for i, count in enumerate(s.rounds_per_rotation):
-            rot = sweep[i % len(sweep)]
-            key = f"{rot.sites[0]}-{rot.sites[1]}:{rot.axes[0].value}{rot.axes[1].value}"
+        for key, count in zip(itertools.cycle(keys), s.rounds_per_rotation):
             per_rotation.setdefault(key, []).append(count)
 
     n_out = sum(histogram.values())

@@ -63,9 +63,9 @@ class LossConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.p_loss <= 1.0:
-            raise UsageError(f"p_loss={self.p_loss} outside [0, 1]")
+            raise UsageError(f"loss.p_loss must lie in [0, 1], got {self.p_loss}")
         if self.backup_enabled and self.encoding is not PhotonEncoding.POLARIZATION:
-            raise UsageError("the backup protocol requires polarization encoding")
+            raise UsageError("loss.backup_enabled requires loss.encoding 'polarization'")
 
 
 # Entangling a data atom with its reset backup atom at strength eps is photon
@@ -104,21 +104,20 @@ def loss_channel(
 
 
 @dataclass(frozen=True)
-class BackupRoundResult:
-    """One backup-protocol attempt, already reduced to its effective operation.
+class RoundBranch:
+    """What the controller records for one way a round can act on the atom pair.
 
-    ``direction`` is +-1 when the round realized a rotation e^{+-i t XX} on
-    the atoms, None otherwise.  ``flips`` marks X byproducts picked up on the
-    (first, second) atom of the pair.  ``b_bits`` are the backup-atom
-    measurement outcomes (sign bits in the +- basis, values in the
-    computational basis after a loss).
+    ``backup_round`` returns the record of the branch it drew, the row that
+    ``round_branches`` stores for it.  ``label`` is the Bell outcome's value,
+    or "loss" when the round lost a photon.  Branches that differ only in a
+    hidden environment bit share their record.
     """
 
-    bs_outcome: BeamSplitterOutcome | None
-    direction: int | None
-    flips: tuple[bool, bool]
-    b_bits: tuple[int, int]
-    loss: LossPattern
+    label: str
+    direction: Optional[int]  # +-1 for e^{+-i t s_k x s_l}, None for no rotation
+    flips: tuple[bool, bool]  # s_k on the first atom, s_l on the second
+    b_bits: Optional[tuple[int, int]] = None  # backup-atom readings
+    lost: Optional[tuple[bool, bool]] = None  # photons lost, where loss is modeled
 
 
 # Direct-round effect of each beam-splitter outcome: (rotation direction, X flips on the pair).
@@ -169,7 +168,7 @@ def backup_round(
     eps: float,
     cfg: LossConfig,
     rng: np.random.Generator,
-) -> tuple[StateVector, BackupRoundResult]:
+) -> tuple[StateVector, RoundBranch]:
     """One loss-tolerant round: backup entangling, photon copy, loss, measurements.
 
     If both photons arrive the photons get the incomplete Bell measurement and
@@ -177,41 +176,25 @@ def backup_round(
     bits fixes the rotation's time direction.  If any photon is lost the
     backup atoms are measured in the computational basis instead, which
     collapses the register onto a known Pauli branch (no rotation, retry).
+    Returns the state and the drawn branch's record, the one
+    ``round_branches(eps, cfg)`` stores for it.
     """
-    bak_a, bak_a2 = pair_b
     state = _backup_stage(state, pair_a, pair_b, photons, eps)
     state, pattern = loss_channel(state, photons, cfg, rng)
-
-    if not pattern.any_lost:
+    if pattern.any_lost:
+        # A photon is missing: clear any surviving mode, then read the backups in
+        # the computational basis to collapse onto a known Pauli branch.
+        outcome, basis = None, _E2
+        for q, was_lost in zip(photons, pattern.lost):
+            if not was_lost:
+                _, state, _ = measure_and_reset(state, [q], _E2, rng)
+    else:
         outcome, state, _ = beamsplitter_measure(state, photons, rng)
-        s1, state, _ = measure_and_reset(state, [bak_a], _SIGNS, rng)
-        s2, state, _ = measure_and_reset(state, [bak_a2], _SIGNS, rng)
-        direction, flips = _backup_effect(outcome, (s1, s2))
-        return state, BackupRoundResult(outcome, direction, flips, (s1, s2), pattern)
-
-    # A photon is missing: clear any surviving mode, then read the backups in
-    # the computational basis to collapse onto a known Pauli branch.
-    for q, was_lost in zip(photons, pattern.lost):
-        if not was_lost:
-            _, state, _ = measure_and_reset(state, [q], _E2, rng)
-    b1, state, _ = measure_and_reset(state, [bak_a], _E2, rng)
-    b2, state, _ = measure_and_reset(state, [bak_a2], _E2, rng)
-    _, flips = _backup_effect(None, (b1, b2))
-    return state, BackupRoundResult(None, None, flips, (b1, b2), pattern)
-
-
-@dataclass(frozen=True)
-class RoundBranch:
-    """What the controller records for one way a round can act on the atom pair.
-
-    Branches that differ only in a hidden environment bit share their record.
-    """
-
-    label: str
-    direction: Optional[int]  # +-1 for e^{+-i t s_k x s_l}, None for no rotation
-    flips: tuple[bool, bool]  # s_k on the first atom, s_l on the second
-    b_bits: Optional[tuple[int, int]] = None  # backup-atom readings
-    lost: Optional[tuple[bool, bool]] = None  # photons lost, where loss is modeled
+        basis = _SIGNS
+    b1, state, _ = measure_and_reset(state, [pair_b[0]], basis, rng)
+    b2, state, _ = measure_and_reset(state, [pair_b[1]], basis, rng)
+    label = "loss" if outcome is None else outcome.value
+    return state, RoundBranch(label, *_backup_effect(outcome, (b1, b2)), (b1, b2), pattern.lost)
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,15 @@ class TestSimulate:
          "hamiltonian.terms[0].axes"),
         ({"hamiltonian": {"n_qubits": 2, "terms": [{"sites": [0, 5], "axes": "XX", "coeff": 1}]}},
          "hamiltonian.terms[0].sites"),
+        ({"loss": {"p_loss": 1.5}}, "loss.p_loss"),
+        ({"loss": {"p_loss": -0.25, "backup_enabled": True}}, "loss.p_loss"),
+        ({"loss": {"encoding": "occupation", "backup_enabled": True}},
+         "loss.backup_enabled requires loss.encoding"),
+        ({"initial_state": "foo"}, "initial_state names an unknown initial-state preset 'foo'"),
+        # a config error raised while parsing reaches the user as it was raised
+        ({"hamiltonian": {"n_qubits": 0, "terms": []}},
+         "config error: hamiltonian.n_qubits must give at least one qubit"),
+        ({"t": True}, "config error: t must be finite"),
     ])
     def test_bad_config_exits_2_without_traceback(self, bad, named, tmp_path):
         cfg = {"hamiltonian": XX_PAIR, "t": 0.3, "n_steps": 1, **bad}

@@ -86,8 +86,7 @@ def photon_level_round(psi, eps, loss, rng):
     if loss.backup_enabled:
         layout = RegisterLayout.build(2, with_backup=True)
         st, res = backup_round(embedded_state(psi, layout), (0, 1), (2, 3), (4, 5), eps, loss, rng)
-        label = "loss" if res.loss.any_lost else res.bs_outcome.value
-        return (label, res.direction, res.flips, res.b_bits, res.loss.lost), st.amplitudes
+        return record(res), st.amplitudes
     photons = (2, 3)
     st = joint_emission(embedded_state(psi, RegisterLayout.build(2)), (0, 1), photons, eps)
     lost = None

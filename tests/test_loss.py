@@ -13,6 +13,7 @@ from mfsim.loss import (
     backup_round,
     loss_channel,
     photon_copy,
+    round_branches,
 )
 from mfsim.pauli import PauliAxis, PauliString
 from mfsim.statevec import RegisterLayout, StateVector
@@ -144,7 +145,7 @@ class TestBackupRound:
         for _ in range(n):
             st = fresh_round_state(psi, layout)
             _, res = backup_round(st, pa, pb, ph, eps, self.CFG0, rng)
-            counts[res.bs_outcome] += 1
+            counts[BeamSplitterOutcome(res.label)] += 1
         for o, p in analytic.items():
             se = math.sqrt(n * p * (1 - p))
             assert abs(counts[o] - n * p) <= 3.5 * se
@@ -185,7 +186,7 @@ class TestBackupRound:
         for _ in range(40):
             st = fresh_round_state(psi, layout)
             out, res = backup_round(st, pa, pb, ph, 0.45, cfg, rng)
-            assert res.loss.any_lost and res.direction is None
+            assert res.label == "loss" and res.direction is None
             flip = kron_le(
                 X if res.flips[0] else np.eye(2), X if res.flips[1] else np.eye(2)
             )
@@ -201,7 +202,7 @@ class TestBackupRound:
         for _ in range(120):
             st = fresh_round_state(psi, layout)
             out, res = backup_round(st, pa, pb, ph, 0.45, cfg, rng)
-            if res.loss.any_lost and res.loss.lost[0] != res.loss.lost[1]:
+            if res.label == "loss" and res.lost[0] != res.lost[1]:
                 seen_partial += 1
                 flip = kron_le(
                     X if res.flips[0] else np.eye(2), X if res.flips[1] else np.eye(2)
@@ -221,10 +222,23 @@ class TestBackupRound:
             st = fresh_round_state(psi, layout)
             _, res = backup_round(st, pa, pb, ph, 0.3, cfg, rng)
             attempts += 1
-            useful += not res.loss.any_lost
+            useful += res.label != "loss"
         mean = attempts / useful
         want = 1.0 / (1 - p) ** 2
         assert mean == pytest.approx(want, rel=0.25)
+
+    @pytest.mark.parametrize("p_loss", [0.0, 0.6, 0.9, 1.0])
+    def test_round_record_is_a_row_of_its_table(self, p_loss, rng):
+        # the sampled round returns the very record the compiled table stores
+        cfg = LossConfig(p_loss=p_loss, backup_enabled=True)
+        layout = RegisterLayout.build(2, with_backup=True)
+        pa, pb, ph = self.pairs(layout)
+        for eps in (0.05, 0.3, 0.5, 0.95):
+            rows = round_branches(eps, cfg).branches
+            for _ in range(30):
+                st = embedded_state(haar_random_amplitudes(2, rng), layout)
+                _, res = backup_round(st, pa, pb, ph, eps, cfg, rng)
+                assert res in rows, (eps, res)
 
 
 class TestClassifyRoundEffect:
