@@ -35,6 +35,8 @@ class PhotonEncoding(Enum):
     OCCUPATION = "occupation"
     POLARIZATION = "polarization"
 
+    __hash__ = object.__hash__  # identity, as equality is; the loss config keys round caches
+
 
 class BeamSplitterOutcome(Enum):
     MINUS = "minus"  # (|HV> - |VH>)/sqrt2

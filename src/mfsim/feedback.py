@@ -36,7 +36,7 @@ from .errors import IncompleteRotationError, UsageError
 from .loss import LossConfig, round_branches
 from .pauli import ErrorFrame, PauliAxis, PauliString, mask_text
 from .statevec import StateVector, apply_local  # noqa: F401 (perfbench traces it)
-from .statevec import _apply_pauli_sum as _apply
+from .statevec import _apply_pauli_sum as _apply, _pauli_stack
 
 _ANGLE_TOL = 1e-12
 
@@ -44,6 +44,8 @@ _ANGLE_TOL = 1e-12
 class PolicyMode(Enum):
     RESIDUAL_EXACT = "residual_exact"
     PAPER_DOUBLING = "paper_doubling"
+
+    __hash__ = object.__hash__  # identity, as equality is; the policy keys the level cache
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,8 @@ class _Level:
     (the branch closes it), else the level at the doubled residual, built,
     with its table, on the first round drawn here.  ``records[i]`` maps a
     frame's text to the one record of branch i drawn here with that frame.
+    ``rows[s < 0][i]`` is what a round reads: (*phases[i], flips[i],
+    records[i], next[s < 0][i]).
     """
 
     def __init__(self, residual: float, policy: EpsilonPolicy, loss: LossConfig):
@@ -123,6 +127,12 @@ class _Level:
         return tuple(tuple(self if b.direction is None else None if s * b.direction == sign
                            else doubled for b in self.branches) for s in (1, -1))
 
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[tuple, ...], ...]:
+        return tuple(tuple((*p, f, r, s) for p, f, r, s in
+                           zip(self.phases, self.flips, self.records, successors))
+                     for successors in self.next)
+
 
 def _level(residual: float, policy: EpsilonPolicy, loss: LossConfig) -> Optional[_Level]:
     return _Level(residual, policy, loss) if abs(residual) > _ANGLE_TOL else None
@@ -132,6 +142,30 @@ def _level(residual: float, policy: EpsilonPolicy, loss: LossConfig) -> Optional
 def _first_level(t_target, policy, loss) -> Optional[_Level]:
     """The level a rotation starts at, kept for every angle run; None for a multiple of pi."""
     return _level(reduce_angle(t_target), policy, loss)
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _pair_record(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis):
+    """The checked masks of a rotation on sites (a, b) of n qubits, and its Pauli-sum stack.
+
+    ``flips[c]`` are the masks of I, s_k, s_l and s_k s_l on the pair: a
+    branch with flip code c XORs them into the frame, and the last three
+    are the Pauli sum's terms, whose ``_pauli_stack`` arrays come back as is.
+    Bad input raises on every call, since an exception is not cached, and
+    the key is typed, so a float site never reads an integer site's entry.
+    An entry keeps its stack alive after ``_pauli_stack`` evicts it, so at
+    the 12-qubit cap the two caches hold at most twice that cache's 72 MB.
+    """
+    if k is PauliAxis.I or l is PauliAxis.I:
+        raise UsageError("rotation axes must be X, Y, or Z")
+    if a == b:
+        raise UsageError("rotation needs two distinct qubits")
+    for site in (a, b):
+        if not 0 <= site < n:
+            raise UsageError(f"site {site} outside register of size {n}")
+    ka, lb = (k.x_bit << a, k.z_bit << a), (l.x_bit << b, l.z_bit << b)
+    flips = ((0, 0), ka, lb, (ka[0] | lb[0], ka[1] | lb[1]))
+    return flips, _pauli_stack(n, flips[1:])
 
 
 def realize_v_kl(
@@ -160,23 +194,14 @@ def realize_v_kl(
     Raises IncompleteRotationError (with state, frame, and residual attached)
     if max_rounds is exhausted.
     """
-    if k is PauliAxis.I or l is PauliAxis.I:
-        raise UsageError("rotation axes must be X, Y, or Z")
-    if pair[0] == pair[1]:
-        raise UsageError("rotation needs two distinct qubits")
     n = state.n_qubits
-    for site in pair:
-        if not 0 <= site < n:
-            raise UsageError(f"site {site} outside register of size {n}")
-    if frame.byproduct.n != n:
-        raise UsageError(f"length mismatch: {frame.byproduct.n} vs {n}")
-    # The masks of I, s_k, s_l and s_k s_l on the pair: flips[c] is XORed into
-    # the frame by a branch with flip code c, and the Pauli sum's terms.
     a, b = pair
-    ka, lb = (k.x_bit << a, k.z_bit << a), (l.x_bit << b, l.z_bit << b)
-    flips = ((0, 0), ka, lb, (ka[0] | lb[0], ka[1] | lb[1]))
+    flips, stack = _pair_record(n, a, b, k, l)
+    byproduct = frame.byproduct
+    if byproduct.n != n:
+        raise UsageError(f"length mismatch: {byproduct.n} vs {n}")
     tx, tz = flips[3]
-    x, z = frame.byproduct.x, frame.byproduct.z
+    x, z = byproduct.x, byproduct.z
     # A round's byproducts s_k (x) 1 and 1 (x) s_l both commute with the target
     # s_k (x) s_l, so the frame's commutation with it, and this sign, hold for
     # the whole rotation: it picks the level's successors.
@@ -186,32 +211,33 @@ def realize_v_kl(
     if level is None:
         return state, frame, records
 
-    text = str(frame)
+    text = mask_text(n, x, z)
     flipped = False
     d0 = d1 = d2 = d3 = 1.0 + 0j  # eigenvalues of the product of the drawn unitaries
-    draw = rng.random
+    draw, bisect_right, append = rng.random, bisect.bisect_right, records.append
+    current = None
     for _ in range(policy.max_rounds):
-        i = bisect.bisect_right(level.cumulative, draw())
-        p0, p1, p2, p3 = level.phases[i]
+        if level is not current:  # rows build the successors, so read them on arrival only
+            current, cumulative, rows = level, level.cumulative, level.rows[swapped]
+        i = bisect_right(cumulative, draw())
+        p0, p1, p2, p3, code, by_text, level = rows[i]
         d0, d1, d2, d3 = d0 * p0, d1 * p1, d2 * p2, d3 * p3
-        code = level.flips[i]
         if code:
             dx, dz = flips[code]
             x, z = x ^ dx, z ^ dz
             text = mask_text(n, x, z)
             flipped = True
-        rec = level.records[i].get(text)
+        rec = by_text.get(text)
         if rec is None:
-            out = level.branches[i]
-            rec = level.records[i][text] = RoundRecord(
-                out.label, level.eps, level.aimed, text, out.b_bits, out.lost)
-        records.append(rec)
-        level = level.next[swapped][i]
+            out = current.branches[i]
+            rec = by_text[text] = RoundRecord(
+                out.label, current.eps, current.aimed, text, out.b_bits, out.lost)
+        append(rec)
         if level is None:
             break
 
     if records:  # sum_j d_j P_j, with P_j's sign bits j = (s_k bit) + 2 (s_l bit)
-        state = _apply(state, (d0 + d1 + d2 + d3) / 4, flips[1:], (
+        state = _apply(state, (d0 + d1 + d2 + d3) / 4, stack, (
             (d0 - d1 + d2 - d3) / 4, (d0 + d1 - d2 - d3) / 4, (d0 - d1 - d2 + d3) / 4))
     if flipped:
         frame = ErrorFrame(PauliString.from_masks(n, x, z))

@@ -268,19 +268,20 @@ def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
     rounds_per_rotation: list[int] = []
     failure_reason = None
 
-    for rot in (r for _ in range(cfg.plan.n_steps) for r in cfg.plan.sweep_rotations()):
-        try:
-            state, frame, recs = realize_v_kl(
-                state, rot.sites, rot.axes[0], rot.axes[1], rot.angle,
-                cfg.policy, frame, rng, cfg.loss,
-            )
-        except IncompleteRotationError as exc:
-            state, frame, recs = exc.state, exc.frame, exc.records
-            failure_reason = f"rotation on {rot.sites} incomplete, residual {exc.residual:.3e}"
-        all_records.extend(recs)
-        rounds_per_rotation.append(len(recs))
-        if failure_reason is not None:
-            break
+    policy, loss = cfg.policy, cfg.loss
+    sweep = [(rot.sites, *rot.axes, rot.angle) for rot in cfg.plan.sweep_rotations()]
+    try:
+        for _ in range(cfg.plan.n_steps if sweep else 0):  # an empty sweep takes no steps
+            for sites, k, l, angle in sweep:
+                state, frame, recs = realize_v_kl(
+                    state, sites, k, l, angle, policy, frame, rng, loss)
+                all_records.extend(recs)
+                rounds_per_rotation.append(len(recs))
+    except IncompleteRotationError as exc:
+        state, frame = exc.state, exc.frame
+        all_records.extend(exc.records)
+        rounds_per_rotation.append(len(exc.records))
+        failure_reason = f"rotation on {sites} incomplete, residual {exc.residual:.3e}"
 
     corrected = apply_pauli_string(state, frame.byproduct)
     fid = float(abs(np.vdot(cfg.oracle_state, corrected.amplitudes)) ** 2)

@@ -263,6 +263,18 @@ def _round_outcomes(loss: LossConfig):
                     yield w * emptied.T @ v, (o.value, *_OUTCOME_EFFECT[o], None, lost)
 
 
+@functools.lru_cache(maxsize=64)
+def _outcome_stack(loss: LossConfig) -> tuple[np.ndarray, tuple[RoundBranch, ...]]:
+    """The conjugated mode states of ``_round_outcomes(loss)``, read-only, and their records.
+
+    Neither depends on eps, so every table of one loss config shares them.
+    """
+    modes, records = zip(*_round_outcomes(loss))
+    conjugated = np.conj(modes)
+    conjugated.flags.writeable = False
+    return conjugated, tuple(RoundBranch(*r) for r in records)
+
+
 @functools.lru_cache(maxsize=256)
 def round_branches(eps: float, loss: LossConfig) -> RoundTable:
     """Every branch of one feedback round at strength ``eps``, as Kraus operators on the pair.
@@ -299,8 +311,8 @@ def round_branches(eps: float, loss: LossConfig) -> RoundTable:
     out = stage(StateVector(choi, layout)).amplitudes
     tensor = out.reshape(4, -1, 4).transpose(1, 2, 0)  # (mode state, atom out, atom in)
 
-    modes, records = zip(*_round_outcomes(loss))
-    kraus = np.tensordot(np.conj(modes), tensor, axes=1)
+    modes, records = _outcome_stack(loss)
+    kraus = np.tensordot(modes, tensor, axes=1)
     gram = np.einsum("bki,bkj->bij", kraus.conj(), kraus)
     weights = np.einsum("bii->b", gram).real / 4
     if not (np.allclose(gram, weights[:, None, None] * np.eye(4), atol=1e-10)
@@ -316,5 +328,5 @@ def round_branches(eps: float, loss: LossConfig) -> RoundTable:
     cumulative = (*(np.cumsum(weights[:-1]) / weights.sum()).tolist(), 1.0)
     for a in (kraus, unitaries, phases):
         a.flags.writeable = False
-    branches = tuple(RoundBranch(*r) for r, k in zip(records, keep) if k)
+    branches = tuple(r for r, k in zip(records, keep) if k)
     return RoundTable(kraus, branches, unitaries, cumulative, phases)

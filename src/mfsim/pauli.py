@@ -29,6 +29,8 @@ class PauliAxis(Enum):
     Y = "Y"
     Z = "Z"
 
+    __hash__ = object.__hash__  # identity, as equality is; the axes key the pair-record cache
+
     def __init__(self, value: str):
         # symplectic bits of the axis
         self.x_bit = int(value in "XY")

@@ -175,15 +175,15 @@ def _pauli_stack(n: int, masks: tuple[tuple[int, int], ...]) -> tuple[np.ndarray
     return index, phase
 
 
-def _apply_pauli_sum(state: StateVector, c0: complex, masks: tuple[tuple[int, int], ...],
+def _apply_pauli_sum(state: StateVector, c0: complex, stack: tuple[np.ndarray, np.ndarray],
                      coeffs: Sequence[complex]) -> StateVector:
-    """(c0 + sum_r coeffs[r] P_r) psi for the Pauli strings of ``_pauli_stack(n, masks)``.
+    """(c0 + sum_r coeffs[r] P_r) psi for the Pauli strings of ``stack = _pauli_stack(n, masks)``.
 
     One gather, one in-place multiply by the phases and one dot.  The
     identity term is a scaled copy of psi rather than a row of the stack,
     which at 12 qubits saves more than the extra add costs.
     """
-    index, phase = _pauli_stack(state.n_qubits, masks)
+    index, phase = stack
     terms = state.amplitudes[index]
     terms *= phase
     out = state.amplitudes * c0

@@ -84,6 +84,20 @@ class TestSimulate:
         path.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(path)]) == EXIT_RESOURCE
 
+    def test_empty_sweep_takes_no_steps(self, tmp_path):
+        # No term, no rotation: even 1e15 steps must finish at once without a round.
+        cfg = {"hamiltonian": {"n_qubits": 2, "terms": []}, "t": 0.3, "n_steps": 1e15,
+               "trajectories": 2}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfsim.cli", "simulate", "--config", str(path),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=CHILD_ENV, timeout=60,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        audit = (tmp_path / "out" / "audit.jsonl").read_text().splitlines()
+        assert [json.loads(line)["rounds_per_rotation"] for line in audit] == [[], []]
 
     @pytest.mark.parametrize("bad,named", [
         ({"loss": {"p_los": 0.9, "backup_enabled": True}}, "loss.p_los"),

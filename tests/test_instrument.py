@@ -143,9 +143,15 @@ def test_every_branch_is_a_weighted_unitary(kind):
 def test_non_unitary_branch_fails_the_build(monkeypatch):
     # The environment reads lost photons in a Hadamard-rotated basis: the 16
     # branches stay complete, but the loss branches are no longer unitaries.
+    # The outcome modes are cached per loss config: rebuild them from the
+    # patched basis, and drop them again so no later table reads them.
+    mfsim.loss._outcome_stack.cache_clear()
     monkeypatch.setattr(mfsim.loss, "_E4", kron_le(H, H))
-    with pytest.raises(ProtocolError):
-        round_branches.__wrapped__(0.3, LossConfig(p_loss=0.3))
+    try:
+        with pytest.raises(ProtocolError):
+            round_branches.__wrapped__(0.3, LossConfig(p_loss=0.3))
+    finally:
+        mfsim.loss._outcome_stack.cache_clear()
 
 
 @pytest.mark.parametrize("kind", KINDS)

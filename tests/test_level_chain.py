@@ -7,11 +7,14 @@ and hold one successor tuple per frame sign.
 """
 
 import itertools
+import types
 
 import numpy as np
 import pytest
 
 import mfsim.feedback
+from mfsim.emission import PhotonEncoding
+from mfsim.errors import IncompleteRotationError
 from mfsim.feedback import EpsilonPolicy, PolicyMode, _first_level, realize_v_kl, reduce_angle
 from mfsim.harness import ProtocolConfig, haar_random_amplitudes, run_trajectory
 from mfsim.loss import LossConfig, round_branches
@@ -128,3 +131,40 @@ def test_heisenberg_warm_run_reproduces_cold_run(extra, cold_caches, built_level
     assert warm == cold
     assert len(built_levels) == n_built  # the warm run walked the cold run's levels
     assert _first_level.cache_info().currsize == 1  # XX, YY and ZZ on two bonds: one angle
+
+
+@pytest.mark.parametrize("loss", [LossConfig(), LossConfig(p_loss=0.6, backup_enabled=True),
+                                  LossConfig(p_loss=0.3, encoding=PhotonEncoding.OCCUPATION)],
+                         ids=["lossless", "backup-loss60", "silent"])
+def test_level_rows_are_phases_flips_records_and_successors(loss, cold_caches, built_levels):
+    rng = np.random.default_rng(11)
+    state = StateVector(haar_random_amplitudes(3, rng), RegisterLayout.build(3, n_photons=0))
+    policy = EpsilonPolicy(max_rounds=10_000)
+    for axes, sign, t in itertools.product(AXIS_PAIRS, (1, -1), (0.7, -2.9)):
+        realize_v_kl(state, PAIR, *axes, t, policy, frame_with_sign(axes, sign), rng, loss)
+    assert any(len(records) for level in built_levels for records in level.records)
+    for level in list(built_levels):  # reading rows may build successors
+        for s, rows in enumerate(level.rows):
+            assert len(rows) == len(level.branches)
+            for i, row in enumerate(rows):
+                assert row == (*level.phases[i], level.flips[i], level.records[i],
+                               level.next[s][i])
+                assert row[5] is level.records[i] and row[6] is level.next[s][i]
+
+
+@pytest.mark.parametrize("loss", LOSSES, ids=["lossless", "heralded", "backup-loss60"])
+def test_last_round_into_a_new_level_builds_no_successor(loss, cold_caches, built_levels):
+    # One round on a branch that doubles the residual: the first level and the
+    # doubled one are built, and nothing past it, since no round is drawn there.
+    table = round_branches(EpsilonPolicy().eps_for(0.7), loss)
+    i = next(i for i, b in enumerate(table.branches) if b.direction == -1)
+    draw = table.cumulative[i - 1] if i else 0.0
+    state = StateVector(haar_random_amplitudes(3, np.random.default_rng(3)),
+                        RegisterLayout.build(3, n_photons=0))
+    with pytest.raises(IncompleteRotationError) as exc:
+        realize_v_kl(state, PAIR, PauliAxis.X, PauliAxis.Z, 0.7, EpsilonPolicy(max_rounds=1),
+                     ErrorFrame.identity(3), types.SimpleNamespace(random=lambda: draw), loss)
+    first, doubled = built_levels
+    assert exc.value.residual == doubled.residual == reduce_angle(1.4)
+    assert first.residual == 0.7
+    assert not {"next", "rows"} & set(vars(doubled))

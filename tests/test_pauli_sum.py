@@ -15,7 +15,7 @@ import pytest
 
 import mfsim.statevec
 from mfsim.errors import IncompleteRotationError, UsageError
-from mfsim.feedback import EpsilonPolicy, realize_v_kl
+from mfsim.feedback import EpsilonPolicy, _pair_record, realize_v_kl
 from mfsim.harness import (
     ProtocolConfig,
     _block_uniforms,
@@ -68,7 +68,7 @@ def test_pauli_sum_equals_pair_operator_on_eigenprojectors(n, pair, k, l):
     a, b = pair
     masks = ((k.x_bit << a, k.z_bit << a), (l.x_bit << b, l.z_bit << b),
              ((k.x_bit << a) | (l.x_bit << b), (k.z_bit << a) | (l.z_bit << b)))
-    got = _apply_pauli_sum(state, (d0 + d1 + d2 + d3) / 4, masks,
+    got = _apply_pauli_sum(state, (d0 + d1 + d2 + d3) / 4, _pauli_stack(n, masks),
                            ((d0 - d1 + d2 - d3) / 4, (d0 + d1 - d2 - d3) / 4,
                             (d0 - d1 - d2 + d3) / 4))
     assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-13
@@ -81,6 +81,37 @@ def test_rotation_on_a_site_outside_the_register_raises(pair, site):
     with pytest.raises(UsageError, match=f"site {site} outside register of size 3"):
         realize_v_kl(state, pair, PauliAxis.X, PauliAxis.Z, 0.3, EpsilonPolicy(),
                      ErrorFrame.identity(3), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("pair, k, message", [
+    ((0, 3), PauliAxis.X, "site 3 outside register of size 3"),
+    ((1, 1), PauliAxis.X, "rotation needs two distinct qubits"),
+    ((0, 1), PauliAxis.I, "rotation axes must be X, Y, or Z"),
+])
+def test_bad_rotation_raises_on_every_call_and_is_not_cached(pair, k, message):
+    state = state_of(haar_random_amplitudes(3, np.random.default_rng(0)))
+    size = _pair_record.cache_info().currsize
+    raised = []
+    for _ in range(2):
+        with pytest.raises(UsageError) as exc:
+            realize_v_kl(state, pair, k, PauliAxis.Z, 0.3, EpsilonPolicy(),
+                         ErrorFrame.identity(3), np.random.default_rng(0))
+        raised.append((type(exc.value), str(exc.value)))
+    assert raised == [(UsageError, message)] * 2
+    assert _pair_record.cache_info().currsize == size
+
+
+def test_float_site_fails_after_its_integer_pair_is_cached():
+    state = state_of(haar_random_amplitudes(3, np.random.default_rng(0)))
+
+    def rotate(pair):
+        return realize_v_kl(state, pair, PauliAxis.X, PauliAxis.Z, 0.3, EpsilonPolicy(),
+                            ErrorFrame.identity(3), np.random.default_rng(0))
+
+    rotate((0, 1))
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            rotate((0, 1.0))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
