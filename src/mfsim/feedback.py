@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 from typing import Optional
 
@@ -34,11 +34,12 @@ import numpy as np
 
 from .errors import IncompleteRotationError, UsageError
 from .loss import LossConfig, round_branches
-from .pauli import ErrorFrame, PauliAxis, PauliString, mask_text
+from .pauli import ErrorFrame, PauliAxis, mask_text
 from .statevec import StateVector, apply_local  # noqa: F401 (perfbench traces it)
 from .statevec import _apply_pauli_sum as _apply, _pauli_stack
 
 _ANGLE_TOL = 1e-12
+_LOSSLESS = LossConfig()
 
 
 class PolicyMode(Enum):
@@ -61,6 +62,7 @@ class EpsilonPolicy:
 
     mode: PolicyMode = PolicyMode.RESIDUAL_EXACT
     max_rounds: int = 64
+    key = functools.cached_property(astuple)  # the fields; a tuple hashes in C
 
     def eps_for(self, aimed: float) -> float:
         if self.mode is PolicyMode.RESIDUAL_EXACT:
@@ -139,9 +141,11 @@ def _level(residual: float, policy: EpsilonPolicy, loss: LossConfig) -> Optional
 
 
 @functools.cache
-def _first_level(t_target, policy, loss) -> Optional[_Level]:
-    """The level a rotation starts at, kept for every angle run; None for a multiple of pi."""
-    return _level(reduce_angle(t_target), policy, loss)
+def _first_level(t_target, policy_key, loss_key) -> Optional[_Level]:
+    """The level a rotation starts at, kept per (t, policy.key, loss.key); None for t = 0 mod pi."""
+    if not math.isfinite(t_target):
+        raise UsageError(f"rotation angle must be finite, got {t_target}")
+    return _level(reduce_angle(t_target), EpsilonPolicy(*policy_key), LossConfig(*loss_key))
 
 
 @functools.lru_cache(maxsize=256, typed=True)
@@ -149,12 +153,12 @@ def _pair_record(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis):
     """The checked masks of a rotation on sites (a, b) of n qubits, and its Pauli-sum stack.
 
     ``flips[c]`` are the masks of I, s_k, s_l and s_k s_l on the pair: a
-    branch with flip code c XORs them into the frame, and the last three
-    are the Pauli sum's terms, whose ``_pauli_stack`` arrays come back as is.
+    branch with flip code c XORs them into the frame, and all four are the
+    Pauli sum's terms, whose ``_pauli_stack`` arrays come back as is.
     Bad input raises on every call, since an exception is not cached, and
     the key is typed, so a float site never reads an integer site's entry.
     An entry keeps its stack alive after ``_pauli_stack`` evicts it, so at
-    the 12-qubit cap the two caches hold at most twice that cache's 72 MB.
+    the 12-qubit cap the two caches hold at most twice that cache's 96 MB.
     """
     if k is PauliAxis.I or l is PauliAxis.I:
         raise UsageError("rotation axes must be X, Y, or Z")
@@ -165,7 +169,7 @@ def _pair_record(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis):
             raise UsageError(f"site {site} outside register of size {n}")
     ka, lb = (k.x_bit << a, k.z_bit << a), (l.x_bit << b, l.z_bit << b)
     flips = ((0, 0), ka, lb, (ka[0] | lb[0], ka[1] | lb[1]))
-    return flips, _pauli_stack(n, flips[1:])
+    return flips, _pauli_stack(n, flips)
 
 
 def realize_v_kl(
@@ -206,7 +210,7 @@ def realize_v_kl(
     # s_k (x) s_l, so the frame's commutation with it, and this sign, hold for
     # the whole rotation: it picks the level's successors.
     swapped = ((x & tz) ^ (z & tx)).bit_count() & 1
-    level = _first_level(t_target, policy, loss or LossConfig())
+    level = _first_level(t_target, policy.key, (loss or _LOSSLESS).key)
     records: list[RoundRecord] = []
     if level is None:
         return state, frame, records
@@ -237,10 +241,10 @@ def realize_v_kl(
             break
 
     if records:  # sum_j d_j P_j, with P_j's sign bits j = (s_k bit) + 2 (s_l bit)
-        state = _apply(state, (d0 + d1 + d2 + d3) / 4, stack, (
-            (d0 - d1 + d2 - d3) / 4, (d0 + d1 - d2 - d3) / 4, (d0 - d1 - d2 + d3) / 4))
+        state = _apply(state, stack, ((d0 + d1 + d2 + d3) / 4, (d0 - d1 + d2 - d3) / 4,
+                                      (d0 + d1 - d2 - d3) / 4, (d0 - d1 - d2 + d3) / 4))
     if flipped:
-        frame = ErrorFrame(PauliString.from_masks(n, x, z))
+        frame = ErrorFrame.from_masks(n, x, z)
     if level is None:
         return state, frame, records
     err = IncompleteRotationError(level.residual, records)

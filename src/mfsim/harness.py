@@ -287,13 +287,11 @@ def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
     fid = float(abs(np.vdot(cfg.oracle_state, corrected.amplitudes)) ** 2)
 
     histogram: dict[str, int] = {}
-    loss_events = 0
     retry_counts: list[int] = []
     pending_losses = 0
     for rec in all_records:
         histogram[rec.outcome] = histogram.get(rec.outcome, 0) + 1
         if rec.outcome == "loss":
-            loss_events += 1
             pending_losses += 1
         else:
             retry_counts.append(pending_losses + 1)
@@ -304,7 +302,7 @@ def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
         rounds_total=len(all_records),
         rounds_per_rotation=rounds_per_rotation,
         outcome_histogram=histogram,
-        loss_events=loss_events,
+        loss_events=histogram.get("loss", 0),
         photon_retry_counts=retry_counts,
         final_frame=str(frame),
         fidelity_vs_oracle=fid,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
@@ -60,6 +60,7 @@ class LossConfig:
     p_loss: float = 0.0
     encoding: PhotonEncoding = PhotonEncoding.POLARIZATION
     backup_enabled: bool = False
+    key = functools.cached_property(astuple)  # the fields; a tuple hashes in C
 
     def __post_init__(self):
         if not 0.0 <= self.p_loss <= 1.0:

@@ -37,14 +37,14 @@ class PauliAxis(Enum):
         self.z_bit = int(value in "YZ")
 
     def matrix(self) -> np.ndarray:
-        return _AXIS_MATRICES[self]
+        return _AXIS_MATRICES[self.value]
 
 
-_AXIS_MATRICES = {
-    PauliAxis.I: np.eye(2, dtype=complex),
-    PauliAxis.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    PauliAxis.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    PauliAxis.Z: np.array([[1, 0], [0, -1]], dtype=complex),
+_AXIS_MATRICES = {  # by letter, so a string's text picks its site gates
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
 @functools.lru_cache(maxsize=4096)
@@ -164,13 +164,19 @@ class ErrorFrame:
     byproduct: PauliString
 
     @classmethod
+    @functools.lru_cache(maxsize=4096, typed=True)
+    def from_masks(cls, n: int, x: int, z: int) -> "ErrorFrame":
+        """The frame with masks (x, z); frames are immutable, so one serves every caller."""
+        return cls(PauliString.from_masks(n, x, z))
+
+    @classmethod
     def identity(cls, n: int) -> "ErrorFrame":
-        return cls(PauliString.identity(n))
+        return cls.from_masks(n, 0, 0)
 
     def updated(self, correction: PauliString) -> "ErrorFrame":
         """Frame after the physical state picked up ``correction`` (left-multiplied)."""
         prod = multiply(correction, self.byproduct)
-        return ErrorFrame(PauliString.from_masks(prod.n, prod.x, prod.z))
+        return ErrorFrame.from_masks(prod.n, prod.x, prod.z)
 
     def __str__(self) -> str:
         return str(self.byproduct)

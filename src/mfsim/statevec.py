@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResourceError, UsageError
-from .pauli import PauliAxis, PauliString
+from .pauli import _AXIS_MATRICES, PauliString
 
 DEFAULT_QUBIT_CAP = 12
 
@@ -108,13 +108,20 @@ class StateVector:
         return json.dumps(self.dump(threshold))
 
 
+@functools.lru_cache(maxsize=64)
+def _identity_bound(dim: int, atol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The complex identity and ``atol + 1e-5 |1|``, allclose's bound with its default rtol."""
+    eye = np.eye(dim, dtype=complex)  # a complex g minus a real identity casts
+    return eye, atol + 1e-5 * eye.real
+
+
 def _is_identity(g: np.ndarray, atol: float) -> bool:
     """The verdict of ``np.allclose(g, identity, atol=atol)`` without its overhead.
 
-    |g - 1| <= atol + 1e-5 |1| entrywise, allclose's default rtol; NaN and inf are never close.
+    |g - 1| <= atol + 1e-5 |1| entrywise, never for NaN or inf; a list's ``all`` reads it faster.
     """
-    eye = np.eye(len(g))
-    return (np.abs(g - eye) <= atol + 1e-5 * eye).all()
+    eye, bound = _identity_bound(len(g), atol)
+    return all((np.abs(g - eye) <= bound).ravel().tolist())
 
 
 def _check_unitary(u: np.ndarray, dim: int) -> np.ndarray:
@@ -159,9 +166,9 @@ def _pauli_stack(n: int, masks: tuple[tuple[int, int], ...]) -> tuple[np.ndarray
     (x_r, z_r), the form of ``pauli.PauliString``:
     (P_r psi)[i] = phase[r, i] psi[index[r, i]] with index = i ^ x_r and
     phase = i^|x_r z_r| (-1)^|index & z_r| (|.| a popcount).  At the 12-qubit
-    cap a string takes 96 KB, so an entry of a rotation's three strings takes
-    288 KB and a full cache 72 MB, below one of the dense oracle's 4096 x 4096
-    complex matrices (256 MB).
+    cap a string takes 96 KB, so an entry of a rotation's four strings (the
+    identity among them) takes 384 KB and a full cache 96 MB, below one of the
+    dense oracle's 4096 x 4096 complex matrices (256 MB).
     """
     x, z = (np.array(m).reshape(-1, 1) for m in zip(*masks))
     index = np.arange(1 << n) ^ x
@@ -169,26 +176,23 @@ def _pauli_stack(n: int, masks: tuple[tuple[int, int], ...]) -> tuple[np.ndarray
     for shift in (32, 16, 8, 4, 2, 1):  # fold the popcount's parity into bit 0
         parity ^= parity >> shift
     phase = (1 - 2 * (parity & 1)) * np.array(
-        [[(1, 1j, -1, -1j)[(xr & zr).bit_count() % 4]] for xr, zr in masks])
+        [[(1, 1j, -1, -1j)[(xr & zr).bit_count() % 4]] for xr, zr in masks], dtype=complex)
     for a in (index, phase):
         a.flags.writeable = False
     return index, phase
 
 
-def _apply_pauli_sum(state: StateVector, c0: complex, stack: tuple[np.ndarray, np.ndarray],
+def _apply_pauli_sum(state: StateVector, stack: tuple[np.ndarray, np.ndarray],
                      coeffs: Sequence[complex]) -> StateVector:
-    """(c0 + sum_r coeffs[r] P_r) psi for the Pauli strings of ``stack = _pauli_stack(n, masks)``.
+    """sum_r coeffs[r] P_r psi for the Pauli strings of ``stack = _pauli_stack(n, masks)``.
 
-    One gather, one in-place multiply by the phases and one dot.  The
-    identity term is a scaled copy of psi rather than a row of the stack,
-    which at 12 qubits saves more than the extra add costs.
+    One gather, one in-place multiply by the phases (complex, as an integer factor casts) and
+    one ``ndarray.dot`` (``np.dot`` without its dispatch); the identity is a row like any other.
     """
     index, phase = stack
     terms = state.amplitudes[index]
     terms *= phase
-    out = state.amplitudes * c0
-    out += np.dot(coeffs, terms)
-    return StateVector._wrap(out, state.layout)
+    return StateVector._wrap(np.array(coeffs).dot(terms), state.layout)
 
 
 def apply_local(state: StateVector, qubit: int, u: np.ndarray) -> StateVector:
@@ -286,9 +290,9 @@ def apply_pauli_string(state: StateVector, p: PauliString) -> StateVector:
     if len(p) != state.n_qubits:
         raise UsageError("Pauli string length does not match register")
     out = state
-    for q, axis in enumerate(p.axes):
-        if axis is not PauliAxis.I:
-            out = apply_local(out, q, axis.matrix())
+    for q, letter in enumerate(str(p)):  # the cached ``mask_text``, not PauliAxis members
+        if letter != "I":
+            out = apply_local(out, q, _AXIS_MATRICES[letter])
     if p.phase_power:
         out = StateVector._wrap(out.amplitudes * (1j ** p.phase_power), out.layout)
     return out

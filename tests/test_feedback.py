@@ -9,6 +9,7 @@ from mfsim.errors import IncompleteRotationError, UsageError
 from mfsim.feedback import (
     EpsilonPolicy,
     PolicyMode,
+    _first_level,
     realize_v,
     realize_v_kl,
     reduce_angle,
@@ -251,3 +252,19 @@ class TestRealizeVkl:
                 st, (0, 1), PauliAxis.I, PauliAxis.X, 0.1, POLICY,
                 ErrorFrame.identity(4), rng,
             )
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kl", [False, True], ids=["realize_v", "realize_v_kl"])
+def test_non_finite_angle_raises_on_every_call_and_is_not_cached(t, kl):
+    rng = np.random.default_rng(3)
+    _, st = two_atom_state(rng)
+    frame = ErrorFrame.identity(4)
+    size = _first_level.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(UsageError, match=f"rotation angle must be finite, got {t}"):
+            if kl:
+                realize_v_kl(st, (0, 1), PauliAxis.Z, PauliAxis.Y, t, POLICY, frame, rng)
+            else:
+                realize_v(st, (0, 1), t, POLICY, frame, rng)
+    assert _first_level.cache_info().currsize == size

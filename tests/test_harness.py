@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -328,3 +329,36 @@ class TestCnotDemo:
         )
         assert out["process_fidelity"] >= 1 - 1e-9
         assert out["total_rounds"] > 6  # retries actually happened
+
+
+def recount(records):
+    """(histogram, loss events, retry counts) read back from the outcome sequence as text.
+
+    A kept round is ``k`` and a loss ``L``; each ``L*k`` is one retry count, the
+    number of losses plus one, so trailing losses add loss events but no retry.
+    """
+    outcomes = [r.outcome for r in records]
+    text = "".join("L" if o == "loss" else "k" for o in outcomes)
+    histogram = {o: outcomes.count(o) for o in set(outcomes)}
+    return histogram, text.count("L"), [len(run) for run in re.findall("L*k", text)]
+
+
+@pytest.mark.parametrize("p_loss, max_rounds", [(0.6, 400), (0.9, 60)])
+def test_trajectory_tallies_equal_a_recount_of_its_records(p_loss, max_rounds):
+    cfg = ProtocolConfig.from_dict({
+        "hamiltonian": {"n_qubits": 2, "terms": [{"sites": [0, 1], "axes": "XX", "coeff": 1.0}]},
+        "t": 0.8, "n_steps": 3, "master_seed": 17, "policy": {"max_rounds": max_rounds},
+        "loss": {"p_loss": p_loss, "backup_enabled": True}})
+    stats = [run_trajectory(cfg, i) for i in range(12)]
+    for s in stats:
+        histogram, losses, retries = recount(s.records)
+        assert s.outcome_histogram == histogram
+        assert s.loss_events == losses
+        assert s.photon_retry_counts == retries
+    ran_out = [s for s in stats if s.failed and s.records[-1].outcome == "loss"]
+    if p_loss == 0.9:  # a rotation ran out of rounds during a run of losses
+        assert ran_out
+    for s in ran_out:
+        trailing = len(s.records) - 1 - max(
+            (i for i, r in enumerate(s.records) if r.outcome != "loss"), default=-1)
+        assert sum(s.photon_retry_counts) == len(s.records) - trailing

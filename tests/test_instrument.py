@@ -317,6 +317,31 @@ def test_warm_trajectory_validates_only_its_final_frame_correction(monkeypatch):
     assert calls == [2] * sum(a != "I" for a in again.final_frame)
 
 
+def test_warm_trotter_trajectory_hashes_and_builds_no_config_or_frame(monkeypatch):
+    cfg = ProtocolConfig.from_dict(
+        {**CONFIGS["trotter"], "n_steps": 16, "policy": {"max_rounds": 256}, "master_seed": 13})
+    run_trajectory(cfg, 0)  # builds every level, record and frame this trajectory needs
+    calls = []
+
+    def spy(cls, name):
+        original = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            calls.append(f"{cls.__name__}.{name}")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    for cls in (EpsilonPolicy, LossConfig):
+        spy(cls, "__hash__")
+    for cls in (EpsilonPolicy, LossConfig, ErrorFrame, PauliString, RoundRecord):
+        spy(cls, "__init__")
+    monkeypatch.setattr(PauliString, "from_masks", lambda *args: calls.append("from_masks"))
+    again = run_trajectory(cfg, 0)
+    assert again.rounds_total > 32 and again.final_frame != "III"
+    assert calls == []
+
+
 @pytest.fixture
 def unitary_checks(monkeypatch):
     """The dimensions of every ``_check_unitary`` call made while the test runs."""

@@ -85,7 +85,7 @@ def test_trajectories_append_the_levels_records():
     records = [r for i in range(16) for r in run_trajectory(cfg, i).records]
     interned, todo = {}, []
     for rot in cfg.plan.sweep_rotations():
-        todo.append(_first_level(rot.angle, cfg.policy, cfg.loss))
+        todo.append(_first_level(rot.angle, cfg.policy.key, cfg.loss.key))
     while todo:  # every level a round was drawn at; only those hold successors
         level = todo.pop()
         if level is not None and id(level) not in interned:

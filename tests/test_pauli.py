@@ -184,3 +184,13 @@ class TestMasksAgainstDense:
         assert frame.byproduct.phase_power == 0
         # equal up to a global phase: |tr(F^dag P)| is the full dimension
         assert abs(np.vdot(frame.byproduct.matrix(), prod)) == pytest.approx(len(prod))
+
+
+def test_frame_from_masks_is_one_shared_frame_per_masks():
+    for n, x, z in [(1, 0, 0), (3, 0b101, 0b011), (12, 4095, 2048)]:
+        frame = ErrorFrame.from_masks(n, x, z)
+        assert frame == ErrorFrame(PauliString.from_masks(n, x, z))
+        assert frame is ErrorFrame.from_masks(n, x, z)
+        assert frame.byproduct.phase_power == 0
+    assert ErrorFrame.identity(3) is ErrorFrame.from_masks(3, 0, 0)
+    assert str(ErrorFrame.identity(2).updated(PauliString.from_str("YX"))) == "YX"

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import mfsim.statevec
 from mfsim.compiler import HamiltonianSpec
 from mfsim.errors import ResourceError, UsageError
 from mfsim.harness import haar_random_amplitudes
@@ -523,3 +524,26 @@ class TestIdentityChecksMatchAllclose:
                 close = np.allclose(gram, np.eye(4), atol=1e-10)
             verdict = rejected(lambda: measure(state, [0, 1], kraus, rng), "not a complete set")
             assert verdict == (not close), size
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16])
+def test_identity_check_keeps_allclose_verdict(dim):
+    rng = np.random.default_rng(dim)
+    atol = 1e-12 * dim * 10
+    verdicts = set()
+    for scale in (0.0, 0.5 * atol, atol, 2 * atol, 1e-5, 2e-5, 1e-3):
+        for _ in range(20):
+            g = np.eye(dim) + scale * (rng.uniform(-1.2, 1.2, (dim, dim))
+                                       + 1j * rng.uniform(-1.2, 1.2, (dim, dim)))
+            want = np.allclose(g, np.eye(dim), atol=atol)
+            assert mfsim.statevec._is_identity(g, atol) is want
+            verdicts.add(want)
+    on_bound = np.eye(dim, dtype=complex)
+    on_bound[0, dim - 1] = atol  # |g - 1| equal to the bound is close
+    assert np.allclose(on_bound, np.eye(dim), atol=atol)
+    assert mfsim.statevec._is_identity(on_bound, atol) is True
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        g = np.eye(dim, dtype=complex)
+        g[dim - 1, 0] = bad
+        assert mfsim.statevec._is_identity(g, atol) is False
+    assert verdicts == {True, False}
