@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import sys
 import types
 from dataclasses import dataclass, field
@@ -101,10 +102,10 @@ class ProtocolConfig:
             raise ConfigError("n_steps exceeds the largest float, so no rotation angle is defined")
         cfg = cls(h, t, n_steps, policy, loss, initial, trajectories, master_seed)
         # compile_plan makes one rotation per term, in term order
-        for i, rot in enumerate(cfg.plan.sweep_rotations()):
-            if not math.isfinite(rot.angle):
+        for i, (*_, angle) in enumerate(cfg.sweep):
+            if not math.isfinite(angle):
                 raise ConfigError(f"rotation angle t * hamiltonian.terms[{i}].coeff / n_steps "
-                                  f"is {rot.angle}, not finite")
+                                  f"is {angle}, not finite")
         _initial_state(initial, h.n_qubits)
         return cfg
 
@@ -112,6 +113,19 @@ class ProtocolConfig:
     def plan(self) -> TrotterPlan:
         """The compiled Trotter plan, computed once per config."""
         return compile_plan(self.hamiltonian, self.t, self.n_steps)
+
+    @functools.cached_property
+    def sweep(self) -> list[tuple]:
+        """One Trotter step's rotations as (sites, k, l, angle) rows, computed once per config."""
+        return [(rot.sites, *rot.axes, rot.angle) for rot in self.plan.sweep_rotations()]
+
+    @functools.cached_property
+    def layout(self) -> RegisterLayout:
+        """The data register's layout, computed once per config; ResourceError past the cap."""
+        n = self.hamiltonian.n_qubits
+        if n > DEFAULT_QUBIT_CAP:
+            raise ResourceError(f"register of {n} qubits exceeds the cap of {DEFAULT_QUBIT_CAP}")
+        return RegisterLayout.build(n, n_photons=0)
 
     @functools.cached_property
     def initial_amplitudes(self) -> np.ndarray:
@@ -154,8 +168,84 @@ class ProtocolConfig:
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Deterministic per-trajectory generator, a pure function of (seed, index)."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([master_seed, index])))
+    """Deterministic per-trajectory generator, a pure function of (seed, index).
+
+    Bit for bit ``Generator(PCG64(SeedSequence([master_seed, index])))``, with
+    that sequence's PCG64 seed words read from the index's ``_seed_block``.
+    """
+    if master_seed < 0 or index < 0:
+        raise ValueError("expected non-negative integer")  # SeedSequence's error
+    block, row = divmod(index, _SEED_BLOCK)
+    words = _seed_block(master_seed, block)[row]
+    return np.random.Generator(np.random.PCG64(_seed_words()(words)))
+
+
+_SEED_BLOCK = 256
+
+
+def _words(n: int) -> list[int]:
+    """SeedSequence's 32-bit entropy words of a non-negative int, low word first."""
+    n = operator.index(n)
+    return [n >> shift & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash on uint32 arrays: xor a running constant, advance it, multiply, shift."""
+    def hash_(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        value *= np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+    return hash_
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_block(master_seed: int, block: int) -> np.ndarray:
+    """``SeedSequence([master_seed, i]).generate_state(4, np.uint64)`` for the 256 i of ``block``.
+
+    SeedSequence's four-word pool on uint32 arrays, one column per index; read-only, (256, 4).
+    As 256 divides 2^32, a block's indices have as many entropy words and differ in the low one.
+    """
+    seed = _words(master_seed)
+    words = seed + _words(block * _SEED_BLOCK)
+    words += [0] * (4 - len(words))  # zero words pad short entropy to the pool
+    entropy = np.tile(np.array(words, dtype=np.uint32)[:, None], _SEED_BLOCK)
+    entropy[len(seed)] += np.arange(_SEED_BLOCK, dtype=np.uint32)  # each index's low word
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)  # INIT_A, MULT_A
+    mixer = [hashmix(e) for e in entropy[:4]] + list(entropy[4:])  # the pool, further entropy
+    # mix: each pool word into the other three, then each further entropy word into all four
+    for src, dst in itertools.chain(itertools.permutations(range(4), 2),
+                                    itertools.product(range(4, len(mixer)), range(4))):
+        value = np.uint32(0xCA01F9DD) * mixer[dst] - np.uint32(0x4973F715) * hashmix(mixer[src])
+        mixer[dst] = value ^ (value >> np.uint32(16))
+    finish = _hasher(0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B
+    state = np.stack([finish(mixer[i % 4]) for i in range(8)], axis=1)
+    block_words = state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+    block_words.flags.writeable = False
+    return block_words
+
+
+@functools.cache
+def _seed_words():
+    """The ISeedSequence that hands PCG64 ready words, defined on first use.
+
+    numpy 2 loads ``numpy.random`` lazily, and parsing a config does not load it.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, dtype) != (4, np.uint64):  # the one request PCG64 makes
+                raise ValueError("SeedWords holds the four uint64 words of a PCG64 seed")
+            return self.words
+
+    return SeedWords
 
 
 _UNIFORM_BLOCK = 64
@@ -219,10 +309,8 @@ def _initial_state(init, n: int):
 
 def build_register(cfg: ProtocolConfig) -> StateVector:
     """The data register in its initial state; photons and backups live in the round tables."""
-    n = cfg.hamiltonian.n_qubits
-    if n > DEFAULT_QUBIT_CAP:
-        raise ResourceError(f"register of {n} qubits exceeds the cap of {DEFAULT_QUBIT_CAP}")
-    return StateVector(cfg.initial_amplitudes, RegisterLayout.build(n, n_photons=0))
+    layout = cfg.layout  # checks the cap before the amplitudes are built
+    return StateVector._wrap(cfg.initial_amplitudes, layout)
 
 
 @dataclass
@@ -268,8 +356,7 @@ def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
     rounds_per_rotation: list[int] = []
     failure_reason = None
 
-    policy, loss = cfg.policy, cfg.loss
-    sweep = [(rot.sites, *rot.axes, rot.angle) for rot in cfg.plan.sweep_rotations()]
+    policy, loss, sweep = cfg.policy, cfg.loss, cfg.sweep
     try:
         for _ in range(cfg.plan.n_steps if sweep else 0):  # an empty sweep takes no steps
             for sites, k, l, angle in sweep:
@@ -328,8 +415,7 @@ def aggregate_report(cfg: ProtocolConfig, stats: list[TrajectoryStats]) -> dict:
         for k, v in s.outcome_histogram.items():
             histogram[k] = histogram.get(k, 0) + v
     per_rotation: dict[str, list[int]] = {}
-    keys = [f"{r.sites[0]}-{r.sites[1]}:{r.axes[0].value}{r.axes[1].value}"
-            for r in cfg.plan.sweep_rotations()]
+    keys = [f"{a}-{b}:{k.value}{l.value}" for (a, b), k, l, _ in cfg.sweep]
     for s in stats:
         for key, count in zip(itertools.cycle(keys), s.rounds_per_rotation):
             per_rotation.setdefault(key, []).append(count)

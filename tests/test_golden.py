@@ -48,6 +48,13 @@ CONFIGS = {
         "hamiltonian": _TROTTER, "t": 0.9, "n_steps": 6, "trajectories": 12, "master_seed": 34,
         "policy": {"mode": "paper_doubling"},
     },
+    # index 256 opens the second block of trajectory seeds, and the master seed has two words
+    "block-edge": {
+        "hamiltonian": {"n_qubits": 2, "terms": [{"sites": [0, 1], "axes": "XX", "coeff": 1.0}]},
+        "t": 0.8, "n_steps": 5, "trajectories": 260, "master_seed": 2**40 + 5,
+        "policy": {"max_rounds": 40000},
+        "loss": {"p_loss": 0.6, "backup_enabled": True},
+    },
 }
 
 GOLDEN = {
@@ -55,6 +62,7 @@ GOLDEN = {
     "backup-loss60": "b88529840edfbb59148a116240a482b6e0e1a29a00cbf613246cdff91e084976",
     "silent-occupation": "70e09a71d237bb59a0b4b0cbbde2bf6dc6f0d15cca0e76637d83af4b2a31e0d3",
     "paper-doubling": "436790154b80f92b886bb75908f9543628f2e3bd69ecb1f7acce213cbd895afe",
+    "block-edge": "4f3a0a4652536dc52e206de1529bcf6d8112da2b1864792da851692fd3bc9d40",
 }
 
 
