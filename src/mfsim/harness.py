@@ -46,6 +46,7 @@ from .statevec import (
 )
 
 _H_GATE = np.array([[1, 1], [1, -1]], dtype=float) / np.sqrt(2)
+_FRAMED_ORACLE_CAP = 256  # framed oracles a config keeps: 16 MB at the 12-qubit cap
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,11 @@ class ProtocolConfig:
         oracle = exact_evolution(self.hamiltonian, self.t) @ self.initial_amplitudes
         oracle.flags.writeable = False
         return oracle
+
+    @functools.cached_property
+    def framed_oracles(self) -> dict:
+        """P|oracle> per final frame's masks (x, z), read-only; _FRAMED_ORACLE_CAP at most."""
+        return {}
 
     @classmethod
     def from_json_file(cls, path) -> "ProtocolConfig":
@@ -370,8 +376,14 @@ def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
         rounds_per_rotation.append(len(exc.records))
         failure_reason = f"rotation on {sites} incomplete, residual {exc.residual:.3e}"
 
-    corrected = apply_pauli_string(state, frame.byproduct)
-    fid = float(abs(np.vdot(cfg.oracle_state, corrected.amplitudes)) ** 2)
+    p = frame.byproduct  # |<P oracle|psi>|^2 = |<oracle|P psi>|^2 for the frame string P
+    oracle = cfg.framed_oracles.get((p.x, p.z))
+    if oracle is None:  # a new frame; past the cap, framed again by every trajectory
+        oracle = apply_pauli_string(StateVector(cfg.oracle_state, cfg.layout), p).amplitudes
+        oracle.flags.writeable = False
+        if len(cfg.framed_oracles) < _FRAMED_ORACLE_CAP:
+            cfg.framed_oracles[p.x, p.z] = oracle
+    fid = float(abs(np.vdot(oracle, state.amplitudes)) ** 2)
 
     histogram: dict[str, int] = {}
     retry_counts: list[int] = []

@@ -8,7 +8,8 @@ branch structure.
 
 ``round_branches`` compiles one round of this photon-level model into 4x4
 Kraus operators on the atom pair, each a weighted unitary, so trajectories
-evolve data qubits only and draw each round from the weights alone.
+evolve data qubits only and draw each round from the weights alone.  The
+model runs once per loss config, at three eps, and checks itself at a fourth.
 """
 
 from __future__ import annotations
@@ -266,14 +267,33 @@ def _round_outcomes(loss: LossConfig):
 
 @functools.lru_cache(maxsize=64)
 def _outcome_stack(loss: LossConfig) -> tuple[np.ndarray, tuple[RoundBranch, ...]]:
-    """The conjugated mode states of ``_round_outcomes(loss)``, read-only, and their records.
+    """Every branch's Kraus operator at every eps, as a read-only (3, B, 4) stack; the records.
 
-    Neither depends on eps, so every table of one loss config shares them.
+    With emissions at eps and 1 - eps and a loss free of eps, branch b's operator is exactly
+    (1 - eps) K_0b + eps K_1b + sqrt(eps (1 - eps)) K_2b: K_0 = K(0), K_1 = K(1) and K_2 =
+    2 K(1/2) - K_0 - K_1 from the model, stacked as eigenvalues on ``_SIGN_PROJECTORS``.
+    ProtocolError unless each K_mb is diagonal on them and the terms give the model at eps 0.3.
     """
+    if loss.backup_enabled:
+        stage = functools.partial(_backup_stage, pair_a=(0, 1), pair_b=(2, 3), photons=(4, 5))
+    else:
+        stage = functools.partial(joint_emission, pair=(0, 1), photons=(2, 3))
+    # One run on the pair maximally entangled with two reference qubits, counted as two more
+    # modes above the photon modes, covers all four input basis states: the references label them.
+    layout = RegisterLayout.build(2, with_backup=loss.backup_enabled, n_photons=2 + 2)
+    choi = np.zeros(1 << layout.n_qubits, dtype=complex)
+    choi[[j + (j << layout.n_qubits - 2) for j in range(4)]] = 1.0
+    runs = [stage(StateVector(choi, layout), eps=eps).amplitudes.reshape(4, -1, 4)
+            for eps in (0.0, 1.0, 0.5, 0.3)]  # (atom in, modes, atom out)
     modes, records = zip(*_round_outcomes(loss))
-    conjugated = np.conj(modes)
-    conjugated.flags.writeable = False
-    return conjugated, tuple(RoundBranch(*r) for r in records)
+    k0, k1, half, probe = np.tensordot(np.conj(modes), runs, ([1], [2])).transpose(1, 0, 3, 2)
+    terms = np.array([k0, k1, 2.0 * half - k0 - k1])
+    eigen = np.einsum("jik,mbki->mbj", _SIGN_PROJECTORS, terms)  # tr(P_j K_mb)
+    if (np.abs(np.einsum("mbj,jik->mbik", eigen, _SIGN_PROJECTORS) - terms).max() > 1e-10
+            or np.abs(np.tensordot([0.7, 0.3, math.sqrt(0.21)], terms, 1) - probe).max() > 1e-12):
+        raise ProtocolError(f"round branches of {loss} are not three terms diagonal in one basis")
+    eigen.flags.writeable = False
+    return eigen, tuple(RoundBranch(*r) for r in records)
 
 
 @functools.lru_cache(maxsize=256)
@@ -283,49 +303,31 @@ def round_branches(eps: float, loss: LossConfig) -> RoundTable:
     The round kind follows from ``loss``: the backup round when
     ``backup_enabled``, else the direct round, lossless at p_loss 0, with
     heralded loss under polarization encoding and silent loss under
-    occupation encoding.  The photon-level model's unitary stage runs on the
-    pair's basis states and its photon and backup modes are contracted with
-    the state each outcome leaves them in; hidden environment bits give
-    separate branches, and branches whose operator is zero are dropped.
+    occupation encoding.  The table contracts the stack that ``_outcome_stack``
+    compiles once per loss config from the photon-level model: hidden
+    environment bits give separate branches, and zero branches are dropped.
     The table is in the XX picture, the one the model acts in.  The feedback
     controller reads it for every axis pair (k, l): u e^{it XX} u^dag =
     e^{it s_k x s_l} and u X u^dag = s_k for u = u_k (x) u_l, so the
     weights, records and eigenphases hold on the projectors of s_k and s_l.
     Lossless rounds list (minus, plus, hh, vv) in that order.  Raises
-    ProtocolError unless each K^dag K = w 1 and the w sum to one, so a draw
-    does not depend on the pair's state, and unless each unitary is diagonal
-    in ``_SIGN_PROJECTORS``, so the unitaries commute.
+    UsageError for eps outside [0, 1] or NaN, and ProtocolError unless each
+    K^dag K = w 1 and the w sum to one, so a draw does not depend on the state.
     """
-    if loss.backup_enabled:
-        stage = functools.partial(
-            _backup_stage, pair_a=(0, 1), pair_b=(2, 3), photons=(4, 5), eps=eps
-        )
-    else:
-        stage = functools.partial(joint_emission, pair=(0, 1), photons=(2, 3), eps=eps)
-    # One run on the pair maximally entangled with two reference qubits, counted
-    # as two more modes above the photon modes, covers all four input basis
-    # states: the references label them.
-    layout = RegisterLayout.build(2, with_backup=loss.backup_enabled, n_photons=2 + 2)
-    n = layout.n_qubits - 2
-    choi = np.zeros(1 << layout.n_qubits, dtype=complex)
-    choi[[j + (j << n) for j in range(4)]] = 1.0
-    out = stage(StateVector(choi, layout)).amplitudes
-    tensor = out.reshape(4, -1, 4).transpose(1, 2, 0)  # (mode state, atom out, atom in)
-
-    modes, records = _outcome_stack(loss)
-    kraus = np.tensordot(modes, tensor, axes=1)
-    gram = np.einsum("bki,bkj->bij", kraus.conj(), kraus)
-    weights = np.einsum("bii->b", gram).real / 4
-    if not (np.allclose(gram, weights[:, None, None] * np.eye(4), atol=1e-10)
-            and abs(weights.sum() - 1.0) <= 1e-10):
+    if not 0.0 <= eps <= 1.0:
+        raise UsageError(f"eps={eps} outside [0, 1]")
+    eigen, records = _outcome_stack(loss)
+    coeffs = [1.0 - eps, eps, math.sqrt(eps * (1.0 - eps))]
+    eigenvalues = np.dot(coeffs, eigen.reshape(3, -1)).reshape(-1, 4)  # K_b's on P_j
+    moduli = np.abs(eigenvalues) ** 2  # K^dag K = w 1 where a branch's moduli agree
+    weights = moduli.sum(axis=1) / 4
+    if not (np.ptp(moduli, axis=1).max() <= 1e-10 and abs(weights.sum() - 1.0) <= 1e-10):
         raise ProtocolError(f"round branches at eps={eps} are not weighted unitaries")
     keep = weights > _ZERO_BRANCH
-    kraus, weights = kraus[keep], weights[keep]
-    unitaries = kraus / np.sqrt(weights)[:, None, None]
-    phases = np.einsum("jik,bki->bj", _SIGN_PROJECTORS, unitaries)  # tr(P_j U_b)
-    if np.abs(np.einsum("bj,jik->bik", phases, _SIGN_PROJECTORS) - unitaries).max() > 1e-10:
-        raise ProtocolError(f"round branches at eps={eps} do not share one eigenbasis")
-    phases /= np.abs(phases)  # unit modulus, so a long product does not drift
+    eigenvalues, weights = eigenvalues[keep], weights[keep]
+    phases = eigenvalues / np.abs(eigenvalues)  # unit modulus, so a long product does not drift
+    kraus, unitaries = (np.dot(a, _SIGN_PROJECTORS.reshape(4, 16)).reshape(-1, 4, 4)
+                        for a in (eigenvalues, phases))
     cumulative = (*(np.cumsum(weights[:-1]) / weights.sum()).tolist(), 1.0)
     for a in (kraus, unitaries, phases):
         a.flags.writeable = False
