@@ -46,10 +46,8 @@ from .harness import (
 )
 from .loss import (
     LossConfig,
-    LossPattern,
     RoundBranch,
     RoundTable,
-    backup_entangle,
     backup_round,
     loss_channel,
     photon_copy,
@@ -60,7 +58,6 @@ from .pauli import (
     PauliAxis,
     PauliString,
     commutes,
-    conjugation_unitary,
     frame_conjugate_direction,
     multiply,
 )
@@ -71,7 +68,6 @@ from .statevec import (
     apply_pauli_string,
     apply_two_qubit,
     exact_evolution,
-    fidelity,
     measure,
 )
 

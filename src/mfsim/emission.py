@@ -77,7 +77,7 @@ def u_eps(state: StateVector, atom: int, photon: int, eps: float) -> StateVector
     """Emit: entangle ``atom`` with the vacuum photon mode at strength ``eps``.
 
     The backup protocol applies the same unitary with a reset backup atom in
-    the photon role (``loss.backup_entangle``).
+    the photon role: |a>_A |0>_B -> sqrt(1-eps)|a>|0> + sqrt(eps)|a xor 1>|1>.
     """
     _require_vacuum(state, photon)
     return _apply(state, (atom, photon), emission_unitary(eps))

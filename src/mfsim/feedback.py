@@ -154,11 +154,10 @@ def _pair_record(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis):
 
     ``flips[c]`` are the masks of I, s_k, s_l and s_k s_l on the pair: a
     branch with flip code c XORs them into the frame, and all four are the
-    Pauli sum's terms, whose ``_pauli_stack`` arrays come back as is.
+    Pauli sum's terms, whose ``_pauli_stack`` arrays this cache holds: at
+    the 12-qubit cap an entry takes 384 KB and a full cache 96 MB.
     Bad input raises on every call, since an exception is not cached, and
     the key is typed, so a float site never reads an integer site's entry.
-    An entry keeps its stack alive after ``_pauli_stack`` evicts it, so at
-    the 12-qubit cap the two caches hold at most twice that cache's 96 MB.
     """
     if k is PauliAxis.I or l is PauliAxis.I:
         raise UsageError("rotation axes must be X, Y, or Z")

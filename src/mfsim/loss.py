@@ -28,7 +28,6 @@ from .emission import (
     beamsplitter_measure,
     BeamSplitterOutcome,
     joint_emission,
-    u_eps,
     _require_vacuum,
 )
 from .errors import ProtocolError, UsageError
@@ -47,16 +46,6 @@ CNOT_MATRIX = np.array(
 
 
 @dataclass(frozen=True)
-class LossPattern:
-    lost: tuple[bool, bool]
-    detectable: bool
-
-    @property
-    def any_lost(self) -> bool:
-        return self.lost[0] or self.lost[1]
-
-
-@dataclass(frozen=True)
 class LossConfig:
     p_loss: float = 0.0
     encoding: PhotonEncoding = PhotonEncoding.POLARIZATION
@@ -68,12 +57,6 @@ class LossConfig:
             raise UsageError(f"loss.p_loss must lie in [0, 1], got {self.p_loss}")
         if self.backup_enabled and self.encoding is not PhotonEncoding.POLARIZATION:
             raise UsageError("loss.backup_enabled requires loss.encoding 'polarization'")
-
-
-# Entangling a data atom with its reset backup atom at strength eps is photon
-# emission with the backup atom in the photon role:
-# |a>_A |0>_B -> sqrt(1-eps)|a>|0> + sqrt(eps)|a xor 1>|1>.
-backup_entangle = u_eps
 
 
 def photon_copy(state: StateVector, atom_b: int, photon: int) -> StateVector:
@@ -90,19 +73,19 @@ def loss_channel(
     photons: tuple[int, int],
     cfg: LossConfig,
     rng: np.random.Generator,
-) -> tuple[StateVector, LossPattern]:
-    """Independently lose each photon with probability ``p_loss``."""
+) -> tuple[StateVector, tuple[bool, bool]]:
+    """Independently lose each photon with probability ``p_loss``.
+
+    Returns the state and which of the two photons were lost; a lost mode is
+    read by the environment in the {V, H} basis and emptied.
+    """
     lost = []
     for q in photons:
         is_lost = bool(rng.random() < cfg.p_loss)
         lost.append(is_lost)
         if is_lost:
             _, state, _ = measure_and_reset(state, [q], _E2, rng)
-    lost_t = (lost[0], lost[1])
-    detectable = (
-        (lost_t[0] or lost_t[1]) if cfg.encoding is PhotonEncoding.POLARIZATION else False
-    )
-    return state, LossPattern(lost_t, detectable)
+    return state, (lost[0], lost[1])
 
 
 @dataclass(frozen=True)
@@ -182,12 +165,12 @@ def backup_round(
     ``round_branches(eps, cfg)`` stores for it.
     """
     state = _backup_stage(state, pair_a, pair_b, photons, eps)
-    state, pattern = loss_channel(state, photons, cfg, rng)
-    if pattern.any_lost:
+    state, lost = loss_channel(state, photons, cfg, rng)
+    if any(lost):
         # A photon is missing: clear any surviving mode, then read the backups in
         # the computational basis to collapse onto a known Pauli branch.
         outcome, basis = None, _E2
-        for q, was_lost in zip(photons, pattern.lost):
+        for q, was_lost in zip(photons, lost):
             if not was_lost:
                 _, state, _ = measure_and_reset(state, [q], _E2, rng)
     else:
@@ -196,7 +179,7 @@ def backup_round(
     b1, state, _ = measure_and_reset(state, [pair_b[0]], basis, rng)
     b2, state, _ = measure_and_reset(state, [pair_b[1]], basis, rng)
     label = "loss" if outcome is None else outcome.value
-    return state, RoundBranch(label, *_backup_effect(outcome, (b1, b2)), (b1, b2), pattern.lost)
+    return state, RoundBranch(label, *_backup_effect(outcome, (b1, b2)), (b1, b2), lost)
 
 
 @dataclass(frozen=True)

@@ -108,10 +108,6 @@ class PauliString:
     def __str__(self) -> str:
         return mask_text(self.n, self.x, self.z)
 
-    @property
-    def is_identity(self) -> bool:
-        return not (self.x | self.z)
-
     def matrix(self) -> np.ndarray:
         """Dense matrix in little-endian qubit order (qubit 0 = low index bit)."""
         m = np.array([[1]], dtype=complex)
@@ -140,21 +136,6 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     if len(p) != len(q):
         raise UsageError(f"length mismatch: {len(p)} vs {len(q)}")
     return not ((p.x & q.z) ^ (p.z & q.x)).bit_count() & 1
-
-
-def conjugation_unitary(k: PauliAxis) -> np.ndarray:
-    """A single-qubit unitary u with u . sigma_X . u^dag = sigma_k.
-
-    Concrete branch-free choices: identity for X, the phase gate diag(1, i)
-    for Y, the Hadamard for Z.
-    """
-    if k is PauliAxis.X:
-        return np.eye(2, dtype=complex)
-    if k is PauliAxis.Y:
-        return np.diag([1.0, 1.0j])
-    if k is PauliAxis.Z:
-        return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    raise UsageError("conjugation unitary undefined for the identity axis")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ listed qubit is the low bit.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,15 +44,6 @@ class RegisterLayout:
     def n_qubits(self) -> int:
         return self.n_data * (2 if self.with_backup else 1) + self.n_photons
 
-    @property
-    def photon_qubits(self) -> list[int]:
-        return list(range(self.n_qubits - self.n_photons, self.n_qubits))
-
-    @property
-    def backup_of(self) -> dict[int, int]:
-        """Data qubit -> its backup qubit."""
-        return {i: self.n_data + i for i in range(self.n_data)} if self.with_backup else {}
-
 
 @dataclass
 class StateVector:
@@ -84,51 +74,17 @@ class StateVector:
     def norm_squared(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
-    @classmethod
-    def computational_basis(cls, layout: RegisterLayout, index: int = 0) -> "StateVector":
-        dim = 1 << layout.n_qubits
-        amp = np.zeros(dim, dtype=complex)
-        amp[index] = 1.0
-        return cls._wrap(amp, layout)
-
     def prob_qubit_one(self, qubit: int) -> float:
         """Probability of finding ``qubit`` in |1>."""
         branch = self.amplitudes[_subset_index(self.n_qubits, (qubit,))[1]]
         return float(np.vdot(branch, branch).real)
-
-    def dump(self, threshold: float = 1e-14) -> list[list]:
-        """Debug dump: list of [basis_index, re, im] triples above ``threshold``."""
-        out = []
-        for i, a in enumerate(self.amplitudes):
-            if abs(a) > threshold:
-                out.append([i, float(a.real), float(a.imag)])
-        return out
-
-    def dump_json(self, threshold: float = 1e-14) -> str:
-        return json.dumps(self.dump(threshold))
-
-
-@functools.lru_cache(maxsize=64)
-def _identity_bound(dim: int, atol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The complex identity and ``atol + 1e-5 |1|``, allclose's bound with its default rtol."""
-    eye = np.eye(dim, dtype=complex)  # a complex g minus a real identity casts
-    return eye, atol + 1e-5 * eye.real
-
-
-def _is_identity(g: np.ndarray, atol: float) -> bool:
-    """The verdict of ``np.allclose(g, identity, atol=atol)`` without its overhead.
-
-    |g - 1| <= atol + 1e-5 |1| entrywise, never for NaN or inf; a list's ``all`` reads it faster.
-    """
-    eye, bound = _identity_bound(len(g), atol)
-    return all((np.abs(g - eye) <= bound).ravel().tolist())
 
 
 def _check_unitary(u: np.ndarray, dim: int) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (dim, dim):
         raise UsageError(f"operator has shape {u.shape}, expected ({dim}, {dim})")
-    if not _is_identity(u.conj().T @ u, _UNITARY_ATOL * dim * 10):
+    if not np.allclose(u.conj().T @ u, np.eye(dim), atol=_UNITARY_ATOL * dim * 10):
         raise UsageError("operator is not unitary")
     return u
 
@@ -158,7 +114,6 @@ def _apply(state: StateVector, qubits: tuple[int, ...], u: np.ndarray) -> StateV
     return StateVector._wrap(out, state.layout)
 
 
-@functools.lru_cache(maxsize=256)
 def _pauli_stack(n: int, masks: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (m, 2^n) gather indices and phases of the Pauli strings with ``masks``.
 
@@ -166,9 +121,8 @@ def _pauli_stack(n: int, masks: tuple[tuple[int, int], ...]) -> tuple[np.ndarray
     (x_r, z_r), the form of ``pauli.PauliString``:
     (P_r psi)[i] = phase[r, i] psi[index[r, i]] with index = i ^ x_r and
     phase = i^|x_r z_r| (-1)^|index & z_r| (|.| a popcount).  At the 12-qubit
-    cap a string takes 96 KB, so an entry of a rotation's four strings (the
-    identity among them) takes 384 KB and a full cache 96 MB, below one of the
-    dense oracle's 4096 x 4096 complex matrices (256 MB).
+    cap a string takes 96 KB, so a rotation's four strings (the identity among
+    them) take 384 KB.
     """
     x, z = (np.array(m).reshape(-1, 1) for m in zip(*masks))
     index = np.arange(1 << n) ^ x
@@ -221,8 +175,8 @@ def measure(
     """
     kraus = np.asarray(operators, dtype=complex)
     dim = 1 << len(qubits)
-    complete = kraus.shape[1:] == (dim, dim) and _is_identity(
-        np.einsum("bki,bkj->ij", kraus.conj(), kraus), _BASIS_ATOL)
+    complete = kraus.shape[1:] == (dim, dim) and np.allclose(
+        np.einsum("bki,bkj->ij", kraus.conj(), kraus), np.eye(dim), atol=_BASIS_ATOL)
     if not complete:
         raise UsageError(f"operators of shape {kraus.shape} are not a complete set on {qubits}")
     idx = _subset_index(state.n_qubits, tuple(qubits))
@@ -276,13 +230,6 @@ def exact_evolution(h, t: float) -> np.ndarray:
             f"register of {h.n_qubits} qubits exceeds the dense cap of {DEFAULT_QUBIT_CAP}"
         )
     return expm_i_hermitian(h.to_matrix(), t)
-
-
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2, invariant under global phase of either argument."""
-    if a.layout != b.layout:
-        raise UsageError("fidelity requires matching register layouts")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
 def apply_pauli_string(state: StateVector, p: PauliString) -> StateVector:

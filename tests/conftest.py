@@ -9,7 +9,6 @@ from mfsim.statevec import (
     StateVector,
     apply_pauli_string,
     apply_two_qubit,
-    fidelity,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -26,6 +25,19 @@ def kron_le(*ops):
     for op in ops:
         m = np.kron(op, m)
     return m
+
+
+def conjugation_unitary(k):
+    """A one-qubit u with u X u^dag = s_k: the identity for X, diag(1, i) for Y, H for Z.
+
+    KeyError for the identity axis, which no unitary conjugates X to.
+    """
+    return {"X": I2, "Y": np.diag([1.0, 1.0j]), "Z": H}[k.value]
+
+
+def fidelity(a, b):
+    """|<a|b>|^2 of two states, invariant under the global phase of either."""
+    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
 def sign_projectors(axes):

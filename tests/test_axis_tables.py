@@ -19,10 +19,10 @@ from mfsim.errors import IncompleteRotationError
 from mfsim.feedback import EpsilonPolicy, realize_v, realize_v_kl
 from mfsim.harness import haar_random_amplitudes
 from mfsim.loss import LossConfig
-from mfsim.pauli import ErrorFrame, PauliAxis, PauliString, conjugation_unitary
+from mfsim.pauli import ErrorFrame, PauliAxis, PauliString
 from mfsim.statevec import RegisterLayout, StateVector, apply_local, apply_pauli_string
 
-from conftest import AXIS_MATS, I2, kron_le
+from conftest import AXIS_MATS, I2, conjugation_unitary, kron_le
 
 AXES = (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
 LOSSES = {"lossless": None, "backup-loss60": LossConfig(p_loss=0.6, backup_enabled=True)}

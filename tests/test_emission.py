@@ -11,7 +11,7 @@ from mfsim.emission import (
 )
 from mfsim.errors import ProtocolError, UsageError
 from mfsim.harness import haar_random_amplitudes
-from mfsim.statevec import RegisterLayout, StateVector, fidelity
+from mfsim.statevec import RegisterLayout, StateVector
 
 from conftest import X, embedded_state, kron_le, rot_xx
 

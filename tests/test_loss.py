@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from mfsim.emission import BeamSplitterOutcome, PhotonEncoding, outcome_probabilities
+from mfsim.emission import BeamSplitterOutcome, PhotonEncoding, outcome_probabilities, u_eps
 from mfsim.errors import ProtocolError, UsageError
 from mfsim.harness import haar_random_amplitudes
 from mfsim.loss import (
     LossConfig,
-    LossPattern,
-    backup_entangle,
     backup_round,
     loss_channel,
     photon_copy,
@@ -19,6 +17,10 @@ from mfsim.pauli import PauliAxis, PauliString
 from mfsim.statevec import RegisterLayout, StateVector
 
 from conftest import RoundEffect, classify_round_effect, embedded_state, kron_le, rot_xx, X
+
+
+# The two-atom backup register: data qubits 0 and 1, then their backups, then the photons.
+BACKUPS, PHOTONS = (2, 3), (4, 5)
 
 
 def backup_register(rng, n_data=2):
@@ -47,7 +49,7 @@ class TestBackupEntangle:
         layout = RegisterLayout.build(1, with_backup=True, n_photons=0)
         amp = np.zeros(4, dtype=complex)
         amp[0] = 1.0
-        st = backup_entangle(StateVector(amp, layout), 0, 1, 0.36)
+        st = u_eps(StateVector(amp, layout), 0, 1, 0.36)
         assert st.amplitudes[0] == pytest.approx(0.8)
         assert st.amplitudes[3] == pytest.approx(0.6)
 
@@ -56,7 +58,7 @@ class TestBackupEntangle:
         amp = np.zeros(4, dtype=complex)
         amp[2] = 1.0  # backup already |1>
         with pytest.raises(ProtocolError):
-            backup_entangle(StateVector(amp, layout), 0, 1, 0.3)
+            u_eps(StateVector(amp, layout), 0, 1, 0.3)
 
 
 class TestPhotonCopy:
@@ -81,16 +83,15 @@ class TestLossChannel:
     def test_no_loss_at_zero(self, rng):
         psi, layout, st = backup_register(rng)
         cfg = LossConfig(p_loss=0.0)
-        out, pattern = loss_channel(st, tuple(layout.photon_qubits), cfg, rng)
-        assert pattern == LossPattern((False, False), False)
+        out, lost = loss_channel(st, PHOTONS, cfg, rng)
+        assert lost == (False, False)
         assert np.allclose(out.amplitudes, st.amplitudes)
 
     def test_both_lost_at_one(self, rng):
         psi, layout, st = backup_register(rng)
         cfg = LossConfig(p_loss=1.0)
-        _, pattern = loss_channel(st, tuple(layout.photon_qubits), cfg, rng)
-        assert pattern.lost == (True, True)
-        assert pattern.detectable
+        _, lost = loss_channel(st, PHOTONS, cfg, rng)
+        assert lost == (True, True)
 
     def test_survival_statistics(self, rng):
         # both photons survive with probability (1-p)^2
@@ -103,8 +104,8 @@ class TestLossChannel:
         n = 3000
         survived = 0
         for _ in range(n):
-            _, pattern = loss_channel(st, (1, 2), cfg, rng)
-            survived += not pattern.any_lost
+            _, lost = loss_channel(st, (1, 2), cfg, rng)
+            survived += not any(lost)
         want = (1 - p) ** 2
         se = math.sqrt(n * want * (1 - want))
         assert abs(survived - n * want) <= 3 * se
@@ -114,17 +115,16 @@ class TestLossChannel:
         layout = RegisterLayout.build(1, n_photons=2)
         amp = np.zeros(8, dtype=complex)
         amp[0] = 1.0
-        _, pattern = loss_channel(StateVector(amp, layout), (1, 2), cfg, rng)
-        assert pattern.lost == (True, True)
-        assert not pattern.detectable
+        _, lost = loss_channel(StateVector(amp, layout), (1, 2), cfg, rng)
+        assert lost == (True, True)
 
     def test_lost_mode_is_emptied(self, rng):
         psi, layout, st = backup_register(rng)
         # put photon 1 into a superposition first
-        st = photon_copy(backup_entangle(st, 0, 2, 0.5), 2, layout.photon_qubits[0])
+        st = photon_copy(u_eps(st, 0, 2, 0.5), 2, PHOTONS[0])
         cfg = LossConfig(p_loss=1.0)
-        out, _ = loss_channel(st, tuple(layout.photon_qubits), cfg, rng)
-        for q in layout.photon_qubits:
+        out, _ = loss_channel(st, PHOTONS, cfg, rng)
+        for q in PHOTONS:
             assert out.prob_qubit_one(q) <= 1e-12
 
 
@@ -132,7 +132,7 @@ class TestBackupRound:
     CFG0 = LossConfig(p_loss=0.0, backup_enabled=True)
 
     def pairs(self, layout):
-        return (0, 1), (layout.backup_of[0], layout.backup_of[1]), tuple(layout.photon_qubits)
+        return (0, 1), BACKUPS, PHOTONS
 
     def test_lossless_outcome_distribution(self, rng):
         # with both photons arriving the beam-splitter law is the direct one
@@ -279,8 +279,7 @@ class TestClassifyRoundEffect:
         t = math.atan2(eps, 1 - eps)
         psi, layout, _ = backup_register(rng)
         pa = (0, 1)
-        pb = (layout.backup_of[0], layout.backup_of[1])
-        ph = tuple(layout.photon_qubits)
+        pb, ph = BACKUPS, PHOTONS
         n_rounds = 250
         for _ in range(n_rounds):
             st = fresh_round_state(psi, layout)

