@@ -11,14 +11,18 @@ A rotation therefore walks the doubling chain t, 2t, 4t, ... (mod pi).
 Conjugating by u_k (x) u_l maps e^{it XX} to e^{it s_k x s_l} and leaves a
 round's weights, records and eigenphases unchanged, so each level of the
 chain, with its XX round table, is built once per (angle, policy, loss) and
-shared by every axis pair and frame sign.  A round is one bisection into the
-level's weights, four complex multiplications, when the branch flips a qubit
-(s_k / s_l at the pair sites) an XOR of the frame's x/z masks, and a lookup
-of the level's one record for that branch and frame text.  The
-drawn unitaries are diagonal in the eigenbasis of s_k (x) 1 and 1 (x) s_l,
-so their product is the running product of their eigenvalue phases, a sum of
-the Pauli strings I, s_k, s_l and s_k s_l on the pair that updates the state
-once per rotation as one index gather.
+shared by every axis pair and frame sign.  The frame is one integer key,
+1 << 2n | z << n | x over its x/z masks.  A round is one bisection into the
+level's weights, an XOR of the key when the branch flips a qubit (s_k / s_l
+at the pair sites), and a lookup of the level's one record for that branch
+and key.  A rotating round also multiplies four complex eigenvalue phases; a
+Pauli round, whose unitary is i^g times the Pauli string of its flips (on a
+backup table every loss retry and HH/VV outcome), touches only the frame
+integers: a power of i and the pair's flip code.  The drawn unitaries are diagonal in the
+eigenbasis of s_k (x) 1 and 1 (x) s_l, so their product is the running
+product of their eigenvalue phases, with the Pauli rounds' i^g and signs
+folded in once, a sum of the Pauli strings I, s_k, s_l and s_k s_l on the
+pair that updates the state once per rotation as one index gather.
 """
 
 from __future__ import annotations
@@ -33,13 +37,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import IncompleteRotationError, UsageError
-from .loss import LossConfig, round_branches
+from .loss import _PAULI_EIGENVALUES, LossConfig, round_branches
 from .pauli import ErrorFrame, PauliAxis, mask_text
 from .statevec import StateVector, apply_local  # noqa: F401 (perfbench traces it)
 from .statevec import _apply_pauli_sum as _apply, _pauli_stack
 
 _ANGLE_TOL = 1e-12
 _LOSSLESS = LossConfig()
+_PAULI_FOLD = _PAULI_EIGENVALUES.tolist()  # [f][g][j], as Python complex numbers
 
 
 class PolicyMode(Enum):
@@ -100,14 +105,15 @@ class _Level:
     """One level of a residual's doubling chain: the residual it aims at and its round table.
 
     ``phases[i]`` are the eigenvalues of branch i's unitary on the XX table's
-    eigenprojectors, the same for every axis pair.  ``next[s < 0][i]`` is
-    the level after branch i under frame sign s: this level when the branch
-    does not rotate, None when s times its direction is the residual's sign
-    (the branch closes it), else the level at the doubled residual, built,
-    with its table, on the first round drawn here.  ``records[i]`` maps a
-    frame's text to the one record of branch i drawn here with that frame.
-    ``rows[s < 0][i]`` is what a round reads: (*phases[i], flips[i],
-    records[i], next[s < 0][i]).
+    eigenprojectors, the same for every axis pair, and ``powers[i]`` is the
+    table's power g of a Pauli branch, None for any other.
+    ``next[s < 0][i]`` is the level after branch i under frame sign s: this
+    level when the branch does not rotate, None when s times its direction
+    is the residual's sign (the branch closes it), else the level at the
+    doubled residual, built, with its table, on the first round drawn here.
+    ``records[i]`` maps a frame's key to the one record of branch i drawn
+    here with that frame.  ``rows[s < 0][i]`` is what a round reads:
+    (powers[i], *phases[i], flips[i], records[i], next[s < 0][i]).
     """
 
     def __init__(self, residual: float, policy: EpsilonPolicy, loss: LossConfig):
@@ -117,9 +123,10 @@ class _Level:
         table = round_branches(self.eps, loss)
         self.cumulative, self.branches = table.cumulative, table.branches
         self.phases = tuple(tuple(p) for p in table.phases.tolist())
+        self.powers = table.pauli_powers
         # the pair atoms a branch flips: bit 0 the first, bit 1 the second
         self.flips = tuple(b.flips[0] + 2 * b.flips[1] for b in self.branches)
-        self.records: tuple[dict[str, RoundRecord], ...] = tuple({} for _ in self.branches)
+        self.records: tuple[dict[int, RoundRecord], ...] = tuple({} for _ in self.branches)
 
     @functools.cached_property
     def next(self) -> tuple[tuple[Optional["_Level"], ...], ...]:
@@ -131,8 +138,8 @@ class _Level:
 
     @functools.cached_property
     def rows(self) -> tuple[tuple[tuple, ...], ...]:
-        return tuple(tuple((*p, f, r, s) for p, f, r, s in
-                           zip(self.phases, self.flips, self.records, successors))
+        return tuple(tuple((g, *p, f, r, s) for g, p, f, r, s in
+                           zip(self.powers, self.phases, self.flips, self.records, successors))
                      for successors in self.next)
 
 
@@ -150,12 +157,14 @@ def _first_level(t_target, policy_key, loss_key) -> Optional[_Level]:
 
 @functools.lru_cache(maxsize=256, typed=True)
 def _pair_record(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis):
-    """The checked masks of a rotation on sites (a, b) of n qubits, and its Pauli-sum stack.
+    """The checked frame-key masks of a rotation on sites (a, b) of n qubits; its Pauli-sum stack.
 
-    ``flips[c]`` are the masks of I, s_k, s_l and s_k s_l on the pair: a
-    branch with flip code c XORs them into the frame, and all four are the
-    Pauli sum's terms, whose ``_pauli_stack`` arrays this cache holds: at
-    the 12-qubit cap an entry takes 384 KB and a full cache 96 MB.
+    ``keys[c]`` is z << n | x for the masks of I, s_k, s_l and s_k s_l on the
+    pair: a branch with flip code c XORs it into the frame key.  ``swap`` is
+    the target s_k s_l's key with x and z exchanged, so a frame key's parity
+    on it is the frame's anticommutation with the target.  The four strings
+    are the Pauli sum's terms, whose ``_pauli_stack`` arrays this cache
+    holds: at the 12-qubit cap an entry takes 384 KB and a full cache 96 MB.
     Bad input raises on every call, since an exception is not cached, and
     the key is typed, so a float site never reads an integer site's entry.
     """
@@ -168,7 +177,8 @@ def _pair_record(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis):
             raise UsageError(f"site {site} outside register of size {n}")
     ka, lb = (k.x_bit << a, k.z_bit << a), (l.x_bit << b, l.z_bit << b)
     flips = ((0, 0), ka, lb, (ka[0] | lb[0], ka[1] | lb[1]))
-    return flips, _pauli_stack(n, flips)
+    tx, tz = flips[3]
+    return tuple(z << n | x for x, z in flips), tx << n | tz, _pauli_stack(n, flips)
 
 
 def realize_v_kl(
@@ -188,62 +198,73 @@ def realize_v_kl(
     (lossless when ``loss`` is None; conjugation by u_k (x) u_l carries it to
     (k, l) with the same weights, records and eigenphases) from the angle's
     cached doubling levels with one ``rng.random()`` (a numpy Generator or
-    any object whose ``random()`` returns a uniform in [0, 1)) and multiplies
-    its eigenvalues on P_j = (1 +- s_k)/2 (x) (1 +- s_l)/2 into four running
-    phases d_j.  Then sum_j d_j P_j, a sum of the Pauli strings I, s_k, s_l
-    and s_k s_l on the pair, is applied once, when the rotation ends or runs
-    out of rounds.  On success the frame-corrected output equals the exact
-    rotation applied to the frame-corrected input, up to global phase.
+    any object whose ``random()`` returns a uniform in [0, 1)).  A rotating
+    branch multiplies its eigenvalues on P_j = (1 +- s_k)/2 (x) (1 +- s_l)/2
+    into four running phases d_j; a Pauli branch, i^g times the string of its
+    flip code, only adds g to a power of i and XORs the code.  Then, with
+    that power and string folded into the d_j, sum_j d_j P_j, a sum of the
+    Pauli strings I, s_k, s_l and s_k s_l on the pair, is applied once, when
+    the rotation ends or runs out of rounds.  On success the frame-corrected
+    output equals the exact rotation applied to the frame-corrected input,
+    up to global phase.
     Raises IncompleteRotationError (with state, frame, and residual attached)
     if max_rounds is exhausted.
     """
     n = state.n_qubits
     a, b = pair
-    flips, stack = _pair_record(n, a, b, k, l)
+    keys, swap, stack = _pair_record(n, a, b, k, l)
     byproduct = frame.byproduct
     if byproduct.n != n:
         raise UsageError(f"length mismatch: {byproduct.n} vs {n}")
-    tx, tz = flips[3]
-    x, z = byproduct.x, byproduct.z
+    # The leading bit keeps the keys of registers of different sizes apart in
+    # the records of the levels they share.
+    key = start = 1 << 2 * n | byproduct.z << n | byproduct.x
     # A round's byproducts s_k (x) 1 and 1 (x) s_l both commute with the target
     # s_k (x) s_l, so the frame's commutation with it, and this sign, hold for
     # the whole rotation: it picks the level's successors.
-    swapped = ((x & tz) ^ (z & tx)).bit_count() & 1
+    swapped = (key & swap).bit_count() & 1
     level = _first_level(t_target, policy.key, (loss or _LOSSLESS).key)
     records: list[RoundRecord] = []
     if level is None:
         return state, frame, records
 
-    text = mask_text(n, x, z)
-    flipped = False
-    d0 = d1 = d2 = d3 = 1.0 + 0j  # eigenvalues of the product of the drawn unitaries
+    # A quarter of the eigenvalues of the product of the rotating rounds, so the
+    # sums below are the Pauli-sum coefficients: scaling by 1/4 is exact.
+    d0 = d1 = d2 = d3 = 0.25 + 0j
+    power = pauli = 0  # the Pauli rounds' product, i^power times the flip code pauli's string
     draw, bisect_right, append = rng.random, bisect.bisect_right, records.append
     current = None
     for _ in range(policy.max_rounds):
         if level is not current:  # rows build the successors, so read them on arrival only
             current, cumulative, rows = level, level.cumulative, level.rows[swapped]
         i = bisect_right(cumulative, draw())
-        p0, p1, p2, p3, code, by_text, level = rows[i]
-        d0, d1, d2, d3 = d0 * p0, d1 * p1, d2 * p2, d3 * p3
+        g, p0, p1, p2, p3, code, by_key, level = rows[i]
+        if g is None:
+            d0, d1, d2, d3 = d0 * p0, d1 * p1, d2 * p2, d3 * p3
+        else:
+            power += g
+            pauli ^= code
         if code:
-            dx, dz = flips[code]
-            x, z = x ^ dx, z ^ dz
-            text = mask_text(n, x, z)
-            flipped = True
-        rec = by_text.get(text)
+            key ^= keys[code]
+        rec = by_key.get(key)
         if rec is None:
-            out = current.branches[i]
-            rec = by_text[text] = RoundRecord(
-                out.label, current.eps, current.aimed, text, out.b_bits, out.lost)
+            out, mask = current.branches[i], ~(-1 << n)
+            rec = by_key[key] = RoundRecord(out.label, current.eps, current.aimed,
+                                            mask_text(n, key & mask, key >> n & mask),
+                                            out.b_bits, out.lost)
         append(rec)
         if level is None:
             break
 
     if records:  # sum_j d_j P_j, with P_j's sign bits j = (s_k bit) + 2 (s_l bit)
-        state = _apply(state, stack, ((d0 + d1 + d2 + d3) / 4, (d0 - d1 + d2 - d3) / 4,
-                                      (d0 + d1 - d2 - d3) / 4, (d0 - d1 - d2 + d3) / 4))
-    if flipped:
-        frame = ErrorFrame.from_masks(n, x, z)
+        if power & 3 or pauli:
+            f0, f1, f2, f3 = _PAULI_FOLD[pauli][power & 3]
+            d0, d1, d2, d3 = d0 * f0, d1 * f1, d2 * f2, d3 * f3
+        state = _apply(state, stack, (d0 + d1 + d2 + d3, d0 - d1 + d2 - d3,
+                                      d0 + d1 - d2 - d3, d0 - d1 - d2 + d3))
+    if key != start:
+        mask = ~(-1 << n)
+        frame = ErrorFrame.from_masks(n, key & mask, key >> n & mask)
     if level is None:
         return state, frame, records
     err = IncompleteRotationError(level.residual, records)

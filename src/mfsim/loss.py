@@ -192,7 +192,9 @@ class RoundTable:
     holds the running sums of the w_i, the last exactly 1.0.  Every U_i is
     diagonal in the joint eigenbasis of X (x) 1 and 1 (x) X: the read-only
     (B, 4) ``phases`` hold its unit-modulus eigenvalues on the projectors
-    ``_SIGN_PROJECTORS``, so U_i = sum_j phases[i, j] P_j.
+    ``_SIGN_PROJECTORS``, so U_i = sum_j phases[i, j] P_j.  ``pauli_powers``
+    marks the Pauli branches: g where U_i = i^g X^f1 (x) X^f2 for the
+    branch's flips (f1, f2), None for the others.
     """
 
     kraus: np.ndarray
@@ -200,6 +202,7 @@ class RoundTable:
     unitaries: np.ndarray
     cumulative: tuple[float, ...]
     phases: np.ndarray
+    pauli_powers: tuple[Optional[int], ...]
 
 
 _LOSS_PATTERNS = ((True, False), (False, True), (True, True))
@@ -214,6 +217,11 @@ _ZERO_BRANCH = 1e-24  # weight w (K^dag K = w 1) under which a branch counts as 
 _X_SIGNS = [(np.eye(2) + s * PauliAxis.X.matrix()) / 2 for s in (1, -1)]
 _SIGN_PROJECTORS = np.array([np.kron(second, first) for second in _X_SIGNS for first in _X_SIGNS])
 _SIGN_PROJECTORS.flags.writeable = False
+# _PAULI_EIGENVALUES[f, g, j] = i^g (-1)^|f & j|, the eigenvalue on P_j of the Pauli
+# string i^g X^f1 (x) X^f2 with flip code f = f1 + 2 f2.
+_PAULI_EIGENVALUES = np.array([[[ig * (-1) ** (f & j).bit_count() for j in range(4)]
+                                for ig in (1, 1j, -1, -1j)] for f in range(4)])
+_PAULI_ATOL = 1e-14  # Pauli phases are off by an ulp or two, rotating ones by about eps > 1e-12
 
 
 def _round_outcomes(loss: LossConfig):
@@ -312,7 +320,11 @@ def round_branches(eps: float, loss: LossConfig) -> RoundTable:
     kraus, unitaries = (np.dot(a, _SIGN_PROJECTORS.reshape(4, 16)).reshape(-1, 4, 4)
                         for a in (eigenvalues, phases))
     cumulative = (*(np.cumsum(weights[:-1]) / weights.sum()).tolist(), 1.0)
+    branches = tuple(r for r, k in zip(records, keep) if k)
+    # (B, 4 g): a Pauli branch's phases are those of i^g times the string of its flips
+    strings = _PAULI_EIGENVALUES[[b.flips[0] + 2 * b.flips[1] for b in branches]]
+    pauli = (np.abs(phases[:, None, :] - strings) <= _PAULI_ATOL).all(axis=2)
+    pauli_powers = tuple(row.index(True) if True in row else None for row in pauli.tolist())
     for a in (kraus, unitaries, phases):
         a.flags.writeable = False
-    branches = tuple(r for r, k in zip(records, keep) if k)
-    return RoundTable(kraus, branches, unitaries, cumulative, phases)
+    return RoundTable(kraus, branches, unitaries, cumulative, phases, pauli_powers)

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from mfsim.harness import ProtocolConfig, run_trajectory
+from mfsim.harness import ProtocolConfig, noiseless_plan_fidelity, run_trajectory
 
 _TROTTER = {
     "n_qubits": 3,
@@ -78,6 +78,16 @@ def records_digest(config: dict) -> str:
 @pytest.mark.parametrize("name", CONFIGS)
 def test_round_records_match_golden_digest(name):
     assert records_digest(CONFIGS[name]) == GOLDEN[name]
+
+
+def test_backup_loss_fidelities_sit_on_the_noiseless_envelope():
+    """Long loss runs fold many Pauli rounds into each rotation; none may move the fidelity."""
+    cfg = ProtocolConfig.from_dict(CONFIGS["backup-loss60"])
+    envelope = noiseless_plan_fidelity(cfg)
+    stats = [run_trajectory(cfg, i) for i in range(cfg.trajectories)]
+    assert not any(s.failed for s in stats)
+    for s in stats:
+        assert abs(s.fidelity_vs_oracle - envelope) <= 1e-12, s.index
 
 
 if __name__ == "__main__":

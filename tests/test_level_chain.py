@@ -147,9 +147,9 @@ def test_level_rows_are_phases_flips_records_and_successors(loss, cold_caches, b
         for s, rows in enumerate(level.rows):
             assert len(rows) == len(level.branches)
             for i, row in enumerate(rows):
-                assert row == (*level.phases[i], level.flips[i], level.records[i],
-                               level.next[s][i])
-                assert row[5] is level.records[i] and row[6] is level.next[s][i]
+                assert row == (level.powers[i], *level.phases[i], level.flips[i],
+                               level.records[i], level.next[s][i])
+                assert row[6] is level.records[i] and row[7] is level.next[s][i]
 
 
 @pytest.mark.parametrize("loss", LOSSES, ids=["lossless", "heralded", "backup-loss60"])

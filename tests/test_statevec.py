@@ -531,3 +531,26 @@ def test_identity_check_keeps_allclose_verdict(dim):
         u[dim - 1, 0] = bad
         assert rejected(lambda: mfsim.statevec._check_unitary(u, dim), "not unitary")
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_unitary_check_boundary(dim):
+    """The Gram matrix's tolerance: atol + 1e-5 on the diagonal, atol off it (atol = 1e-11 dim).
+
+    ``u`` = diag(sqrt(1 + d), 1, ...) moves a diagonal Gram entry by d, and the
+    identity plus e in one upper entry moves an off-diagonal one by e (and a
+    diagonal one by e^2).  A NaN entry fails.
+    """
+    atol = 1e-12 * dim * 10
+    for entry, bound in (("diagonal", atol + 1e-5), ("off-diagonal", atol)):
+        for factor, passes in ((0.99, True), (1.01, False)):
+            u = np.eye(dim, dtype=complex)
+            if entry == "diagonal":
+                u[0, 0] = np.sqrt(1.0 + factor * bound)
+            else:
+                u[0, dim - 1] = factor * bound
+            verdict = rejected(lambda: mfsim.statevec._check_unitary(u, dim), "not unitary")
+            assert verdict is not passes, (entry, factor)
+    u = np.eye(dim, dtype=complex)
+    u[1, 1] = np.nan
+    assert rejected(lambda: mfsim.statevec._check_unitary(u, dim), "not unitary")
