@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import bisect
 import functools
+import json
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from typing import Optional
 
@@ -86,7 +87,7 @@ def reduce_angle(t: float) -> float:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Audit entry for one feedback round; one instance serves every round with its values."""
+    """One round's audit entry, shared by every round with its values; ``text`` is its JSON."""
 
     outcome: str
     eps_used: float
@@ -94,11 +95,12 @@ class RoundRecord:
     frame_after: str
     b_measurements: Optional[tuple[int, int]] = None
     lost: Optional[tuple[bool, bool]] = None
+    text = functools.cached_property(lambda self: json.dumps(self.to_dict(), sort_keys=True))
 
     def to_dict(self) -> dict:
-        """The fields by name, tuples as lists; the optional ones only when set."""
-        return {k: list(v) if isinstance(v, tuple) else v
-                for k, v in vars(self).items() if v is not None}
+        """The fields by name, tuples as lists; the optional ones only when set (not ``text``)."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values if v is not None}
 
 
 class _Level:
@@ -155,7 +157,7 @@ def _first_level(t_target, policy_key, loss_key) -> Optional[_Level]:
     return _level(reduce_angle(t_target), EpsilonPolicy(*policy_key), LossConfig(*loss_key))
 
 
-@functools.lru_cache(maxsize=256, typed=True)
+@functools.lru_cache(maxsize=None, typed=True)
 def _pair_record(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis):
     """The checked frame-key masks of a rotation on sites (a, b) of n qubits; its Pauli-sum stack.
 
@@ -163,8 +165,8 @@ def _pair_record(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis):
     pair: a branch with flip code c XORs it into the frame key.  ``swap`` is
     the target s_k s_l's key with x and z exchanged, so a frame key's parity
     on it is the frame's anticommutation with the target.  The four strings
-    are the Pauli sum's terms, whose ``_pauli_stack`` arrays this cache
-    holds: at the 12-qubit cap an entry takes 384 KB and a full cache 96 MB.
+    are the Pauli sum's terms, whose ``_pauli_stack`` arrays take 96 * 2^n bytes
+    (384 KB at the 12-qubit cap).  Every key is kept, as ``_first_level`` keeps every angle.
     Bad input raises on every call, since an exception is not cached, and
     the key is typed, so a float site never reads an integer site's entry.
     """

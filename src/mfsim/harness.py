@@ -558,19 +558,15 @@ def noiseless_plan_fidelity(cfg: ProtocolConfig) -> float:
 
 
 def _audit_lines(stats: list[TrajectoryStats]):
-    """Each trajectory's ``json.dumps(s.to_dict(), sort_keys=True)`` line, records encoded once.
+    """Each trajectory's ``json.dumps(s.to_dict(), sort_keys=True)`` line, from its records' text.
 
-    A record's text is cached by id, unique while ``stats`` holds the record;
-    the rounds go at ``"rounds": 0``, whose bare quotes no JSON string can contain.
+    Each record keeps its own ``text``, so a record is encoded once; the rounds
+    go at ``"rounds": 0``, whose bare quotes no JSON string can contain.
     """
-    texts: dict[int, str] = {}
     for s in stats:
-        for r in s.records:
-            if id(r) not in texts:
-                texts[id(r)] = json.dumps(r.to_dict(), sort_keys=True)
         line = json.dumps({**s.summary(), "rounds": 0}, sort_keys=True)
         head, _, tail = line.partition('"rounds": 0')
-        yield f'{head}"rounds": [{", ".join([texts[id(r)] for r in s.records])}]{tail}\n'
+        yield f'{head}"rounds": [{", ".join([r.text for r in s.records])}]{tail}\n'
 
 
 def emit_report(

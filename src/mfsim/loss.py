@@ -287,7 +287,6 @@ def _outcome_stack(loss: LossConfig) -> tuple[np.ndarray, tuple[RoundBranch, ...
     return eigen, tuple(RoundBranch(*r) for r in records)
 
 
-@functools.lru_cache(maxsize=256)
 def round_branches(eps: float, loss: LossConfig) -> RoundTable:
     """Every branch of one feedback round at strength ``eps``, as Kraus operators on the pair.
 
@@ -301,8 +300,9 @@ def round_branches(eps: float, loss: LossConfig) -> RoundTable:
     controller reads it for every axis pair (k, l): u e^{it XX} u^dag =
     e^{it s_k x s_l} and u X u^dag = s_k for u = u_k (x) u_l, so the
     weights, records and eigenphases hold on the projectors of s_k and s_l.
-    Lossless rounds list (minus, plus, hh, vv) in that order.  Raises
-    UsageError for eps outside [0, 1] or NaN, and ProtocolError unless each
+    Lossless rounds list (minus, plus, hh, vv) in that order.  Each call builds
+    a table; a feedback level builds its own once and keeps the fields it reads.
+    Raises UsageError for eps outside [0, 1] or NaN, and ProtocolError unless each
     K^dag K = w 1 and the w sum to one, so a draw does not depend on the state.
     """
     if not 0.0 <= eps <= 1.0:

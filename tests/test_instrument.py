@@ -148,7 +148,7 @@ def test_non_unitary_branch_fails_the_build(monkeypatch):
     monkeypatch.setattr(mfsim.loss, "_E4", kron_le(H, H))
     try:
         with pytest.raises(ProtocolError):
-            round_branches.__wrapped__(0.3, LossConfig(p_loss=0.3))
+            round_branches(0.3, LossConfig(p_loss=0.3))
     finally:
         mfsim.loss._outcome_stack.cache_clear()
 
@@ -181,7 +181,7 @@ def test_branch_outside_the_basis_fails_the_build(monkeypatch):
     monkeypatch.setattr(mfsim.loss, "_SIGN_PROJECTORS", computational)
     try:
         with pytest.raises(ProtocolError):
-            round_branches.__wrapped__(0.3, LossConfig())
+            round_branches(0.3, LossConfig())
     finally:
         mfsim.loss._outcome_stack.cache_clear()
 
@@ -270,15 +270,6 @@ CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("name", CONFIGS)
-def test_cold_and_warm_table_cache_agree(name):
-    cfg = ProtocolConfig.from_dict({**CONFIGS[name], "master_seed": 11})
-    round_branches.cache_clear()
-    cold = [run_trajectory(cfg, i).to_dict() for i in range(3)]
-    warm = [run_trajectory(cfg, i).to_dict() for i in range(3)]
-    assert cold == warm
-
-
 def test_warm_trajectory_evolves_data_qubits_only(monkeypatch):
     cfg = ProtocolConfig.from_dict({**CONFIGS["backup-loss60"], "master_seed": 12})
     first = run_trajectory(cfg, 0)  # builds every table this trajectory needs
@@ -364,7 +355,6 @@ def unitary_checks(monkeypatch):
 @pytest.mark.parametrize("kind", KINDS)
 def test_cold_table_build_checks_no_gate(kind, unitary_checks):
     for axes in AXIS_PAIRS:
-        round_branches.cache_clear()
         axis_table.__wrapped__(0.3, KINDS[kind], axes)
     assert unitary_checks == []
 
@@ -531,10 +521,9 @@ LEVEL_CONFIGS = {
 @pytest.mark.parametrize("name", LEVEL_CONFIGS)
 def test_cold_and_warm_level_cache_agree(name):
     cfg = ProtocolConfig.from_dict({**LEVEL_CONFIGS[name], "master_seed": 14})
-    round_branches.cache_clear()
     mfsim.feedback._first_level.cache_clear()
     cold = [run_trajectory(cfg, i).to_dict() for i in range(3)]
-    mfsim.feedback._first_level.cache_clear()  # levels rebuilt from warm tables
+    mfsim.feedback._first_level.cache_clear()  # levels rebuilt, each with its table
     rebuilt = [run_trajectory(cfg, i).to_dict() for i in range(3)]
     warm = [run_trajectory(cfg, i).to_dict() for i in range(3)]
     assert cold == rebuilt == warm

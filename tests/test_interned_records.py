@@ -8,16 +8,16 @@ sort_keys=True)`` per trajectory.
 """
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 import mfsim.feedback
-from mfsim.feedback import EpsilonPolicy, _first_level, realize_v
+from mfsim.feedback import EpsilonPolicy, _first_level, _pair_record, realize_v, realize_v_kl
 from mfsim.harness import ProtocolConfig, emit_report, run_ensemble, run_trajectory
-from mfsim.loss import round_branches
-from mfsim.pauli import ErrorFrame
+from mfsim.pauli import ErrorFrame, PauliAxis
 from mfsim.statevec import RegisterLayout, StateVector
 
 _PAIR = {"n_qubits": 2, "terms": [{"sites": [0, 1], "axes": "XX", "coeff": 1.0}]}
@@ -106,12 +106,25 @@ def test_record_fields_cannot_be_assigned():
                              "frame_after": "II"}
 
 
+@pytest.mark.parametrize("rec", [
+    mfsim.feedback.RoundRecord("plus", 0.5, 0.7, "II"),
+    mfsim.feedback.RoundRecord("hh", 0.25, 0.5, 'X"Y', (1, 0), (False, True)),
+])
+def test_record_text_is_its_json_and_not_a_field(rec):
+    before, twin = rec.to_dict(), dataclasses.replace(rec)
+    assert rec.text == json.dumps(before, sort_keys=True)
+    assert "text" in vars(rec)  # kept by the record
+    assert rec.to_dict() == before
+    assert rec == twin and hash(rec) == hash(twin)
+    copy = dataclasses.replace(rec)
+    assert copy == rec and "text" not in vars(copy) and copy.text == rec.text
+
+
 def test_first_levels_are_kept_for_more_angles_than_a_bounded_cache(monkeypatch):
     # 100 distinct coefficients, so 100 distinct rotation angles
     terms = [{"sites": [0, 1], "axes": "XX", "coeff": 1 + i / 100} for i in range(100)]
     cfg = ProtocolConfig.from_dict({"hamiltonian": {"n_qubits": 2, "terms": terms},
                                     "t": 0.5, "n_steps": 2})
-    round_branches.cache_clear()
     _first_level.cache_clear()
     try:
         cold = [run_trajectory(cfg, index).records for index in range(3)]
@@ -130,3 +143,20 @@ def test_first_levels_are_kept_for_more_angles_than_a_bounded_cache(monkeypatch)
         assert (info.misses, info.currsize) == (100, 100)
     finally:
         _first_level.cache_clear()
+
+
+def test_pair_records_are_kept_for_more_keys_than_a_bounded_cache():
+    # all 30 ordered pairs of 6 qubits on all nine axis pairs: 270 (pair, axes) keys
+    n, axes = 6, (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
+    keys = list(itertools.product(itertools.permutations(range(n), 2), axes, axes))
+    assert len(keys) == 270
+    state = StateVector(np.full(1 << n, 2 ** (-n / 2), dtype=complex),
+                        RegisterLayout.build(n, n_photons=0))
+    rng = np.random.default_rng(8)
+    misses = []
+    for _ in range(2):
+        before = _pair_record.cache_info().misses
+        for pair, k, l in keys:
+            realize_v_kl(state, pair, k, l, 0.3, EpsilonPolicy(), ErrorFrame.identity(n), rng)
+        misses.append(_pair_record.cache_info().misses - before)
+    assert misses[0] <= len(keys) and misses[1] == 0

@@ -49,7 +49,6 @@ def frame_with_sign(axes, sign):
 
 @pytest.fixture
 def cold_caches():
-    round_branches.cache_clear()
     _first_level.cache_clear()
     yield
     _first_level.cache_clear()

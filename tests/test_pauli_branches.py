@@ -47,7 +47,7 @@ def test_pauli_powers_match_the_dense_unitaries(name, mode):
         for i, branch in enumerate(table.branches):
             want = dense_power(table.unitaries[i], branch.flips)
             assert table.pauli_powers[i] == want, (residual, i, branch)
-        assert level.powers is table.pauli_powers
+        assert level.powers == table.pauli_powers
         pauli = [b for b, g in zip(table.branches, table.pauli_powers) if g is not None]
         assert len(pauli) == n_pauli, residual
         if name == "lossless":

@@ -72,7 +72,7 @@ def test_tables_equal_the_direct_build(name):
     assert len(EPS_VALUES) >= 53 and all(0.0 <= e <= 1.0 for e in EPS_VALUES)
     for eps in EPS_VALUES:
         kraus, kept, unitaries, cumulative, phases = direct_table(eps, loss)
-        table = round_branches.__wrapped__(eps, loss)
+        table = round_branches(eps, loss)
         assert table.branches == kept, eps
         assert len(table.cumulative) == len(cumulative) == len(table.phases), eps
         assert max(abs(a - b) for a, b in zip(table.cumulative, cumulative)) <= 1e-15, eps
@@ -121,5 +121,5 @@ def test_unit_interval_ends_build_without_warnings(cold_compile):
         warnings.simplefilter("error")
         for loss in LOSS_CONFIGS.values():
             for eps in (0.0, 1.0):
-                table = round_branches.__wrapped__(eps, loss)
+                table = round_branches(eps, loss)
                 assert table.cumulative[-1] == 1.0
