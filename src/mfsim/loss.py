@@ -186,20 +186,17 @@ def backup_round(
 class RoundTable:
     """Every branch of one round: ``kraus[i]`` is the operator of ``branches[i]``.
 
-    ``kraus`` is a read-only (B, 4, 4) stack of operators on the (first,
-    second) atom, first the low bit, in the XX picture.  Each is a weighted
-    unitary sqrt(w_i) U_i: ``unitaries`` stacks the U_i and ``cumulative``
-    holds the running sums of the w_i, the last exactly 1.0.  Every U_i is
-    diagonal in the joint eigenbasis of X (x) 1 and 1 (x) X: the read-only
-    (B, 4) ``phases`` hold its unit-modulus eigenvalues on the projectors
-    ``_SIGN_PROJECTORS``, so U_i = sum_j phases[i, j] P_j.  ``pauli_powers``
-    marks the Pauli branches: g where U_i = i^g X^f1 (x) X^f2 for the
-    branch's flips (f1, f2), None for the others.
+    ``kraus`` is a read-only (B, 4, 4) stack of operators on the (first, second) atom,
+    first the low bit, in the XX picture.  Each is a weighted unitary sqrt(w_i) U_i, and
+    ``cumulative`` holds the running sums of the w_i, the last exactly 1.0.  Every U_i
+    is diagonal in the joint eigenbasis of X (x) 1 and 1 (x) X: the read-only (B, 4)
+    ``phases`` hold its unit-modulus eigenvalues on the projectors ``_SIGN_PROJECTORS``,
+    so U_i = sum_j phases[i, j] P_j.  ``pauli_powers`` marks the Pauli branches: g where
+    U_i = i^g X^f1 (x) X^f2 for the branch's flips (f1, f2), None for the others.
     """
 
     kraus: np.ndarray
     branches: tuple[RoundBranch, ...]
-    unitaries: np.ndarray
     cumulative: tuple[float, ...]
     phases: np.ndarray
     pauli_powers: tuple[Optional[int], ...]
@@ -263,7 +260,11 @@ def _outcome_stack(loss: LossConfig) -> tuple[np.ndarray, tuple[RoundBranch, ...
     With emissions at eps and 1 - eps and a loss free of eps, branch b's operator is exactly
     (1 - eps) K_0b + eps K_1b + sqrt(eps (1 - eps)) K_2b: K_0 = K(0), K_1 = K(1) and K_2 =
     2 K(1/2) - K_0 - K_1 from the model, stacked as eigenvalues on ``_SIGN_PROJECTORS``.
-    ProtocolError unless each K_mb is diagonal on them and the terms give the model at eps 0.3.
+    ProtocolError unless each K_mb is diagonal on them, the terms give the model at eps 0.3,
+    and K_b^dag K_b = w_b 1 with sum_b w_b = 1 at every eps (the outcome law).  |K_b's
+    eigenvalue on P_j|^2 is ((1-eps)^2, eps^2, s^2, 2s (1-eps), 2s eps) . forms[:, b, j], with
+    s^2 = eps (1 - eps): five independent functions of eps, so the law holds exactly when each
+    form agrees over j and the forms' branch sums are (1, 1, 2, 0, 0), as in ((1-eps) + eps)^2.
     """
     if loss.backup_enabled:
         stage = functools.partial(_backup_stage, pair_a=(0, 1), pair_b=(2, 3), photons=(4, 5))
@@ -283,6 +284,10 @@ def _outcome_stack(loss: LossConfig) -> tuple[np.ndarray, tuple[RoundBranch, ...
     if (np.abs(np.einsum("mbj,jik->mbik", eigen, _SIGN_PROJECTORS) - terms).max() > 1e-10
             or np.abs(np.tensordot([0.7, 0.3, math.sqrt(0.21)], terms, 1) - probe).max() > 1e-12):
         raise ProtocolError(f"round branches of {loss} are not three terms diagonal in one basis")
+    g = (eigen[:, None] * eigen.conj()).real  # g[m, n, b, j] = Re e_mbj conj(e_nbj)
+    forms = np.array([g[0, 0], g[1, 1], g[2, 2] + 2.0 * g[0, 1], g[0, 2], g[1, 2]])
+    if np.ptp(forms, 2).max() > 1e-10 or abs(forms.mean(2).sum(1) - [1, 1, 2, 0, 0]).max() > 1e-10:
+        raise ProtocolError(f"round branches of {loss} are not weighted unitaries at every eps")
     eigen.flags.writeable = False
     return eigen, tuple(RoundBranch(*r) for r in records)
 
@@ -302,29 +307,24 @@ def round_branches(eps: float, loss: LossConfig) -> RoundTable:
     weights, records and eigenphases hold on the projectors of s_k and s_l.
     Lossless rounds list (minus, plus, hh, vv) in that order.  Each call builds
     a table; a feedback level builds its own once and keeps the fields it reads.
-    Raises UsageError for eps outside [0, 1] or NaN, and ProtocolError unless each
-    K^dag K = w 1 and the w sum to one, so a draw does not depend on the state.
+    Raises UsageError for eps outside [0, 1] or NaN.  A loss model whose draw would depend
+    on the state fails earlier, once per config: ``_outcome_stack`` raises ProtocolError.
     """
     if not 0.0 <= eps <= 1.0:
         raise UsageError(f"eps={eps} outside [0, 1]")
     eigen, records = _outcome_stack(loss)
     coeffs = [1.0 - eps, eps, math.sqrt(eps * (1.0 - eps))]
     eigenvalues = np.dot(coeffs, eigen.reshape(3, -1)).reshape(-1, 4)  # K_b's on P_j
-    moduli = np.abs(eigenvalues) ** 2  # K^dag K = w 1 where a branch's moduli agree
-    weights = moduli.sum(axis=1) / 4
-    if not (np.ptp(moduli, axis=1).max() <= 1e-10 and abs(weights.sum() - 1.0) <= 1e-10):
-        raise ProtocolError(f"round branches at eps={eps} are not weighted unitaries")
+    weights = (np.abs(eigenvalues) ** 2).sum(axis=1) / 4  # K^dag K = w 1, checked per config
     keep = weights > _ZERO_BRANCH
     eigenvalues, weights = eigenvalues[keep], weights[keep]
     phases = eigenvalues / np.abs(eigenvalues)  # unit modulus, so a long product does not drift
-    kraus, unitaries = (np.dot(a, _SIGN_PROJECTORS.reshape(4, 16)).reshape(-1, 4, 4)
-                        for a in (eigenvalues, phases))
+    kraus = np.dot(eigenvalues, _SIGN_PROJECTORS.reshape(4, 16)).reshape(-1, 4, 4)
     cumulative = (*(np.cumsum(weights[:-1]) / weights.sum()).tolist(), 1.0)
     branches = tuple(r for r, k in zip(records, keep) if k)
     # (B, 4 g): a Pauli branch's phases are those of i^g times the string of its flips
     strings = _PAULI_EIGENVALUES[[b.flips[0] + 2 * b.flips[1] for b in branches]]
     pauli = (np.abs(phases[:, None, :] - strings) <= _PAULI_ATOL).all(axis=2)
     pauli_powers = tuple(row.index(True) if True in row else None for row in pauli.tolist())
-    for a in (kraus, unitaries, phases):
-        a.flags.writeable = False
-    return RoundTable(kraus, branches, unitaries, cumulative, phases, pauli_powers)
+    kraus.flags.writeable = phases.flags.writeable = False
+    return RoundTable(kraus, branches, cumulative, phases, pauli_powers)

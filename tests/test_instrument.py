@@ -68,9 +68,10 @@ def axis_table(eps, loss, axes):
     """
     table = round_branches(eps, loss)
     u = kron_le(*(conjugation_unitary(a) for a in axes))
-    kraus, unitaries = (u @ m @ u.conj().T for m in (table.kraus, table.unitaries))
-    return AxisTable(kraus, table.branches, unitaries, table.cumulative,
-                     sign_projectors(axes), table.phases)
+    projectors = sign_projectors(axes)
+    unitaries = np.einsum("bj,jik->bik", table.phases, projectors)  # sum_j phases[i, j] P_j
+    return AxisTable(u @ table.kraus @ u.conj().T, table.branches, unitaries, table.cumulative,
+                     projectors, table.phases)
 
 
 def record(branch):

@@ -10,7 +10,7 @@ import pytest
 
 from mfsim.emission import PhotonEncoding
 from mfsim.feedback import EpsilonPolicy, PolicyMode, _Level
-from mfsim.loss import LossConfig, round_branches
+from mfsim.loss import _SIGN_PROJECTORS, LossConfig, round_branches
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
@@ -45,7 +45,8 @@ def test_pauli_powers_match_the_dense_unitaries(name, mode):
         table = round_branches(level.eps, loss)
         assert 0.0 < level.eps < 1.0 and len(table.branches) == n_branches, residual
         for i, branch in enumerate(table.branches):
-            want = dense_power(table.unitaries[i], branch.flips)
+            unitary = np.einsum("j,jik->ik", table.phases[i], _SIGN_PROJECTORS)
+            want = dense_power(unitary, branch.flips)
             assert table.pauli_powers[i] == want, (residual, i, branch)
         assert level.powers == table.pauli_powers
         pauli = [b for b, g in zip(table.branches, table.pauli_powers) if g is not None]
