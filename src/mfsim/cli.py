@@ -3,9 +3,9 @@
 Exit codes: 0 success, 2 configuration error, a numeric flag out of range or
 an output directory ``simulate`` cannot write (``output error:`` and the path
 are printed, before the first trajectory runs), 3 register-size cap exceeded,
-4 a ``cnot-demo`` rotation ran out of rounds (the residual angle is printed).
-The output directory of ``simulate`` can be overridden with the
-``MFSIM_OUT_DIR`` environment variable.
+4 a ``cnot-demo`` rotation ran out of rounds (the residual angle is printed),
+141 (128 + SIGPIPE) the reader closed stdout before the output was written.
+``MFSIM_OUT_DIR`` overrides the output directory of ``simulate``.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_INCOMPLETE = 4
+EXIT_PIPE = 141
 
 # (subcommand, flag, accepted values, test) for the numeric flags argparse only types.
 _FLAG_BOUNDS = (
@@ -146,6 +147,10 @@ def main(argv=None) -> int:
             cfg = ProtocolConfig.from_json_file(args.config)
             fid = noiseless_plan_fidelity(cfg)
             print(json.dumps({"noiseless_plan_fidelity": fid}, sort_keys=True, indent=2))
+        sys.stdout.flush()  # a buffered write to a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # a silent exit flush
+        return EXIT_PIPE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .emission import BeamSplitterOutcome, outcome_probabilities
 from .errors import ConfigError, UsageError
-from .feedback import EpsilonPolicy
+from .feedback import _ANGLE_TOL, EpsilonPolicy
 from .pauli import PauliAxis, PauliString
 
 
@@ -190,12 +191,8 @@ class TrotterPlan:
                     seen.add(s)
 
     @property
-    def rotations_per_sweep(self) -> int:
-        return sum(len(l) for l in self.layers)
-
-    @property
     def total_rotations(self) -> int:
-        return self.n_steps * self.rotations_per_sweep
+        return self.n_steps * sum(len(l) for l in self.layers)
 
     def sweep_rotations(self):
         for layer in self.layers:
@@ -249,11 +246,11 @@ def plan_unitary(plan: TrotterPlan) -> np.ndarray:
     return np.linalg.matrix_power(sweep, plan.n_steps)
 
 
-def _round_success_probability(angle: float) -> float:
-    """Plus-outcome probability ((1-eps)^2 + eps^2) / 2 of the first round aiming ``angle``."""
+def _round_success_probability(angle: float) -> Optional[float]:
+    """Plus probability ((1-eps)^2 + eps^2)/2 of the first round at ``angle``; None if no round."""
     a = abs(math.remainder(angle, math.pi))
-    if a <= 1e-15:
-        return 1.0
+    if a <= _ANGLE_TOL:
+        return None
     return outcome_probabilities(EpsilonPolicy().eps_for(a))[BeamSplitterOutcome.PLUS]
 
 
@@ -262,39 +259,28 @@ def round_budget(plan: TrotterPlan, confidence: float = 0.99) -> dict:
 
     Each rotation counts 1/q rounds, q the Plus probability of its first
     round under the default policy with no loss; later doubling levels, the
-    plan's policy and loss are left out, so the counts run low.
+    plan's policy and loss are left out, so the counts run low.  As in the
+    feedback loop, a rotation within _ANGLE_TOL of a multiple of pi is the
+    identity up to phase and draws none.
     serial_rounds: the sum of 1/q over all rotations.  parallel_depth: per
     layer, the smallest round allowance r with (1 - (1-q_min)^r)^g >=
-    confidence for the g rotations in the layer, summed over layers and sweeps.
+    confidence for the g rotations in the layer that draw rounds, summed
+    over layers and sweeps.
     """
-    if plan.rotations_per_sweep == 0:
-        return {
-            "serial_rounds": 0.0,
-            "parallel_depth": 0,
-            "mean_rounds_per_rotation": 0.0,
-            "layers_per_sweep": 0,
-            "confidence": confidence,
-        }
     serial_per_sweep = 0.0
     depth_per_sweep = 0
     for layer in plan.layers:
-        probs = [_round_success_probability(r.angle) for r in layer if abs(r.angle) > 1e-15]
+        probs = [q for q in (_round_success_probability(r.angle) for r in layer) if q is not None]
         serial_per_sweep += sum(1.0 / q for q in probs)
-        if not probs:
-            continue
-        q_min = min(probs)
-        g = len(probs)
-        if q_min >= 1.0:
-            depth_per_sweep += 1
-            continue
-        per_gate = confidence ** (1.0 / g)
-        allowance = math.ceil(math.log(1.0 - per_gate) / math.log(1.0 - q_min))
-        depth_per_sweep += max(1, allowance)
+        if probs:
+            per_gate = confidence ** (1.0 / len(probs))
+            allowance = math.ceil(math.log(1.0 - per_gate) / math.log(1.0 - min(probs)))
+            depth_per_sweep += max(1, allowance)
     serial = plan.n_steps * serial_per_sweep
     return {
         "serial_rounds": serial,
         "parallel_depth": plan.n_steps * depth_per_sweep,
-        "mean_rounds_per_rotation": serial / plan.total_rotations,
+        "mean_rounds_per_rotation": serial / max(1, plan.total_rotations),
         "layers_per_sweep": len(plan.layers),
         "confidence": confidence,
     }
@@ -318,11 +304,11 @@ def binomial_tail_at_least(n_trials: int, n_successes: int, p: float) -> float:
     return min(1.0, total)
 
 
-def serial_success_probability(m: int, const: float = 3.0, p: float = 0.5) -> float:
-    """Exact probability of >= m^2 successes in 2m^2 + const*m/2 feedback rounds.
+def serial_success_probability(m: int, const: float = 3.0) -> float:
+    """Exact probability of >= m^2 successes in 2m^2 + const*m/2 feedback rounds at p = 1/2.
 
     Exposes the computation behind the claimed near-certain bulk success so
     its actual value can be inspected rather than assumed.
     """
     trials = int(2 * m * m + const * m / 2)
-    return binomial_tail_at_least(trials, m * m, p)
+    return binomial_tail_at_least(trials, m * m, 0.5)

@@ -258,12 +258,12 @@ def realize_v_kl(
         if level is None:
             break
 
-    if records:  # sum_j d_j P_j, with P_j's sign bits j = (s_k bit) + 2 (s_l bit)
-        if power & 3 or pauli:
-            f0, f1, f2, f3 = _PAULI_FOLD[pauli][power & 3]
-            d0, d1, d2, d3 = d0 * f0, d1 * f1, d2 * f2, d3 * f3
-        state = _apply(state, stack, (d0 + d1 + d2 + d3, d0 - d1 + d2 - d3,
-                                      d0 + d1 - d2 - d3, d0 - d1 - d2 + d3))
+    # sum_j d_j P_j, P_j's sign bits j = (s_k bit) + 2 (s_l bit); exactly I after no round
+    if power & 3 or pauli:
+        f0, f1, f2, f3 = _PAULI_FOLD[pauli][power & 3]
+        d0, d1, d2, d3 = d0 * f0, d1 * f1, d2 * f2, d3 * f3
+    state = _apply(state, stack, (d0 + d1 + d2 + d3, d0 - d1 + d2 - d3,
+                                  d0 + d1 - d2 - d3, d0 - d1 - d2 + d3))
     if key != start:
         mask = ~(-1 << n)
         frame = ErrorFrame.from_masks(n, key & mask, key >> n & mask)

@@ -451,9 +451,7 @@ def aggregate_report(cfg: ProtocolConfig, stats: list[TrajectoryStats]) -> dict:
                 else None
             ),
         },
-        "outcome_frequencies": {
-            k: v / n_out for k, v in sorted(histogram.items())
-        } if n_out else {},
+        "outcome_frequencies": {k: v / n_out for k, v in sorted(histogram.items())},
         "outcome_counts": dict(sorted(histogram.items())),
         "loss": {
             "events": int(sum(s.loss_events for s in stats)),
@@ -516,7 +514,6 @@ def cnot_demo(
     master_seed: int = 0,
     p_loss: float = 0.0,
     backup: bool = False,
-    t: float = math.pi / 4,
 ) -> dict:
     """Realize V(pi/4) by feedback, dress it with local gates, compare to CNOT.
 
@@ -533,14 +530,14 @@ def cnot_demo(
         rng = trajectory_rng(master_seed, i)
         state = _apply(_apply(StateVector(data_amp, layout), (0,), b1), (1,), b2)
         frame = ErrorFrame.identity(2)
-        state, frame, recs = realize_v(state, (0, 1), t, policy, frame, rng, loss)
+        state, frame, recs = realize_v(state, (0, 1), math.pi / 4, policy, frame, rng, loss)
         total_rounds += len(recs)
         state = apply_pauli_string(state, frame.byproduct)
         state = _apply(_apply(state, (0,), a1), (1,), a2)
         fidelities.append(float(abs(np.vdot(CNOT_MATRIX @ data_amp, state.amplitudes)) ** 2))
 
     return {
-        "t": t,
+        "t": math.pi / 4,
         "p_loss": p_loss,
         "backup": backup,
         "input_fidelities": fidelities,

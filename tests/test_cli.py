@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import mfsim.compiler
-from mfsim.cli import EXIT_CONFIG, EXIT_INCOMPLETE, EXIT_OK, EXIT_RESOURCE, main
+from mfsim.cli import EXIT_CONFIG, EXIT_INCOMPLETE, EXIT_OK, EXIT_PIPE, EXIT_RESOURCE, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # the package from the source tree, and no bytecode written into it
@@ -259,6 +260,25 @@ class TestSchedule:
                                     "t": 0.3, "n_steps": 1, "initial_state": initial}))
         assert main(["schedule", "--config", str(path)]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["budget"]["layers_per_sweep"] == 2
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_stdout_exits_141_without_traceback(self, unbuffered, tmp_path):
+        # 1188 terms print about 160 KB, more than a pipe holds, so the reader
+        # closes the pipe while the child is still writing
+        terms = [{"sites": [a, b], "axes": k + l, "coeff": 1.0}
+                 for a, b in itertools.permutations(range(12), 2) for k in "XYZ" for l in "XYZ"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"hamiltonian": {"n_qubits": 12, "terms": terms},
+                                    "t": 0.3, "n_steps": 1}))
+        env = {**CHILD_ENV, "PYTHONUNBUFFERED": "1"} if unbuffered else CHILD_ENV
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mfsim.cli", "schedule", "--config", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == EXIT_PIPE and err == b""
 
 
 class TestCnotDemoCommand:

@@ -17,10 +17,12 @@ from mfsim.compiler import (
     serial_success_probability,
 )
 from mfsim.errors import ConfigError, UsageError
+from mfsim.harness import ProtocolConfig, run_trajectory
 from mfsim.pauli import PauliAxis
 from mfsim.statevec import exact_evolution
 
 XX = (PauliAxis.X, PauliAxis.X)
+ZZ = (PauliAxis.Z, PauliAxis.Z)
 
 
 def ring_1d(n, axes=XX, coeff=1.0):
@@ -176,7 +178,38 @@ class TestRoundBudget:
 
     def test_empty_plan(self):
         plan = TrotterPlan(2, 3, ())
-        assert round_budget(plan)["serial_rounds"] == 0.0
+        assert round_budget(plan) == {
+            "serial_rounds": 0.0,
+            "parallel_depth": 0,
+            "mean_rounds_per_rotation": 0.0,
+            "layers_per_sweep": 0,
+            "confidence": 0.99,
+        }
+
+    @staticmethod
+    def simulated_rounds(h, t):
+        cfg = ProtocolConfig.from_dict({"hamiltonian": h.to_dict(), "t": t, "n_steps": 1})
+        return run_trajectory(cfg, 0).rounds_per_rotation
+
+    def budget_triple(self, h, t):
+        budget = round_budget(schedule_parallel(compile_plan(h, t, 1)))
+        return (budget["serial_rounds"], budget["parallel_depth"],
+                budget["mean_rounds_per_rotation"])
+
+    # e^{i pi XX} is a global phase, and 1e-13 lies inside the feedback loop's
+    # no-op tolerance of 1e-12: the loop draws no round for either
+    @pytest.mark.parametrize("t", [math.pi, 1e-13])
+    def test_no_op_rotation_costs_no_round(self, t):
+        h = HamiltonianSpec(2, (PairTerm((0, 1), XX, 1.0),))
+        assert self.budget_triple(h, t) == (0.0, 0, 0.0)
+        assert self.simulated_rounds(h, t) == [0]
+
+    def test_half_turn_beside_a_quarter_turn(self):
+        # the XX rotation at pi is free; ZZ at pi/4 costs 4 rounds and an allowance of 17
+        h = HamiltonianSpec(2, (PairTerm((0, 1), XX, 1.0), PairTerm((0, 1), ZZ, 0.25)))
+        serial, depth, mean = self.budget_triple(h, math.pi)
+        assert serial == pytest.approx(4.0) and depth == 17 and mean == pytest.approx(2.0)
+        assert self.simulated_rounds(h, math.pi)[0] == 0
 
     def test_layers_per_sweep_reported(self):
         plan = schedule_parallel(compile_plan(HamiltonianSpec.chain_1d(6), 0.2, 1))

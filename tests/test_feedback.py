@@ -184,6 +184,16 @@ class TestPaperDoubling:
 
 
 class TestRealizeVkl:
+    def test_no_round_allowed_leaves_state_and_frame(self, rng):
+        _, st = two_atom_state(rng)
+        frame = ErrorFrame.identity(4)
+        with pytest.raises(IncompleteRotationError) as info:
+            realize_v_kl(st, (0, 1), PauliAxis.Y, PauliAxis.Z, 0.4,
+                         EpsilonPolicy(max_rounds=0), frame, rng)
+        assert info.value.records == [] and info.value.residual == 0.4
+        assert np.array_equal(info.value.state.amplitudes, st.amplitudes)
+        assert info.value.frame is frame
+
     def test_xx_reduces_to_realize_v(self, rng):
         psi, st = two_atom_state(rng)
         frame = ErrorFrame.identity(4)

@@ -210,6 +210,12 @@ class TestRunTrajectory:
 
 
 class TestEnsembleAndReport:
+    def test_no_op_rotation_reports_no_outcome(self):
+        cfg = chain_config(hamiltonian={"n_qubits": 2, "terms": [
+            {"sites": [0, 1], "axes": "XX", "coeff": 1.0}]}, t=math.pi, n_steps=1)
+        report, _ = run_ensemble(cfg)
+        assert report["outcome_frequencies"] == {} and report["rounds"]["total"] == 0
+
     def test_oracle_evolved_once_per_config(self, monkeypatch):
         calls = []
 
