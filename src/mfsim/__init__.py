@@ -59,7 +59,6 @@ from .pauli import (
     PauliString,
     commutes,
     frame_conjugate_direction,
-    multiply,
 )
 from .statevec import (
     RegisterLayout,

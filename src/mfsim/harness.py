@@ -322,16 +322,17 @@ def build_register(cfg: ProtocolConfig) -> StateVector:
 @dataclass
 class TrajectoryStats:
     index: int
-    rounds_total: int
     rounds_per_rotation: list[int]
     outcome_histogram: dict[str, int]
-    loss_events: int
     photon_retry_counts: list[int]
     final_frame: str
     fidelity_vs_oracle: float
-    failed: bool
     failure_reason: Optional[str]
     records: list[RoundRecord] = field(default_factory=list)
+
+    rounds_total = property(lambda self: len(self.records))
+    loss_events = property(lambda self: self.outcome_histogram.get("loss", 0))
+    failed = property(lambda self: self.failure_reason is not None)
 
     def to_dict(self) -> dict:
         """The audit entry; ``emit_report`` writes ``json.dumps(to_dict(), sort_keys=True)``."""
@@ -398,14 +399,11 @@ def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
 
     return TrajectoryStats(
         index=index,
-        rounds_total=len(all_records),
         rounds_per_rotation=rounds_per_rotation,
         outcome_histogram=histogram,
-        loss_events=histogram.get("loss", 0),
         photon_retry_counts=retry_counts,
         final_frame=str(frame),
         fidelity_vs_oracle=fid,
-        failed=failure_reason is not None,
         failure_reason=failure_reason,
         records=all_records,
     )

@@ -1,14 +1,13 @@
-"""Exact Pauli-string algebra with i-power phase tracking.
+"""Pauli strings up to global phase, as symplectic bit masks.
 
-A :class:`PauliString` is a tensor product of single-qubit Pauli operators
-together with a global factor ``i**phase_power``.  It is stored in the
-symplectic form of Aaronson & Gottesman (PRA 70, 052328 (2004)): bit q of
-the integer masks ``x`` and ``z`` says whether qubit q carries an X and a Z
-factor, with X = (1, 0), Z = (0, 1) and Y = (1, 1), so products and
-commutation are bitwise operations.  The same type doubles as the
+A :class:`PauliString` is a tensor product of single-qubit Pauli operators,
+up to a global phase.  It is stored in the symplectic form of Aaronson &
+Gottesman (PRA 70, 052328 (2004)): bit q of the integer masks ``x`` and
+``z`` says whether qubit q carries an X and a Z factor, with X = (1, 0),
+Z = (0, 1) and Y = (1, 1), so products (up to phase) are XORs and
+commutation is a popcount parity.  The same type doubles as the
 byproduct-operator frame (:class:`ErrorFrame`) that records the known Pauli
-flips accumulated by the measurement protocol; frames ignore the global
-phase by convention.
+flips accumulated by the measurement protocol.
 """
 
 from __future__ import annotations
@@ -55,24 +54,22 @@ def mask_text(n: int, x: int, z: int) -> str:
 
 @dataclass(frozen=True)
 class PauliString:
-    """Phased tensor product of Pauli axes over a fixed-size register, held as x/z masks."""
+    """Tensor product of Pauli axes over a fixed-size register, held as x/z masks, up to phase."""
 
     n: int
     x: int
     z: int
-    phase_power: int = 0
 
-    def __init__(self, axes: Iterable[PauliAxis], phase_power: int = 0):
+    def __init__(self, axes: Iterable[PauliAxis]):
         axes = tuple(axes)
-        self.__dict__.update(
-            n=len(axes), x=sum(a.x_bit << q for q, a in enumerate(axes)),
-            z=sum(a.z_bit << q for q, a in enumerate(axes)), phase_power=phase_power % 4)
+        self.__dict__.update(n=len(axes), x=sum(a.x_bit << q for q, a in enumerate(axes)),
+                             z=sum(a.z_bit << q for q, a in enumerate(axes)))
 
     @classmethod
-    def from_masks(cls, n: int, x: int, z: int, phase_power: int = 0) -> "PauliString":
+    def from_masks(cls, n: int, x: int, z: int) -> "PauliString":
         """The string on ``n`` qubits with symplectic masks ``x`` and ``z``."""
         p = object.__new__(cls)
-        p.__dict__.update(n=n, x=x, z=z, phase_power=phase_power % 4)
+        p.__dict__.update(n=n, x=x, z=z)
         return p
 
     @classmethod
@@ -80,12 +77,12 @@ class PauliString:
         return cls.from_masks(n, 0, 0)
 
     @classmethod
-    def from_str(cls, text: str, phase_power: int = 0) -> "PauliString":
+    def from_str(cls, text: str) -> "PauliString":
         try:
             axes = tuple(PauliAxis(c) for c in text)
         except ValueError as exc:
             raise UsageError(f"invalid Pauli string {text!r}") from exc
-        return cls(axes, phase_power)
+        return cls(axes)
 
     @classmethod
     def embed(cls, n: int, sites: Mapping[int, PauliAxis]) -> "PauliString":
@@ -113,22 +110,7 @@ class PauliString:
         m = np.array([[1]], dtype=complex)
         for a in self.axes:
             m = np.kron(a.matrix(), m)
-        return (1j ** self.phase_power) * m
-
-
-def multiply(p: PauliString, q: PauliString) -> PauliString:
-    """Exact product p.q with the correct i-power phase.
-
-    Each qubit's sigma(x, z) is i**(x z) X**x Z**z, and moving Z**z1 past
-    X**x2 gives (-1)**(z1 x2), so the product is sigma(x1^x2, z1^z2) times
-    i to the power |x1 z1| + |x2 z2| - |x3 z3| + 2|z1 x2| (popcounts).
-    """
-    if len(p) != len(q):
-        raise UsageError(f"length mismatch: {len(p)} vs {len(q)}")
-    x, z = p.x ^ q.x, p.z ^ q.z
-    phase = (p.phase_power + q.phase_power + (p.x & p.z).bit_count() + (q.x & q.z).bit_count()
-             - (x & z).bit_count() + 2 * (p.z & q.x).bit_count())
-    return PauliString.from_masks(p.n, x, z, phase)
+        return m
 
 
 def commutes(p: PauliString, q: PauliString) -> bool:
@@ -140,7 +122,7 @@ def commutes(p: PauliString, q: PauliString) -> bool:
 
 @dataclass(frozen=True)
 class ErrorFrame:
-    """Byproduct-operator frame; global phase is ignored (phase_power held at 0)."""
+    """Byproduct-operator frame: the known Pauli flips, up to global phase."""
 
     byproduct: PauliString
 
@@ -155,9 +137,11 @@ class ErrorFrame:
         return cls.from_masks(n, 0, 0)
 
     def updated(self, correction: PauliString) -> "ErrorFrame":
-        """Frame after the physical state picked up ``correction`` (left-multiplied)."""
-        prod = multiply(correction, self.byproduct)
-        return ErrorFrame.from_masks(prod.n, prod.x, prod.z)
+        """Frame after the physical state picked up ``correction``: the product, up to phase."""
+        p = self.byproduct
+        if len(correction) != len(p):
+            raise UsageError(f"length mismatch: {len(correction)} vs {len(p)}")
+        return ErrorFrame.from_masks(p.n, correction.x ^ p.x, correction.z ^ p.z)
 
     def __str__(self) -> str:
         return str(self.byproduct)

@@ -236,13 +236,11 @@ def exact_evolution(h, t: float) -> np.ndarray:
 
 
 def apply_pauli_string(state: StateVector, p: PauliString) -> StateVector:
-    """Apply a Pauli string as local gates (its global phase is applied too)."""
+    """Apply a Pauli string as local gates, one per non-identity letter."""
     if len(p) != state.n_qubits:
         raise UsageError("Pauli string length does not match register")
     out = state
     for q, letter in enumerate(str(p)):  # the cached ``mask_text``, not PauliAxis members
         if letter != "I":
             out = apply_local(out, q, _AXIS_MATRICES[letter])
-    if p.phase_power:
-        out = StateVector._wrap(out.amplitudes * (1j ** p.phase_power), out.layout)
     return out

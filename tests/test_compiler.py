@@ -64,6 +64,19 @@ class TestHamiltonianSpec:
         with pytest.raises(UsageError):
             PairTerm((1, 1), XX, 1.0)
 
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coeff_rejected(self, coeff):
+        with pytest.raises(UsageError, match="term coefficient must be finite"):
+            PairTerm((0, 1), XX, coeff)
+
+    def test_no_qubits_rejected(self):
+        with pytest.raises(UsageError, match="at least one qubit, got 0"):
+            HamiltonianSpec(0, ())
+
+    def test_term_site_outside_register_rejected(self):
+        with pytest.raises(UsageError, match="term site 2 outside register of 2"):
+            HamiltonianSpec(2, (PairTerm((0, 2), XX, 1.0),))
+
 
 class TestCompilePlan:
     def test_angle_is_t_lambda_over_n(self):

@@ -250,7 +250,7 @@ class TestRealizeVkl:
         target = PauliString.embed(3, {pair[0]: k, pair[1]: l})
         flips = (PauliString.embed(3, {pair[0]: k}), PauliString.embed(3, {pair[1]: l}))
         for axes in itertools.product(AXES + [PauliAxis.I], repeat=3):
-            frame = ErrorFrame(PauliString(axes, 0))
+            frame = ErrorFrame(PauliString(axes))
             sign = frame_conjugate_direction(frame, target)
             for flip in flips:
                 assert frame_conjugate_direction(frame.updated(flip), target) == sign
@@ -261,6 +261,15 @@ class TestRealizeVkl:
             realize_v_kl(
                 st, (0, 1), PauliAxis.I, PauliAxis.X, 0.1, POLICY,
                 ErrorFrame.identity(4), rng,
+            )
+
+    def test_rejects_frame_of_another_length(self, rng):
+        _, st = two_atom_state(rng)
+        n = st.n_qubits
+        with pytest.raises(UsageError, match=f"length mismatch: {n + 1} vs {n}"):
+            realize_v_kl(
+                st, (0, 1), PauliAxis.X, PauliAxis.Z, 0.1, POLICY,
+                ErrorFrame.identity(n + 1), rng,
             )
 
 

@@ -18,41 +18,18 @@ from mfsim.harness import ProtocolConfig, run_ensemble, run_trajectory
 from mfsim.pauli import PauliString
 from mfsim.statevec import apply_pauli_string
 
+from byte_identity_configs import CONFIGS as BYTE_IDENTITY_CONFIGS
+
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import make_config  # noqa: E402
 
-_PAIR = {"n_qubits": 2, "terms": [{"sites": [0, 1], "axes": "XX", "coeff": 1.0}]}
-_HEISENBERG = {"n_qubits": 3, "terms": [{"sites": s, "axes": a, "coeff": 1.0}
-                                        for s in ([0, 1], [1, 2]) for a in ("XX", "YY", "ZZ")]}
-
-
-def _triple(second_axes, coeff=0.6):
-    return {"n_qubits": 3, "terms": [{"sites": [0, 1], "axes": "XX", "coeff": 1.0},
-                                     {"sites": [1, 2], "axes": second_axes, "coeff": coeff}]}
-
-
-_CI = {"t": 0.8, "n_steps": 3, "trajectories": 6, "master_seed": 5}
 CONFIGS = {
-    # the byte-identity configs of the CI workflow
-    "backup-loss": {**_CI, "hamiltonian": _PAIR,
-                    "loss": {"p_loss": 0.6, "encoding": "polarization", "backup_enabled": True}},
-    "heralded-loss": {**_CI, "hamiltonian": _triple("ZY"), "loss": {"p_loss": 0.3}},
-    "silent-loss": {**_CI, "hamiltonian": _triple("YZ"),
-                    "loss": {"p_loss": 0.3, "encoding": "occupation"}},
-    "paper-doubling": {**_CI, "t": 0.9, "n_steps": 4,
-                       "hamiltonian": {"n_qubits": 3, "terms": [
-                           {"sites": [0, 2], "axes": "XZ", "coeff": 1.0},
-                           {"sites": [1, 2], "axes": "YY", "coeff": -0.7}]},
-                       "policy": {"mode": "paper_doubling", "max_rounds": 256}},
-    "heisenberg": {**_CI, "t": 0.9, "n_steps": 4, "hamiltonian": _HEISENBERG,
-                   "initial_state": {"random_seed": 2}},
-    "many-angles": {**_CI, "t": 0.5, "n_steps": 2, "trajectories": 3, "hamiltonian": {
-        "n_qubits": 2, "terms": [{"sites": [0, 1], "axes": "XX", "coeff": round(1 + i / 100, 2)}
-                                 for i in range(70)]}},
+    **BYTE_IDENTITY_CONFIGS,
     # 8 rounds per rotation: some trajectories run out and stop early
-    "paper-doubling-failing": {"hamiltonian": _triple("ZY", 0.7), "t": 0.9, "n_steps": 3,
-                               "trajectories": 8, "master_seed": 3,
-                               "policy": {"mode": "paper_doubling", "max_rounds": 8}},
+    "paper-doubling-failing": {"hamiltonian": {"n_qubits": 3, "terms": [
+        {"sites": [0, 1], "axes": "XX", "coeff": 1.0}, {"sites": [1, 2], "axes": "ZY", "coeff": 0.7}]},
+        "t": 0.9, "n_steps": 3, "trajectories": 8, "master_seed": 3,
+        "policy": {"mode": "paper_doubling", "max_rounds": 8}},
     # the benchmark's ensembles at seed 0
     "trotter3": make_config("trotter3", 0, 300),
     "backup2-loss60": make_config("backup2-loss60", 0, 150),

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import mfsim.feedback
 import mfsim.harness
 from mfsim.compiler import HamiltonianSpec, compile_plan
 from mfsim.errors import ConfigError, IncompleteRotationError, ResourceError
@@ -26,6 +27,7 @@ from mfsim.harness import (
 )
 from mfsim.statevec import exact_evolution
 
+from byte_identity_configs import CONFIGS
 from conftest import kron_le
 
 
@@ -368,3 +370,21 @@ def test_trajectory_tallies_equal_a_recount_of_its_records(p_loss, max_rounds):
         trailing = len(s.records) - 1 - max(
             (i for i, r in enumerate(s.records) if r.outcome != "loss"), default=-1)
         assert sum(s.photon_retry_counts) == len(s.records) - trailing
+
+
+@pytest.mark.parametrize("name", ["past-cap", "backup-paper-doubling", "heralded-loss",
+                                  "block-edge"])
+def test_trajectories_do_not_depend_on_execution_order(name):
+    # The second run rebuilds the cached levels, their records and the pair
+    # records in another order, and fills another config's framed oracles.
+    def audit(cfg, indices):
+        return {i: json.dumps(run_trajectory(cfg, i).to_dict(), sort_keys=True) for i in indices}
+
+    forward_cfg = ProtocolConfig.from_dict(CONFIGS[name])
+    forward = audit(forward_cfg, range(forward_cfg.trajectories))
+    mfsim.feedback._first_level.cache_clear()
+    mfsim.feedback._pair_record.cache_clear()
+    cfg = ProtocolConfig.from_dict(CONFIGS[name])
+    assert audit(cfg, reversed(range(cfg.trajectories))) == forward
+    if name == "past-cap":  # past the cap, each order keeps the first 256 frames it meets
+        assert set(cfg.framed_oracles) != set(forward_cfg.framed_oracles)

@@ -11,55 +11,14 @@ from mfsim.pauli import (
     PauliString,
     commutes,
     frame_conjugate_direction,
-    multiply,
 )
 
-from conftest import AXIS_MATS, X, Y, Z, conjugation_unitary
+from conftest import AXIS_MATS, X, conjugation_unitary
 
 AXES = list(PauliAxis)
 pauli_strings = lambda n: st.lists(st.sampled_from(AXES), min_size=n, max_size=n).map(
     lambda axes: PauliString(tuple(axes))
 )
-
-
-class TestMultiply:
-    def test_identity_is_neutral(self):
-        p = PauliString.from_str("XYZ", phase_power=2)
-        assert multiply(PauliString.identity(3), p) == p
-        assert multiply(p, PauliString.identity(3)) == p
-
-    def test_xy_gives_i_z(self):
-        # 2x2 matrix oracle: X @ Y == i Z
-        assert np.allclose(X @ Y, 1j * Z)
-        prod = multiply(PauliString.from_str("X"), PauliString.from_str("Y"))
-        assert prod == PauliString.from_str("Z", phase_power=1)
-
-    def test_xz_gives_minus_i_y(self):
-        assert np.allclose(X @ Z, -1j * Y)
-        prod = multiply(PauliString.from_str("X"), PauliString.from_str("Z"))
-        assert prod == PauliString.from_str("Y", phase_power=3)
-
-    def test_xx_squares_to_identity(self):
-        p = PauliString.from_str("XX")
-        assert multiply(p, p) == PauliString.identity(2)
-
-    def test_length_mismatch(self):
-        with pytest.raises(UsageError):
-            multiply(PauliString.from_str("X"), PauliString.from_str("XX"))
-
-    @given(pauli_strings(3), pauli_strings(3))
-    def test_matches_dense_product(self, p, q):
-        assert np.allclose(multiply(p, q).matrix(), p.matrix() @ q.matrix())
-
-    @given(pauli_strings(2), pauli_strings(2), pauli_strings(2))
-    def test_associative(self, p, q, r):
-        assert multiply(multiply(p, q), r) == multiply(p, multiply(q, r))
-
-    @given(pauli_strings(3))
-    def test_square_is_identity_up_to_sign(self, p):
-        sq = multiply(p, p)
-        assert sq.x == sq.z == 0
-        assert sq.phase_power in (0, 2)
 
 
 class TestCommutes:
@@ -86,6 +45,10 @@ class TestCommutes:
     def test_agrees_with_dense_on_3_qubits(self, p, q):
         comm = p.matrix() @ q.matrix() - q.matrix() @ p.matrix()
         assert commutes(p, q) == bool(np.allclose(comm, 0))
+
+    def test_length_mismatch(self):
+        with pytest.raises(UsageError, match=r"length mismatch: 1 vs 2"):
+            commutes(PauliString.from_str("X"), PauliString.from_str("XX"))
 
 
 class TestConjugationUnitary:
@@ -121,11 +84,11 @@ class TestFrameDirection:
     def test_matches_dense_conjugation_sign(self, p, theta):
         # sign s in  P . e^{i theta T} = e^{i s theta T} . P  for T = XX
         target = PauliString.from_str("XX")
-        s = frame_conjugate_direction(ErrorFrame(PauliString(p.axes, 0)), target)
+        s = frame_conjugate_direction(ErrorFrame(PauliString(p.axes)), target)
         t_mat = target.matrix()
         rot = np.cos(theta) * np.eye(4) + 1j * np.sin(theta) * t_mat
         rot_s = np.cos(s * theta) * np.eye(4) + 1j * np.sin(s * theta) * t_mat
-        pm = PauliString(p.axes, 0).matrix()
+        pm = PauliString(p.axes).matrix()
         assert np.allclose(pm @ rot, rot_s @ pm, atol=1e-12)
 
 
@@ -137,50 +100,47 @@ class TestTextFormat:
         with pytest.raises(UsageError):
             PauliString.from_str("XQZ")
 
+    @pytest.mark.parametrize("site", [-1, 2])
+    def test_embed_site_outside_register(self, site):
+        with pytest.raises(UsageError, match=f"site {site} outside register of size 2"):
+            PauliString.embed(2, {0: PauliAxis.Z, site: PauliAxis.X})
 
-# Masks against dense matrices on up to 6 qubits: products, commutation and text.
+
+# Masks against dense matrices on up to 6 qubits: commutation, text and frame updates.
 sized_pairs = st.integers(1, 6).flatmap(
     lambda n: st.tuples(st.lists(st.sampled_from(AXES), min_size=n, max_size=n),
-                        st.lists(st.sampled_from(AXES), min_size=n, max_size=n),
-                        st.integers(0, 3), st.integers(0, 3)))
+                        st.lists(st.sampled_from(AXES), min_size=n, max_size=n)))
 
 
-def dense(axes, phase_power):
+def dense(axes):
     m = np.array([[1]], dtype=complex)
     for a in axes:
         m = np.kron(AXIS_MATS[a.value], m)
-    return 1j ** phase_power * m
+    return m
 
 
 class TestMasksAgainstDense:
     @given(sized_pairs)
-    def test_multiply(self, case):
-        axes_p, axes_q, ph_p, ph_q = case
-        prod = multiply(PauliString(axes_p, ph_p), PauliString(axes_q, ph_q))
-        assert np.array_equal(prod.matrix(), dense(axes_p, ph_p) @ dense(axes_q, ph_q))
-
-    @given(sized_pairs)
     def test_commutes(self, case):
-        axes_p, axes_q, ph_p, ph_q = case
-        p, q = dense(axes_p, ph_p), dense(axes_q, ph_q)
-        assert commutes(PauliString(axes_p, ph_p), PauliString(axes_q, ph_q)) == bool(
+        axes_p, axes_q = case
+        p, q = dense(axes_p), dense(axes_q)
+        assert commutes(PauliString(axes_p), PauliString(axes_q)) == bool(
             np.array_equal(p @ q, q @ p))
 
     @given(sized_pairs)
     def test_text_and_axes(self, case):
-        axes_p, _, ph_p, _ = case
-        p = PauliString(axes_p, ph_p)
+        axes_p, _ = case
+        p = PauliString(axes_p)
         assert str(p) == "".join(a.value for a in axes_p)
         assert p.axes == tuple(axes_p) and len(p) == len(axes_p)
-        assert np.array_equal(p.matrix(), dense(axes_p, ph_p))
-        assert PauliString.from_masks(len(p), p.x, p.z, ph_p) == p
+        assert np.array_equal(p.matrix(), dense(axes_p))
+        assert PauliString.from_masks(len(p), p.x, p.z) == p
 
     @given(sized_pairs)
     def test_frame_update_drops_the_phase(self, case):
-        axes_p, axes_q, ph_p, ph_q = case
-        frame = ErrorFrame(PauliString(axes_q, ph_q)).updated(PauliString(axes_p, ph_p))
-        prod = dense(axes_p, ph_p) @ dense(axes_q, ph_q)
-        assert frame.byproduct.phase_power == 0
+        axes_p, axes_q = case
+        frame = ErrorFrame(PauliString(axes_q)).updated(PauliString(axes_p))
+        prod = dense(axes_p) @ dense(axes_q)
         # equal up to a global phase: |tr(F^dag P)| is the full dimension
         assert abs(np.vdot(frame.byproduct.matrix(), prod)) == pytest.approx(len(prod))
 
@@ -190,6 +150,10 @@ def test_frame_from_masks_is_one_shared_frame_per_masks():
         frame = ErrorFrame.from_masks(n, x, z)
         assert frame == ErrorFrame(PauliString.from_masks(n, x, z))
         assert frame is ErrorFrame.from_masks(n, x, z)
-        assert frame.byproduct.phase_power == 0
     assert ErrorFrame.identity(3) is ErrorFrame.from_masks(3, 0, 0)
     assert str(ErrorFrame.identity(2).updated(PauliString.from_str("YX"))) == "YX"
+
+
+def test_frame_update_length_mismatch():
+    with pytest.raises(UsageError, match=r"length mismatch: 1 vs 2"):
+        ErrorFrame.identity(2).updated(PauliString.from_str("X"))

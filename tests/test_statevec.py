@@ -52,6 +52,10 @@ class TestApplyLocal:
         with pytest.raises(UsageError):
             apply_local(basis_state(1), 0, np.array([[1, 0], [0, 2]]))
 
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(UsageError, match=r"operator has shape \(4, 4\), expected \(2, 2\)"):
+            apply_local(basis_state(2), 0, np.eye(4))
+
     def test_little_endian_convention(self):
         # X on qubit 0 of |00> flips the least significant bit
         st = basis_state(2, 0)
@@ -415,7 +419,7 @@ class TestApplyPauliString:
     def test_matches_dense(self, rng):
         layout = RegisterLayout.build(3, n_photons=0)
         st = embedded_state(haar_random_amplitudes(3, rng), layout)
-        p = PauliString.from_str("XYZ", phase_power=1)
+        p = PauliString.from_str("XYZ")
         out = apply_pauli_string(st, p)
         assert np.allclose(out.amplitudes, p.matrix() @ st.amplitudes, atol=1e-12)
 
@@ -429,10 +433,8 @@ class TestApplyPauliString:
             for q, a in enumerate(axes):
                 if a is not PauliAxis.I:
                     by_site = _apply(by_site, (q,), a.matrix())
-            for phase_power in range(4):
-                want = by_site.amplitudes * 1j ** phase_power if phase_power else by_site.amplitudes
-                out = apply_pauli_string(st, PauliString(axes, phase_power))
-                assert np.array_equal(out.amplitudes, want), (axes, phase_power)
+            out = apply_pauli_string(st, PauliString(axes))
+            assert np.array_equal(out.amplitudes, by_site.amplitudes), axes
 
     def test_length_must_match(self):
         with pytest.raises(UsageError, match="length"):
@@ -456,7 +458,7 @@ class TestConstructorChecks:
 
         monkeypatch.setattr(StateVector, "__post_init__", forbidden)
         out = apply_two_qubit(apply_local(st, 1, H), (2, 0), kron_le(X, Z))
-        out = apply_pauli_string(out, PauliString.from_str("XYZ", phase_power=1))
+        out = apply_pauli_string(out, PauliString.from_str("XYZ"))
         _, out, _ = measure(out, [1], np.stack([np.diag([1, 0]), np.diag([0, 1])]), rng)
         assert out.amplitudes.dtype == complex and out.amplitudes.shape == (8,)
 
