@@ -39,7 +39,7 @@ EXIT_PIPE = 141
 # (subcommand, flag, accepted values, test) for the numeric flags argparse only types.
 _FLAG_BOUNDS = (
     ("probe-round", "--eps", "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    ("probe-round", "--samples", ">= 1", lambda v: v >= 1),
+    ("probe-round", "--samples", "in [1, 2^63)", lambda v: 1 <= v < 2**63),
     ("probe-round", "--seed", ">= 0", lambda v: v >= 0),
     ("schedule", "--confidence", "in (0, 1)", lambda v: 0.0 < v < 1.0),
     ("cnot-demo", "--p-loss", "in [0, 1]", lambda v: 0.0 <= v <= 1.0),

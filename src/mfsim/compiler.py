@@ -273,8 +273,9 @@ def round_budget(plan: TrotterPlan, confidence: float = 0.99) -> dict:
         probs = [q for q in (_round_success_probability(r.angle) for r in layer) if q is not None]
         serial_per_sweep += sum(1.0 / q for q in probs)
         if probs:
-            per_gate = confidence ** (1.0 / len(probs))
-            allowance = math.ceil(math.log(1.0 - per_gate) / math.log(1.0 - min(probs)))
+            # per-gate miss 1 - confidence^(1/g); expm1 keeps it above 0 as confidence nears 1
+            miss = -math.expm1(math.log(confidence) / len(probs))
+            allowance = math.ceil(math.log(miss) / math.log(1.0 - min(probs)))
             depth_per_sweep += max(1, allowance)
     serial = plan.n_steps * serial_per_sweep
     return {

@@ -9,9 +9,9 @@ anticommutes with the rotation axis the roles of Plus and Minus are swapped
 
 A rotation therefore walks the doubling chain t, 2t, 4t, ... (mod pi).
 Conjugating by u_k (x) u_l maps e^{it XX} to e^{it s_k x s_l} and leaves a
-round's weights, records and eigenphases unchanged, so each level of the
-chain, with its XX round table, is built once per (angle, policy, loss) and
-shared by every axis pair and frame sign.  The frame is one integer key,
+round's weights, records and eigenphases unchanged, so one cache keeps
+every level of the chain, with its XX round table, per (angle, eps rule,
+loss), shared by every axis pair and frame sign.  The frame is one integer key,
 1 << 2n | z << n | x over its x/z masks.  A round is one bisection into the
 level's weights, an XOR of the key when the branch flips a qubit (s_k / s_l
 at the pair sites), and a lookup of the level's one record for that branch
@@ -31,7 +31,7 @@ import bisect
 import functools
 import json
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional
 
@@ -52,7 +52,7 @@ class PolicyMode(Enum):
     RESIDUAL_EXACT = "residual_exact"
     PAPER_DOUBLING = "paper_doubling"
 
-    __hash__ = object.__hash__  # identity, as equality is; the policy keys the level cache
+    __hash__ = object.__hash__  # identity, as equality is; the mode keys the level cache
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,6 @@ class EpsilonPolicy:
 
     mode: PolicyMode = PolicyMode.RESIDUAL_EXACT
     max_rounds: int = 64
-    key = functools.cached_property(astuple)  # the fields; a tuple hashes in C
 
     def eps_for(self, aimed: float) -> float:
         if self.mode is PolicyMode.RESIDUAL_EXACT:
@@ -106,55 +105,45 @@ class RoundRecord:
 class _Level:
     """One level of a residual's doubling chain: the residual it aims at and its round table.
 
-    ``phases[i]`` are the eigenvalues of branch i's unitary on the XX table's
-    eigenprojectors, the same for every axis pair, and ``powers[i]`` is the
-    table's power g of a Pauli branch, None for any other.
-    ``next[s < 0][i]`` is the level after branch i under frame sign s: this
-    level when the branch does not rotate, None when s times its direction
-    is the residual's sign (the branch closes it), else the level at the
-    doubled residual, built, with its table, on the first round drawn here.
     ``records[i]`` maps a frame's key to the one record of branch i drawn
-    here with that frame.  ``rows[s < 0][i]`` is what a round reads:
-    (powers[i], *phases[i], flips[i], records[i], next[s < 0][i]).
+    here with that frame.  ``rows[s < 0][i]`` is what a round reads under
+    frame sign s: (g, *phases, flips, records[i], successor), with the
+    table's power g of branch i if it is a Pauli branch (else None), its
+    eigenvalues on the XX table's eigenprojectors (the same for every axis
+    pair), the pair atoms it flips (bit 0 the first, bit 1 the second), and
+    the level after it: this level when the branch does not rotate, None when
+    s times its direction is the residual's sign (the branch closes it), else
+    the level at the doubled residual, built when the rows are, on the first
+    round drawn here.
     """
 
-    def __init__(self, residual: float, policy: EpsilonPolicy, loss: LossConfig):
-        self.residual, self.policy, self.loss = residual, policy, loss
+    def __init__(self, residual: float, mode: PolicyMode, loss: LossConfig):
+        self.residual, self.mode, self.loss = residual, mode, loss
         self.aimed = abs(residual)
-        self.eps = policy.eps_for(self.aimed)
-        table = round_branches(self.eps, loss)
-        self.cumulative, self.branches = table.cumulative, table.branches
-        self.phases = tuple(tuple(p) for p in table.phases.tolist())
-        self.powers = table.pauli_powers
-        # the pair atoms a branch flips: bit 0 the first, bit 1 the second
-        self.flips = tuple(b.flips[0] + 2 * b.flips[1] for b in self.branches)
+        self.eps = EpsilonPolicy(mode).eps_for(self.aimed)
+        self.table = round_branches(self.eps, loss)
+        self.cumulative, self.branches = self.table.cumulative, self.table.branches
         self.records: tuple[dict[int, RoundRecord], ...] = tuple({} for _ in self.branches)
 
     @functools.cached_property
-    def next(self) -> tuple[tuple[Optional["_Level"], ...], ...]:
-        r, sign = self.residual, 1 if self.residual > 0 else -1
-        rotates = any(b.direction for b in self.branches)
-        doubled = _level(reduce_angle(r + r), self.policy, self.loss) if rotates else None
-        return tuple(tuple(self if b.direction is None else None if s * b.direction == sign
-                           else doubled for b in self.branches) for s in (1, -1))
-
-    @functools.cached_property
     def rows(self) -> tuple[tuple[tuple, ...], ...]:
-        return tuple(tuple((g, *p, f, r, s) for g, p, f, r, s in
-                           zip(self.powers, self.phases, self.flips, self.records, successors))
-                     for successors in self.next)
-
-
-def _level(residual: float, policy: EpsilonPolicy, loss: LossConfig) -> Optional[_Level]:
-    return _Level(residual, policy, loss) if abs(residual) > _ANGLE_TOL else None
+        r, sign, table = self.residual, 1 if self.residual > 0 else -1, self.table
+        rotates = any(b.direction for b in self.branches)
+        doubled = _level(r + r, self.mode, self.loss.key) if rotates else None
+        return tuple(tuple((g, *p, b.flips[0] + 2 * b.flips[1], rec,
+                            self if b.direction is None else None if s * b.direction == sign
+                            else doubled) for g, p, b, rec in
+                           zip(table.pauli_powers, table.phases.tolist(), self.branches, self.records))
+                     for s in (1, -1))
 
 
 @functools.cache
-def _first_level(t_target, policy_key, loss_key) -> Optional[_Level]:
-    """The level a rotation starts at, kept per (t, policy.key, loss.key); None for t = 0 mod pi."""
-    if not math.isfinite(t_target):
-        raise UsageError(f"rotation angle must be finite, got {t_target}")
-    return _level(reduce_angle(t_target), EpsilonPolicy(*policy_key), LossConfig(*loss_key))
+def _level(angle: float, mode: PolicyMode, loss_key: tuple) -> Optional[_Level]:
+    """The level at ``angle`` mod pi, first or doubled, per (angle, eps rule, loss); None at 0."""
+    if not math.isfinite(angle):
+        raise UsageError(f"rotation angle must be finite, got {angle}")
+    residual = reduce_angle(angle)
+    return _Level(residual, mode, LossConfig(*loss_key)) if abs(residual) > _ANGLE_TOL else None
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -166,7 +155,7 @@ def _pair_record(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis):
     the target s_k s_l's key with x and z exchanged, so a frame key's parity
     on it is the frame's anticommutation with the target.  The four strings
     are the Pauli sum's terms, whose ``_pauli_stack`` arrays take 96 * 2^n bytes
-    (384 KB at the 12-qubit cap).  Every key is kept, as ``_first_level`` keeps every angle.
+    (384 KB at the 12-qubit cap).  Every key is kept, as ``_level`` keeps every angle.
     Bad input raises on every call, since an exception is not cached, and
     the key is typed, so a float site never reads an integer site's entry.
     """
@@ -225,7 +214,7 @@ def realize_v_kl(
     # s_k (x) s_l, so the frame's commutation with it, and this sign, hold for
     # the whole rotation: it picks the level's successors.
     swapped = (key & swap).bit_count() & 1
-    level = _first_level(t_target, policy.key, (loss or _LOSSLESS).key)
+    level = _level(t_target, policy.mode, (loss or _LOSSLESS).key)
     records: list[RoundRecord] = []
     if level is None:
         return state, frame, records

@@ -307,10 +307,16 @@ def _initial_state(init, n: int):
     dim = 1 << n if n < 63 else f"2**{n}"  # no JSON list holds 2^63 entries
     if amp.shape != (dim,):
         raise ConfigError(f"initial state has {amp.shape[0]} amplitudes, expected {dim}")
-    nrm = np.linalg.norm(amp)
+    # Squares overflow past 1e154, so take the norm of amp / 2^e, e the exponent of its
+    # largest part: the scaling is exact, and so are the normalized amplitudes.
+    e = max(0, math.frexp(np.abs(amp.view(float)).max())[1])
+    unit = amp * math.ldexp(1.0, -e)
+    scaled = np.linalg.norm(unit)
+    with np.errstate(over="ignore"):  # a norm past the largest float reads inf
+        nrm = float(np.ldexp(scaled, e))
     if not 1e-12 <= nrm < math.inf:
         raise ConfigError(f"initial state has norm {nrm}")
-    return lambda: amp / nrm
+    return lambda: unit / scaled
 
 
 def build_register(cfg: ProtocolConfig) -> StateVector:

@@ -306,7 +306,7 @@ def round_branches(eps: float, loss: LossConfig) -> RoundTable:
     e^{it s_k x s_l} and u X u^dag = s_k for u = u_k (x) u_l, so the
     weights, records and eigenphases hold on the projectors of s_k and s_l.
     Lossless rounds list (minus, plus, hh, vv) in that order.  Each call builds
-    a table; a feedback level builds its own once and keeps the fields it reads.
+    a table; a feedback level builds its own once and keeps it.
     Raises UsageError for eps outside [0, 1] or NaN.  A loss model whose draw would depend
     on the state fails earlier, once per config: ``_outcome_stack`` raises ProtocolError.
     """

@@ -8,17 +8,14 @@ import json
 import math
 
 import numpy as np
-import pytest
 
 from mfsim.compiler import (
     HamiltonianSpec,
-    PairTerm,
     compile_plan,
     plan_unitary,
     round_budget,
     schedule_parallel,
 )
-from mfsim.emission import PhotonEncoding
 from mfsim.feedback import EpsilonPolicy, realize_v, realize_v_kl
 from mfsim.harness import (
     ProtocolConfig,
@@ -29,9 +26,8 @@ from mfsim.harness import (
     run_trajectory,
     trajectory_rng,
 )
-from mfsim.loss import LossConfig
 from mfsim.pauli import ErrorFrame, PauliAxis, PauliString
-from mfsim.statevec import RegisterLayout, StateVector, apply_pauli_string, exact_evolution
+from mfsim.statevec import RegisterLayout, apply_pauli_string, exact_evolution
 from mfsim.cli import main as cli_main
 
 from conftest import AXIS_MATS, embedded_state, kron_le, rot_xx

@@ -151,6 +151,9 @@ class TestSimulate:
         ({"hamiltonian": {"n_qubits": 0, "terms": []}},
          "config error: hamiltonian.n_qubits must give at least one qubit"),
         ({"t": True}, "config error: t must be finite"),
+        # every part is finite, the norm is not; the norm overflows no square on the way
+        ({"initial_state": {"amplitudes": [[1e308, 1e308]] * 4}},
+         "config error: initial state has norm inf"),
     ])
     def test_bad_config_exits_2_without_traceback(self, bad, named, tmp_path):
         cfg = {"hamiltonian": XX_PAIR, "t": 0.3, "n_steps": 1, **bad}
@@ -235,6 +238,21 @@ class TestSchedule:
         main(["schedule", "--config", str(config_file), "--confidence", "0.999"])
         tight = json.loads(capsys.readouterr().out)["budget"]["parallel_depth"]
         assert tight > loose
+
+    def test_confidence_next_to_1_on_a_layer_of_several_rotations(self, tmp_path, capsys):
+        # three disjoint XX pairs: one layer of three rotations, where the
+        # per-gate confidence 0.9999999999999999 ** (1/3) rounds to 1.0
+        terms = [{"sites": [q, q + 1], "axes": "XX", "coeff": 1.0} for q in (0, 2, 4)]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"hamiltonian": {"n_qubits": 6, "terms": terms},
+                                    "t": 0.3, "n_steps": 1}))
+        depths = []
+        for confidence in ("0.999", "0.9999999999999999"):
+            assert main(["schedule", "--config", str(path), "--confidence", confidence]) == EXIT_OK
+            budget = json.loads(capsys.readouterr().out)["budget"]
+            assert budget["layers_per_sweep"] == 1
+            depths.append(budget["parallel_depth"])
+        assert depths[1] > depths[0]
 
     @pytest.mark.parametrize("command", ["schedule", "oracle", "simulate"])
     @pytest.mark.parametrize("initial,named", [
@@ -330,6 +348,7 @@ class TestNumericFlags:
         (["probe-round", "--eps", "nan"], "--eps"),
         (["probe-round", "--eps", "0.3", "--samples", "-1"], "--samples"),
         (["probe-round", "--eps", "0.3", "--samples", "0"], "--samples"),
+        (["probe-round", "--eps", "0.3", "--samples", str(2**63)], "--samples"),
         (["probe-round", "--eps", "0.3", "--seed", "-1"], "--seed"),
         (["cnot-demo", "--p-loss", "1.5"], "--p-loss"),
         (["cnot-demo", "--seed", "-1"], "--seed"),

@@ -9,14 +9,14 @@ from mfsim.errors import IncompleteRotationError, UsageError
 from mfsim.feedback import (
     EpsilonPolicy,
     PolicyMode,
-    _first_level,
+    _level,
     realize_v,
     realize_v_kl,
     reduce_angle,
 )
 from mfsim.harness import haar_random_amplitudes
 from mfsim.pauli import ErrorFrame, PauliAxis, PauliString, frame_conjugate_direction
-from mfsim.statevec import RegisterLayout, StateVector, apply_pauli_string, exact_evolution
+from mfsim.statevec import RegisterLayout, apply_pauli_string, exact_evolution
 
 from conftest import AXIS_MATS, embedded_state, kron_le, rot_xx
 
@@ -279,11 +279,11 @@ def test_non_finite_angle_raises_on_every_call_and_is_not_cached(t, kl):
     rng = np.random.default_rng(3)
     _, st = two_atom_state(rng)
     frame = ErrorFrame.identity(4)
-    size = _first_level.cache_info().currsize
+    size = _level.cache_info().currsize
     for _ in range(2):
         with pytest.raises(UsageError, match=f"rotation angle must be finite, got {t}"):
             if kl:
                 realize_v_kl(st, (0, 1), PauliAxis.Z, PauliAxis.Y, t, POLICY, frame, rng)
             else:
                 realize_v(st, (0, 1), t, POLICY, frame, rng)
-    assert _first_level.cache_info().currsize == size
+    assert _level.cache_info().currsize == size

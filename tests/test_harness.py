@@ -7,13 +7,12 @@ import pytest
 
 import mfsim.feedback
 import mfsim.harness
-from mfsim.compiler import HamiltonianSpec, compile_plan
+from mfsim.compiler import compile_plan
 from mfsim.errors import ConfigError, IncompleteRotationError, ResourceError
 from mfsim.feedback import EpsilonPolicy, PolicyMode
 from mfsim.harness import (
     CNOT_MATRIX,
     ProtocolConfig,
-    aggregate_report,
     build_register,
     cnot_demo,
     cnot_dressing,
@@ -108,6 +107,19 @@ class TestInitialStates:
         cfg = chain_config(initial_state={"amplitudes": amp})
         st = build_register(cfg)
         assert st.amplitudes[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("scale", [1e-11, 0.3, 1.0, 3.0, 1e150, 1e200, 1e307])
+    def test_explicit_amplitudes_of_any_finite_norm(self, scale):
+        # |1e200|^2 overflows: the norm is taken after an exact power-of-two scaling
+        amp = [[scale, 0.0]] + [[0.0, 0.0]] * 7
+        st = build_register(chain_config(initial_state={"amplitudes": amp}))
+        assert np.allclose(st.amplitudes, np.eye(1, 8)[0], rtol=0, atol=1e-15)
+        mixed = [[0.6 * scale, -0.48 * scale], [0.0, 0.64 * scale]] + [[0.0, 0.0]] * 6
+        cfg = chain_config(initial_state={"amplitudes": mixed})
+        if scale <= 1.0:  # squares in range: bit for bit the unscaled normalization
+            want = np.array([complex(*a) for a in mixed])
+            assert np.array_equal(cfg.initial_amplitudes, want / np.linalg.norm(want))
+        assert np.allclose(cfg.initial_amplitudes[:2], [0.6 - 0.48j, 0.64j], rtol=0, atol=1e-15)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ConfigError):
@@ -382,7 +394,7 @@ def test_trajectories_do_not_depend_on_execution_order(name):
 
     forward_cfg = ProtocolConfig.from_dict(CONFIGS[name])
     forward = audit(forward_cfg, range(forward_cfg.trajectories))
-    mfsim.feedback._first_level.cache_clear()
+    mfsim.feedback._level.cache_clear()
     mfsim.feedback._pair_record.cache_clear()
     cfg = ProtocolConfig.from_dict(CONFIGS[name])
     assert audit(cfg, reversed(range(cfg.trajectories))) == forward

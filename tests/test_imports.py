@@ -1,4 +1,4 @@
-"""No module of the package imports a name it never reads.
+"""No module of the package or of its tests imports a name it never reads.
 
 ``mfsim/__init__.py`` is left out: its imports are the package's exports.
 An import line that carries ``noqa`` is kept on purpose and is skipped.
@@ -7,8 +7,9 @@ An import line that carries ``noqa`` is kept on purpose and is skipped.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mfsim"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted([p for p in (ROOT / "src" / "mfsim").glob("*.py") if p.name != "__init__.py"]
+                 + list((ROOT / "tests").glob("*.py")))
 
 
 def unread_imports(source):
@@ -28,7 +29,7 @@ def unread_imports(source):
 
 
 def test_every_module_reads_every_name_it_imports():
-    unread = {p.name: unread_imports(p.read_text()) for p in MODULES}
+    unread = {str(p.relative_to(ROOT)): unread_imports(p.read_text()) for p in MODULES}
     assert {name: names for name, names in unread.items() if names} == {}
 
 

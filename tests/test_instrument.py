@@ -522,9 +522,9 @@ LEVEL_CONFIGS = {
 @pytest.mark.parametrize("name", LEVEL_CONFIGS)
 def test_cold_and_warm_level_cache_agree(name):
     cfg = ProtocolConfig.from_dict({**LEVEL_CONFIGS[name], "master_seed": 14})
-    mfsim.feedback._first_level.cache_clear()
+    mfsim.feedback._level.cache_clear()
     cold = [run_trajectory(cfg, i).to_dict() for i in range(3)]
-    mfsim.feedback._first_level.cache_clear()  # levels rebuilt, each with its table
+    mfsim.feedback._level.cache_clear()  # levels rebuilt, each with its table
     rebuilt = [run_trajectory(cfg, i).to_dict() for i in range(3)]
     warm = [run_trajectory(cfg, i).to_dict() for i in range(3)]
     assert cold == rebuilt == warm

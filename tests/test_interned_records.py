@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import mfsim.feedback
-from mfsim.feedback import EpsilonPolicy, _first_level, _pair_record, realize_v, realize_v_kl
+from mfsim.feedback import EpsilonPolicy, _level, _pair_record, realize_v, realize_v_kl, reduce_angle
 from mfsim.harness import ProtocolConfig, emit_report, run_ensemble, run_trajectory
 from mfsim.pauli import ErrorFrame, PauliAxis
 from mfsim.statevec import RegisterLayout, StateVector
@@ -85,12 +85,12 @@ def test_trajectories_append_the_levels_records():
     records = [r for i in range(16) for r in run_trajectory(cfg, i).records]
     interned, todo = {}, []
     for rot in cfg.plan.sweep_rotations():
-        todo.append(_first_level(rot.angle, cfg.policy.key, cfg.loss.key))
+        todo.append(_level(rot.angle, cfg.policy.mode, cfg.loss.key))
     while todo:  # every level a round was drawn at; only those hold successors
         level = todo.pop()
         if level is not None and id(level) not in interned:
             interned[id(level)] = level
-            todo.extend(sum(vars(level).get("next", ()), ()))
+            todo.extend(row[-1] for rows in vars(level).get("rows", ()) for row in rows)
     stored = {id(r) for level in interned.values() for d in level.records for r in d.values()}
     assert {id(r) for r in records} <= stored
     assert len({id(r) for r in records}) < len(records) / 3
@@ -125,24 +125,27 @@ def test_first_levels_are_kept_for_more_angles_than_a_bounded_cache(monkeypatch)
     terms = [{"sites": [0, 1], "axes": "XX", "coeff": 1 + i / 100} for i in range(100)]
     cfg = ProtocolConfig.from_dict({"hamiltonian": {"n_qubits": 2, "terms": terms},
                                     "t": 0.5, "n_steps": 2})
-    _first_level.cache_clear()
+    built = []
+    init = mfsim.feedback._Level.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(mfsim.feedback._Level, "__init__", spy)
+    _level.cache_clear()
     try:
         cold = [run_trajectory(cfg, index).records for index in range(3)]
-        built = []
-        init = mfsim.feedback._Level.__init__
-
-        def spy(self, *args):
-            init(self, *args)
-            built.append(self)
-
-        monkeypatch.setattr(mfsim.feedback._Level, "__init__", spy)
+        n_built = len(built)
         # the same draws walk the same levels, which are all still cached
         assert [run_trajectory(cfg, index).records for index in range(3)] == cold
-        assert built == []
-        info = _first_level.cache_info()
-        assert (info.misses, info.currsize) == (100, 100)
+        assert len(built) == n_built
+        firsts = {reduce_angle(rot.angle) for rot in cfg.plan.sweep_rotations()}
+        assert len(firsts) == 100 and firsts <= {level.residual for level in built}
+        info = _level.cache_info()
+        assert info.misses == info.currsize == n_built  # first and doubled levels alike
     finally:
-        _first_level.cache_clear()
+        _level.cache_clear()
 
 
 def test_pair_records_are_kept_for_more_keys_than_a_bounded_cache():

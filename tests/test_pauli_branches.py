@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mfsim.emission import PhotonEncoding
-from mfsim.feedback import EpsilonPolicy, PolicyMode, _Level
+from mfsim.feedback import PolicyMode, _Level
 from mfsim.loss import _SIGN_PROJECTORS, LossConfig, round_branches
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -39,16 +39,15 @@ def dense_power(unitary, flips):
 @pytest.mark.parametrize("name", TABLES)
 def test_pauli_powers_match_the_dense_unitaries(name, mode):
     loss, n_pauli, n_branches = TABLES[name]
-    policy = EpsilonPolicy(mode)
     for residual in RESIDUALS:
-        level = _Level(residual, policy, loss)
+        level = _Level(residual, mode, loss)
         table = round_branches(level.eps, loss)
         assert 0.0 < level.eps < 1.0 and len(table.branches) == n_branches, residual
         for i, branch in enumerate(table.branches):
             unitary = np.einsum("j,jik->ik", table.phases[i], _SIGN_PROJECTORS)
             want = dense_power(unitary, branch.flips)
             assert table.pauli_powers[i] == want, (residual, i, branch)
-        assert level.powers == table.pauli_powers
+        assert tuple(row[0] for row in level.rows[0]) == table.pauli_powers
         pauli = [b for b, g in zip(table.branches, table.pauli_powers) if g is not None]
         assert len(pauli) == n_pauli, residual
         if name == "lossless":

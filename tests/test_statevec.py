@@ -16,7 +16,6 @@ from mfsim.statevec import (
     apply_pauli_string,
     apply_two_qubit,
     exact_evolution,
-    expm_i_hermitian,
     measure,
     measure_and_reset,
 )
