@@ -174,10 +174,10 @@ class ProtocolConfig:
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Deterministic per-trajectory generator, a pure function of (seed, index).
+    """Deterministic per-trajectory generator, a pure function of (seed, index); builds no chunk.
 
-    Bit for bit ``Generator(PCG64(SeedSequence([master_seed, index])))``, with
-    that sequence's PCG64 seed words read from the index's ``_seed_block``.
+    Bit for bit ``Generator(PCG64(SeedSequence([master_seed, index])))``, seeded with words
+    from the index's ``_seed_block``; ``run_trajectory`` builds it only past 256 draws.
     """
     if master_seed < 0 or index < 0:
         raise ValueError("expected non-negative integer")  # SeedSequence's error
@@ -254,19 +254,39 @@ def _seed_words():
     return SeedWords
 
 
-_UNIFORM_BLOCK = 64
+_DRAW_ROWS, _DRAWS = 32, 256  # a chunk of draws: 32 trajectories x 256 float64, 64 KB
 
 
-def _block_uniforms(rng: np.random.Generator):
-    """An object whose ``random()`` yields the draws of ``rng.random()``, taken a block at a time.
+@functools.lru_cache(maxsize=1)
+def _draw_block(master_seed: int, chunk: int) -> np.ndarray:
+    """Row r: trajectory 32 * chunk + r's first 256 ``random()`` draws; read-only, (32, 256)."""
+    block, first = divmod(chunk * _DRAW_ROWS, _SEED_BLOCK)  # 32 divides 256: one seed block
+    draws = np.empty((_DRAW_ROWS, _DRAWS))
+    for row, words in enumerate(_seed_block(master_seed, block)[first:first + _DRAW_ROWS]):
+        np.random.Generator(np.random.PCG64(_seed_words()(words))).random(_DRAWS, out=draws[row])
+    draws.flags.writeable = False
+    return draws
 
-    ``rng.random(k)`` returns exactly the next k scalar draws in order, so the
-    stream equals one ``rng.random()`` per call while each call is a C-level
-    ``next``; the generator must feed nothing else, since it runs ahead of the
-    stream by up to a block.
+
+def _trajectory_uniforms(master_seed: int, index: int):
+    """An object whose ``random()`` yields the draws of ``trajectory_rng(master_seed, index)``.
+
+    Each draw is a C-level ``next`` over lists of 64, read first from the index's ``_draw_block``
+    row; only past its 256 draws is the trajectory's own generator built, advanced past them.
     """
-    blocks = iter(lambda: rng.random(_UNIFORM_BLOCK).tolist(), None)
-    uniforms = itertools.chain.from_iterable(blocks)
+    if master_seed < 0 or index < 0:
+        raise ValueError("expected non-negative integer")  # SeedSequence's error
+
+    def rows():
+        row = _draw_block(master_seed, index // _DRAW_ROWS)[index % _DRAW_ROWS]
+        for start in range(0, _DRAWS, 64):
+            yield row[start:start + 64].tolist()
+        rng = trajectory_rng(master_seed, index)
+        rng.bit_generator.advance(_DRAWS)  # PCG64 jumps exactly past the row's draws
+        while True:
+            yield rng.random(64).tolist()
+
+    uniforms = itertools.chain.from_iterable(rows())
     return types.SimpleNamespace(random=functools.partial(next, uniforms))
 
 
@@ -362,7 +382,7 @@ class TrajectoryStats:
 
 def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
     """Execute the compiled plan once, then compare against the exact oracle."""
-    rng = _block_uniforms(trajectory_rng(cfg.master_seed, index))
+    rng = _trajectory_uniforms(cfg.master_seed, index)
     state = build_register(cfg)
     frame = ErrorFrame.identity(state.n_qubits)
     all_records: list[RoundRecord] = []

@@ -387,8 +387,9 @@ def test_trajectory_tallies_equal_a_recount_of_its_records(p_loss, max_rounds):
 @pytest.mark.parametrize("name", ["past-cap", "backup-paper-doubling", "heralded-loss",
                                   "block-edge"])
 def test_trajectories_do_not_depend_on_execution_order(name):
-    # The second run rebuilds the cached levels, their records and the pair
-    # records in another order, and fills another config's framed oracles.
+    # The second run rebuilds the cached levels, their records, the pair
+    # records, the seed blocks and the chunks of draws in another order (last
+    # chunk first), and fills another config's framed oracles.
     def audit(cfg, indices):
         return {i: json.dumps(run_trajectory(cfg, i).to_dict(), sort_keys=True) for i in indices}
 
@@ -396,6 +397,8 @@ def test_trajectories_do_not_depend_on_execution_order(name):
     forward = audit(forward_cfg, range(forward_cfg.trajectories))
     mfsim.feedback._level.cache_clear()
     mfsim.feedback._pair_record.cache_clear()
+    mfsim.harness._seed_block.cache_clear()
+    mfsim.harness._draw_block.cache_clear()
     cfg = ProtocolConfig.from_dict(CONFIGS[name])
     assert audit(cfg, reversed(range(cfg.trajectories))) == forward
     if name == "past-cap":  # past the cap, each order keeps the first 256 frames it meets

@@ -1,11 +1,11 @@
-"""The once-per-rotation state update as a Pauli sum, and the trajectory's block uniforms.
+"""The once-per-rotation state update as a Pauli sum, and the trajectory's stream of uniforms.
 
 A rotation's operator sum_j d_j P_j on the eigenprojectors of s_k (x) 1 and
 1 (x) s_l is c0 + c1 s_k + c2 s_l + c3 s_k s_l, which ``statevec`` applies
 as one index gather over the Pauli strings' masks.  These tests check the
 gather against dense Pauli matrices and against the 4x4 pair operator, and
-check that ``run_trajectory``'s block stream of uniforms gives the records a
-bare generator gives.
+check that ``run_trajectory``'s stream of uniforms, a precomputed row and then
+refill blocks, gives the records a bare generator gives.
 """
 
 import itertools
@@ -18,7 +18,7 @@ from mfsim.errors import IncompleteRotationError, UsageError
 from mfsim.feedback import EpsilonPolicy, _pair_record, realize_v_kl
 from mfsim.harness import (
     ProtocolConfig,
-    _block_uniforms,
+    _trajectory_uniforms,
     haar_random_amplitudes,
     run_trajectory,
     trajectory_rng,
@@ -116,9 +116,9 @@ def test_float_site_fails_after_its_integer_pair_is_cached():
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
 def test_block_stream_equals_scalar_draws_across_block_boundaries(seed):
-    stream = _block_uniforms(trajectory_rng(seed, 3))
+    stream = _trajectory_uniforms(seed, 3)
     scalar = trajectory_rng(seed, 3)
-    count = 3 * 64 + 29  # three block boundaries and part of a fourth block
+    count = 256 + 2 * 64 + 29  # the row's 256 draws, two refill blocks and part of a third
     assert [stream.random() for _ in range(count)] == [scalar.random() for _ in range(count)]
 
 
