@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 2 configuration error, a numeric flag out of range or
 an output directory ``simulate`` cannot write (``output error:`` and the path
-are printed, before the first trajectory runs), 3 register-size cap exceeded,
+are printed, before the first trajectory runs), 3 register-size cap or work
+budget (trajectories x n_steps x rotations per step, 2^40) exceeded,
 4 a ``cnot-demo`` rotation ran out of rounds (the residual angle is printed),
 141 (128 + SIGPIPE) the reader closed stdout before the output was written.
-``MFSIM_OUT_DIR`` overrides the output directory of ``simulate``.
+``MFSIM_OUT_DIR``, when set and not empty, overrides the output directory of ``simulate``.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def main(argv=None) -> int:
         _check_flags(args)
         if args.command == "simulate":
             cfg = ProtocolConfig.from_json_file(args.config)
-            out_dir = os.environ.get("MFSIM_OUT_DIR", args.out)
+            out_dir = os.environ.get("MFSIM_OUT_DIR") or args.out  # empty counts as unset
             try:
                 _check_out_dir(out_dir)
             except OSError as exc:

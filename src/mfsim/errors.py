@@ -14,7 +14,7 @@ class ConfigError(ValueError):
 
 
 class ResourceError(RuntimeError):
-    """The requested register exceeds the dense-simulation size cap."""
+    """A config asks for a register past the dense-simulation size cap, or for work past the budget."""
 
 
 class IncompleteRotationError(RuntimeError):

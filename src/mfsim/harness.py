@@ -47,6 +47,9 @@ from .statevec import (
 
 _H_GATE = np.array([[1, 1], [1, -1]], dtype=float) / np.sqrt(2)
 _FRAMED_ORACLE_CAP = 256  # framed oracles a config keeps: 16 MB at the 12-qubit cap
+# Rotations a config may ask for, trajectories x n_steps x rotations per step:
+# at about 10 us a rotation, 2^40 of them take months.
+WORK_BUDGET = 2**40
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,10 @@ class ProtocolConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProtocolConfig":
-        """Parse a configuration object; ConfigError names the first bad, unknown or missing key."""
+        """Parse a configuration object; ConfigError names the first bad, unknown or missing key.
+
+        ResourceError when the config asks for more than WORK_BUDGET rotations.
+        """
         try:
             config_object(d, "", ("policy", "loss", "initial_state", "trajectories", "master_seed"),
                           ("hamiltonian", "t", "n_steps"))
@@ -108,6 +114,10 @@ class ProtocolConfig:
                 raise ConfigError(f"rotation angle t * hamiltonian.terms[{i}].coeff / n_steps "
                                   f"is {angle}, not finite")
         _initial_state(initial, h.n_qubits)
+        work = trajectories * n_steps * len(cfg.sweep)
+        if work > WORK_BUDGET:
+            raise ResourceError(f"trajectories x n_steps x rotations per step is {work}, "
+                                f"past the work budget of 2^40")
         return cfg
 
     @functools.cached_property

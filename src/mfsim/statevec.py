@@ -149,7 +149,7 @@ def _apply_pauli_sum(state: StateVector, stack: tuple[np.ndarray, np.ndarray],
     index, phase = stack
     terms = state.amplitudes[index]
     terms *= phase
-    return StateVector._wrap(np.array(coeffs).dot(terms), state.layout)
+    return StateVector._wrap(np.asarray(coeffs).dot(terms), state.layout)
 
 
 def apply_local(state: StateVector, qubit: int, u: np.ndarray) -> StateVector:

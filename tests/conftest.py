@@ -1,12 +1,16 @@
+import bisect
 from enum import Enum
 
 import numpy as np
 import pytest
 
+from mfsim.feedback import _level, _pair_record
 from mfsim.harness import haar_random_amplitudes
+from mfsim.loss import _PAULI_EIGENVALUES, LossConfig
 from mfsim.statevec import (
     RegisterLayout,
     StateVector,
+    _apply_pauli_sum,
     apply_pauli_string,
     apply_two_qubit,
 )
@@ -99,6 +103,49 @@ def classify_round_effect(
     if fidelity(cand, state_after) >= threshold:
         return RoundEffect.KNOWN_PAULI
     return RoundEffect.UNRESOLVED
+
+
+def reference_rotation(state, pair, k, l, t, policy, frame, rng, loss=None):
+    """A rotation as a running product of eigenvalue phases, one multiply per rotating round.
+
+    Walks the cached levels of ``t`` through their round tables, not their
+    rows: a Pauli branch (``pauli_powers``) adds its power of i and XORs its
+    flip code, any other multiplies its four phases into d_j, and the power and
+    code are folded in once at the end.  Returns (state, frame key, outcomes,
+    closed), with the frame key 1 << 2n | z << n | x as ``realize_v_kl`` keeps it.
+    """
+    n, (a, b) = state.n_qubits, pair
+    keys, swap, stack = _pair_record(n, a, b, k, l)
+    key = 1 << 2 * n | frame.byproduct.z << n | frame.byproduct.x
+    sign = -1 if (key & swap).bit_count() & 1 else 1
+    loss = loss or LossConfig()
+    level = _level(t, policy.mode, loss.key)
+    d = [0.25 + 0j] * 4
+    power = pauli = 0
+    outcomes = []
+    for _ in range(policy.max_rounds):
+        if level is None:
+            break
+        table = level.table
+        i = bisect.bisect_right(table.cumulative, rng.random())
+        branch, g = table.branches[i], table.pauli_powers[i]
+        code = branch.flips[0] + 2 * branch.flips[1]
+        if g is None:
+            d = [x * p for x, p in zip(d, table.phases[i].tolist())]
+        else:
+            power, pauli = power + g, pauli ^ code
+        key ^= keys[code] if code else 0
+        outcomes.append(branch.label)
+        if branch.direction is not None:
+            closes = sign * branch.direction == (1 if level.residual > 0 else -1)
+            level = None if closes else _level(level.residual + level.residual, policy.mode,
+                                               loss.key)
+    if power & 3 or pauli:
+        d = [x * f for x, f in zip(d, _PAULI_EIGENVALUES[pauli, power & 3].tolist())]
+    d0, d1, d2, d3 = d
+    state = _apply_pauli_sum(state, stack, (d0 + d1 + d2 + d3, d0 - d1 + d2 - d3,
+                                            d0 + d1 - d2 - d3, d0 - d1 - d2 + d3))
+    return state, key, outcomes, level is None
 
 
 @pytest.fixture

@@ -71,6 +71,27 @@ class TestSimulate:
         assert (env_dir / "report.json").exists()
         assert not (tmp_path / "ignored").exists()
 
+    def test_empty_env_var_leaves_out(self, config_file, tmp_path, monkeypatch):
+        # an empty MFSIM_OUT_DIR counts as unset, not as the current directory
+        monkeypatch.setenv("MFSIM_OUT_DIR", "")
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == EXIT_OK
+        assert (out / "report.json").exists() and (out / "audit.jsonl").exists()
+        assert list(cwd.iterdir()) == []
+
+    @pytest.mark.parametrize("huge", [{"trajectories": 1e15}, {"n_steps": 10**15}])
+    def test_work_past_the_budget_exits_3(self, huge, tmp_path, capsys):
+        cfg = {"hamiltonian": XX_PAIR, "t": 0.3, "n_steps": 2, "trajectories": 2, **huge}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) \
+            == EXIT_RESOURCE
+        assert "work budget" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{")

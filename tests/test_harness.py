@@ -141,6 +141,26 @@ class TestInitialStates:
             cfg = ProtocolConfig.from_dict({**big, "initial_state": initial})
             assert cfg.to_dict()["initial_state"] == initial
 
+    def test_work_budget_counts_trajectories_steps_and_rotations(self):
+        pair = {"n_qubits": 2, "terms": [{"sites": [0, 1], "axes": "XX", "coeff": 1.0},
+                                         {"sites": [0, 1], "axes": "ZZ", "coeff": 0.5}]}
+        base = {"hamiltonian": pair, "t": 0.3, "n_steps": 4}
+        # 2 rotations per step: exactly at the budget, then one trajectory past it
+        at = mfsim.harness.WORK_BUDGET // 8
+        assert ProtocolConfig.from_dict({**base, "trajectories": at}).trajectories == at
+        with pytest.raises(ResourceError, match="work budget"):
+            ProtocolConfig.from_dict({**base, "trajectories": at + 1})
+        with pytest.raises(ResourceError, match="work budget"):
+            ProtocolConfig.from_dict({**base, "n_steps": 10**15})
+
+    def test_empty_sweep_or_no_trajectory_is_within_the_budget(self):
+        empty = {"hamiltonian": {"n_qubits": 2, "terms": []}, "t": 0.3}
+        cfg = ProtocolConfig.from_dict({**empty, "n_steps": 1e15, "trajectories": 1e15})
+        assert (cfg.n_steps, cfg.trajectories) == (10**15, 10**15)
+        pair = {"n_qubits": 2, "terms": [{"sites": [0, 1], "axes": "XX", "coeff": 1.0}]}
+        assert ProtocolConfig.from_dict({"hamiltonian": pair, "t": 0.3, "n_steps": 10**15,
+                                         "trajectories": 0}).trajectories == 0
+
     def test_register_cap(self):
         cfg = ProtocolConfig.from_dict(
             {"hamiltonian": {"n_qubits": 13, "terms": []}, "t": 0.1, "n_steps": 1}
