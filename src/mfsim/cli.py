@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 configuration error, a numeric flag out of range or
 an output directory ``simulate`` cannot write (``output error:`` and the path
 are printed, before the first trajectory runs), 3 register-size cap or work
-budget (trajectories x n_steps x rotations per step, 2^40) exceeded,
+budget (trajectories x n_steps x rotations per step x policy.max_rounds, 2^40
+rounds) exceeded,
 4 a ``cnot-demo`` rotation ran out of rounds (the residual angle is printed),
 141 (128 + SIGPIPE) the reader closed stdout before the output was written.
 ``MFSIM_OUT_DIR``, when set and not empty, overrides the output directory of ``simulate``.

@@ -8,22 +8,19 @@ anticommutes with the rotation axis the roles of Plus and Minus are swapped
 (the time direction is inverted).
 
 A rotation therefore walks the doubling chain t, 2t, 4t, ... (mod pi).
-Conjugating by u_k (x) u_l maps e^{it XX} to e^{it s_k x s_l} and leaves a
-round's weights, records and eigenphases unchanged, so one cache keeps
-every level of the chain, with its XX round table, per (angle, eps rule,
-loss), shared by every axis pair and frame sign.  The frame is one integer key,
-1 << 2n | z << n | x over its x/z masks.  A round is one bisection into the
-level's weights, an XOR of the key when the branch flips a qubit (s_k / s_l
-at the pair sites), and a lookup of the level's one record for that branch
-and key.  The loop does no complex arithmetic.  A Pauli round, i^g times the
-Pauli string of its flips (on a backup table every loss retry and HH/VV
-outcome), adds g to a power of i and XORs its flip code into a fold code; any
-other round, or a Pauli round that leaves its level, adds a power of i and
-shifts its class's 5-bit symbol into an integer path.  The drawn unitaries
-are diagonal in the eigenbasis of s_k (x) 1 and 1 (x) s_l, so these integers
-fix their product, a sum of the Pauli strings I, s_k, s_l and s_k s_l on the
-pair that updates the state once per rotation as one index gather, with
-coefficients kept in a memo on the rotation's first level.
+Conjugating by u_k (x) u_l maps e^{it XX} to e^{it s_k x s_l} and X (x) 1,
+1 (x) X to s_k, s_l, and leaves a round's weights, records and forms
+unchanged, so one cache keeps every level of the chain, with its XX round
+table, per (angle, eps rule, loss), shared by every axis pair and frame sign.
+The frame is one integer key, 1 << 2n | z << n | x over its x/z masks.  A
+round is one bisection into the level's weights, an XOR of the key when the
+branch flips a qubit (s_k / s_l at the pair sites), and a lookup of the
+level's one record for that branch and key.  Every branch's unitary is
+i^g X^f e^{i theta XX} for its form (theta, g, f), and all of them commute,
+so a round adds theta to an angle, g to a power of i and XORs f into a flip
+code.  The product is i^power X^f e^{i angle XX} = i^power (cos(angle) X^f +
+i sin(angle) X^(f ^ 3)): on the pair, a sum of the Pauli strings I, s_k, s_l
+and s_k s_l that updates the state once per rotation as one index gather.
 """
 
 from __future__ import annotations
@@ -39,18 +36,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import IncompleteRotationError, UsageError
-from .loss import _PAULI_EIGENVALUES, LossConfig, round_branches
+from .loss import LossConfig, round_branches
 from .pauli import ErrorFrame, PauliAxis, mask_text
 from .statevec import StateVector, apply_local  # noqa: F401 (perfbench traces it)
 from .statevec import _apply_pauli_sum as _apply, _pauli_stack
 
 _ANGLE_TOL = 1e-12
 _LOSSLESS = LossConfig()
-_PAULI_FOLD = _PAULI_EIGENVALUES.tolist()  # [f][g][j], as Python complex numbers
-_I_POWERS = (1, 1j, -1, -1j)
-_SYMBOL_BITS = 5  # a level's classes, symbol 0 for none: at most 29 on the 28-branch table
-_SYMBOL_MASK = (1 << _SYMBOL_BITS) - 1
-_MEMO_CAP = 4096  # coefficient arrays a first level keeps, about 0.3 KB each with the key
 
 
 class PolicyMode(Enum):
@@ -112,19 +104,12 @@ class _Level:
 
     ``records[i]`` maps a frame's key to the one record of branch i drawn
     here with that frame.  ``rows[s < 0][i]`` is what a round reads under
-    frame sign s: (h, symbol, fold, flips, records[i], successor), with the
-    pair atoms the branch flips (bit 0 the first, bit 1 the second) and the
-    level after it: this level when the branch does not rotate, None when s
-    times its direction is the residual's sign (the branch closes it), else
-    the level at the doubled residual, built when the rows are, on the first
-    round drawn here.  A Pauli branch has h = g and fold = flips.  Any other
-    has fold 0 and eigenvalues on the XX table's eigenprojectors (the same
-    for every axis pair) i^h times the phases of ``classes[s < 0][symbol]``,
-    (phases, successor), which the branches with the same phases up to a
-    power of i and the same successor share.  A Pauli branch that leaves
-    the level has a class with phases None; one that stays, symbol 0.
-    ``memo`` maps (s < 0, path, power & 3, fold) of a rotation that starts
-    here to its coefficients, for the first _MEMO_CAP keys.
+    frame sign s: (theta, g, f, flips, records[i], successor), with the
+    branch's form from the table, the pair atoms it flips (bit 0 the first,
+    bit 1 the second) and the level after it: this level when the branch
+    does not rotate, None when s times its direction is the residual's sign
+    (the branch closes it), else the level at the doubled residual, built
+    when the rows are, on the first round drawn here.
     """
 
     def __init__(self, residual: float, mode: PolicyMode, loss: LossConfig):
@@ -134,71 +119,29 @@ class _Level:
         self.table = round_branches(self.eps, loss)
         self.cumulative, self.branches = self.table.cumulative, self.table.branches
         self.records: tuple[dict[int, RoundRecord], ...] = tuple({} for _ in self.branches)
-        self.memo: dict[tuple, np.ndarray] = {}
 
     @functools.cached_property
     def rows(self) -> tuple[tuple[tuple, ...], ...]:
-        """The rows per frame sign; building them builds ``classes`` too."""
-        r, sign, table = self.residual, 1 if self.residual > 0 else -1, self.table
+        r, sign = self.residual, 1 if self.residual > 0 else -1
         rotates = any(b.direction for b in self.branches)
         doubled = _level(r + r, self.mode, self.loss.key) if rotates else None
-        rows, self.classes = [], []
-        for s in (1, -1):
-            signed, classes = [], [None]  # symbol 0 stands for no class
-            for g, p, b, rec in zip(table.pauli_powers, table.phases.tolist(), self.branches,
-                                    self.records):
-                succ = self if b.direction is None else None if s * b.direction == sign else doubled
-                code = b.flips[0] + 2 * b.flips[1]
-                if g is not None:
-                    symbol = 0 if succ is self else _symbol(classes, None, succ)[1]
-                    signed.append((g, symbol, code, code, rec, succ))
-                else:
-                    h, symbol = _symbol(classes, tuple(p), succ)
-                    signed.append((h, symbol, 0, code, rec, succ))
-            rows.append(tuple(signed))
-            self.classes.append(tuple(classes))
-        return tuple(rows)
+        return tuple(tuple(
+            (*form, b.flips[0] + 2 * b.flips[1], rec,
+             self if b.direction is None else None if s * b.direction == sign else doubled)
+            for form, b, rec in zip(self.table.forms, self.branches, self.records))
+            for s in (1, -1))
 
 
-def _symbol(classes: list, phases: Optional[tuple], succ) -> tuple[int, int]:
-    """(h, symbol) with ``phases`` i^h times those of class ``symbol``, a new class if none.
+@functools.lru_cache(maxsize=4096)
+def _pauli_sum(angle: float, power: int, flips: int) -> np.ndarray:
+    """The read-only coefficients of i^power X^flips e^{i angle XX} on I, X (x) 1, 1 (x) X, XX.
 
-    A class holds exact phases or, for Pauli branches, None, and one successor.
+    X^f e^{i angle XX} = cos(angle) X^f + i sin(angle) X^(f ^ 3); index c is the
+    string X^c1 (x) X^c2 for c = c1 + 2 c2, as in a pair record's stack.
     """
-    for symbol, (canonical, nxt) in enumerate(classes[1:], 1):
-        if nxt is not succ or (canonical is None) != (phases is None):
-            continue
-        for h, turn in enumerate(_I_POWERS):
-            if phases is None or all(c * turn == p for c, p in zip(canonical, phases)):
-                return h, symbol
-    classes.append((phases, succ))
-    return 0, len(classes) - 1
-
-
-def _coefficients(level: _Level, swapped: int, path: int, power: int, fold: int) -> np.ndarray:
-    """The read-only Pauli-sum coefficients of a rotation from ``level`` along ``path``.
-
-    Replays the path's symbols, first in its high bits, through the class
-    tables into d_j, a quarter of the product's eigenvalues (so the sums below
-    are the coefficients: scaling by 1/4 is exact), and folds in i^power and
-    the string of ``fold`` once; j = (s_k bit) + 2 (s_l bit), and no round
-    gives exactly I.  A factor +-1 or +-i only permutes and negates parts, so
-    this equals multiplying every round's own phases in turn, bit for bit.
-    """
-    symbols = []
-    while path:
-        symbols.append(path & _SYMBOL_MASK)
-        path >>= _SYMBOL_BITS
-    d0 = d1 = d2 = d3 = 0.25 + 0j
-    for symbol in reversed(symbols):
-        phases, level = level.classes[swapped][symbol]
-        if phases is not None:
-            p0, p1, p2, p3 = phases
-            d0, d1, d2, d3 = d0 * p0, d1 * p1, d2 * p2, d3 * p3
-    if power & 3 or fold:
-        f0, f1, f2, f3 = _PAULI_FOLD[fold][power & 3]
-        d0, d1, d2, d3 = d0 * f0, d1 * f1, d2 * f2, d3 * f3
-    coeffs = np.array((d0 + d1 + d2 + d3, d0 - d1 + d2 - d3, d0 + d1 - d2 - d3, d0 - d1 - d2 + d3))
+    coeffs = np.zeros(4, dtype=complex)
+    coeffs[flips] = 1j ** power * math.cos(angle)
+    coeffs[flips ^ 3] = 1j ** (power + 1) * math.sin(angle)
     coeffs.flags.writeable = False
     return coeffs
 
@@ -253,13 +196,13 @@ def realize_v_kl(
 
     Each round draws a branch of the XX table ``round_branches(eps, loss)``
     (lossless when ``loss`` is None; conjugation by u_k (x) u_l carries it to
-    (k, l) with the same weights, records and eigenphases) from the angle's
+    (k, l) with the same weights, records and forms) from the angle's
     cached doubling levels with one ``rng.random()`` (a numpy Generator or
     any object whose ``random()`` returns a uniform in [0, 1)).  When the
     rotation ends or runs out of rounds, the product of the drawn unitaries,
-    sum_j d_j P_j on P_j = (1 +- s_k)/2 (x) (1 +- s_l)/2, a sum of the Pauli
-    strings I, s_k, s_l and s_k s_l on the pair, is applied once, its
-    coefficients looked up by the rounds' integers.  On success the frame-corrected
+    i^power X^f e^{i angle XX} carried to (k, l), a sum of the Pauli strings
+    I, s_k, s_l and s_k s_l on the pair, is applied once, its coefficients
+    cached by (angle, power mod 4, f).  On success the frame-corrected
     output equals the exact rotation applied to the frame-corrected input,
     up to global phase.
     Raises IncompleteRotationError (with state, frame, and residual attached)
@@ -283,21 +226,19 @@ def realize_v_kl(
     if level is None:
         return state, frame, records
 
-    # The rounds' powers of i, the Pauli rounds' flip codes and the symbols of
-    # the classes passed through, first round in the high bits of the path:
-    # with the frame sign they fix the rotation's unitary, which is the memo key.
-    power = fold = path = 0
+    # The sum of the rounds' angles, powers of i and XOR of their Pauli flip
+    # codes: the product of their commuting unitaries.
+    angle, power, pauli = 0.0, 0, 0
     draw, bisect_right, append = rng.random, bisect.bisect_right, records.append
-    first, current = level, None
+    current = None
     for _ in range(policy.max_rounds):
         if level is not current:  # rows build the successors, so read them on arrival only
             current, cumulative, rows = level, level.cumulative, level.rows[swapped]
         i = bisect_right(cumulative, draw())
-        h, symbol, pauli, code, by_key, level = rows[i]
-        power += h
-        fold ^= pauli
-        if symbol:
-            path = path << _SYMBOL_BITS | symbol
+        theta, g, f, code, by_key, level = rows[i]
+        angle += theta
+        power += g
+        pauli ^= f
         if code:
             key ^= keys[code]
         rec = by_key.get(key)
@@ -310,13 +251,7 @@ def realize_v_kl(
         if level is None:
             break
 
-    memo_key = (swapped, path, power & 3, fold)
-    coeffs = first.memo.get(memo_key)
-    if coeffs is None:
-        coeffs = _coefficients(first, swapped, path, power, fold)
-        if len(first.memo) < _MEMO_CAP:
-            first.memo[memo_key] = coeffs
-    state = _apply(state, stack, coeffs)
+    state = _apply(state, stack, _pauli_sum(angle, power & 3, pauli))
     if key != start:
         mask = ~(-1 << n)
         frame = ErrorFrame.from_masks(n, key & mask, key >> n & mask)

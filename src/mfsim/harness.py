@@ -47,8 +47,8 @@ from .statevec import (
 
 _H_GATE = np.array([[1, 1], [1, -1]], dtype=float) / np.sqrt(2)
 _FRAMED_ORACLE_CAP = 256  # framed oracles a config keeps: 16 MB at the 12-qubit cap
-# Rotations a config may ask for, trajectories x n_steps x rotations per step:
-# at about 10 us a rotation, 2^40 of them take months.
+# Rounds a config may ask for at worst, trajectories x n_steps x rotations per
+# step x policy.max_rounds: at about 2 us a round, 2^40 of them take weeks.
 WORK_BUDGET = 2**40
 
 
@@ -67,7 +67,7 @@ class ProtocolConfig:
     def from_dict(cls, d: dict) -> "ProtocolConfig":
         """Parse a configuration object; ConfigError names the first bad, unknown or missing key.
 
-        ResourceError when the config asks for more than WORK_BUDGET rotations.
+        ResourceError when the config asks for more than WORK_BUDGET rounds at worst.
         """
         try:
             config_object(d, "", ("policy", "loss", "initial_state", "trajectories", "master_seed"),
@@ -114,10 +114,10 @@ class ProtocolConfig:
                 raise ConfigError(f"rotation angle t * hamiltonian.terms[{i}].coeff / n_steps "
                                   f"is {angle}, not finite")
         _initial_state(initial, h.n_qubits)
-        work = trajectories * n_steps * len(cfg.sweep)
+        work = trajectories * n_steps * len(cfg.sweep) * policy.max_rounds
         if work > WORK_BUDGET:
-            raise ResourceError(f"trajectories x n_steps x rotations per step is {work}, "
-                                f"past the work budget of 2^40")
+            raise ResourceError(f"trajectories x n_steps x rotations per step x policy.max_rounds "
+                                f"is {work}, past the work budget of 2^40 rounds")
         return cfg
 
     @functools.cached_property

@@ -8,7 +8,9 @@ branch structure.
 
 ``round_branches`` compiles one round of this photon-level model into 4x4
 Kraus operators on the atom pair, each a weighted unitary, so trajectories
-evolve data qubits only and draw each round from the weights alone.  The
+evolve data qubits only and draw each round from the weights alone.  Each
+unitary is i^g X^f e^{i theta XX} in the XX picture, a Pauli byproduct times
+a rotation, and the table gives every branch as that form (theta, g, f).  The
 model runs once per loss config, at three eps, and checks itself at a fourth.
 """
 
@@ -188,18 +190,15 @@ class RoundTable:
 
     ``kraus`` is a read-only (B, 4, 4) stack of operators on the (first, second) atom,
     first the low bit, in the XX picture.  Each is a weighted unitary sqrt(w_i) U_i, and
-    ``cumulative`` holds the running sums of the w_i, the last exactly 1.0.  Every U_i
-    is diagonal in the joint eigenbasis of X (x) 1 and 1 (x) X: the read-only (B, 4)
-    ``phases`` hold its unit-modulus eigenvalues on the projectors ``_SIGN_PROJECTORS``,
-    so U_i = sum_j phases[i, j] P_j.  ``pauli_powers`` marks the Pauli branches: g where
-    U_i = i^g X^f1 (x) X^f2 for the branch's flips (f1, f2), None for the others.
+    ``cumulative`` holds the running sums of the w_i, the last exactly 1.0.  ``forms[i]``
+    is (theta, g, f) with U_i = i^g X^f e^{i theta XX} and |theta| <= pi/4, where X^f is
+    X^f1 (x) X^f2 for the flip code f = f1 + 2 f2: a Pauli branch has theta exactly 0.0.
     """
 
     kraus: np.ndarray
     branches: tuple[RoundBranch, ...]
     cumulative: tuple[float, ...]
-    phases: np.ndarray
-    pauli_powers: tuple[Optional[int], ...]
+    forms: tuple[tuple[float, int, int], ...]
 
 
 _LOSS_PATTERNS = ((True, False), (False, True), (True, True))
@@ -214,11 +213,10 @@ _ZERO_BRANCH = 1e-24  # weight w (K^dag K = w 1) under which a branch counts as 
 _X_SIGNS = [(np.eye(2) + s * PauliAxis.X.matrix()) / 2 for s in (1, -1)]
 _SIGN_PROJECTORS = np.array([np.kron(second, first) for second in _X_SIGNS for first in _X_SIGNS])
 _SIGN_PROJECTORS.flags.writeable = False
-# _PAULI_EIGENVALUES[f, g, j] = i^g (-1)^|f & j|, the eigenvalue on P_j of the Pauli
-# string i^g X^f1 (x) X^f2 with flip code f = f1 + 2 f2.
-_PAULI_EIGENVALUES = np.array([[[ig * (-1) ** (f & j).bit_count() for j in range(4)]
-                                for ig in (1, 1j, -1, -1j)] for f in range(4)])
-_PAULI_ATOL = 1e-14  # Pauli phases are off by an ulp or two, rotating ones by about eps > 1e-12
+# _STRING_SIGNS[f, j] = (-1)^|f & j|, the eigenvalue on P_j of X^f1 (x) X^f2 for the flip
+# code f = f1 + 2 f2; XX is f = 3.
+_STRING_SIGNS = np.array([[(-1) ** (f & j).bit_count() for j in range(4)] for f in range(4)])
+_FORM_ATOL = 1e-12  # a branch's phases lie within about 1e-16 of its form, or O(1) off
 
 
 def _round_outcomes(loss: LossConfig):
@@ -278,7 +276,7 @@ def _outcome_stack(loss: LossConfig) -> tuple[np.ndarray, tuple[RoundBranch, ...
     runs = [stage(StateVector(choi, layout), eps=eps).amplitudes.reshape(4, -1, 4)
             for eps in (0.0, 1.0, 0.5, 0.3)]  # (atom in, modes, atom out)
     modes, records = zip(*_round_outcomes(loss))
-    k0, k1, half, probe = np.tensordot(np.conj(modes), runs, ([1], [2])).transpose(1, 0, 3, 2)
+    k0, k1, half, probe = np.einsum("bm,eimo->eboi", np.conj(modes), np.array(runs))
     terms = np.array([k0, k1, 2.0 * half - k0 - k1])
     eigen = np.einsum("jik,mbki->mbj", _SIGN_PROJECTORS, terms)  # tr(P_j K_mb)
     if (np.abs(np.einsum("mbj,jik->mbik", eigen, _SIGN_PROJECTORS) - terms).max() > 1e-10
@@ -304,11 +302,13 @@ def round_branches(eps: float, loss: LossConfig) -> RoundTable:
     The table is in the XX picture, the one the model acts in.  The feedback
     controller reads it for every axis pair (k, l): u e^{it XX} u^dag =
     e^{it s_k x s_l} and u X u^dag = s_k for u = u_k (x) u_l, so the
-    weights, records and eigenphases hold on the projectors of s_k and s_l.
+    weights, records and forms hold with s_k and s_l in place of X.
     Lossless rounds list (minus, plus, hh, vv) in that order.  Each call builds
     a table; a feedback level builds its own once and keeps it.
-    Raises UsageError for eps outside [0, 1] or NaN.  A loss model whose draw would depend
-    on the state fails earlier, once per config: ``_outcome_stack`` raises ProtocolError.
+    Raises UsageError for eps outside [0, 1] or NaN, and ProtocolError, naming ``loss``
+    and eps, for a branch off its form by more than _FORM_ATOL.  A loss model whose draw
+    would depend on the state fails earlier, once per config: ``_outcome_stack`` raises
+    ProtocolError.
     """
     if not 0.0 <= eps <= 1.0:
         raise UsageError(f"eps={eps} outside [0, 1]")
@@ -318,13 +318,24 @@ def round_branches(eps: float, loss: LossConfig) -> RoundTable:
     weights = (np.abs(eigenvalues) ** 2).sum(axis=1) / 4  # K^dag K = w 1, checked per config
     keep = weights > _ZERO_BRANCH
     eigenvalues, weights = eigenvalues[keep], weights[keep]
-    phases = eigenvalues / np.abs(eigenvalues)  # unit modulus, so a long product does not drift
+    phases = eigenvalues / np.abs(eigenvalues)
     kraus = np.dot(eigenvalues, _SIGN_PROJECTORS.reshape(4, 16)).reshape(-1, 4, 4)
     cumulative = (*(np.cumsum(weights[:-1]) / weights.sum()).tolist(), 1.0)
     branches = tuple(r for r, k in zip(records, keep) if k)
-    # (B, 4 g): a Pauli branch's phases are those of i^g times the string of its flips
-    strings = _PAULI_EIGENVALUES[[b.flips[0] + 2 * b.flips[1] for b in branches]]
-    pauli = (np.abs(phases[:, None, :] - strings) <= _PAULI_ATOL).all(axis=2)
-    pauli_powers = tuple(row.index(True) if True in row else None for row in pauli.tolist())
-    kraus.flags.writeable = phases.flags.writeable = False
-    return RoundTable(kraus, branches, cumulative, phases, pauli_powers)
+    # i^g X^f e^{i theta XX} has phase i^g e^{i theta} on P_0, and e^{-2i theta} times the
+    # signs of X^f relative to it on P_1 and P_2: the signs with real part >= 0 keep
+    # |theta| <= pi/4, and for a Pauli branch the ratio is real, so theta is 0.0 exactly.
+    # Angles are log(z).imag: np.angle's arctan2 maps about 0.2 MB more into the process.
+    turns = phases[:, 1:3] * phases[:, :1].conj()
+    signs = np.where(turns.real < 0.0, -1.0, 1.0)
+    theta = np.log(signs[:, 0] * turns[:, 0]).imag / -2 + 0.0  # + 0.0: never -0.0
+    strings = (signs[:, 0] < 0.0) + 2 * (signs[:, 1] < 0.0)
+    turn = np.log(phases[:, 0] * np.exp(-1j * theta)).imag
+    powers = np.rint(turn * (2 / np.pi)).astype(int) & 3
+    form = (np.array([1, 1j, -1, -1j])[powers, None] * _STRING_SIGNS[strings]
+            * np.exp(1j * np.outer(theta, _STRING_SIGNS[3])))
+    if np.abs(form - phases).max() > _FORM_ATOL:
+        raise ProtocolError(f"round branches of {loss} at eps={eps} are not i^g X^f e^(i theta XX)")
+    kraus.flags.writeable = False
+    return RoundTable(kraus, branches, cumulative, tuple(zip(theta.tolist(), powers.tolist(),
+                                                             strings.tolist())))

@@ -1,12 +1,13 @@
 import bisect
+import functools
 from enum import Enum
 
 import numpy as np
 import pytest
 
-from mfsim.feedback import _level, _pair_record
+from mfsim.feedback import _pair_record, reduce_angle
 from mfsim.harness import haar_random_amplitudes
-from mfsim.loss import _PAULI_EIGENVALUES, LossConfig
+from mfsim.loss import LossConfig, round_branches
 from mfsim.statevec import (
     RegisterLayout,
     StateVector,
@@ -51,6 +52,16 @@ def sign_projectors(axes):
     """
     k, l = ([(np.eye(2) + s * a.matrix()) / 2 for s in (1, -1)] for a in axes)
     return np.array([np.kron(pl, pk) for pl in l for pk in k])
+
+
+def form_phases(forms):
+    """The (B, 4) eigenvalues of i^g X^f e^{i theta XX} on ``sign_projectors``' P_j per form.
+
+    X^f1 (x) X^f2 has sign (-1)^|f & j| on P_j, and XX the sign of f = 3.
+    """
+    signs = np.array([[(-1) ** (f & j).bit_count() for j in range(4)] for f in range(4)])
+    return np.array([1j ** g * signs[f] * np.exp(1j * theta * signs[3])
+                     for theta, g, f in forms]).reshape(-1, 4)
 
 
 def rot_xx(t):
@@ -105,47 +116,43 @@ def classify_round_effect(
     return RoundEffect.UNRESOLVED
 
 
-def reference_rotation(state, pair, k, l, t, policy, frame, rng, loss=None):
-    """A rotation as a running product of eigenvalue phases, one multiply per rotating round.
+@functools.cache
+def _table(eps, loss):
+    return round_branches(eps, loss)
 
-    Walks the cached levels of ``t`` through their round tables, not their
-    rows: a Pauli branch (``pauli_powers``) adds its power of i and XORs its
-    flip code, any other multiplies its four phases into d_j, and the power and
-    code are folded in once at the end.  Returns (state, frame key, outcomes,
-    closed), with the frame key 1 << 2n | z << n | x as ``realize_v_kl`` keeps it.
+
+def reference_rotation(state, pair, k, l, t, policy, frame, rng, loss=None):
+    """A rotation as a running product of the drawn branches' dense unitaries K / sqrt(w).
+
+    Walks the residual's doubling chain with its own tables, reads each
+    branch's operator from ``kraus`` (never from its form) and multiplies the
+    4x4 unitaries in the XX picture; their coefficients on I, X (x) 1, 1 (x) X
+    and XX are those of I, s_k, s_l and s_k s_l.  Returns (state, frame key,
+    outcomes, closed), with the frame key 1 << 2n | z << n | x as
+    ``realize_v_kl`` keeps it.
     """
     n, (a, b) = state.n_qubits, pair
     keys, swap, stack = _pair_record(n, a, b, k, l)
     key = 1 << 2 * n | frame.byproduct.z << n | frame.byproduct.x
     sign = -1 if (key & swap).bit_count() & 1 else 1
     loss = loss or LossConfig()
-    level = _level(t, policy.mode, loss.key)
-    d = [0.25 + 0j] * 4
-    power = pauli = 0
-    outcomes = []
+    residual, product, outcomes = reduce_angle(t), np.eye(4, dtype=complex), []
     for _ in range(policy.max_rounds):
-        if level is None:
+        if abs(residual) <= 1e-12:
             break
-        table = level.table
+        table = _table(policy.eps_for(abs(residual)), loss)
         i = bisect.bisect_right(table.cumulative, rng.random())
-        branch, g = table.branches[i], table.pauli_powers[i]
-        code = branch.flips[0] + 2 * branch.flips[1]
-        if g is None:
-            d = [x * p for x, p in zip(d, table.phases[i].tolist())]
-        else:
-            power, pauli = power + g, pauli ^ code
-        key ^= keys[code] if code else 0
+        branch, kraus = table.branches[i], table.kraus[i]
+        weight = np.trace(kraus.conj().T @ kraus).real / 4
+        product = kraus / np.sqrt(weight) @ product
+        key ^= keys[branch.flips[0] + 2 * branch.flips[1]]
         outcomes.append(branch.label)
         if branch.direction is not None:
-            closes = sign * branch.direction == (1 if level.residual > 0 else -1)
-            level = None if closes else _level(level.residual + level.residual, policy.mode,
-                                               loss.key)
-    if power & 3 or pauli:
-        d = [x * f for x, f in zip(d, _PAULI_EIGENVALUES[pauli, power & 3].tolist())]
-    d0, d1, d2, d3 = d
-    state = _apply_pauli_sum(state, stack, (d0 + d1 + d2 + d3, d0 - d1 + d2 - d3,
-                                            d0 + d1 - d2 - d3, d0 - d1 - d2 + d3))
-    return state, key, outcomes, level is None
+            closes = sign * branch.direction == (1 if residual > 0 else -1)
+            residual = 0.0 if closes else reduce_angle(residual + residual)
+    strings = [kron_le(X if c & 1 else I2, X if c & 2 else I2) for c in range(4)]
+    coeffs = [np.trace(s @ product) / 4 for s in strings]
+    return _apply_pauli_sum(state, stack, coeffs), key, outcomes, abs(residual) <= 1e-12
 
 
 @pytest.fixture

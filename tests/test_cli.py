@@ -82,7 +82,8 @@ class TestSimulate:
         assert (out / "report.json").exists() and (out / "audit.jsonl").exists()
         assert list(cwd.iterdir()) == []
 
-    @pytest.mark.parametrize("huge", [{"trajectories": 1e15}, {"n_steps": 10**15}])
+    @pytest.mark.parametrize("huge", [{"trajectories": 1e15}, {"n_steps": 10**15},
+                                      {"trajectories": 1, "policy": {"max_rounds": 2**41}}])
     def test_work_past_the_budget_exits_3(self, huge, tmp_path, capsys):
         cfg = {"hamiltonian": XX_PAIR, "t": 0.3, "n_steps": 2, "trajectories": 2, **huge}
         path = tmp_path / "cfg.json"

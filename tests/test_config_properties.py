@@ -17,7 +17,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from mfsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, main
-from mfsim.harness import ProtocolConfig
+from mfsim.harness import WORK_BUDGET, ProtocolConfig
 
 HAMILTONIAN = {"n_qubits": 2, "terms": [{"sites": [0, 1], "axes": "XY", "coeff": 0.7}]}
 BASES = [
@@ -105,18 +105,21 @@ def valid_configs(draw):
     amplitudes = st.lists(st.lists(st.floats(-1, 1), min_size=2, max_size=2),
                           min_size=1 << n, max_size=1 << n).filter(
         lambda amps: sum(re * re + im * im for re, im in amps) > 1e-6)
+    n_steps, trajectories = draw(st.integers(1, 50)), draw(st.integers(0, 10**6))
+    # within the work budget: at most WORK_BUDGET rounds at worst over all rotations
+    rounds = WORK_BUDGET // max(1, trajectories * n_steps * len(terms))
     return {
         "hamiltonian": {"n_qubits": n, "terms": terms},
         "t": draw(st.floats(-5, 5)),
-        "n_steps": draw(st.integers(1, 50)),
+        "n_steps": n_steps,
         "policy": {"mode": draw(st.sampled_from(["residual_exact", "paper_doubling"])),
-                   "max_rounds": draw(st.integers(1, 10**6))},
+                   "max_rounds": draw(st.integers(1, min(10**6, rounds)))},
         "loss": {"p_loss": draw(st.floats(0, 1)), "encoding": encoding,
                  "backup_enabled": draw(st.booleans()) and encoding == "polarization"},
         "initial_state": draw(st.sampled_from(["all_zeros", "all_plus"])
                               | st.fixed_dictionaries({"random_seed": st.integers(0, 2**40)})
                               | st.fixed_dictionaries({"amplitudes": amplitudes})),
-        "trajectories": draw(st.integers(0, 10**6)),
+        "trajectories": trajectories,
         "master_seed": draw(st.integers(0, 2**40)),
     }
 

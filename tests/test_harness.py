@@ -141,17 +141,24 @@ class TestInitialStates:
             cfg = ProtocolConfig.from_dict({**big, "initial_state": initial})
             assert cfg.to_dict()["initial_state"] == initial
 
-    def test_work_budget_counts_trajectories_steps_and_rotations(self):
+    def test_work_budget_counts_trajectories_steps_rotations_and_rounds(self):
         pair = {"n_qubits": 2, "terms": [{"sites": [0, 1], "axes": "XX", "coeff": 1.0},
                                          {"sites": [0, 1], "axes": "ZZ", "coeff": 0.5}]}
         base = {"hamiltonian": pair, "t": 0.3, "n_steps": 4}
-        # 2 rotations per step: exactly at the budget, then one trajectory past it
-        at = mfsim.harness.WORK_BUDGET // 8
+        # 2 rotations per step of at most 64 rounds (the default max_rounds): exactly at
+        # the budget, then one trajectory past it
+        at = mfsim.harness.WORK_BUDGET // (8 * 64)
         assert ProtocolConfig.from_dict({**base, "trajectories": at}).trajectories == at
         with pytest.raises(ResourceError, match="work budget"):
             ProtocolConfig.from_dict({**base, "trajectories": at + 1})
         with pytest.raises(ResourceError, match="work budget"):
             ProtocolConfig.from_dict({**base, "n_steps": 10**15})
+        # one trajectory of one rotation whose rounds alone are past the budget
+        one = {**base, "hamiltonian": {**pair, "terms": pair["terms"][:1]}, "n_steps": 1}
+        rounds = mfsim.harness.WORK_BUDGET
+        assert ProtocolConfig.from_dict({**one, "policy": {"max_rounds": rounds}})
+        with pytest.raises(ResourceError, match="work budget"):
+            ProtocolConfig.from_dict({**one, "policy": {"max_rounds": rounds + 1}})
 
     def test_empty_sweep_or_no_trajectory_is_within_the_budget(self):
         empty = {"hamiltonian": {"n_qubits": 2, "terms": []}, "t": 0.3}

@@ -158,8 +158,7 @@ def test_heisenberg_warm_run_reproduces_cold_run(extra, cold_caches, built_level
                                   LossConfig(p_loss=0.6, backup_enabled=True),
                                   LossConfig(p_loss=0.3, encoding=PhotonEncoding.OCCUPATION)],
                          ids=["lossless", "heralded", "backup-loss60", "silent"])
-def test_level_rows_are_powers_classes_flips_records_and_successors(
-        loss, cold_caches, built_levels):
+def test_level_rows_are_forms_flips_records_and_successors(loss, cold_caches, built_levels):
     rng = np.random.default_rng(11)
     state = StateVector(haar_random_amplitudes(3, rng), RegisterLayout.build(3, n_photons=0))
     policy = EpsilonPolicy(max_rounds=10_000)
@@ -168,27 +167,14 @@ def test_level_rows_are_powers_classes_flips_records_and_successors(
     assert any(len(records) for level in built_levels for records in level.records)
     for level in list(built_levels):  # reading rows may build successors
         table = round_branches(level.eps, loss)
-        for rows, classes in zip(level.rows, level.classes):
+        for rows in level.rows:
             assert len(rows) == len(level.branches) == len(table.branches)
-            assert classes[0] is None and len(classes) <= 32  # a symbol takes 5 bits
-            for i, (row, branch) in enumerate(zip(rows, table.branches)):
-                h, symbol, fold, flips, records, succ = row
+            for i, (row, branch, form) in enumerate(zip(rows, table.branches, table.forms)):
+                theta, g, f, flips, records, succ = row
+                assert (theta, g, f) == form
                 assert flips == branch.flips[0] + 2 * branch.flips[1]
                 assert records is level.records[i]
-                g = table.pauli_powers[i]
-                if g is not None:  # i^g times the string of its flips, folded in as integers
-                    assert (h, fold) == (g, flips)
-                    assert symbol == 0 if succ is level else classes[symbol] == (None, succ)
-                else:  # i^h times its class's phases, exactly
-                    phases, nxt = classes[symbol]
-                    assert fold == 0 and nxt is succ
-                    assert [p * 1j ** h for p in phases] == table.phases[i].tolist()
-            # a class per phases up to a power of i and successor: no two agree
-            for (a, a_next), (b, b_next) in itertools.combinations(classes[1:], 2):
-                if a_next is b_next and a is None:
-                    assert b is not None
-                elif a_next is b_next and b is not None:
-                    assert all([p * 1j ** h for p in a] != list(b) for h in range(4))
+                assert (succ is level) == (branch.direction is None)
 
 
 @pytest.mark.parametrize("loss", LOSSES, ids=["lossless", "heralded", "backup-loss60"])
