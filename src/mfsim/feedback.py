@@ -19,8 +19,10 @@ level's one record for that branch and key.  Every branch's unitary is
 i^g X^f e^{i theta XX} for its form (theta, g, f), and all of them commute,
 so a round adds theta to an angle, g to a power of i and XORs f into a flip
 code.  The product is i^power X^f e^{i angle XX} = i^power (cos(angle) X^f +
-i sin(angle) X^(f ^ 3)): on the pair, a sum of the Pauli strings I, s_k, s_l
-and s_k s_l that updates the state once per rotation as one index gather.
+i sin(angle) X^(f ^ 3)): on the pair, two of the strings I, s_k, s_l and s_k s_l,
+applied once per rotation from one cache of 4096 operators keyed by the pair
+record and (angle, power mod 4, f): a dense matrix up to 4 qubits, else a
+two-row gather.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .errors import IncompleteRotationError, UsageError
 from .loss import LossConfig, round_branches
 from .pauli import ErrorFrame, PauliAxis, mask_text
 from .statevec import StateVector, apply_local  # noqa: F401 (perfbench traces it)
-from .statevec import _apply_pauli_sum as _apply, _pauli_stack
+from .statevec import _apply_pair_operator, _pair_operator, _pauli_pairs
 
 _ANGLE_TOL = 1e-12
 _LOSSLESS = LossConfig()
@@ -132,20 +134,6 @@ class _Level:
             for s in (1, -1))
 
 
-@functools.lru_cache(maxsize=4096)
-def _pauli_sum(angle: float, power: int, flips: int) -> np.ndarray:
-    """The read-only coefficients of i^power X^flips e^{i angle XX} on I, X (x) 1, 1 (x) X, XX.
-
-    X^f e^{i angle XX} = cos(angle) X^f + i sin(angle) X^(f ^ 3); index c is the
-    string X^c1 (x) X^c2 for c = c1 + 2 c2, as in a pair record's stack.
-    """
-    coeffs = np.zeros(4, dtype=complex)
-    coeffs[flips] = 1j ** power * math.cos(angle)
-    coeffs[flips ^ 3] = 1j ** (power + 1) * math.sin(angle)
-    coeffs.flags.writeable = False
-    return coeffs
-
-
 @functools.cache
 def _level(angle: float, mode: PolicyMode, loss_key: tuple) -> Optional[_Level]:
     """The level at ``angle`` mod pi, first or doubled, per (angle, eps rule, loss); None at 0."""
@@ -155,16 +143,23 @@ def _level(angle: float, mode: PolicyMode, loss_key: tuple) -> Optional[_Level]:
     return _Level(residual, mode, LossConfig(*loss_key)) if abs(residual) > _ANGLE_TOL else None
 
 
+class _PairRecord(tuple):
+    """A pair record; it hashes and compares by identity, so it keys ``_operator`` in C."""
+
+    __hash__, __eq__ = object.__hash__, object.__eq__
+
+
 @functools.lru_cache(maxsize=None, typed=True)
-def _pair_record(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis):
-    """The checked frame-key masks of a rotation on sites (a, b) of n qubits; its Pauli-sum stack.
+def _pair_record(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis) -> _PairRecord:
+    """The checked frame-key masks of a rotation on sites (a, b) of n qubits; its Pauli strings.
 
     ``keys[c]`` is z << n | x for the masks of I, s_k, s_l and s_k s_l on the
     pair: a branch with flip code c XORs it into the frame key.  ``swap`` is
     the target s_k s_l's key with x and z exchanged, so a frame key's parity
     on it is the frame's anticommutation with the target.  The four strings
-    are the Pauli sum's terms, whose ``_pauli_stack`` arrays take 96 * 2^n bytes
-    (384 KB at the 12-qubit cap).  Every key is kept, as ``_level`` keeps every angle.
+    are the Pauli sum's terms, kept as ``statevec._pauli_pairs``: dense up to
+    4 qubits (16 KB at 4), else gather rows (96 * 2^n bytes, 384 KB at the
+    12-qubit cap).  Every key is kept, as ``_level`` keeps every angle.
     Bad input raises on every call, since an exception is not cached, and
     the key is typed, so a float site never reads an integer site's entry.
     """
@@ -177,8 +172,21 @@ def _pair_record(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis):
             raise UsageError(f"site {site} outside register of size {n}")
     ka, lb = (k.x_bit << a, k.z_bit << a), (l.x_bit << b, l.z_bit << b)
     flips = ((0, 0), ka, lb, (ka[0] | lb[0], ka[1] | lb[1]))
-    tx, tz = flips[3]
-    return tuple(z << n | x for x, z in flips), tx << n | tz, _pauli_stack(n, flips)
+    keys = tuple(z << n | x for x, z in flips)
+    return _PairRecord((keys, flips[3][0] << n | flips[3][1], _pauli_pairs(n, flips)))
+
+
+@functools.lru_cache(maxsize=4096)
+def _operator(record: _PairRecord, angle: float, power: int, flips: int):
+    """What the state takes for i^power X^flips e^{i angle XX} carried to ``record``'s axes.
+
+    X^f e^{i angle XX} = cos(angle) X^f + i sin(angle) X^(f ^ 3), two of the
+    pair's four strings: a read-only dense matrix up to 4 qubits (4 KB at 4;
+    4096 such entries measured 18.5 MB in all), else two coefficients with
+    views of the pair's gather rows (1.5 MB for 4096 at 12 qubits).
+    """
+    return _pair_operator(record[2], flips, 1j ** power * math.cos(angle),
+                          1j ** (power + 1) * math.sin(angle))
 
 
 def realize_v_kl(
@@ -200,9 +208,9 @@ def realize_v_kl(
     cached doubling levels with one ``rng.random()`` (a numpy Generator or
     any object whose ``random()`` returns a uniform in [0, 1)).  When the
     rotation ends or runs out of rounds, the product of the drawn unitaries,
-    i^power X^f e^{i angle XX} carried to (k, l), a sum of the Pauli strings
-    I, s_k, s_l and s_k s_l on the pair, is applied once, its coefficients
-    cached by (angle, power mod 4, f).  On success the frame-corrected
+    i^power X^f e^{i angle XX} carried to (k, l), a sum of two of the Pauli
+    strings I, s_k, s_l and s_k s_l on the pair, is applied once, its operator
+    cached by (pair, angle, power mod 4, f).  On success the frame-corrected
     output equals the exact rotation applied to the frame-corrected input,
     up to global phase.
     Raises IncompleteRotationError (with state, frame, and residual attached)
@@ -210,7 +218,7 @@ def realize_v_kl(
     """
     n = state.n_qubits
     a, b = pair
-    keys, swap, stack = _pair_record(n, a, b, k, l)
+    keys, swap, _ = pair_record = _pair_record(n, a, b, k, l)
     byproduct = frame.byproduct
     if byproduct.n != n:
         raise UsageError(f"length mismatch: {byproduct.n} vs {n}")
@@ -251,7 +259,7 @@ def realize_v_kl(
         if level is None:
             break
 
-    state = _apply(state, stack, _pauli_sum(angle, power & 3, pauli))
+    state = _apply_pair_operator(state, _operator(pair_record, angle, power & 3, pauli))
     if key != start:
         mask = ~(-1 << n)
         frame = ErrorFrame.from_masks(n, key & mask, key >> n & mask)

@@ -123,9 +123,8 @@ def _pauli_stack(n: int, masks: tuple[tuple[int, int], ...]) -> tuple[np.ndarray
     Row r is P_r = sigma(x_r, z_r) = i^|x_r z_r| X^x_r Z^z_r for masks[r] =
     (x_r, z_r), the form of ``pauli.PauliString``:
     (P_r psi)[i] = phase[r, i] psi[index[r, i]] with index = i ^ x_r and
-    phase = i^|x_r z_r| (-1)^|index & z_r| (|.| a popcount).  At the 12-qubit
-    cap a string takes 96 KB, so a rotation's four strings (the identity among
-    them) take 384 KB.
+    phase = i^|x_r z_r| (-1)^|index & z_r| (|.| a popcount).  A row takes
+    24 * 2^n bytes, 96 KB at the 12-qubit cap.
     """
     x, z = (np.array(m).reshape(-1, 1) for m in zip(*masks))
     index = np.arange(1 << n) ^ x
@@ -139,17 +138,65 @@ def _pauli_stack(n: int, masks: tuple[tuple[int, int], ...]) -> tuple[np.ndarray
     return index, phase
 
 
-def _apply_pauli_sum(state: StateVector, stack: tuple[np.ndarray, np.ndarray],
-                     coeffs: Sequence[complex]) -> StateVector:
-    """sum_r coeffs[r] P_r psi for the Pauli strings of ``stack = _pauli_stack(n, masks)``.
+# A register of at most this many qubits applies a pair's Pauli sum as one dense
+# 2^n x 2^n matrix-vector product; a larger one gathers the sum's two strings.
+# Per ``_apply_pair_operator`` call (best of 60 timeit runs on a 2-vCPU Intel
+# Xeon VM), the product took 0.9-1.2 us against 1.5-1.8 us for the gather at
+# 2-5 qubits, and lost at 6 (3.2 against 1.9 us) and 7 (5.4 against 2.7 us).
+# The cap is 4, not 5, so that a cached matrix takes at most 4 KB.
+DENSE_PAIR_QUBITS = 4
 
-    One gather, one in-place multiply by the phases (complex, as an integer factor casts) and
-    one ``ndarray.dot`` (``np.dot`` without its dispatch); the identity is a row like any other.
+
+def _pauli_pairs(n: int, masks: tuple[tuple[int, int], ...]) -> tuple:
+    """The strings I, A, B, AB of ``masks`` (in that order) as the row pairs (I, AB) and (A, B).
+
+    Up to ``DENSE_PAIR_QUBITS`` qubits a pair is the read-only (2, 2^n, 2^n)
+    stack of its dense matrices (64 * 4^n bytes for both pairs, 16 KB at 4
+    qubits); past it, a pair is its two rows of ``_pauli_stack``'s read-only
+    indices and phases (96 * 2^n bytes for both, 384 KB at the 12-qubit cap).
     """
-    index, phase = stack
+    index, phase = _pauli_stack(n, tuple(masks[r] for r in (0, 3, 1, 2)))
+    if n > DENSE_PAIR_QUBITS:
+        return (index[:2], phase[:2]), (index[2:], phase[2:])
+    dense = np.zeros((4, 1 << n, 1 << n), dtype=complex)
+    dense[np.arange(4).reshape(-1, 1), np.arange(1 << n), index] = phase
+    dense.flags.writeable = False
+    return dense[:2], dense[2:]
+
+
+def _pair_operator(pairs: tuple, flips: int, c: complex, s: complex):
+    """The operator c P_flips + s P_(flips ^ 3) that ``_apply_pair_operator`` applies.
+
+    ``pairs`` is ``_pauli_pairs(n, masks)``.  P_f is string f of I, A, B, AB;
+    P_f and P_(f ^ 3) form pair (f ^ f >> 1) & 1, P_f first when f < 2.  A
+    dense pair gives the read-only matrix, its two scaled matrices added in
+    one ``ndarray.dot``; a gathered pair gives the read-only coefficients with
+    the pair's indices and phases.
+    """
+    coeffs = np.array((c, s) if flips < 2 else (s, c))
+    pair = pairs[(flips ^ flips >> 1) & 1]
+    if isinstance(pair, tuple):
+        coeffs.flags.writeable = False
+        return (coeffs, *pair)
+    op = coeffs.dot(pair.reshape(2, -1)).reshape(pair.shape[1:])
+    op.flags.writeable = False
+    return op
+
+
+def _apply_pair_operator(state: StateVector, op) -> StateVector:
+    """``op = _pair_operator(...)`` on the register its pairs were built for.
+
+    A matrix (up to ``DENSE_PAIR_QUBITS`` qubits) is one ``ndarray.dot``; a
+    tuple is one two-row gather, one in-place multiply by the phases and one
+    dot with the coefficients.  The form tells the two apart, not a property
+    read per call.
+    """
+    if not isinstance(op, tuple):
+        return StateVector._wrap(op.dot(state.amplitudes), state.layout)
+    coeffs, index, phase = op
     terms = state.amplitudes[index]
     terms *= phase
-    return StateVector._wrap(np.asarray(coeffs).dot(terms), state.layout)
+    return StateVector._wrap(coeffs.dot(terms), state.layout)
 
 
 def apply_local(state: StateVector, qubit: int, u: np.ndarray) -> StateVector:

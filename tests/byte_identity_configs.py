@@ -55,6 +55,13 @@ CONFIGS = {
     # frame signs walk one shared chain
     "heisenberg": {"hamiltonian": _chain(3, [(0, 1), (1, 2)]), **_CI, "t": 0.9, "n_steps": 4,
                    "initial_state": {"random_seed": 2}},
+    # a 4-qubit XX+YY+ZZ chain with heralded loss under paper_doubling: 4 qubits
+    # is the largest register whose rotations apply a cached dense matrix, which
+    # no other config reaches (the others have 2, 3 or 6 qubits)
+    "heisenberg4-loss": {"hamiltonian": _chain(4, [(0, 1), (1, 2), (2, 3)]), **_CI,
+                         "policy": {"mode": "paper_doubling", "max_rounds": 4000},
+                         "loss": {"p_loss": 0.3, "encoding": "polarization",
+                                  "backup_enabled": False}},
     # 70 XX terms with distinct coefficients, more angles than a bounded level
     # cache of 64 would hold, whose repeated rounds share records
     "many-angles": {"hamiltonian": {"n_qubits": 2, "terms": [

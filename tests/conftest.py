@@ -5,13 +5,13 @@ from enum import Enum
 import numpy as np
 import pytest
 
-from mfsim.feedback import _pair_record, reduce_angle
+from mfsim.feedback import reduce_angle
 from mfsim.harness import haar_random_amplitudes
 from mfsim.loss import LossConfig, round_branches
 from mfsim.statevec import (
     RegisterLayout,
     StateVector,
-    _apply_pauli_sum,
+    _pauli_stack,
     apply_pauli_string,
     apply_two_qubit,
 )
@@ -62,6 +62,10 @@ def form_phases(forms):
     signs = np.array([[(-1) ** (f & j).bit_count() for j in range(4)] for f in range(4)])
     return np.array([1j ** g * signs[f] * np.exp(1j * theta * signs[3])
                      for theta, g, f in forms]).reshape(-1, 4)
+
+
+# I, X (x) 1, 1 (x) X and XX: string c is X^(c & 1) (x) X^(c >> 1), as a flip code reads
+XX_STRINGS = [kron_le(X if c & 1 else I2, X if c & 2 else I2) for c in range(4)]
 
 
 def rot_xx(t):
@@ -116,6 +120,20 @@ def classify_round_effect(
     return RoundEffect.UNRESOLVED
 
 
+def pair_masks(a, b, k, l):
+    """The (x, z) masks of I, s_k, s_l and s_k s_l with s_k on site a and s_l on site b."""
+    ka, lb = (k.x_bit << a, k.z_bit << a), (l.x_bit << b, l.z_bit << b)
+    return ((0, 0), ka, lb, (ka[0] | lb[0], ka[1] | lb[1]))
+
+
+def four_string_sum(state, masks, coeffs):
+    """sum_r coeffs[r] P_r psi over the four strings of ``masks``: a gather of every row."""
+    index, phase = _pauli_stack(state.n_qubits, masks)
+    terms = state.amplitudes[index]
+    terms *= phase
+    return StateVector(np.asarray(coeffs).dot(terms), state.layout)
+
+
 @functools.cache
 def _table(eps, loss):
     return round_branches(eps, loss)
@@ -127,12 +145,15 @@ def reference_rotation(state, pair, k, l, t, policy, frame, rng, loss=None):
     Walks the residual's doubling chain with its own tables, reads each
     branch's operator from ``kraus`` (never from its form) and multiplies the
     4x4 unitaries in the XX picture; their coefficients on I, X (x) 1, 1 (x) X
-    and XX are those of I, s_k, s_l and s_k s_l.  Returns (state, frame key,
+    and XX are those of I, s_k, s_l and s_k s_l, applied as ``four_string_sum``
+    over ``pair_masks``, which also give the frame keys.  Returns (state, frame key,
     outcomes, closed), with the frame key 1 << 2n | z << n | x as
     ``realize_v_kl`` keeps it.
     """
     n, (a, b) = state.n_qubits, pair
-    keys, swap, stack = _pair_record(n, a, b, k, l)
+    masks = pair_masks(a, b, k, l)
+    keys = [z << n | x for x, z in masks]
+    swap = masks[3][0] << n | masks[3][1]
     key = 1 << 2 * n | frame.byproduct.z << n | frame.byproduct.x
     sign = -1 if (key & swap).bit_count() & 1 else 1
     loss = loss or LossConfig()
@@ -150,9 +171,9 @@ def reference_rotation(state, pair, k, l, t, policy, frame, rng, loss=None):
         if branch.direction is not None:
             closes = sign * branch.direction == (1 if residual > 0 else -1)
             residual = 0.0 if closes else reduce_angle(residual + residual)
-    strings = [kron_le(X if c & 1 else I2, X if c & 2 else I2) for c in range(4)]
-    coeffs = [np.trace(s @ product) / 4 for s in strings]
-    return _apply_pauli_sum(state, stack, coeffs), key, outcomes, abs(residual) <= 1e-12
+    coeffs = [np.trace(s @ product) / 4 for s in XX_STRINGS]
+    state = four_string_sum(state, masks, coeffs)
+    return state, key, outcomes, abs(residual) <= 1e-12
 
 
 @pytest.fixture

@@ -285,13 +285,13 @@ def test_warm_trajectory_evolves_data_qubits_only(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     sizes = []
-    update = mfsim.feedback._apply
+    update = mfsim.feedback._apply_pair_operator
 
     def spy(state, *args):
         sizes.append(state.amplitudes.size)
         return update(state, *args)
 
-    monkeypatch.setattr(mfsim.feedback, "_apply", spy)
+    monkeypatch.setattr(mfsim.feedback, "_apply_pair_operator", spy)
     again = run_trajectory(cfg, 0)
     assert set(sizes) == {2**3}
     # one state update per rotation that took at least one round

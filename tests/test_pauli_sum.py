@@ -1,11 +1,13 @@
 """The once-per-rotation state update as a Pauli sum, and the trajectory's stream of uniforms.
 
 A rotation's operator sum_j d_j P_j on the eigenprojectors of s_k (x) 1 and
-1 (x) s_l is c0 + c1 s_k + c2 s_l + c3 s_k s_l, which ``statevec`` applies
-as one index gather over the Pauli strings' masks.  These tests check the
-gather against dense Pauli matrices and against the 4x4 pair operator, and
-check that ``run_trajectory``'s stream of uniforms, a precomputed row and then
-refill blocks, gives the records a bare generator gives.
+1 (x) s_l is c0 + c1 s_k + c2 s_l + c3 s_k s_l.  ``conftest.four_string_sum``
+gathers all four strings; these tests check it against dense Pauli matrices
+and against the 4x4 pair operator, and check the rotation's operator, two of
+the strings applied as a dense matrix on small registers and as a two-row
+gather on large ones, against it.  They also check that ``run_trajectory``'s
+stream of uniforms, a precomputed row and then refill blocks, gives the
+records a bare generator gives.
 """
 
 import itertools
@@ -15,7 +17,7 @@ import pytest
 
 import mfsim.statevec
 from mfsim.errors import IncompleteRotationError, UsageError
-from mfsim.feedback import EpsilonPolicy, _pair_record, realize_v_kl
+from mfsim.feedback import EpsilonPolicy, _operator, _pair_record, realize_v_kl
 from mfsim.harness import (
     ProtocolConfig,
     _trajectory_uniforms,
@@ -24,9 +26,15 @@ from mfsim.harness import (
     trajectory_rng,
 )
 from mfsim.pauli import ErrorFrame, PauliAxis, PauliString
-from mfsim.statevec import RegisterLayout, StateVector, _apply_pauli_sum, _pauli_stack
+from mfsim.statevec import (
+    DENSE_PAIR_QUBITS,
+    RegisterLayout,
+    StateVector,
+    _apply_pair_operator,
+    _pauli_stack,
+)
 
-from conftest import sign_projectors
+from conftest import XX_STRINGS, four_string_sum, pair_masks, rot_xx, sign_projectors
 
 AXES = (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
 
@@ -65,14 +73,29 @@ def test_pauli_sum_equals_pair_operator_on_eigenprojectors(n, pair, k, l):
     d0, d1, d2, d3 = d = np.exp(2j * np.pi * rng.random(4))
     pair_operator = np.einsum("j,jik->ik", d, sign_projectors((k, l)))
     want = mfsim.statevec._apply(state, pair, pair_operator)
-    a, b = pair
-    masks = ((0, 0), (k.x_bit << a, k.z_bit << a), (l.x_bit << b, l.z_bit << b),
-             ((k.x_bit << a) | (l.x_bit << b), (k.z_bit << a) | (l.z_bit << b)))
-    got = _apply_pauli_sum(state, _pauli_stack(n, masks),
-                           ((d0 + d1 + d2 + d3) / 4, (d0 - d1 + d2 - d3) / 4,
-                            (d0 + d1 - d2 - d3) / 4, (d0 - d1 - d2 + d3) / 4))
+    got = four_string_sum(state, pair_masks(*pair, k, l),
+                          ((d0 + d1 + d2 + d3) / 4, (d0 - d1 + d2 - d3) / 4,
+                           (d0 + d1 - d2 - d3) / 4, (d0 - d1 - d2 + d3) / 4))
     assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-13
     assert got.layout == state.layout
+
+
+@pytest.mark.parametrize("k, l", list(itertools.product(AXES, AXES)))
+@pytest.mark.parametrize("n", range(2, 8))  # dense up to DENSE_PAIR_QUBITS, gathered past it
+def test_rotation_operator_equals_the_four_string_sum(n, k, l):
+    """i^power X^F e^{i angle XX} on (k, l) against its Pauli coefficients in the XX picture."""
+    state = state_of(haar_random_amplitudes(n, np.random.default_rng(n)))
+    for pair in ((0, n - 1), (n - 1, 0)):
+        record = _pair_record(n, *pair, k, l)
+        assert isinstance(record[2][0], tuple) == (n > DENSE_PAIR_QUBITS)
+        for flips, power, angle in itertools.product(
+                range(4), range(4), (0.0, np.pi / 4, -np.pi / 4, 1e-3, 0.7)):
+            product = 1j ** power * XX_STRINGS[flips] @ rot_xx(angle)
+            coeffs = [np.trace(s @ product) / 4 for s in XX_STRINGS]
+            want = four_string_sum(state, pair_masks(*pair, k, l), coeffs)
+            got = _apply_pair_operator(state, _operator(record, angle, power, flips))
+            assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-15
+            assert got.layout == state.layout
 
 
 @pytest.mark.parametrize("pair, site", [((0, 3), 3), ((5, 1), 5), ((-1, 2), -1)])
