@@ -20,9 +20,12 @@ i^g X^f e^{i theta XX} for its form (theta, g, f), and all of them commute,
 so a round adds theta to an angle, g to a power of i and XORs f into a flip
 code.  The product is i^power X^f e^{i angle XX} = i^power (cos(angle) X^f +
 i sin(angle) X^(f ^ 3)): on the pair, two of the strings I, s_k, s_l and s_k s_l,
-applied once per rotation from one cache of 4096 operators keyed by the pair
-record and (angle, power mod 4, f): a dense matrix up to 4 qubits, else a
-two-row gather.
+applied once per rotation: a dense matrix up to 4 qubits, else a two-row
+gather.  A rotation makes one cache lookup, ``_rotation``, whose entry per
+(register size, sites, axes, angle, eps rule, loss) holds the pair's masks and
+strings, the first level and the rotation's operators keyed by (angle, power
+mod 4, f), at most 4096 operators over all entries; a changed frame comes
+from ``pauli.frame_of_key``, the frame table keyed by the frame key.
 """
 
 from __future__ import annotations
@@ -33,13 +36,14 @@ import json
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from operator import index
 from typing import Optional
 
 import numpy as np
 
 from .errors import IncompleteRotationError, UsageError
 from .loss import LossConfig, round_branches
-from .pauli import ErrorFrame, PauliAxis, mask_text
+from .pauli import ErrorFrame, PauliAxis, frame_of_key, mask_text
 from .statevec import StateVector, apply_local  # noqa: F401 (perfbench traces it)
 from .statevec import _apply_pair_operator, _pair_operator, _pauli_pairs
 
@@ -143,14 +147,8 @@ def _level(angle: float, mode: PolicyMode, loss_key: tuple) -> Optional[_Level]:
     return _Level(residual, mode, LossConfig(*loss_key)) if abs(residual) > _ANGLE_TOL else None
 
 
-class _PairRecord(tuple):
-    """A pair record; it hashes and compares by identity, so it keys ``_operator`` in C."""
-
-    __hash__, __eq__ = object.__hash__, object.__eq__
-
-
-@functools.lru_cache(maxsize=None, typed=True)
-def _pair_record(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis) -> _PairRecord:
+@functools.cache
+def _pair_record(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis) -> tuple:
     """The checked frame-key masks of a rotation on sites (a, b) of n qubits; its Pauli strings.
 
     ``keys[c]`` is z << n | x for the masks of I, s_k, s_l and s_k s_l on the
@@ -160,8 +158,7 @@ def _pair_record(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis) -> _PairRec
     are the Pauli sum's terms, kept as ``statevec._pauli_pairs``: dense up to
     4 qubits (16 KB at 4), else gather rows (96 * 2^n bytes, 384 KB at the
     12-qubit cap).  Every key is kept, as ``_level`` keeps every angle.
-    Bad input raises on every call, since an exception is not cached, and
-    the key is typed, so a float site never reads an integer site's entry.
+    Bad input raises on every call, since an exception is not cached.
     """
     if k is PauliAxis.I or l is PauliAxis.I:
         raise UsageError("rotation axes must be X, Y, or Z")
@@ -173,20 +170,50 @@ def _pair_record(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis) -> _PairRec
     ka, lb = (k.x_bit << a, k.z_bit << a), (l.x_bit << b, l.z_bit << b)
     flips = ((0, 0), ka, lb, (ka[0] | lb[0], ka[1] | lb[1]))
     keys = tuple(z << n | x for x, z in flips)
-    return _PairRecord((keys, flips[3][0] << n | flips[3][1], _pauli_pairs(n, flips)))
+    return keys, flips[3][0] << n | flips[3][1], _pauli_pairs(n, flips)
 
 
-@functools.lru_cache(maxsize=4096)
-def _operator(record: _PairRecord, angle: float, power: int, flips: int):
-    """What the state takes for i^power X^flips e^{i angle XX} carried to ``record``'s axes.
+@functools.cache
+def _rotation(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis, angle: float,
+              mode: PolicyMode, loss_key: tuple) -> tuple:
+    """One rotation's entry: (keys, swap, pairs) of its pair record, its first level, operators.
+
+    The level is ``_level``'s, None when the angle is 0 mod pi.  The last
+    item, empty at first, maps (Theta, power mod 4, F) to the operator
+    ``_rotation_operator`` built for it; all entries together keep at most
+    ``_OPERATOR_BOUND`` operators.  Sites are ints (``realize_v_kl`` passes
+    them through ``operator.index``), so the key need not be typed.  Bad
+    input raises on every call, since an exception is not cached.
+    """
+    return (*_pair_record(n, a, b, k, l), _level(angle, mode, loss_key), {})
+
+
+# The most operators all ``_rotation`` entries keep together, and (in a list, so
+# the module's bindings never change) how many they keep: 4096 four-qubit
+# matrices measured 18.5 MB with their keys, 4096 twelve-qubit gathers 1.5 MB.
+# Past the bound a new operator is built for each use.
+_OPERATOR_BOUND = 4096
+_operators_kept = [0]
+
+
+def _rotation_operator(pairs: tuple, angle: float, power: int, flips: int):
+    """What the state takes for i^power X^flips e^{i angle XX} carried to the pair's axes.
 
     X^f e^{i angle XX} = cos(angle) X^f + i sin(angle) X^(f ^ 3), two of the
-    pair's four strings: a read-only dense matrix up to 4 qubits (4 KB at 4;
-    4096 such entries measured 18.5 MB in all), else two coefficients with
-    views of the pair's gather rows (1.5 MB for 4096 at 12 qubits).
+    pair's four strings: a read-only dense matrix up to 4 qubits (4 KB at 4),
+    else two read-only coefficients with views of the pair's gather rows.
     """
-    return _pair_operator(record[2], flips, 1j ** power * math.cos(angle),
+    return _pair_operator(pairs, flips, 1j ** power * math.cos(angle),
                           1j ** (power + 1) * math.sin(angle))
+
+
+def _keep_operator(operators: dict, pairs: tuple, product: tuple):
+    """``_rotation_operator`` for ``product`` = (angle, power, flips), kept while under the bound."""
+    op = _rotation_operator(pairs, *product)
+    if _operators_kept[0] < _OPERATOR_BOUND:
+        operators[product] = op
+        _operators_kept[0] += 1
+    return op
 
 
 def realize_v_kl(
@@ -210,26 +237,26 @@ def realize_v_kl(
     rotation ends or runs out of rounds, the product of the drawn unitaries,
     i^power X^f e^{i angle XX} carried to (k, l), a sum of two of the Pauli
     strings I, s_k, s_l and s_k s_l on the pair, is applied once, its operator
-    cached by (pair, angle, power mod 4, f).  On success the frame-corrected
-    output equals the exact rotation applied to the frame-corrected input,
-    up to global phase.
+    kept in the rotation's entry by (angle, power mod 4, f).  On success the
+    frame-corrected output equals the exact rotation applied to the
+    frame-corrected input, up to global phase.  Sites are integers: a float
+    site raises TypeError.
     Raises IncompleteRotationError (with state, frame, and residual attached)
     if max_rounds is exhausted.
     """
-    n = state.n_qubits
+    n = state.layout.n_qubits
     a, b = pair
-    keys, swap, _ = pair_record = _pair_record(n, a, b, k, l)
-    byproduct = frame.byproduct
-    if byproduct.n != n:
-        raise UsageError(f"length mismatch: {byproduct.n} vs {n}")
+    keys, swap, pairs, level, operators = _rotation(
+        n, index(a), index(b), k, l, t_target, policy.mode, (loss or _LOSSLESS).key)
     # The leading bit keeps the keys of registers of different sizes apart in
     # the records of the levels they share.
-    key = start = 1 << 2 * n | byproduct.z << n | byproduct.x
+    key = start = frame.key
+    if key >> 2 * n != 1:
+        raise UsageError(f"length mismatch: {frame.byproduct.n} vs {n}")
     # A round's byproducts s_k (x) 1 and 1 (x) s_l both commute with the target
     # s_k (x) s_l, so the frame's commutation with it, and this sign, hold for
     # the whole rotation: it picks the level's successors.
     swapped = (key & swap).bit_count() & 1
-    level = _level(t_target, policy.mode, (loss or _LOSSLESS).key)
     records: list[RoundRecord] = []
     if level is None:
         return state, frame, records
@@ -259,10 +286,13 @@ def realize_v_kl(
         if level is None:
             break
 
-    state = _apply_pair_operator(state, _operator(pair_record, angle, power & 3, pauli))
+    product = angle, power & 3, pauli
+    op = operators.get(product)
+    if op is None:
+        op = _keep_operator(operators, pairs, product)
+    state = _apply_pair_operator(state, op)
     if key != start:
-        mask = ~(-1 << n)
-        frame = ErrorFrame.from_masks(n, key & mask, key >> n & mask)
+        frame = frame_of_key(key)
     if level is None:
         return state, frame, records
     err = IncompleteRotationError(level.residual, records)

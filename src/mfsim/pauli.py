@@ -122,15 +122,25 @@ def commutes(p: PauliString, q: PauliString) -> bool:
 
 @dataclass(frozen=True)
 class ErrorFrame:
-    """Byproduct-operator frame: the known Pauli flips, up to global phase."""
+    """Byproduct-operator frame: the known Pauli flips, up to global phase.
+
+    ``key`` (not a field) is the frame's integer key 1 << 2n | z << n | x,
+    computed once per frame; its leading bit tells registers of different
+    sizes apart.
+    """
 
     byproduct: PauliString
 
+    def __post_init__(self):
+        p = self.byproduct
+        object.__setattr__(self, "key", 1 << 2 * p.n | p.z << p.n | p.x)
+
     @classmethod
-    @functools.lru_cache(maxsize=4096, typed=True)
     def from_masks(cls, n: int, x: int, z: int) -> "ErrorFrame":
-        """The frame with masks (x, z); frames are immutable, so one serves every caller."""
-        return cls(PauliString.from_masks(n, x, z))
+        """The frame with masks (x, z) from the frame table, so one serves every caller."""
+        if (x | z) >> n:  # such masks would make another register's key
+            raise UsageError(f"masks ({x}, {z}) outside register of size {n}")
+        return frame_of_key(1 << 2 * n | z << n | x)
 
     @classmethod
     def identity(cls, n: int) -> "ErrorFrame":
@@ -145,6 +155,14 @@ class ErrorFrame:
 
     def __str__(self) -> str:
         return str(self.byproduct)
+
+
+@functools.lru_cache(maxsize=4096)
+def frame_of_key(key: int) -> ErrorFrame:
+    """The frame table: the one frame whose ``key`` is ``key``; frames are immutable."""
+    n = (key.bit_length() - 1) >> 1
+    mask = ~(-1 << n)
+    return ErrorFrame(PauliString.from_masks(n, key & mask, key >> n & mask))
 
 
 def frame_conjugate_direction(frame: ErrorFrame, target: PauliString) -> int:

@@ -35,17 +35,18 @@ class RegisterLayout:
     with_backup: bool = False
     n_photons: int = 2
 
+    def __post_init__(self):
+        # not a field: computed once per layout, so a state's size is two attribute reads
+        object.__setattr__(self, "n_qubits",
+                           self.n_data * (2 if self.with_backup else 1) + self.n_photons)
+
     @classmethod
     def build(cls, n_data: int, with_backup: bool = False, n_photons: int = 2) -> "RegisterLayout":
         """Standard layout: data qubits first, then backups, then photon modes."""
         return cls(n_data, with_backup, n_photons)
 
-    @property
-    def n_qubits(self) -> int:
-        return self.n_data * (2 if self.with_backup else 1) + self.n_photons
 
-
-@dataclass
+@dataclass(slots=True)
 class StateVector:
     """Normalized amplitudes over the register described by ``layout``."""
 

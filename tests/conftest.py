@@ -5,6 +5,11 @@ from enum import Enum
 import numpy as np
 import pytest
 
+import mfsim.feedback
+import mfsim.harness
+import mfsim.loss
+import mfsim.pauli
+import mfsim.statevec
 from mfsim.feedback import reduce_angle
 from mfsim.harness import haar_random_amplitudes
 from mfsim.loss import LossConfig, round_branches
@@ -15,6 +20,33 @@ from mfsim.statevec import (
     apply_pauli_string,
     apply_two_qubit,
 )
+
+# Every module-level cache a trajectory reads, by (module, name); a test that
+# scans the package fails when a cache is missing here.
+MODULE_CACHES = (
+    (mfsim.feedback, "_rotation"),
+    (mfsim.feedback, "_level"),
+    (mfsim.feedback, "_pair_record"),
+    (mfsim.pauli, "frame_of_key"),
+    (mfsim.pauli, "mask_text"),
+    (mfsim.harness, "_seed_block"),
+    (mfsim.harness, "_seed_words"),
+    (mfsim.harness, "_draw_block"),
+    (mfsim.loss, "_outcome_stack"),
+    (mfsim.statevec, "_subset_index"),
+)
+
+
+def clear_module_caches():
+    """Empty every cache in ``MODULE_CACHES``, so the next trajectory starts cold.
+
+    The rotation entries go with the operators they keep, so the count of
+    kept operators starts again at zero.
+    """
+    for module, name in MODULE_CACHES:
+        getattr(module, name).cache_clear()
+    mfsim.feedback._operators_kept[0] = 0
+
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -27,7 +27,7 @@ from mfsim.harness import (
 from mfsim.statevec import exact_evolution
 
 from byte_identity_configs import CONFIGS
-from conftest import kron_le
+from conftest import clear_module_caches, kron_le
 
 
 def chain_config(**overrides) -> ProtocolConfig:
@@ -422,10 +422,7 @@ def test_trajectories_do_not_depend_on_execution_order(name):
 
     forward_cfg = ProtocolConfig.from_dict(CONFIGS[name])
     forward = audit(forward_cfg, range(forward_cfg.trajectories))
-    mfsim.feedback._level.cache_clear()
-    mfsim.feedback._pair_record.cache_clear()
-    mfsim.harness._seed_block.cache_clear()
-    mfsim.harness._draw_block.cache_clear()
+    clear_module_caches()
     cfg = ProtocolConfig.from_dict(CONFIGS[name])
     assert audit(cfg, reversed(range(cfg.trajectories))) == forward
     if name == "past-cap":  # past the cap, each order keeps the first 256 frames it meets

@@ -33,8 +33,8 @@ from mfsim.pauli import ErrorFrame, PauliAxis, PauliString, frame_conjugate_dire
 from mfsim.statevec import RegisterLayout, StateVector, measure
 
 from conftest import (
-    AXIS_MATS, H, I2, X, conjugation_unitary, embedded_state, form_phases, kron_le,
-    sign_projectors)
+    AXIS_MATS, H, I2, X, clear_module_caches, conjugation_unitary, embedded_state, form_phases,
+    kron_le, sign_projectors)
 
 KINDS = {
     "lossless": LossConfig(),
@@ -524,9 +524,9 @@ LEVEL_CONFIGS = {
 @pytest.mark.parametrize("name", LEVEL_CONFIGS)
 def test_cold_and_warm_level_cache_agree(name):
     cfg = ProtocolConfig.from_dict({**LEVEL_CONFIGS[name], "master_seed": 14})
-    mfsim.feedback._level.cache_clear()
+    clear_module_caches()
     cold = [run_trajectory(cfg, i).to_dict() for i in range(3)]
-    mfsim.feedback._level.cache_clear()  # levels rebuilt, each with its table
+    clear_module_caches()  # levels rebuilt, each with its table
     rebuilt = [run_trajectory(cfg, i).to_dict() for i in range(3)]
     warm = [run_trajectory(cfg, i).to_dict() for i in range(3)]
     assert cold == rebuilt == warm

@@ -20,6 +20,8 @@ from mfsim.harness import ProtocolConfig, emit_report, run_ensemble, run_traject
 from mfsim.pauli import ErrorFrame, PauliAxis
 from mfsim.statevec import RegisterLayout, StateVector
 
+from conftest import clear_module_caches
+
 _PAIR = {"n_qubits": 2, "terms": [{"sites": [0, 1], "axes": "XX", "coeff": 1.0}]}
 _TRIPLE = {"n_qubits": 3, "terms": [{"sites": [0, 1], "axes": "XX", "coeff": 1.0},
                                     {"sites": [1, 2], "axes": "ZY", "coeff": 0.7}]}
@@ -133,7 +135,7 @@ def test_first_levels_are_kept_for_more_angles_than_a_bounded_cache(monkeypatch)
         built.append(self)
 
     monkeypatch.setattr(mfsim.feedback._Level, "__init__", spy)
-    _level.cache_clear()
+    clear_module_caches()
     try:
         cold = [run_trajectory(cfg, index).records for index in range(3)]
         n_built = len(built)
@@ -145,7 +147,7 @@ def test_first_levels_are_kept_for_more_angles_than_a_bounded_cache(monkeypatch)
         info = _level.cache_info()
         assert info.misses == info.currsize == n_built  # first and doubled levels alike
     finally:
-        _level.cache_clear()
+        clear_module_caches()
 
 
 def test_pair_records_are_kept_for_more_keys_than_a_bounded_cache():

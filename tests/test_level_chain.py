@@ -21,6 +21,8 @@ from mfsim.loss import LossConfig, round_branches
 from mfsim.pauli import ErrorFrame, PauliAxis, PauliString, frame_conjugate_direction
 from mfsim.statevec import RegisterLayout, StateVector
 
+from conftest import clear_module_caches
+
 AXES = (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
 AXIS_PAIRS = list(itertools.product(AXES, repeat=2))
 PAIR = (2, 0)
@@ -66,9 +68,9 @@ def draw_of(t, loss, direction):
 
 @pytest.fixture
 def cold_caches():
-    _level.cache_clear()
+    clear_module_caches()
     yield
-    _level.cache_clear()
+    clear_module_caches()
 
 
 @pytest.fixture

@@ -154,6 +154,12 @@ def test_frame_from_masks_is_one_shared_frame_per_masks():
     assert str(ErrorFrame.identity(2).updated(PauliString.from_str("YX"))) == "YX"
 
 
+@pytest.mark.parametrize("x, z", [(4, 0), (0, 5), (-1, 0)])
+def test_frame_from_masks_outside_the_register_raises(x, z):
+    with pytest.raises(UsageError, match=f"masks \\({x}, {z}\\) outside register of size 2"):
+        ErrorFrame.from_masks(2, x, z)
+
+
 def test_frame_update_length_mismatch():
     with pytest.raises(UsageError, match=r"length mismatch: 1 vs 2"):
         ErrorFrame.identity(2).updated(PauliString.from_str("X"))

@@ -17,7 +17,7 @@ import pytest
 
 import mfsim.statevec
 from mfsim.errors import IncompleteRotationError, UsageError
-from mfsim.feedback import EpsilonPolicy, _operator, _pair_record, realize_v_kl
+from mfsim.feedback import EpsilonPolicy, _pair_record, _rotation_operator, realize_v_kl
 from mfsim.harness import (
     ProtocolConfig,
     _trajectory_uniforms,
@@ -93,7 +93,7 @@ def test_rotation_operator_equals_the_four_string_sum(n, k, l):
             product = 1j ** power * XX_STRINGS[flips] @ rot_xx(angle)
             coeffs = [np.trace(s @ product) / 4 for s in XX_STRINGS]
             want = four_string_sum(state, pair_masks(*pair, k, l), coeffs)
-            got = _apply_pair_operator(state, _operator(record, angle, power, flips))
+            got = _apply_pair_operator(state, _rotation_operator(record[2], angle, power, flips))
             assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-15
             assert got.layout == state.layout
 
