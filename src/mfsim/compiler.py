@@ -288,12 +288,17 @@ def round_budget(plan: TrotterPlan, confidence: float = 0.99) -> dict:
 
 
 def binomial_tail_at_least(n_trials: int, n_successes: int, p: float) -> float:
-    """P[Binomial(n_trials, p) >= n_successes], computed in log space."""
+    """P[Binomial(n_trials, p) >= n_successes], computed in log space.
+
+    Past the mode every term is smaller than the one before, so the sum stops
+    at the first term that leaves it unchanged: no later term could change it.
+    """
     if n_successes <= 0:
         return 1.0
     if n_successes > n_trials:
         return 0.0
     lp, lq = math.log(p), math.log1p(-p)
+    mode = math.floor((n_trials + 1) * p)
     total = 0.0
     for k in range(n_successes, n_trials + 1):
         lg = (
@@ -301,7 +306,10 @@ def binomial_tail_at_least(n_trials: int, n_successes: int, p: float) -> float:
             - math.lgamma(k + 1)
             - math.lgamma(n_trials - k + 1)
         )
-        total += math.exp(lg + k * lp + (n_trials - k) * lq)
+        term = math.exp(lg + k * lp + (n_trials - k) * lq)
+        if k > mode and total + term == total:
+            break
+        total += term
     return min(1.0, total)
 
 

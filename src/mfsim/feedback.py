@@ -16,16 +16,16 @@ The frame is one integer key, 1 << 2n | z << n | x over its x/z masks.  A
 round is one bisection into the level's weights, an XOR of the key when the
 branch flips a qubit (s_k / s_l at the pair sites), and a lookup of the
 level's one record for that branch and key.  Every branch's unitary is
-i^g X^f e^{i theta XX} for its form (theta, g, f), and all of them commute,
-so a round adds theta to an angle, g to a power of i and XORs f into a flip
-code.  The product is i^power X^f e^{i angle XX} = i^power (cos(angle) X^f +
-i sin(angle) X^(f ^ 3)): on the pair, two of the strings I, s_k, s_l and s_k s_l,
-applied once per rotation: a dense matrix up to 4 qubits, else a two-row
-gather.  A rotation makes one cache lookup, ``_rotation``, whose entry per
-(register size, sites, axes, angle, eps rule, loss) holds the pair's masks and
-strings, the first level and the rotation's operators keyed by (angle, power
-mod 4, f), at most 4096 operators over all entries; a changed frame comes
-from ``pauli.frame_of_key``, the frame table keyed by the frame key.
+i^g X^f e^{i theta XX} for its form (theta, g, f), and all of them commute.
+The state is kept up to global phase, as the frame is, so a round adds theta
+to an angle and XORs f into a flip code.  The product, up to a power of i, is
+X^F e^{i Theta XX} = cos(Theta) X^F + i sin(Theta) X^(F ^ 3): on the pair,
+two of the strings I, s_k, s_l and s_k s_l, applied once per rotation.  A
+rotation makes one cache lookup, ``_rotation``, whose entry per (register
+size, sites, axes, angle, eps rule, loss) holds the pair's masks and strings,
+the first level and the rotation's operators by (Theta, F), emptied with the
+cache when all entries keep 4096; a changed frame comes from
+``pauli.frame_of_key``, the frame table keyed by the frame key.
 """
 
 from __future__ import annotations
@@ -110,12 +110,12 @@ class _Level:
 
     ``records[i]`` maps a frame's key to the one record of branch i drawn
     here with that frame.  ``rows[s < 0][i]`` is what a round reads under
-    frame sign s: (theta, g, f, flips, records[i], successor), with the
-    branch's form from the table, the pair atoms it flips (bit 0 the first,
-    bit 1 the second) and the level after it: this level when the branch
-    does not rotate, None when s times its direction is the residual's sign
-    (the branch closes it), else the level at the doubled residual, built
-    when the rows are, on the first round drawn here.
+    frame sign s: (theta, f, flips, records[i], successor), with the
+    branch's form from the table less its power of i, the pair atoms it
+    flips (bit 0 the first, bit 1 the second) and the level after it: this
+    level when the branch does not rotate, None when s times its direction
+    is the residual's sign (the branch closes it), else the level at the
+    doubled residual, built when the rows are, on the first round drawn here.
     """
 
     def __init__(self, residual: float, mode: PolicyMode, loss: LossConfig):
@@ -132,9 +132,9 @@ class _Level:
         rotates = any(b.direction for b in self.branches)
         doubled = _level(r + r, self.mode, self.loss.key) if rotates else None
         return tuple(tuple(
-            (*form, b.flips[0] + 2 * b.flips[1], rec,
+            (theta, f, b.flips[0] + 2 * b.flips[1], rec,
              self if b.direction is None else None if s * b.direction == sign else doubled)
-            for form, b, rec in zip(self.table.forms, self.branches, self.records))
+            for (theta, _, f), b, rec in zip(self.table.forms, self.branches, self.records))
             for s in (1, -1))
 
 
@@ -179,11 +179,10 @@ def _rotation(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis, angle: float,
     """One rotation's entry: (keys, swap, pairs) of its pair record, its first level, operators.
 
     The level is ``_level``'s, None when the angle is 0 mod pi.  The last
-    item, empty at first, maps (Theta, power mod 4, F) to the operator
-    ``_rotation_operator`` built for it; all entries together keep at most
-    ``_OPERATOR_BOUND`` operators.  Sites are ints (``realize_v_kl`` passes
-    them through ``operator.index``), so the key need not be typed.  Bad
-    input raises on every call, since an exception is not cached.
+    item, empty at first, maps (Theta, F) to the operator ``_keep_operator``
+    built for it.  Sites are ints (``realize_v_kl`` passes them through
+    ``operator.index``), so the key need not be typed.  Bad input raises on
+    every call, since an exception is not cached.
     """
     return (*_pair_record(n, a, b, k, l), _level(angle, mode, loss_key), {})
 
@@ -191,28 +190,25 @@ def _rotation(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis, angle: float,
 # The most operators all ``_rotation`` entries keep together, and (in a list, so
 # the module's bindings never change) how many they keep: 4096 four-qubit
 # matrices measured 18.5 MB with their keys, 4096 twelve-qubit gathers 1.5 MB.
-# Past the bound a new operator is built for each use.
 _OPERATOR_BOUND = 4096
 _operators_kept = [0]
 
 
-def _rotation_operator(pairs: tuple, angle: float, power: int, flips: int):
-    """What the state takes for i^power X^flips e^{i angle XX} carried to the pair's axes.
+def _keep_operator(operators: dict, pairs: tuple, product: tuple):
+    """Build and keep the operator for ``product`` = (Theta, F): X^F e^{i Theta XX} on the axes.
 
-    X^f e^{i angle XX} = cos(angle) X^f + i sin(angle) X^(f ^ 3), two of the
+    X^F e^{i Theta XX} = cos(Theta) X^F + i sin(Theta) X^(F ^ 3), two of the
     pair's four strings: a read-only dense matrix up to 4 qubits (4 KB at 4),
     else two read-only coefficients with views of the pair's gather rows.
+    When all entries keep ``_OPERATOR_BOUND`` operators, ``_rotation`` is
+    emptied and the count starts again.
     """
-    return _pair_operator(pairs, flips, 1j ** power * math.cos(angle),
-                          1j ** (power + 1) * math.sin(angle))
-
-
-def _keep_operator(operators: dict, pairs: tuple, product: tuple):
-    """``_rotation_operator`` for ``product`` = (angle, power, flips), kept while under the bound."""
-    op = _rotation_operator(pairs, *product)
-    if _operators_kept[0] < _OPERATOR_BOUND:
-        operators[product] = op
-        _operators_kept[0] += 1
+    angle, flips = product
+    op = operators[product] = _pair_operator(pairs, flips, math.cos(angle), 1j * math.sin(angle))
+    _operators_kept[0] += 1
+    if _operators_kept[0] >= _OPERATOR_BOUND:
+        _rotation.cache_clear()
+        _operators_kept[0] = 0
     return op
 
 
@@ -234,13 +230,14 @@ def realize_v_kl(
     (k, l) with the same weights, records and forms) from the angle's
     cached doubling levels with one ``rng.random()`` (a numpy Generator or
     any object whose ``random()`` returns a uniform in [0, 1)).  When the
-    rotation ends or runs out of rounds, the product of the drawn unitaries,
-    i^power X^f e^{i angle XX} carried to (k, l), a sum of two of the Pauli
-    strings I, s_k, s_l and s_k s_l on the pair, is applied once, its operator
-    kept in the rotation's entry by (angle, power mod 4, f).  On success the
-    frame-corrected output equals the exact rotation applied to the
-    frame-corrected input, up to global phase.  Sites are integers: a float
-    site raises TypeError.
+    rotation ends or runs out of rounds, the product of the drawn unitaries
+    up to a power of i, X^F e^{i Theta XX} carried to (k, l), a sum of two of
+    the Pauli strings I, s_k, s_l and s_k s_l on the pair, is applied once,
+    its operator kept in the rotation's entry by (Theta, F).  The output
+    equals the exact product of the drawn unitaries applied to the input up
+    to a power of i; on success the frame-corrected output equals the exact
+    rotation applied to the frame-corrected input, up to global phase.
+    Sites are integers: a float site raises TypeError.
     Raises IncompleteRotationError (with state, frame, and residual attached)
     if max_rounds is exhausted.
     """
@@ -261,18 +258,17 @@ def realize_v_kl(
     if level is None:
         return state, frame, records
 
-    # The sum of the rounds' angles, powers of i and XOR of their Pauli flip
-    # codes: the product of their commuting unitaries.
-    angle, power, pauli = 0.0, 0, 0
+    # The sum of the rounds' angles and XOR of their Pauli flip codes: the
+    # product of their commuting unitaries, up to a power of i.
+    angle, pauli = 0.0, 0
     draw, bisect_right, append = rng.random, bisect.bisect_right, records.append
     current = None
     for _ in range(policy.max_rounds):
         if level is not current:  # rows build the successors, so read them on arrival only
             current, cumulative, rows = level, level.cumulative, level.rows[swapped]
         i = bisect_right(cumulative, draw())
-        theta, g, f, code, by_key, level = rows[i]
+        theta, f, code, by_key, level = rows[i]
         angle += theta
-        power += g
         pauli ^= f
         if code:
             key ^= keys[code]
@@ -286,7 +282,7 @@ def realize_v_kl(
         if level is None:
             break
 
-    product = angle, power & 3, pauli
+    product = angle, pauli
     op = operators.get(product)
     if op is None:
         op = _keep_operator(operators, pairs, product)

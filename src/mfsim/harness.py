@@ -116,8 +116,10 @@ class ProtocolConfig:
         _initial_state(initial, h.n_qubits)
         work = trajectories * n_steps * len(cfg.sweep) * policy.max_rounds
         if work > WORK_BUDGET:
+            from decimal import Decimal  # formats an int of any size, where float overflows
+
             raise ResourceError(f"trajectories x n_steps x rotations per step x policy.max_rounds "
-                                f"is {work}, past the work budget of 2^40 rounds")
+                                f"is {Decimal(work):.3e}, past the work budget of 2^40 rounds")
         return cfg
 
     @functools.cached_property

@@ -77,6 +77,16 @@ def fidelity(a, b):
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
+def assert_equal_up_to_power_of_i(got, want, atol):
+    """Assert that ``got`` is ``want`` times exactly one of 1, i, -1, -i, entrywise within ``atol``.
+
+    ``realize_v_kl`` keeps a state up to the power of i that its branch forms
+    drop; any other phase, or any other change, fails.
+    """
+    errors = [np.abs(got.amplitudes - phase * want.amplitudes).max() for phase in (1, 1j, -1, -1j)]
+    assert sum(e <= atol for e in errors) == 1, errors
+
+
 def sign_projectors(axes):
     """The stack (1 +- s_k)/2 (x) (1 +- s_l)/2 for ``axes`` = (k, l), first atom low bit.
 

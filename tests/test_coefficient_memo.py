@@ -1,11 +1,12 @@
 """A rotation's operator looked up by its pair and the sum of its branch forms.
 
-``realize_v_kl``'s round loop adds each drawn branch's angle and power of i
-and XORs its flip code; the operator of the product is kept in the
-rotation's ``_rotation`` entry by those three values.  The amplitudes must agree within 1e-13,
-global phase included, with those of ``conftest.reference_rotation``, which
-multiplies the drawn branches' dense unitaries K / sqrt(w), on a register
-that applies the operator as a dense matrix and on one that gathers it.
+``realize_v_kl``'s round loop adds each drawn branch's angle and XORs its
+flip code; the operator of the product, up to a power of i, is kept in the
+rotation's ``_rotation`` entry by those two values.  The amplitudes must
+agree within 1e-13, up to exactly one power of i, with those of
+``conftest.reference_rotation``, which multiplies the drawn branches' dense
+unitaries K / sqrt(w), on a register that applies the operator as a dense
+matrix and on one that gathers it.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from mfsim.loss import LossConfig
 from mfsim.pauli import ErrorFrame, PauliAxis, PauliString, frame_conjugate_direction
 from mfsim.statevec import RegisterLayout, StateVector
 
-from conftest import reference_rotation
+from conftest import assert_equal_up_to_power_of_i, reference_rotation
 
 AXES = (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
 PAIR = (2, 0)
@@ -59,7 +60,7 @@ def compare(state, axes, t, policy, frame, seed, loss):
     except IncompleteRotationError as err:
         assert not closed
         got, got_frame, records = err.state, err.frame, err.records
-    assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-13
+    assert_equal_up_to_power_of_i(got, want, 1e-13)
     assert key_of(got_frame) == want_key
     assert [r.outcome for r in records] == outcomes
     return closed
@@ -79,3 +80,16 @@ def test_amplitudes_equal_the_running_product(n, name, mode, sign):
         for seed in range(6):  # each seed twice: the second rotation reads the cache
             closed += [compare(state, axes, t, policy, frame, seed, loss) for _ in range(2)]
     assert True in closed and False in closed  # some rotations ran out of rounds
+
+
+def test_the_power_of_i_check_fails_any_other_phase_or_change():
+    state = StateVector(haar_random_amplitudes(3, np.random.default_rng(5)),
+                        RegisterLayout.build(3, n_photons=0))
+    for phase in (1, 1j, -1, -1j):
+        assert_equal_up_to_power_of_i(StateVector(phase * state.amplitudes, state.layout),
+                                      state, 1e-13)
+    changed = 1j * state.amplitudes
+    changed[5] += 1e-11
+    for other in (np.exp(0.1j) * state.amplitudes, changed):
+        with pytest.raises(AssertionError):
+            assert_equal_up_to_power_of_i(StateVector(other, state.layout), state, 1e-13)

@@ -160,6 +160,16 @@ class TestInitialStates:
         with pytest.raises(ResourceError, match="work budget"):
             ProtocolConfig.from_dict({**one, "policy": {"max_rounds": rounds + 1}})
 
+    @pytest.mark.parametrize("huge", [{"n_steps": 1e300}, {"trajectories": 10**1000},
+                                      {"trajectories": 1e300, "n_steps": 1e300,
+                                       "policy": {"max_rounds": 10**1000}}])
+    def test_work_past_the_budget_is_named_compactly(self, huge):
+        pair = {"n_qubits": 2, "terms": [{"sites": [0, 1], "axes": "XX", "coeff": 1.0}]}
+        with pytest.raises(ResourceError) as exc:
+            ProtocolConfig.from_dict({"hamiltonian": pair, "t": 0.3, "n_steps": 4, **huge})
+        message = str(exc.value)
+        assert "work budget" in message and "2^40" in message and len(message) < 120, message
+
     def test_empty_sweep_or_no_trajectory_is_within_the_budget(self):
         empty = {"hamiltonian": {"n_qubits": 2, "terms": []}, "t": 0.3}
         cfg = ProtocolConfig.from_dict({**empty, "n_steps": 1e15, "trajectories": 1e15})

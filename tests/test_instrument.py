@@ -7,7 +7,7 @@ record names on those axes, and each post-state the photon-level model
 produces is the renormalized K psi of a branch with the same visible
 record.  A chi-square test compares the photon-level record frequencies
 with ||K psi||^2, and the controller's classical draw is compared with a
-draw on the state every round.
+draw on the state every round, up to the power of i the controller drops.
 """
 
 import bisect
@@ -33,8 +33,8 @@ from mfsim.pauli import ErrorFrame, PauliAxis, PauliString, frame_conjugate_dire
 from mfsim.statevec import RegisterLayout, StateVector, measure
 
 from conftest import (
-    AXIS_MATS, H, I2, X, clear_module_caches, conjugation_unitary, embedded_state, form_phases,
-    kron_le, sign_projectors)
+    AXIS_MATS, H, I2, X, assert_equal_up_to_power_of_i, clear_module_caches, conjugation_unitary,
+    embedded_state, form_phases, kron_le, sign_projectors)
 
 KINDS = {
     "lossless": LossConfig(),
@@ -457,7 +457,7 @@ def test_classical_draw_equals_state_draw(kind):
         got, got_frame, got_records = realize_v_kl(
             state, pair, *axes, t, policy, frame, np.random.default_rng(seed), loss)
         assert got_records == want_records and got_frame == want_frame, (axes, anticommuting)
-        assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-12
+        assert_equal_up_to_power_of_i(got, want, 1e-12)
 
 
 def test_exhausted_rotation_state_equals_state_draw():
@@ -471,7 +471,7 @@ def test_exhausted_rotation_state_equals_state_draw():
         realize_v_kl(state, pair, *axes, t, policy, frame, np.random.default_rng(3), loss)
     exc = info.value
     assert (exc.records, exc.frame, exc.residual) == (want_records, want_frame, residual)
-    assert np.max(np.abs(exc.state.amplitudes - want.amplitudes)) <= 1e-12
+    assert_equal_up_to_power_of_i(exc.state, want, 1e-12)
 
 
 # The controller walks a cached chain of doubling levels; the per-round loop
@@ -497,7 +497,7 @@ def test_level_chain_equals_per_round_loop(kind, mode):
                 state, pair, *axes, t, policy, frame, np.random.default_rng(rng_seed), loss)
             assert got_records == want_records, (axes, anticommuting, draw)
             assert got_frame == want_frame and str(got_frame) == want_records[-1].frame_after
-            assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-12
+            assert_equal_up_to_power_of_i(got, want, 1e-12)
 
 
 @pytest.mark.parametrize("mode,seed", [(PolicyMode.RESIDUAL_EXACT, 384),
@@ -512,7 +512,7 @@ def test_exhausted_rotation_at_a_deep_level_equals_per_round_loop(mode, seed):
         realize_v_kl(state, pair, *axes, t, policy, frame, np.random.default_rng(seed))
     exc = info.value
     assert (exc.records, exc.frame, exc.residual) == (want_records, want_frame, residual)
-    assert np.max(np.abs(exc.state.amplitudes - want.amplitudes)) <= 1e-12
+    assert_equal_up_to_power_of_i(exc.state, want, 1e-12)
 
 
 LEVEL_CONFIGS = {
@@ -601,5 +601,5 @@ def test_long_rotation_phase_product_equals_ordered_matmul(kind, anticommuting):
     exc = info.value
     assert (exc.records, exc.frame, exc.residual) == (want_records, want_frame, residual)
     matmul = mfsim.statevec._apply(state, pair, product)
-    assert np.max(np.abs(exc.state.amplitudes - matmul.amplitudes)) <= 1e-12
-    assert np.max(np.abs(exc.state.amplitudes - want.amplitudes)) <= 1e-12
+    assert_equal_up_to_power_of_i(exc.state, matmul, 1e-12)
+    assert_equal_up_to_power_of_i(exc.state, want, 1e-12)

@@ -3,7 +3,7 @@
 In the XX picture, with the first atom the low bit, each branch's unitary
 K / sqrt(w) is i^g X^f1 (x) X^f2 e^{i theta XX} with |theta| <= pi/4, and a
 Pauli branch has theta exactly 0.0: the feedback loop then adds theta to an
-angle, g to a power of i and XORs the flip code f = f1 + 2 f2.
+angle and XORs the flip code f = f1 + 2 f2, and drops g with the global phase.
 """
 
 import itertools
@@ -80,7 +80,7 @@ def test_pauli_branches_have_angle_zero(name, mode):
         level = _Level(residual, mode, loss)
         table = round_branches(level.eps, loss)
         assert 0.0 < level.eps < 1.0 and len(table.branches) == n_branches, residual
-        assert [row[:3] for row in level.rows[0]] == list(table.forms)
+        assert [row[:2] for row in level.rows[0]] == [form[::2] for form in table.forms]
         assert [theta for theta, *_ in table.forms].count(0.0) == n_pauli, residual
         pauli = [b for b, (theta, _, f) in zip(table.branches, table.forms)
                  if theta == 0.0 and f == b.flips[0] + 2 * b.flips[1]]

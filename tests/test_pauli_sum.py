@@ -15,9 +15,10 @@ import itertools
 import numpy as np
 import pytest
 
+import mfsim.feedback
 import mfsim.statevec
 from mfsim.errors import IncompleteRotationError, UsageError
-from mfsim.feedback import EpsilonPolicy, _pair_record, _rotation_operator, realize_v_kl
+from mfsim.feedback import EpsilonPolicy, _keep_operator, _pair_record, realize_v_kl
 from mfsim.harness import (
     ProtocolConfig,
     _trajectory_uniforms,
@@ -82,18 +83,21 @@ def test_pauli_sum_equals_pair_operator_on_eigenprojectors(n, pair, k, l):
 
 @pytest.mark.parametrize("k, l", list(itertools.product(AXES, AXES)))
 @pytest.mark.parametrize("n", range(2, 8))  # dense up to DENSE_PAIR_QUBITS, gathered past it
-def test_rotation_operator_equals_the_four_string_sum(n, k, l):
-    """i^power X^F e^{i angle XX} on (k, l) against its Pauli coefficients in the XX picture."""
+def test_rotation_operator_equals_the_four_string_sum(n, k, l, monkeypatch):
+    """X^F e^{i Theta XX} on (k, l) against its Pauli coefficients in the XX picture."""
+    # the operators kept here sit in no entry: the module's count of entries' operators stays
+    monkeypatch.setattr(mfsim.feedback, "_operators_kept", [0])
     state = state_of(haar_random_amplitudes(n, np.random.default_rng(n)))
     for pair in ((0, n - 1), (n - 1, 0)):
-        record = _pair_record(n, *pair, k, l)
+        record, operators = _pair_record(n, *pair, k, l), {}
         assert isinstance(record[2][0], tuple) == (n > DENSE_PAIR_QUBITS)
-        for flips, power, angle in itertools.product(
-                range(4), range(4), (0.0, np.pi / 4, -np.pi / 4, 1e-3, 0.7)):
-            product = 1j ** power * XX_STRINGS[flips] @ rot_xx(angle)
+        for flips, angle in itertools.product(range(4), (0.0, np.pi / 4, -np.pi / 4, 1e-3, 0.7)):
+            product = XX_STRINGS[flips] @ rot_xx(angle)
             coeffs = [np.trace(s @ product) / 4 for s in XX_STRINGS]
             want = four_string_sum(state, pair_masks(*pair, k, l), coeffs)
-            got = _apply_pair_operator(state, _rotation_operator(record[2], angle, power, flips))
+            op = _keep_operator(operators, record[2], (angle, flips))
+            assert operators[angle, flips] is op
+            got = _apply_pair_operator(state, op)
             assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-15
             assert got.layout == state.layout
 

@@ -3,8 +3,9 @@
 ``realize_v_kl`` makes one ``feedback._rotation`` lookup per call.  The entry
 holds the pair record's frame-key masks and Pauli strings, the first level
 of the angle's doubling chain and the operators the rotation has applied,
-keyed by (angle, power mod 4, F), at most ``_OPERATOR_BOUND`` over all
-entries.  A changed frame comes from ``pauli.frame_of_key``.
+keyed by (Theta, F).  Every operator built is kept; when all entries keep
+``_OPERATOR_BOUND``, the cache is emptied.  A changed frame comes from
+``pauli.frame_of_key``.
 """
 
 import functools
@@ -63,15 +64,18 @@ def test_the_scan_sees_a_cache_in_a_class(monkeypatch):
     assert package_caches()[id(probe)] == "mfsim.pauli.ErrorFrame.probe"
 
 
-def spy_entries(monkeypatch):
-    """Every entry ``realize_v_kl`` reads while the test runs, in call order."""
+def spy_entries(monkeypatch, keys=None):
+    """Every entry ``realize_v_kl`` reads while the test runs, in call order; keys go to ``keys``."""
     entries = []
     rotation = mfsim.feedback._rotation
 
     def spy(*key):
         entries.append(rotation(*key))
+        if keys is not None:
+            keys.append(key)
         return entries[-1]
 
+    spy.cache_clear = rotation.cache_clear  # a full operator store empties the cache
     monkeypatch.setattr(mfsim.feedback, "_rotation", spy)
     return entries
 
@@ -89,7 +93,7 @@ def test_warm_trotter3_trajectory_makes_one_lookup_per_rotation_and_builds_nothi
     first = run_trajectory(cfg, 0)
     kept, frames = mfsim.feedback._operators_kept[0], mfsim.pauli.frame_of_key.cache_info()
     entries = spy_entries(monkeypatch)
-    for name in ("_pair_record", "_level", "_rotation_operator", "_keep_operator"):
+    for name in ("_pair_record", "_level", "_keep_operator"):
         forbid(monkeypatch, mfsim.feedback, name)
     forbid(monkeypatch, mfsim.pauli, "PauliString")
     again = run_trajectory(cfg, 0)
@@ -174,22 +178,41 @@ def test_a_two_operator_bound_changes_no_byte(name, tmp_path, monkeypatch):
     want = reports(name, tmp_path / "default")
     clear_module_caches()
     monkeypatch.setattr(mfsim.feedback, "_OPERATOR_BOUND", 2)
-    entries, built, counts = spy_entries(monkeypatch), [], []
-    build, apply = mfsim.feedback._rotation_operator, mfsim.feedback._apply_pair_operator
+    keys, built, counts = [], [], []
+    entries = spy_entries(monkeypatch, keys)
+    keep, apply = mfsim.feedback._keep_operator, mfsim.feedback._apply_pair_operator
 
-    def counted_build(*args):
+    def counted_keep(*args):
         built.append(args)
-        return build(*args)
+        return keep(*args)
 
     def counted_apply(state, op):
         counts.append(mfsim.feedback._operators_kept[0])
         return apply(state, op)
 
-    monkeypatch.setattr(mfsim.feedback, "_rotation_operator", counted_build)
+    monkeypatch.setattr(mfsim.feedback, "_keep_operator", counted_keep)
     monkeypatch.setattr(mfsim.feedback, "_apply_pair_operator", counted_apply)
     assert reports(name, tmp_path / "two") == want
-    kept = [op for entry in {id(e): e for e in entries}.values() for op in entry[-1].values()]
-    assert len(kept) == mfsim.feedback._operators_kept[0] == max(counts) == 2
-    assert len(built) > 2  # past the bound, operators were built and not kept
-    for op in kept:
+    # each time two operators were kept, the entries were dropped and the count restarted
+    assert len(built) > 2 and max(counts) == 1
+    for operators, _, product in built:  # every operator built was kept, read-only
+        op = operators[product]
         assert not any(a.flags.writeable for a in (op if isinstance(op, tuple) else (op,)))
+    monkeypatch.undo()  # the cached function again, past the spy
+    latest = dict(zip(keys, entries))
+    live = [e for key, e in latest.items() if mfsim.feedback._rotation(*key) is e]
+    assert sum(len(e[-1]) for e in live) == mfsim.feedback._operators_kept[0] < 2
+
+
+def test_a_config_after_a_full_operator_store_keeps_its_operators(monkeypatch):
+    clear_module_caches()
+    monkeypatch.setattr(mfsim.feedback, "_OPERATOR_BOUND", 64)
+    run_ensemble(ProtocolConfig.from_dict(make_config("trotter3", 0, 20)))  # 67 operators
+    pair = {"n_qubits": 2, "terms": [{"sites": [0, 1], "axes": "XX", "coeff": 1.0}]}
+    cfg = ProtocolConfig.from_dict({"hamiltonian": pair, "t": 0.8, "n_steps": 3,
+                                    "trajectories": 6, "master_seed": 5})
+    entries = spy_entries(monkeypatch)
+    first = run_ensemble(cfg)
+    assert entries and all(entry[-1] for entry in entries)  # 11 operators, all kept
+    forbid(monkeypatch, mfsim.feedback, "_keep_operator")
+    assert run_ensemble(cfg)[0] == first[0]
