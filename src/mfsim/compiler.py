@@ -297,6 +297,8 @@ def binomial_tail_at_least(n_trials: int, n_successes: int, p: float) -> float:
         return 1.0
     if n_successes > n_trials:
         return 0.0
+    if p <= 0.0 or p >= 1.0:  # every trial fails, or every one succeeds; log(p) is undefined
+        return float(p >= 1.0)
     lp, lq = math.log(p), math.log1p(-p)
     mode = math.floor((n_trials + 1) * p)
     total = 0.0

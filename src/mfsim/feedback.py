@@ -10,8 +10,9 @@ anticommutes with the rotation axis the roles of Plus and Minus are swapped
 A rotation therefore walks the doubling chain t, 2t, 4t, ... (mod pi).
 Conjugating by u_k (x) u_l maps e^{it XX} to e^{it s_k x s_l} and X (x) 1,
 1 (x) X to s_k, s_l, and leaves a round's weights, records and forms
-unchanged, so one cache keeps every level of the chain, with its XX round
-table, per (angle, eps rule, loss), shared by every axis pair and frame sign.
+unchanged, so one cache keeps every level of the chain, with its XX round's
+weights, records and forms, per (angle, eps rule, loss), shared by every axis
+pair and frame sign.
 The frame is one integer key, 1 << 2n | z << n | x over its x/z masks.  A
 round is one bisection into the level's weights, an XOR of the key when the
 branch flips a qubit (s_k / s_l at the pair sites), and a lookup of the
@@ -106,7 +107,7 @@ class RoundRecord:
 
 
 class _Level:
-    """One level of a residual's doubling chain: the residual it aims at and its round table.
+    """One level of a residual's doubling chain: the residual it aims at and its round's branches.
 
     ``records[i]`` maps a frame's key to the one record of branch i drawn
     here with that frame.  ``rows[s < 0][i]`` is what a round reads under
@@ -122,8 +123,8 @@ class _Level:
         self.residual, self.mode, self.loss = residual, mode, loss
         self.aimed = abs(residual)
         self.eps = EpsilonPolicy(mode).eps_for(self.aimed)
-        self.table = round_branches(self.eps, loss)
-        self.cumulative, self.branches = self.table.cumulative, self.table.branches
+        table = round_branches(self.eps, loss)  # the Kraus stack is not kept: rows read the forms
+        self.cumulative, self.branches, self.forms = table.cumulative, table.branches, table.forms
         self.records: tuple[dict[int, RoundRecord], ...] = tuple({} for _ in self.branches)
 
     @functools.cached_property
@@ -134,7 +135,7 @@ class _Level:
         return tuple(tuple(
             (theta, f, b.flips[0] + 2 * b.flips[1], rec,
              self if b.direction is None else None if s * b.direction == sign else doubled)
-            for (theta, _, f), b, rec in zip(self.table.forms, self.branches, self.records))
+            for (theta, _, f), b, rec in zip(self.forms, self.branches, self.records))
             for s in (1, -1))
 
 
@@ -241,7 +242,7 @@ def realize_v_kl(
     Raises IncompleteRotationError (with state, frame, and residual attached)
     if max_rounds is exhausted.
     """
-    n = state.layout.n_qubits
+    n = state.n_qubits
     a, b = pair
     keys, swap, pairs, level, operators = _rotation(
         n, index(a), index(b), k, l, t_target, policy.mode, (loss or _LOSSLESS).key)
@@ -249,7 +250,7 @@ def realize_v_kl(
     # the records of the levels they share.
     key = start = frame.key
     if key >> 2 * n != 1:
-        raise UsageError(f"length mismatch: {frame.byproduct.n} vs {n}")
+        raise UsageError(f"length mismatch: {frame.n} vs {n}")
     # A round's byproducts s_k (x) 1 and 1 (x) s_l both commute with the target
     # s_k (x) s_l, so the frame's commutation with it, and this sign, hold for
     # the whole rotation: it picks the level's successors.

@@ -38,7 +38,6 @@ from .loss import CNOT_MATRIX, LossConfig, round_branches
 from .pauli import ErrorFrame
 from .statevec import (
     DEFAULT_QUBIT_CAP,
-    RegisterLayout,
     StateVector,
     _apply,
     apply_pauli_string,
@@ -131,14 +130,6 @@ class ProtocolConfig:
     def sweep(self) -> list[tuple]:
         """One Trotter step's rotations as (sites, k, l, angle) rows, computed once per config."""
         return [(rot.sites, *rot.axes, rot.angle) for rot in self.plan.sweep_rotations()]
-
-    @functools.cached_property
-    def layout(self) -> RegisterLayout:
-        """The data register's layout, computed once per config; ResourceError past the cap."""
-        n = self.hamiltonian.n_qubits
-        if n > DEFAULT_QUBIT_CAP:
-            raise ResourceError(f"register of {n} qubits exceeds the cap of {DEFAULT_QUBIT_CAP}")
-        return RegisterLayout.build(n, n_photons=0)
 
     @functools.cached_property
     def initial_amplitudes(self) -> np.ndarray:
@@ -352,9 +343,14 @@ def _initial_state(init, n: int):
 
 
 def build_register(cfg: ProtocolConfig) -> StateVector:
-    """The data register in its initial state; photons and backups live in the round tables."""
-    layout = cfg.layout  # checks the cap before the amplitudes are built
-    return StateVector._wrap(cfg.initial_amplitudes, layout)
+    """The data register in its initial state; photons and backups live in the round tables.
+
+    ResourceError past the register cap, checked before the amplitudes are built.
+    """
+    n = cfg.hamiltonian.n_qubits
+    if n > DEFAULT_QUBIT_CAP:
+        raise ResourceError(f"register of {n} qubits exceeds the cap of {DEFAULT_QUBIT_CAP}")
+    return StateVector._wrap(cfg.initial_amplitudes, n)
 
 
 @dataclass
@@ -415,13 +411,13 @@ def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
         rounds_per_rotation.append(len(exc.records))
         failure_reason = f"rotation on {sites} incomplete, residual {exc.residual:.3e}"
 
-    p = frame.byproduct  # |<P oracle|psi>|^2 = |<oracle|P psi>|^2 for the frame string P
-    oracle = cfg.framed_oracles.get((p.x, p.z))
+    # |<P oracle|psi>|^2 = |<oracle|P psi>|^2 for the frame's string P
+    oracle = cfg.framed_oracles.get((frame.x, frame.z))
     if oracle is None:  # a new frame; past the cap, framed again by every trajectory
-        oracle = apply_pauli_string(StateVector(cfg.oracle_state, cfg.layout), p).amplitudes
+        oracle = apply_pauli_string(StateVector(cfg.oracle_state), frame).amplitudes
         oracle.flags.writeable = False
         if len(cfg.framed_oracles) < _FRAMED_ORACLE_CAP:
-            cfg.framed_oracles[p.x, p.z] = oracle
+            cfg.framed_oracles[frame.x, frame.z] = oracle
     fid = float(abs(np.vdot(oracle, state.amplitudes)) ** 2)
 
     histogram: dict[str, int] = {}
@@ -558,17 +554,16 @@ def cnot_demo(
     """
     a1, a2, b1, b2 = cnot_dressing()
     loss = LossConfig(p_loss=p_loss, backup_enabled=backup)
-    layout = RegisterLayout.build(2, n_photons=0)
 
     fidelities = []
     total_rounds = 0
     for i, data_amp in enumerate(_cnot_demo_inputs()):
         rng = trajectory_rng(master_seed, i)
-        state = _apply(_apply(StateVector(data_amp, layout), (0,), b1), (1,), b2)
+        state = _apply(_apply(StateVector(data_amp), (0,), b1), (1,), b2)
         frame = ErrorFrame.identity(2)
         state, frame, recs = realize_v(state, (0, 1), math.pi / 4, policy, frame, rng, loss)
         total_rounds += len(recs)
-        state = apply_pauli_string(state, frame.byproduct)
+        state = apply_pauli_string(state, frame)
         state = _apply(_apply(state, (0,), a1), (1,), a2)
         fidelities.append(float(abs(np.vdot(CNOT_MATRIX @ data_amp, state.amplitudes)) ** 2))
 

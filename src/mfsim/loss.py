@@ -270,10 +270,10 @@ def _outcome_stack(loss: LossConfig) -> tuple[np.ndarray, tuple[RoundBranch, ...
         stage = functools.partial(joint_emission, pair=(0, 1), photons=(2, 3))
     # One run on the pair maximally entangled with two reference qubits, counted as two more
     # modes above the photon modes, covers all four input basis states: the references label them.
-    layout = RegisterLayout.build(2, with_backup=loss.backup_enabled, n_photons=2 + 2)
-    choi = np.zeros(1 << layout.n_qubits, dtype=complex)
-    choi[[j + (j << layout.n_qubits - 2) for j in range(4)]] = 1.0
-    runs = [stage(StateVector(choi, layout), eps=eps).amplitudes.reshape(4, -1, 4)
+    n = RegisterLayout.build(2, with_backup=loss.backup_enabled, n_photons=2 + 2).n_qubits
+    choi = np.zeros(1 << n, dtype=complex)
+    choi[[j + (j << n - 2) for j in range(4)]] = 1.0
+    runs = [stage(StateVector(choi), eps=eps).amplitudes.reshape(4, -1, 4)
             for eps in (0.0, 1.0, 0.5, 0.3)]  # (atom in, modes, atom out)
     modes, records = zip(*_round_outcomes(loss))
     k0, k1, half, probe = np.einsum("bm,eimo->eboi", np.conj(modes), np.array(runs))
@@ -304,7 +304,7 @@ def round_branches(eps: float, loss: LossConfig) -> RoundTable:
     e^{it s_k x s_l} and u X u^dag = s_k for u = u_k (x) u_l, so the
     weights, records and forms hold with s_k and s_l in place of X.
     Lossless rounds list (minus, plus, hh, vv) in that order.  Each call builds
-    a table; a feedback level builds its own once and keeps it.
+    a table; a feedback level builds its own once and keeps all but the Kraus stack.
     Raises UsageError for eps outside [0, 1] or NaN, and ProtocolError, naming ``loss``
     and eps, for a branch off its form by more than _FORM_ATOL.  A loss model whose draw
     would depend on the state fails earlier, once per config: ``_outcome_stack`` raises

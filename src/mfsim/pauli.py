@@ -6,8 +6,8 @@ Gottesman (PRA 70, 052328 (2004)): bit q of the integer masks ``x`` and
 ``z`` says whether qubit q carries an X and a Z factor, with X = (1, 0),
 Z = (0, 1) and Y = (1, 1), so products (up to phase) are XORs and
 commutation is a popcount parity.  The same type doubles as the
-byproduct-operator frame (:class:`ErrorFrame`) that records the known Pauli
-flips accumulated by the measurement protocol.
+byproduct-operator frame: an :class:`ErrorFrame` is the Pauli string of the
+known flips accumulated by the measurement protocol, with its integer key.
 """
 
 from __future__ import annotations
@@ -97,7 +97,11 @@ class PauliString:
 
     @property
     def axes(self) -> tuple[PauliAxis, ...]:
-        return tuple(map(PauliAxis, str(self)))
+        return tuple(self)
+
+    def __iter__(self):
+        """The axes, qubit 0 first: ``PauliString(p)`` and ``ErrorFrame(p)`` read p's."""
+        return map(PauliAxis, str(self))
 
     def __len__(self) -> int:
         return self.n
@@ -120,20 +124,15 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     return not ((p.x & q.z) ^ (p.z & q.x)).bit_count() & 1
 
 
-@dataclass(frozen=True)
-class ErrorFrame:
-    """Byproduct-operator frame: the known Pauli flips, up to global phase.
+class ErrorFrame(PauliString):
+    """Byproduct-operator frame: the known Pauli flips, a Pauli string up to global phase.
 
-    ``key`` (not a field) is the frame's integer key 1 << 2n | z << n | x,
-    computed once per frame; its leading bit tells registers of different
-    sizes apart.
+    ``key`` is the frame's integer key 1 << 2n | z << n | x, computed at most
+    once per frame; its leading bit tells registers of different sizes apart.
     """
 
-    byproduct: PauliString
-
-    def __post_init__(self):
-        p = self.byproduct
-        object.__setattr__(self, "key", 1 << 2 * p.n | p.z << p.n | p.x)
+    key = functools.cached_property(lambda self: 1 << 2 * self.n | self.z << self.n | self.x)
+    byproduct = property(lambda self: self)  # the string to apply: the frame itself
 
     @classmethod
     def from_masks(cls, n: int, x: int, z: int) -> "ErrorFrame":
@@ -142,19 +141,11 @@ class ErrorFrame:
             raise UsageError(f"masks ({x}, {z}) outside register of size {n}")
         return frame_of_key(1 << 2 * n | z << n | x)
 
-    @classmethod
-    def identity(cls, n: int) -> "ErrorFrame":
-        return cls.from_masks(n, 0, 0)
-
     def updated(self, correction: PauliString) -> "ErrorFrame":
         """Frame after the physical state picked up ``correction``: the product, up to phase."""
-        p = self.byproduct
-        if len(correction) != len(p):
-            raise UsageError(f"length mismatch: {len(correction)} vs {len(p)}")
-        return ErrorFrame.from_masks(p.n, correction.x ^ p.x, correction.z ^ p.z)
-
-    def __str__(self) -> str:
-        return str(self.byproduct)
+        if len(correction) != self.n:
+            raise UsageError(f"length mismatch: {len(correction)} vs {self.n}")
+        return ErrorFrame.from_masks(self.n, correction.x ^ self.x, correction.z ^ self.z)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -162,7 +153,9 @@ def frame_of_key(key: int) -> ErrorFrame:
     """The frame table: the one frame whose ``key`` is ``key``; frames are immutable."""
     n = (key.bit_length() - 1) >> 1
     mask = ~(-1 << n)
-    return ErrorFrame(PauliString.from_masks(n, key & mask, key >> n & mask))
+    frame = object.__new__(ErrorFrame)
+    frame.__dict__.update(n=n, x=key & mask, z=key >> n & mask, key=key)
+    return frame
 
 
 def frame_conjugate_direction(frame: ErrorFrame, target: PauliString) -> int:
@@ -171,4 +164,4 @@ def frame_conjugate_direction(frame: ErrorFrame, target: PauliString) -> int:
     -1 tells the feedback controller to swap the roles of the two
     Bell-type measurement outcomes (the time direction is inverted).
     """
-    return 1 if commutes(frame.byproduct, target) else -1
+    return 1 if commutes(frame, target) else -1

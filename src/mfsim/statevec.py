@@ -9,7 +9,7 @@ listed qubit is the low bit.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -25,52 +25,41 @@ _BASIS_ATOL = 1e-10
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """A register by counts: data qubits first, then one backup per data qubit, then photon modes.
+    """A register's size, counted as data qubits, then one backup per data qubit, then photon modes.
 
     Photon-mode qubits live in the single-excitation subspace with
     |0> = V (vacuum or V polarization) and |1> = H.
     """
 
-    n_data: int
-    with_backup: bool = False
-    n_photons: int = 2
-
-    def __post_init__(self):
-        # not a field: computed once per layout, so a state's size is two attribute reads
-        object.__setattr__(self, "n_qubits",
-                           self.n_data * (2 if self.with_backup else 1) + self.n_photons)
+    n_qubits: int
 
     @classmethod
     def build(cls, n_data: int, with_backup: bool = False, n_photons: int = 2) -> "RegisterLayout":
         """Standard layout: data qubits first, then backups, then photon modes."""
-        return cls(n_data, with_backup, n_photons)
+        return cls(n_data * (2 if with_backup else 1) + n_photons)
 
 
 @dataclass(slots=True)
 class StateVector:
-    """Normalized amplitudes over the register described by ``layout``."""
+    """Normalized amplitudes over ``n_qubits`` qubits, read from their length 2^n_qubits."""
 
     amplitudes: np.ndarray
-    layout: RegisterLayout
+    n_qubits: int = field(init=False)
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        dim = 1 << self.layout.n_qubits
-        if self.amplitudes.shape != (dim,):
-            raise UsageError(
-                f"amplitude vector has shape {self.amplitudes.shape}, expected ({dim},)"
-            )
+        shape = self.amplitudes.shape
+        dim = shape[0] if len(shape) == 1 else 0
+        if dim < 2 or dim & (dim - 1):
+            raise UsageError(f"amplitude vector has shape {shape}, expected (2^n,) with n >= 1")
+        self.n_qubits = dim.bit_length() - 1
 
     @classmethod
-    def _wrap(cls, amplitudes: np.ndarray, layout: RegisterLayout) -> "StateVector":
+    def _wrap(cls, amplitudes: np.ndarray, n_qubits: int) -> "StateVector":
         """A state around a complex array this module built: no copy and no shape check."""
         state = object.__new__(cls)
-        state.amplitudes, state.layout = amplitudes, layout
+        state.amplitudes, state.n_qubits = amplitudes, n_qubits
         return state
-
-    @property
-    def n_qubits(self) -> int:
-        return self.layout.n_qubits
 
     def norm_squared(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
@@ -115,7 +104,7 @@ def _apply(state: StateVector, qubits: tuple[int, ...], u: np.ndarray) -> StateV
     idx = _subset_index(state.n_qubits, qubits)
     out = np.empty_like(state.amplitudes)
     out[idx] = u @ state.amplitudes[idx]
-    return StateVector._wrap(out, state.layout)
+    return StateVector._wrap(out, state.n_qubits)
 
 
 def _pauli_stack(n: int, masks: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -193,11 +182,11 @@ def _apply_pair_operator(state: StateVector, op) -> StateVector:
     read per call.
     """
     if not isinstance(op, tuple):
-        return StateVector._wrap(op.dot(state.amplitudes), state.layout)
+        return StateVector._wrap(op.dot(state.amplitudes), state.n_qubits)
     coeffs, index, phase = op
     terms = state.amplitudes[index]
     terms *= phase
-    return StateVector._wrap(coeffs.dot(terms), state.layout)
+    return StateVector._wrap(coeffs.dot(terms), state.n_qubits)
 
 
 def apply_local(state: StateVector, qubit: int, u: np.ndarray) -> StateVector:
@@ -239,7 +228,7 @@ def measure(
     index = min(int(np.searchsorted(np.cumsum(probs), r, side="right")), len(probs) - 1)
     out = np.empty_like(state.amplitudes)
     out[idx] = branches[index] / np.sqrt(probs[index])
-    return index, StateVector._wrap(out, state.layout), float(probs[index])
+    return index, StateVector._wrap(out, state.n_qubits), float(probs[index])
 
 
 def measure_and_reset(

@@ -119,7 +119,7 @@ def embedded_state(data_amp, layout):
     """Full-register state with the data amplitudes on the low bits, rest |0>."""
     full = np.zeros(1 << layout.n_qubits, dtype=complex)
     full[: data_amp.size] = data_amp
-    return StateVector(full, layout)
+    return StateVector(full)
 
 
 def random_two_atom_state(rng, with_backup=False):
@@ -173,7 +173,7 @@ def four_string_sum(state, masks, coeffs):
     index, phase = _pauli_stack(state.n_qubits, masks)
     terms = state.amplitudes[index]
     terms *= phase
-    return StateVector(np.asarray(coeffs).dot(terms), state.layout)
+    return StateVector(np.asarray(coeffs).dot(terms))
 
 
 @functools.cache
@@ -196,7 +196,7 @@ def reference_rotation(state, pair, k, l, t, policy, frame, rng, loss=None):
     masks = pair_masks(a, b, k, l)
     keys = [z << n | x for x, z in masks]
     swap = masks[3][0] << n | masks[3][1]
-    key = 1 << 2 * n | frame.byproduct.z << n | frame.byproduct.x
+    key = frame.key
     sign = -1 if (key & swap).bit_count() & 1 else 1
     loss = loss or LossConfig()
     residual, product, outcomes = reduce_angle(t), np.eye(4, dtype=complex), []

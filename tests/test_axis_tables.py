@@ -20,7 +20,7 @@ from mfsim.feedback import EpsilonPolicy, realize_v, realize_v_kl
 from mfsim.harness import haar_random_amplitudes
 from mfsim.loss import LossConfig
 from mfsim.pauli import ErrorFrame, PauliAxis, PauliString
-from mfsim.statevec import RegisterLayout, StateVector, apply_local, apply_pauli_string
+from mfsim.statevec import StateVector, apply_local, apply_pauli_string
 
 from conftest import AXIS_MATS, I2, conjugation_unitary, kron_le
 
@@ -61,7 +61,7 @@ def dressed_xx(state, k, l, t, frame, rng, loss):
 def start(seed):
     rng = np.random.default_rng(seed)
     psi = haar_random_amplitudes(3, rng)
-    return StateVector(psi, RegisterLayout.build(3, n_photons=0))
+    return StateVector(psi)
 
 
 @pytest.mark.parametrize("loss", LOSSES)

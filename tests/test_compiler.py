@@ -232,7 +232,8 @@ class TestRoundBudget:
 
 class TestBinomialTail:
     @pytest.mark.parametrize(
-        "n,k,p", [(20, 8, 0.3), (10, 10, 0.9), (50, 25, 0.5), (5, 0, 0.2), (7, 9, 0.4)]
+        "n,k,p", [(20, 8, 0.3), (10, 10, 0.9), (50, 25, 0.5), (5, 0, 0.2), (7, 9, 0.4),
+                  (5, 2, 0.0), (5, 2, 1.0)]
     )
     def test_matches_exact_sum(self, n, k, p):
         exact = sum(
@@ -248,6 +249,9 @@ class TestBinomialTail:
             return 1.0
         if k > n:
             return 0.0
+        if p in (0.0, 1.0):  # log(p) or log(1 - p) is undefined; sum the terms in integers
+            q = int(p)
+            return float(sum(comb(n, j) * q**j * (1 - q) ** (n - j) for j in range(k, n + 1)))
         lp, lq = math.log(p), math.log1p(-p)
         total = 0.0
         for j in range(k, n + 1):
@@ -255,7 +259,7 @@ class TestBinomialTail:
             total += math.exp(lg + j * lp + (n - j) * lq)
         return min(1.0, total)
 
-    @pytest.mark.parametrize("p", [1e-3, 0.1, 0.3, 0.5, 0.77, 0.999])
+    @pytest.mark.parametrize("p", [0.0, 1e-3, 0.1, 0.3, 0.5, 0.77, 0.999, 1.0])
     @pytest.mark.parametrize("n", [1, 2, 7, 40, 333, 3000])
     def test_stopping_past_the_mode_changes_no_bit(self, n, p):
         for k in sorted({0, 1, n // 4, n // 2, round(n * p), round(n * p) + 1, n - 1, n, n + 1}):

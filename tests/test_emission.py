@@ -17,19 +17,17 @@ from conftest import X, embedded_state, kron_le, rot_xx
 
 
 def atom_photon_state(atom_amp=(1, 0)):
-    layout = RegisterLayout.build(1, n_photons=1)
     amp = np.zeros(4, dtype=complex)
     amp[0], amp[1] = atom_amp  # photon (qubit 1) in |V>
-    return StateVector(amp, layout)
+    return StateVector(amp)
 
 
 class TestUEps:
     def test_eps_zero_is_identity(self, rng):
-        layout = RegisterLayout.build(1, n_photons=1)
         amp = np.zeros(4, dtype=complex)
         a = haar_random_amplitudes(1, rng)
         amp[0], amp[1] = a
-        st = StateVector(amp, layout)
+        st = StateVector(amp)
         out = u_eps(st, 0, 1, 0.0)
         assert np.max(np.abs(out.amplitudes - st.amplitudes)) <= 1e-12
 
@@ -47,11 +45,10 @@ class TestUEps:
         assert out.amplitudes[3] == pytest.approx(0.6)
 
     def test_rejects_occupied_photon_mode(self):
-        layout = RegisterLayout.build(1, n_photons=1)
         amp = np.zeros(4, dtype=complex)
         amp[2] = 1.0  # photon in |H>
         with pytest.raises(ProtocolError):
-            u_eps(StateVector(amp, layout), 0, 1, 0.3)
+            u_eps(StateVector(amp), 0, 1, 0.3)
 
     def test_rejects_bad_eps(self):
         with pytest.raises(UsageError):

@@ -435,7 +435,7 @@ def state_draw_rotation(state, pair, axes, t, policy, frame, rng, loss):
 def rotation_case(seed, axes, anticommuting):
     """A Haar 3-qubit state, an angle, and an incoming frame of the given sign on pair (2, 0)."""
     rng = np.random.default_rng(seed)
-    state = StateVector(haar_random_amplitudes(3, rng), RegisterLayout.build(3, n_photons=0))
+    state = StateVector(haar_random_amplitudes(3, rng))
     sites = {1: PauliAxis.Y}  # off the pair: commutes with the rotation either way
     if anticommuting:
         sites[2] = next(a for a in (PauliAxis.X, PauliAxis.Y, PauliAxis.Z) if a is not axes[0])

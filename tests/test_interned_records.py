@@ -18,7 +18,7 @@ import mfsim.feedback
 from mfsim.feedback import EpsilonPolicy, _level, _pair_record, realize_v, realize_v_kl, reduce_angle
 from mfsim.harness import ProtocolConfig, emit_report, run_ensemble, run_trajectory
 from mfsim.pauli import ErrorFrame, PauliAxis
-from mfsim.statevec import RegisterLayout, StateVector
+from mfsim.statevec import StateVector
 
 from conftest import clear_module_caches
 
@@ -70,7 +70,7 @@ def test_writer_encodes_records_it_did_not_intern(tmp_path):
 
 
 def test_rounds_at_one_level_branch_and_frame_share_a_record():
-    state = StateVector(np.full(4, 0.5, dtype=complex), RegisterLayout.build(2, n_photons=0))
+    state = StateVector(np.full(4, 0.5, dtype=complex))
     firsts = {}
     for seed in range(12):
         _, _, recs = realize_v(state, (0, 1), 0.7, EpsilonPolicy(), ErrorFrame.identity(2),
@@ -155,8 +155,7 @@ def test_pair_records_are_kept_for_more_keys_than_a_bounded_cache():
     n, axes = 6, (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
     keys = list(itertools.product(itertools.permutations(range(n), 2), axes, axes))
     assert len(keys) == 270
-    state = StateVector(np.full(1 << n, 2 ** (-n / 2), dtype=complex),
-                        RegisterLayout.build(n, n_photons=0))
+    state = StateVector(np.full(1 << n, 2 ** (-n / 2), dtype=complex))
     rng = np.random.default_rng(8)
     misses = []
     for _ in range(2):

@@ -3,7 +3,8 @@
 A rotation at angle t walks the levels t, 2t, 4t, ... (mod pi).  Conjugating
 a round by u_k (x) u_l leaves its weights, records and eigenphases unchanged,
 so one cache keeps every level, first or doubled, per (angle, eps rule,
-loss); each level reads the XX table and holds one row tuple per frame sign.
+loss); each level keeps the XX table's weights, records and forms, not its
+Kraus stack, and holds one row tuple per frame sign.
 """
 
 import itertools
@@ -17,9 +18,9 @@ from mfsim.emission import PhotonEncoding
 from mfsim.errors import IncompleteRotationError
 from mfsim.feedback import EpsilonPolicy, PolicyMode, _level, realize_v_kl, reduce_angle
 from mfsim.harness import ProtocolConfig, haar_random_amplitudes, run_trajectory
-from mfsim.loss import LossConfig, round_branches
+from mfsim.loss import LossConfig, RoundTable, round_branches
 from mfsim.pauli import ErrorFrame, PauliAxis, PauliString, frame_conjugate_direction
-from mfsim.statevec import RegisterLayout, StateVector
+from mfsim.statevec import StateVector
 
 from conftest import clear_module_caches
 
@@ -51,8 +52,7 @@ def frame_with_sign(axes, sign):
 
 def rotation_records(t, max_rounds, loss, draws):
     """The records of a rotation at ``t`` on XX under frame I that draws ``draws`` in turn."""
-    state = StateVector(haar_random_amplitudes(3, np.random.default_rng(3)),
-                        RegisterLayout.build(3, n_photons=0))
+    state = StateVector(haar_random_amplitudes(3, np.random.default_rng(3)))
     rng = types.SimpleNamespace(random=iter(draws).__next__)
     policy = EpsilonPolicy(max_rounds=max_rounds)
     return realize_v_kl(state, PAIR, PauliAxis.X, PauliAxis.X, t, policy,
@@ -90,7 +90,7 @@ def built_levels(monkeypatch):
 @pytest.mark.parametrize("loss", LOSSES, ids=["lossless", "heralded", "backup-loss60"])
 def test_one_angle_keys_one_first_level(loss, cold_caches, built_levels):
     rng = np.random.default_rng(5)
-    state = StateVector(haar_random_amplitudes(3, rng), RegisterLayout.build(3, n_photons=0))
+    state = StateVector(haar_random_amplitudes(3, rng))
     policy = EpsilonPolicy(max_rounds=10_000)
     for axes, sign in itertools.product(AXIS_PAIRS, (1, -1)):
         realize_v_kl(state, PAIR, *axes, 0.7, policy, frame_with_sign(axes, sign), rng, loss)
@@ -104,7 +104,7 @@ def test_one_angle_keys_one_first_level(loss, cold_caches, built_levels):
 def test_successors_stay_close_or_double(mode, loss, cold_caches, built_levels):
     policy = EpsilonPolicy(mode, max_rounds=10_000)
     rng = np.random.default_rng(7)
-    state = StateVector(haar_random_amplitudes(3, rng), RegisterLayout.build(3, n_photons=0))
+    state = StateVector(haar_random_amplitudes(3, rng))
     for axes, sign, t in itertools.product(AXIS_PAIRS, (1, -1), (0.7, -2.9)):
         realize_v_kl(state, PAIR, *axes, t, policy, frame_with_sign(axes, sign), rng, loss)
     stepped = [level for level in built_levels if "rows" in vars(level)]
@@ -162,7 +162,7 @@ def test_heisenberg_warm_run_reproduces_cold_run(extra, cold_caches, built_level
                          ids=["lossless", "heralded", "backup-loss60", "silent"])
 def test_level_rows_are_forms_flips_records_and_successors(loss, cold_caches, built_levels):
     rng = np.random.default_rng(11)
-    state = StateVector(haar_random_amplitudes(3, rng), RegisterLayout.build(3, n_photons=0))
+    state = StateVector(haar_random_amplitudes(3, rng))
     policy = EpsilonPolicy(max_rounds=10_000)
     for axes, sign, t in itertools.product(AXIS_PAIRS, (1, -1), (0.7, -2.9)):
         realize_v_kl(state, PAIR, *axes, t, policy, frame_with_sign(axes, sign), rng, loss)
@@ -180,12 +180,24 @@ def test_level_rows_are_forms_flips_records_and_successors(loss, cold_caches, bu
 
 
 @pytest.mark.parametrize("loss", LOSSES, ids=["lossless", "heralded", "backup-loss60"])
+def test_a_level_keeps_no_round_table_or_array(loss, cold_caches, built_levels):
+    rng = np.random.default_rng(13)
+    state = StateVector(haar_random_amplitudes(3, rng))
+    policy = EpsilonPolicy(max_rounds=10_000)
+    for axes, sign in itertools.product(AXIS_PAIRS, (1, -1)):
+        realize_v_kl(state, PAIR, *axes, 0.7, policy, frame_with_sign(axes, sign), rng, loss)
+    assert len(built_levels) > 1
+    for level in built_levels:
+        for name, value in vars(level).items():
+            assert not isinstance(value, (RoundTable, np.ndarray)), name
+
+
+@pytest.mark.parametrize("loss", LOSSES, ids=["lossless", "heralded", "backup-loss60"])
 def test_last_round_into_a_new_level_builds_no_successor(loss, cold_caches, built_levels):
     # One round on a branch that doubles the residual: the first level and the
     # doubled one are built, and nothing past it, since no round is drawn there.
     draw = draw_of(0.7, loss, -1)
-    state = StateVector(haar_random_amplitudes(3, np.random.default_rng(3)),
-                        RegisterLayout.build(3, n_photons=0))
+    state = StateVector(haar_random_amplitudes(3, np.random.default_rng(3)))
     with pytest.raises(IncompleteRotationError) as exc:
         realize_v_kl(state, PAIR, PauliAxis.X, PauliAxis.Z, 0.7, EpsilonPolicy(max_rounds=1),
                      ErrorFrame.identity(3), types.SimpleNamespace(random=lambda: draw), loss)

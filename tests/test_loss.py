@@ -46,37 +46,33 @@ class TestLossConfig:
 class TestBackupEntangle:
     def test_amplitude_split(self, rng):
         # |0>_A |0>_B -> sqrt(1-e)|00> + sqrt(e)|11>
-        layout = RegisterLayout.build(1, with_backup=True, n_photons=0)
         amp = np.zeros(4, dtype=complex)
         amp[0] = 1.0
-        st = u_eps(StateVector(amp, layout), 0, 1, 0.36)
+        st = u_eps(StateVector(amp), 0, 1, 0.36)
         assert st.amplitudes[0] == pytest.approx(0.8)
         assert st.amplitudes[3] == pytest.approx(0.6)
 
     def test_rejects_dirty_backup(self, rng):
-        layout = RegisterLayout.build(1, with_backup=True, n_photons=0)
         amp = np.zeros(4, dtype=complex)
         amp[2] = 1.0  # backup already |1>
         with pytest.raises(ProtocolError):
-            u_eps(StateVector(amp, layout), 0, 1, 0.3)
+            u_eps(StateVector(amp), 0, 1, 0.3)
 
 
 class TestPhotonCopy:
     def test_copies_each_branch(self):
         # (a|0> + b|1>)_B |V> -> a|0>|V> + b|1>|H>
-        layout = RegisterLayout.build(1, with_backup=True, n_photons=1)
         amp = np.zeros(8, dtype=complex)
         amp[0], amp[2] = 0.6, 0.8  # backup is qubit 1, photon qubit 2
-        st = photon_copy(StateVector(amp, layout), 1, 2)
+        st = photon_copy(StateVector(amp), 1, 2)
         assert st.amplitudes[0] == pytest.approx(0.6)
         assert st.amplitudes[2 + 4] == pytest.approx(0.8)
 
     def test_rejects_occupied_photon(self):
-        layout = RegisterLayout.build(1, with_backup=True, n_photons=1)
         amp = np.zeros(8, dtype=complex)
         amp[4] = 1.0
         with pytest.raises(ProtocolError):
-            photon_copy(StateVector(amp, layout), 1, 2)
+            photon_copy(StateVector(amp), 1, 2)
 
 
 class TestLossChannel:
@@ -97,10 +93,9 @@ class TestLossChannel:
         # both photons survive with probability (1-p)^2
         p = 0.3
         cfg = LossConfig(p_loss=p)
-        layout = RegisterLayout.build(1, n_photons=2)
         amp = np.zeros(8, dtype=complex)
         amp[0] = 1.0
-        st = StateVector(amp, layout)
+        st = StateVector(amp)
         n = 3000
         survived = 0
         for _ in range(n):
@@ -112,10 +107,9 @@ class TestLossChannel:
 
     def test_occupation_losses_are_silent(self, rng):
         cfg = LossConfig(p_loss=1.0, encoding=PhotonEncoding.OCCUPATION)
-        layout = RegisterLayout.build(1, n_photons=2)
         amp = np.zeros(8, dtype=complex)
         amp[0] = 1.0
-        _, lost = loss_channel(StateVector(amp, layout), (1, 2), cfg, rng)
+        _, lost = loss_channel(StateVector(amp), (1, 2), cfg, rng)
         assert lost == (True, True)
 
     def test_lost_mode_is_emptied(self, rng):

@@ -11,6 +11,7 @@ from mfsim.pauli import (
     PauliString,
     commutes,
     frame_conjugate_direction,
+    frame_of_key,
 )
 
 from conftest import AXIS_MATS, X, conjugation_unitary
@@ -152,6 +153,16 @@ def test_frame_from_masks_is_one_shared_frame_per_masks():
         assert frame is ErrorFrame.from_masks(n, x, z)
     assert ErrorFrame.identity(3) is ErrorFrame.from_masks(3, 0, 0)
     assert str(ErrorFrame.identity(2).updated(PauliString.from_str("YX"))) == "YX"
+
+
+def test_a_frame_is_its_pauli_string_and_one_object_per_key():
+    key = 1 << 6 | 0b011 << 3 | 0b101
+    frame = frame_of_key(key)
+    assert isinstance(frame, PauliString) and frame.byproduct is frame
+    assert vars(frame) == {"n": 3, "x": 0b101, "z": 0b011, "key": key}  # no string inside
+    assert frame is frame_of_key(key) is ErrorFrame.from_masks(3, 0b101, 0b011)
+    built = ErrorFrame(PauliString.from_str("YZX"))
+    assert str(frame) == "YZX" and built == frame and built.key == key
 
 
 @pytest.mark.parametrize("x, z", [(4, 0), (0, 5), (-1, 0)])

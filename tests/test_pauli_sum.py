@@ -29,7 +29,6 @@ from mfsim.harness import (
 from mfsim.pauli import ErrorFrame, PauliAxis, PauliString
 from mfsim.statevec import (
     DENSE_PAIR_QUBITS,
-    RegisterLayout,
     StateVector,
     _apply_pair_operator,
     _pauli_stack,
@@ -38,11 +37,6 @@ from mfsim.statevec import (
 from conftest import XX_STRINGS, four_string_sum, pair_masks, rot_xx, sign_projectors
 
 AXES = (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
-
-
-def state_of(amplitudes):
-    n = amplitudes.size.bit_length() - 1
-    return StateVector(amplitudes, RegisterLayout.build(n, n_photons=0))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -70,7 +64,7 @@ def pair_cases():
 @pytest.mark.parametrize("n, pair, k, l", list(pair_cases()))
 def test_pauli_sum_equals_pair_operator_on_eigenprojectors(n, pair, k, l):
     rng = np.random.default_rng(n * 100 + pair[0] * 10 + pair[1])
-    state = state_of(haar_random_amplitudes(n, rng))
+    state = StateVector(haar_random_amplitudes(n, rng))
     d0, d1, d2, d3 = d = np.exp(2j * np.pi * rng.random(4))
     pair_operator = np.einsum("j,jik->ik", d, sign_projectors((k, l)))
     want = mfsim.statevec._apply(state, pair, pair_operator)
@@ -78,7 +72,7 @@ def test_pauli_sum_equals_pair_operator_on_eigenprojectors(n, pair, k, l):
                           ((d0 + d1 + d2 + d3) / 4, (d0 - d1 + d2 - d3) / 4,
                            (d0 + d1 - d2 - d3) / 4, (d0 - d1 - d2 + d3) / 4))
     assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-13
-    assert got.layout == state.layout
+    assert got.n_qubits == state.n_qubits
 
 
 @pytest.mark.parametrize("k, l", list(itertools.product(AXES, AXES)))
@@ -87,7 +81,7 @@ def test_rotation_operator_equals_the_four_string_sum(n, k, l, monkeypatch):
     """X^F e^{i Theta XX} on (k, l) against its Pauli coefficients in the XX picture."""
     # the operators kept here sit in no entry: the module's count of entries' operators stays
     monkeypatch.setattr(mfsim.feedback, "_operators_kept", [0])
-    state = state_of(haar_random_amplitudes(n, np.random.default_rng(n)))
+    state = StateVector(haar_random_amplitudes(n, np.random.default_rng(n)))
     for pair in ((0, n - 1), (n - 1, 0)):
         record, operators = _pair_record(n, *pair, k, l), {}
         assert isinstance(record[2][0], tuple) == (n > DENSE_PAIR_QUBITS)
@@ -99,12 +93,12 @@ def test_rotation_operator_equals_the_four_string_sum(n, k, l, monkeypatch):
             assert operators[angle, flips] is op
             got = _apply_pair_operator(state, op)
             assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-15
-            assert got.layout == state.layout
+            assert got.n_qubits == state.n_qubits
 
 
 @pytest.mark.parametrize("pair, site", [((0, 3), 3), ((5, 1), 5), ((-1, 2), -1)])
 def test_rotation_on_a_site_outside_the_register_raises(pair, site):
-    state = state_of(haar_random_amplitudes(3, np.random.default_rng(0)))
+    state = StateVector(haar_random_amplitudes(3, np.random.default_rng(0)))
     with pytest.raises(UsageError, match=f"site {site} outside register of size 3"):
         realize_v_kl(state, pair, PauliAxis.X, PauliAxis.Z, 0.3, EpsilonPolicy(),
                      ErrorFrame.identity(3), np.random.default_rng(0))
@@ -116,7 +110,7 @@ def test_rotation_on_a_site_outside_the_register_raises(pair, site):
     ((0, 1), PauliAxis.I, "rotation axes must be X, Y, or Z"),
 ])
 def test_bad_rotation_raises_on_every_call_and_is_not_cached(pair, k, message):
-    state = state_of(haar_random_amplitudes(3, np.random.default_rng(0)))
+    state = StateVector(haar_random_amplitudes(3, np.random.default_rng(0)))
     size = _pair_record.cache_info().currsize
     raised = []
     for _ in range(2):
@@ -129,7 +123,7 @@ def test_bad_rotation_raises_on_every_call_and_is_not_cached(pair, k, message):
 
 
 def test_float_site_fails_after_its_integer_pair_is_cached():
-    state = state_of(haar_random_amplitudes(3, np.random.default_rng(0)))
+    state = StateVector(haar_random_amplitudes(3, np.random.default_rng(0)))
 
     def rotate(pair):
         return realize_v_kl(state, pair, PauliAxis.X, PauliAxis.Z, 0.3, EpsilonPolicy(),
@@ -153,7 +147,7 @@ def reference_trajectory(cfg, index):
     """``run_trajectory``'s rotation loop driven by the bare generator: (records, final frame)."""
     rng = trajectory_rng(cfg.master_seed, index)
     n = cfg.hamiltonian.n_qubits
-    state = StateVector(cfg.initial_amplitudes, RegisterLayout.build(n, n_photons=0))
+    state = StateVector(cfg.initial_amplitudes)
     frame, records = ErrorFrame.identity(n), []
     for _ in range(cfg.plan.n_steps):
         for rot in cfg.plan.sweep_rotations():

@@ -26,7 +26,7 @@ from mfsim.harness import (
     ProtocolConfig, emit_report, haar_random_amplitudes, run_ensemble, run_trajectory)
 from mfsim.loss import LossConfig
 from mfsim.pauli import ErrorFrame, PauliAxis, PauliString
-from mfsim.statevec import DENSE_PAIR_QUBITS, RegisterLayout, StateVector
+from mfsim.statevec import DENSE_PAIR_QUBITS, StateVector
 
 from conftest import MODULE_CACHES, clear_module_caches
 
@@ -108,8 +108,7 @@ def test_warm_trotter3_trajectory_makes_one_lookup_per_rotation_and_builds_nothi
 
 def rotate_all(pairs, n, seed):
     """Rotations on ``pairs`` of an n-qubit register: (amplitudes, frame, record texts) each."""
-    state = StateVector(haar_random_amplitudes(n, np.random.default_rng(seed)),
-                        RegisterLayout.build(n, n_photons=0))
+    state = StateVector(haar_random_amplitudes(n, np.random.default_rng(seed)))
     rng, out = np.random.default_rng(seed), []
     frame = ErrorFrame.identity(n).updated(PauliString.from_str("YXZ" + "I" * (n - 3)))
     for pair, (k, l), t in zip(pairs, [(PauliAxis.X, PauliAxis.Z), (PauliAxis.Y, PauliAxis.Y),
@@ -137,8 +136,7 @@ def test_numpy_integer_sites_give_the_integer_sites_records_and_amplitudes(n):
 
 @pytest.mark.parametrize("n", [3, 6])
 def test_kept_operators_are_read_only_and_shared(n, monkeypatch):
-    state = StateVector(haar_random_amplitudes(n, np.random.default_rng(2)),
-                        RegisterLayout.build(n, n_photons=0))
+    state = StateVector(haar_random_amplitudes(n, np.random.default_rng(2)))
     clear_module_caches()
     entries = spy_entries(monkeypatch)
 

@@ -40,9 +40,9 @@ def direct_table(eps, loss):
     choi = np.zeros(1 << layout.n_qubits, dtype=complex)
     choi[[j + (j << n) for j in range(4)]] = 1.0
     if loss.backup_enabled:
-        out = mfsim.loss._backup_stage(StateVector(choi, layout), (0, 1), (2, 3), (4, 5), eps)
+        out = mfsim.loss._backup_stage(StateVector(choi), (0, 1), (2, 3), (4, 5), eps)
     else:
-        out = joint_emission(StateVector(choi, layout), (0, 1), (2, 3), eps)
+        out = joint_emission(StateVector(choi), (0, 1), (2, 3), eps)
     tensor = out.amplitudes.reshape(4, -1, 4).transpose(1, 2, 0)  # (mode state, out, in)
     modes, records = zip(*mfsim.loss._round_outcomes(loss))
     kraus = np.tensordot(np.conj(modes), tensor, axes=1)

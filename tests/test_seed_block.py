@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfsim import harness
-from mfsim.harness import ProtocolConfig, run_trajectory, trajectory_rng
+from mfsim.harness import ProtocolConfig, emit_report, run_ensemble, run_trajectory, trajectory_rng
 from mfsim.statevec import RegisterLayout
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -165,6 +165,20 @@ def test_warm_trajectory_builds_no_seed_sequence_or_layout(monkeypatch):
 
     assert len(seeds) == 1  # the cold trajectory_rng: the warm trajectory read its chunk
     assert all(isinstance(s, ISeedSequence) and not isinstance(s, SeedSequence) for s in seeds)
+
+
+def test_audit_lines_do_not_depend_on_the_ensemble_size(tmp_path):
+    # 33 trajectories cross a 32-trajectory draw chunk, 257 a 256-index seed block
+    def audit_lines(trajectories):
+        out = tmp_path / str(trajectories)
+        cfg = ProtocolConfig.from_dict({**TROTTER3, "trajectories": trajectories})
+        emit_report(*run_ensemble(cfg), out)
+        return (out / "audit.jsonl").read_text().splitlines(keepends=True)
+
+    every = audit_lines(300)
+    assert len(every) == 300
+    for k in (1, 33, 257):
+        assert audit_lines(k) == every[:k], k
 
 
 def _child_loads_numpy_random(code: str) -> bool:

@@ -282,7 +282,7 @@ def projective_draw(state, qubits, projectors, rng):
     probs = np.array([np.vdot(b, b).real for b in branches])
     r = rng.random() * probs.sum()
     i = min(int(np.searchsorted(np.cumsum(probs), r, side="right")), len(probs) - 1)
-    return i, StateVector(branches[i] / np.sqrt(probs[i]), state.layout), float(probs[i])
+    return i, StateVector(branches[i] / np.sqrt(probs[i])), float(probs[i])
 
 
 def old_measure_and_reset(state, qubits, basis, rng):
@@ -410,7 +410,7 @@ class TestFidelity:
     def test_global_phase_invariant(self, rng):
         layout = RegisterLayout.build(2, n_photons=0)
         st = embedded_state(haar_random_amplitudes(2, rng), layout)
-        rotated = StateVector(1j * st.amplitudes, layout)
+        rotated = StateVector(1j * st.amplitudes)
         assert fidelity(st, rotated) == pytest.approx(1.0)
 
 
@@ -442,11 +442,11 @@ class TestApplyPauliString:
 
 class TestConstructorChecks:
     def test_public_constructor_converts_and_checks_shape(self):
-        layout = RegisterLayout.build(1, n_photons=0)
-        st = StateVector([1, 0], layout)
-        assert st.amplitudes.dtype == complex
-        with pytest.raises(UsageError):
-            StateVector(np.zeros(4), layout)
+        st = StateVector([1, 0])
+        assert st.amplitudes.dtype == complex and st.n_qubits == 1
+        for amplitudes in (np.zeros(6), np.zeros(1), np.zeros((2, 2)), 1.0):
+            with pytest.raises(UsageError):
+                StateVector(amplitudes)
 
     def test_updates_build_states_without_the_checks(self, rng, monkeypatch):
         layout = RegisterLayout.build(3, n_photons=0)
