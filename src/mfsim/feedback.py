@@ -12,7 +12,8 @@ Conjugating by u_k (x) u_l maps e^{it XX} to e^{it s_k x s_l} and X (x) 1,
 1 (x) X to s_k, s_l, and leaves a round's weights, records and forms
 unchanged, so one cache keeps every level of the chain, with its XX round's
 weights, records and forms, per (angle, eps rule, loss), shared by every axis
-pair and frame sign.
+pair and frame sign.  A level whose table was not built ahead builds its
+chain's next ``_BLOCK`` tables in one ``round_tables`` pass.
 The frame is one integer key, 1 << 2n | z << n | x over its x/z masks.  A
 round is one bisection into the level's weights, an XOR of the key when the
 branch flips a qubit (s_k / s_l at the pair sites), and a lookup of the
@@ -24,9 +25,10 @@ X^F e^{i Theta XX} = cos(Theta) X^F + i sin(Theta) X^(F ^ 3): on the pair,
 two of the strings I, s_k, s_l and s_k s_l, applied once per rotation.  A
 rotation makes one cache lookup, ``_rotation``, whose entry per (register
 size, sites, axes, angle, eps rule, loss) holds the pair's masks and strings,
-the first level and the rotation's operators by (Theta, F), emptied with the
-cache when all entries keep 4096; a changed frame comes from
-``pauli.frame_of_key``, the frame table keyed by the frame key.
+the first level and the rotation's operators by (Theta, F), each kept as the
+callable that applies it to the amplitudes, emptied with the cache when all
+entries keep 4096; a changed frame comes from ``pauli.frame_of_key``, the
+frame table keyed by the frame key.
 """
 
 from __future__ import annotations
@@ -43,10 +45,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import IncompleteRotationError, UsageError
-from .loss import LossConfig, round_branches
+from .loss import LossConfig, round_tables
 from .pauli import ErrorFrame, PauliAxis, frame_of_key, mask_text
 from .statevec import StateVector, apply_local  # noqa: F401 (perfbench traces it)
-from .statevec import _apply_pair_operator, _pair_operator, _pauli_pairs
+from .statevec import _pair_operator, _pauli_pairs
 
 _ANGLE_TOL = 1e-12
 _LOSSLESS = LossConfig()
@@ -106,9 +108,30 @@ class RoundRecord:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in values if v is not None}
 
 
+# The levels one ``round_tables`` pass builds tables for, fewer where the chain
+# closes: the seed-0 benchmark ensembles walk chains 11 to 13 levels deep.
+_BLOCK = 16
+# Tables built ahead, (cumulative, branches, forms) by (eps, loss key), until a
+# level takes its own.  It is mutated, never rebound: a trajectory rebinds no global.
+_waiting: dict[tuple, tuple] = {}
+
+
+def _tables_ahead(residual: float, mode: PolicyMode, loss: LossConfig) -> tuple:
+    """The table of ``residual``'s level; its chain's next levels' tables are left waiting."""
+    rule, eps = EpsilonPolicy(mode).eps_for, []
+    while len(eps) < _BLOCK and abs(residual) > _ANGLE_TOL:  # as ``_level`` doubles and closes
+        eps.append(rule(abs(residual)))
+        residual = reduce_angle(residual + residual)
+    tables = [(t.cumulative, t.branches, t.forms) for t in round_tables(eps, loss)]
+    _waiting.update(zip([(e, loss.key) for e in eps[1:]], tables[1:]))
+    return tables[0]
+
+
 class _Level:
     """One level of a residual's doubling chain: the residual it aims at and its round's branches.
 
+    It takes its table from ``_waiting`` or builds it with its successors'
+    (``_tables_ahead``), and keeps its weights, records and forms.
     ``records[i]`` maps a frame's key to the one record of branch i drawn
     here with that frame.  ``rows[s < 0][i]`` is what a round reads under
     frame sign s: (theta, f, flips, records[i], successor), with the
@@ -123,8 +146,8 @@ class _Level:
         self.residual, self.mode, self.loss = residual, mode, loss
         self.aimed = abs(residual)
         self.eps = EpsilonPolicy(mode).eps_for(self.aimed)
-        table = round_branches(self.eps, loss)  # the Kraus stack is not kept: rows read the forms
-        self.cumulative, self.branches, self.forms = table.cumulative, table.branches, table.forms
+        table = _waiting.pop((self.eps, loss.key), None) or _tables_ahead(residual, mode, loss)
+        self.cumulative, self.branches, self.forms = table
         self.records: tuple[dict[int, RoundRecord], ...] = tuple({} for _ in self.branches)
 
     @functools.cached_property
@@ -199,8 +222,9 @@ def _keep_operator(operators: dict, pairs: tuple, product: tuple):
     """Build and keep the operator for ``product`` = (Theta, F): X^F e^{i Theta XX} on the axes.
 
     X^F e^{i Theta XX} = cos(Theta) X^F + i sin(Theta) X^(F ^ 3), two of the
-    pair's four strings: a read-only dense matrix up to 4 qubits (4 KB at 4),
-    else two read-only coefficients with views of the pair's gather rows.
+    pair's four strings, kept as the callable that applies it to amplitudes:
+    the bound ``dot`` of a read-only dense matrix up to 4 qubits (4 KB at 4),
+    else a gather over two read-only coefficients and the pair's read-only rows.
     When all entries keep ``_OPERATOR_BOUND`` operators, ``_rotation`` is
     emptied and the count starts again.
     """
@@ -234,7 +258,8 @@ def realize_v_kl(
     rotation ends or runs out of rounds, the product of the drawn unitaries
     up to a power of i, X^F e^{i Theta XX} carried to (k, l), a sum of two of
     the Pauli strings I, s_k, s_l and s_k s_l on the pair, is applied once,
-    its operator kept in the rotation's entry by (Theta, F).  The output
+    its operator kept in the rotation's entry by (Theta, F) as the callable
+    that maps the input amplitudes to the output's, wrapped once.  The output
     equals the exact product of the drawn unitaries applied to the input up
     to a power of i; on success the frame-corrected output equals the exact
     rotation applied to the frame-corrected input, up to global phase.
@@ -284,10 +309,12 @@ def realize_v_kl(
             break
 
     product = angle, pauli
-    op = operators.get(product)
-    if op is None:
-        op = _keep_operator(operators, pairs, product)
-    state = _apply_pair_operator(state, op)
+    apply = operators.get(product)
+    if apply is None:
+        apply = _keep_operator(operators, pairs, product)
+    out = object.__new__(StateVector)  # the output's slots filled here, as StateVector._wrap does
+    out.amplitudes, out.n_qubits = apply(state.amplitudes), n
+    state = out
     if key != start:
         frame = frame_of_key(key)
     if level is None:

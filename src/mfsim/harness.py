@@ -51,6 +51,16 @@ _FRAMED_ORACLE_CAP = 256  # framed oracles a config keeps: 16 MB at the 12-qubit
 WORK_BUDGET = 2**40
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; ConfigError names a key it repeats (json.load keeps the last)."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     hamiltonian: HamiltonianSpec
@@ -152,9 +162,10 @@ class ProtocolConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "ProtocolConfig":
+        """Parse a JSON config file; ConfigError for an unreadable file, bad JSON or repeated key."""
         try:
             with open(path) as f:
-                data = json.load(f)
+                data = json.load(f, object_pairs_hook=_unique_keys)
         except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or integer literal
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(data)

@@ -20,7 +20,7 @@ import functools
 import itertools
 import math
 from dataclasses import astuple, dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -303,25 +303,48 @@ def round_branches(eps: float, loss: LossConfig) -> RoundTable:
     controller reads it for every axis pair (k, l): u e^{it XX} u^dag =
     e^{it s_k x s_l} and u X u^dag = s_k for u = u_k (x) u_l, so the
     weights, records and forms hold with s_k and s_l in place of X.
-    Lossless rounds list (minus, plus, hh, vv) in that order.  Each call builds
-    a table; a feedback level builds its own once and keeps all but the Kraus stack.
+    Lossless rounds list (minus, plus, hh, vv) in that order.  This is the
+    one-eps case of ``round_tables``, the one implementation; a feedback
+    level keeps all of a table but the Kraus stack, and builds the tables
+    of its chain's next levels with its own in one ``round_tables`` call.
     Raises UsageError for eps outside [0, 1] or NaN, and ProtocolError, naming ``loss``
     and eps, for a branch off its form by more than _FORM_ATOL.  A loss model whose draw
     would depend on the state fails earlier, once per config: ``_outcome_stack`` raises
     ProtocolError.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise UsageError(f"eps={eps} outside [0, 1]")
+    return round_tables((eps,), loss)[0]
+
+
+def round_tables(eps_values: Sequence[float], loss: LossConfig) -> tuple[RoundTable, ...]:
+    """``round_branches(eps, loss)`` for each of ``eps_values``, built in one pass over them all.
+
+    Every step is elementwise per branch, or a reduction over one table's own
+    branches: the running sums of its weights (sequential, as ``np.cumsum``)
+    and their total (numpy's pairwise sum over that table alone, the 1-D sum
+    a single table takes).  So each table is bit for bit the one its eps
+    gives alone, whatever the other eps are.  The first eps outside [0, 1]
+    raises UsageError before any table is built, and the first whose branches
+    are off their form raises ProtocolError naming it.
+    """
+    eps_values = tuple(eps_values)
+    for eps in eps_values:
+        if not 0.0 <= eps <= 1.0:
+            raise UsageError(f"eps={eps} outside [0, 1]")
     eigen, records = _outcome_stack(loss)
-    coeffs = [1.0 - eps, eps, math.sqrt(eps * (1.0 - eps))]
-    eigenvalues = np.dot(coeffs, eigen.reshape(3, -1)).reshape(-1, 4)  # K_b's on P_j
-    weights = (np.abs(eigenvalues) ** 2).sum(axis=1) / 4  # K^dag K = w 1, checked per config
+    eps = np.array(eps_values, dtype=float).reshape(-1, 1)
+    coeffs = np.hstack([1.0 - eps, eps, np.sqrt(eps * (1.0 - eps))])
+    eigenvalues = np.dot(coeffs, eigen.reshape(3, -1)).reshape(-1, *eigen.shape[1:])  # K's on P_j
+    weights = (np.abs(eigenvalues) ** 2).sum(axis=2) / 4  # K^dag K = w 1, checked per config
     keep = weights > _ZERO_BRANCH
-    eigenvalues, weights = eigenvalues[keep], weights[keep]
+    # The kept branches of every table in turn, (K, 4) and (K,): table e's are rows
+    # stops[e] - counts[e] to stops[e].  A zero branch adds 0.0 to the running sums.
+    eigenvalues, kept = eigenvalues[keep], weights[keep]
+    counts = keep.sum(axis=1).tolist()
+    stops = list(itertools.accumulate(counts))
+    totals = [kept[stop - count:stop].sum() for count, stop in zip(counts, stops)]
+    running = np.cumsum(np.where(keep, weights, 0.0), axis=1) / np.reshape(totals, (-1, 1))
     phases = eigenvalues / np.abs(eigenvalues)
     kraus = np.dot(eigenvalues, _SIGN_PROJECTORS.reshape(4, 16)).reshape(-1, 4, 4)
-    cumulative = (*(np.cumsum(weights[:-1]) / weights.sum()).tolist(), 1.0)
-    branches = tuple(r for r, k in zip(records, keep) if k)
     # i^g X^f e^{i theta XX} has phase i^g e^{i theta} on P_0, and e^{-2i theta} times the
     # signs of X^f relative to it on P_1 and P_2: the signs with real part >= 0 keep
     # |theta| <= pi/4, and for a Pauli branch the ratio is real, so theta is 0.0 exactly.
@@ -334,8 +357,15 @@ def round_branches(eps: float, loss: LossConfig) -> RoundTable:
     powers = np.rint(turn * (2 / np.pi)).astype(int) & 3
     form = (np.array([1, 1j, -1, -1j])[powers, None] * _STRING_SIGNS[strings]
             * np.exp(1j * np.outer(theta, _STRING_SIGNS[3])))
-    if np.abs(form - phases).max() > _FORM_ATOL:
+    off = np.abs(form - phases).max(axis=1) > _FORM_ATOL
+    if off.any():
+        eps = eps_values[keep.nonzero()[0][off.argmax()]]
         raise ProtocolError(f"round branches of {loss} at eps={eps} are not i^g X^f e^(i theta XX)")
     kraus.flags.writeable = False
-    return RoundTable(kraus, branches, cumulative, tuple(zip(theta.tolist(), powers.tolist(),
-                                                             strings.tolist())))
+    forms = tuple(zip(theta.tolist(), powers.tolist(), strings.tolist()))
+    ratios, tables = running[keep].tolist(), []
+    for row, count, stop in zip(keep.tolist(), counts, stops):
+        start = stop - count
+        tables.append(RoundTable(kraus[start:stop], tuple(itertools.compress(records, row)),
+                                 (*ratios[start:stop - 1], 1.0), forms[start:stop]))
+    return tuple(tables)

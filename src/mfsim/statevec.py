@@ -54,6 +54,13 @@ class StateVector:
             raise UsageError(f"amplitude vector has shape {shape}, expected (2^n,) with n >= 1")
         self.n_qubits = dim.bit_length() - 1
 
+    def __eq__(self, other):
+        """Equal sizes and equal amplitudes, entry for entry; a state stays unhashable."""
+        if not isinstance(other, StateVector):
+            return NotImplemented
+        return (self.n_qubits == other.n_qubits
+                and np.array_equal(self.amplitudes, other.amplitudes))
+
     @classmethod
     def _wrap(cls, amplitudes: np.ndarray, n_qubits: int) -> "StateVector":
         """A state around a complex array this module built: no copy and no shape check."""
@@ -130,9 +137,9 @@ def _pauli_stack(n: int, masks: tuple[tuple[int, int], ...]) -> tuple[np.ndarray
 
 # A register of at most this many qubits applies a pair's Pauli sum as one dense
 # 2^n x 2^n matrix-vector product; a larger one gathers the sum's two strings.
-# Per ``_apply_pair_operator`` call (best of 60 timeit runs on a 2-vCPU Intel
-# Xeon VM), the product took 0.9-1.2 us against 1.5-1.8 us for the gather at
-# 2-5 qubits, and lost at 6 (3.2 against 1.9 us) and 7 (5.4 against 2.7 us).
+# Per application (best of 60 timeit runs on a 2-vCPU Intel Xeon VM), the
+# product took 0.9-1.2 us against 1.5-1.8 us for the gather at 2-5 qubits,
+# and lost at 6 (3.2 against 1.9 us) and 7 (5.4 against 2.7 us).
 # The cap is 4, not 5, so that a cached matrix takes at most 4 KB.
 DENSE_PAIR_QUBITS = 4
 
@@ -155,38 +162,31 @@ def _pauli_pairs(n: int, masks: tuple[tuple[int, int], ...]) -> tuple:
 
 
 def _pair_operator(pairs: tuple, flips: int, c: complex, s: complex):
-    """The operator c P_flips + s P_(flips ^ 3) that ``_apply_pair_operator`` applies.
+    """The callable that maps a register's amplitudes to c P_flips psi + s P_(flips ^ 3) psi.
 
     ``pairs`` is ``_pauli_pairs(n, masks)``.  P_f is string f of I, A, B, AB;
     P_f and P_(f ^ 3) form pair (f ^ f >> 1) & 1, P_f first when f < 2.  A
-    dense pair gives the read-only matrix, its two scaled matrices added in
-    one ``ndarray.dot``; a gathered pair gives the read-only coefficients with
-    the pair's indices and phases.
+    dense pair gives the bound ``dot`` of the read-only matrix, its two scaled
+    matrices added in one ``ndarray.dot``; a gathered pair gives
+    ``_gather_pair`` bound to the read-only coefficients and the pair's
+    indices and phases.  The caller wraps the new amplitudes in its state.
     """
     coeffs = np.array((c, s) if flips < 2 else (s, c))
+    coeffs.flags.writeable = False
     pair = pairs[(flips ^ flips >> 1) & 1]
     if isinstance(pair, tuple):
-        coeffs.flags.writeable = False
-        return (coeffs, *pair)
+        return functools.partial(_gather_pair, coeffs, *pair)
     op = coeffs.dot(pair.reshape(2, -1)).reshape(pair.shape[1:])
     op.flags.writeable = False
-    return op
+    return op.dot
 
 
-def _apply_pair_operator(state: StateVector, op) -> StateVector:
-    """``op = _pair_operator(...)`` on the register its pairs were built for.
-
-    A matrix (up to ``DENSE_PAIR_QUBITS`` qubits) is one ``ndarray.dot``; a
-    tuple is one two-row gather, one in-place multiply by the phases and one
-    dot with the coefficients.  The form tells the two apart, not a property
-    read per call.
-    """
-    if not isinstance(op, tuple):
-        return StateVector._wrap(op.dot(state.amplitudes), state.n_qubits)
-    coeffs, index, phase = op
-    terms = state.amplitudes[index]
+def _gather_pair(coeffs: np.ndarray, index: np.ndarray, phase: np.ndarray,
+                 amplitudes: np.ndarray) -> np.ndarray:
+    """The new amplitudes: two strings' gathered rows times their phases, summed with ``coeffs``."""
+    terms = amplitudes[index]
     terms *= phase
-    return StateVector._wrap(coeffs.dot(terms), state.n_qubits)
+    return coeffs.dot(terms)
 
 
 def apply_local(state: StateVector, qubit: int, u: np.ndarray) -> StateVector:

@@ -46,6 +46,7 @@ def clear_module_caches():
     for module, name in MODULE_CACHES:
         getattr(module, name).cache_clear()
     mfsim.feedback._operators_kept[0] = 0
+    mfsim.feedback._waiting.clear()
 
 
 I2 = np.eye(2, dtype=complex)
@@ -166,6 +167,15 @@ def pair_masks(a, b, k, l):
     """The (x, z) masks of I, s_k, s_l and s_k s_l with s_k on site a and s_l on site b."""
     ka, lb = (k.x_bit << a, k.z_bit << a), (l.x_bit << b, l.z_bit << b)
     return ((0, 0), ka, lb, (ka[0] | lb[0], ka[1] | lb[1]))
+
+
+def applier_arrays(apply):
+    """The arrays a kept rotation operator reads: a dense matrix, or coefficients, rows, phases.
+
+    A kept operator is the bound ``dot`` of its matrix or ``statevec._gather_pair``
+    bound to its coefficients and its pair's gather rows.
+    """
+    return (apply.__self__,) if hasattr(apply, "__self__") else apply.args
 
 
 def four_string_sum(state, masks, coeffs):

@@ -1,4 +1,4 @@
-"""Real-valued config keys accept finite JSON numbers only; an unwritable output exits 2."""
+"""Real-valued config keys take finite JSON numbers only; a repeated key or unwritable output exits 2."""
 
 import json
 import math
@@ -8,6 +8,7 @@ import pytest
 from mfsim.cli import EXIT_CONFIG, EXIT_OK, main
 from mfsim.compiler import config_float
 from mfsim.errors import ConfigError
+from mfsim.harness import ProtocolConfig
 
 BASE = {
     "hamiltonian": {"n_qubits": 2, "terms": [{"sites": [0, 1], "axes": "XX", "coeff": 1.0}]},
@@ -77,3 +78,32 @@ def test_unwritable_output_directory_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"output error: {out}")
+
+
+REPEATED = {
+    # json.load keeps the last of a repeated key: these ran 3 steps and a coeff of 2.0
+    "n_steps": json.dumps(BASE).replace('"n_steps": 2', '"n_steps": 2, "n_steps": 3'),
+    "coeff": json.dumps(BASE).replace('"coeff": 1.0', '"coeff": 1.0, "coeff": 2.0'),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "schedule", "oracle"])
+@pytest.mark.parametrize("key", REPEATED, ids=["top-level", "nested"])
+def test_a_repeated_key_exits_2_naming_the_key(key, command, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(REPEATED[key])
+    args = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+    assert main([command, "--config", str(path), *args]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"repeated key '{key}'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_file_reads_as_its_dict_unless_a_key_repeats(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(BASE))
+    assert ProtocolConfig.from_json_file(path) == ProtocolConfig.from_dict(BASE)
+    path.write_text(json.dumps(BASE).replace('"sites"', '"sites": [0, 1], "sites"'))
+    with pytest.raises(ConfigError, match="repeated key 'sites'"):
+        ProtocolConfig.from_json_file(path)

@@ -285,13 +285,20 @@ def test_warm_trajectory_evolves_data_qubits_only(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     sizes = []
-    update = mfsim.feedback._apply_pair_operator
+    rotation = mfsim.feedback._rotation
 
-    def spy(state, *args):
-        sizes.append(state.amplitudes.size)
-        return update(state, *args)
+    def counted(apply):
+        def update(amplitudes):
+            sizes.append(amplitudes.size)
+            return apply(amplitudes)
+        return update
 
-    monkeypatch.setattr(mfsim.feedback, "_apply_pair_operator", spy)
+    def spy(*key):  # the entry with every kept operator counting the states it updates
+        *entry, operators = rotation(*key)
+        return (*entry, {product: counted(apply) for product, apply in operators.items()})
+
+    spy.cache_clear = rotation.cache_clear
+    monkeypatch.setattr(mfsim.feedback, "_rotation", spy)
     again = run_trajectory(cfg, 0)
     assert set(sizes) == {2**3}
     # one state update per rotation that took at least one round
@@ -539,7 +546,7 @@ def test_warm_rotation_looks_up_no_table(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a warm rotation looked up a round table")
 
-    monkeypatch.setattr(mfsim.feedback, "round_branches", forbidden)
+    monkeypatch.setattr(mfsim.feedback, "round_tables", forbidden)
     assert run_trajectory(cfg, 0).to_dict() == first.to_dict()
 
 

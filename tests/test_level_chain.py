@@ -18,7 +18,7 @@ from mfsim.emission import PhotonEncoding
 from mfsim.errors import IncompleteRotationError
 from mfsim.feedback import EpsilonPolicy, PolicyMode, _level, realize_v_kl, reduce_angle
 from mfsim.harness import ProtocolConfig, haar_random_amplitudes, run_trajectory
-from mfsim.loss import LossConfig, RoundTable, round_branches
+from mfsim.loss import LossConfig, RoundTable, round_branches, round_tables
 from mfsim.pauli import ErrorFrame, PauliAxis, PauliString, frame_conjugate_direction
 from mfsim.statevec import StateVector
 
@@ -133,9 +133,9 @@ def test_controller_reads_only_the_xx_table(monkeypatch, cold_caches):
 
     def spy(*args, **kwargs):
         calls.append((args, kwargs))
-        return round_branches(*args, **kwargs)
+        return round_tables(*args, **kwargs)
 
-    monkeypatch.setattr(mfsim.feedback, "round_branches", spy)
+    monkeypatch.setattr(mfsim.feedback, "round_tables", spy)
     run_trajectory(cfg, 0)
     assert calls and all(len(args) == 2 and not kwargs for args, kwargs in calls)
 

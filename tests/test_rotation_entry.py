@@ -28,7 +28,7 @@ from mfsim.loss import LossConfig
 from mfsim.pauli import ErrorFrame, PauliAxis, PauliString
 from mfsim.statevec import DENSE_PAIR_QUBITS, StateVector
 
-from conftest import MODULE_CACHES, clear_module_caches
+from conftest import MODULE_CACHES, applier_arrays, clear_module_caches
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import make_config  # noqa: E402
@@ -153,13 +153,15 @@ def test_kept_operators_are_read_only_and_shared(n, monkeypatch):
     kept = dict(operators)
     rotations()  # the same draws read the same operators
     assert operators.keys() == kept.keys() and all(operators[p] is kept[p] for p in kept)
-    for op in operators.values():
+    for apply in operators.values():
+        arrays = applier_arrays(apply)
+        assert not any(a.flags.writeable for a in arrays)
         if n <= DENSE_PAIR_QUBITS:
-            assert op.shape == (1 << n, 1 << n) and op.dtype == complex and not op.flags.writeable
+            (op,) = arrays
+            assert op.shape == (1 << n, 1 << n) and op.dtype == complex and apply == op.dot
         else:
-            coeffs, index, phase = op
+            coeffs, index, phase = arrays
             assert coeffs.shape == (2,) and index.shape == phase.shape == (2, 1 << n)
-            assert not any(a.flags.writeable for a in op)
 
 
 def reports(name, tmp_path):
@@ -178,24 +180,29 @@ def test_a_two_operator_bound_changes_no_byte(name, tmp_path, monkeypatch):
     monkeypatch.setattr(mfsim.feedback, "_OPERATOR_BOUND", 2)
     keys, built, counts = [], [], []
     entries = spy_entries(monkeypatch, keys)
-    keep, apply = mfsim.feedback._keep_operator, mfsim.feedback._apply_pair_operator
+    keep, pair_operator = mfsim.feedback._keep_operator, mfsim.feedback._pair_operator
 
     def counted_keep(*args):
         built.append(args)
         return keep(*args)
 
-    def counted_apply(state, op):
-        counts.append(mfsim.feedback._operators_kept[0])
-        return apply(state, op)
+    def counted_pair_operator(*args):
+        apply = pair_operator(*args)
+
+        def counted(amplitudes):  # each state update, kept operator or new, comes through here
+            counts.append(mfsim.feedback._operators_kept[0])
+            return apply(amplitudes)
+
+        counted.apply = apply
+        return counted
 
     monkeypatch.setattr(mfsim.feedback, "_keep_operator", counted_keep)
-    monkeypatch.setattr(mfsim.feedback, "_apply_pair_operator", counted_apply)
+    monkeypatch.setattr(mfsim.feedback, "_pair_operator", counted_pair_operator)
     assert reports(name, tmp_path / "two") == want
     # each time two operators were kept, the entries were dropped and the count restarted
     assert len(built) > 2 and max(counts) == 1
     for operators, _, product in built:  # every operator built was kept, read-only
-        op = operators[product]
-        assert not any(a.flags.writeable for a in (op if isinstance(op, tuple) else (op,)))
+        assert not any(a.flags.writeable for a in applier_arrays(operators[product].apply))
     monkeypatch.undo()  # the cached function again, past the spy
     latest = dict(zip(keys, entries))
     live = [e for key, e in latest.items() if mfsim.feedback._rotation(*key) is e]

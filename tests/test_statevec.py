@@ -448,6 +448,16 @@ class TestConstructorChecks:
             with pytest.raises(UsageError):
                 StateVector(amplitudes)
 
+    def test_states_compare_by_size_and_amplitudes_and_stay_unhashable(self):
+        state = StateVector([1, 0])
+        assert (state == StateVector([1, 0])) is True and (state != StateVector([1, 0])) is False
+        assert state == StateVector._wrap(np.array([1, 0], dtype=complex), 1)
+        assert state != StateVector([0, 1]) and state != StateVector([1, 0, 0, 0])
+        assert state != StateVector([1, 1e-300])  # exact, entry for entry
+        assert state != [1, 0] and state != "state"
+        with pytest.raises(TypeError):
+            hash(state)
+
     def test_updates_build_states_without_the_checks(self, rng, monkeypatch):
         layout = RegisterLayout.build(3, n_photons=0)
         st = embedded_state(haar_random_amplitudes(3, rng), layout)
