@@ -265,8 +265,10 @@ def round_budget(plan: TrotterPlan, confidence: float = 0.99) -> dict:
     serial_rounds: the sum of 1/q over all rotations.  parallel_depth: per
     layer, the smallest round allowance r with (1 - (1-q_min)^r)^g >=
     confidence for the g rotations in the layer that draw rounds, summed
-    over layers and sweeps.
+    over layers and sweeps.  ``confidence`` must lie in (0, 1).
     """
+    if not 0.0 < confidence < 1.0:
+        raise UsageError(f"confidence must lie in (0, 1), got {confidence}")
     serial_per_sweep = 0.0
     depth_per_sweep = 0
     for layer in plan.layers:

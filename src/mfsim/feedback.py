@@ -14,10 +14,10 @@ unchanged, so one cache keeps every level of the chain, with its XX round's
 weights, records and forms, per (angle, eps rule, loss), shared by every axis
 pair and frame sign.  A level whose table was not built ahead builds its
 chain's next ``_BLOCK`` tables in one ``round_tables`` pass.
-The frame is one integer key, 1 << 2n | z << n | x over its x/z masks.  A
-round is one bisection into the level's weights, an XOR of the key when the
-branch flips a qubit (s_k / s_l at the pair sites), and a lookup of the
-level's one record for that branch and key.  Every branch's unitary is
+The frame is one integer, its Pauli string's ``key`` (``pauli`` alone knows
+its layout).  A round is one bisection into the level's weights, an XOR of
+the key when the branch flips a qubit (s_k / s_l at the pair sites), and a
+lookup of the level's one record for that branch and key.  Every branch's unitary is
 i^g X^f e^{i theta XX} for its form (theta, g, f), and all of them commute.
 The state is kept up to global phase, as the frame is, so a round adds theta
 to an angle and XORs f into a flip code.  The product, up to a power of i, is
@@ -27,8 +27,8 @@ rotation makes one cache lookup, ``_rotation``, whose entry per (register
 size, sites, axes, angle, eps rule, loss) holds the pair's masks and strings,
 the first level and the rotation's operators by (Theta, F), each kept as the
 callable that applies it to the amplitudes, emptied with the cache when all
-entries keep 4096; a changed frame comes from ``pauli.frame_of_key``, the
-frame table keyed by the frame key.
+entries keep 4096; a changed frame, and a new record's frame text, come
+from ``pauli.frame_of_key``, the string table keyed by the frame key.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import IncompleteRotationError, UsageError
 from .loss import LossConfig, round_tables
-from .pauli import ErrorFrame, PauliAxis, frame_of_key, mask_text
+from .pauli import PauliAxis, PauliString, frame_of_key
 from .statevec import StateVector, apply_local  # noqa: F401 (perfbench traces it)
 from .statevec import _pair_operator, _pauli_pairs
 
@@ -74,6 +74,10 @@ class EpsilonPolicy:
 
     mode: PolicyMode = PolicyMode.RESIDUAL_EXACT
     max_rounds: int = 64
+
+    def __post_init__(self):
+        if not isinstance(self.mode, PolicyMode):
+            raise UsageError(f"policy.mode must be a PolicyMode member, got {self.mode!r}")
 
     def eps_for(self, aimed: float) -> float:
         if self.mode is PolicyMode.RESIDUAL_EXACT:
@@ -175,26 +179,24 @@ def _level(angle: float, mode: PolicyMode, loss_key: tuple) -> Optional[_Level]:
 def _pair_record(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis) -> tuple:
     """The checked frame-key masks of a rotation on sites (a, b) of n qubits; its Pauli strings.
 
-    ``keys[c]`` is z << n | x for the masks of I, s_k, s_l and s_k s_l on the
-    pair: a branch with flip code c XORs it into the frame key.  ``swap`` is
-    the target s_k s_l's key with x and z exchanged, so a frame key's parity
-    on it is the frame's anticommutation with the target.  The four strings
-    are the Pauli sum's terms, kept as ``statevec._pauli_pairs``: dense up to
-    4 qubits (16 KB at 4), else gather rows (96 * 2^n bytes, 384 KB at the
-    12-qubit cap).  Every key is kept, as ``_level`` keeps every angle.
+    The strings I, s_k, s_l and s_k s_l on the pair come from
+    ``PauliString.embed``, which checks the sites.  ``keys[c]`` is string c's
+    ``xor_mask``: a branch with flip code c XORs it into the frame key.
+    ``swap`` is the target s_k s_l's ``anticommutation_mask``, so a frame
+    key's parity on it is the frame's anticommutation with the target.  The
+    four strings are the Pauli sum's terms, kept as ``statevec._pauli_pairs``:
+    dense up to 4 qubits (16 KB at 4), else gather rows (96 * 2^n bytes,
+    384 KB at the 12-qubit cap).  Every key is kept, as ``_level`` keeps every
+    angle.
     Bad input raises on every call, since an exception is not cached.
     """
     if k is PauliAxis.I or l is PauliAxis.I:
         raise UsageError("rotation axes must be X, Y, or Z")
     if a == b:
         raise UsageError("rotation needs two distinct qubits")
-    for site in (a, b):
-        if not 0 <= site < n:
-            raise UsageError(f"site {site} outside register of size {n}")
-    ka, lb = (k.x_bit << a, k.z_bit << a), (l.x_bit << b, l.z_bit << b)
-    flips = ((0, 0), ka, lb, (ka[0] | lb[0], ka[1] | lb[1]))
-    keys = tuple(z << n | x for x, z in flips)
-    return keys, flips[3][0] << n | flips[3][1], _pauli_pairs(n, flips)
+    strings = [PauliString.embed(n, sites) for sites in ({}, {a: k}, {b: l}, {a: k, b: l})]
+    return (tuple(p.xor_mask for p in strings), strings[3].anticommutation_mask,
+            _pauli_pairs(n, [(p.x, p.z) for p in strings]))
 
 
 @functools.cache
@@ -244,10 +246,10 @@ def realize_v_kl(
     l: PauliAxis,
     t_target: float,
     policy: EpsilonPolicy,
-    frame: ErrorFrame,
+    frame: PauliString,
     rng,
     loss: Optional[LossConfig] = None,
-) -> tuple[StateVector, ErrorFrame, list[RoundRecord]]:
+) -> tuple[StateVector, PauliString, list[RoundRecord]]:
     """Realize e^{i t s_k x s_l} on ``pair`` modulo the tracked error frame.
 
     Each round draws a branch of the XX table ``round_branches(eps, loss)``
@@ -274,7 +276,7 @@ def realize_v_kl(
     # The leading bit keeps the keys of registers of different sizes apart in
     # the records of the levels they share.
     key = start = frame.key
-    if key >> 2 * n != 1:
+    if frame.n != n:
         raise UsageError(f"length mismatch: {frame.n} vs {n}")
     # A round's byproducts s_k (x) 1 and 1 (x) s_l both commute with the target
     # s_k (x) s_l, so the frame's commutation with it, and this sign, hold for
@@ -300,10 +302,9 @@ def realize_v_kl(
             key ^= keys[code]
         rec = by_key.get(key)
         if rec is None:
-            out, mask = current.branches[i], ~(-1 << n)
+            out = current.branches[i]
             rec = by_key[key] = RoundRecord(out.label, current.eps, current.aimed,
-                                            mask_text(n, key & mask, key >> n & mask),
-                                            out.b_bits, out.lost)
+                                            frame_of_key(key).text, out.b_bits, out.lost)
         append(rec)
         if level is None:
             break
@@ -329,10 +330,10 @@ def realize_v(
     pair: tuple[int, int],
     t_target: float,
     policy: EpsilonPolicy,
-    frame: ErrorFrame,
+    frame: PauliString,
     rng: np.random.Generator,
     loss: Optional[LossConfig] = None,
-) -> tuple[StateVector, ErrorFrame, list[RoundRecord]]:
+) -> tuple[StateVector, PauliString, list[RoundRecord]]:
     """Realize e^{it XX} on ``pair`` modulo the tracked error frame."""
     return realize_v_kl(
         state, pair, PauliAxis.X, PauliAxis.X, t_target, policy, frame, rng, loss

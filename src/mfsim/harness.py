@@ -35,7 +35,7 @@ from .emission import BeamSplitterOutcome, PhotonEncoding, outcome_probabilities
 from .errors import ConfigError, IncompleteRotationError, ResourceError
 from .feedback import EpsilonPolicy, PolicyMode, RoundRecord, realize_v, realize_v_kl
 from .loss import CNOT_MATRIX, LossConfig, round_branches
-from .pauli import ErrorFrame
+from .pauli import PauliString
 from .statevec import (
     DEFAULT_QUBIT_CAP,
     StateVector,
@@ -157,7 +157,7 @@ class ProtocolConfig:
 
     @functools.cached_property
     def framed_oracles(self) -> dict:
-        """P|oracle> per final frame's masks (x, z), read-only; _FRAMED_ORACLE_CAP at most."""
+        """P|oracle> per final frame's key, read-only; _FRAMED_ORACLE_CAP at most."""
         return {}
 
     @classmethod
@@ -403,7 +403,7 @@ def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
     """Execute the compiled plan once, then compare against the exact oracle."""
     rng = _trajectory_uniforms(cfg.master_seed, index)
     state = build_register(cfg)
-    frame = ErrorFrame.identity(state.n_qubits)
+    frame = PauliString.identity(state.n_qubits)
     all_records: list[RoundRecord] = []
     rounds_per_rotation: list[int] = []
     failure_reason = None
@@ -423,12 +423,12 @@ def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
         failure_reason = f"rotation on {sites} incomplete, residual {exc.residual:.3e}"
 
     # |<P oracle|psi>|^2 = |<oracle|P psi>|^2 for the frame's string P
-    oracle = cfg.framed_oracles.get((frame.x, frame.z))
+    oracle = cfg.framed_oracles.get(frame.key)
     if oracle is None:  # a new frame; past the cap, framed again by every trajectory
         oracle = apply_pauli_string(StateVector(cfg.oracle_state), frame).amplitudes
         oracle.flags.writeable = False
         if len(cfg.framed_oracles) < _FRAMED_ORACLE_CAP:
-            cfg.framed_oracles[frame.x, frame.z] = oracle
+            cfg.framed_oracles[frame.key] = oracle
     fid = float(abs(np.vdot(oracle, state.amplitudes)) ** 2)
 
     histogram: dict[str, int] = {}
@@ -447,7 +447,7 @@ def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
         rounds_per_rotation=rounds_per_rotation,
         outcome_histogram=histogram,
         photon_retry_counts=retry_counts,
-        final_frame=str(frame),
+        final_frame=frame.text,
         fidelity_vs_oracle=fid,
         failure_reason=failure_reason,
         records=all_records,
@@ -571,7 +571,7 @@ def cnot_demo(
     for i, data_amp in enumerate(_cnot_demo_inputs()):
         rng = trajectory_rng(master_seed, i)
         state = _apply(_apply(StateVector(data_amp), (0,), b1), (1,), b2)
-        frame = ErrorFrame.identity(2)
+        frame = PauliString.identity(2)
         state, frame, recs = realize_v(state, (0, 1), math.pi / 4, policy, frame, rng, loss)
         total_rounds += len(recs)
         state = apply_pauli_string(state, frame)

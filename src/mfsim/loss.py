@@ -57,6 +57,10 @@ class LossConfig:
     def __post_init__(self):
         if not 0.0 <= self.p_loss <= 1.0:
             raise UsageError(f"loss.p_loss must lie in [0, 1], got {self.p_loss}")
+        if not isinstance(self.encoding, PhotonEncoding):
+            raise UsageError(f"loss.encoding must be a PhotonEncoding member, got {self.encoding!r}")
+        if not isinstance(self.backup_enabled, bool):
+            raise UsageError(f"loss.backup_enabled must be a bool, got {self.backup_enabled!r}")
         if self.backup_enabled and self.encoding is not PhotonEncoding.POLARIZATION:
             raise UsageError("loss.backup_enabled requires loss.encoding 'polarization'")
 

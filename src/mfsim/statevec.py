@@ -277,7 +277,7 @@ def apply_pauli_string(state: StateVector, p: PauliString) -> StateVector:
     if len(p) != state.n_qubits:
         raise UsageError("Pauli string length does not match register")
     out = state
-    for q, letter in enumerate(str(p)):  # the cached ``mask_text``, not PauliAxis members
+    for q, letter in enumerate(p.text):  # the string's cached text, not PauliAxis members
         if letter != "I":
             out = apply_local(out, q, _AXIS_MATRICES[letter])
     return out

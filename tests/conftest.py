@@ -13,6 +13,7 @@ import mfsim.statevec
 from mfsim.feedback import reduce_angle
 from mfsim.harness import haar_random_amplitudes
 from mfsim.loss import LossConfig, round_branches
+from mfsim.pauli import PauliAxis, PauliString, frame_conjugate_direction
 from mfsim.statevec import (
     RegisterLayout,
     StateVector,
@@ -28,7 +29,6 @@ MODULE_CACHES = (
     (mfsim.feedback, "_level"),
     (mfsim.feedback, "_pair_record"),
     (mfsim.pauli, "frame_of_key"),
-    (mfsim.pauli, "mask_text"),
     (mfsim.harness, "_seed_block"),
     (mfsim.harness, "_seed_words"),
     (mfsim.harness, "_draw_block"),
@@ -163,10 +163,20 @@ def classify_round_effect(
     return RoundEffect.UNRESOLVED
 
 
+def pair_strings(a, b, k, l, n=None):
+    """I, s_k, s_l and s_k s_l with s_k on site a and s_l on site b, read from their text.
+
+    They act on ``n`` qubits, by default the fewest that hold both sites.
+    """
+    def text(sites):
+        return "".join(sites.get(q, PauliAxis.I).value for q in range(n or max(a, b) + 1))
+
+    return [PauliString.from_str(text(s)) for s in ({}, {a: k}, {b: l}, {a: k, b: l})]
+
+
 def pair_masks(a, b, k, l):
     """The (x, z) masks of I, s_k, s_l and s_k s_l with s_k on site a and s_l on site b."""
-    ka, lb = (k.x_bit << a, k.z_bit << a), (l.x_bit << b, l.z_bit << b)
-    return ((0, 0), ka, lb, (ka[0] | lb[0], ka[1] | lb[1]))
+    return tuple((p.x, p.z) for p in pair_strings(a, b, k, l))
 
 
 def applier_arrays(apply):
@@ -198,16 +208,13 @@ def reference_rotation(state, pair, k, l, t, policy, frame, rng, loss=None):
     branch's operator from ``kraus`` (never from its form) and multiplies the
     4x4 unitaries in the XX picture; their coefficients on I, X (x) 1, 1 (x) X
     and XX are those of I, s_k, s_l and s_k s_l, applied as ``four_string_sum``
-    over ``pair_masks``, which also give the frame keys.  Returns (state, frame key,
-    outcomes, closed), with the frame key 1 << 2n | z << n | x as
-    ``realize_v_kl`` keeps it.
+    over ``pair_masks``.  Each branch multiplies the frame by its byproduct
+    string (``PauliString.updated``), and the frame's commutation with s_k s_l
+    picks the sign.  Returns (state, frame, outcomes, closed).
     """
-    n, (a, b) = state.n_qubits, pair
-    masks = pair_masks(a, b, k, l)
-    keys = [z << n | x for x, z in masks]
-    swap = masks[3][0] << n | masks[3][1]
-    key = frame.key
-    sign = -1 if (key & swap).bit_count() & 1 else 1
+    strings = pair_strings(*pair, k, l, state.n_qubits)
+    masks = [(p.x, p.z) for p in strings]
+    sign = frame_conjugate_direction(frame, strings[3])
     loss = loss or LossConfig()
     residual, product, outcomes = reduce_angle(t), np.eye(4, dtype=complex), []
     for _ in range(policy.max_rounds):
@@ -218,14 +225,14 @@ def reference_rotation(state, pair, k, l, t, policy, frame, rng, loss=None):
         branch, kraus = table.branches[i], table.kraus[i]
         weight = np.trace(kraus.conj().T @ kraus).real / 4
         product = kraus / np.sqrt(weight) @ product
-        key ^= keys[branch.flips[0] + 2 * branch.flips[1]]
+        frame = frame.updated(strings[branch.flips[0] + 2 * branch.flips[1]])
         outcomes.append(branch.label)
         if branch.direction is not None:
             closes = sign * branch.direction == (1 if residual > 0 else -1)
             residual = 0.0 if closes else reduce_angle(residual + residual)
     coeffs = [np.trace(s @ product) / 4 for s in XX_STRINGS]
     state = four_string_sum(state, masks, coeffs)
-    return state, key, outcomes, abs(residual) <= 1e-12
+    return state, frame, outcomes, abs(residual) <= 1e-12
 
 
 @pytest.fixture

@@ -46,7 +46,7 @@ def frame_with_sign(n, axes, sign):
 
 def compare(state, axes, t, policy, frame, seed, loss):
     """Run one rotation both ways on the same uniforms; return whether it closed."""
-    want, want_key, outcomes, closed = reference_rotation(
+    want, want_frame, outcomes, closed = reference_rotation(
         state, PAIR, *axes, t, policy, frame, np.random.default_rng(seed), loss)
     try:
         got, got_frame, records = realize_v_kl(state, PAIR, *axes, t, policy, frame,
@@ -56,7 +56,7 @@ def compare(state, axes, t, policy, frame, seed, loss):
         assert not closed
         got, got_frame, records = err.state, err.frame, err.records
     assert_equal_up_to_power_of_i(got, want, 1e-13)
-    assert got_frame.key == want_key
+    assert got_frame == want_frame
     assert [r.outcome for r in records] == outcomes
     return closed
 

@@ -190,6 +190,15 @@ class TestRoundBudget:
             expected += math.ceil(math.log(1 - per_gate) / math.log(1 - q))
         assert round_budget(plan)["parallel_depth"] == expected
 
+    @pytest.mark.parametrize("confidence", [1.0, 0.0, 1.5, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_confidence_outside_the_open_unit_interval_raises(self, confidence, empty):
+        # a plan with no rotation reads no confidence, and still rejects it
+        h = HamiltonianSpec(2, (PairTerm((0, 1), XX, 1.0),))
+        plan = TrotterPlan(2, 3, ()) if empty else compile_plan(h, 0.4, 1)
+        with pytest.raises(UsageError, match="confidence must lie in \\(0, 1\\), got"):
+            round_budget(plan, confidence)
+
     def test_empty_plan(self):
         plan = TrotterPlan(2, 3, ())
         assert round_budget(plan) == {

@@ -61,6 +61,15 @@ class TestEpsilonPolicy:
         pol = EpsilonPolicy(PolicyMode.PAPER_DOUBLING)
         assert pol.eps_for(0.2) == pytest.approx(math.sin(0.2))
 
+    @pytest.mark.parametrize("mode", ["residual_exact", "paper_doubling", None, 0])
+    def test_mode_must_be_a_member(self, mode):
+        # a string would fail ``is PolicyMode.RESIDUAL_EXACT`` and pick the paper's sine rule
+        with pytest.raises(UsageError, match=f"policy.mode must be a PolicyMode member, "
+                                             f"got {mode!r}"):
+            EpsilonPolicy(mode=mode)
+        s, c = math.sin(0.3), math.cos(0.3)
+        assert EpsilonPolicy(PolicyMode.RESIDUAL_EXACT).eps_for(0.3) == s / (s + c)
+
 
 class TestRealizeV:
     def test_zero_target_returns_immediately(self, rng):

@@ -76,7 +76,7 @@ def test_one_framed_oracle_per_distinct_final_frame(name):
     frames = {s.final_frame for s in stats}
     assert len(cfg.framed_oracles) == len(frames) > 1
     n = cfg.hamiltonian.n_qubits
-    assert set(cfg.framed_oracles) == {(p.x, p.z) for p in map(PauliString.from_str, frames)}
+    assert set(cfg.framed_oracles) == {p.key for p in map(PauliString.from_str, frames)}
     for framed in cfg.framed_oracles.values():
         assert not framed.flags.writeable and framed.shape == (1 << n,)
         assert np.linalg.norm(framed) == pytest.approx(1.0, abs=1e-12)

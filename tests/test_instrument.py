@@ -23,6 +23,7 @@ import mfsim.emission
 import mfsim.feedback
 import mfsim.harness
 import mfsim.loss
+import mfsim.pauli
 import mfsim.statevec
 from mfsim.emission import PhotonEncoding, beamsplitter_measure, joint_emission
 from mfsim.errors import IncompleteRotationError, ProtocolError, UsageError
@@ -340,12 +341,14 @@ def test_warm_trotter_trajectory_hashes_and_builds_no_config_or_frame(monkeypatc
 
     for cls in (EpsilonPolicy, LossConfig):
         spy(cls, "__hash__")
-    for cls in (EpsilonPolicy, LossConfig, ErrorFrame, PauliString, RoundRecord):
+    for cls in (EpsilonPolicy, LossConfig, PauliString, RoundRecord):
         spy(cls, "__init__")
-    monkeypatch.setattr(PauliString, "from_masks", lambda *args: calls.append("from_masks"))
+    built = mfsim.pauli.frame_of_key.cache_info().misses
     again = run_trajectory(cfg, 0)
     assert again.rounds_total > 32 and again.final_frame != "III"
     assert calls == []
+    # every frame, the identity it starts from included, is a string the table holds
+    assert mfsim.pauli.frame_of_key.cache_info().misses == built
 
 
 @pytest.fixture

@@ -42,6 +42,22 @@ class TestLossConfig:
         with pytest.raises(UsageError):
             LossConfig(p_loss=0.1, encoding=PhotonEncoding.OCCUPATION, backup_enabled=True)
 
+    @pytest.mark.parametrize("encoding", ["polarization", "occupation", "bogus", None, 1])
+    def test_encoding_must_be_a_member(self, encoding):
+        # a string would fail ``is PhotonEncoding.POLARIZATION`` and build the silent-loss table
+        with pytest.raises(UsageError, match=f"loss.encoding must be a PhotonEncoding member, "
+                                             f"got {encoding!r}"):
+            LossConfig(p_loss=0.3, encoding=encoding)
+        assert LossConfig(p_loss=0.3, encoding=PhotonEncoding.POLARIZATION).key == (
+            0.3, PhotonEncoding.POLARIZATION, False)
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, np.bool_(True)])
+    def test_backup_enabled_must_be_a_bool(self, flag):
+        # "false" is truthy and would build the backup table
+        with pytest.raises(UsageError, match="loss.backup_enabled must be a bool"):
+            LossConfig(p_loss=0.3, backup_enabled=flag)
+        assert LossConfig(p_loss=0.3, backup_enabled=True).backup_enabled is True
+
 
 class TestBackupEntangle:
     def test_amplitude_split(self, rng):

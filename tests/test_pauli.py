@@ -156,19 +156,54 @@ def test_frame_from_masks_is_one_shared_frame_per_masks():
 
 
 def test_a_frame_is_its_pauli_string_and_one_object_per_key():
+    assert ErrorFrame is PauliString
     key = 1 << 6 | 0b011 << 3 | 0b101
+    frame_of_key.cache_clear()  # a string another test rendered would hold its text
     frame = frame_of_key(key)
     assert isinstance(frame, PauliString) and frame.byproduct is frame
-    assert vars(frame) == {"n": 3, "x": 0b101, "z": 0b011, "key": key}  # no string inside
-    assert frame is frame_of_key(key) is ErrorFrame.from_masks(3, 0b101, 0b011)
+    assert vars(frame) == {"n": 3, "x": 0b101, "z": 0b011, "key": key}  # no text until read
+    assert frame is frame_of_key(key) is PauliString.from_masks(3, 0b101, 0b011)
     built = ErrorFrame(PauliString.from_str("YZX"))
     assert str(frame) == "YZX" and built == frame and built.key == key
+    assert vars(frame)["text"] == "YZX"  # rendered once, then kept by the string
+
+
+def test_a_frame_and_the_string_of_the_same_masks_are_one_object():
+    for n, x, z in [(1, 1, 0), (2, 0, 0), (4, 0b1010, 0b0110)]:
+        string, frame = PauliString.from_masks(n, x, z), ErrorFrame.from_masks(n, x, z)
+        assert frame is string and frame == string and hash(frame) == hash(string)
+        built = PauliString.embed(n, {q: PauliAxis(c) for q, c in enumerate(str(string))})
+        assert built is string
+        assert PauliString.identity(n) is ErrorFrame.identity(n)
+        assert frame.updated(string) is PauliString.identity(n)
+    assert vars(PauliString)["from_masks"] is vars(ErrorFrame)["from_masks"]
+
+
+def old_mask_text(n, x, z):
+    """The text the module's former ``mask_text`` cache formatted from masks (x, z)."""
+    return "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in range(n))
+
+
+def test_the_cached_text_is_the_former_mask_text_on_up_to_four_qubits():
+    for n in range(1, 5):
+        for x, z in itertools.product(range(1 << n), repeat=2):
+            p = PauliString.from_masks(n, x, z)
+            assert str(p) == p.text == old_mask_text(n, x, z)
+            assert p.text is p.text  # computed once
+            assert PauliString.from_str(p.text) == p
 
 
 @pytest.mark.parametrize("x, z", [(4, 0), (0, 5), (-1, 0)])
 def test_frame_from_masks_outside_the_register_raises(x, z):
     with pytest.raises(UsageError, match=f"masks \\({x}, {z}\\) outside register of size 2"):
         ErrorFrame.from_masks(2, x, z)
+
+
+@pytest.mark.parametrize("x, z", [(4, 0), (0, 5), (-1, 0)])
+def test_string_from_masks_outside_the_register_raises(x, z):
+    # (4, 0) would otherwise read "II" on 2 qubits and not be the identity
+    with pytest.raises(UsageError, match=f"masks \\({x}, {z}\\) outside register of size 2"):
+        PauliString.from_masks(2, x, z)
 
 
 def test_frame_update_length_mismatch():

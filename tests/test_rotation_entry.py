@@ -60,8 +60,8 @@ def test_the_cache_helper_clears_every_package_cache():
 
 def test_the_scan_sees_a_cache_in_a_class(monkeypatch):
     probe = functools.cache(lambda cls: None)
-    monkeypatch.setattr(mfsim.pauli.ErrorFrame, "probe", classmethod(probe), raising=False)
-    assert package_caches()[id(probe)] == "mfsim.pauli.ErrorFrame.probe"
+    monkeypatch.setattr(mfsim.pauli.PauliString, "probe", classmethod(probe), raising=False)
+    assert package_caches()[id(probe)] == "mfsim.pauli.PauliString.probe"
 
 
 def spy_entries(monkeypatch, keys=None):
