@@ -10,82 +10,41 @@ schedule.
 from __future__ import annotations
 
 import math
-import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .emission import BeamSplitterOutcome, outcome_probabilities
-from .errors import ConfigError, UsageError
+from .errors import UsageError, config_errors, config_float, config_int, config_object
 from .feedback import _ANGLE_TOL, EpsilonPolicy
 from .pauli import PauliAxis, PauliString
 
 
-def config_int(value, key: str) -> int:
-    """A config integer: an int or an integral float such as 16.0, never a bool."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def config_float(value, key: str) -> float:
-    """A config real: a finite JSON number (integer or fraction), never a bool or a string."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            value = float(value)
-        except OverflowError:  # an integer literal past the largest float
-            value = math.inf
-    if not isinstance(value, float) or not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite and a JSON number, got {value!r}")
-    return value
-
-
-def config_bool(value, key: str) -> bool:
-    """A config flag: JSON true or false only."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def config_choice(enum, value, key: str):
-    """A config choice: the member of ``enum`` whose value is ``value``."""
-    try:
-        return enum(value)
-    except ValueError:
-        values = ", ".join(repr(m.value) for m in enum)
-        raise ConfigError(f"{key} must be one of {values}, got {value!r}") from None
-
-
-def config_object(d, path: str, optional=(), required=()) -> dict:
-    """``d``, once checked to be an object with the keys ``required`` and ``optional`` ones only."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path or 'configuration'} must be an object")
-    prefix = f"{path}." if path else ""
-    unknown = sorted(set(d) - set(optional) - set(required))
-    if unknown:
-        raise ConfigError("unknown key " + ", ".join(prefix + str(k) for k in unknown))
-    missing = [k for k in required if k not in d]
-    if missing:
-        raise ConfigError("missing key " + ", ".join(prefix + k for k in missing))
-    return d
-
-
 @dataclass(frozen=True)
 class PairTerm:
+    """coeff * s_k (x) s_l, ``axes`` as members or letters ("XY"); UsageError names the field."""
+
     sites: tuple[int, int]
     axes: tuple[PauliAxis, PauliAxis]
     coeff: float
 
     def __post_init__(self):
-        if self.sites[0] == self.sites[1]:
-            raise UsageError("term sites must be distinct")
-        if PauliAxis.I in self.axes:
-            raise UsageError("term axes must be X, Y, or Z")
-        if not math.isfinite(self.coeff):
-            raise UsageError("term coefficient must be finite")
+        if not isinstance(self.sites, (list, tuple)) or len(self.sites) != 2:
+            raise UsageError(f"sites must be a list of two sites, got {self.sites!r}")
+        sites = tuple(config_int(s, "sites") for s in self.sites)
+        if sites[0] == sites[1]:
+            raise UsageError(f"sites must be two distinct sites, got {self.sites!r}")
+        axes = self.axes
+        if isinstance(axes, str):  # the config's letters
+            axes = [PauliAxis.__members__.get(a) for a in axes]
+        if not (isinstance(axes, (list, tuple)) and len(axes) == 2
+                and all(a in (PauliAxis.X, PauliAxis.Y, PauliAxis.Z) for a in axes)):
+            raise UsageError(f"axes must be two letters of X, Y, Z, got {self.axes!r}")
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "axes", tuple(axes))
+        object.__setattr__(self, "coeff", config_float(self.coeff, "coeff"))
 
     def to_dict(self) -> dict:
         return {
@@ -95,35 +54,31 @@ class PairTerm:
         }
 
     @classmethod
-    def from_dict(cls, d: dict, key: str, n_qubits: int) -> "PairTerm":
-        """The term at config key ``key`` on ``n_qubits`` qubits; ConfigError names a bad field."""
-        config_object(d, key, required=("sites", "axes", "coeff"))
-        sites, axes = d["sites"], d["axes"]
-        if not isinstance(sites, (list, tuple)) or len(sites) != 2:
-            raise ConfigError(f"{key}.sites must be a list of two sites, got {sites!r}")
-        sites = tuple(config_int(s, f"{key}.sites") for s in sites)
-        if sites[0] == sites[1] or not all(0 <= s < n_qubits for s in sites):
-            raise ConfigError(f"{key}.sites must be two distinct sites in [0, {n_qubits}), "
-                              f"got {list(sites)}")
-        if not (isinstance(axes, str) and len(axes) == 2 and set(axes) <= set("XYZ")):
-            raise ConfigError(f"{key}.axes must be two letters of X, Y, Z, got {axes!r}")
-        return cls(sites, (PauliAxis(axes[0]), PauliAxis(axes[1])),
-                   config_float(d["coeff"], f"{key}.coeff"))
+    def from_dict(cls, d: dict, key: str) -> "PairTerm":
+        """The term at config key ``key``; ConfigError names a bad, unknown or missing field."""
+        with config_errors():
+            config_object(d, key, required=("sites", "axes", "coeff"))
+        with config_errors(f"{key}."):
+            return cls(d["sites"], d["axes"], d["coeff"])
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
+    """H = sum of ``terms`` on ``n_qubits`` qubits; UsageError names the bad ``hamiltonian`` key."""
+
     n_qubits: int
     terms: tuple[PairTerm, ...]
 
     def __post_init__(self):
+        n = config_int(self.n_qubits, "hamiltonian.n_qubits")
+        if n < 1:
+            raise UsageError(f"hamiltonian.n_qubits must give at least one qubit, got {n}")
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "terms", tuple(self.terms))
-        if self.n_qubits < 1:
-            raise UsageError(f"a Hamiltonian needs at least one qubit, got {self.n_qubits}")
-        for term in self.terms:
-            for s in term.sites:
-                if not 0 <= s < self.n_qubits:
-                    raise UsageError(f"term site {s} outside register of {self.n_qubits}")
+        for i, term in enumerate(self.terms):
+            if not all(0 <= s < n for s in term.sites):
+                raise UsageError(f"hamiltonian.terms[{i}].sites must be two distinct sites "
+                                 f"in [0, {n}), got {list(term.sites)}")
 
     def to_matrix(self) -> np.ndarray:
         dim = 1 << self.n_qubits
@@ -141,21 +96,17 @@ class HamiltonianSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "HamiltonianSpec":
         """The config object ``hamiltonian``; ConfigError names the first bad or missing key."""
-        config_object(d, "hamiltonian", required=("n_qubits", "terms"))
-        n, terms = config_int(d["n_qubits"], "hamiltonian.n_qubits"), d["terms"]
-        if n < 1:
-            raise ConfigError(f"hamiltonian.n_qubits must give at least one qubit, got {n}")
-        if not isinstance(terms, (list, tuple)):
-            raise ConfigError(f"hamiltonian.terms must be a list, got {terms!r}")
-        return cls(n, tuple(PairTerm.from_dict(t, f"hamiltonian.terms[{i}]", n)
-                            for i, t in enumerate(terms)))
+        with config_errors():
+            config_object(d, "hamiltonian", required=("n_qubits", "terms"))
+            if not isinstance(d["terms"], (list, tuple)):
+                raise UsageError(f"hamiltonian.terms must be a list, got {d['terms']!r}")
+            return cls(d["n_qubits"], [PairTerm.from_dict(t, f"hamiltonian.terms[{i}]")
+                                       for i, t in enumerate(d["terms"])])
 
     @classmethod
     def chain_1d(cls, n_qubits: int, axes: str = "XX", coeff: float = 1.0) -> "HamiltonianSpec":
         """Open 1D chain with the same two-site term on every bond."""
-        ax = (PauliAxis(axes[0]), PauliAxis(axes[1]))
-        terms = tuple(PairTerm((x, x + 1), ax, coeff) for x in range(n_qubits - 1))
-        return cls(n_qubits, terms)
+        return cls(n_qubits, tuple(PairTerm((x, x + 1), axes, coeff) for x in range(n_qubits - 1)))
 
 
 @dataclass(frozen=True)
@@ -207,9 +158,10 @@ class TrotterPlan:
 
 
 def compile_plan(h: HamiltonianSpec, t: float, n: int) -> TrotterPlan:
-    """First-order product formula: every term once per sweep, angle t*lambda/n."""
-    if n < 1:
-        raise UsageError("step count must be at least 1")
+    """First-order product formula: every term once per sweep, angle t*lambda/n (n = n_steps)."""
+    n = config_int(n, "n_steps", 1)
+    if n > sys.float_info.max:
+        raise UsageError("n_steps exceeds the largest float, so no rotation angle is defined")
     layers = tuple(
         (Rotation(term.sites, term.axes, t * term.coeff / n),) for term in h.terms
     )

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the simulator."""
+"""Exception hierarchy shared across the simulator, and the config value checks that raise it."""
+
+import contextlib
+import math
+import numbers
 
 
 class UsageError(ValueError):
@@ -31,3 +35,58 @@ class IncompleteRotationError(RuntimeError):
         )
         self.residual = residual
         self.records = records
+
+
+@contextlib.contextmanager
+def config_errors(prefix: str = ""):
+    """Re-raise a UsageError of the block as a ConfigError with the same text after ``prefix``."""
+    try:
+        yield
+    except UsageError as exc:
+        raise ConfigError(prefix + str(exc)) from exc
+
+
+def config_int(value, key: str, least=None) -> int:
+    """A config integer, at least ``least`` if given: an int or an integral float such as 16.0."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise UsageError(f"{key} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise UsageError(f"{key} must be " + (f"at least {least}" if least else "non-negative"))
+    return int(value)
+
+
+def config_float(value, key: str) -> float:
+    """A config real: a finite JSON number (integer or fraction), never a bool or a string."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:  # an integer literal past the largest float
+            value = math.inf
+    if not isinstance(value, float) or not math.isfinite(value):
+        raise UsageError(f"{key} must be finite and a JSON number, got {value!r}")
+    return value
+
+
+def config_choice(enum, value, key: str):
+    """A config choice: the member of ``enum`` whose value is ``value``."""
+    try:
+        return enum(value)
+    except ValueError:
+        values = ", ".join(repr(m.value) for m in enum)
+        raise UsageError(f"{key} must be one of {values}, got {value!r}") from None
+
+
+def config_object(d, path: str, optional=(), required=()) -> dict:
+    """``d``, once checked to be an object with the keys ``required`` and ``optional`` ones only."""
+    if not isinstance(d, dict):
+        raise UsageError(f"{path or 'configuration'} must be an object")
+    prefix = f"{path}." if path else ""
+    unknown = sorted(map(str, set(d) - set(optional) - set(required)))
+    if unknown:
+        raise UsageError("unknown key " + ", ".join(prefix + k for k in unknown))
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise UsageError("missing key " + ", ".join(prefix + k for k in missing))
+    return d

@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import IncompleteRotationError, UsageError
+from .errors import IncompleteRotationError, UsageError, config_int
 from .loss import LossConfig, round_tables
 from .pauli import PauliAxis, PauliString, frame_of_key
 from .statevec import StateVector, apply_local  # noqa: F401 (perfbench traces it)
@@ -70,6 +70,8 @@ class EpsilonPolicy:
     PAPER_DOUBLING uses the small-angle rule eps = sin(a) literally; its
     aimed-angle sequence t, 2t, 4t, ... matches RESIDUAL_EXACT whenever no
     HH/VV outcome intervenes, but the realized rotation is only approximate.
+    UsageError names ``policy.mode`` unless it is a member, ``policy.max_rounds``
+    unless it is an integer of at least 1.
     """
 
     mode: PolicyMode = PolicyMode.RESIDUAL_EXACT
@@ -78,6 +80,7 @@ class EpsilonPolicy:
     def __post_init__(self):
         if not isinstance(self.mode, PolicyMode):
             raise UsageError(f"policy.mode must be a PolicyMode member, got {self.mode!r}")
+        object.__setattr__(self, "max_rounds", config_int(self.max_rounds, "policy.max_rounds", 1))
 
     def eps_for(self, aimed: float) -> float:
         if self.mode is PolicyMode.RESIDUAL_EXACT:

@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 import operator
-import sys
 import types
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,18 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .compiler import (
-    HamiltonianSpec,
-    TrotterPlan,
-    compile_plan,
-    config_bool,
-    config_choice,
-    config_float,
-    config_int,
-    config_object,
-)
+from .compiler import HamiltonianSpec, TrotterPlan, compile_plan
 from .emission import BeamSplitterOutcome, PhotonEncoding, outcome_probabilities
-from .errors import ConfigError, IncompleteRotationError, ResourceError
+from .errors import ConfigError, IncompleteRotationError, ResourceError, UsageError
+from .errors import config_choice, config_errors, config_float, config_int, config_object
 from .feedback import EpsilonPolicy, PolicyMode, RoundRecord, realize_v, realize_v_kl
 from .loss import CNOT_MATRIX, LossConfig, round_branches
 from .pauli import PauliString
@@ -72,64 +63,46 @@ class ProtocolConfig:
     trajectories: int = 1
     master_seed: int = 0
 
+    def __post_init__(self):
+        """UsageError names a bad key (``compile_plan`` checks n_steps); ResourceError past the budget."""
+        setattr_ = functools.partial(object.__setattr__, self)
+        setattr_("t", config_float(self.t, "t"))
+        setattr_("n_steps", self.plan.n_steps)
+        # compile_plan makes one rotation per term, in term order
+        for i, (*_, angle) in enumerate(self.sweep):
+            if not math.isfinite(angle):
+                raise UsageError(f"rotation angle t * hamiltonian.terms[{i}].coeff / n_steps "
+                                 f"is {angle}, not finite")
+        for key in ("trajectories", "master_seed"):
+            setattr_(key, config_int(getattr(self, key), key, 0))
+        _initial_state(self.initial_state, self.hamiltonian.n_qubits)
+        work = self.trajectories * self.n_steps * len(self.sweep) * self.policy.max_rounds
+        if work > WORK_BUDGET:
+            from decimal import Decimal  # formats an int of any size, where float overflows
+
+            raise ResourceError(f"trajectories x n_steps x rotations per step x policy.max_rounds "
+                                f"is {Decimal(work):.3e}, past the work budget of 2^40 rounds")
+
     @classmethod
     def from_dict(cls, d: dict) -> "ProtocolConfig":
         """Parse a configuration object; ConfigError names the first bad, unknown or missing key.
 
         ResourceError when the config asks for more than WORK_BUDGET rounds at worst.
         """
-        try:
+        with config_errors():
             config_object(d, "", ("policy", "loss", "initial_state", "trajectories", "master_seed"),
                           ("hamiltonian", "t", "n_steps"))
-            h = HamiltonianSpec.from_dict(d["hamiltonian"])
-            t = config_float(d["t"], "t")
-            n_steps = config_int(d["n_steps"], "n_steps")
             pol = config_object(d.get("policy", {}), "policy", {"mode", "max_rounds"})
-            policy = EpsilonPolicy(
-                mode=config_choice(PolicyMode, pol.get("mode", "residual_exact"), "policy.mode"),
-                max_rounds=config_int(pol.get("max_rounds", 64), "policy.max_rounds"),
-            )
             lo = config_object(d.get("loss", {}), "loss", {"p_loss", "encoding", "backup_enabled"})
-            loss = LossConfig(
-                p_loss=config_float(lo.get("p_loss", 0.0), "loss.p_loss"),
-                encoding=config_choice(
+            return cls(
+                HamiltonianSpec.from_dict(d["hamiltonian"]), d["t"], d["n_steps"],
+                EpsilonPolicy(config_choice(PolicyMode, pol.get("mode", "residual_exact"),
+                                            "policy.mode"), pol.get("max_rounds", 64)),
+                LossConfig(lo.get("p_loss", 0.0), config_choice(
                     PhotonEncoding, lo.get("encoding", "polarization"), "loss.encoding"),
-                backup_enabled=config_bool(lo.get("backup_enabled", False), "loss.backup_enabled"),
-            )
-            initial = d.get("initial_state", "all_zeros")
-            if not isinstance(initial, str):
-                if len(config_object(initial, "initial_state", {"random_seed", "amplitudes"})) != 1:
-                    raise ConfigError("initial_state needs exactly one of random_seed, amplitudes")
-            trajectories = config_int(d.get("trajectories", 1), "trajectories")
-            master_seed = config_int(d.get("master_seed", 0), "master_seed")
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad configuration: {exc}") from exc
-        if n_steps < 1:
-            raise ConfigError("n_steps must be at least 1")
-        if policy.max_rounds < 1:
-            raise ConfigError("policy.max_rounds must be at least 1")
-        if trajectories < 0:
-            raise ConfigError("trajectories must be non-negative")
-        if master_seed < 0:
-            raise ConfigError("master_seed must be non-negative")
-        if n_steps > sys.float_info.max:
-            raise ConfigError("n_steps exceeds the largest float, so no rotation angle is defined")
-        cfg = cls(h, t, n_steps, policy, loss, initial, trajectories, master_seed)
-        # compile_plan makes one rotation per term, in term order
-        for i, (*_, angle) in enumerate(cfg.sweep):
-            if not math.isfinite(angle):
-                raise ConfigError(f"rotation angle t * hamiltonian.terms[{i}].coeff / n_steps "
-                                  f"is {angle}, not finite")
-        _initial_state(initial, h.n_qubits)
-        work = trajectories * n_steps * len(cfg.sweep) * policy.max_rounds
-        if work > WORK_BUDGET:
-            from decimal import Decimal  # formats an int of any size, where float overflows
-
-            raise ResourceError(f"trajectories x n_steps x rotations per step x policy.max_rounds "
-                                f"is {Decimal(work):.3e}, past the work budget of 2^40 rounds")
-        return cfg
+                    lo.get("backup_enabled", False)),
+                d.get("initial_state", "all_zeros"), d.get("trajectories", 1),
+                d.get("master_seed", 0))
 
     @functools.cached_property
     def plan(self) -> TrotterPlan:
@@ -320,13 +293,16 @@ def _initial_state(init, n: int):
     """Check ``initial_state`` for n qubits; return a function building its normalized amplitudes.
 
     Presets and the Haar draw wait for that call, so a register past the dense cap still parses.
+    UsageError names the bad key.
     """
     if isinstance(init, str):
         if init not in _PRESETS:
             presets = ", ".join(map(repr, _PRESETS))
-            raise ConfigError(f"initial_state names an unknown initial-state preset {init!r}, "
-                              f"expected one of {presets} or an object")
+            raise UsageError(f"initial_state names an unknown initial-state preset {init!r}, "
+                             f"expected one of {presets} or an object")
         return lambda: _PRESETS[init](1 << n)
+    if len(config_object(init, "initial_state", {"random_seed", "amplitudes"})) != 1:
+        raise UsageError("initial_state needs exactly one of random_seed, amplitudes")
     try:
         if "random_seed" in init:
             seed = config_int(init["random_seed"], "initial_state.random_seed")
@@ -336,11 +312,11 @@ def _initial_state(init, n: int):
         key = "initial_state.amplitudes"
         amp = np.array([complex(config_float(re, key), config_float(im, key))
                         for re, im in init["amplitudes"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot interpret initial state {init!r}: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"cannot interpret initial state {init!r}: {exc}") from exc
     dim = 1 << n if n < 63 else f"2**{n}"  # no JSON list holds 2^63 entries
     if amp.shape != (dim,):
-        raise ConfigError(f"initial state has {amp.shape[0]} amplitudes, expected {dim}")
+        raise UsageError(f"initial state has {amp.shape[0]} amplitudes, expected {dim}")
     # Squares overflow past 1e154, so take the norm of amp / 2^e, e the exponent of its
     # largest part: the scaling is exact, and so are the normalized amplitudes.
     e = max(0, math.frexp(np.abs(amp.view(float)).max())[1])
@@ -349,7 +325,7 @@ def _initial_state(init, n: int):
     with np.errstate(over="ignore"):  # a norm past the largest float reads inf
         nrm = float(np.ldexp(scaled, e))
     if not 1e-12 <= nrm < math.inf:
-        raise ConfigError(f"initial state has norm {nrm}")
+        raise UsageError(f"initial state has norm {nrm}")
     return lambda: unit / scaled
 
 

@@ -32,7 +32,7 @@ from .emission import (
     joint_emission,
     _require_vacuum,
 )
-from .errors import ProtocolError, UsageError
+from .errors import ProtocolError, UsageError, config_float
 from .pauli import PauliAxis
 from .statevec import RegisterLayout, StateVector, _apply, measure_and_reset
 
@@ -49,18 +49,22 @@ CNOT_MATRIX = np.array(
 
 @dataclass(frozen=True)
 class LossConfig:
+    """The loss model of every round; UsageError names the first bad ``loss`` key."""
+
     p_loss: float = 0.0
     encoding: PhotonEncoding = PhotonEncoding.POLARIZATION
     backup_enabled: bool = False
     key = functools.cached_property(astuple)  # the fields; a tuple hashes in C
 
     def __post_init__(self):
-        if not 0.0 <= self.p_loss <= 1.0:
-            raise UsageError(f"loss.p_loss must lie in [0, 1], got {self.p_loss}")
+        p_loss = config_float(self.p_loss, "loss.p_loss")
+        if not 0.0 <= p_loss <= 1.0:
+            raise UsageError(f"loss.p_loss must lie in [0, 1], got {p_loss}")
+        object.__setattr__(self, "p_loss", p_loss)
         if not isinstance(self.encoding, PhotonEncoding):
             raise UsageError(f"loss.encoding must be a PhotonEncoding member, got {self.encoding!r}")
         if not isinstance(self.backup_enabled, bool):
-            raise UsageError(f"loss.backup_enabled must be a bool, got {self.backup_enabled!r}")
+            raise UsageError(f"loss.backup_enabled must be true or false, got {self.backup_enabled!r}")
         if self.backup_enabled and self.encoding is not PhotonEncoding.POLARIZATION:
             raise UsageError("loss.backup_enabled requires loss.encoding 'polarization'")
 

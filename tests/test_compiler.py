@@ -67,7 +67,7 @@ class TestHamiltonianSpec:
 
     @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
     def test_non_finite_coeff_rejected(self, coeff):
-        with pytest.raises(UsageError, match="term coefficient must be finite"):
+        with pytest.raises(UsageError, match=f"coeff must be finite and a JSON number, got {coeff}"):
             PairTerm((0, 1), XX, coeff)
 
     def test_no_qubits_rejected(self):
@@ -75,7 +75,8 @@ class TestHamiltonianSpec:
             HamiltonianSpec(0, ())
 
     def test_term_site_outside_register_rejected(self):
-        with pytest.raises(UsageError, match="term site 2 outside register of 2"):
+        with pytest.raises(UsageError, match=r"hamiltonian.terms\[0\].sites must be two distinct "
+                                             r"sites in \[0, 2\), got \[0, 2\]"):
             HamiltonianSpec(2, (PairTerm((0, 2), XX, 1.0),))
 
 

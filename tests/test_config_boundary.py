@@ -6,8 +6,7 @@ import math
 import pytest
 
 from mfsim.cli import EXIT_CONFIG, EXIT_OK, main
-from mfsim.compiler import config_float
-from mfsim.errors import ConfigError
+from mfsim.errors import ConfigError, UsageError, config_float
 from mfsim.harness import ProtocolConfig
 
 BASE = {
@@ -65,7 +64,7 @@ def test_real_key_accepts_integers_and_fractions(key, tmp_path):
 
 def test_config_float_returns_a_float():
     assert config_float(2, "k") == 2.0 and type(config_float(2, "k")) is float
-    with pytest.raises(ConfigError, match="k must be finite and a JSON number, got True"):
+    with pytest.raises(UsageError, match="k must be finite and a JSON number, got True"):
         config_float(True, "k")
 
 

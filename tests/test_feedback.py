@@ -193,15 +193,11 @@ class TestPaperDoubling:
 
 
 class TestRealizeVkl:
-    def test_no_round_allowed_leaves_state_and_frame(self, rng):
-        _, st = two_atom_state(rng)
-        frame = ErrorFrame.identity(4)
-        with pytest.raises(IncompleteRotationError) as info:
-            realize_v_kl(st, (0, 1), PauliAxis.Y, PauliAxis.Z, 0.4,
-                         EpsilonPolicy(max_rounds=0), frame, rng)
-        assert info.value.records == [] and info.value.residual == 0.4
-        assert np.array_equal(info.value.state.amplitudes, st.amplitudes)
-        assert info.value.frame is frame
+    @pytest.mark.parametrize("max_rounds", [0, -3])
+    def test_no_round_allowed_is_rejected_at_construction(self, max_rounds):
+        # a policy of no round used to fail every rotation "after 0 rounds"
+        with pytest.raises(UsageError, match="policy.max_rounds must be at least 1"):
+            EpsilonPolicy(max_rounds=max_rounds)
 
     def test_xx_reduces_to_realize_v(self, rng):
         psi, st = two_atom_state(rng)

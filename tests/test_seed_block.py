@@ -102,6 +102,7 @@ def test_seed_words_serve_only_the_pcg64_request():
 _NEGATIVE = f"""
 import dataclasses
 import numpy as np
+from mfsim.errors import UsageError
 from mfsim.harness import ProtocolConfig, _draw_block, _seed_block, run_trajectory, trajectory_rng
 
 cfg = ProtocolConfig.from_dict({TROTTER3!r})
@@ -112,8 +113,14 @@ for seed, index in [(-1, 0), (0, -1), (-2**40, 3), (5, -2**70), (-1, -1)]:
     except ValueError as exc:
         expected = str(exc)
     before = _seed_block.cache_info(), _draw_block.cache_info()
-    seeded = dataclasses.replace(cfg, master_seed=seed)
-    for build in [trajectory_rng, lambda s, i: run_trajectory(seeded, i)] * 2:
+    builds = [trajectory_rng]
+    try:  # no config holds a negative seed
+        seeded = dataclasses.replace(cfg, master_seed=seed)
+    except UsageError as exc:
+        assert seed < 0 and str(exc) == "master_seed must be non-negative", (seed, str(exc))
+    else:
+        builds.append(lambda s, i: run_trajectory(seeded, i))
+    for build in builds * 2:
         try:
             build(seed, index)
         except ValueError as exc:
@@ -128,7 +135,8 @@ print("raised")
 def test_negative_seed_or_index_raises_and_leaves_the_cache():
     """A negative int must raise numpy's ValueError at once, not loop on its words.
 
-    ``trajectory_rng`` and ``run_trajectory`` raise it on each call and build no block or chunk.
+    ``trajectory_rng`` and ``run_trajectory`` raise it on each call and build no block or chunk;
+    a config with a negative ``master_seed`` is not built.
     """
     proc = subprocess.run([sys.executable, "-c", _NEGATIVE], capture_output=True, text=True,
                           env=CHILD_ENV, timeout=60)
