@@ -490,7 +490,9 @@ def probe_rounds(eps: float, samples: int, rng: np.random.Generator) -> dict:
     The outcome distribution of a lossless round is independent of the atomic
     state, so the Born probabilities are read once from the round's Kraus
     table (on the pair state |00>) and the outcomes drawn as one multinomial.
+    UsageError for ``samples`` below 1.
     """
+    samples = config_int(samples, "samples", 1)
     table = round_branches(eps, LossConfig())
     on_00 = (abs(table.kraus[:, :, 0]) ** 2).sum(axis=1)  # ||K|00>||^2 per branch
     weights = {br.label: w for br, w in zip(table.branches, on_00)}

@@ -192,9 +192,11 @@ def backup_round(
     return state, RoundBranch(label, *_backup_effect(outcome, (b1, b2)), (b1, b2), lost)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoundTable:
     """Every branch of one round: ``kraus[i]`` is the operator of ``branches[i]``.
+
+    A table compares and hashes by identity, as its Kraus stack is an array.
 
     ``kraus`` is a read-only (B, 4, 4) stack of operators on the (first, second) atom,
     first the low bit, in the XX picture.  Each is a weighted unitary sqrt(w_i) U_i, and

@@ -8,7 +8,7 @@ import pytest
 import mfsim.feedback
 import mfsim.harness
 from mfsim.compiler import compile_plan
-from mfsim.errors import ConfigError, IncompleteRotationError, ResourceError
+from mfsim.errors import ConfigError, IncompleteRotationError, ResourceError, UsageError
 from mfsim.feedback import EpsilonPolicy, PolicyMode
 from mfsim.harness import (
     CNOT_MATRIX,
@@ -361,6 +361,13 @@ class TestProbeRounds:
         out = probe_rounds(0.25, 10, trajectory_rng(0, 0))
         assert out["analytic"]["plus"] == pytest.approx(0.5 * (0.75**2 + 0.25**2))
         assert out["analytic"]["hh"] == pytest.approx(0.25 * 0.75)
+
+    @pytest.mark.parametrize("samples", [0, -1, 2.5])
+    def test_samples_below_one_or_fractional_are_rejected(self, samples, recwarn):
+        # 0 used to give NaN frequencies and a RuntimeWarning, -1 numpy's "n < 0"
+        with pytest.raises(UsageError, match="samples must be"):
+            probe_rounds(0.2, samples, trajectory_rng(0, 0))
+        assert len(recwarn) == 0
 
 
 class TestCnotDemo:

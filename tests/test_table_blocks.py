@@ -167,3 +167,42 @@ def test_short_blocks_refill_to_the_same_bytes_and_levels(name, tmp_path, monkey
         monkeypatch.setattr(mfsim.feedback, "_BLOCK", length)
         assert run(name, tmp_path / str(length)) == want
     clear_module_caches()
+
+
+MANY_ANGLES = {"hamiltonian": {"n_qubits": 2, "terms": [
+    {"sites": [0, 1], "axes": "XX", "coeff": round(1 + i / 100, 2)} for i in range(200)]},
+    "t": 0.5, "n_steps": 2, "trajectories": 5, "master_seed": 5}
+
+
+def test_waiting_tables_stay_bounded_and_leave_bytes_and_levels(tmp_path, monkeypatch):
+    """Past ``_WAITING_BOUND`` the store is emptied, and a level builds its block again."""
+    waiting, ahead, counts = mfsim.feedback._waiting, mfsim.feedback._tables_ahead, []
+    default = mfsim.feedback._WAITING_BOUND
+
+    def counted(*args):
+        table = ahead(*args)
+        counts.append(len(mfsim.feedback._waiting))
+        return table
+
+    monkeypatch.setattr(mfsim.feedback, "_tables_ahead", counted)
+    runs = {}
+    for bound in (10**9, default, 64):
+        monkeypatch.setattr(mfsim.feedback, "_WAITING_BOUND", bound)
+        clear_module_caches()
+        counts.clear()
+        report, stats = run_ensemble(ProtocolConfig.from_dict(MANY_ANGLES))
+        emit_report(report, stats, tmp_path / str(bound))
+        runs[bound] = ([(tmp_path / str(bound) / f).read_bytes()
+                        for f in ("report.json", "audit.jsonl")], _level.cache_info().currsize)
+        assert max(counts) <= bound and len(counts) > 1
+        if bound == 10**9:  # unbounded, the store outgrows the default bound
+            assert max(counts) > default
+    clear_module_caches()
+    assert runs[64] == runs[default] == runs[10**9]
+    assert mfsim.feedback._waiting is waiting  # emptied, never rebound
+
+
+def test_round_tables_compare_and_hash_by_identity():
+    first, again = round_branches(0.3, LossConfig()), round_branches(0.3, LossConfig())
+    assert first == first and first != again
+    assert hash(first) == hash(first) and len({first, again}) == 2
