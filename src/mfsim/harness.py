@@ -64,7 +64,7 @@ class ProtocolConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        """UsageError names a bad key (``compile_plan`` checks n_steps); ResourceError past the budget."""
+        """Check every value: UsageError names the key, ResourceError past WORK_BUDGET rounds."""
         setattr_ = functools.partial(object.__setattr__, self)
         setattr_("t", config_float(self.t, "t"))
         setattr_("n_steps", self.plan.n_steps)

@@ -64,7 +64,8 @@ class LossConfig:
         if not isinstance(self.encoding, PhotonEncoding):
             raise UsageError(f"loss.encoding must be a PhotonEncoding member, got {self.encoding!r}")
         if not isinstance(self.backup_enabled, bool):
-            raise UsageError(f"loss.backup_enabled must be true or false, got {self.backup_enabled!r}")
+            raise UsageError(
+                f"loss.backup_enabled must be true or false, got {self.backup_enabled!r}")
         if self.backup_enabled and self.encoding is not PhotonEncoding.POLARIZATION:
             raise UsageError("loss.backup_enabled requires loss.encoding 'polarization'")
 

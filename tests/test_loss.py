@@ -54,7 +54,8 @@ class TestLossConfig:
     @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, np.bool_(True)])
     def test_backup_enabled_must_be_a_bool(self, flag):
         # "false" is truthy and would build the backup table
-        with pytest.raises(UsageError, match=f"loss.backup_enabled must be true or false, got {flag!r}"):
+        with pytest.raises(UsageError,
+                           match=f"loss.backup_enabled must be true or false, got {flag!r}"):
             LossConfig(p_loss=0.3, backup_enabled=flag)
         assert LossConfig(p_loss=0.3, backup_enabled=True).backup_enabled is True
 
