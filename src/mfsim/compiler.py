@@ -9,6 +9,8 @@ schedule.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -114,6 +116,8 @@ class Rotation:
     sites: tuple[int, int]
     axes: tuple[PauliAxis, PauliAxis]
     angle: float
+    label = functools.cached_property(  # the report's key for its rounds, "a-b:kl"
+        lambda self: "{}-{}:{}{}".format(*self.sites, *(a.value for a in self.axes)))
 
     def to_dict(self) -> dict:
         return {
@@ -121,6 +125,14 @@ class Rotation:
             "axes": self.axes[0].value + self.axes[1].value,
             "angle": self.angle,
         }
+
+
+@dataclass(frozen=True, eq=False)
+class LocalGate:
+    """A free 2x2 ``gate`` on the atom at ``site``, after the frame's Pauli there (cleared)."""
+
+    site: int
+    gate: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -148,6 +160,11 @@ class TrotterPlan:
     def sweep_rotations(self):
         for layer in self.layers:
             yield from layer
+
+    def operations(self):
+        """An iterator over the operations in the order they run: the sweep, n_steps times."""
+        sweep = tuple(self.sweep_rotations())
+        return itertools.chain.from_iterable(itertools.repeat(sweep, self.n_steps if sweep else 0))
 
     def to_dict(self) -> dict:
         return {

@@ -20,13 +20,13 @@ from typing import Optional
 
 import numpy as np
 
-from .compiler import HamiltonianSpec, TrotterPlan, compile_plan
+from .compiler import HamiltonianSpec, LocalGate, Rotation, TrotterPlan, compile_plan, plan_unitary
 from .emission import BeamSplitterOutcome, PhotonEncoding, outcome_probabilities
 from .errors import ConfigError, IncompleteRotationError, ResourceError, UsageError
 from .errors import config_choice, config_errors, config_float, config_int, config_object
-from .feedback import EpsilonPolicy, PolicyMode, RoundRecord, realize_v, realize_v_kl
+from .feedback import EpsilonPolicy, PolicyMode, RoundRecord, realize_v_kl
 from .loss import CNOT_MATRIX, LossConfig, round_branches
-from .pauli import PauliString
+from .pauli import PauliAxis, PauliString
 from .statevec import (
     DEFAULT_QUBIT_CAP,
     StateVector,
@@ -35,7 +35,6 @@ from .statevec import (
     exact_evolution,
 )
 
-_H_GATE = np.array([[1, 1], [1, -1]], dtype=float) / np.sqrt(2)
 _FRAMED_ORACLE_CAP = 256  # framed oracles a config keeps: 16 MB at the 12-qubit cap
 # Rounds a config may ask for at worst, trajectories x n_steps x rotations per
 # step x policy.max_rounds: at about 2 us a round, 2^40 of them take weeks.
@@ -69,14 +68,14 @@ class ProtocolConfig:
         setattr_("t", config_float(self.t, "t"))
         setattr_("n_steps", self.plan.n_steps)
         # compile_plan makes one rotation per term, in term order
-        for i, (*_, angle) in enumerate(self.sweep):
-            if not math.isfinite(angle):
+        for i, rot in enumerate(self.plan.sweep_rotations()):
+            if not math.isfinite(rot.angle):
                 raise UsageError(f"rotation angle t * hamiltonian.terms[{i}].coeff / n_steps "
-                                 f"is {angle}, not finite")
+                                 f"is {rot.angle}, not finite")
         for key in ("trajectories", "master_seed"):
             setattr_(key, config_int(getattr(self, key), key, 0))
         _initial_state(self.initial_state, self.hamiltonian.n_qubits)
-        work = self.trajectories * self.n_steps * len(self.sweep) * self.policy.max_rounds
+        work = self.trajectories * self.plan.total_rotations * self.policy.max_rounds
         if work > WORK_BUDGET:
             from decimal import Decimal  # formats an int of any size, where float overflows
 
@@ -108,11 +107,6 @@ class ProtocolConfig:
     def plan(self) -> TrotterPlan:
         """The compiled Trotter plan, computed once per config."""
         return compile_plan(self.hamiltonian, self.t, self.n_steps)
-
-    @functools.cached_property
-    def sweep(self) -> list[tuple]:
-        """One Trotter step's rotations as (sites, k, l, angle) rows, computed once per config."""
-        return [(rot.sites, *rot.axes, rot.angle) for rot in self.plan.sweep_rotations()]
 
     @functools.cached_property
     def initial_amplitudes(self) -> np.ndarray:
@@ -375,28 +369,40 @@ class TrajectoryStats:
         }
 
 
+def _run_operations(operations, state: StateVector, rng, policy: EpsilonPolicy, loss: LossConfig):
+    """Run ``operations`` on ``state`` from the identity frame; rotations draw from ``rng``.
+
+    Returns (state, frame, records, rounds per rotation, stop), ``stop`` the IncompleteRotationError
+    that ended the run, with its rotation as ``stop.rotation``, or None.
+    """
+    frame, records, rounds_per_rotation = PauliString.identity(state.n_qubits), [], []
+    try:
+        for op in operations:
+            if type(op) is LocalGate:  # the frame's Pauli at its site, then its gate, unchecked
+                fix = PauliString.embed(frame.n, {op.site: PauliAxis(frame.text[op.site])})
+                state = _apply(apply_pauli_string(state, fix), (op.site,), op.gate)
+                frame = frame.updated(fix)
+                continue
+            k, l = op.axes
+            state, frame, recs = realize_v_kl(
+                state, op.sites, k, l, op.angle, policy, frame, rng, loss)
+            records += recs
+            rounds_per_rotation.append(len(recs))
+    except IncompleteRotationError as stop:
+        stop.rotation = op
+        records += stop.records
+        rounds_per_rotation.append(len(stop.records))
+        return stop.state, stop.frame, records, rounds_per_rotation, stop
+    return state, frame, records, rounds_per_rotation, None
+
+
 def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
     """Execute the compiled plan once, then compare against the exact oracle."""
     rng = _trajectory_uniforms(cfg.master_seed, index)
-    state = build_register(cfg)
-    frame = PauliString.identity(state.n_qubits)
-    all_records: list[RoundRecord] = []
-    rounds_per_rotation: list[int] = []
-    failure_reason = None
-
-    policy, loss, sweep = cfg.policy, cfg.loss, cfg.sweep
-    try:
-        for _ in range(cfg.plan.n_steps if sweep else 0):  # an empty sweep takes no steps
-            for sites, k, l, angle in sweep:
-                state, frame, recs = realize_v_kl(
-                    state, sites, k, l, angle, policy, frame, rng, loss)
-                all_records.extend(recs)
-                rounds_per_rotation.append(len(recs))
-    except IncompleteRotationError as exc:
-        state, frame = exc.state, exc.frame
-        all_records.extend(exc.records)
-        rounds_per_rotation.append(len(exc.records))
-        failure_reason = f"rotation on {sites} incomplete, residual {exc.residual:.3e}"
+    state, frame, all_records, rounds_per_rotation, stop = _run_operations(
+        cfg.plan.operations(), build_register(cfg), rng, cfg.policy, cfg.loss)
+    failure_reason = None if stop is None else (
+        f"rotation on {stop.rotation.sites} incomplete, residual {stop.residual:.3e}")
 
     # |<P oracle|psi>|^2 = |<oracle|P psi>|^2 for the frame's string P
     oracle = cfg.framed_oracles.get(frame.key)
@@ -446,10 +452,9 @@ def aggregate_report(cfg: ProtocolConfig, stats: list[TrajectoryStats]) -> dict:
         for k, v in s.outcome_histogram.items():
             histogram[k] = histogram.get(k, 0) + v
     per_rotation: dict[str, list[int]] = {}
-    keys = [f"{a}-{b}:{k.value}{l.value}" for (a, b), k, l, _ in cfg.sweep]
     for s in stats:
-        for key, count in zip(itertools.cycle(keys), s.rounds_per_rotation):
-            per_rotation.setdefault(key, []).append(count)
+        for rot, count in zip(cfg.plan.operations(), s.rounds_per_rotation):
+            per_rotation.setdefault(rot.label, []).append(count)
 
     n_out = sum(histogram.values())
     report = {
@@ -509,25 +514,17 @@ def probe_rounds(eps: float, samples: int, rng: np.random.Generator) -> dict:
     }
 
 
-# Local dressing turning e^{i pi/4 XX} into CNOT (control = first qubit),
+# The two-qubit program turning e^{i pi/4 XX} into CNOT (control = first qubit),
 # verified against the dense oracle in the test suite:
 #   (A1 (x) A2) . e^{i pi/4 XX} . (B1 (x) B2) = CNOT up to global phase.
-def cnot_dressing() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def cnot_program() -> tuple:
+    """[B1 on 0, B2 on 1, V(pi/4) = e^{i pi/4 XX} on (0, 1), A1 on 0, A2 on 1]."""
+    h = np.array([[1, 1], [1, -1]], dtype=float) / np.sqrt(2)
     rz = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])  # e^{-i pi/4 Z}
     rx = np.cos(np.pi / 4) * np.eye(2) - 1j * np.sin(np.pi / 4) * np.array([[0, 1], [1, 0]])
-    a1 = rz @ _H_GATE
-    a2 = rx
-    b1 = _H_GATE.astype(complex)
-    b2 = np.eye(2, dtype=complex)
-    return a1, a2, b1, b2
-
-
-def _cnot_demo_inputs() -> list[np.ndarray]:
-    basis = [np.eye(4, dtype=complex)[i] for i in range(4)]
-    plus_plus = np.full(4, 0.5, dtype=complex)
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1 / math.sqrt(2)
-    return basis + [plus_plus, bell]
+    return (LocalGate(0, h.astype(complex)), LocalGate(1, np.eye(2, dtype=complex)),
+            Rotation((0, 1), (PauliAxis.X, PauliAxis.X), math.pi / 4),
+            LocalGate(0, rz @ h), LocalGate(1, rx))
 
 
 def cnot_demo(
@@ -536,24 +533,23 @@ def cnot_demo(
     p_loss: float = 0.0,
     backup: bool = False,
 ) -> dict:
-    """Realize V(pi/4) by feedback, dress it with local gates, compare to CNOT.
+    """Run ``cnot_program`` on six inputs, input i as trajectory i of the seed; compare to CNOT.
 
     Process fidelity is the mean state fidelity over the four computational
-    basis inputs plus two superposition inputs.
+    basis inputs plus two superposition inputs.  IncompleteRotationError when
+    V(pi/4) runs out of rounds.
     """
-    a1, a2, b1, b2 = cnot_dressing()
-    loss = LossConfig(p_loss=p_loss, backup_enabled=backup)
-
+    program, loss = cnot_program(), LossConfig(p_loss=p_loss, backup_enabled=backup)
+    bell = np.array([1, 0, 0, 1], dtype=complex) * (1 / math.sqrt(2))
     fidelities = []
     total_rounds = 0
-    for i, data_amp in enumerate(_cnot_demo_inputs()):
-        rng = trajectory_rng(master_seed, i)
-        state = _apply(_apply(StateVector(data_amp), (0,), b1), (1,), b2)
-        frame = PauliString.identity(2)
-        state, frame, recs = realize_v(state, (0, 1), math.pi / 4, policy, frame, rng, loss)
-        total_rounds += len(recs)
-        state = apply_pauli_string(state, frame)
-        state = _apply(_apply(state, (0,), a1), (1,), a2)
+    inputs = [*np.eye(4, dtype=complex), np.full(4, 0.5, dtype=complex), bell]
+    for i, data_amp in enumerate(inputs):
+        state, _, records, _, stop = _run_operations(
+            program, StateVector(data_amp), _trajectory_uniforms(master_seed, i), policy, loss)
+        if stop is not None:
+            raise stop
+        total_rounds += len(records)
         fidelities.append(float(abs(np.vdot(CNOT_MATRIX @ data_amp, state.amplitudes)) ** 2))
 
     return {
@@ -569,8 +565,6 @@ def cnot_demo(
 def noiseless_plan_fidelity(cfg: ProtocolConfig) -> float:
     """Fidelity of the dense noiseless plan execution against the exact oracle."""
     oracle = cfg.oracle_state  # checks the dense cap before the plan's matrix is built
-    from .compiler import plan_unitary
-
     return float(abs(np.vdot(oracle, plan_unitary(cfg.plan) @ cfg.initial_amplitudes)) ** 2)
 
 

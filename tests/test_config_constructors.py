@@ -148,4 +148,4 @@ def test_constructors_read_integral_floats_as_integers_and_integers_as_floats():
     assert [type(v) for v in (cfg.t, cfg.n_steps, cfg.policy.max_rounds, cfg.loss.p_loss,
                               cfg.trajectories, cfg.master_seed, cfg.hamiltonian.n_qubits)] == [
         float, int, int, float, int, int, int]
-    assert math.isclose(cfg.sweep[0][3], 2.0 / 16)
+    assert math.isclose(next(cfg.plan.operations()).angle, 2.0 / 16)

@@ -10,12 +10,13 @@ import mfsim.harness
 from mfsim.compiler import compile_plan
 from mfsim.errors import ConfigError, IncompleteRotationError, ResourceError, UsageError
 from mfsim.feedback import EpsilonPolicy, PolicyMode
+from mfsim.pauli import PauliAxis
 from mfsim.harness import (
     CNOT_MATRIX,
     ProtocolConfig,
     build_register,
     cnot_demo,
-    cnot_dressing,
+    cnot_program,
     emit_report,
     haar_random_amplitudes,
     noiseless_plan_fidelity,
@@ -373,7 +374,10 @@ class TestProbeRounds:
 class TestCnotDemo:
     def test_dressing_identity(self):
         # dense check: (A1 x A2) e^{i pi/4 XX} (B1 x B2) = CNOT up to phase
-        a1, a2, b1, b2 = cnot_dressing()
+        b1, b2, rot, a1, a2 = cnot_program()
+        assert [g.site for g in (b1, b2, a1, a2)] == [0, 1, 0, 1]
+        assert (rot.sites, rot.axes, rot.angle) == ((0, 1), (PauliAxis.X,) * 2, np.pi / 4)
+        a1, a2, b1, b2 = a1.gate, a2.gate, b1.gate, b2.gate
         xx = kron_le(
             np.array([[0, 1], [1, 0]], dtype=complex),
             np.array([[0, 1], [1, 0]], dtype=complex),

@@ -380,19 +380,19 @@ def test_stage_gates_check_no_gate(unitary_checks):
     assert unitary_checks == []
 
 
-def test_cnot_demo_checks_only_its_frame_corrections(unitary_checks, monkeypatch):
-    frames = []
-    correct = mfsim.harness.apply_pauli_string
-
-    def spy(state, p):
-        frames.append(p)
-        return correct(state, p)
-
-    monkeypatch.setattr(mfsim.harness, "apply_pauli_string", spy)
+def test_cnot_demo_checks_only_its_frame_corrections(unitary_checks):
+    # Input i's frame after V(pi/4): a lossless round's branch law does not depend on the
+    # state, so the same draws on any input give it.
+    corrected = 0
+    for i in range(6):
+        _, frame, _ = realize_v_kl(StateVector(np.eye(4)[0]), (0, 1), PauliAxis.X, PauliAxis.X,
+                                   math.pi / 4, EpsilonPolicy(), PauliString.identity(2),
+                                   mfsim.harness._trajectory_uniforms(0, i))
+        corrected += sum(a is not PauliAxis.I for a in frame.axes)
+    assert unitary_checks == [] and corrected > 0
     assert mfsim.harness.cnot_demo(EpsilonPolicy())["process_fidelity"] == pytest.approx(1.0)
-    # the dressing gates go unchecked; each frame correction checks its non-identity sites
-    assert len(frames) == 6
-    assert unitary_checks == [2] * sum(a is not PauliAxis.I for p in frames for a in p.axes)
+    # the four dressing gates go unchecked; each A gate's frame correction checks its site's Pauli
+    assert unitary_checks == [2] * corrected
 
 
 def test_caller_gates_are_still_checked(unitary_checks):

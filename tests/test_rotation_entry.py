@@ -98,8 +98,9 @@ def test_warm_trotter3_trajectory_makes_one_lookup_per_rotation_and_builds_nothi
     forbid(monkeypatch, mfsim.pauli, "PauliString")
     again = run_trajectory(cfg, 0)
     assert again.to_dict() == first.to_dict() and not again.failed
-    assert len(entries) == len(again.rounds_per_rotation) == cfg.plan.n_steps * len(cfg.sweep)
-    assert len(set(map(id, entries))) == len(cfg.sweep)  # one entry per rotation of a step
+    sweep = list(cfg.plan.sweep_rotations())
+    assert len(entries) == len(again.rounds_per_rotation) == cfg.plan.n_steps * len(sweep)
+    assert len(set(map(id, entries))) == len(sweep)  # one entry per rotation of a step
     assert mfsim.feedback._operators_kept[0] == kept
     assert again.final_frame != "III"  # the frame changed, and its frames came from the table
     info = mfsim.pauli.frame_of_key.cache_info()
