@@ -1,10 +1,12 @@
 """First-order Trotter compilation of two-qubit Pauli Hamiltonians.
 
 A Hamiltonian H = sum lambda_i s_k (x) s_l is compiled into a sweep of
-elementary rotations with angle t * lambda / n, repeated n times.  Sweeps can
+elementary rotations with angle t * lambda / n, repeated n times; the plan
+runs as one ordered list of operations, the sweep n times over.  Sweeps can
 be regrouped into parallel layers of site-disjoint rotations by greedy edge
-coloring; for a 1D open chain this yields exactly the odd/even two-layer
-schedule.
+coloring that moves a rotation only ahead of rotations it commutes with, so
+the layers give the same product; for a 1D open chain of commuting terms,
+such as XX on every bond, this yields exactly the odd/even two-layer schedule.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .emission import BeamSplitterOutcome, outcome_probabilities
 from .errors import UsageError, config_errors, config_float, config_int, config_object
 from .feedback import _ANGLE_TOL, EpsilonPolicy
-from .pauli import PauliAxis, PauliString
+from .pauli import PauliAxis, PauliString, commutes
 
 
 @dataclass(frozen=True)
@@ -186,12 +188,23 @@ def compile_plan(h: HamiltonianSpec, t: float, n: int) -> TrotterPlan:
 
 
 def schedule_parallel(plan: TrotterPlan) -> TrotterPlan:
-    """Greedy first-fit edge coloring into layers of site-disjoint rotations."""
+    """Greedy first-fit edge coloring into layers of site-disjoint rotations, the same product.
+
+    A rotation moves ahead only of rotations it commutes with: it goes in the
+    first layer free at its sites after the last layer that holds an earlier
+    rotation anticommuting with it (one that shares a site with it).
+    """
+    def string(rot: Rotation) -> PauliString:
+        return PauliString.embed(plan.n_qubits, dict(zip(rot.sites, rot.axes)))
+
     layers: list[list[Rotation]] = []
     used: list[set[int]] = []
     for rot in plan.sweep_rotations():
-        for layer, sites in zip(layers, used):
-            if rot.sites[0] not in sites and rot.sites[1] not in sites:
+        p = string(rot)
+        first = 1 + max((i for i, layer in enumerate(layers)
+                         if not all(commutes(p, string(r)) for r in layer)), default=-1)
+        for layer, sites in zip(layers[first:], used[first:]):
+            if sites.isdisjoint(rot.sites):
                 layer.append(rot)
                 sites.update(rot.sites)
                 break

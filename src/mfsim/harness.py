@@ -82,6 +82,11 @@ class ProtocolConfig:
             raise ResourceError(f"trajectories x n_steps x rotations per step x policy.max_rounds "
                                 f"is {Decimal(work):.3e}, past the work budget of 2^40 rounds")
 
+    def __hash__(self):
+        """Equal configs hash equal; ``initial_state`` may be an unhashable dict, so it is left out."""
+        return hash((self.hamiltonian, self.t, self.n_steps, self.policy, self.loss,
+                     self.trajectories, self.master_seed))
+
     @classmethod
     def from_dict(cls, d: dict) -> "ProtocolConfig":
         """Parse a configuration object; ConfigError names the first bad, unknown or missing key.

@@ -154,6 +154,42 @@ class TestScheduleParallel:
             assert len(sp.layers) == 2
 
 
+class TestScheduleKeepsTheProduct:
+    """A rotation moves ahead only of the rotations it commutes with."""
+
+    def test_anticommuting_rotation_stays_behind(self):
+        # XX(2,3) anticommutes with ZZ(1,2), so it may not join XX(0,1)'s layer ahead of it
+        h = HamiltonianSpec(4, (PairTerm((0, 1), XX, 1.0), PairTerm((1, 2), ZZ, 1.0),
+                                PairTerm((2, 3), XX, 1.0)))
+        plan = compile_plan(h, 0.7, 2)
+        sp = schedule_parallel(plan)
+        assert [[r.sites for r in layer] for layer in sp.layers] == [[(0, 1)], [(1, 2)], [(2, 3)]]
+        assert np.abs(plan_unitary(sp) - plan_unitary(plan)).max() <= 1e-12
+
+    def test_commuting_rotation_moves_ahead(self):
+        # ZZ(2,3) commutes with ZZ(1,2), so it joins XX(0,1)'s layer
+        h = HamiltonianSpec(4, (PairTerm((0, 1), XX, 1.0), PairTerm((1, 2), ZZ, 1.0),
+                                PairTerm((2, 3), ZZ, 1.0)))
+        sp = schedule_parallel(compile_plan(h, 0.7, 1))
+        assert [[r.sites for r in layer] for layer in sp.layers] == [[(0, 1), (2, 3)], [(1, 2)]]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_plans_keep_their_unitary(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 6))
+        axes = [PauliAxis.X, PauliAxis.Y, PauliAxis.Z]
+        terms = []
+        for _ in range(rng.integers(2, 9)):
+            a, b = rng.choice(n, size=2, replace=False)
+            k, l = rng.integers(0, 3, size=2)
+            terms.append(PairTerm((int(a), int(b)), (axes[k], axes[l]), float(rng.normal())))
+        plan = compile_plan(HamiltonianSpec(n, terms), float(rng.uniform(-2, 2)),
+                            int(rng.integers(1, 4)))
+        sp = schedule_parallel(plan)
+        assert sorted(map(repr, sp.sweep_rotations())) == sorted(map(repr, plan.sweep_rotations()))
+        assert np.abs(plan_unitary(sp) - plan_unitary(plan)).max() <= 1e-12
+
+
 class TestRoundBudget:
     def test_quarter_pi_costs_four_rounds(self):
         # eps = 1/2 gives Plus probability 1/4, so the geometric mean is 4

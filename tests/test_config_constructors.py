@@ -149,3 +149,17 @@ def test_constructors_read_integral_floats_as_integers_and_integers_as_floats():
                               cfg.trajectories, cfg.master_seed, cfg.hamiltonian.n_qubits)] == [
         float, int, int, float, int, int, int]
     assert math.isclose(next(cfg.plan.operations()).angle, 2.0 / 16)
+
+
+@pytest.mark.parametrize("init, same", [
+    ("all_plus", "all_plus"),
+    ({"random_seed": 4}, {"random_seed": 4.0}),
+    ({"amplitudes": [[1, 0]] + [[0, 0]] * 7}, {"amplitudes": [[1.0, 0.0]] + [[0.0, -0.0]] * 7}),
+])
+def test_equal_configs_hash_equal_whatever_their_initial_state(init, same):
+    a = ProtocolConfig.from_dict({**BASE, "initial_state": init})
+    b = ProtocolConfig.from_dict({**BASE, "initial_state": same})
+    assert a == b and hash(a) == hash(b) and len({a, b, a}) == 1
+    assert a.to_dict()["initial_state"] is init
+    other = ProtocolConfig.from_dict({**BASE, "initial_state": init, "master_seed": 99})
+    assert other != a and len({a, other}) == 2
