@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .compiler import HamiltonianSpec, LocalGate, Rotation, TrotterPlan, compile_plan, plan_unitary
+from .compiler import HamiltonianSpec, LocalGate, Rotation, TrotterPlan, compile_plan
 from .emission import BeamSplitterOutcome, PhotonEncoding, outcome_probabilities
 from .errors import ConfigError, IncompleteRotationError, ResourceError, UsageError
 from .errors import config_choice, config_errors, config_float, config_int, config_object
@@ -35,6 +35,7 @@ from .statevec import (
     exact_evolution,
 )
 
+_H_GATE = np.array([[1, 1], [1, -1]], dtype=float) / np.sqrt(2)
 _FRAMED_ORACLE_CAP = 256  # framed oracles a config keeps: 16 MB at the 12-qubit cap
 # Rounds a config may ask for at worst, trajectories x n_steps x rotations per
 # step x policy.max_rounds: at about 2 us a round, 2^40 of them take weeks.
@@ -524,12 +525,19 @@ def probe_rounds(eps: float, samples: int, rng: np.random.Generator) -> dict:
 #   (A1 (x) A2) . e^{i pi/4 XX} . (B1 (x) B2) = CNOT up to global phase.
 def cnot_program() -> tuple:
     """[B1 on 0, B2 on 1, V(pi/4) = e^{i pi/4 XX} on (0, 1), A1 on 0, A2 on 1]."""
-    h = np.array([[1, 1], [1, -1]], dtype=float) / np.sqrt(2)
     rz = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])  # e^{-i pi/4 Z}
     rx = np.cos(np.pi / 4) * np.eye(2) - 1j * np.sin(np.pi / 4) * np.array([[0, 1], [1, 0]])
-    return (LocalGate(0, h.astype(complex)), LocalGate(1, np.eye(2, dtype=complex)),
+    return (LocalGate(0, _H_GATE.astype(complex)), LocalGate(1, np.eye(2, dtype=complex)),
             Rotation((0, 1), (PauliAxis.X, PauliAxis.X), math.pi / 4),
-            LocalGate(0, rz @ h), LocalGate(1, rx))
+            LocalGate(0, rz @ _H_GATE), LocalGate(1, rx))
+
+
+def _cnot_demo_inputs() -> list[np.ndarray]:
+    basis = [np.eye(4, dtype=complex)[i] for i in range(4)]
+    plus_plus = np.full(4, 0.5, dtype=complex)
+    bell = np.zeros(4, dtype=complex)
+    bell[0] = bell[3] = 1 / math.sqrt(2)
+    return basis + [plus_plus, bell]
 
 
 def cnot_demo(
@@ -544,12 +552,12 @@ def cnot_demo(
     basis inputs plus two superposition inputs.  IncompleteRotationError when
     V(pi/4) runs out of rounds.
     """
-    program, loss = cnot_program(), LossConfig(p_loss=p_loss, backup_enabled=backup)
-    bell = np.array([1, 0, 0, 1], dtype=complex) * (1 / math.sqrt(2))
+    program = cnot_program()
+    loss = LossConfig(p_loss=p_loss, backup_enabled=backup)
+
     fidelities = []
     total_rounds = 0
-    inputs = [*np.eye(4, dtype=complex), np.full(4, 0.5, dtype=complex), bell]
-    for i, data_amp in enumerate(inputs):
+    for i, data_amp in enumerate(_cnot_demo_inputs()):
         state, _, records, _, stop = _run_operations(
             program, StateVector(data_amp), _trajectory_uniforms(master_seed, i), policy, loss)
         if stop is not None:
@@ -570,6 +578,8 @@ def cnot_demo(
 def noiseless_plan_fidelity(cfg: ProtocolConfig) -> float:
     """Fidelity of the dense noiseless plan execution against the exact oracle."""
     oracle = cfg.oracle_state  # checks the dense cap before the plan's matrix is built
+    from .compiler import plan_unitary
+
     return float(abs(np.vdot(oracle, plan_unitary(cfg.plan) @ cfg.initial_amplitudes)) ** 2)
 
 

@@ -10,6 +10,7 @@ import mfsim.harness
 import mfsim.loss
 import mfsim.pauli
 import mfsim.statevec
+from mfsim.compiler import HamiltonianSpec, PairTerm
 from mfsim.feedback import reduce_angle
 from mfsim.harness import haar_random_amplitudes
 from mfsim.loss import LossConfig, round_branches
@@ -233,6 +234,16 @@ def reference_rotation(state, pair, k, l, t, policy, frame, rng, loss=None):
     coeffs = [np.trace(s @ product) / 4 for s in XX_STRINGS]
     state = four_string_sum(state, masks, coeffs)
     return state, frame, outcomes, abs(residual) <= 1e-12
+
+
+def random_hamiltonian(rng, n: int, max_terms: int = 5) -> HamiltonianSpec:
+    """1 to ``max_terms`` terms on n qubits, each on two random sites with one of the nine axis pairs."""
+    terms = []
+    for _ in range(rng.integers(1, max_terms + 1)):
+        a, b = rng.choice(n, size=2, replace=False)
+        axes = tuple(PauliAxis("XYZ"[i]) for i in rng.integers(0, 3, size=2))
+        terms.append(PairTerm((int(a), int(b)), axes, float(rng.uniform(-1.5, 1.5))))
+    return HamiltonianSpec(n, terms)
 
 
 @pytest.fixture

@@ -22,6 +22,8 @@ from mfsim.harness import ProtocolConfig, run_trajectory
 from mfsim.pauli import PauliAxis
 from mfsim.statevec import exact_evolution
 
+from conftest import random_hamiltonian
+
 XX = (PauliAxis.X, PauliAxis.X)
 ZZ = (PauliAxis.Z, PauliAxis.Z)
 
@@ -176,15 +178,8 @@ class TestScheduleKeepsTheProduct:
     @pytest.mark.parametrize("seed", range(40))
     def test_random_plans_keep_their_unitary(self, seed):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(3, 6))
-        axes = [PauliAxis.X, PauliAxis.Y, PauliAxis.Z]
-        terms = []
-        for _ in range(rng.integers(2, 9)):
-            a, b = rng.choice(n, size=2, replace=False)
-            k, l = rng.integers(0, 3, size=2)
-            terms.append(PairTerm((int(a), int(b)), (axes[k], axes[l]), float(rng.normal())))
-        plan = compile_plan(HamiltonianSpec(n, terms), float(rng.uniform(-2, 2)),
-                            int(rng.integers(1, 4)))
+        plan = compile_plan(random_hamiltonian(rng, int(rng.integers(3, 6)), max_terms=8),
+                            float(rng.uniform(-2, 2)), int(rng.integers(1, 4)))
         sp = schedule_parallel(plan)
         assert sorted(map(repr, sp.sweep_rotations())) == sorted(map(repr, plan.sweep_rotations()))
         assert np.abs(plan_unitary(sp) - plan_unitary(plan)).max() <= 1e-12

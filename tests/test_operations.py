@@ -24,7 +24,7 @@ from mfsim.loss import LossConfig
 from mfsim.pauli import PauliAxis, PauliString
 from mfsim.statevec import StateVector
 
-from conftest import I2, kron_le
+from conftest import I2, kron_le, random_hamiltonian
 
 # (policy.max_rounds, master_seed, p_loss, backup atoms): the cnot-demo commands of the CI
 # and of test_cli (4096 is the command's default round limit), then C7's two runs
@@ -45,8 +45,6 @@ GOLDEN = {
     "c7-noiseless": "a1264faf12846cb7451722f4d2f8bbdfd630fb54824583005528ca3f3823a271",
     "c7-loss50": "5f2a7c21db7e7e03669e7bb9e22542fb6b5defe6d2ae914b4c0fedb48a34f11b",
 }
-
-AXES = (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
 
 
 def demo_digest(name: str) -> str:
@@ -72,15 +70,6 @@ def operations_unitary(operations, n: int) -> np.ndarray:
             m = math.cos(op.angle) * np.eye(1 << n) + 1j * math.sin(op.angle) * p
         u = m @ u
     return u
-
-
-def random_hamiltonian(rng, n: int) -> HamiltonianSpec:
-    terms = []
-    for _ in range(rng.integers(1, 6)):
-        a, b = rng.choice(n, size=2, replace=False)
-        axes = tuple(AXES[i] for i in rng.integers(0, 3, size=2))
-        terms.append(PairTerm((int(a), int(b)), axes, float(rng.uniform(-1.5, 1.5))))
-    return HamiltonianSpec(n, terms)
 
 
 @pytest.mark.parametrize("seed", range(20))
