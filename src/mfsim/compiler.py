@@ -194,23 +194,21 @@ def schedule_parallel(plan: TrotterPlan) -> TrotterPlan:
     first layer free at its sites after the last layer that holds an earlier
     rotation anticommuting with it (one that shares a site with it).
     """
-    def string(rot: Rotation) -> PauliString:
-        return PauliString.embed(plan.n_qubits, dict(zip(rot.sites, rot.axes)))
-
     layers: list[list[Rotation]] = []
-    used: list[set[int]] = []
+    used: list[dict[int, PauliString]] = []  # per layer, the string of the rotation at each site
     for rot in plan.sweep_rotations():
-        p = string(rot)
-        first = 1 + max((i for i, layer in enumerate(layers)
-                         if not all(commutes(p, string(r)) for r in layer)), default=-1)
-        for layer, sites in zip(layers[first:], used[first:]):
-            if sites.isdisjoint(rot.sites):
+        p = PauliString.embed(plan.n_qubits, dict(zip(rot.sites, rot.axes)))
+        first = len(layers)  # back past every layer whose rotations at rot's sites commute with it
+        while first and all(commutes(p, used[first - 1].get(s, p)) for s in rot.sites):
+            first -= 1
+        for layer, at in zip(layers[first:], used[first:]):
+            if at.keys().isdisjoint(rot.sites):
                 layer.append(rot)
-                sites.update(rot.sites)
+                at.update(dict.fromkeys(rot.sites, p))
                 break
         else:
             layers.append([rot])
-            used.append(set(rot.sites))
+            used.append(dict.fromkeys(rot.sites, p))
     return TrotterPlan(plan.n_qubits, plan.n_steps, tuple(tuple(l) for l in layers))
 
 
