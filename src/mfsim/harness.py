@@ -161,10 +161,10 @@ class ProtocolConfig:
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Deterministic per-trajectory generator, a pure function of (seed, index); builds no chunk.
+    """Deterministic per-trajectory generator, a pure function of (seed, index).
 
     Bit for bit ``Generator(PCG64(SeedSequence([master_seed, index])))``, seeded with words
-    from the index's ``_seed_block``; ``run_trajectory`` builds it only past 256 draws.
+    from the index's ``_seed_block``; ``run_trajectory`` reads it through ``_trajectory_uniforms``.
     """
     if master_seed < 0 or index < 0:
         raise ValueError("expected non-negative integer")  # SeedSequence's error
@@ -241,39 +241,14 @@ def _seed_words():
     return SeedWords
 
 
-_DRAW_ROWS, _DRAWS = 32, 256  # a chunk of draws: 32 trajectories x 256 float64, 64 KB
-
-
-@functools.lru_cache(maxsize=1)
-def _draw_block(master_seed: int, chunk: int) -> np.ndarray:
-    """Row r: trajectory 32 * chunk + r's first 256 ``random()`` draws; read-only, (32, 256)."""
-    block, first = divmod(chunk * _DRAW_ROWS, _SEED_BLOCK)  # 32 divides 256: one seed block
-    draws = np.empty((_DRAW_ROWS, _DRAWS))
-    for row, words in enumerate(_seed_block(master_seed, block)[first:first + _DRAW_ROWS]):
-        np.random.Generator(np.random.PCG64(_seed_words()(words))).random(_DRAWS, out=draws[row])
-    draws.flags.writeable = False
-    return draws
-
-
 def _trajectory_uniforms(master_seed: int, index: int):
     """An object whose ``random()`` yields the draws of ``trajectory_rng(master_seed, index)``.
 
-    Each draw is a C-level ``next`` over lists of 64, read first from the index's ``_draw_block``
-    row; only past its 256 draws is the trajectory's own generator built, advanced past them.
+    Each draw is a C-level ``next`` over lists of 64 from the trajectory's own generator, whose
+    ``random(k)`` returns its next k scalar draws in order.
     """
-    if master_seed < 0 or index < 0:
-        raise ValueError("expected non-negative integer")  # SeedSequence's error
-
-    def rows():
-        row = _draw_block(master_seed, index // _DRAW_ROWS)[index % _DRAW_ROWS]
-        for start in range(0, _DRAWS, 64):
-            yield row[start:start + 64].tolist()
-        rng = trajectory_rng(master_seed, index)
-        rng.bit_generator.advance(_DRAWS)  # PCG64 jumps exactly past the row's draws
-        while True:
-            yield rng.random(64).tolist()
-
-    uniforms = itertools.chain.from_iterable(rows())
+    rng = trajectory_rng(master_seed, index)
+    uniforms = itertools.chain.from_iterable(iter(lambda: rng.random(64).tolist(), None))
     return types.SimpleNamespace(random=functools.partial(next, uniforms))
 
 

@@ -69,9 +69,9 @@ CONFIGS = {
                         for i in range(70)]},
                     "t": 0.5, "n_steps": 2, "trajectories": 3, "master_seed": 5},
     # 260 trajectories of a two-word master seed, whose index 256 opens the
-    # second block of trajectory seeds; trajectories 77, 115 and 187 draw past
-    # the 256 draws of their chunk row (258, 361 and 263 rounds), so they take
-    # the refill from their advanced generators (recount if the row length changes)
+    # second block of trajectory seeds; trajectories 77, 115 and 187 take more
+    # than 256 draws (258, 361 and 263 rounds), so they read past the fourth of
+    # their generator's 64-draw lists
     "block-edge": {"hamiltonian": _PAIR, "t": 0.8, "n_steps": 5, "trajectories": 260,
                    "master_seed": 1099511627781, "policy": {"max_rounds": 40000},
                    "loss": _BACKUP_LOSS},

@@ -32,7 +32,6 @@ MODULE_CACHES = (
     (mfsim.pauli, "frame_of_key"),
     (mfsim.harness, "_seed_block"),
     (mfsim.harness, "_seed_words"),
-    (mfsim.harness, "_draw_block"),
     (mfsim.loss, "_outcome_stack"),
     (mfsim.statevec, "_subset_index"),
 )

@@ -49,8 +49,8 @@ CONFIGS = {
         "policy": {"mode": "paper_doubling"},
     },
     # index 256 opens the second block of trajectory seeds, and the master seed has two words;
-    # 3 trajectories (up to 361 rounds) draw past their chunk row's 256 draws and take the refill
-    # from their advanced generators (recount if the row length changes)
+    # 3 trajectories (up to 361 rounds) take more than 256 draws, past the fourth of their
+    # generator's 64-draw lists
     "block-edge": {
         "hamiltonian": {"n_qubits": 2, "terms": [{"sites": [0, 1], "axes": "XX", "coeff": 1.0}]},
         "t": 0.8, "n_steps": 5, "trajectories": 260, "master_seed": 2**40 + 5,

@@ -436,8 +436,8 @@ def test_trajectory_tallies_equal_a_recount_of_its_records(p_loss, max_rounds):
                                   "block-edge"])
 def test_trajectories_do_not_depend_on_execution_order(name):
     # The second run rebuilds the cached levels, their records, the pair
-    # records, the seed blocks and the chunks of draws in another order (last
-    # chunk first), and fills another config's framed oracles.
+    # records and the seed blocks in another order (last block first), and
+    # fills another config's framed oracles.
     def audit(cfg, indices):
         return {i: json.dumps(run_trajectory(cfg, i).to_dict(), sort_keys=True) for i in indices}
 

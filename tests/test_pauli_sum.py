@@ -6,8 +6,8 @@ gathers all four strings; these tests check it against dense Pauli matrices
 and against the 4x4 pair operator, and check the rotation's operator, two of
 the strings applied as a dense matrix on small registers and as a two-row
 gather on large ones, against it.  They also check that ``run_trajectory``'s
-stream of uniforms, a precomputed row and then refill blocks, gives the
-records a bare generator gives.
+stream of uniforms, lists of 64 draws from the trajectory's generator, gives
+the records a bare generator gives.
 """
 
 import itertools
@@ -134,7 +134,7 @@ def test_float_site_fails_after_its_integer_pair_is_cached():
 def test_block_stream_equals_scalar_draws_across_block_boundaries(seed):
     stream = _trajectory_uniforms(seed, 3)
     scalar = trajectory_rng(seed, 3)
-    count = 256 + 2 * 64 + 29  # the row's 256 draws, two refill blocks and part of a third
+    count = 256 + 2 * 64 + 29  # six lists of 64 draws and part of a seventh
     assert [stream.random() for _ in range(count)] == [scalar.random() for _ in range(count)]
 
 

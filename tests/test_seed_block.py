@@ -4,8 +4,7 @@
 derives for 256 indices at once, a port of SeedSequence's hashing on uint32
 arrays.  Its streams must equal ``Generator(PCG64(SeedSequence([s, i])))``
 bit for bit, and so must ``run_trajectory``'s stream of uniforms, which reads
-each trajectory's first draws from a chunk that ``harness._draw_block`` builds
-for 32 trajectories at once.  The module runs with warnings as errors: the
+the draws of that one generator 64 at a time.  The module runs with warnings as errors: the
 port's uint32 products wrap, and numpy must not warn about that on any
 supported version.
 """
@@ -73,24 +72,14 @@ def test_block_holds_seed_sequence_words_read_only():
         assert np.array_equal(block[row], expected)
 
 
-# the edges of a 32-trajectory chunk of draws, besides those of INDICES
+# indices within a seed block, besides the edges in INDICES
 @pytest.mark.parametrize("index", sorted({*INDICES, 31, 32, 63, 64}))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_uniform_stream_equals_generator_draws(seed, index):
-    """Past the chunk row's 256 draws and two 64-draw refills from the advanced generator."""
+    """Across nine lists of 64 draws and into the tenth."""
     stream, rng = harness._trajectory_uniforms(seed, index), trajectory_rng(seed, index)
     count = 2 * 256 + 64 + 7
     assert [stream.random() for _ in range(count)] == [rng.random() for _ in range(count)]
-
-
-def test_draw_chunk_is_read_only_and_trajectory_rng_builds_none():
-    chunk = harness._draw_block(2**40 + 5, 5)
-    assert chunk.shape == (32, 256) and chunk.dtype == np.float64 and not chunk.flags.writeable
-    for row in (0, 31):
-        assert np.array_equal(chunk[row], trajectory_rng(2**40 + 5, 5 * 32 + row).random(256))
-    before = harness._draw_block.cache_info()
-    trajectory_rng(2**40 + 6, 0)  # a seed no chunk holds
-    assert harness._draw_block.cache_info() == before
 
 
 def test_seed_words_serve_only_the_pcg64_request():
@@ -103,7 +92,7 @@ _NEGATIVE = f"""
 import dataclasses
 import numpy as np
 from mfsim.errors import UsageError
-from mfsim.harness import ProtocolConfig, _draw_block, _seed_block, run_trajectory, trajectory_rng
+from mfsim.harness import ProtocolConfig, _seed_block, run_trajectory, trajectory_rng
 
 cfg = ProtocolConfig.from_dict({TROTTER3!r})
 run_trajectory(cfg, 300)
@@ -112,7 +101,7 @@ for seed, index in [(-1, 0), (0, -1), (-2**40, 3), (5, -2**70), (-1, -1)]:
         np.random.SeedSequence([seed, index])
     except ValueError as exc:
         expected = str(exc)
-    before = _seed_block.cache_info(), _draw_block.cache_info()
+    before = _seed_block.cache_info()
     builds = [trajectory_rng]
     try:  # no config holds a negative seed
         seeded = dataclasses.replace(cfg, master_seed=seed)
@@ -127,7 +116,7 @@ for seed, index in [(-1, 0), (0, -1), (-2**40, 3), (5, -2**70), (-1, -1)]:
             assert str(exc) == expected, (seed, index, str(exc), expected)
         else:
             raise AssertionError(f"no error for {{(seed, index)}}")
-    assert (_seed_block.cache_info(), _draw_block.cache_info()) == before, (seed, index)
+    assert _seed_block.cache_info() == before, (seed, index)
 print("raised")
 """
 
@@ -135,7 +124,7 @@ print("raised")
 def test_negative_seed_or_index_raises_and_leaves_the_cache():
     """A negative int must raise numpy's ValueError at once, not loop on its words.
 
-    ``trajectory_rng`` and ``run_trajectory`` raise it on each call and build no block or chunk;
+    ``trajectory_rng`` and ``run_trajectory`` raise it on each call and build no seed block;
     a config with a negative ``master_seed`` is not built.
     """
     proc = subprocess.run([sys.executable, "-c", _NEGATIVE], capture_output=True, text=True,
@@ -146,7 +135,7 @@ def test_negative_seed_or_index_raises_and_leaves_the_cache():
 
 def test_warm_trajectory_builds_no_seed_sequence_or_layout(monkeypatch):
     cfg = ProtocolConfig.from_dict(TROTTER3)
-    run_trajectory(cfg, 1)  # warm: the config's caches, this trajectory's round tables, its chunk
+    run_trajectory(cfg, 1)  # warm: the config's caches, this trajectory's round tables, its block
     built, seeds = [], []
 
     def spy(name, real):
@@ -171,12 +160,12 @@ def test_warm_trajectory_builds_no_seed_sequence_or_layout(monkeypatch):
     # PCG64 got ready words, so it built no SeedSequence of its own
     from numpy.random.bit_generator import ISeedSequence, SeedSequence
 
-    assert len(seeds) == 1  # the cold trajectory_rng: the warm trajectory read its chunk
+    assert len(seeds) == 2  # the warm trajectory's generator and the cold trajectory_rng
     assert all(isinstance(s, ISeedSequence) and not isinstance(s, SeedSequence) for s in seeds)
 
 
 def test_audit_lines_do_not_depend_on_the_ensemble_size(tmp_path):
-    # 33 trajectories cross a 32-trajectory draw chunk, 257 a 256-index seed block
+    # one trajectory, 33, and 257, which cross a 256-index seed block
     def audit_lines(trajectories):
         out = tmp_path / str(trajectories)
         cfg = ProtocolConfig.from_dict({**TROTTER3, "trajectories": trajectories})
