@@ -24,6 +24,7 @@ from .emission import BeamSplitterOutcome, outcome_probabilities
 from .errors import UsageError, config_errors, config_float, config_int, config_object
 from .feedback import _ANGLE_TOL, EpsilonPolicy
 from .pauli import PauliAxis, PauliString, commutes
+from .statevec import _check_unitary
 
 
 @dataclass(frozen=True)
@@ -131,29 +132,38 @@ class Rotation:
 
 @dataclass(frozen=True, eq=False)
 class LocalGate:
-    """A free 2x2 ``gate`` on the atom at ``site``, after the frame's Pauli there (cleared)."""
+    """A free 2x2 unitary ``gate``, kept read-only, on the atom at ``site`` (an integer >= 0).
+
+    It runs after the frame's Pauli at ``site``, which it clears; UsageError names a bad field.
+    """
 
     site: int
     gate: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "site", config_int(self.site, "site", 0))
+        gate = _check_unitary(self.gate, 2, "gate").copy()
+        gate.flags.writeable = False
+        object.__setattr__(self, "gate", gate)
+
 
 @dataclass(frozen=True)
 class TrotterPlan:
-    """One Trotter sweep as ordered layers of rotations, repeated ``n_steps`` times."""
+    """One Trotter sweep as layers of site-disjoint rotations, repeated ``n_steps`` times."""
 
     n_qubits: int
     n_steps: int
     layers: tuple[tuple[Rotation, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n_steps", _n_steps(self.n_steps))
         object.__setattr__(self, "layers", tuple(tuple(l) for l in self.layers))
         for layer in self.layers:
-            seen = set()
-            for rot in layer:
-                for s in rot.sites:
-                    if s in seen:
-                        raise UsageError(f"qubit {s} appears twice in one layer")
-                    seen.add(s)
+            sites = [s for rot in layer for s in rot.sites]
+            if not all(0 <= s < self.n_qubits for s in sites):
+                raise UsageError(f"rotation sites must lie in [0, {self.n_qubits}), got {sites}")
+            if len(set(sites)) < len(sites):
+                raise UsageError(f"a qubit appears twice in one layer, sites {sites}")
 
     @property
     def total_rotations(self) -> int:
@@ -176,11 +186,17 @@ class TrotterPlan:
         }
 
 
-def compile_plan(h: HamiltonianSpec, t: float, n: int) -> TrotterPlan:
-    """First-order product formula: every term once per sweep, angle t*lambda/n (n = n_steps)."""
+def _n_steps(n) -> int:
+    """``n_steps`` once checked: an integer >= 1 that a float holds, so t / n_steps is defined."""
     n = config_int(n, "n_steps", 1)
     if n > sys.float_info.max:
         raise UsageError("n_steps exceeds the largest float, so no rotation angle is defined")
+    return n
+
+
+def compile_plan(h: HamiltonianSpec, t: float, n: int) -> TrotterPlan:
+    """First-order product formula: every term once per sweep, angle t*lambda/n (n = n_steps)."""
+    n = _n_steps(n)  # the angles divide by it before the plan exists
     layers = tuple(
         (Rotation(term.sites, term.axes, t * term.coeff / n),) for term in h.terms
     )
@@ -209,7 +225,7 @@ def schedule_parallel(plan: TrotterPlan) -> TrotterPlan:
         else:
             layers.append([rot])
             used.append(dict.fromkeys(rot.sites, p))
-    return TrotterPlan(plan.n_qubits, plan.n_steps, tuple(tuple(l) for l in layers))
+    return TrotterPlan(plan.n_qubits, plan.n_steps, layers)
 
 
 def plan_unitary(plan: TrotterPlan) -> np.ndarray:

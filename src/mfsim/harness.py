@@ -359,7 +359,9 @@ def _run_operations(operations, state: StateVector, rng, policy: EpsilonPolicy, 
     frame, records, rounds_per_rotation = PauliString.identity(state.n_qubits), [], []
     try:
         for op in operations:
-            if type(op) is LocalGate:  # the frame's Pauli at its site, then its gate, unchecked
+            if type(op) is LocalGate:  # the frame's Pauli at its site, then its checked gate
+                if op.site >= frame.n:
+                    raise UsageError(f"site {op.site} is past the {frame.n}-qubit register")
                 fix = PauliString.embed(frame.n, {op.site: PauliAxis(frame.text[op.site])})
                 state = _apply(apply_pauli_string(state, fix), (op.site,), op.gate)
                 frame = frame.updated(fix)
@@ -502,7 +504,7 @@ def cnot_program() -> tuple:
     """[B1 on 0, B2 on 1, V(pi/4) = e^{i pi/4 XX} on (0, 1), A1 on 0, A2 on 1]."""
     rz = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])  # e^{-i pi/4 Z}
     rx = np.cos(np.pi / 4) * np.eye(2) - 1j * np.sin(np.pi / 4) * np.array([[0, 1], [1, 0]])
-    return (LocalGate(0, _H_GATE.astype(complex)), LocalGate(1, np.eye(2, dtype=complex)),
+    return (LocalGate(0, _H_GATE), LocalGate(1, np.eye(2)),
             Rotation((0, 1), (PauliAxis.X, PauliAxis.X), math.pi / 4),
             LocalGate(0, rz @ _H_GATE), LocalGate(1, rx))
 
@@ -579,8 +581,11 @@ def emit_report(
     """Write the aggregate report plus the per-trajectory JSON-lines audit log.
 
     Wall-clock timings are deliberately excluded so identical configurations
-    produce byte-identical files.
+    produce byte-identical files.  UsageError, before any file is written, unless
+    ``fmt`` is "json" or "csv".
     """
+    if fmt not in ("json", "csv"):
+        raise UsageError(f"fmt must be 'json' or 'csv', got {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []

@@ -77,15 +77,15 @@ class StateVector:
         return float(np.vdot(branch, branch).real)
 
 
-def _check_unitary(u: np.ndarray, dim: int) -> np.ndarray:
+def _check_unitary(u: np.ndarray, dim: int, name: str = "operator") -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (dim, dim):
-        raise UsageError(f"operator has shape {u.shape}, expected ({dim}, {dim})")
+        raise UsageError(f"{name} has shape {u.shape}, expected ({dim}, {dim})")
     # np.allclose's entrywise test |U^dag U - 1| <= atol + 1e-5 |1|, without its overhead;
     # a NaN entry compares false, so it fails as there
     eye = np.eye(dim)
     if not (abs(u.conj().T @ u - eye) <= _UNITARY_ATOL * dim * 10 + 1e-5 * eye).all():
-        raise UsageError("operator is not unitary")
+        raise UsageError(f"{name} is not unitary")
     return u
 
 

@@ -9,6 +9,7 @@ import pytest
 from mfsim.compiler import (
     HamiltonianSpec,
     PairTerm,
+    Rotation,
     TrotterPlan,
     binomial_tail_at_least,
     compile_plan,
@@ -117,9 +118,28 @@ class TestCompilePlan:
         with pytest.raises(UsageError):
             compile_plan(HamiltonianSpec.chain_1d(2), 1.0, 0)
 
-    def test_layer_disjointness_enforced(self):
-        from mfsim.compiler import Rotation
+    @pytest.mark.parametrize("n_steps, message", [
+        (0, "n_steps must be at least 1"), (-1, "n_steps must be at least 1"),
+        (2.5, "n_steps must be an integer, got 2.5"), ("3", "n_steps must be an integer"),
+        (10**400, "n_steps exceeds the largest float")],
+        ids=["zero", "negative", "fraction", "string", "past-float"])
+    def test_plan_checks_n_steps_as_compile_plan_does(self, n_steps, message):
+        layers = ((Rotation((0, 1), XX, 0.1),),)
+        for build in (lambda: TrotterPlan(2, n_steps, layers), lambda: TrotterPlan(2, n_steps, ()),
+                      lambda: compile_plan(HamiltonianSpec.chain_1d(2), 1.0, n_steps)):
+            with pytest.raises(UsageError, match=f"^{message}"):
+                build()
 
+    def test_plan_takes_an_integral_float_step_count(self):
+        plan = TrotterPlan(2, 3.0, ())
+        assert plan.n_steps == 3 and type(plan.n_steps) is int
+
+    @pytest.mark.parametrize("sites", [(0, 5), (2, 1), (-1, 0)])
+    def test_rotation_sites_outside_the_register_rejected(self, sites):
+        with pytest.raises(UsageError, match=r"^rotation sites must lie in \[0, 2\), got"):
+            TrotterPlan(2, 1, ((Rotation(sites, XX, 0.1),),))
+
+    def test_layer_disjointness_enforced(self):
         rots = (Rotation((0, 1), XX, 0.1), Rotation((1, 2), XX, 0.1))
         with pytest.raises(UsageError):
             TrotterPlan(3, 1, (rots,))

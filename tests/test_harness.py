@@ -338,6 +338,13 @@ class TestEnsembleAndReport:
         with pytest.raises(NotADirectoryError):
             emit_report({}, [], tmp_path / "file" / "run")
 
+    @pytest.mark.parametrize("fmt", ["xml", "JSON", "", None])
+    def test_emit_report_rejects_an_unknown_format_before_writing(self, tmp_path, fmt):
+        report, stats = run_ensemble(chain_config(trajectories=1))
+        with pytest.raises(UsageError, match="^fmt must be 'json' or 'csv', got "):
+            emit_report(report, stats, tmp_path / "run", fmt=fmt)
+        assert not (tmp_path / "run").exists()
+
     def test_no_wall_time_in_outputs(self, tmp_path):
         cfg = chain_config(trajectories=1)
         report, stats = run_ensemble(cfg)

@@ -19,7 +19,14 @@ import pytest
 
 from mfsim.compiler import HamiltonianSpec, LocalGate, PairTerm, Rotation, compile_plan, plan_unitary
 from mfsim.feedback import EpsilonPolicy
-from mfsim.harness import _run_operations, _trajectory_uniforms, cnot_demo, haar_random_amplitudes
+from mfsim.errors import UsageError
+from mfsim.harness import (
+    _run_operations,
+    _trajectory_uniforms,
+    cnot_demo,
+    cnot_program,
+    haar_random_amplitudes,
+)
 from mfsim.loss import LossConfig
 from mfsim.pauli import PauliAxis, PauliString
 from mfsim.statevec import StateVector
@@ -135,6 +142,38 @@ def test_a_rotation_out_of_rounds_stops_the_program():
             assert stop.rotation is program[len(rounds) - 1] and stop.records == records[-1:]
             stops.append(stop)
     assert stops
+
+
+@pytest.mark.parametrize("site, message", [
+    (0.5, "site must be an integer, got 0.5"), (-1, "site must be non-negative"),
+    ("0", "site must be an integer"), (True, "site must be an integer")])
+def test_local_gate_site_must_be_a_non_negative_integer(site, message):
+    with pytest.raises(UsageError, match=f"^{message}"):
+        LocalGate(site, I2)
+    assert type(LocalGate(0.0, I2).site) is int
+
+
+@pytest.mark.parametrize("gate, message", [
+    (np.zeros((2, 2)), "gate is not unitary"), (np.eye(3), r"gate has shape \(3, 3\)"),
+    (np.eye(4), r"gate has shape \(4, 4\)"), (np.diag([1, np.nan]), "gate is not unitary")])
+def test_local_gate_must_be_a_2x2_unitary(gate, message):
+    with pytest.raises(UsageError, match=f"^{message}"):
+        LocalGate(0, gate)
+
+
+def test_local_gate_keeps_a_read_only_copy():
+    gate = np.array([[0, 1], [1, 0]])
+    op = LocalGate(1, gate)
+    assert gate.flags.writeable and op.gate is not gate and not op.gate.flags.writeable
+    assert op.gate.dtype == complex and np.array_equal(op.gate, gate)
+    assert all(not op.gate.flags.writeable for op in cnot_program() if type(op) is LocalGate)
+
+
+def test_local_gate_past_the_register_raises():
+    program = [Rotation((0, 1), (PauliAxis.X, PauliAxis.X), 0.3), LocalGate(2, I2)]
+    with pytest.raises(UsageError, match="^site 2 is past the 2-qubit register"):
+        _run_operations(program, StateVector(np.eye(4)[0]), _trajectory_uniforms(0, 0),
+                        EpsilonPolicy(), LossConfig())
 
 
 if __name__ == "__main__":
