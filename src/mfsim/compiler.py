@@ -27,6 +27,24 @@ from .pauli import PauliAxis, PauliString, commutes
 from .statevec import _check_unitary
 
 
+def _check_pair(owner, least=None) -> None:
+    """Check and set ``owner``'s ``sites``, two distinct integers (at least ``least`` if given),
+    and ``axes``, two of X, Y, Z as members or letters ("XY"); UsageError names the field."""
+    if not isinstance(owner.sites, (list, tuple)) or len(owner.sites) != 2:
+        raise UsageError(f"sites must be a list of two sites, got {owner.sites!r}")
+    sites = tuple(config_int(s, "sites", least) for s in owner.sites)
+    if sites[0] == sites[1]:
+        raise UsageError(f"sites must be two distinct sites, got {owner.sites!r}")
+    axes = owner.axes
+    if isinstance(axes, str):  # the config's letters
+        axes = [PauliAxis.__members__.get(a) for a in axes]
+    if not (isinstance(axes, (list, tuple)) and len(axes) == 2
+            and all(a in (PauliAxis.X, PauliAxis.Y, PauliAxis.Z) for a in axes)):
+        raise UsageError(f"axes must be two letters of X, Y, Z, got {owner.axes!r}")
+    object.__setattr__(owner, "sites", sites)
+    object.__setattr__(owner, "axes", tuple(axes))
+
+
 @dataclass(frozen=True)
 class PairTerm:
     """coeff * s_k (x) s_l, ``axes`` as members or letters ("XY"); UsageError names the field."""
@@ -36,19 +54,7 @@ class PairTerm:
     coeff: float
 
     def __post_init__(self):
-        if not isinstance(self.sites, (list, tuple)) or len(self.sites) != 2:
-            raise UsageError(f"sites must be a list of two sites, got {self.sites!r}")
-        sites = tuple(config_int(s, "sites") for s in self.sites)
-        if sites[0] == sites[1]:
-            raise UsageError(f"sites must be two distinct sites, got {self.sites!r}")
-        axes = self.axes
-        if isinstance(axes, str):  # the config's letters
-            axes = [PauliAxis.__members__.get(a) for a in axes]
-        if not (isinstance(axes, (list, tuple)) and len(axes) == 2
-                and all(a in (PauliAxis.X, PauliAxis.Y, PauliAxis.Z) for a in axes)):
-            raise UsageError(f"axes must be two letters of X, Y, Z, got {self.axes!r}")
-        object.__setattr__(self, "sites", sites)
-        object.__setattr__(self, "axes", tuple(axes))
+        _check_pair(self)
         object.__setattr__(self, "coeff", config_float(self.coeff, "coeff"))
 
     def to_dict(self) -> dict:
@@ -116,11 +122,17 @@ class HamiltonianSpec:
 
 @dataclass(frozen=True)
 class Rotation:
+    """e^{i angle s_k x s_l}: ``sites`` >= 0 and ``axes`` checked as a term's, ``angle`` finite."""
+
     sites: tuple[int, int]
     axes: tuple[PauliAxis, PauliAxis]
     angle: float
     label = functools.cached_property(  # the report's key for its rounds, "a-b:kl"
         lambda self: "{}-{}:{}{}".format(*self.sites, *(a.value for a in self.axes)))
+
+    def __post_init__(self):
+        _check_pair(self, 0)
+        object.__setattr__(self, "angle", config_float(self.angle, "angle"))
 
     def to_dict(self) -> dict:
         return {
@@ -197,9 +209,12 @@ def _n_steps(n) -> int:
 def compile_plan(h: HamiltonianSpec, t: float, n: int) -> TrotterPlan:
     """First-order product formula: every term once per sweep, angle t*lambda/n (n = n_steps)."""
     n = _n_steps(n)  # the angles divide by it before the plan exists
-    layers = tuple(
-        (Rotation(term.sites, term.axes, t * term.coeff / n),) for term in h.terms
-    )
+    layers = []
+    for i, term in enumerate(h.terms):
+        if not math.isfinite(angle := t * term.coeff / n):  # UsageError names the term
+            raise UsageError(f"rotation angle t * hamiltonian.terms[{i}].coeff / n_steps "
+                             f"is {angle}, not finite")
+        layers.append((Rotation(term.sites, term.axes, angle),))
     return TrotterPlan(h.n_qubits, n, layers)
 
 

@@ -16,9 +16,11 @@ pair and frame sign.  A level whose table was not built ahead builds its
 chain's next ``_BLOCK`` tables in one ``round_tables`` pass.
 The frame is one integer, its Pauli string's ``key`` (``pauli`` alone knows
 its layout).  A round is one bisection into the level's weights, an XOR of
-the key when the branch flips a qubit (s_k / s_l at the pair sites), and a
-lookup of the level's one record for that branch and key.  Every branch's unitary is
-i^g X^f e^{i theta XX} for its form (theta, g, f), and all of them commute.
+the key when the branch flips a qubit (s_k / s_l at the pair sites), and one
+integer appended, the round's code: the frame key after it above the id of
+the (level, branch) row it read; ``Rounds`` decodes codes only when read.
+Every branch's unitary is i^g X^f e^{i theta XX} for its form (theta, g, f),
+and all of them commute.
 The state is kept up to global phase, as the frame is, so a round adds theta
 to an angle and XORs f into a flip code.  The product, up to a power of i, is
 X^F e^{i Theta XX} = cos(Theta) X^F + i sin(Theta) X^(F ^ 3): on the pair,
@@ -27,16 +29,16 @@ rotation makes one cache lookup, ``_rotation``, whose entry per (register
 size, sites, axes, angle, eps rule, loss) holds the pair's masks and strings,
 the first level and the rotation's operators by (Theta, F), each kept as the
 callable that applies it to the amplitudes, emptied with the cache when all
-entries keep 4096; a changed frame, and a new record's frame text, come
-from ``pauli.frame_of_key``, the string table keyed by the frame key.
+entries keep 4096; a changed frame comes from ``pauli.frame_of_key``, the
+string table keyed by the frame key.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 from operator import index
@@ -99,7 +101,7 @@ def reduce_angle(t: float) -> float:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One round's audit entry, shared by every round with its values; ``text`` is its JSON."""
+    """One round's audit entry, read from the round's code by ``Rounds``."""
 
     outcome: str
     eps_used: float
@@ -107,12 +109,42 @@ class RoundRecord:
     frame_after: str
     b_measurements: Optional[tuple[int, int]] = None
     lost: Optional[tuple[bool, bool]] = None
-    text = functools.cached_property(lambda self: json.dumps(self.to_dict(), sort_keys=True))
 
     def to_dict(self) -> dict:
-        """The fields by name, tuples as lists; the optional ones only when set (not ``text``)."""
+        """The fields by name, tuples as lists; the optional ones only when set."""
         values = ((f.name, getattr(self, f.name)) for f in fields(self))
         return {k: list(v) if isinstance(v, tuple) else v for k, v in values if v is not None}
+
+
+# A round's code is the frame key after it shifted up by _ROW_BITS, OR the id of
+# the (level, branch) row it read: ``_rows[code & _ROW_MASK]`` is (outcome, eps,
+# aimed angle, backup readings, lost photons).  Levels append rows and none is
+# dropped, so a code reads the same all process long; mutated, never rebound.
+_ROW_BITS, _ROW_MASK = 32, (1 << 32) - 1
+_rows: list[tuple] = []
+
+
+def round_record(code: int) -> RoundRecord:
+    """The record of the round whose code is ``code``."""
+    outcome, eps, aimed, b_bits, lost = _rows[code & _ROW_MASK]
+    return RoundRecord(outcome, eps, aimed, frame_of_key(code >> _ROW_BITS).text, b_bits, lost)
+
+
+@dataclass(eq=False, slots=True)
+class Rounds(Sequence):
+    """Rounds held as their ``codes``, read as ``RoundRecord``s; equal to a list of equal ones."""
+
+    codes: list[int]
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        codes = self.codes[i]
+        return list(map(round_record, codes)) if isinstance(i, slice) else round_record(codes)
+
+    def __eq__(self, other):  # also leaves Rounds unhashable, as a list is
+        return isinstance(other, (list, Rounds)) and list(self) == list(other)
 
 
 # The levels one ``round_tables`` pass builds tables for, fewer where the chain
@@ -145,15 +177,14 @@ class _Level:
     """One level of a residual's doubling chain: the residual it aims at and its round's branches.
 
     It takes its table from ``_waiting`` or builds it with its successors'
-    (``_tables_ahead``), and keeps its weights, records and forms.
-    ``records[i]`` maps a frame's key to the one record of branch i drawn
-    here with that frame.  ``rows[s < 0][i]`` is what a round reads under
-    frame sign s: (theta, f, flips, records[i], successor), with the
-    branch's form from the table less its power of i, the pair atoms it
-    flips (bit 0 the first, bit 1 the second) and the level after it: this
-    level when the branch does not rotate, None when s times its direction
-    is the residual's sign (the branch closes it), else the level at the
-    doubled residual, built when the rows are, on the first round drawn here.
+    (``_tables_ahead``), and keeps its weights, branches and forms.
+    ``rows[s < 0][i]`` is what a round reads under frame sign s: (theta, f,
+    flips, row, successor), with the branch's form less its power of i, the
+    pair atoms it flips (bit 0 the first, bit 1 the second), its row id in
+    ``_rows`` under either sign, and the level after it: this level when the
+    branch does not rotate, None when s times its direction is the residual's
+    sign (the branch closes it), else the level at the doubled residual,
+    built with the rows, on the first round drawn here.
     """
 
     def __init__(self, residual: float, mode: PolicyMode, loss: LossConfig):
@@ -162,17 +193,18 @@ class _Level:
         self.eps = EpsilonPolicy(mode).eps_for(self.aimed)
         table = _waiting.pop((self.eps, loss.key), None) or _tables_ahead(residual, mode, loss)
         self.cumulative, self.branches, self.forms = table
-        self.records: tuple[dict[int, RoundRecord], ...] = tuple({} for _ in self.branches)
 
     @functools.cached_property
     def rows(self) -> tuple[tuple[tuple, ...], ...]:
         r, sign = self.residual, 1 if self.residual > 0 else -1
         rotates = any(b.direction for b in self.branches)
         doubled = _level(r + r, self.mode, self.loss.key) if rotates else None
+        first = len(_rows)
+        _rows.extend((b.label, self.eps, self.aimed, b.b_bits, b.lost) for b in self.branches)
         return tuple(tuple(
-            (theta, f, b.flips[0] + 2 * b.flips[1], rec,
+            (theta, f, b.flips[0] + 2 * b.flips[1], row,
              self if b.direction is None else None if s * b.direction == sign else doubled)
-            for (theta, _, f), b, rec in zip(self.forms, self.branches, self.records))
+            for row, ((theta, _, f), b) in enumerate(zip(self.forms, self.branches), first))
             for s in (1, -1))
 
 
@@ -214,13 +246,16 @@ def _rotation(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis, angle: float,
               mode: PolicyMode, loss_key: tuple) -> tuple:
     """One rotation's entry: (keys, swap, pairs) of its pair record, its first level, operators.
 
-    The level is ``_level``'s, None when the angle is 0 mod pi.  The last
+    The keys are shifted up by ``_ROW_BITS``, as a round's code holds the frame
+    key.  The level is ``_level``'s, None when the angle is 0 mod pi.  The last
     item, empty at first, maps (Theta, F) to the operator ``_keep_operator``
     built for it.  Sites are ints (``realize_v_kl`` passes them through
     ``operator.index``), so the key need not be typed.  Bad input raises on
     every call, since an exception is not cached.
     """
-    return (*_pair_record(n, a, b, k, l), _level(angle, mode, loss_key), {})
+    keys, swap, pairs = _pair_record(n, a, b, k, l)
+    return (tuple(key << _ROW_BITS for key in keys), swap, pairs,
+            _level(angle, mode, loss_key), {})
 
 
 # The most operators all ``_rotation`` entries keep together, and (in a list, so
@@ -259,7 +294,7 @@ def realize_v_kl(
     frame: PauliString,
     rng,
     loss: Optional[LossConfig] = None,
-) -> tuple[StateVector, PauliString, list[RoundRecord]]:
+) -> tuple[StateVector, PauliString, Rounds]:
     """Realize e^{i t s_k x s_l} on ``pair`` modulo the tracked error frame.
 
     Each round draws a branch of the XX table ``round_branches(eps, loss)``
@@ -275,7 +310,7 @@ def realize_v_kl(
     equals the exact product of the drawn unitaries applied to the input up
     to a power of i; on success the frame-corrected output equals the exact
     rotation applied to the frame-corrected input, up to global phase.
-    Sites are integers: a float site raises TypeError.
+    The rounds come as ``Rounds``.  Sites are integers: a float site raises TypeError.
     Raises IncompleteRotationError (with state, frame, and residual attached)
     if max_rounds is exhausted.
     """
@@ -283,39 +318,32 @@ def realize_v_kl(
     a, b = pair
     keys, swap, pairs, level, operators = _rotation(
         n, index(a), index(b), k, l, t_target, policy.mode, (loss or _LOSSLESS).key)
-    # The leading bit keeps the keys of registers of different sizes apart in
-    # the records of the levels they share.
-    key = start = frame.key
     if frame.n != n:
         raise UsageError(f"length mismatch: {frame.n} vs {n}")
     # A round's byproducts s_k (x) 1 and 1 (x) s_l both commute with the target
     # s_k (x) s_l, so the frame's commutation with it, and this sign, hold for
     # the whole rotation: it picks the level's successors.
-    swapped = (key & swap).bit_count() & 1
-    records: list[RoundRecord] = []
+    swapped = (frame.key & swap).bit_count() & 1
+    codes: list[int] = []
     if level is None:
-        return state, frame, records
+        return state, frame, Rounds(codes)
 
     # The sum of the rounds' angles and XOR of their Pauli flip codes: the
     # product of their commuting unitaries, up to a power of i.
     angle, pauli = 0.0, 0
-    draw, bisect_right, append = rng.random, bisect.bisect_right, records.append
+    # The frame key, shifted as in a code; its leading bit tells the register size.
+    key = start = frame.key << _ROW_BITS
+    draw, bisect_right, append = rng.random, bisect.bisect_right, codes.append
     current = None
     for _ in range(policy.max_rounds):
         if level is not current:  # rows build the successors, so read them on arrival only
             current, cumulative, rows = level, level.cumulative, level.rows[swapped]
-        i = bisect_right(cumulative, draw())
-        theta, f, code, by_key, level = rows[i]
+        theta, f, code, row, level = rows[bisect_right(cumulative, draw())]
         angle += theta
         pauli ^= f
         if code:
             key ^= keys[code]
-        rec = by_key.get(key)
-        if rec is None:
-            out = current.branches[i]
-            rec = by_key[key] = RoundRecord(out.label, current.eps, current.aimed,
-                                            frame_of_key(key).text, out.b_bits, out.lost)
-        append(rec)
+        append(key | row)
         if level is None:
             break
 
@@ -327,10 +355,10 @@ def realize_v_kl(
     out.amplitudes, out.n_qubits = apply(state.amplitudes), n
     state = out
     if key != start:
-        frame = frame_of_key(key)
+        frame = frame_of_key(key >> _ROW_BITS)
     if level is None:
-        return state, frame, records
-    err = IncompleteRotationError(level.residual, records)
+        return state, frame, Rounds(codes)
+    err = IncompleteRotationError(level.residual, Rounds(codes))
     err.state, err.frame = state, frame  # resumable: caller may retry with t = residual
     raise err
 
@@ -343,7 +371,7 @@ def realize_v(
     frame: PauliString,
     rng: np.random.Generator,
     loss: Optional[LossConfig] = None,
-) -> tuple[StateVector, PauliString, list[RoundRecord]]:
+) -> tuple[StateVector, PauliString, Rounds]:
     """Realize e^{it XX} on ``pair`` modulo the tracked error frame."""
     return realize_v_kl(
         state, pair, PauliAxis.X, PauliAxis.X, t_target, policy, frame, rng, loss

@@ -7,6 +7,7 @@ bit-identical regardless of execution order.
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
 import itertools
@@ -24,9 +25,10 @@ from .compiler import HamiltonianSpec, LocalGate, Rotation, TrotterPlan, compile
 from .emission import BeamSplitterOutcome, PhotonEncoding, outcome_probabilities
 from .errors import ConfigError, IncompleteRotationError, ResourceError, UsageError
 from .errors import config_choice, config_errors, config_float, config_int, config_object
-from .feedback import EpsilonPolicy, PolicyMode, RoundRecord, realize_v_kl
+from .feedback import _ROW_BITS, _ROW_MASK, EpsilonPolicy, PolicyMode, RoundRecord, Rounds, _rows
+from .feedback import realize_v_kl
 from .loss import CNOT_MATRIX, LossConfig, round_branches
-from .pauli import PauliAxis, PauliString
+from .pauli import PauliAxis, PauliString, frame_of_key
 from .statevec import (
     DEFAULT_QUBIT_CAP,
     StateVector,
@@ -67,12 +69,7 @@ class ProtocolConfig:
         """Check every value: UsageError names the key, ResourceError past WORK_BUDGET rounds."""
         setattr_ = functools.partial(object.__setattr__, self)
         setattr_("t", config_float(self.t, "t"))
-        setattr_("n_steps", self.plan.n_steps)
-        # compile_plan makes one rotation per term, in term order
-        for i, rot in enumerate(self.plan.sweep_rotations()):
-            if not math.isfinite(rot.angle):
-                raise UsageError(f"rotation angle t * hamiltonian.terms[{i}].coeff / n_steps "
-                                 f"is {rot.angle}, not finite")
+        setattr_("n_steps", self.plan.n_steps)  # compile_plan checks every rotation angle
         for key in ("trajectories", "master_seed"):
             setattr_(key, config_int(getattr(self, key), key, 0))
         _initial_state(self.initial_state, self.hamiltonian.n_qubits)
@@ -317,16 +314,21 @@ def build_register(cfg: ProtocolConfig) -> StateVector:
 
 @dataclass
 class TrajectoryStats:
+    """One trajectory; ``records`` reads its rounds' ``codes``, and ``_tally`` sets ``tallies``,
+    (outcome histogram, photon retry counts), for a whole ensemble at once, or on first read."""
+
     index: int
     rounds_per_rotation: list[int]
-    outcome_histogram: dict[str, int]
-    photon_retry_counts: list[int]
     final_frame: str
     fidelity_vs_oracle: float
     failure_reason: Optional[str]
-    records: list[RoundRecord] = field(default_factory=list)
+    codes: list[int] = field(default_factory=list)
+    tallies: Optional[tuple] = field(default=None, repr=False, compare=False)
 
-    rounds_total = property(lambda self: len(self.records))
+    records = property(lambda self: Rounds(self.codes))
+    rounds_total = property(lambda self: len(self.codes))
+    outcome_histogram = property(lambda self: (self.tallies or _tally([self])[0].tallies)[0])
+    photon_retry_counts = property(lambda self: (self.tallies or _tally([self])[0].tallies)[1])
     loss_events = property(lambda self: self.outcome_histogram.get("loss", 0))
     failed = property(lambda self: self.failure_reason is not None)
 
@@ -353,10 +355,10 @@ class TrajectoryStats:
 def _run_operations(operations, state: StateVector, rng, policy: EpsilonPolicy, loss: LossConfig):
     """Run ``operations`` on ``state`` from the identity frame; rotations draw from ``rng``.
 
-    Returns (state, frame, records, rounds per rotation, stop), ``stop`` the IncompleteRotationError
-    that ended the run, with its rotation as ``stop.rotation``, or None.
+    Returns (state, frame, rounds, rounds per rotation, stop), ``rounds`` a ``Rounds``, ``stop``
+    the IncompleteRotationError that ended the run, with its rotation as ``stop.rotation``, or None.
     """
-    frame, records, rounds_per_rotation = PauliString.identity(state.n_qubits), [], []
+    frame, codes, rounds_per_rotation = PauliString.identity(state.n_qubits), [], []
     try:
         for op in operations:
             if type(op) is LocalGate:  # the frame's Pauli at its site, then its checked gate
@@ -367,22 +369,22 @@ def _run_operations(operations, state: StateVector, rng, policy: EpsilonPolicy, 
                 frame = frame.updated(fix)
                 continue
             k, l = op.axes
-            state, frame, recs = realize_v_kl(
+            state, frame, rounds = realize_v_kl(
                 state, op.sites, k, l, op.angle, policy, frame, rng, loss)
-            records += recs
-            rounds_per_rotation.append(len(recs))
+            codes += rounds.codes
+            rounds_per_rotation.append(len(rounds.codes))
     except IncompleteRotationError as stop:
         stop.rotation = op
-        records += stop.records
-        rounds_per_rotation.append(len(stop.records))
-        return stop.state, stop.frame, records, rounds_per_rotation, stop
-    return state, frame, records, rounds_per_rotation, None
+        codes += stop.records.codes
+        rounds_per_rotation.append(len(stop.records.codes))
+        return stop.state, stop.frame, Rounds(codes), rounds_per_rotation, stop
+    return state, frame, Rounds(codes), rounds_per_rotation, None
 
 
 def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
     """Execute the compiled plan once, then compare against the exact oracle."""
     rng = _trajectory_uniforms(cfg.master_seed, index)
-    state, frame, all_records, rounds_per_rotation, stop = _run_operations(
+    state, frame, rounds, rounds_per_rotation, stop = _run_operations(
         cfg.plan.operations(), build_register(cfg), rng, cfg.policy, cfg.loss)
     failure_reason = None if stop is None else (
         f"rotation on {stop.rotation.sites} incomplete, residual {stop.residual:.3e}")
@@ -395,28 +397,8 @@ def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
         if len(cfg.framed_oracles) < _FRAMED_ORACLE_CAP:
             cfg.framed_oracles[frame.key] = oracle
     fid = float(abs(np.vdot(oracle, state.amplitudes)) ** 2)
-
-    histogram: dict[str, int] = {}
-    retry_counts: list[int] = []
-    pending_losses = 0
-    for rec in all_records:
-        histogram[rec.outcome] = histogram.get(rec.outcome, 0) + 1
-        if rec.outcome == "loss":
-            pending_losses += 1
-        else:
-            retry_counts.append(pending_losses + 1)
-            pending_losses = 0
-
-    return TrajectoryStats(
-        index=index,
-        rounds_per_rotation=rounds_per_rotation,
-        outcome_histogram=histogram,
-        photon_retry_counts=retry_counts,
-        final_frame=frame.text,
-        fidelity_vs_oracle=fid,
-        failure_reason=failure_reason,
-        records=all_records,
-    )
+    return TrajectoryStats(index, rounds_per_rotation, frame.text, fid, failure_reason,
+                           rounds.codes)
 
 
 def run_ensemble(cfg: ProtocolConfig) -> tuple[dict, list[TrajectoryStats]]:
@@ -426,50 +408,59 @@ def run_ensemble(cfg: ProtocolConfig) -> tuple[dict, list[TrajectoryStats]]:
     return aggregate_report(cfg, stats), stats
 
 
-def aggregate_report(cfg: ProtocolConfig, stats: list[TrajectoryStats]) -> dict:
-    fids = [s.fidelity_vs_oracle for s in stats]
-    rounds = [s.rounds_total for s in stats]
-    retries = [r for s in stats for r in s.photon_retry_counts]
-    histogram: dict[str, int] = {}
-    for s in stats:
-        for k, v in s.outcome_histogram.items():
-            histogram[k] = histogram.get(k, 0) + v
-    per_rotation: dict[str, list[int]] = {}
-    for s in stats:
-        for rot, count in zip(cfg.plan.operations(), s.rounds_per_rotation):
-            per_rotation.setdefault(rot.label, []).append(count)
+def _tally(stats: list[TrajectoryStats]) -> list[TrajectoryStats]:
+    """Set the ``tallies`` of those of ``stats`` without them, in one numpy pass; return ``stats``.
 
-    n_out = sum(histogram.values())
-    report = {
+    A (trajectory, outcome of the round's row) bincount gives the histograms; a kept (not lost)
+    round's retry count is its distance to the kept round before it, or to its start less one.
+    """
+    todo = [s for s in stats if s.tallies is None]
+    if not todo:
+        return stats
+    lengths = [len(s.codes) for s in todo]
+    rows = np.fromiter(itertools.chain.from_iterable(s.codes for s in todo), np.int64) & _ROW_MASK
+    used = np.flatnonzero(np.bincount(rows)).tolist()
+    labels = sorted({_rows[r][0] for r in used})
+    outcome_of = np.zeros(used[-1] + 1 if used else 0, dtype=np.intp)
+    outcome_of[used] = [labels.index(_rows[r][0]) for r in used]
+    outcomes, trajectory = outcome_of[rows], np.repeat(np.arange(len(todo)), lengths)
+    histograms = np.bincount(trajectory * len(labels) + outcomes,
+                             minlength=len(todo) * len(labels)).reshape(len(todo), len(labels))
+    kept = np.flatnonzero(outcomes != labels.index("loss") if "loss" in labels else rows >= 0)
+    first = (np.cumsum(lengths) - lengths)[trajectory[kept]]  # each kept round's trajectory's
+    retries = (kept - np.maximum(np.concatenate(([-1], kept[:-1])), first - 1)).tolist()
+    ends = np.cumsum(np.bincount(trajectory[kept], minlength=len(todo))).tolist()
+    for s, counts, start, end in zip(todo, histograms.tolist(), [0, *ends], ends):
+        s.tallies = ({k: c for k, c in zip(labels, counts) if c}, retries[start:end])
+    return stats
+
+
+def aggregate_report(cfg: ProtocolConfig, stats: list[TrajectoryStats]) -> dict:
+    """The ensemble's report; ``_tally`` first tallies every trajectory not yet tallied."""
+    fids = [s.fidelity_vs_oracle for s in _tally(stats)]
+    rounds = [s.rounds_total for s in stats]
+    per_rotation = [c for s in stats for c in s.rounds_per_rotation]
+    retries = [r for s in stats for r in s.photon_retry_counts]
+    histogram, per_site = collections.Counter(), {}
+    for s in stats:
+        histogram.update(s.outcome_histogram)
+        for rot, count in zip(cfg.plan.operations(), s.rounds_per_rotation):
+            per_site.setdefault(rot.label, []).append(count)
+    mean = lambda values: float(np.mean(values)) if values else None  # noqa: E731
+    return {
         "config": cfg.to_dict(),
         "n_trajectories": len(stats),
-        "n_failed": sum(1 for s in stats if s.failed),
-        "fidelity": {
-            "mean": float(np.mean(fids)) if fids else None,
-            "variance": float(np.var(fids)) if fids else None,
-            "min": float(min(fids)) if fids else None,
-        },
-        "rounds": {
-            "total": int(sum(rounds)),
-            "mean_per_trajectory": float(np.mean(rounds)) if rounds else None,
-            "mean_per_rotation": (
-                float(np.mean([c for s in stats for c in s.rounds_per_rotation]))
-                if any(s.rounds_per_rotation for s in stats)
-                else None
-            ),
-        },
-        "outcome_frequencies": {k: v / n_out for k, v in sorted(histogram.items())},
+        "n_failed": sum(s.failed for s in stats),
+        "fidelity": {"mean": mean(fids), "variance": float(np.var(fids)) if fids else None,
+                     "min": float(min(fids)) if fids else None},
+        "rounds": {"total": sum(rounds), "mean_per_trajectory": mean(rounds),
+                   "mean_per_rotation": mean(per_rotation)},
+        "outcome_frequencies": {k: v / histogram.total() for k, v in sorted(histogram.items())},
         "outcome_counts": dict(sorted(histogram.items())),
-        "loss": {
-            "events": int(sum(s.loss_events for s in stats)),
-            "retry_mean": float(np.mean(retries)) if retries else None,
-            "retry_count": len(retries),
-        },
-        "rounds_per_rotation_site": {
-            k: float(np.mean(v)) for k, v in sorted(per_rotation.items())
-        },
+        "loss": {"events": histogram["loss"], "retry_mean": mean(retries),
+                 "retry_count": len(retries)},
+        "rounds_per_rotation_site": {k: mean(v) for k, v in sorted(per_site.items())},
     }
-    return report
 
 
 def probe_rounds(eps: float, samples: int, rng: np.random.Generator) -> dict:
@@ -535,11 +526,11 @@ def cnot_demo(
     fidelities = []
     total_rounds = 0
     for i, data_amp in enumerate(_cnot_demo_inputs()):
-        state, _, records, _, stop = _run_operations(
+        state, _, rounds, _, stop = _run_operations(
             program, StateVector(data_amp), _trajectory_uniforms(master_seed, i), policy, loss)
         if stop is not None:
             raise stop
-        total_rounds += len(records)
+        total_rounds += len(rounds)
         fidelities.append(float(abs(np.vdot(CNOT_MATRIX @ data_amp, state.amplitudes)) ** 2))
 
     return {
@@ -560,16 +551,29 @@ def noiseless_plan_fidelity(cfg: ProtocolConfig) -> float:
     return float(abs(np.vdot(oracle, plan_unitary(cfg.plan) @ cfg.initial_amplitudes)) ** 2)
 
 
-def _audit_lines(stats: list[TrajectoryStats]):
-    """Each trajectory's ``json.dumps(s.to_dict(), sort_keys=True)`` line, from its records' text.
+@functools.cache
+def _row_json(row: int) -> list[str]:
+    """The JSON of a round of ``row`` split where its frame goes; a row id is never reused."""
+    outcome, eps, aimed, b_bits, lost = _rows[row]
+    rec = RoundRecord(outcome, eps, aimed, 0, b_bits, lost).to_dict()  # 0 holds the frame's place
+    return json.dumps(rec, sort_keys=True).split('"frame_after": 0')
 
-    Each record keeps its own ``text``, so a record is encoded once; the rounds
-    go at ``"rounds": 0``, whose bare quotes no JSON string can contain.
+
+def _audit_lines(stats: list[TrajectoryStats]):
+    """Each trajectory's ``json.dumps(s.to_dict(), sort_keys=True)`` line, from its rounds' codes.
+
+    A round's text is its row's JSON, encoded once, around its frame's text,
+    joined once per distinct code; the rounds go at ``"rounds": 0`` and the
+    frame at ``"frame_after": 0``, whose bare quotes no JSON string can contain.
     """
-    for s in stats:
+    texts = {}
+    for code in set(itertools.chain.from_iterable(s.codes for s in stats)):
+        head, tail = _row_json(code & _ROW_MASK)
+        texts[code] = f'{head}"frame_after": "{frame_of_key(code >> _ROW_BITS).text}"{tail}'
+    for s in _tally(stats):
         line = json.dumps({**s.summary(), "rounds": 0}, sort_keys=True)
         head, _, tail = line.partition('"rounds": 0')
-        yield f'{head}"rounds": [{", ".join([r.text for r in s.records])}]{tail}\n'
+        yield f'{head}"rounds": [{", ".join(map(texts.__getitem__, s.codes))}]{tail}\n'
 
 
 def emit_report(

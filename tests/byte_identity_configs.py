@@ -88,6 +88,16 @@ CONFIGS = {
                       for a, b in itertools.permutations(range(6), 2)
                       for k in "XYZ" for l in "XYZ"]},
                   "t": 0.3, "n_steps": 1, "trajectories": 2, "master_seed": 5},
+    # 8 rounds per rotation under paper_doubling: the only config whose
+    # trajectories run out of rounds, so some stop early and some finish; its
+    # audit alone writes incomplete rotations, a failure_reason and the rounds
+    # of IncompleteRotationError.records
+    "paper-doubling-failing": {"hamiltonian": {"n_qubits": 3, "terms": [
+                                   {"sites": [0, 1], "axes": "XX", "coeff": 1.0},
+                                   {"sites": [1, 2], "axes": "ZY", "coeff": 0.7}]},
+                               "t": 0.9, "n_steps": 3,
+                               "trajectories": 8, "master_seed": 3,
+                               "policy": {"mode": "paper_doubling", "max_rounds": 8}},
     # an XX term at t = pi beside a ZZ term at pi/4, whose XX rotation is a
     # no-op that neither the feedback loop nor schedule's round budget counts
     # a round for

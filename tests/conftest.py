@@ -32,6 +32,7 @@ MODULE_CACHES = (
     (mfsim.pauli, "frame_of_key"),
     (mfsim.harness, "_seed_block"),
     (mfsim.harness, "_seed_words"),
+    (mfsim.harness, "_row_json"),
     (mfsim.loss, "_outcome_stack"),
     (mfsim.statevec, "_subset_index"),
 )
@@ -41,7 +42,9 @@ def clear_module_caches():
     """Empty every cache in ``MODULE_CACHES``, so the next trajectory starts cold.
 
     The rotation entries go with the operators they keep, so the count of
-    kept operators starts again at zero.
+    kept operators starts again at zero.  ``feedback._rows`` is no cache and
+    stays: a round's code names its row for the life of the process, and the
+    levels a cold trajectory builds again append rows of their own.
     """
     for module, name in MODULE_CACHES:
         getattr(module, name).cache_clear()

@@ -134,10 +134,29 @@ class TestCompilePlan:
         plan = TrotterPlan(2, 3.0, ())
         assert plan.n_steps == 3 and type(plan.n_steps) is int
 
-    @pytest.mark.parametrize("sites", [(0, 5), (2, 1), (-1, 0)])
+    @pytest.mark.parametrize("sites", [(0, 5), (2, 1)])
     def test_rotation_sites_outside_the_register_rejected(self, sites):
         with pytest.raises(UsageError, match=r"^rotation sites must lie in \[0, 2\), got"):
             TrotterPlan(2, 1, ((Rotation(sites, XX, 0.1),),))
+
+    @pytest.mark.parametrize("sites, axes, angle, message", [
+        ((0, 1.5), XX, 0.1, "sites must be an integer, got 1.5"),
+        ((0, 0), XX, 0.1, r"sites must be two distinct sites, got \(0, 0\)"),
+        ((-1, 0), XX, 0.1, "sites must be non-negative"),
+        ((0, 1), XX, math.nan, "angle must be finite and a JSON number, got nan"),
+        ((0, 1), XX, math.inf, "angle must be finite and a JSON number, got inf"),
+        ((0, 1), (PauliAxis.I, PauliAxis.X), 0.1, "axes must be two letters of X, Y, Z"),
+        ((0, 1), (PauliAxis.X,), 0.1, "axes must be two letters of X, Y, Z")],
+        ids=["fractional-site", "same-site", "negative-site", "nan-angle", "inf-angle",
+             "identity-axis", "one-axis"])
+    def test_rotation_checks_itself_when_built(self, sites, axes, angle, message):
+        with pytest.raises(UsageError, match=f"^{message}"):
+            Rotation(sites, axes, angle)
+
+    def test_rotation_keeps_integer_sites_and_a_float_angle(self):
+        rot = Rotation((np.int64(2), 0.0), "ZY", 1)
+        assert rot == Rotation((2, 0), (PauliAxis.Z, PauliAxis.Y), 1.0)
+        assert [type(s) for s in rot.sites] == [int, int] and type(rot.angle) is float
 
     def test_layer_disjointness_enforced(self):
         rots = (Rotation((0, 1), XX, 0.1), Rotation((1, 2), XX, 0.1))

@@ -25,11 +25,6 @@ from workloads import make_config  # noqa: E402
 
 CONFIGS = {
     **BYTE_IDENTITY_CONFIGS,
-    # 8 rounds per rotation: some trajectories run out and stop early
-    "paper-doubling-failing": {"hamiltonian": {"n_qubits": 3, "terms": [
-        {"sites": [0, 1], "axes": "XX", "coeff": 1.0}, {"sites": [1, 2], "axes": "ZY", "coeff": 0.7}]},
-        "t": 0.9, "n_steps": 3, "trajectories": 8, "master_seed": 3,
-        "policy": {"mode": "paper_doubling", "max_rounds": 8}},
     # the benchmark's ensembles at seed 0
     "trotter3": make_config("trotter3", 0, 300),
     "backup2-loss60": make_config("backup2-loss60", 0, 150),

@@ -9,7 +9,7 @@ import mfsim.feedback
 import mfsim.harness
 from mfsim.compiler import compile_plan
 from mfsim.errors import ConfigError, IncompleteRotationError, ResourceError, UsageError
-from mfsim.feedback import EpsilonPolicy, PolicyMode
+from mfsim.feedback import EpsilonPolicy, PolicyMode, Rounds
 from mfsim.pauli import PauliAxis
 from mfsim.harness import (
     CNOT_MATRIX,
@@ -249,7 +249,7 @@ class TestRunTrajectory:
         def fail_second(state, *args):
             calls.append(args)
             if len(calls) == 2:
-                err = IncompleteRotationError(0.25, [])
+                err = IncompleteRotationError(0.25, Rounds([]))
                 err.state, err.frame = state, args[5]
                 raise err
             return real(state, *args)
@@ -442,7 +442,7 @@ def test_trajectory_tallies_equal_a_recount_of_its_records(p_loss, max_rounds):
 @pytest.mark.parametrize("name", ["past-cap", "backup-paper-doubling", "heralded-loss",
                                   "block-edge"])
 def test_trajectories_do_not_depend_on_execution_order(name):
-    # The second run rebuilds the cached levels, their records, the pair
+    # The second run rebuilds the cached levels, their rows, the pair
     # records and the seed blocks in another order (last block first), and
     # fills another config's framed oracles.
     def audit(cfg, indices):

@@ -484,6 +484,29 @@ def test_exhausted_rotation_state_equals_state_draw():
     assert_equal_up_to_power_of_i(exc.state, want, 1e-12)
 
 
+@pytest.mark.parametrize("name, seed", [("trotter", 5), ("backup-loss60", 6)])
+def test_trajectory_records_decoded_from_codes_equal_state_draw(name, seed):
+    """A trajectory keeps its rounds as codes; read as records they are the per-round loop's."""
+    cfg = ProtocolConfig.from_dict({**CONFIGS[name], "master_seed": seed, "policy": {
+        "max_rounds": 4 if name == "trotter" else 4000}})
+    stopped = 0
+    for index in range(6):
+        stats = run_trajectory(cfg, index)
+        state = StateVector(cfg.initial_amplitudes)
+        frame, want = ErrorFrame.identity(state.n_qubits), []
+        rng = mfsim.harness._trajectory_uniforms(cfg.master_seed, index)
+        for rot in cfg.plan.operations():
+            state, frame, records, residual = state_draw_rotation(
+                state, rot.sites, rot.axes, rot.angle, cfg.policy, frame, rng, cfg.loss)
+            want += records
+            if abs(residual) > 1e-12:  # out of rounds: the trajectory stops here
+                stopped += 1
+                break
+        assert stats.records == want and stats.final_frame == str(frame)
+        assert stats.to_dict()["rounds"] == [r.to_dict() for r in want]
+    assert stopped and stopped < 6 if name == "trotter" else not stopped
+
+
 # The controller walks a cached chain of doubling levels; the per-round loop
 # above looks every round's table up afresh.  Both must draw the same rounds.
 POLICY_MODES = list(PolicyMode)

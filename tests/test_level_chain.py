@@ -166,17 +166,22 @@ def test_level_rows_are_forms_flips_records_and_successors(loss, cold_caches, bu
     policy = EpsilonPolicy(max_rounds=10_000)
     for axes, sign, t in itertools.product(AXIS_PAIRS, (1, -1), (0.7, -2.9)):
         realize_v_kl(state, PAIR, *axes, t, policy, frame_with_sign(axes, sign), rng, loss)
-    assert any(len(records) for level in built_levels for records in level.records)
+    assert any("rows" in vars(level) for level in built_levels)
+    row_ids = []
     for level in list(built_levels):  # reading rows may build successors
         table = round_branches(level.eps, loss)
         for rows in level.rows:
             assert len(rows) == len(level.branches) == len(table.branches)
             for i, (row, branch, form) in enumerate(zip(rows, table.branches, table.forms)):
-                theta, f, flips, records, succ = row
+                theta, f, flips, row_id, succ = row
                 assert (theta, f) == form[::2]  # the power of i goes with the global phase
                 assert flips == branch.flips[0] + 2 * branch.flips[1]
-                assert records is level.records[i]
+                assert row_id == level.rows[0][i][3]  # both frame signs read one row
+                assert mfsim.feedback._rows[row_id] == (
+                    branch.label, level.eps, level.aimed, branch.b_bits, branch.lost)
                 assert (succ is level) == (branch.direction is None)
+        row_ids += [row[3] for row in level.rows[0]]
+    assert len(set(row_ids)) == len(row_ids)  # a row id per level and branch
 
 
 @pytest.mark.parametrize("loss", LOSSES, ids=["lossless", "heralded", "backup-loss60"])
@@ -213,7 +218,7 @@ def test_policies_that_differ_only_in_max_rounds_share_the_first_level(
     close = draw_of(0.7, loss, 1)
     short = rotation_records(0.7, 1, loss, [close])
     long = rotation_records(0.7, 10_000, loss, [close])
-    assert short[0] is long[0]  # one level, so one record for the branch and frame
+    assert short.codes[0] == long.codes[0]  # one level, so one row for the branch
     assert [level.residual == 0.7 for level in built_levels].count(True) == 1
 
 
@@ -223,6 +228,6 @@ def test_rotation_starts_at_the_level_a_half_angle_doubles_into(loss, cold_cache
     halved = rotation_records(0.3, 10_000, loss, [double, close])
     assert [r.aimed_angle for r in halved] == [0.3, 0.6]
     whole = rotation_records(0.6, 10_000, loss, [close])
-    assert whole[0] is halved[1]
+    assert whole.codes[0] == halved.codes[1]
     assert [level.residual for level in built_levels[:3]] == [0.3, 0.6, reduce_angle(1.2)]
     assert len(built_levels) == 3  # the rotation at 0.6 built no level of its own

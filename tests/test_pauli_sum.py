@@ -150,7 +150,7 @@ def reference_trajectory(cfg, index):
                 state, frame, recs = realize_v_kl(state, rot.sites, *rot.axes, rot.angle,
                                                   cfg.policy, frame, rng, cfg.loss)
             except IncompleteRotationError as exc:  # the trajectory stops here
-                return records + exc.records, str(exc.frame)
+                return records + list(exc.records), str(exc.frame)
             records.extend(recs)
     return records, str(frame)
 

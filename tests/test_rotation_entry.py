@@ -116,7 +116,7 @@ def rotate_all(pairs, n, seed):
                                        (PauliAxis.Z, PauliAxis.X)] * 4, (0.4, -1.1, 2.3) * 4):
         state, frame, records = realize_v_kl(state, pair, k, l, t, EpsilonPolicy(), frame, rng,
                                              LossConfig(p_loss=0.3))
-        out.append((state.amplitudes, frame, [r.text for r in records]))
+        out.append((state.amplitudes, frame, list(records)))
     return out
 
 

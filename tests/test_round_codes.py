@@ -1,10 +1,11 @@
-"""Interned round records and the audit writer that encodes each record once.
+"""Rounds as integer codes, and the audit writer and tallies that read them.
 
-A round record is fixed by (doubling level, drawn branch, frame text), so each
-level keeps one record per branch and frame, and every round that repeats them
-appends that same frozen object.  ``emit_report`` encodes each distinct record
-once; its files must equal the reference form, ``json.dumps(s.to_dict(),
-sort_keys=True)`` per trajectory.
+A round is fixed by (doubling level, drawn branch, frame after it), so its
+code is the frame key above the id of the level's row for the branch, and
+every round that repeats them appends the same integer.  Records are decoded
+only when read; ``emit_report``'s files must equal the reference form,
+``json.dumps(s.to_dict(), sort_keys=True)`` per trajectory, and the ensemble
+pass's tallies a recount of each trajectory's records.
 """
 
 import dataclasses
@@ -15,12 +16,15 @@ import numpy as np
 import pytest
 
 import mfsim.feedback
-from mfsim.feedback import EpsilonPolicy, _level, _pair_record, realize_v, realize_v_kl, reduce_angle
-from mfsim.harness import ProtocolConfig, emit_report, run_ensemble, run_trajectory
-from mfsim.pauli import ErrorFrame, PauliAxis
+from mfsim.feedback import (
+    EpsilonPolicy, Rounds, _level, _pair_record, realize_v, realize_v_kl, reduce_angle, round_record)
+from mfsim.harness import ProtocolConfig, aggregate_report, emit_report, run_ensemble, run_trajectory
+from mfsim.loss import LossConfig
+from mfsim.pauli import ErrorFrame, PauliAxis, frame_of_key
 from mfsim.statevec import StateVector
 
 from conftest import clear_module_caches
+from test_harness import recount
 
 _PAIR = {"n_qubits": 2, "terms": [{"sites": [0, 1], "axes": "XX", "coeff": 1.0}]}
 _TRIPLE = {"n_qubits": 3, "terms": [{"sites": [0, 1], "axes": "XX", "coeff": 1.0},
@@ -39,6 +43,10 @@ CONFIGS = {
     "paper-doubling-failing": {"hamiltonian": _TRIPLE, "t": 0.9, "n_steps": 3,
                                "trajectories": 8, "master_seed": 3,
                                "policy": {"mode": "paper_doubling", "max_rounds": 8}},
+    # 60 rounds per rotation at p_loss 0.9: some rotations run out during a run of losses
+    "backup-loss90-failing": {"hamiltonian": _PAIR, "t": 0.8, "n_steps": 3, "trajectories": 12,
+                              "policy": {"max_rounds": 60},
+                              "loss": {"p_loss": 0.9, "backup_enabled": True}},
     "no-trajectories": {"hamiltonian": _PAIR, "t": 0.8, "n_steps": 3, "trajectories": 0},
 }
 
@@ -56,46 +64,71 @@ def test_files_equal_the_reference_form(name, tmp_path):
         json.dumps(s.to_dict(), sort_keys=True) + "\n" for s in stats)
 
 
-def test_writer_encodes_records_it_did_not_intern(tmp_path):
-    # records built outside the round loop, one shared and one equal but distinct
-    cfg = ProtocolConfig.from_dict({"hamiltonian": _PAIR, "t": 0.8, "n_steps": 2,
-                                    "trajectories": 2})
-    report, stats = run_ensemble(cfg)
-    shared = mfsim.feedback.RoundRecord("hh", 0.25, 0.5, 'X"Y', (1, 0), (False, True))
-    stats[0].records = [shared, dataclasses.replace(shared), shared]
-    stats[1].records = [shared]
-    emit_report(report, stats, tmp_path)
-    assert (tmp_path / "audit.jsonl").read_text() == "".join(
-        json.dumps(s.to_dict(), sort_keys=True) + "\n" for s in stats)
+@pytest.mark.parametrize("name", CONFIGS)
+def test_ensemble_tallies_equal_a_recount_of_each_trajectorys_records(name):
+    cfg = ProtocolConfig.from_dict({"master_seed": 7, **CONFIGS[name]})
+    _, stats = run_ensemble(cfg)  # one pass over all trajectories' codes
+    assert all(s.tallies is not None for s in stats)
+    if name == "backup-loss90-failing":  # trailing losses add loss events but no retry count
+        assert any(s.failed and s.records[-1].outcome == "loss" for s in stats)
+    for s in stats:
+        histogram, losses, retries = recount(s.records)
+        assert (s.outcome_histogram, s.loss_events, s.photon_retry_counts) == (
+            histogram, losses, retries)
+    again = [dataclasses.replace(s, tallies=None) for s in stats]  # tallied one by one
+    assert [s.summary() for s in again] == [s.summary() for s in stats]
+    assert aggregate_report(cfg, again) == aggregate_report(cfg, stats)
 
 
-def test_rounds_at_one_level_branch_and_frame_share_a_record():
+def test_rounds_at_one_level_branch_and_frame_share_a_code():
     state = StateVector(np.full(4, 0.5, dtype=complex))
     firsts = {}
     for seed in range(12):
         _, _, recs = realize_v(state, (0, 1), 0.7, EpsilonPolicy(), ErrorFrame.identity(2),
                                np.random.default_rng(seed))
         # every rotation's first round is drawn at its first level under frame II
-        firsts.setdefault(recs[0].outcome, []).append(recs[0])
+        firsts.setdefault(recs[0], set()).add(recs.codes[0])
     assert len(firsts) > 1
-    for same in firsts.values():
-        assert all(r is same[0] for r in same)
+    assert all(len(codes) == 1 for codes in firsts.values())
+    assert len({code for codes in firsts.values() for code in codes}) == len(firsts)
 
 
-def test_trajectories_append_the_levels_records():
+def test_a_code_holds_the_frame_after_the_round_above_its_levels_row():
     cfg = ProtocolConfig.from_dict(CONFIGS["backup-loss60"])
-    records = [r for i in range(16) for r in run_trajectory(cfg, i).records]
-    interned, todo = {}, []
-    for rot in cfg.plan.sweep_rotations():
-        todo.append(_level(rot.angle, cfg.policy.mode, cfg.loss.key))
+    codes = [c for i in range(16) for c in run_trajectory(cfg, i).codes]
+    levels, todo = {}, [_level(rot.angle, cfg.policy.mode, cfg.loss.key)
+                        for rot in cfg.plan.sweep_rotations()]
     while todo:  # every level a round was drawn at; only those hold successors
         level = todo.pop()
-        if level is not None and id(level) not in interned:
-            interned[id(level)] = level
+        if level is not None and id(level) not in levels:
+            levels[id(level)] = level
             todo.extend(row[-1] for rows in vars(level).get("rows", ()) for row in rows)
-    stored = {id(r) for level in interned.values() for d in level.records for r in d.values()}
-    assert {id(r) for r in records} <= stored
-    assert len({id(r) for r in records}) < len(records) / 3
+    rows = {row[3]: (level, i) for level in levels.values()
+            for i, row in enumerate(vars(level).get("rows", ((),))[0])}
+    for code in set(codes):
+        level, i = rows[code & mfsim.feedback._ROW_MASK]
+        branch, frame = level.branches[i], frame_of_key(code >> mfsim.feedback._ROW_BITS)
+        assert round_record(code) == mfsim.feedback.RoundRecord(
+            branch.label, level.eps, level.aimed, frame.text, branch.b_bits, branch.lost)
+    assert len(set(codes)) < len(codes) / 3
+
+
+def test_a_warm_trajectory_constructs_no_round_record(monkeypatch):
+    cfg = ProtocolConfig.from_dict({"master_seed": 9, **CONFIGS["paper-doubling-failing"]})
+    first = [run_trajectory(cfg, i) for i in range(cfg.trajectories)]
+    assert any(s.failed for s in first)  # the stop path runs too
+    built = []
+    init = mfsim.feedback.RoundRecord.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(mfsim.feedback.RoundRecord, "__init__", spy)
+    again = [run_trajectory(cfg, i) for i in range(cfg.trajectories)]
+    assert built == [] and again == first
+    records = [r for s in again for r in s.records]  # decoded on reading
+    assert len(built) == len(records) == sum(s.rounds_total for s in again) > 0
 
 
 def test_record_fields_cannot_be_assigned():
@@ -112,14 +145,22 @@ def test_record_fields_cannot_be_assigned():
     mfsim.feedback.RoundRecord("plus", 0.5, 0.7, "II"),
     mfsim.feedback.RoundRecord("hh", 0.25, 0.5, 'X"Y', (1, 0), (False, True)),
 ])
-def test_record_text_is_its_json_and_not_a_field(rec):
-    before, twin = rec.to_dict(), dataclasses.replace(rec)
-    assert rec.text == json.dumps(before, sort_keys=True)
-    assert "text" in vars(rec)  # kept by the record
-    assert rec.to_dict() == before
-    assert rec == twin and hash(rec) == hash(twin)
-    copy = dataclasses.replace(rec)
-    assert copy == rec and "text" not in vars(copy) and copy.text == rec.text
+def test_record_dict_holds_the_set_fields_only(rec):
+    want = {f.name: getattr(rec, f.name) for f in dataclasses.fields(rec)}
+    want = {k: list(v) if isinstance(v, tuple) else v for k, v in want.items() if v is not None}
+    assert rec.to_dict() == want
+    assert rec == dataclasses.replace(rec) and hash(rec) == hash(dataclasses.replace(rec))
+
+
+def test_rounds_read_as_their_records():
+    state = StateVector(np.full(4, 0.5, dtype=complex))
+    _, _, rounds = realize_v(state, (0, 1), 0.3, EpsilonPolicy(), ErrorFrame.identity(2),
+                             np.random.default_rng(4), LossConfig(p_loss=0.5))
+    records = [round_record(code) for code in rounds.codes]
+    assert len(rounds) == len(records) > 1
+    assert list(rounds) == records and rounds == records and rounds == Rounds(list(rounds.codes))
+    assert rounds[-1] == records[-1] and rounds[1:] == records[1:]
+    assert rounds != records[1:] and rounds != tuple(records)
 
 
 def test_first_levels_are_kept_for_more_angles_than_a_bounded_cache(monkeypatch):
