@@ -11,9 +11,10 @@ A rotation therefore walks the doubling chain t, 2t, 4t, ... (mod pi).
 Conjugating by u_k (x) u_l maps e^{it XX} to e^{it s_k x s_l} and X (x) 1,
 1 (x) X to s_k, s_l, and leaves a round's weights, records and forms
 unchanged, so one cache keeps every level of the chain, with its XX round's
-weights, records and forms, per (angle, eps rule, loss), shared by every axis
-pair and frame sign.  A level whose table was not built ahead builds its
-chain's next ``_BLOCK`` tables in one ``round_tables`` pass.
+weights, records and forms, per angle and the policy and loss objects that a
+rotation's entry builds once, shared by every axis pair and frame sign.  A
+level whose table was not built ahead builds its chain's next ``_BLOCK``
+tables in one ``round_tables`` pass.
 The frame is one integer, its Pauli string's ``key`` (``pauli`` alone knows
 its layout).  A round is one bisection into the level's weights, an XOR of
 the key when the branch flips a qubit (s_k / s_l at the pair sites), and one
@@ -60,7 +61,7 @@ class PolicyMode(Enum):
     RESIDUAL_EXACT = "residual_exact"
     PAPER_DOUBLING = "paper_doubling"
 
-    __hash__ = object.__hash__  # identity, as equality is; the mode keys the level cache
+    __hash__ = object.__hash__  # identity, as equality is; the mode keys the rotation cache
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,7 @@ class Rounds(Sequence):
 # The levels one ``round_tables`` pass builds tables for, fewer where the chain
 # closes: the seed-0 benchmark ensembles walk chains 11 to 13 levels deep.
 _BLOCK = 16
-# Tables built ahead, (cumulative, branches, forms) by (eps, loss key), until a
+# Tables built ahead, (cumulative, branches, forms) by (eps, loss), until a
 # level takes its own.  It is mutated, never rebound: a trajectory rebinds no global.
 _waiting: dict[tuple, tuple] = {}
 # The most tables ``_waiting`` holds: it is emptied before a block would pass it,
@@ -160,16 +161,16 @@ _waiting: dict[tuple, tuple] = {}
 _WAITING_BOUND = 1024
 
 
-def _tables_ahead(residual: float, mode: PolicyMode, loss: LossConfig) -> tuple:
+def _tables_ahead(residual: float, policy: EpsilonPolicy, loss: LossConfig) -> tuple:
     """The table of ``residual``'s level; its chain's next levels' tables are left waiting."""
-    rule, eps = EpsilonPolicy(mode).eps_for, []
+    eps = []
     while len(eps) < _BLOCK and abs(residual) > _ANGLE_TOL:  # as ``_level`` doubles and closes
-        eps.append(rule(abs(residual)))
+        eps.append(policy.eps_for(abs(residual)))
         residual = reduce_angle(residual + residual)
     tables = [(t.cumulative, t.branches, t.forms) for t in round_tables(eps, loss)]
     if len(_waiting) + len(tables) > _WAITING_BOUND:
         _waiting.clear()
-    _waiting.update(zip([(e, loss.key) for e in eps[1:]], tables[1:]))
+    _waiting.update(zip([(e, loss) for e in eps[1:]], tables[1:]))
     return tables[0]
 
 
@@ -177,28 +178,28 @@ class _Level:
     """One level of a residual's doubling chain: the residual it aims at and its round's branches.
 
     It takes its table from ``_waiting`` or builds it with its successors'
-    (``_tables_ahead``), and keeps its weights, branches and forms.
-    ``rows[s < 0][i]`` is what a round reads under frame sign s: (theta, f,
-    flips, row, successor), with the branch's form less its power of i, the
-    pair atoms it flips (bit 0 the first, bit 1 the second), its row id in
-    ``_rows`` under either sign, and the level after it: this level when the
-    branch does not rotate, None when s times its direction is the residual's
-    sign (the branch closes it), else the level at the doubled residual,
-    built with the rows, on the first round drawn here.
+    (``_tables_ahead``), keeps its weights, branches and forms, and passes its
+    policy and loss on.  ``rows[s < 0][i]`` is what a round reads under frame
+    sign s: (theta, f, flips, row, successor), with the branch's form less its
+    power of i, the pair atoms it flips (bit 0 the first, bit 1 the second),
+    its row id in ``_rows`` under either sign, and the level after it: this
+    level when the branch does not rotate, None when s times its direction is
+    the residual's sign (the branch closes it), else the level at the doubled
+    residual, built with the rows, on the first round drawn here.
     """
 
-    def __init__(self, residual: float, mode: PolicyMode, loss: LossConfig):
-        self.residual, self.mode, self.loss = residual, mode, loss
+    def __init__(self, residual: float, policy: EpsilonPolicy, loss: LossConfig):
+        self.residual, self.policy, self.loss = residual, policy, loss
         self.aimed = abs(residual)
-        self.eps = EpsilonPolicy(mode).eps_for(self.aimed)
-        table = _waiting.pop((self.eps, loss.key), None) or _tables_ahead(residual, mode, loss)
+        self.eps = policy.eps_for(self.aimed)
+        table = _waiting.pop((self.eps, loss), None) or _tables_ahead(residual, policy, loss)
         self.cumulative, self.branches, self.forms = table
 
     @functools.cached_property
     def rows(self) -> tuple[tuple[tuple, ...], ...]:
         r, sign = self.residual, 1 if self.residual > 0 else -1
         rotates = any(b.direction for b in self.branches)
-        doubled = _level(r + r, self.mode, self.loss.key) if rotates else None
+        doubled = _level(r + r, self.policy, self.loss) if rotates else None
         first = len(_rows)
         _rows.extend((b.label, self.eps, self.aimed, b.b_bits, b.lost) for b in self.branches)
         return tuple(tuple(
@@ -209,12 +210,12 @@ class _Level:
 
 
 @functools.cache
-def _level(angle: float, mode: PolicyMode, loss_key: tuple) -> Optional[_Level]:
+def _level(angle: float, policy: EpsilonPolicy, loss: LossConfig) -> Optional[_Level]:
     """The level at ``angle`` mod pi, first or doubled, per (angle, eps rule, loss); None at 0."""
     if not math.isfinite(angle):
         raise UsageError(f"rotation angle must be finite, got {angle}")
     residual = reduce_angle(angle)
-    return _Level(residual, mode, LossConfig(*loss_key)) if abs(residual) > _ANGLE_TOL else None
+    return _Level(residual, policy, loss) if abs(residual) > _ANGLE_TOL else None
 
 
 @functools.cache
@@ -247,15 +248,15 @@ def _rotation(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis, angle: float,
     """One rotation's entry: (keys, swap, pairs) of its pair record, its first level, operators.
 
     The keys are shifted up by ``_ROW_BITS``, as a round's code holds the frame
-    key.  The level is ``_level``'s, None when the angle is 0 mod pi.  The last
-    item, empty at first, maps (Theta, F) to the operator ``_keep_operator``
-    built for it.  Sites are ints (``realize_v_kl`` passes them through
-    ``operator.index``), so the key need not be typed.  Bad input raises on
-    every call, since an exception is not cached.
+    key.  The level is ``_level``'s for the policy and loss built here, None at
+    0 mod pi.  The last item, empty at first, maps (Theta, F) to the operator
+    ``_keep_operator`` built for it.  Sites are ints (``realize_v_kl`` passes
+    them through ``operator.index``), so the key need not be typed.  Bad input
+    raises on every call, since an exception is not cached.
     """
     keys, swap, pairs = _pair_record(n, a, b, k, l)
     return (tuple(key << _ROW_BITS for key in keys), swap, pairs,
-            _level(angle, mode, loss_key), {})
+            _level(angle, EpsilonPolicy(mode), LossConfig(*loss_key)), {})
 
 
 # The most operators all ``_rotation`` entries keep together, and (in a list, so
@@ -348,9 +349,7 @@ def realize_v_kl(
             break
 
     product = angle, pauli
-    apply = operators.get(product)
-    if apply is None:
-        apply = _keep_operator(operators, pairs, product)
+    apply = operators.get(product) or _keep_operator(operators, pairs, product)
     out = object.__new__(StateVector)  # the output's slots filled here, as StateVector._wrap does
     out.amplitudes, out.n_qubits = apply(state.amplitudes), n
     state = out

@@ -438,28 +438,29 @@ def _tally(stats: list[TrajectoryStats]) -> list[TrajectoryStats]:
 def aggregate_report(cfg: ProtocolConfig, stats: list[TrajectoryStats]) -> dict:
     """The ensemble's report; ``_tally`` first tallies every trajectory not yet tallied."""
     fids = [s.fidelity_vs_oracle for s in _tally(stats)]
-    rounds = [s.rounds_total for s in stats]
-    per_rotation = [c for s in stats for c in s.rounds_per_rotation]
+    rounds, counts = sum(s.rounds_total for s in stats), [s.rounds_per_rotation for s in stats]
     retries = [r for s in stats for r in s.photon_retry_counts]
-    histogram, per_site = collections.Counter(), {}
+    histogram, sums, sizes = collections.Counter(), collections.Counter(), collections.Counter()
     for s in stats:
         histogram.update(s.outcome_histogram)
-        for rot, count in zip(cfg.plan.operations(), s.rounds_per_rotation):
-            per_site.setdefault(rot.label, []).append(count)
-    mean = lambda values: float(np.mean(values)) if values else None  # noqa: E731
+    # an operation's counts are a column of the lists; a failed trajectory's list ends early
+    for rot, column in zip(cfg.plan.operations(), itertools.zip_longest(*counts)):
+        sums[rot.label] += sum(filter(None, column))
+        sizes[rot.label] += len(column) - column.count(None)
+    mean = lambda total, n: total / n if n else None  # noqa: E731; of int totals, np.mean's float
     return {
         "config": cfg.to_dict(),
         "n_trajectories": len(stats),
         "n_failed": sum(s.failed for s in stats),
-        "fidelity": {"mean": mean(fids), "variance": float(np.var(fids)) if fids else None,
-                     "min": float(min(fids)) if fids else None},
-        "rounds": {"total": sum(rounds), "mean_per_trajectory": mean(rounds),
-                   "mean_per_rotation": mean(per_rotation)},
+        "fidelity": {k: float(f(fids)) if fids else None
+                     for k, f in (("mean", np.mean), ("variance", np.var), ("min", min))},
+        "rounds": {"total": rounds, "mean_per_trajectory": mean(rounds, len(stats)),
+                   "mean_per_rotation": mean(sum(sums.values()), sum(sizes.values()))},
         "outcome_frequencies": {k: v / histogram.total() for k, v in sorted(histogram.items())},
         "outcome_counts": dict(sorted(histogram.items())),
-        "loss": {"events": histogram["loss"], "retry_mean": mean(retries),
+        "loss": {"events": histogram["loss"], "retry_mean": mean(sum(retries), len(retries)),
                  "retry_count": len(retries)},
-        "rounds_per_rotation_site": {k: mean(v) for k, v in sorted(per_site.items())},
+        "rounds_per_rotation_site": {k: sums[k] / sizes[k] for k in sorted(sizes)},
     }
 
 

@@ -68,6 +68,14 @@ CONFIGS = {
                         {"sites": [0, 1], "axes": "XX", "coeff": round(1 + i / 100, 2)}
                         for i in range(70)]},
                     "t": 0.5, "n_steps": 2, "trajectories": 3, "master_seed": 5},
+    # 80 XX terms with distinct coefficients, whose 80 blocks of 16 waiting
+    # tables pass the bound of 1024 in a fresh process, so the store of tables
+    # built ahead is emptied once and a later level builds its block again;
+    # many-angles never passes it
+    "waiting-overflow": {"hamiltonian": {"n_qubits": 2, "terms": [
+                             {"sites": [0, 1], "axes": "XX", "coeff": round(1 + i / 100, 2)}
+                             for i in range(80)]},
+                         "t": 0.5, "n_steps": 2, "trajectories": 3, "master_seed": 5},
     # 260 trajectories of a two-word master seed, whose index 256 opens the
     # second block of trajectory seeds; trajectories 77, 115 and 187 take more
     # than 256 draws (258, 361 and 263 rounds), so they read past the fourth of

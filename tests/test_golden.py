@@ -122,6 +122,11 @@ FILE_GOLDEN = {
         "014a085b18aae61d03ac6bc52aded760bac3cc6c5b0e61268ddfc328ef5c2931",
         "b4ded18832966d39baccdb2844395cd248da93fd5d383c17a54861156f1ec8d2",
     ),
+    "waiting-overflow": (
+        "b5bb3d7b0d3e1998e12f39d5be9582319bcb066fc22726fbc673b4e8937dc77c",
+        "b778e86674e9ded19a985f9b51ea86451894143e3feba9837729cbb5e007c9f4",
+        "9754244e9ae6bd19a16b4edb3c5f0bacfae4f9d12ee85f3f56e75ebdf58ef6df",
+    ),
     "block-edge": (
         "1ccbbd31ac4df4a3f908a268280c0829f0816f16f19a6b78a54e7ac5045c675a",
         "37b8b6ae1bb9308ef39477df30af3ce24697e752155d3da9be8534ed8c025758",

@@ -7,6 +7,7 @@ loss); each level keeps the XX table's weights, records and forms, not its
 Kraus stack, and holds one row tuple per frame sign.
 """
 
+import dataclasses
 import itertools
 import types
 
@@ -110,13 +111,13 @@ def test_successors_stay_close_or_double(mode, loss, cold_caches, built_levels):
     stepped = [level for level in built_levels if "rows" in vars(level)]
     assert stepped and len(built_levels) > 2
     for level in stepped:
-        assert (level.mode, level.loss) == (mode, loss)
+        assert (level.policy, level.loss) == (EpsilonPolicy(mode), loss)
         doubled = {row[-1] for row in itertools.chain(*level.rows)} - {level, None}
         assert len(doubled) <= 1  # both frame signs share the doubled level
         for s in doubled:
-            assert s is _level(level.residual + level.residual, mode, loss.key)
+            assert s is _level(level.residual + level.residual, level.policy, level.loss)
             assert s.residual == reduce_angle(level.residual + level.residual)
-            assert (s.mode, s.loss) == (mode, loss)
+            assert s.policy is level.policy and s.loss is level.loss
         for sign, rows in zip((1, -1), level.rows):
             for branch, succ in zip(level.branches, (row[-1] for row in rows)):
                 if branch.direction is None:
@@ -231,3 +232,34 @@ def test_rotation_starts_at_the_level_a_half_angle_doubles_into(loss, cold_cache
     assert whole.codes[0] == halved.codes[1]
     assert [level.residual for level in built_levels[:3]] == [0.3, 0.6, reduce_angle(1.2)]
     assert len(built_levels) == 3  # the rotation at 0.6 built no level of its own
+
+
+@pytest.mark.parametrize("depth", [12, 40])
+@pytest.mark.parametrize("mode", list(PolicyMode))
+@pytest.mark.parametrize("loss", LOSSES, ids=["lossless", "heralded", "backup-loss60"])
+def test_a_rotation_entry_builds_one_policy_and_loss_for_its_whole_chain(
+        loss, mode, depth, cold_caches, built_levels, monkeypatch):
+    # The entry builds its EpsilonPolicy and LossConfig once; every level of
+    # the chain, past the first block of tables too, passes those on.
+    key, built = loss.key, []
+
+    def spy(owner, name, label):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            built.append(label)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for cls in (EpsilonPolicy, LossConfig):
+        spy(cls, "__init__", cls.__name__)
+    spy(dataclasses, "astuple", "astuple")
+    spy(vars(LossConfig)["key"], "func", "astuple")  # the cached ``key`` holds its own reference
+    level = mfsim.feedback._rotation(3, *PAIR, PauliAxis.X, PauliAxis.Y, 0.7, mode, key)[3]
+    for _ in range(depth):
+        level = next(row[-1] for row in level.rows[0] if row[-1] not in (level, None))
+    assert len(built_levels) == depth + 1 and level.residual == built_levels[-1].residual
+    assert built.count("EpsilonPolicy") <= 1 and built.count("LossConfig") <= 1
+    assert built.count("astuple") <= 1
+    assert all(lv.policy is level.policy and lv.loss is level.loss for lv in built_levels)

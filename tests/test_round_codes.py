@@ -96,7 +96,7 @@ def test_rounds_at_one_level_branch_and_frame_share_a_code():
 def test_a_code_holds_the_frame_after_the_round_above_its_levels_row():
     cfg = ProtocolConfig.from_dict(CONFIGS["backup-loss60"])
     codes = [c for i in range(16) for c in run_trajectory(cfg, i).codes]
-    levels, todo = {}, [_level(rot.angle, cfg.policy.mode, cfg.loss.key)
+    levels, todo = {}, [_level(rot.angle, EpsilonPolicy(cfg.policy.mode), cfg.loss)
                         for rot in cfg.plan.sweep_rotations()]
     while todo:  # every level a round was drawn at; only those hold successors
         level = todo.pop()

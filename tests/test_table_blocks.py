@@ -122,33 +122,34 @@ def test_the_first_bad_eps_of_a_block_raises_before_any_table(monkeypatch):
 @pytest.mark.parametrize("mode", list(PolicyMode))
 @pytest.mark.parametrize("loss", LOSSES.values(), ids=LOSSES)
 def test_a_level_takes_the_table_built_ahead_for_it(loss, mode, cold_caches):
-    first = _level(0.7, mode, loss.key)
+    policy = EpsilonPolicy(mode)
+    first = _level(0.7, policy, loss)
     chain = chain_eps(0.7, mode, mfsim.feedback._BLOCK)
     assert len(chain) == mfsim.feedback._BLOCK
-    assert sorted(mfsim.feedback._waiting) == sorted((e, loss.key) for e in chain[1:])
+    assert list(mfsim.feedback._waiting) == [(e, loss) for e in chain[1:]]
     level, residual = first, first.residual
     for i, eps in enumerate(chain):
         if i:  # the level a round reaches after the one before it doubled the residual
-            level = _level(level.residual + level.residual, mode, loss.key)
+            level = _level(level.residual + level.residual, policy, loss)
             residual = reduce_angle(residual + residual)
         assert level.eps == eps and level.residual == residual
         table = round_branches(eps, loss)
         assert (level.cumulative, level.branches, level.forms) == (
             table.cumulative, table.branches, table.forms)
-        assert (eps, loss.key) not in mfsim.feedback._waiting
+        assert (eps, loss) not in mfsim.feedback._waiting
     assert mfsim.feedback._waiting == {}
-    past = _level(level.residual + level.residual, mode, loss.key)  # it builds the next block
-    assert past.eps == EpsilonPolicy(mode).eps_for(abs(reduce_angle(residual + residual)))
+    past = _level(level.residual + level.residual, policy, loss)  # it builds the next block
+    assert past.eps == policy.eps_for(abs(reduce_angle(residual + residual)))
     assert len(mfsim.feedback._waiting) == mfsim.feedback._BLOCK - 1
 
 
 def test_a_block_stops_where_the_chain_closes(cold_caches):
-    level = _level(math.pi / 4, PolicyMode.RESIDUAL_EXACT, LossConfig().key)
-    assert list(mfsim.feedback._waiting) == [(1.0, LossConfig().key)]
-    doubled = _level(level.residual + level.residual, PolicyMode.RESIDUAL_EXACT, LossConfig().key)
+    policy, loss = EpsilonPolicy(), LossConfig()
+    level = _level(math.pi / 4, policy, loss)
+    assert list(mfsim.feedback._waiting) == [(1.0, loss)]
+    doubled = _level(level.residual + level.residual, policy, loss)
     assert doubled.eps == 1.0 and mfsim.feedback._waiting == {}
-    assert _level(doubled.residual + doubled.residual, PolicyMode.RESIDUAL_EXACT,
-                  LossConfig().key) is None
+    assert _level(doubled.residual + doubled.residual, policy, loss) is None
 
 
 def run(name, out):
