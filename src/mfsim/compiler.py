@@ -24,7 +24,7 @@ from .emission import BeamSplitterOutcome, outcome_probabilities
 from .errors import UsageError, config_errors, config_float, config_int, config_object
 from .feedback import _ANGLE_TOL, EpsilonPolicy
 from .pauli import PauliAxis, PauliString, commutes
-from .statevec import _check_unitary
+from .statevec import _check_unitary, _pauli_stack, _vector_first
 
 
 def _check_pair(owner, least=None) -> None:
@@ -255,6 +255,29 @@ def plan_unitary(plan: TrotterPlan) -> np.ndarray:
         u = math.cos(rot.angle) * ident + 1j * math.sin(rot.angle) * p
         sweep = u @ sweep
     return np.linalg.matrix_power(sweep, plan.n_steps)
+
+
+def apply_plan(plan: TrotterPlan, amplitudes: np.ndarray) -> np.ndarray:
+    """New amplitudes U psi for ``plan_unitary(plan)`` U; psi is not changed.
+
+    Each rotation is cos(angle) psi + i sin(angle) P psi, one ``_pauli_stack`` gather, the sweep
+    ``n_steps`` times over.  Where those gathers cost more than ``plan_unitary``'s products
+    (``statevec._vector_first``), this is ``plan_unitary(plan) @ psi``.
+    """
+    sweep = tuple(plan.sweep_rotations())
+    products = len(sweep) + plan.n_steps.bit_length()  # the sweep's, then matrix_power's
+    if not _vector_first(plan.n_steps * len(sweep), 1, plan.n_qubits, products):
+        return plan_unitary(plan) @ amplitudes
+    out = np.array(amplitudes, dtype=complex)
+    if sweep:
+        strings = [PauliString.embed(plan.n_qubits, dict(zip(r.sites, r.axes))) for r in sweep]
+        index, phase = _pauli_stack(plan.n_qubits, tuple((p.x, p.z) for p in strings))
+        rotations = [(math.cos(r.angle), idx, ph * 1j * math.sin(r.angle))
+                     for r, idx, ph in zip(sweep, index, phase)]
+        for _ in range(plan.n_steps):
+            for cos, idx, sin in rotations:
+                out = cos * out + out[idx] * sin
+    return out
 
 
 def _round_success_probability(angle: float) -> Optional[float]:

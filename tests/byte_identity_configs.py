@@ -106,6 +106,13 @@ CONFIGS = {
                                "t": 0.9, "n_steps": 3,
                                "trajectories": 8, "master_seed": 3,
                                "policy": {"mode": "paper_doubling", "max_rounds": 8}},
+    # the benchmark's 10-qubit XX chain: the only register of 1024 amplitudes
+    # (the others have at most 6 qubits), on which the vector oracle, the vector
+    # noiseless plan and the rotations' two-row gathers past DENSE_PAIR_QUBITS run
+    "chain10": {"hamiltonian": {"n_qubits": 10, "terms": [
+                    {"sites": [i, i + 1], "axes": "XX", "coeff": 1.0} for i in range(9)]},
+                "t": 0.5, "n_steps": 4, "trajectories": 3, "master_seed": 5,
+                "initial_state": {"random_seed": 2}},
     # an XX term at t = pi beside a ZZ term at pi/4, whose XX rotation is a
     # no-op that neither the feedback loop nor schedule's round budget counts
     # a round for

@@ -5,10 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mfsim.compiler
 from mfsim.cli import EXIT_CONFIG, EXIT_INCOMPLETE, EXIT_OK, EXIT_PIPE, EXIT_RESOURCE, main
+from mfsim.harness import ProtocolConfig
+from mfsim.statevec import exact_evolution
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # the package from the source tree, and no bytecode written into it
@@ -363,6 +366,25 @@ class TestOracle:
         path = tmp_path / "big.json"
         path.write_text(json.dumps(cfg))
         assert main(["oracle", "--config", str(path)]) == EXIT_RESOURCE
+
+
+    @pytest.mark.parametrize("config", [
+        {"hamiltonian": XX_PAIR, "t": 1e300, "n_steps": 1},
+        {"hamiltonian": XX_PAIR, "t": 0.3, "n_steps": 10**15, "trajectories": 0},
+        {"hamiltonian": {"n_qubits": 2, "terms": []}, "t": 0.3, "n_steps": 10**15},
+    ], ids=["huge-t", "huge-n_steps", "huge-n_steps-no-term"])
+    def test_answers_at_once_where_the_vector_oracles_would_not(self, config, tmp_path):
+        # the vector oracles fall back to exact_evolution and plan_unitary, whose number it prints
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        proc = subprocess.run([sys.executable, "-m", "mfsim.cli", "oracle", "--config", str(path)],
+                              capture_output=True, text=True, env=CHILD_ENV, timeout=60)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        cfg = ProtocolConfig.from_dict(config)
+        psi = cfg.initial_amplitudes
+        dense = abs(np.vdot(exact_evolution(cfg.hamiltonian, cfg.t) @ psi,
+                            mfsim.compiler.plan_unitary(cfg.plan) @ psi)) ** 2
+        assert json.loads(proc.stdout) == {"noiseless_plan_fidelity": float(dense)}
 
 
 class TestNumericFlags:

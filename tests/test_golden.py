@@ -147,6 +147,11 @@ FILE_GOLDEN = {
         "059010a220cf9b1e1d1963c669a77c821a5b679389d3484a1325cbb08b7ae3b0",
         "ef3835e4c178743161cd43750f807af59c5c13ea6c32dee1856ac386404099af",
     ),
+    "chain10": (
+        "4cecfc6147594d167f0bf31b46147fca99c748344959a5da97879d1735090adb",
+        "10b7beecacb91510856371a0993fc58f2f711d5b4f0f7c5420494de1b8f8d7f7",
+        "d23bea3fbbdcf475ac5d6924c178e054efd8f44499ec3aaf93bda9cd39e3c761",
+    ),
     "no-op-rotation": (
         "17807439662385c7695c2447b1584c0a7141459c96801f36518b4e39325bc206",
         "a387444eb692e4fd7b3c5c67540d9cc3960b15e289e17cfc3c56529d100b5249",

@@ -25,7 +25,7 @@ from mfsim.harness import (
     run_trajectory,
     trajectory_rng,
 )
-from mfsim.statevec import exact_evolution
+from mfsim.statevec import apply_evolution
 
 from byte_identity_configs import CONFIGS
 from conftest import clear_module_caches, kron_le
@@ -273,9 +273,9 @@ class TestEnsembleAndReport:
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return exact_evolution(*args, **kwargs)
+            return apply_evolution(*args, **kwargs)
 
-        monkeypatch.setattr(mfsim.harness, "exact_evolution", counting)
+        monkeypatch.setattr(mfsim.harness, "apply_evolution", counting)
         cfg = chain_config(trajectories=5)
         _, stats = run_ensemble(cfg)
         assert len(stats) == 5 and len(calls) == 1
