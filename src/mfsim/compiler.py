@@ -244,17 +244,24 @@ def schedule_parallel(plan: TrotterPlan) -> TrotterPlan:
 
 
 def plan_unitary(plan: TrotterPlan) -> np.ndarray:
-    """Dense unitary of the noiseless plan execution (for oracle comparisons)."""
-    dim = 1 << plan.n_qubits
-    sweep = np.eye(dim, dtype=complex)
-    ident = np.eye(dim, dtype=complex)
-    for rot in plan.sweep_rotations():
-        p = PauliString.embed(
-            plan.n_qubits, {rot.sites[0]: rot.axes[0], rot.sites[1]: rot.axes[1]}
-        ).matrix()
-        u = math.cos(rot.angle) * ident + 1j * math.sin(rot.angle) * p
-        sweep = u @ sweep
-    return np.linalg.matrix_power(sweep, plan.n_steps)
+    """Dense unitary of the noiseless plan execution (for oracle comparisons).
+
+    A sweep of commuting strings to the power n_steps is each rotation at n_steps times its
+    angle, exact at any step count.  Any other sweep's ``matrix_power`` drifts off the unitaries
+    by repeated squaring (1e-8 at 10^15 steps), so its nearest unitary is taken: the polar
+    factor W V^dag of its SVD W S V^dag.
+    """
+    n, sweep = plan.n_qubits, list(plan.sweep_rotations())
+    strings = [PauliString.embed(n, dict(zip(rot.sites, rot.axes))) for rot in sweep]
+    commuting = all(itertools.starmap(commutes, itertools.combinations(strings, 2)))
+    power, u = plan.n_steps if commuting else 1, np.eye(1 << n, dtype=complex)
+    for rot, p in zip(sweep, strings):
+        angle, ident = power * rot.angle, np.eye(1 << n, dtype=complex)
+        u = (math.cos(angle) * ident + 1j * math.sin(angle) * p.matrix()) @ u
+    if power == plan.n_steps:
+        return u
+    w, _, vh = np.linalg.svd(np.linalg.matrix_power(u, plan.n_steps))
+    return w @ vh
 
 
 def apply_plan(plan: TrotterPlan, amplitudes: np.ndarray) -> np.ndarray:

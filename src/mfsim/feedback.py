@@ -10,27 +10,29 @@ anticommutes with the rotation axis the roles of Plus and Minus are swapped
 A rotation therefore walks the doubling chain t, 2t, 4t, ... (mod pi).
 Conjugating by u_k (x) u_l maps e^{it XX} to e^{it s_k x s_l} and X (x) 1,
 1 (x) X to s_k, s_l, and leaves a round's weights, records and forms
-unchanged, so one cache keeps every level of the chain, with its XX round's
-weights, records and forms, per angle and the policy and loss objects that a
-rotation's entry builds once, shared by every axis pair and frame sign.  A
-level whose table was not built ahead builds its chain's next ``_BLOCK``
-tables in one ``round_tables`` pass.
+unchanged, so one level of the chain, with its XX round's weights, records
+and forms, serves every axis pair and frame sign at its angle.  What a config
+compiles for its rotations lives in one ``Program`` (``ProtocolConfig.program``),
+built as the rotations first run and freed with the config: pair records,
+rotation entries and their operators, levels by angle, tables built ahead by
+eps, and the rows that round codes index.  A level whose table was not built
+ahead builds its chain's next ``_BLOCK`` tables in one ``round_tables`` pass.
 The frame is one integer, its Pauli string's ``key`` (``pauli`` alone knows
 its layout).  A round is one bisection into the level's weights, an XOR of
 the key when the branch flips a qubit (s_k / s_l at the pair sites), and one
 integer appended, the round's code: the frame key after it above the id of
-the (level, branch) row it read; ``Rounds`` decodes codes only when read.
+the (level, branch) row it read in its program's ``rows``; ``Rounds`` decodes
+codes through those rows only when read.
 Every branch's unitary is i^g X^f e^{i theta XX} for its form (theta, g, f),
 and all of them commute.
 The state is kept up to global phase, as the frame is, so a round adds theta
 to an angle and XORs f into a flip code.  The product, up to a power of i, is
 X^F e^{i Theta XX} = cos(Theta) X^F + i sin(Theta) X^(F ^ 3): on the pair,
 two of the strings I, s_k, s_l and s_k s_l, applied once per rotation.  A
-rotation makes one cache lookup, ``_rotation``, whose entry per (register
-size, sites, axes, angle, eps rule, loss) holds the pair's masks and strings,
-the first level and the rotation's operators by (Theta, F), each kept as the
-callable that applies it to the amplitudes, emptied with the cache when all
-entries keep 4096; a changed frame comes from ``pauli.frame_of_key``, the
+rotation makes one lookup in its program's entries, per (sites, axes, angle),
+whose entry holds the pair's masks and strings, the first level and the
+rotation's operators by (Theta, F), each kept as the callable that applies it
+to the amplitudes; a changed frame comes from ``pauli.frame_of_key``, the
 string table keyed by the frame key.
 """
 
@@ -60,8 +62,6 @@ _LOSSLESS = LossConfig()
 class PolicyMode(Enum):
     RESIDUAL_EXACT = "residual_exact"
     PAPER_DOUBLING = "paper_doubling"
-
-    __hash__ = object.__hash__  # identity, as equality is; the mode keys the rotation cache
 
 
 @dataclass(frozen=True)
@@ -118,31 +118,33 @@ class RoundRecord:
 
 
 # A round's code is the frame key after it shifted up by _ROW_BITS, OR the id of
-# the (level, branch) row it read: ``_rows[code & _ROW_MASK]`` is (outcome, eps,
-# aimed angle, backup readings, lost photons).  Levels append rows and none is
-# dropped, so a code reads the same all process long; mutated, never rebound.
+# the (level, branch) row it read: ``rows[code & _ROW_MASK]`` of its program is
+# (outcome, eps, aimed angle, backup readings, lost photons).
 _ROW_BITS, _ROW_MASK = 32, (1 << 32) - 1
-_rows: list[tuple] = []
 
 
-def round_record(code: int) -> RoundRecord:
-    """The record of the round whose code is ``code``."""
-    outcome, eps, aimed, b_bits, lost = _rows[code & _ROW_MASK]
+def round_record(code: int, rows: Sequence[tuple]) -> RoundRecord:
+    """The record of the round whose code is ``code``, its row one of ``rows``."""
+    outcome, eps, aimed, b_bits, lost = rows[code & _ROW_MASK]
     return RoundRecord(outcome, eps, aimed, frame_of_key(code >> _ROW_BITS).text, b_bits, lost)
 
 
 @dataclass(eq=False, slots=True)
 class Rounds(Sequence):
-    """Rounds held as their ``codes``, read as ``RoundRecord``s; equal to a list of equal ones."""
+    """Rounds held as their ``codes`` into their program's ``rows``, read as ``RoundRecord``s;
+    equal to a list of equal ones."""
 
     codes: list[int]
+    rows: Sequence[tuple] = ()
 
     def __len__(self):
         return len(self.codes)
 
     def __getitem__(self, i):
-        codes = self.codes[i]
-        return list(map(round_record, codes)) if isinstance(i, slice) else round_record(codes)
+        codes, rows = self.codes[i], self.rows
+        if isinstance(i, slice):
+            return [round_record(code, rows) for code in codes]
+        return round_record(codes, rows)
 
     def __eq__(self, other):  # also leaves Rounds unhashable, as a list is
         return isinstance(other, (list, Rounds)) and list(self) == list(other)
@@ -151,138 +153,105 @@ class Rounds(Sequence):
 # The levels one ``round_tables`` pass builds tables for, fewer where the chain
 # closes: the seed-0 benchmark ensembles walk chains 11 to 13 levels deep.
 _BLOCK = 16
-# Tables built ahead, (cumulative, branches, forms) by (eps, loss), until a
-# level takes its own.  It is mutated, never rebound: a trajectory rebinds no global.
-_waiting: dict[tuple, tuple] = {}
-# The most tables ``_waiting`` holds: it is emptied before a block would pass it,
-# and a level whose table went builds its block again, bit for bit.  A table
-# measured 0.8 KB lossless and 4 KB with backup atoms (28 branches), so 1024
-# tables keep at most about 4 MB.
-_WAITING_BOUND = 1024
 
 
-def _tables_ahead(residual: float, policy: EpsilonPolicy, loss: LossConfig) -> tuple:
-    """The table of ``residual``'s level; its chain's next levels' tables are left waiting."""
-    eps = []
-    while len(eps) < _BLOCK and abs(residual) > _ANGLE_TOL:  # as ``_level`` doubles and closes
-        eps.append(policy.eps_for(abs(residual)))
-        residual = reduce_angle(residual + residual)
-    tables = [(t.cumulative, t.branches, t.forms) for t in round_tables(eps, loss)]
-    if len(_waiting) + len(tables) > _WAITING_BOUND:
-        _waiting.clear()
-    _waiting.update(zip([(e, loss) for e in eps[1:]], tables[1:]))
-    return tables[0]
+class Program:
+    """What one config compiles for its rotations, built as they first run and freed with it.
+
+    It serves one register size, ``policy`` and ``loss`` (lossless when None),
+    so no key holds them.  ``entries[a, b, k, l, angle]`` is a rotation's pair
+    record ``pairs[a, b, k, l]``, its angle's first level (None at 0 mod pi)
+    and the operators it has applied, by (Theta, F); ``levels[angle]`` is a
+    level, first or doubled, ``waiting[eps]`` a table built ahead until a level
+    takes it, and ``rows`` every (level, branch) row in the order the levels
+    built them.  Nothing is kept for bad input, so it raises on every call.
+    """
+
+    def __init__(self, n_qubits: int, policy: EpsilonPolicy, loss: Optional[LossConfig] = None):
+        self.n_qubits, self.policy, self.loss = n_qubits, policy, loss or _LOSSLESS
+        self.entries, self.pairs, self.levels, self.waiting = {}, {}, {}, {}
+        self.rows: list[tuple] = []
+
+    def entry(self, a: int, b: int, k: PauliAxis, l: PauliAxis, angle: float) -> tuple:
+        """Build and keep the entry of e^{i angle s_k x s_l} on sites (a, b)."""
+        pair = self.pairs.get((a, b, k, l)) or self.pair_record(a, b, k, l)
+        entry = self.entries[a, b, k, l, angle] = (*pair, self.level(angle), {})
+        return entry
+
+    def pair_record(self, a: int, b: int, k: PauliAxis, l: PauliAxis) -> tuple:
+        """Build and keep (keys, swap, pairs), the checked record of sites (a, b) and axes (k, l).
+
+        ``keys[c]``, shifted up by ``_ROW_BITS`` as in a code, is the ``xor_mask`` of string c of
+        I, s_k, s_l and s_k s_l from ``PauliString.embed`` (which checks the sites): a branch
+        with flip code c XORs it into the frame key.  ``swap`` is the target's
+        ``anticommutation_mask``.  ``pairs`` are the strings as ``statevec._pauli_pairs``: dense
+        up to 4 qubits (16 KB at 4), else gather rows (384 KB at the 12-qubit cap).
+        """
+        if k is PauliAxis.I or l is PauliAxis.I:
+            raise UsageError("rotation axes must be X, Y, or Z")
+        if a == b:
+            raise UsageError("rotation needs two distinct qubits")
+        n = self.n_qubits
+        strings = [PauliString.embed(n, sites) for sites in ({}, {a: k}, {b: l}, {a: k, b: l})]
+        pair = self.pairs[a, b, k, l] = (
+            tuple(p.xor_mask << _ROW_BITS for p in strings), strings[3].anticommutation_mask,
+            _pauli_pairs(n, [(p.x, p.z) for p in strings]))
+        return pair
+
+    def level(self, angle: float) -> Optional[_Level]:
+        """The level at ``angle`` mod pi, first or doubled, built once; None at 0."""
+        if angle not in self.levels:
+            if not math.isfinite(angle):
+                raise UsageError(f"rotation angle must be finite, got {angle}")
+            residual = reduce_angle(angle)
+            self.levels[angle] = _Level(residual, self) if abs(residual) > _ANGLE_TOL else None
+        return self.levels[angle]
+
+    def tables_ahead(self, residual: float) -> tuple:
+        """The table of ``residual``'s level; its chain's next levels' tables are left waiting."""
+        eps = []
+        while len(eps) < _BLOCK and abs(residual) > _ANGLE_TOL:  # as ``level`` doubles and closes
+            eps.append(self.policy.eps_for(abs(residual)))
+            residual = reduce_angle(residual + residual)
+        tables = [(t.cumulative, t.branches, t.forms) for t in round_tables(eps, self.loss)]
+        self.waiting.update(zip(eps[1:], tables[1:]))
+        return tables[0]
 
 
 class _Level:
     """One level of a residual's doubling chain: the residual it aims at and its round's branches.
 
-    It takes its table from ``_waiting`` or builds it with its successors'
-    (``_tables_ahead``), keeps its weights, branches and forms, and passes its
-    policy and loss on.  ``rows[s < 0][i]`` is what a round reads under frame
-    sign s: (theta, f, flips, row, successor), with the branch's form less its
-    power of i, the pair atoms it flips (bit 0 the first, bit 1 the second),
-    its row id in ``_rows`` under either sign, and the level after it: this
-    level when the branch does not rotate, None when s times its direction is
-    the residual's sign (the branch closes it), else the level at the doubled
-    residual, built with the rows, on the first round drawn here.
+    It takes its table from its program's ``waiting`` or builds it with its
+    successors' (``Program.tables_ahead``), and keeps its weights, branches
+    and forms.  ``rows[s < 0][i]`` is what a round reads under frame sign s:
+    (theta, f, flips, row, successor), with the branch's form less its power
+    of i, the pair atoms it flips (bit 0 the first, bit 1 the second), its
+    row id in the program's ``rows`` under either sign, and the level after
+    it: this level when the branch does not rotate, None when s times its
+    direction is the residual's sign (the branch closes it), else the level at
+    the doubled residual, built with the rows, on the first round drawn here.
     """
 
-    def __init__(self, residual: float, policy: EpsilonPolicy, loss: LossConfig):
-        self.residual, self.policy, self.loss = residual, policy, loss
+    def __init__(self, residual: float, program: Program):
+        self.residual, self.program = residual, program
         self.aimed = abs(residual)
-        self.eps = policy.eps_for(self.aimed)
-        table = _waiting.pop((self.eps, loss), None) or _tables_ahead(residual, policy, loss)
+        self.eps = program.policy.eps_for(self.aimed)
+        table = program.waiting.pop(self.eps, None) or program.tables_ahead(residual)
         self.cumulative, self.branches, self.forms = table
 
     @functools.cached_property
     def rows(self) -> tuple[tuple[tuple, ...], ...]:
-        r, sign = self.residual, 1 if self.residual > 0 else -1
+        r, sign, program = self.residual, 1 if self.residual > 0 else -1, self.program
         rotates = any(b.direction for b in self.branches)
-        doubled = _level(r + r, self.policy, self.loss) if rotates else None
-        first = len(_rows)
-        _rows.extend((b.label, self.eps, self.aimed, b.b_bits, b.lost) for b in self.branches)
+        doubled = program.level(r + r) if rotates else None
+        first = len(program.rows)
+        program.rows.extend((b.label, self.eps, self.aimed, b.b_bits, b.lost)
+                            for b in self.branches)
         return tuple(tuple(
             (theta, f, b.flips[0] + 2 * b.flips[1], row,
              self if b.direction is None else None if s * b.direction == sign else doubled)
             for row, ((theta, _, f), b) in enumerate(zip(self.forms, self.branches), first))
             for s in (1, -1))
-
-
-@functools.cache
-def _level(angle: float, policy: EpsilonPolicy, loss: LossConfig) -> Optional[_Level]:
-    """The level at ``angle`` mod pi, first or doubled, per (angle, eps rule, loss); None at 0."""
-    if not math.isfinite(angle):
-        raise UsageError(f"rotation angle must be finite, got {angle}")
-    residual = reduce_angle(angle)
-    return _Level(residual, policy, loss) if abs(residual) > _ANGLE_TOL else None
-
-
-@functools.cache
-def _pair_record(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis) -> tuple:
-    """The checked frame-key masks of a rotation on sites (a, b) of n qubits; its Pauli strings.
-
-    The strings I, s_k, s_l and s_k s_l on the pair come from
-    ``PauliString.embed``, which checks the sites.  ``keys[c]`` is string c's
-    ``xor_mask``: a branch with flip code c XORs it into the frame key.
-    ``swap`` is the target s_k s_l's ``anticommutation_mask``, so a frame
-    key's parity on it is the frame's anticommutation with the target.  The
-    four strings are the Pauli sum's terms, kept as ``statevec._pauli_pairs``:
-    dense up to 4 qubits (16 KB at 4), else gather rows (96 * 2^n bytes,
-    384 KB at the 12-qubit cap).  Every key is kept, as ``_level`` keeps every
-    angle.
-    Bad input raises on every call, since an exception is not cached.
-    """
-    if k is PauliAxis.I or l is PauliAxis.I:
-        raise UsageError("rotation axes must be X, Y, or Z")
-    if a == b:
-        raise UsageError("rotation needs two distinct qubits")
-    strings = [PauliString.embed(n, sites) for sites in ({}, {a: k}, {b: l}, {a: k, b: l})]
-    return (tuple(p.xor_mask for p in strings), strings[3].anticommutation_mask,
-            _pauli_pairs(n, [(p.x, p.z) for p in strings]))
-
-
-@functools.cache
-def _rotation(n: int, a: int, b: int, k: PauliAxis, l: PauliAxis, angle: float,
-              mode: PolicyMode, loss_key: tuple) -> tuple:
-    """One rotation's entry: (keys, swap, pairs) of its pair record, its first level, operators.
-
-    The keys are shifted up by ``_ROW_BITS``, as a round's code holds the frame
-    key.  The level is ``_level``'s for the policy and loss built here, None at
-    0 mod pi.  The last item, empty at first, maps (Theta, F) to the operator
-    ``_keep_operator`` built for it.  Sites are ints (``realize_v_kl`` passes
-    them through ``operator.index``), so the key need not be typed.  Bad input
-    raises on every call, since an exception is not cached.
-    """
-    keys, swap, pairs = _pair_record(n, a, b, k, l)
-    return (tuple(key << _ROW_BITS for key in keys), swap, pairs,
-            _level(angle, EpsilonPolicy(mode), LossConfig(*loss_key)), {})
-
-
-# The most operators all ``_rotation`` entries keep together, and (in a list, so
-# the module's bindings never change) how many they keep: 4096 four-qubit
-# matrices measured 18.5 MB with their keys, 4096 twelve-qubit gathers 1.5 MB.
-_OPERATOR_BOUND = 4096
-_operators_kept = [0]
-
-
-def _keep_operator(operators: dict, pairs: tuple, product: tuple):
-    """Build and keep the operator for ``product`` = (Theta, F): X^F e^{i Theta XX} on the axes.
-
-    X^F e^{i Theta XX} = cos(Theta) X^F + i sin(Theta) X^(F ^ 3), two of the
-    pair's four strings, kept as the callable that applies it to amplitudes:
-    the bound ``dot`` of a read-only dense matrix up to 4 qubits (4 KB at 4),
-    else a gather over two read-only coefficients and the pair's read-only rows.
-    When all entries keep ``_OPERATOR_BOUND`` operators, ``_rotation`` is
-    emptied and the count starts again.
-    """
-    angle, flips = product
-    op = operators[product] = _pair_operator(pairs, flips, math.cos(angle), 1j * math.sin(angle))
-    _operators_kept[0] += 1
-    if _operators_kept[0] >= _OPERATOR_BOUND:
-        _rotation.cache_clear()
-        _operators_kept[0] = 0
-    return op
 
 
 def realize_v_kl(
@@ -295,19 +264,23 @@ def realize_v_kl(
     frame: PauliString,
     rng,
     loss: Optional[LossConfig] = None,
+    program: Optional[Program] = None,
 ) -> tuple[StateVector, PauliString, Rounds]:
     """Realize e^{i t s_k x s_l} on ``pair`` modulo the tracked error frame.
 
     Each round draws a branch of the XX table ``round_branches(eps, loss)``
     (lossless when ``loss`` is None; conjugation by u_k (x) u_l carries it to
     (k, l) with the same weights, records and forms) from the angle's
-    cached doubling levels with one ``rng.random()`` (a numpy Generator or
-    any object whose ``random()`` returns a uniform in [0, 1)).  When the
-    rotation ends or runs out of rounds, the product of the drawn unitaries
-    up to a power of i, X^F e^{i Theta XX} carried to (k, l), a sum of two of
-    the Pauli strings I, s_k, s_l and s_k s_l on the pair, is applied once,
-    its operator kept in the rotation's entry by (Theta, F) as the callable
-    that maps the input amplitudes to the output's, wrapped once.  The output
+    doubling levels with one ``rng.random()`` (a numpy Generator or any
+    object whose ``random()`` returns a uniform in [0, 1)).  The levels and
+    the rotation's entry come from ``program``, compiled for the state's
+    register size, ``policy`` and ``loss`` (UsageError for another), or,
+    when None, from a program compiled for this call.  When the rotation
+    ends or runs out of rounds, the product of the drawn unitaries up to a
+    power of i, X^F e^{i Theta XX} carried to (k, l), a sum of two of the
+    Pauli strings I, s_k, s_l and s_k s_l on the pair, is applied once, its
+    operator kept in the rotation's entry by (Theta, F) as the callable that
+    maps the input amplitudes to the output's, wrapped once.  The output
     equals the exact product of the drawn unitaries applied to the input up
     to a power of i; on success the frame-corrected output equals the exact
     rotation applied to the frame-corrected input, up to global phase.
@@ -316,9 +289,13 @@ def realize_v_kl(
     if max_rounds is exhausted.
     """
     n = state.n_qubits
+    if program is None:
+        program = Program(n, policy, loss)
+    elif (program.n_qubits, program.policy, program.loss) != (n, policy, loss or _LOSSLESS):
+        raise UsageError("the program was compiled for another register size, policy or loss")
     a, b = pair
-    keys, swap, pairs, level, operators = _rotation(
-        n, index(a), index(b), k, l, t_target, policy.mode, (loss or _LOSSLESS).key)
+    rot = index(a), index(b), k, l, t_target
+    keys, swap, pairs, level, operators = program.entries.get(rot) or program.entry(*rot)
     if frame.n != n:
         raise UsageError(f"length mismatch: {frame.n} vs {n}")
     # A round's byproducts s_k (x) 1 and 1 (x) s_l both commute with the target
@@ -327,7 +304,7 @@ def realize_v_kl(
     swapped = (frame.key & swap).bit_count() & 1
     codes: list[int] = []
     if level is None:
-        return state, frame, Rounds(codes)
+        return state, frame, Rounds(codes, program.rows)
 
     # The sum of the rounds' angles and XOR of their Pauli flip codes: the
     # product of their commuting unitaries, up to a power of i.
@@ -349,15 +326,18 @@ def realize_v_kl(
             break
 
     product = angle, pauli
-    apply = operators.get(product) or _keep_operator(operators, pairs, product)
+    apply = operators.get(product)
+    if apply is None:  # X^F e^{i Theta XX} = cos(Theta) X^F + i sin(Theta) X^(F ^ 3)
+        apply = operators[product] = _pair_operator(pairs, pauli, math.cos(angle),
+                                                    1j * math.sin(angle))
     out = object.__new__(StateVector)  # the output's slots filled here, as StateVector._wrap does
     out.amplitudes, out.n_qubits = apply(state.amplitudes), n
     state = out
     if key != start:
         frame = frame_of_key(key >> _ROW_BITS)
     if level is None:
-        return state, frame, Rounds(codes)
-    err = IncompleteRotationError(level.residual, Rounds(codes))
+        return state, frame, Rounds(codes, program.rows)
+    err = IncompleteRotationError(level.residual, Rounds(codes, program.rows))
     err.state, err.frame = state, frame  # resumable: caller may retry with t = residual
     raise err
 
@@ -370,8 +350,9 @@ def realize_v(
     frame: PauliString,
     rng: np.random.Generator,
     loss: Optional[LossConfig] = None,
+    program: Optional[Program] = None,
 ) -> tuple[StateVector, PauliString, Rounds]:
     """Realize e^{it XX} on ``pair`` modulo the tracked error frame."""
     return realize_v_kl(
-        state, pair, PauliAxis.X, PauliAxis.X, t_target, policy, frame, rng, loss
+        state, pair, PauliAxis.X, PauliAxis.X, t_target, policy, frame, rng, loss, program
     )

@@ -15,6 +15,7 @@ import json
 import math
 import operator
 import types
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -25,7 +26,7 @@ from .compiler import HamiltonianSpec, LocalGate, Rotation, TrotterPlan, apply_p
 from .emission import BeamSplitterOutcome, PhotonEncoding, outcome_probabilities
 from .errors import ConfigError, IncompleteRotationError, ResourceError, UsageError
 from .errors import config_choice, config_errors, config_float, config_int, config_object
-from .feedback import _ROW_BITS, _ROW_MASK, EpsilonPolicy, PolicyMode, RoundRecord, Rounds, _rows
+from .feedback import _ROW_BITS, _ROW_MASK, EpsilonPolicy, PolicyMode, Program, RoundRecord, Rounds
 from .feedback import realize_v_kl
 from .loss import CNOT_MATRIX, LossConfig, round_branches
 from .pauli import PauliAxis, PauliString, frame_of_key
@@ -124,6 +125,11 @@ class ProtocolConfig:
         oracle = apply_evolution(self.hamiltonian, self.t, self.initial_amplitudes)
         oracle.flags.writeable = False
         return oracle
+
+    @functools.cached_property
+    def program(self) -> Program:
+        """The feedback program of the config's rotations, built once per config, freed with it."""
+        return Program(self.hamiltonian.n_qubits, self.policy, self.loss)
 
     @functools.cached_property
     def framed_oracles(self) -> dict:
@@ -314,8 +320,8 @@ def build_register(cfg: ProtocolConfig) -> StateVector:
 
 @dataclass
 class TrajectoryStats:
-    """One trajectory; ``records`` reads its rounds' ``codes``, and ``_tally`` sets ``tallies``,
-    (outcome histogram, photon retry counts), for a whole ensemble at once, or on first read."""
+    """One trajectory; ``records`` reads its rounds' ``codes`` through its program's ``rows``, and
+    ``_tally`` sets ``tallies`` (outcome histogram, photon retry counts) for a whole ensemble."""
 
     index: int
     rounds_per_rotation: list[int]
@@ -323,9 +329,10 @@ class TrajectoryStats:
     fidelity_vs_oracle: float
     failure_reason: Optional[str]
     codes: list[int] = field(default_factory=list)
+    rows: Sequence[tuple] = field(default=(), repr=False)
     tallies: Optional[tuple] = field(default=None, repr=False, compare=False)
 
-    records = property(lambda self: Rounds(self.codes))
+    records = property(lambda self: Rounds(self.codes, self.rows))
     rounds_total = property(lambda self: len(self.codes))
     outcome_histogram = property(lambda self: (self.tallies or _tally([self])[0].tallies)[0])
     photon_retry_counts = property(lambda self: (self.tallies or _tally([self])[0].tallies)[1])
@@ -352,8 +359,8 @@ class TrajectoryStats:
         }
 
 
-def _run_operations(operations, state: StateVector, rng, policy: EpsilonPolicy, loss: LossConfig):
-    """Run ``operations`` on ``state`` from the identity frame; rotations draw from ``rng``.
+def _run_operations(operations, state: StateVector, rng, program: Program):
+    """Run ``operations`` on ``state`` from the identity frame; ``program`` draws from ``rng``.
 
     Returns (state, frame, rounds, rounds per rotation, stop), ``rounds`` a ``Rounds``, ``stop``
     the IncompleteRotationError that ended the run, with its rotation as ``stop.rotation``, or None.
@@ -370,22 +377,22 @@ def _run_operations(operations, state: StateVector, rng, policy: EpsilonPolicy, 
                 continue
             k, l = op.axes
             state, frame, rounds = realize_v_kl(
-                state, op.sites, k, l, op.angle, policy, frame, rng, loss)
+                state, op.sites, k, l, op.angle, program.policy, frame, rng, program.loss, program)
             codes += rounds.codes
             rounds_per_rotation.append(len(rounds.codes))
     except IncompleteRotationError as stop:
         stop.rotation = op
         codes += stop.records.codes
         rounds_per_rotation.append(len(stop.records.codes))
-        return stop.state, stop.frame, Rounds(codes), rounds_per_rotation, stop
-    return state, frame, Rounds(codes), rounds_per_rotation, None
+        return stop.state, stop.frame, Rounds(codes, program.rows), rounds_per_rotation, stop
+    return state, frame, Rounds(codes, program.rows), rounds_per_rotation, None
 
 
 def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
     """Execute the compiled plan once, then compare against the exact oracle."""
     rng = _trajectory_uniforms(cfg.master_seed, index)
     state, frame, rounds, rounds_per_rotation, stop = _run_operations(
-        cfg.plan.operations(), build_register(cfg), rng, cfg.policy, cfg.loss)
+        cfg.plan.operations(), build_register(cfg), rng, cfg.program)
     failure_reason = None if stop is None else (
         f"rotation on {stop.rotation.sites} incomplete, residual {stop.residual:.3e}")
 
@@ -398,7 +405,7 @@ def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
             cfg.framed_oracles[frame.key] = oracle
     fid = float(abs(np.vdot(oracle, state.amplitudes)) ** 2)
     return TrajectoryStats(index, rounds_per_rotation, frame.text, fid, failure_reason,
-                           rounds.codes)
+                           rounds.codes, rounds.rows)
 
 
 def run_ensemble(cfg: ProtocolConfig) -> tuple[dict, list[TrajectoryStats]]:
@@ -411,18 +418,24 @@ def run_ensemble(cfg: ProtocolConfig) -> tuple[dict, list[TrajectoryStats]]:
 def _tally(stats: list[TrajectoryStats]) -> list[TrajectoryStats]:
     """Set the ``tallies`` of those of ``stats`` without them, in one numpy pass; return ``stats``.
 
-    A (trajectory, outcome of the round's row) bincount gives the histograms; a kept (not lost)
-    round's retry count is its distance to the kept round before it, or to its start less one.
+    A (trajectory, outcome of the round's row in its ``rows``) bincount gives the histograms; a
+    kept (not lost) round's retry count is its distance to the kept round before it, or to its
+    start less one.
     """
     todo = [s for s in stats if s.tallies is None]
     if not todo:
         return stats
     lengths = [len(s.codes) for s in todo]
+    # the trajectories' row tables (one per program) end to end, each from its offset
+    tables = {id(s.rows): s.rows for s in todo}
+    offsets = dict(zip(tables, itertools.accumulate(map(len, tables.values()), initial=0)))
+    outcome_at = [row[0] for table in tables.values() for row in table]
     rows = np.fromiter(itertools.chain.from_iterable(s.codes for s in todo), np.int64) & _ROW_MASK
+    rows += np.repeat(np.array([offsets[id(s.rows)] for s in todo], np.int64), lengths)
     used = np.flatnonzero(np.bincount(rows)).tolist()
-    labels = sorted({_rows[r][0] for r in used})
+    labels = sorted({outcome_at[r] for r in used})
     outcome_of = np.zeros(used[-1] + 1 if used else 0, dtype=np.intp)
-    outcome_of[used] = [labels.index(_rows[r][0]) for r in used]
+    outcome_of[used] = [labels.index(outcome_at[r]) for r in used]
     outcomes, trajectory = outcome_of[rows], np.repeat(np.arange(len(todo)), lengths)
     histograms = np.bincount(trajectory * len(labels) + outcomes,
                              minlength=len(todo) * len(labels)).reshape(len(todo), len(labels))
@@ -521,14 +534,14 @@ def cnot_demo(
     basis inputs plus two superposition inputs.  IncompleteRotationError when
     V(pi/4) runs out of rounds.
     """
-    program = cnot_program()
-    loss = LossConfig(p_loss=p_loss, backup_enabled=backup)
+    operations = cnot_program()
+    program = Program(2, policy, LossConfig(p_loss=p_loss, backup_enabled=backup))
 
     fidelities = []
     total_rounds = 0
     for i, data_amp in enumerate(_cnot_demo_inputs()):
         state, _, rounds, _, stop = _run_operations(
-            program, StateVector(data_amp), _trajectory_uniforms(master_seed, i), policy, loss)
+            operations, StateVector(data_amp), _trajectory_uniforms(master_seed, i), program)
         if stop is not None:
             raise stop
         total_rounds += len(rounds)
@@ -550,29 +563,27 @@ def noiseless_plan_fidelity(cfg: ProtocolConfig) -> float:
     return float(abs(np.vdot(oracle, apply_plan(cfg.plan, cfg.initial_amplitudes))) ** 2)
 
 
-@functools.cache
-def _row_json(row: int) -> list[str]:
-    """The JSON of a round of ``row`` split where its frame goes; a row id is never reused."""
-    outcome, eps, aimed, b_bits, lost = _rows[row]
-    rec = RoundRecord(outcome, eps, aimed, 0, b_bits, lost).to_dict()  # 0 holds the frame's place
-    return json.dumps(rec, sort_keys=True).split('"frame_after": 0')
-
-
 def _audit_lines(stats: list[TrajectoryStats]):
     """Each trajectory's ``json.dumps(s.to_dict(), sort_keys=True)`` line, from its rounds' codes.
 
     A round's text is its row's JSON, encoded once, around its frame's text,
-    joined once per distinct code; the rounds go at ``"rounds": 0`` and the
-    frame at ``"frame_after": 0``, whose bare quotes no JSON string can contain.
+    joined once per distinct code of a program's rows; the rounds go at
+    ``"rounds": 0`` and the frame at ``"frame_after": 0``, whose bare quotes no
+    JSON string can contain.
     """
-    texts = {}
-    for code in set(itertools.chain.from_iterable(s.codes for s in stats)):
-        head, tail = _row_json(code & _ROW_MASK)
-        texts[code] = f'{head}"frame_after": "{frame_of_key(code >> _ROW_BITS).text}"{tail}'
+    texts = {}  # by the id of a program's rows: the rows and the codes into them, then their texts
+    for s in stats:
+        texts.setdefault(id(s.rows), (s.rows, set()))[1].update(s.codes)
+    for key, (rows, codes) in texts.items():
+        split = {r: json.dumps(RoundRecord(*rows[r][:3], 0, *rows[r][3:]).to_dict(),  # 0: frame
+                               sort_keys=True).split('"frame_after": 0')
+                 for r in {code & _ROW_MASK for code in codes}}
+        texts[key] = {code: '{0}"frame_after": "{2}"{1}'.format(
+            *split[code & _ROW_MASK], frame_of_key(code >> _ROW_BITS).text) for code in codes}
     for s in _tally(stats):
         line = json.dumps({**s.summary(), "rounds": 0}, sort_keys=True)
         head, _, tail = line.partition('"rounds": 0')
-        yield f'{head}"rounds": [{", ".join(map(texts.__getitem__, s.codes))}]{tail}\n'
+        yield f'{head}"rounds": [{", ".join(map(texts[id(s.rows)].__getitem__, s.codes))}]{tail}\n'
 
 
 def emit_report(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,7 +54,6 @@ class LossConfig:
     p_loss: float = 0.0
     encoding: PhotonEncoding = PhotonEncoding.POLARIZATION
     backup_enabled: bool = False
-    key = functools.cached_property(astuple)  # the fields; a tuple hashes in C
 
     def __post_init__(self):
         p_loss = config_float(self.p_loss, "loss.p_loss")

@@ -33,7 +33,7 @@ class PauliAxis(Enum):
     Y = "Y"
     Z = "Z"
 
-    __hash__ = object.__hash__  # identity, as equality is; the axes key the pair-record cache
+    __hash__ = object.__hash__  # identity, as equality is; the axes key a program's entries
 
     def __init__(self, value: str):
         # symplectic bits of the axis

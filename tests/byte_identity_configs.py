@@ -62,16 +62,15 @@ CONFIGS = {
                          "policy": {"mode": "paper_doubling", "max_rounds": 4000},
                          "loss": {"p_loss": 0.3, "encoding": "polarization",
                                   "backup_enabled": False}},
-    # 70 XX terms with distinct coefficients, more angles than a bounded level
-    # cache of 64 would hold, whose repeated rounds share records
+    # 70 XX terms with distinct coefficients, 70 first levels of 70 doubling
+    # chains in one program, whose repeated rounds share records
     "many-angles": {"hamiltonian": {"n_qubits": 2, "terms": [
                         {"sites": [0, 1], "axes": "XX", "coeff": round(1 + i / 100, 2)}
                         for i in range(70)]},
                     "t": 0.5, "n_steps": 2, "trajectories": 3, "master_seed": 5},
-    # 80 XX terms with distinct coefficients, whose 80 blocks of 16 waiting
-    # tables pass the bound of 1024 in a fresh process, so the store of tables
-    # built ahead is emptied once and a later level builds its block again;
-    # many-angles never passes it
+    # 80 XX terms with distinct coefficients, whose 80 first levels each build
+    # a block of 16 tables, so its program keeps more tables waiting for their
+    # levels (879 after the run) than any other config's
     "waiting-overflow": {"hamiltonian": {"n_qubits": 2, "terms": [
                              {"sites": [0, 1], "axes": "XX", "coeff": round(1 + i / 100, 2)}
                              for i in range(80)]},
@@ -90,7 +89,7 @@ CONFIGS = {
                  "n_steps": 2, "trajectories": 400, "master_seed": 5,
                  "initial_state": {"random_seed": 2}},
     # every ordered pair of 6 qubits on all nine axis pairs, 270 (pair, axes)
-    # keys, more pair records than a bounded cache of 256 would hold
+    # keys, the most pair records any config's program keeps
     "many-keys": {"hamiltonian": {"n_qubits": 6, "terms": [
                       {"sites": [a, b], "axes": k + l, "coeff": 1.0}
                       for a, b in itertools.permutations(range(6), 2)

@@ -5,7 +5,6 @@ from enum import Enum
 import numpy as np
 import pytest
 
-import mfsim.feedback
 import mfsim.harness
 import mfsim.loss
 import mfsim.pauli
@@ -23,33 +22,27 @@ from mfsim.statevec import (
     apply_two_qubit,
 )
 
-# Every module-level cache a trajectory reads, by (module, name); a test that
-# scans the package fails when a cache is missing here.
+# The module-level caches, by (module, name): physics and pure functions that
+# every config shares.  What a config compiles lives in its ``Program`` and goes
+# with it.  A test that scans the package fails when a cache is missing here.
 MODULE_CACHES = (
-    (mfsim.feedback, "_rotation"),
-    (mfsim.feedback, "_level"),
-    (mfsim.feedback, "_pair_record"),
     (mfsim.pauli, "frame_of_key"),
     (mfsim.harness, "_seed_block"),
     (mfsim.harness, "_seed_words"),
-    (mfsim.harness, "_row_json"),
     (mfsim.loss, "_outcome_stack"),
     (mfsim.statevec, "_subset_index"),
 )
 
 
 def clear_module_caches():
-    """Empty every cache in ``MODULE_CACHES``, so the next trajectory starts cold.
+    """Empty every cache in ``MODULE_CACHES``, so the next trajectory builds them again.
 
-    The rotation entries go with the operators they keep, so the count of
-    kept operators starts again at zero.  ``feedback._rows`` is no cache and
-    stays: a round's code names its row for the life of the process, and the
-    levels a cold trajectory builds again append rows of their own.
+    A config's compiled rotations, levels, tables and rows are not here: they
+    live in its ``Program``, and a fresh ``ProtocolConfig`` or ``Program``
+    starts cold.
     """
     for module, name in MODULE_CACHES:
         getattr(module, name).cache_clear()
-    mfsim.feedback._operators_kept[0] = 0
-    mfsim.feedback._waiting.clear()
 
 
 I2 = np.eye(2, dtype=complex)

@@ -11,7 +11,7 @@ import pytest
 import mfsim.compiler
 from mfsim.cli import EXIT_CONFIG, EXIT_INCOMPLETE, EXIT_OK, EXIT_PIPE, EXIT_RESOURCE, main
 from mfsim.harness import ProtocolConfig
-from mfsim.statevec import exact_evolution
+from mfsim.statevec import apply_evolution
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # the package from the source tree, and no bytecode written into it
@@ -374,7 +374,8 @@ class TestOracle:
         {"hamiltonian": {"n_qubits": 2, "terms": []}, "t": 0.3, "n_steps": 10**15},
     ], ids=["huge-t", "huge-n_steps", "huge-n_steps-no-term"])
     def test_answers_at_once_where_the_vector_oracles_would_not(self, config, tmp_path):
-        # the vector oracles fall back to exact_evolution and plan_unitary, whose number it prints
+        # the vector plan falls back to plan_unitary, and at a huge t the oracle to
+        # exact_evolution (test_vector_oracle): the number printed is theirs
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         proc = subprocess.run([sys.executable, "-m", "mfsim.cli", "oracle", "--config", str(path)],
@@ -382,9 +383,26 @@ class TestOracle:
         assert proc.returncode == EXIT_OK, proc.stderr
         cfg = ProtocolConfig.from_dict(config)
         psi = cfg.initial_amplitudes
-        dense = abs(np.vdot(exact_evolution(cfg.hamiltonian, cfg.t) @ psi,
+        dense = abs(np.vdot(apply_evolution(cfg.hamiltonian, cfg.t, psi),
                             mfsim.compiler.plan_unitary(cfg.plan) @ psi)) ** 2
         assert json.loads(proc.stdout) == {"noiseless_plan_fidelity": float(dense)}
+
+
+    @pytest.mark.parametrize("terms", [
+        XX_PAIR["terms"],
+        [*XX_PAIR["terms"], {"sites": [0, 1], "axes": "ZX", "coeff": 0.7}],
+    ], ids=["commuting", "anticommuting"])
+    def test_a_huge_step_count_plans_a_unitary(self, terms, tmp_path, capsys):
+        # repeated squaring drifted off the unitaries: the fidelity once read 1.0000000019
+        config = {"hamiltonian": {"n_qubits": 2, "terms": terms}, "t": 0.3, "n_steps": 10**15,
+                  "trajectories": 0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["oracle", "--config", str(path)]) == EXIT_OK
+        fidelity = json.loads(capsys.readouterr().out)["noiseless_plan_fidelity"]
+        assert 1.0 - 1e-12 <= fidelity <= 1.0
+        u = mfsim.compiler.plan_unitary(ProtocolConfig.from_dict(config).plan)
+        assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-12
 
 
 class TestNumericFlags:

@@ -9,7 +9,7 @@ from mfsim.errors import IncompleteRotationError, UsageError
 from mfsim.feedback import (
     EpsilonPolicy,
     PolicyMode,
-    _level,
+    Program,
     realize_v,
     realize_v_kl,
     reduce_angle,
@@ -284,11 +284,12 @@ def test_non_finite_angle_raises_on_every_call_and_is_not_cached(t, kl):
     rng = np.random.default_rng(3)
     _, st = two_atom_state(rng)
     frame = ErrorFrame.identity(4)
-    size = _level.cache_info().currsize
+    program = Program(4, POLICY)
     for _ in range(2):
         with pytest.raises(UsageError, match=f"rotation angle must be finite, got {t}"):
             if kl:
-                realize_v_kl(st, (0, 1), PauliAxis.Z, PauliAxis.Y, t, POLICY, frame, rng)
+                realize_v_kl(st, (0, 1), PauliAxis.Z, PauliAxis.Y, t, POLICY, frame, rng,
+                             program=program)
             else:
-                realize_v(st, (0, 1), t, POLICY, frame, rng)
-    assert _level.cache_info().currsize == size
+                realize_v(st, (0, 1), t, POLICY, frame, rng, program=program)
+    assert program.levels == {} and program.entries == {}

@@ -442,9 +442,9 @@ def test_trajectory_tallies_equal_a_recount_of_its_records(p_loss, max_rounds):
 @pytest.mark.parametrize("name", ["past-cap", "backup-paper-doubling", "heralded-loss",
                                   "block-edge"])
 def test_trajectories_do_not_depend_on_execution_order(name):
-    # The second run rebuilds the cached levels, their rows, the pair
-    # records and the seed blocks in another order (last block first), and
-    # fills another config's framed oracles.
+    # The second config's program builds its levels, their rows and the pair
+    # records in another order, the seed blocks are rebuilt last block first,
+    # and another config's framed oracles are filled.
     def audit(cfg, indices):
         return {i: json.dumps(run_trajectory(cfg, i).to_dict(), sort_keys=True) for i in indices}
 

@@ -286,7 +286,6 @@ def test_warm_trajectory_evolves_data_qubits_only(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     sizes = []
-    rotation = mfsim.feedback._rotation
 
     def counted(apply):
         def update(amplitudes):
@@ -294,12 +293,11 @@ def test_warm_trajectory_evolves_data_qubits_only(monkeypatch):
             return apply(amplitudes)
         return update
 
-    def spy(*key):  # the entry with every kept operator counting the states it updates
-        *entry, operators = rotation(*key)
-        return (*entry, {product: counted(apply) for product, apply in operators.items()})
-
-    spy.cache_clear = rotation.cache_clear
-    monkeypatch.setattr(mfsim.feedback, "_rotation", spy)
+    # every kept operator, and every one built now, counts the states it updates
+    for key, (*entry, operators) in cfg.program.entries.items():
+        cfg.program.entries[key] = (*entry, {p: counted(a) for p, a in operators.items()})
+    pair_operator = mfsim.feedback._pair_operator
+    monkeypatch.setattr(mfsim.feedback, "_pair_operator", lambda *a: counted(pair_operator(*a)))
     again = run_trajectory(cfg, 0)
     assert set(sizes) == {2**3}
     # one state update per rotation that took at least one round
@@ -556,10 +554,11 @@ LEVEL_CONFIGS = {
 
 @pytest.mark.parametrize("name", LEVEL_CONFIGS)
 def test_cold_and_warm_level_cache_agree(name):
-    cfg = ProtocolConfig.from_dict({**LEVEL_CONFIGS[name], "master_seed": 14})
+    config = {**LEVEL_CONFIGS[name], "master_seed": 14}
     clear_module_caches()
-    cold = [run_trajectory(cfg, i).to_dict() for i in range(3)]
-    clear_module_caches()  # levels rebuilt, each with its table
+    cold = [run_trajectory(ProtocolConfig.from_dict(config), i).to_dict() for i in range(3)]
+    clear_module_caches()
+    cfg = ProtocolConfig.from_dict(config)  # levels rebuilt, each with its table
     rebuilt = [run_trajectory(cfg, i).to_dict() for i in range(3)]
     warm = [run_trajectory(cfg, i).to_dict() for i in range(3)]
     assert cold == rebuilt == warm

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -48,7 +49,7 @@ class TestLossConfig:
         with pytest.raises(UsageError, match=f"loss.encoding must be a PhotonEncoding member, "
                                              f"got {encoding!r}"):
             LossConfig(p_loss=0.3, encoding=encoding)
-        assert LossConfig(p_loss=0.3, encoding=PhotonEncoding.POLARIZATION).key == (
+        assert dataclasses.astuple(LossConfig(p_loss=0.3, encoding=PhotonEncoding.POLARIZATION)) == (
             0.3, PhotonEncoding.POLARIZATION, False)
 
     @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, np.bool_(True)])

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from mfsim.compiler import HamiltonianSpec, LocalGate, PairTerm, Rotation, compile_plan, plan_unitary
-from mfsim.feedback import EpsilonPolicy
+from mfsim.feedback import EpsilonPolicy, Program
 from mfsim.errors import UsageError
 from mfsim.harness import (
     _run_operations,
@@ -119,8 +119,8 @@ def test_local_gates_clear_their_sites_so_the_program_runs_exactly(loss):
     for i in range(12):
         psi = haar_random_amplitudes(3, rng)
         state, frame, records, rounds, stop = _run_operations(
-            program, StateVector(psi), _trajectory_uniforms(9, i), EpsilonPolicy(max_rounds=4096),
-            loss)
+            program, StateVector(psi), _trajectory_uniforms(9, i),
+            Program(3, EpsilonPolicy(max_rounds=4096), loss))
         assert stop is None and frame.text == "III"
         assert len(rounds) == 3 and sum(rounds) == len(records)
         framed += any(r.frame_after != "III" for r in records)
@@ -136,7 +136,7 @@ def test_a_rotation_out_of_rounds_stops_the_program():
     for i in range(20):
         *_, records, rounds, stop = _run_operations(
             program, StateVector(np.eye(4)[0]), _trajectory_uniforms(4, i),
-            EpsilonPolicy(max_rounds=1), LossConfig(p_loss=0.5, backup_enabled=True))
+            Program(2, EpsilonPolicy(max_rounds=1), LossConfig(p_loss=0.5, backup_enabled=True)))
         assert sum(rounds) == len(records) and len(rounds) <= 2
         if stop is not None:
             assert stop.rotation is program[len(rounds) - 1] and stop.records == records[-1:]
@@ -173,7 +173,7 @@ def test_local_gate_past_the_register_raises():
     program = [Rotation((0, 1), (PauliAxis.X, PauliAxis.X), 0.3), LocalGate(2, I2)]
     with pytest.raises(UsageError, match="^site 2 is past the 2-qubit register"):
         _run_operations(program, StateVector(np.eye(4)[0]), _trajectory_uniforms(0, 0),
-                        EpsilonPolicy(), LossConfig())
+                        Program(2, EpsilonPolicy()))
 
 
 if __name__ == "__main__":

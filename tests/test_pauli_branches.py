@@ -15,7 +15,7 @@ import pytest
 import mfsim.loss
 from mfsim.emission import PhotonEncoding
 from mfsim.errors import ProtocolError
-from mfsim.feedback import EpsilonPolicy, PolicyMode, _Level
+from mfsim.feedback import EpsilonPolicy, PolicyMode, Program, _Level
 from mfsim.loss import LossConfig, round_branches
 
 from conftest import I2, X, kron_le, rot_xx
@@ -77,7 +77,7 @@ def test_forms_are_the_dense_unitaries(kind):
 def test_pauli_branches_have_angle_zero(name, mode):
     loss, n_pauli, n_flipped, n_branches = TABLES[name]
     for residual in RESIDUALS:
-        level = _Level(residual, EpsilonPolicy(mode), loss)
+        level = _Level(residual, Program(2, EpsilonPolicy(mode), loss))
         table = round_branches(level.eps, loss)
         assert 0.0 < level.eps < 1.0 and len(table.branches) == n_branches, residual
         assert [row[:2] for row in level.rows[0]] == [form[::2] for form in table.forms]

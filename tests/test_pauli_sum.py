@@ -11,14 +11,14 @@ the records a bare generator gives.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-import mfsim.feedback
 import mfsim.statevec
 from mfsim.errors import IncompleteRotationError, UsageError
-from mfsim.feedback import EpsilonPolicy, _keep_operator, _pair_record, realize_v_kl
+from mfsim.feedback import EpsilonPolicy, Program, realize_v_kl
 from mfsim.harness import (
     ProtocolConfig,
     _trajectory_uniforms,
@@ -27,7 +27,7 @@ from mfsim.harness import (
     trajectory_rng,
 )
 from mfsim.pauli import ErrorFrame, PauliAxis, PauliString
-from mfsim.statevec import DENSE_PAIR_QUBITS, StateVector, _pauli_stack
+from mfsim.statevec import DENSE_PAIR_QUBITS, StateVector, _pair_operator, _pauli_stack
 
 from conftest import XX_STRINGS, four_string_sum, pair_masks, rot_xx, sign_projectors
 
@@ -72,20 +72,17 @@ def test_pauli_sum_equals_pair_operator_on_eigenprojectors(n, pair, k, l):
 
 @pytest.mark.parametrize("k, l", list(itertools.product(AXES, AXES)))
 @pytest.mark.parametrize("n", range(2, 8))  # dense up to DENSE_PAIR_QUBITS, gathered past it
-def test_rotation_operator_equals_the_four_string_sum(n, k, l, monkeypatch):
+def test_rotation_operator_equals_the_four_string_sum(n, k, l):
     """X^F e^{i Theta XX} on (k, l) against its Pauli coefficients in the XX picture."""
-    # the operators kept here sit in no entry: the module's count of entries' operators stays
-    monkeypatch.setattr(mfsim.feedback, "_operators_kept", [0])
     state = StateVector(haar_random_amplitudes(n, np.random.default_rng(n)))
     for pair in ((0, n - 1), (n - 1, 0)):
-        record, operators = _pair_record(n, *pair, k, l), {}
+        record = Program(n, EpsilonPolicy()).pair_record(*pair, k, l)
         assert isinstance(record[2][0], tuple) == (n > DENSE_PAIR_QUBITS)
         for flips, angle in itertools.product(range(4), (0.0, np.pi / 4, -np.pi / 4, 1e-3, 0.7)):
             product = XX_STRINGS[flips] @ rot_xx(angle)
             coeffs = [np.trace(s @ product) / 4 for s in XX_STRINGS]
             want = four_string_sum(state, pair_masks(*pair, k, l), coeffs)
-            apply = _keep_operator(operators, record[2], (angle, flips))
-            assert operators[angle, flips] is apply
+            apply = _pair_operator(record[2], flips, math.cos(angle), 1j * math.sin(angle))
             got = apply(state.amplitudes)
             assert got.shape == state.amplitudes.shape
             assert np.abs(got - want.amplitudes).max() <= 1e-15
@@ -106,23 +103,23 @@ def test_rotation_on_a_site_outside_the_register_raises(pair, site):
 ])
 def test_bad_rotation_raises_on_every_call_and_is_not_cached(pair, k, message):
     state = StateVector(haar_random_amplitudes(3, np.random.default_rng(0)))
-    size = _pair_record.cache_info().currsize
-    raised = []
+    program, raised = Program(3, EpsilonPolicy()), []
     for _ in range(2):
         with pytest.raises(UsageError) as exc:
             realize_v_kl(state, pair, k, PauliAxis.Z, 0.3, EpsilonPolicy(),
-                         ErrorFrame.identity(3), np.random.default_rng(0))
+                         ErrorFrame.identity(3), np.random.default_rng(0), program=program)
         raised.append((type(exc.value), str(exc.value)))
     assert raised == [(UsageError, message)] * 2
-    assert _pair_record.cache_info().currsize == size
+    assert program.pairs == {} and program.entries == {}
 
 
 def test_float_site_fails_after_its_integer_pair_is_cached():
     state = StateVector(haar_random_amplitudes(3, np.random.default_rng(0)))
+    program = Program(3, EpsilonPolicy())
 
     def rotate(pair):
         return realize_v_kl(state, pair, PauliAxis.X, PauliAxis.Z, 0.3, EpsilonPolicy(),
-                            ErrorFrame.identity(3), np.random.default_rng(0))
+                            ErrorFrame.identity(3), np.random.default_rng(0), program=program)
 
     rotate((0, 1))
     for _ in range(2):

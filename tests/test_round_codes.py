@@ -1,8 +1,9 @@
 """Rounds as integer codes, and the audit writer and tallies that read them.
 
 A round is fixed by (doubling level, drawn branch, frame after it), so its
-code is the frame key above the id of the level's row for the branch, and
-every round that repeats them appends the same integer.  Records are decoded
+code is the frame key above the id of the level's row for the branch in its
+program's rows, and every round of the program that repeats them appends the
+same integer.  Records are decoded
 only when read; ``emit_report``'s files must equal the reference form,
 ``json.dumps(s.to_dict(), sort_keys=True)`` per trajectory, and the ensemble
 pass's tallies a recount of each trajectory's records.
@@ -17,13 +18,12 @@ import pytest
 
 import mfsim.feedback
 from mfsim.feedback import (
-    EpsilonPolicy, Rounds, _level, _pair_record, realize_v, realize_v_kl, reduce_angle, round_record)
+    EpsilonPolicy, Program, Rounds, realize_v, realize_v_kl, reduce_angle, round_record)
 from mfsim.harness import ProtocolConfig, aggregate_report, emit_report, run_ensemble, run_trajectory
 from mfsim.loss import LossConfig
 from mfsim.pauli import ErrorFrame, PauliAxis, frame_of_key
 from mfsim.statevec import StateVector
 
-from conftest import clear_module_caches
 from test_harness import recount
 
 _PAIR = {"n_qubits": 2, "terms": [{"sites": [0, 1], "axes": "XX", "coeff": 1.0}]}
@@ -82,10 +82,10 @@ def test_ensemble_tallies_equal_a_recount_of_each_trajectorys_records(name):
 
 def test_rounds_at_one_level_branch_and_frame_share_a_code():
     state = StateVector(np.full(4, 0.5, dtype=complex))
-    firsts = {}
+    firsts, program = {}, Program(2, EpsilonPolicy())
     for seed in range(12):
         _, _, recs = realize_v(state, (0, 1), 0.7, EpsilonPolicy(), ErrorFrame.identity(2),
-                               np.random.default_rng(seed))
+                               np.random.default_rng(seed), program=program)
         # every rotation's first round is drawn at its first level under frame II
         firsts.setdefault(recs[0], set()).add(recs.codes[0])
     assert len(firsts) > 1
@@ -96,8 +96,7 @@ def test_rounds_at_one_level_branch_and_frame_share_a_code():
 def test_a_code_holds_the_frame_after_the_round_above_its_levels_row():
     cfg = ProtocolConfig.from_dict(CONFIGS["backup-loss60"])
     codes = [c for i in range(16) for c in run_trajectory(cfg, i).codes]
-    levels, todo = {}, [_level(rot.angle, EpsilonPolicy(cfg.policy.mode), cfg.loss)
-                        for rot in cfg.plan.sweep_rotations()]
+    levels, todo = {}, [cfg.program.level(rot.angle) for rot in cfg.plan.sweep_rotations()]
     while todo:  # every level a round was drawn at; only those hold successors
         level = todo.pop()
         if level is not None and id(level) not in levels:
@@ -108,7 +107,7 @@ def test_a_code_holds_the_frame_after_the_round_above_its_levels_row():
     for code in set(codes):
         level, i = rows[code & mfsim.feedback._ROW_MASK]
         branch, frame = level.branches[i], frame_of_key(code >> mfsim.feedback._ROW_BITS)
-        assert round_record(code) == mfsim.feedback.RoundRecord(
+        assert round_record(code, cfg.program.rows) == mfsim.feedback.RoundRecord(
             branch.label, level.eps, level.aimed, frame.text, branch.b_bits, branch.lost)
     assert len(set(codes)) < len(codes) / 3
 
@@ -156,9 +155,10 @@ def test_rounds_read_as_their_records():
     state = StateVector(np.full(4, 0.5, dtype=complex))
     _, _, rounds = realize_v(state, (0, 1), 0.3, EpsilonPolicy(), ErrorFrame.identity(2),
                              np.random.default_rng(4), LossConfig(p_loss=0.5))
-    records = [round_record(code) for code in rounds.codes]
+    records = [round_record(code, rounds.rows) for code in rounds.codes]
     assert len(rounds) == len(records) > 1
-    assert list(rounds) == records and rounds == records and rounds == Rounds(list(rounds.codes))
+    assert list(rounds) == records and rounds == records
+    assert rounds == Rounds(list(rounds.codes), rounds.rows)
     assert rounds[-1] == records[-1] and rounds[1:] == records[1:]
     assert rounds != records[1:] and rounds != tuple(records)
 
@@ -176,32 +176,32 @@ def test_first_levels_are_kept_for_more_angles_than_a_bounded_cache(monkeypatch)
         built.append(self)
 
     monkeypatch.setattr(mfsim.feedback._Level, "__init__", spy)
-    clear_module_caches()
-    try:
-        cold = [run_trajectory(cfg, index).records for index in range(3)]
-        n_built = len(built)
-        # the same draws walk the same levels, which are all still cached
-        assert [run_trajectory(cfg, index).records for index in range(3)] == cold
-        assert len(built) == n_built
-        firsts = {reduce_angle(rot.angle) for rot in cfg.plan.sweep_rotations()}
-        assert len(firsts) == 100 and firsts <= {level.residual for level in built}
-        info = _level.cache_info()
-        assert info.misses == info.currsize == n_built  # first and doubled levels alike
-    finally:
-        clear_module_caches()
+    cold = [run_trajectory(cfg, index).records for index in range(3)]
+    n_built = len(built)
+    # the same draws walk the same levels, which the program all still keeps
+    assert [run_trajectory(cfg, index).records for index in range(3)] == cold
+    assert len(built) == n_built
+    firsts = {reduce_angle(rot.angle) for rot in cfg.plan.sweep_rotations()}
+    assert len(firsts) == 100 and firsts <= {level.residual for level in built}
+    # first and doubled levels alike, each built once
+    assert [level for level in cfg.program.levels.values() if level] == built
 
 
-def test_pair_records_are_kept_for_more_keys_than_a_bounded_cache():
+def test_pair_records_are_kept_for_more_keys_than_a_bounded_cache(monkeypatch):
     # all 30 ordered pairs of 6 qubits on all nine axis pairs: 270 (pair, axes) keys
     n, axes = 6, (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
     keys = list(itertools.product(itertools.permutations(range(n), 2), axes, axes))
     assert len(keys) == 270
     state = StateVector(np.full(1 << n, 2 ** (-n / 2), dtype=complex))
-    rng = np.random.default_rng(8)
+    rng, program = np.random.default_rng(8), Program(n, EpsilonPolicy())
+    built, pair_record = [], Program.pair_record
+    monkeypatch.setattr(Program, "pair_record",
+                        lambda self, *key: built.append(key) or pair_record(self, *key))
     misses = []
     for _ in range(2):
-        before = _pair_record.cache_info().misses
+        before = len(built)
         for pair, k, l in keys:
-            realize_v_kl(state, pair, k, l, 0.3, EpsilonPolicy(), ErrorFrame.identity(n), rng)
-        misses.append(_pair_record.cache_info().misses - before)
-    assert misses[0] <= len(keys) and misses[1] == 0
+            realize_v_kl(state, pair, k, l, 0.3, EpsilonPolicy(), ErrorFrame.identity(n), rng,
+                         program=program)
+        misses.append(len(built) - before)
+    assert misses == [len(keys), 0] and len(program.pairs) == len(keys)

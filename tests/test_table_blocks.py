@@ -18,12 +18,11 @@ import mfsim.feedback
 import mfsim.loss
 from mfsim.emission import PhotonEncoding
 from mfsim.errors import ProtocolError, UsageError
-from mfsim.feedback import _ANGLE_TOL, EpsilonPolicy, PolicyMode, _level, reduce_angle
+from mfsim.feedback import _ANGLE_TOL, EpsilonPolicy, PolicyMode, Program, reduce_angle
 from mfsim.harness import ProtocolConfig, emit_report, run_ensemble
 from mfsim.loss import LossConfig, RoundTable, round_branches, round_tables
 
 from byte_identity_configs import CONFIGS
-from conftest import clear_module_caches
 
 LOSSES = {
     "lossless": LossConfig(),
@@ -75,13 +74,6 @@ def bits(table):
             table.kraus.tobytes(), table.kraus.shape, table.kraus.flags.writeable)
 
 
-@pytest.fixture
-def cold_caches():
-    clear_module_caches()
-    yield
-    clear_module_caches()
-
-
 @pytest.mark.parametrize("t", [0.7, -2.9, 1e-3, math.pi / 4, math.pi / 2])
 @pytest.mark.parametrize("mode", list(PolicyMode))
 @pytest.mark.parametrize("loss", LOSSES.values(), ids=LOSSES)
@@ -121,86 +113,52 @@ def test_the_first_bad_eps_of_a_block_raises_before_any_table(monkeypatch):
 
 @pytest.mark.parametrize("mode", list(PolicyMode))
 @pytest.mark.parametrize("loss", LOSSES.values(), ids=LOSSES)
-def test_a_level_takes_the_table_built_ahead_for_it(loss, mode, cold_caches):
+def test_a_level_takes_the_table_built_ahead_for_it(loss, mode):
     policy = EpsilonPolicy(mode)
-    first = _level(0.7, policy, loss)
+    program = Program(2, policy, loss)
+    first = program.level(0.7)
     chain = chain_eps(0.7, mode, mfsim.feedback._BLOCK)
     assert len(chain) == mfsim.feedback._BLOCK
-    assert list(mfsim.feedback._waiting) == [(e, loss) for e in chain[1:]]
+    assert list(program.waiting) == chain[1:]
     level, residual = first, first.residual
     for i, eps in enumerate(chain):
         if i:  # the level a round reaches after the one before it doubled the residual
-            level = _level(level.residual + level.residual, policy, loss)
+            level = program.level(level.residual + level.residual)
             residual = reduce_angle(residual + residual)
         assert level.eps == eps and level.residual == residual
         table = round_branches(eps, loss)
         assert (level.cumulative, level.branches, level.forms) == (
             table.cumulative, table.branches, table.forms)
-        assert (eps, loss) not in mfsim.feedback._waiting
-    assert mfsim.feedback._waiting == {}
-    past = _level(level.residual + level.residual, policy, loss)  # it builds the next block
+        assert eps not in program.waiting
+    assert program.waiting == {}
+    past = program.level(level.residual + level.residual)  # it builds the next block
     assert past.eps == policy.eps_for(abs(reduce_angle(residual + residual)))
-    assert len(mfsim.feedback._waiting) == mfsim.feedback._BLOCK - 1
+    assert len(program.waiting) == mfsim.feedback._BLOCK - 1
 
 
-def test_a_block_stops_where_the_chain_closes(cold_caches):
-    policy, loss = EpsilonPolicy(), LossConfig()
-    level = _level(math.pi / 4, policy, loss)
-    assert list(mfsim.feedback._waiting) == [(1.0, loss)]
-    doubled = _level(level.residual + level.residual, policy, loss)
-    assert doubled.eps == 1.0 and mfsim.feedback._waiting == {}
-    assert _level(doubled.residual + doubled.residual, policy, loss) is None
+def test_a_block_stops_where_the_chain_closes():
+    program = Program(2, EpsilonPolicy())
+    level = program.level(math.pi / 4)
+    assert list(program.waiting) == [1.0]
+    doubled = program.level(level.residual + level.residual)
+    assert doubled.eps == 1.0 and program.waiting == {}
+    assert program.level(doubled.residual + doubled.residual) is None
 
 
-def run(name, out):
-    """The config's report and audit bytes from cold caches, and the levels it built."""
-    clear_module_caches()
-    report, stats = run_ensemble(ProtocolConfig.from_dict(CONFIGS[name]))
+def run(config, out):
+    """The config's report and audit bytes from a fresh program, and the levels it built."""
+    cfg = ProtocolConfig.from_dict(config)
+    report, stats = run_ensemble(cfg)
     emit_report(report, stats, out)
-    return [(out / f).read_bytes() for f in ("report.json", "audit.jsonl")], \
-        _level.cache_info().currsize
+    return [(out / f).read_bytes() for f in ("report.json", "audit.jsonl")], len(cfg.program.levels)
 
 
 @pytest.mark.parametrize("name", ["backup-loss", "paper-doubling", "many-angles"])
 def test_short_blocks_refill_to_the_same_bytes_and_levels(name, tmp_path, monkeypatch):
-    want = run(name, tmp_path / "default")
+    want = run(CONFIGS[name], tmp_path / "default")
     for length in (1, 2):
         monkeypatch.setattr(mfsim.feedback, "_BLOCK", length)
-        assert run(name, tmp_path / str(length)) == want
-    clear_module_caches()
-
-
-MANY_ANGLES = {"hamiltonian": {"n_qubits": 2, "terms": [
-    {"sites": [0, 1], "axes": "XX", "coeff": round(1 + i / 100, 2)} for i in range(200)]},
-    "t": 0.5, "n_steps": 2, "trajectories": 5, "master_seed": 5}
-
-
-def test_waiting_tables_stay_bounded_and_leave_bytes_and_levels(tmp_path, monkeypatch):
-    """Past ``_WAITING_BOUND`` the store is emptied, and a level builds its block again."""
-    waiting, ahead, counts = mfsim.feedback._waiting, mfsim.feedback._tables_ahead, []
-    default = mfsim.feedback._WAITING_BOUND
-
-    def counted(*args):
-        table = ahead(*args)
-        counts.append(len(mfsim.feedback._waiting))
-        return table
-
-    monkeypatch.setattr(mfsim.feedback, "_tables_ahead", counted)
-    runs = {}
-    for bound in (10**9, default, 64):
-        monkeypatch.setattr(mfsim.feedback, "_WAITING_BOUND", bound)
-        clear_module_caches()
-        counts.clear()
-        report, stats = run_ensemble(ProtocolConfig.from_dict(MANY_ANGLES))
-        emit_report(report, stats, tmp_path / str(bound))
-        runs[bound] = ([(tmp_path / str(bound) / f).read_bytes()
-                        for f in ("report.json", "audit.jsonl")], _level.cache_info().currsize)
-        assert max(counts) <= bound and len(counts) > 1
-        if bound == 10**9:  # unbounded, the store outgrows the default bound
-            assert max(counts) > default
-    clear_module_caches()
-    assert runs[64] == runs[default] == runs[10**9]
-    assert mfsim.feedback._waiting is waiting  # emptied, never rebound
+        assert run(CONFIGS[name], tmp_path / str(length)) == want
 
 
 def test_round_tables_compare_and_hash_by_identity():
