@@ -21,8 +21,10 @@ The frame is one integer, its Pauli string's ``key`` (``pauli`` alone knows
 its layout).  A round is one bisection into the level's weights, an XOR of
 the key when the branch flips a qubit (s_k / s_l at the pair sites), and one
 integer appended, the round's code: the frame key after it above the id of
-the (level, branch) row it read in its program's ``rows``; ``Rounds`` decodes
-codes through those rows only when read.
+the (level, branch) row it read in its program's ``rows``.  Only this module
+reads that layout: ``Rounds`` decodes codes through those rows only when read,
+as records or as ``Rounds.outcomes``, and ``round_texts`` gives each distinct
+code's audit JSON.
 Every branch's unitary is i^g X^f e^{i theta XX} for its form (theta, g, f),
 and all of them commute.
 The state is kept up to global phase, as the frame is, so a round adds theta
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -148,6 +151,27 @@ class Rounds(Sequence):
 
     def __eq__(self, other):  # also leaves Rounds unhashable, as a list is
         return isinstance(other, (list, Rounds)) and list(self) == list(other)
+
+    @property
+    def outcomes(self) -> list[str]:
+        """Each round's outcome label, read through its row."""
+        rows = self.rows
+        return [rows[code & _ROW_MASK][0] for code in self.codes]
+
+
+def round_texts(codes, rows: Sequence[tuple]) -> dict[int, str]:
+    """Each distinct one of ``codes`` (into ``rows``) to its record's JSON, with sorted keys.
+
+    A row's JSON is encoded once, with the frame at ``"frame_after": 0``, whose
+    bare quotes no JSON string can contain, and split there around each of its
+    codes' frame text.
+    """
+    codes = set(codes)
+    split = {r: json.dumps(RoundRecord(*rows[r][:3], 0, *rows[r][3:]).to_dict(),  # 0: frame
+                           sort_keys=True).split('"frame_after": 0')
+             for r in {code & _ROW_MASK for code in codes}}
+    return {code: '{0}"frame_after": "{2}"{1}'.format(
+        *split[code & _ROW_MASK], frame_of_key(code >> _ROW_BITS).text) for code in codes}
 
 
 # The levels one ``round_tables`` pass builds tables for, fewer where the chain

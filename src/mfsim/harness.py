@@ -26,17 +26,10 @@ from .compiler import HamiltonianSpec, LocalGate, Rotation, TrotterPlan, apply_p
 from .emission import BeamSplitterOutcome, PhotonEncoding, outcome_probabilities
 from .errors import ConfigError, IncompleteRotationError, ResourceError, UsageError
 from .errors import config_choice, config_errors, config_float, config_int, config_object
-from .feedback import _ROW_BITS, _ROW_MASK, EpsilonPolicy, PolicyMode, Program, RoundRecord, Rounds
-from .feedback import realize_v_kl
+from .feedback import EpsilonPolicy, PolicyMode, Program, Rounds, realize_v_kl, round_texts
 from .loss import CNOT_MATRIX, LossConfig, round_branches
-from .pauli import PauliAxis, PauliString, frame_of_key
-from .statevec import (
-    DEFAULT_QUBIT_CAP,
-    StateVector,
-    _apply,
-    apply_evolution,
-    apply_pauli_string,
-)
+from .pauli import _AXIS_MATRICES, PauliAxis, PauliString
+from .statevec import StateVector, _apply, _check_cap, apply_evolution, apply_pauli_string
 
 _H_GATE = np.array([[1, 1], [1, -1]], dtype=float) / np.sqrt(2)
 _FRAMED_ORACLE_CAP = 256  # framed oracles a config keeps: 16 MB at the 12-qubit cap
@@ -97,15 +90,14 @@ class ProtocolConfig:
                           ("hamiltonian", "t", "n_steps"))
             pol = config_object(d.get("policy", {}), "policy", {"mode", "max_rounds"})
             lo = config_object(d.get("loss", {}), "loss", {"p_loss", "encoding", "backup_enabled"})
+            # the keys present, enum names mapped to members; the dataclasses hold the defaults
+            chosen = lambda o, key, enum, path: {  # noqa: E731
+                k: config_choice(enum, v, f"{path}.{k}") if k == key else v for k, v in o.items()}
             return cls(
                 HamiltonianSpec.from_dict(d["hamiltonian"]), d["t"], d["n_steps"],
-                EpsilonPolicy(config_choice(PolicyMode, pol.get("mode", "residual_exact"),
-                                            "policy.mode"), pol.get("max_rounds", 64)),
-                LossConfig(lo.get("p_loss", 0.0), config_choice(
-                    PhotonEncoding, lo.get("encoding", "polarization"), "loss.encoding"),
-                    lo.get("backup_enabled", False)),
-                d.get("initial_state", "all_zeros"), d.get("trajectories", 1),
-                d.get("master_seed", 0))
+                EpsilonPolicy(**chosen(pol, "mode", PolicyMode, "policy")),
+                LossConfig(**chosen(lo, "encoding", PhotonEncoding, "loss")),
+                **{k: d[k] for k in ("initial_state", "trajectories", "master_seed") if k in d})
 
     @functools.cached_property
     def plan(self) -> TrotterPlan:
@@ -312,16 +304,15 @@ def build_register(cfg: ProtocolConfig) -> StateVector:
 
     ResourceError past the register cap, checked before the amplitudes are built.
     """
-    n = cfg.hamiltonian.n_qubits
-    if n > DEFAULT_QUBIT_CAP:
-        raise ResourceError(f"register of {n} qubits exceeds the cap of {DEFAULT_QUBIT_CAP}")
+    n = _check_cap(cfg.hamiltonian.n_qubits)
     return StateVector._wrap(cfg.initial_amplitudes, n)
 
 
 @dataclass
 class TrajectoryStats:
     """One trajectory; ``records`` reads its rounds' ``codes`` through its program's ``rows``, and
-    ``_tally`` sets ``tallies`` (outcome histogram, photon retry counts) for a whole ensemble."""
+    ``tallies`` (outcome histogram, photon retry counts) counts their outcomes once, when first read.
+    """
 
     index: int
     rounds_per_rotation: list[int]
@@ -330,14 +321,25 @@ class TrajectoryStats:
     failure_reason: Optional[str]
     codes: list[int] = field(default_factory=list)
     rows: Sequence[tuple] = field(default=(), repr=False)
-    tallies: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     records = property(lambda self: Rounds(self.codes, self.rows))
     rounds_total = property(lambda self: len(self.codes))
-    outcome_histogram = property(lambda self: (self.tallies or _tally([self])[0].tallies)[0])
-    photon_retry_counts = property(lambda self: (self.tallies or _tally([self])[0].tallies)[1])
+    outcome_histogram = property(lambda self: self.tallies[0])
+    photon_retry_counts = property(lambda self: self.tallies[1])
     loss_events = property(lambda self: self.outcome_histogram.get("loss", 0))
     failed = property(lambda self: self.failure_reason is not None)
+
+    @functools.cached_property
+    def tallies(self) -> tuple[dict, list[int]]:
+        """The outcome histogram, keys sorted, and each kept (not lost) round's retry count.
+
+        A retry count is the distance from a kept round to the kept round before it, or to the
+        trajectory's start less one: 1 for every kept round when none was lost.
+        """
+        outcomes = self.records.outcomes
+        kept = [i for i, outcome in enumerate(outcomes) if outcome != "loss"]
+        histogram = dict(sorted(collections.Counter(outcomes).items()))
+        return histogram, [i - before for before, i in zip([-1, *kept], kept)]
 
     def to_dict(self) -> dict:
         """The audit entry; ``emit_report`` writes ``json.dumps(to_dict(), sort_keys=True)``."""
@@ -369,11 +371,13 @@ def _run_operations(operations, state: StateVector, rng, program: Program):
     try:
         for op in operations:
             if type(op) is LocalGate:  # the frame's Pauli at its site, then its checked gate
-                if op.site >= frame.n:
-                    raise UsageError(f"site {op.site} is past the {frame.n}-qubit register")
-                fix = PauliString.embed(frame.n, {op.site: PauliAxis(frame.text[op.site])})
-                state = _apply(apply_pauli_string(state, fix), (op.site,), op.gate)
-                frame = frame.updated(fix)
+                site, n = op.site, frame.n
+                if site >= n:
+                    raise UsageError(f"site {site} is past the {n}-qubit register")
+                if frame.text[site] != "I":
+                    state = _apply(state, (site,), _AXIS_MATRICES[frame.text[site]])
+                state = _apply(state, (site,), op.gate)
+                frame = PauliString.from_masks(n, frame.x & ~(1 << site), frame.z & ~(1 << site))
                 continue
             k, l = op.axes
             state, frame, rounds = realize_v_kl(
@@ -415,42 +419,9 @@ def run_ensemble(cfg: ProtocolConfig) -> tuple[dict, list[TrajectoryStats]]:
     return aggregate_report(cfg, stats), stats
 
 
-def _tally(stats: list[TrajectoryStats]) -> list[TrajectoryStats]:
-    """Set the ``tallies`` of those of ``stats`` without them, in one numpy pass; return ``stats``.
-
-    A (trajectory, outcome of the round's row in its ``rows``) bincount gives the histograms; a
-    kept (not lost) round's retry count is its distance to the kept round before it, or to its
-    start less one.
-    """
-    todo = [s for s in stats if s.tallies is None]
-    if not todo:
-        return stats
-    lengths = [len(s.codes) for s in todo]
-    # the trajectories' row tables (one per program) end to end, each from its offset
-    tables = {id(s.rows): s.rows for s in todo}
-    offsets = dict(zip(tables, itertools.accumulate(map(len, tables.values()), initial=0)))
-    outcome_at = [row[0] for table in tables.values() for row in table]
-    rows = np.fromiter(itertools.chain.from_iterable(s.codes for s in todo), np.int64) & _ROW_MASK
-    rows += np.repeat(np.array([offsets[id(s.rows)] for s in todo], np.int64), lengths)
-    used = np.flatnonzero(np.bincount(rows)).tolist()
-    labels = sorted({outcome_at[r] for r in used})
-    outcome_of = np.zeros(used[-1] + 1 if used else 0, dtype=np.intp)
-    outcome_of[used] = [labels.index(outcome_at[r]) for r in used]
-    outcomes, trajectory = outcome_of[rows], np.repeat(np.arange(len(todo)), lengths)
-    histograms = np.bincount(trajectory * len(labels) + outcomes,
-                             minlength=len(todo) * len(labels)).reshape(len(todo), len(labels))
-    kept = np.flatnonzero(outcomes != labels.index("loss") if "loss" in labels else rows >= 0)
-    first = (np.cumsum(lengths) - lengths)[trajectory[kept]]  # each kept round's trajectory's
-    retries = (kept - np.maximum(np.concatenate(([-1], kept[:-1])), first - 1)).tolist()
-    ends = np.cumsum(np.bincount(trajectory[kept], minlength=len(todo))).tolist()
-    for s, counts, start, end in zip(todo, histograms.tolist(), [0, *ends], ends):
-        s.tallies = ({k: c for k, c in zip(labels, counts) if c}, retries[start:end])
-    return stats
-
-
 def aggregate_report(cfg: ProtocolConfig, stats: list[TrajectoryStats]) -> dict:
-    """The ensemble's report; ``_tally`` first tallies every trajectory not yet tallied."""
-    fids = [s.fidelity_vs_oracle for s in _tally(stats)]
+    """The ensemble's report, from each trajectory's own tallies."""
+    fids = [s.fidelity_vs_oracle for s in stats]
     rounds, counts = sum(s.rounds_total for s in stats), [s.rounds_per_rotation for s in stats]
     retries = [r for s in stats for r in s.photon_retry_counts]
     histogram, sums, sizes = collections.Counter(), collections.Counter(), collections.Counter()
@@ -566,21 +537,15 @@ def noiseless_plan_fidelity(cfg: ProtocolConfig) -> float:
 def _audit_lines(stats: list[TrajectoryStats]):
     """Each trajectory's ``json.dumps(s.to_dict(), sort_keys=True)`` line, from its rounds' codes.
 
-    A round's text is its row's JSON, encoded once, around its frame's text,
-    joined once per distinct code of a program's rows; the rounds go at
-    ``"rounds": 0`` and the frame at ``"frame_after": 0``, whose bare quotes no
-    JSON string can contain.
+    A round's text comes from ``round_texts``, once per distinct code of a
+    program's rows; the rounds go at ``"rounds": 0``, whose bare quotes no JSON
+    string can contain.
     """
-    texts = {}  # by the id of a program's rows: the rows and the codes into them, then their texts
+    codes = {}  # by the id of a program's rows: the rows and the codes into them
     for s in stats:
-        texts.setdefault(id(s.rows), (s.rows, set()))[1].update(s.codes)
-    for key, (rows, codes) in texts.items():
-        split = {r: json.dumps(RoundRecord(*rows[r][:3], 0, *rows[r][3:]).to_dict(),  # 0: frame
-                               sort_keys=True).split('"frame_after": 0')
-                 for r in {code & _ROW_MASK for code in codes}}
-        texts[key] = {code: '{0}"frame_after": "{2}"{1}'.format(
-            *split[code & _ROW_MASK], frame_of_key(code >> _ROW_BITS).text) for code in codes}
-    for s in _tally(stats):
+        codes.setdefault(id(s.rows), (s.rows, set()))[1].update(s.codes)
+    texts = {key: round_texts(used, rows) for key, (rows, used) in codes.items()}
+    for s in stats:
         line = json.dumps({**s.summary(), "rounds": 0}, sort_keys=True)
         head, _, tail = line.partition('"rounds": 0')
         yield f'{head}"rounds": [{", ".join(map(texts[id(s.rows)].__getitem__, s.codes))}]{tail}\n'

@@ -110,6 +110,17 @@ class TestSimulate:
         path.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(path)]) == EXIT_RESOURCE
 
+    def test_register_cap_line_is_the_oracles(self, tmp_path, capsys):
+        term = {"sites": [0, 1], "axes": "XX", "coeff": 1.0}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"hamiltonian": {"n_qubits": 13, "terms": [term]},
+                                    "t": 0.1, "n_steps": 1}))
+        errors = []
+        for argv in (["simulate", "--out", str(tmp_path / "out")], ["oracle"]):
+            assert main([*argv, "--config", str(path)]) == EXIT_RESOURCE
+            errors.append(capsys.readouterr().err)
+        assert errors == ["resource error: register of 13 qubits exceeds the dense cap of 12\n"] * 2
+
     def test_empty_sweep_takes_no_steps(self, tmp_path):
         # No term, no rotation: even 1e15 steps must finish at once without a round.
         cfg = {"hamiltonian": {"n_qubits": 2, "terms": []}, "t": 0.3, "n_steps": 1e15,

@@ -7,7 +7,7 @@ import pytest
 
 import mfsim.feedback
 import mfsim.harness
-from mfsim.compiler import compile_plan
+from mfsim.compiler import HamiltonianSpec, compile_plan
 from mfsim.errors import ConfigError, IncompleteRotationError, ResourceError, UsageError
 from mfsim.feedback import EpsilonPolicy, PolicyMode, Rounds
 from mfsim.pauli import PauliAxis
@@ -63,6 +63,14 @@ class TestProtocolConfig:
         assert cfg.policy.mode is PolicyMode.RESIDUAL_EXACT
         assert cfg.loss.p_loss == 0.0
         assert cfg.trajectories == 1
+
+    @pytest.mark.parametrize("left_out", [{}, {"policy": {}, "loss": {}}], ids=["keys", "objects"])
+    def test_left_out_keys_read_as_the_constructor_defaults(self, left_out):
+        pair = {"n_qubits": 2, "terms": [{"sites": [0, 1], "axes": "XX", "coeff": 1.0}]}
+        cfg = ProtocolConfig.from_dict({"hamiltonian": pair, "t": 0.3, "n_steps": 2, **left_out})
+        built = ProtocolConfig(HamiltonianSpec.from_dict(pair), 0.3, 2)
+        assert cfg == built
+        assert cfg.to_dict() == built.to_dict()
 
     def test_bad_steps(self):
         with pytest.raises(ConfigError):

@@ -2,6 +2,7 @@
 
 ``mfsim/__init__.py`` is left out: its imports are the package's exports.
 An import line that carries ``noqa`` is kept on purpose and is skipped.
+Only ``feedback`` reads the layout of a round's code.
 """
 
 import ast
@@ -36,3 +37,20 @@ def test_every_module_reads_every_name_it_imports():
 def test_check_sees_an_unread_import():
     source = "import json\nfrom os import path, sep  # noqa\nimport numpy as np\nnp.pi\n"
     assert unread_imports(source) == ["json"]
+
+
+def names_read(source):
+    """Every name a module reads, imports or reads as an attribute."""
+    tree = ast.parse(source)
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names})
+
+
+def test_round_codes_are_read_in_feedback_alone():
+    package = {p.name: names_read(p.read_text()) for p in (ROOT / "src" / "mfsim").glob("*.py")}
+    assert {name: sorted(m for m, names in package.items() if name in names)
+            for name in ("_ROW_BITS", "_ROW_MASK")} == {"_ROW_BITS": ["feedback.py"],
+                                                        "_ROW_MASK": ["feedback.py"]}
+    assert package["harness.py"] & {"RoundRecord", "frame_of_key"} == set()

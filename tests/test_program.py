@@ -70,11 +70,35 @@ def test_stats_of_several_programs_read_through_their_own_rows(tmp_path):
     emit_report(runs[0][0], mixed, tmp_path / "mixed")
     assert (tmp_path / "mixed" / "audit.jsonl").read_text() == "".join(
         (tmp_path / str(i) / "audit.jsonl").read_text() for i in range(3))
-    untallied = [dataclasses.replace(s, tallies=None) for s in mixed]
+    untallied = [dataclasses.replace(s) for s in mixed]
     counts = sum((collections.Counter(report["outcome_counts"]) for report, _ in runs),
                  collections.Counter())
     assert aggregate_report(ProtocolConfig.from_dict(CONFIGS["heralded-loss"]),
                             untallied)["outcome_counts"] == dict(sorted(counts.items()))
+
+
+def test_a_stat_tallies_the_same_alone_in_blocks_or_mixed():
+    # what streaming an ensemble in blocks needs: each trajectory tallies its own rounds
+    runs = {}
+    for name in ("heralded-loss", "backup-loss", "many-angles"):
+        cfg = ProtocolConfig.from_dict({**CONFIGS[name], "trajectories": 20})
+        runs[name] = cfg, *run_ensemble(cfg)
+    summaries = [s.summary() for _, _, stats in runs.values() for s in stats]
+    alone = [dataclasses.replace(s) for _, _, stats in runs.values() for s in stats]
+    assert [s.summary() for s in alone] == summaries
+    mixed = [dataclasses.replace(s) for _, _, stats in runs.values() for s in stats]
+    aggregate_report(runs["heralded-loss"][0], mixed)
+    assert [s.summary() for s in mixed] == summaries
+    for cfg, report, stats in runs.values():
+        for size in (1, 7):
+            copies = [dataclasses.replace(s) for s in stats]
+            parts = [aggregate_report(cfg, copies[i:i + size]) for i in range(0, len(copies), size)]
+            assert [s.summary() for s in copies] == [s.summary() for s in stats]
+            counts = sum((collections.Counter(part["outcome_counts"]) for part in parts),
+                         collections.Counter())
+            assert report["outcome_counts"] == dict(sorted(counts.items()))
+            for key, sub in (("rounds", "total"), ("loss", "events")):
+                assert report[key][sub] == sum(part[key][sub] for part in parts)
 
 
 CODES = """
