@@ -188,7 +188,8 @@ class Program:
     and the operators it has applied, by (Theta, F); ``levels[angle]`` is a
     level, first or doubled, ``waiting[eps]`` a table built ahead until a level
     takes it, and ``rows`` every (level, branch) row in the order the levels
-    built them.  Nothing is kept for bad input, so it raises on every call.
+    built them.  Nothing is kept for bad input, so it raises on every call:
+    ``entry`` checks the angle, axes and sites before it builds anything.
     """
 
     def __init__(self, n_qubits: int, policy: EpsilonPolicy, loss: Optional[LossConfig] = None):
@@ -198,6 +199,7 @@ class Program:
 
     def entry(self, a: int, b: int, k: PauliAxis, l: PauliAxis, angle: float) -> tuple:
         """Build and keep the entry of e^{i angle s_k x s_l} on sites (a, b)."""
+        _check_angle(angle)
         pair = self.pairs.get((a, b, k, l)) or self.pair_record(a, b, k, l)
         entry = self.entries[a, b, k, l, angle] = (*pair, self.level(angle), {})
         return entry
@@ -211,7 +213,7 @@ class Program:
         ``anticommutation_mask``.  ``pairs`` are the strings as ``statevec._pauli_pairs``: dense
         up to 4 qubits (16 KB at 4), else gather rows (384 KB at the 12-qubit cap).
         """
-        if k is PauliAxis.I or l is PauliAxis.I:
+        if not (isinstance(k, PauliAxis) and isinstance(l, PauliAxis)) or PauliAxis.I in (k, l):
             raise UsageError("rotation axes must be X, Y, or Z")
         if a == b:
             raise UsageError("rotation needs two distinct qubits")
@@ -225,8 +227,7 @@ class Program:
     def level(self, angle: float) -> Optional[_Level]:
         """The level at ``angle`` mod pi, first or doubled, built once; None at 0."""
         if angle not in self.levels:
-            if not math.isfinite(angle):
-                raise UsageError(f"rotation angle must be finite, got {angle}")
+            _check_angle(angle)
             residual = reduce_angle(angle)
             self.levels[angle] = _Level(residual, self) if abs(residual) > _ANGLE_TOL else None
         return self.levels[angle]
@@ -240,6 +241,16 @@ class Program:
         tables = [(t.cumulative, t.branches, t.forms) for t in round_tables(eps, self.loss)]
         self.waiting.update(zip(eps[1:], tables[1:]))
         return tables[0]
+
+
+def _check_angle(angle) -> None:
+    """UsageError unless ``angle`` is a finite real number."""
+    try:
+        finite = math.isfinite(angle)
+    except TypeError:  # not a number
+        finite = False
+    if not finite:
+        raise UsageError(f"rotation angle must be finite, got {angle}")
 
 
 class _Level:
@@ -309,6 +320,9 @@ def realize_v_kl(
     to a power of i; on success the frame-corrected output equals the exact
     rotation applied to the frame-corrected input, up to global phase.
     The rounds come as ``Rounds``.  Sites are integers: a float site raises TypeError.
+    A frame of another size, a pair that is not two distinct sites of the register, an
+    axis that is not X, Y or Z, or an angle that is not a finite number raises
+    UsageError, and ``program`` keeps nothing of the call.
     Raises IncompleteRotationError (with state, frame, and residual attached)
     if max_rounds is exhausted.
     """
@@ -317,11 +331,14 @@ def realize_v_kl(
         program = Program(n, policy, loss)
     elif (program.n_qubits, program.policy, program.loss) != (n, policy, loss or _LOSSLESS):
         raise UsageError("the program was compiled for another register size, policy or loss")
-    a, b = pair
-    rot = index(a), index(b), k, l, t_target
-    keys, swap, pairs, level, operators = program.entries.get(rot) or program.entry(*rot)
     if frame.n != n:
         raise UsageError(f"length mismatch: {frame.n} vs {n}")
+    try:
+        a, b = pair
+    except (TypeError, ValueError):
+        raise UsageError(f"rotation pair must be two sites, got {pair!r}") from None
+    rot = index(a), index(b), k, l, t_target
+    keys, swap, pairs, level, operators = program.entries.get(rot) or program.entry(*rot)
     # A round's byproducts s_k (x) 1 and 1 (x) s_l both commute with the target
     # s_k (x) s_l, so the frame's commutation with it, and this sign, hold for
     # the whole rotation: it picks the level's successors.

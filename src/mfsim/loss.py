@@ -257,8 +257,9 @@ def _round_outcomes(loss: LossConfig):
             for bits in itertools.product(*((0, 1) if l else (None,) for l in lost)):
                 first, second = (_E2 if h is None else np.outer(_E2[0], _E2[h]) for h in bits)
                 emptied = np.kron(second, first)
-                for o, v in BELL_STATES.items():
-                    yield w * emptied.T @ v, (o.value, *_OUTCOME_EFFECT[o], None, lost)
+                for o, v in BELL_STATES.items():  # the mode state emptied^T v, weighted
+                    modes = np.einsum("ji,j->i", w * emptied, v)
+                    yield modes, (o.value, *_OUTCOME_EFFECT[o], None, lost)
 
 
 @functools.lru_cache(maxsize=64)
@@ -289,8 +290,9 @@ def _outcome_stack(loss: LossConfig) -> tuple[np.ndarray, tuple[RoundBranch, ...
     k0, k1, half, probe = np.einsum("bm,eimo->eboi", np.conj(modes), np.array(runs))
     terms = np.array([k0, k1, 2.0 * half - k0 - k1])
     eigen = np.einsum("jik,mbki->mbj", _SIGN_PROJECTORS, terms)  # tr(P_j K_mb)
+    at_probe = np.einsum("m,mboi->boi", [0.7, 0.3, math.sqrt(0.21)], terms)
     if (np.abs(np.einsum("mbj,jik->mbik", eigen, _SIGN_PROJECTORS) - terms).max() > 1e-10
-            or np.abs(np.tensordot([0.7, 0.3, math.sqrt(0.21)], terms, 1) - probe).max() > 1e-12):
+            or np.abs(at_probe - probe).max() > 1e-12):
         raise ProtocolError(f"round branches of {loss} are not three terms diagonal in one basis")
     g = (eigen[:, None] * eigen.conj()).real  # g[m, n, b, j] = Re e_mbj conj(e_nbj)
     forms = np.array([g[0, 0], g[1, 1], g[2, 2] + 2.0 * g[0, 1], g[0, 2], g[1, 2]])
@@ -332,9 +334,15 @@ def round_tables(eps_values: Sequence[float], loss: LossConfig) -> tuple[RoundTa
     branches: the running sums of its weights (sequential, as ``np.cumsum``)
     and their total (numpy's pairwise sum over that table alone, the 1-D sum
     a single table takes).  So each table is bit for bit the one its eps
-    gives alone, whatever the other eps are.  The first eps outside [0, 1]
-    raises UsageError before any table is built, and the first whose branches
-    are off their form raises ProtocolError naming it.
+    gives alone, whatever the other eps are.  The two contractions, over the
+    three terms and over the four sign projectors, run in ``np.einsum``'s own
+    loops, without ``optimize``, and not through ``np.dot``: a BLAS ``zgemm``
+    would load OpenBLAS's level-3 kernels into a ``simulate`` run for these
+    small products alone, and would sum in an order its library and build
+    choose, so the tables, and every round record, would depend on them.
+    The first eps outside [0, 1] raises UsageError before any table is built,
+    and the first whose branches are off their form raises ProtocolError
+    naming it.
     """
     eps_values = tuple(eps_values)
     for eps in eps_values:
@@ -343,7 +351,7 @@ def round_tables(eps_values: Sequence[float], loss: LossConfig) -> tuple[RoundTa
     eigen, records = _outcome_stack(loss)
     eps = np.array(eps_values, dtype=float).reshape(-1, 1)
     coeffs = np.hstack([1.0 - eps, eps, np.sqrt(eps * (1.0 - eps))])
-    eigenvalues = np.dot(coeffs, eigen.reshape(3, -1)).reshape(-1, *eigen.shape[1:])  # K's on P_j
+    eigenvalues = np.einsum("em,mbj->ebj", coeffs, eigen)  # K's on P_j
     weights = (np.abs(eigenvalues) ** 2).sum(axis=2) / 4  # K^dag K = w 1, checked per config
     keep = weights > _ZERO_BRANCH
     # The kept branches of every table in turn, (K, 4) and (K,): table e's are rows
@@ -354,7 +362,7 @@ def round_tables(eps_values: Sequence[float], loss: LossConfig) -> tuple[RoundTa
     totals = [kept[stop - count:stop].sum() for count, stop in zip(counts, stops)]
     running = np.cumsum(np.where(keep, weights, 0.0), axis=1) / np.reshape(totals, (-1, 1))
     phases = eigenvalues / np.abs(eigenvalues)
-    kraus = np.dot(eigenvalues, _SIGN_PROJECTORS.reshape(4, 16)).reshape(-1, 4, 4)
+    kraus = np.einsum("kj,jab->kab", eigenvalues, _SIGN_PROJECTORS)
     # i^g X^f e^{i theta XX} has phase i^g e^{i theta} on P_0, and e^{-2i theta} times the
     # signs of X^f relative to it on P_1 and P_2: the signs with real part >= 0 keep
     # |theta| <= pi/4, and for a Pauli branch the ratio is real, so theta is 0.0 exactly.

@@ -16,7 +16,7 @@ from mfsim.feedback import (
 )
 from mfsim.harness import haar_random_amplitudes
 from mfsim.pauli import ErrorFrame, PauliAxis, PauliString, frame_conjugate_direction
-from mfsim.statevec import RegisterLayout, apply_pauli_string, exact_evolution
+from mfsim.statevec import RegisterLayout, StateVector, apply_pauli_string, exact_evolution
 
 from conftest import AXIS_MATS, embedded_state, kron_le, rot_xx
 
@@ -293,3 +293,33 @@ def test_non_finite_angle_raises_on_every_call_and_is_not_cached(t, kl):
             else:
                 realize_v(st, (0, 1), t, POLICY, frame, rng, program=program)
     assert program.levels == {} and program.entries == {}
+
+
+X = PauliAxis.X
+
+
+@pytest.mark.parametrize("pair, k, l, t, frame_size, message", [
+    ((0, 1), X, X, 0.3, 3, "length mismatch: 3 vs 2"),
+    ((0, 1), X, X, math.nan, 2, "rotation angle must be finite, got nan"),
+    ((0, 1), X, X, "0.3", 2, "rotation angle must be finite, got 0.3"),
+    ((0, 1), "X", "X", 0.3, 2, "rotation axes must be X, Y, or Z"),
+    ((0, 1, 1), X, X, 0.3, 2, r"rotation pair must be two sites, got \(0, 1, 1\)"),
+], ids=["frame-size", "nan-angle", "str-angle", "str-axes", "three-sites"])
+def test_bad_input_raises_usage_error_and_leaves_the_program_empty(pair, k, l, t, frame_size,
+                                                                    message):
+    program = Program(2, POLICY)
+    state = StateVector(np.eye(4)[0])
+    for _ in range(2):
+        with pytest.raises(UsageError, match=message):
+            realize_v_kl(state, pair, k, l, t, POLICY, PauliString.identity(frame_size),
+                         np.random.default_rng(0), program=program)
+    assert (program.entries, program.pairs, program.levels, program.waiting, program.rows) == (
+        {}, {}, {}, {}, [])
+
+
+def test_a_float_site_still_raises_type_error_and_leaves_the_program_empty():
+    program = Program(2, POLICY)
+    with pytest.raises(TypeError):
+        realize_v_kl(StateVector(np.eye(4)[0]), (0, 1.0), X, X, 0.3, POLICY,
+                     PauliString.identity(2), np.random.default_rng(0), program=program)
+    assert (program.entries, program.pairs, program.levels, program.waiting) == ({}, {}, {}, {})

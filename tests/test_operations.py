@@ -45,12 +45,12 @@ CNOT_DEMOS = {
 }
 
 GOLDEN = {
-    "ci-seed3": "510145e0b55a11d70db45a981cb26079b56c907fb891b1c6d0448992af44fcc5",
-    "ci-seed3-loss50": "f4f165dc4c0aa881a47c964ff20b324595e4d7e35399be0b74e21fe798418a55",
-    "cli-seed2": "bc45349a923d3faef2fc418d7ede6cfe9ccd9d782332bcfab85d57db0039397e",
-    "cli-seed2-loss30": "152333271cf58edfa3ab2e2211d667494063409a6fa7a7e5bd061332882ee499",
-    "c7-noiseless": "a1264faf12846cb7451722f4d2f8bbdfd630fb54824583005528ca3f3823a271",
-    "c7-loss50": "5f2a7c21db7e7e03669e7bb9e22542fb6b5defe6d2ae914b4c0fedb48a34f11b",
+    "ci-seed3": "97b5222cc46f9aa9d63b46f17747cf8e271cae80b6dfae0523c34ec01fef00ac",
+    "ci-seed3-loss50": "c399aea8d238c8d629c9b7f97451e2b1f05f98e1e19d4ea098532d230f2c31a1",
+    "cli-seed2": "22f46bd0737e6293ed7240649bef334245238b3dd56f99ed0461b1bd50764d35",
+    "cli-seed2-loss30": "0b84356f35e6508d0bf982a6f5ac8cdc2e2c65e80fadacc38e251477fc6d04b3",
+    "c7-noiseless": "d5d9461111cb09774e239b4466225a137868fc95f42017d07c7351e7fe939e5a",
+    "c7-loss50": "d4f54b45ca763c15700fc0770b4905d0569f2e20b52674a79e41e3981ba4ef89",
 }
 
 
