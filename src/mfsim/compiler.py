@@ -21,41 +21,40 @@ from typing import Optional
 import numpy as np
 
 from .emission import BeamSplitterOutcome, outcome_probabilities
-from .errors import UsageError, config_errors, config_float, config_int, config_object
+from .errors import FrozenValue, UsageError, config_errors, config_float, config_int, config_object
 from .feedback import _ANGLE_TOL, EpsilonPolicy
 from .pauli import PauliAxis, PauliString, commutes
 from .statevec import _check_unitary, _pauli_stack, _vector_first
 
 
-def _check_pair(owner, least=None) -> None:
-    """Check and set ``owner``'s ``sites``, two distinct integers (at least ``least`` if given),
-    and ``axes``, two of X, Y, Z as members or letters ("XY"); UsageError names the field."""
-    if not isinstance(owner.sites, (list, tuple)) or len(owner.sites) != 2:
-        raise UsageError(f"sites must be a list of two sites, got {owner.sites!r}")
-    sites = tuple(config_int(s, "sites", least) for s in owner.sites)
-    if sites[0] == sites[1]:
-        raise UsageError(f"sites must be two distinct sites, got {owner.sites!r}")
-    axes = owner.axes
-    if isinstance(axes, str):  # the config's letters
-        axes = [PauliAxis.__members__.get(a) for a in axes]
-    if not (isinstance(axes, (list, tuple)) and len(axes) == 2
-            and all(a in (PauliAxis.X, PauliAxis.Y, PauliAxis.Z) for a in axes)):
-        raise UsageError(f"axes must be two letters of X, Y, Z, got {owner.axes!r}")
-    object.__setattr__(owner, "sites", sites)
-    object.__setattr__(owner, "axes", tuple(axes))
+def _check_pair(sites, axes, least=None) -> tuple:
+    """The checked ``sites``, two distinct integers (at least ``least`` if given), and ``axes``,
+    two of X, Y, Z as members or letters ("XY"), as tuples; UsageError names the field."""
+    if not isinstance(sites, (list, tuple)) or len(sites) != 2:
+        raise UsageError(f"sites must be a list of two sites, got {sites!r}")
+    checked = tuple(config_int(s, "sites", least) for s in sites)
+    if checked[0] == checked[1]:
+        raise UsageError(f"sites must be two distinct sites, got {sites!r}")
+    members = axes
+    if isinstance(members, str):  # the config's letters
+        members = [PauliAxis.__members__.get(a) for a in members]
+    if not (isinstance(members, (list, tuple)) and len(members) == 2
+            and all(a in (PauliAxis.X, PauliAxis.Y, PauliAxis.Z) for a in members)):
+        raise UsageError(f"axes must be two letters of X, Y, Z, got {axes!r}")
+    return checked, tuple(members)
 
 
-@dataclass(frozen=True)
-class PairTerm:
+@dataclass(init=False, repr=False, eq=False)
+class PairTerm(FrozenValue):
     """coeff * s_k (x) s_l, ``axes`` as members or letters ("XY"); UsageError names the field."""
 
     sites: tuple[int, int]
     axes: tuple[PauliAxis, PauliAxis]
     coeff: float
 
-    def __post_init__(self):
-        _check_pair(self)
-        object.__setattr__(self, "coeff", config_float(self.coeff, "coeff"))
+    def __init__(self, sites: tuple[int, int], axes: tuple[PauliAxis, PauliAxis], coeff: float):
+        sites, axes = _check_pair(sites, axes)
+        self.__dict__.update(sites=sites, axes=axes, coeff=config_float(coeff, "coeff"))
 
     def to_dict(self) -> dict:
         return {
@@ -73,23 +72,23 @@ class PairTerm:
             return cls(d["sites"], d["axes"], d["coeff"])
 
 
-@dataclass(frozen=True)
-class HamiltonianSpec:
+@dataclass(init=False, repr=False, eq=False)
+class HamiltonianSpec(FrozenValue):
     """H = sum of ``terms`` on ``n_qubits`` qubits; UsageError names the bad ``hamiltonian`` key."""
 
     n_qubits: int
     terms: tuple[PairTerm, ...]
 
-    def __post_init__(self):
-        n = config_int(self.n_qubits, "hamiltonian.n_qubits")
+    def __init__(self, n_qubits: int, terms: tuple[PairTerm, ...]):
+        n = config_int(n_qubits, "hamiltonian.n_qubits")
         if n < 1:
             raise UsageError(f"hamiltonian.n_qubits must give at least one qubit, got {n}")
-        object.__setattr__(self, "n_qubits", n)
-        object.__setattr__(self, "terms", tuple(self.terms))
-        for i, term in enumerate(self.terms):
+        terms = tuple(terms)
+        for i, term in enumerate(terms):
             if not all(0 <= s < n for s in term.sites):
                 raise UsageError(f"hamiltonian.terms[{i}].sites must be two distinct sites "
                                  f"in [0, {n}), got {list(term.sites)}")
+        self.__dict__.update(n_qubits=n, terms=terms)
 
     def to_matrix(self) -> np.ndarray:
         dim = 1 << self.n_qubits
@@ -120,8 +119,8 @@ class HamiltonianSpec:
         return cls(n_qubits, tuple(PairTerm((x, x + 1), axes, coeff) for x in range(n_qubits - 1)))
 
 
-@dataclass(frozen=True)
-class Rotation:
+@dataclass(init=False, repr=False, eq=False)
+class Rotation(FrozenValue):
     """e^{i angle s_k x s_l}: ``sites`` >= 0 and ``axes`` checked as a term's, ``angle`` finite."""
 
     sites: tuple[int, int]
@@ -130,9 +129,9 @@ class Rotation:
     label = functools.cached_property(  # the report's key for its rounds, "a-b:kl"
         lambda self: "{}-{}:{}{}".format(*self.sites, *(a.value for a in self.axes)))
 
-    def __post_init__(self):
-        _check_pair(self, 0)
-        object.__setattr__(self, "angle", config_float(self.angle, "angle"))
+    def __init__(self, sites: tuple[int, int], axes: tuple[PauliAxis, PauliAxis], angle: float):
+        sites, axes = _check_pair(sites, axes, 0)
+        self.__dict__.update(sites=sites, axes=axes, angle=config_float(angle, "angle"))
 
     def to_dict(self) -> dict:
         return {
@@ -142,8 +141,8 @@ class Rotation:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class LocalGate:
+@dataclass(init=False, repr=False, eq=False)
+class LocalGate(FrozenValue):
     """A free 2x2 unitary ``gate``, kept read-only, on the atom at ``site`` (an integer >= 0).
 
     It runs after the frame's Pauli at ``site``, which it clears; UsageError names a bad field.
@@ -151,31 +150,33 @@ class LocalGate:
 
     site: int
     gate: np.ndarray
+    __eq__, __hash__ = object.__eq__, object.__hash__  # identity, as the gate is an array
 
-    def __post_init__(self):
-        object.__setattr__(self, "site", config_int(self.site, "site", 0))
-        gate = _check_unitary(self.gate, 2, "gate").copy()
+    def __init__(self, site: int, gate: np.ndarray):
+        site = config_int(site, "site", 0)
+        gate = _check_unitary(gate, 2, "gate").copy()
         gate.flags.writeable = False
-        object.__setattr__(self, "gate", gate)
+        self.__dict__.update(site=site, gate=gate)
 
 
-@dataclass(frozen=True)
-class TrotterPlan:
+@dataclass(init=False, repr=False, eq=False)
+class TrotterPlan(FrozenValue):
     """One Trotter sweep as layers of site-disjoint rotations, repeated ``n_steps`` times."""
 
     n_qubits: int
     n_steps: int
     layers: tuple[tuple[Rotation, ...], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "n_steps", _n_steps(self.n_steps))
-        object.__setattr__(self, "layers", tuple(tuple(l) for l in self.layers))
-        for layer in self.layers:
+    def __init__(self, n_qubits: int, n_steps: int, layers: tuple[tuple[Rotation, ...], ...]):
+        n_steps = _n_steps(n_steps)
+        layers = tuple(tuple(l) for l in layers)
+        for layer in layers:
             sites = [s for rot in layer for s in rot.sites]
-            if not all(0 <= s < self.n_qubits for s in sites):
-                raise UsageError(f"rotation sites must lie in [0, {self.n_qubits}), got {sites}")
+            if not all(0 <= s < n_qubits for s in sites):
+                raise UsageError(f"rotation sites must lie in [0, {n_qubits}), got {sites}")
             if len(set(sites)) < len(sites):
                 raise UsageError(f"a qubit appears twice in one layer, sites {sites}")
+        self.__dict__.update(n_qubits=n_qubits, n_steps=n_steps, layers=layers)
 
     @property
     def total_rotations(self) -> int:

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the simulator, and the config value checks that raise it."""
+"""Exception hierarchy shared across the simulator, the config value checks that raise it, and
+the methods of the package's value types."""
 
 import contextlib
 import math
 import numbers
+from dataclasses import FrozenInstanceError, fields
 
 
 class UsageError(ValueError):
@@ -90,3 +92,52 @@ def config_object(d, path: str, optional=(), required=()) -> dict:
     if missing:
         raise UsageError("missing key " + ", ".join(prefix + k for k in missing))
     return d
+
+
+def _compared(value) -> tuple:
+    """The values of ``value``'s compared dataclass fields, in field order."""
+    return tuple([getattr(value, f.name) for f in fields(value) if f.compare])
+
+
+class Value:
+    """The ``repr`` and ``==`` of a value type, read from its dataclass fields.
+
+    ``@dataclass`` writes each method's source and compiles it at every import:
+    the package's 16 value types compiled 81 functions, 14.6 ms of a 113 ms
+    ``trotter3`` setup (medians of fresh processes without bytecode).  So each
+    type keeps ``@dataclass(init=False, repr=False, eq=False)``, for ``fields``,
+    ``replace`` and ``astuple``, writes its ``__init__`` out and takes these:
+    the ``repr`` text and ``==`` a dataclass generates (the compared fields'
+    tuples, for instances of one class).  A ``Value`` is unhashable, as a
+    mutable dataclass with ``==`` is; ``FrozenValue`` hashes and is frozen.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __repr__(self):
+        shown = (f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return _compared(self) == _compared(other)
+        return NotImplemented
+
+
+class FrozenValue(Value):
+    """A ``Value`` that hashes its compared fields and refuses assignment, as a frozen dataclass.
+
+    Its ``__init__`` fills ``self.__dict__``; a ``functools.cached_property`` writes there too.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(_compared(self))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")

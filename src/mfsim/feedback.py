@@ -52,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import IncompleteRotationError, UsageError, config_int
+from .errors import FrozenValue, IncompleteRotationError, UsageError, Value, config_int
 from .loss import LossConfig, round_tables
 from .pauli import PauliAxis, PauliString, frame_of_key
 from .statevec import StateVector, apply_local  # noqa: F401 (perfbench traces it)
@@ -67,8 +67,8 @@ class PolicyMode(Enum):
     PAPER_DOUBLING = "paper_doubling"
 
 
-@dataclass(frozen=True)
-class EpsilonPolicy:
+@dataclass(init=False, repr=False, eq=False)
+class EpsilonPolicy(FrozenValue):
     """How each round picks its emission strength.
 
     RESIDUAL_EXACT inverts the exact outcome law, eps = tan(a)/(1 + tan(a))
@@ -83,10 +83,10 @@ class EpsilonPolicy:
     mode: PolicyMode = PolicyMode.RESIDUAL_EXACT
     max_rounds: int = 64
 
-    def __post_init__(self):
-        if not isinstance(self.mode, PolicyMode):
-            raise UsageError(f"policy.mode must be a PolicyMode member, got {self.mode!r}")
-        object.__setattr__(self, "max_rounds", config_int(self.max_rounds, "policy.max_rounds", 1))
+    def __init__(self, mode: PolicyMode = PolicyMode.RESIDUAL_EXACT, max_rounds: int = 64):
+        if not isinstance(mode, PolicyMode):
+            raise UsageError(f"policy.mode must be a PolicyMode member, got {mode!r}")
+        self.__dict__.update(mode=mode, max_rounds=config_int(max_rounds, "policy.max_rounds", 1))
 
     def eps_for(self, aimed: float) -> float:
         if self.mode is PolicyMode.RESIDUAL_EXACT:
@@ -103,8 +103,8 @@ def reduce_angle(t: float) -> float:
     return r
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+@dataclass(init=False, repr=False, eq=False)
+class RoundRecord(FrozenValue):
     """One round's audit entry, read from the round's code by ``Rounds``."""
 
     outcome: str
@@ -113,6 +113,12 @@ class RoundRecord:
     frame_after: str
     b_measurements: Optional[tuple[int, int]] = None
     lost: Optional[tuple[bool, bool]] = None
+
+    def __init__(self, outcome: str, eps_used: float, aimed_angle: float, frame_after: str,
+                 b_measurements: Optional[tuple[int, int]] = None,
+                 lost: Optional[tuple[bool, bool]] = None):
+        self.__dict__.update(outcome=outcome, eps_used=eps_used, aimed_angle=aimed_angle,
+                             frame_after=frame_after, b_measurements=b_measurements, lost=lost)
 
     def to_dict(self) -> dict:
         """The fields by name, tuples as lists; the optional ones only when set."""
@@ -132,13 +138,17 @@ def round_record(code: int, rows: Sequence[tuple]) -> RoundRecord:
     return RoundRecord(outcome, eps, aimed, frame_of_key(code >> _ROW_BITS).text, b_bits, lost)
 
 
-@dataclass(eq=False, slots=True)
-class Rounds(Sequence):
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class Rounds(Value, Sequence):
     """Rounds held as their ``codes`` into their program's ``rows``, read as ``RoundRecord``s;
     equal to a list of equal ones."""
 
     codes: list[int]
     rows: Sequence[tuple] = ()
+
+    def __init__(self, codes: list[int], rows: Sequence[tuple] = ()):
+        self.codes = codes
+        self.rows = rows
 
     def __len__(self):
         return len(self.codes)

@@ -8,7 +8,6 @@ bit-identical regardless of execution order.
 from __future__ import annotations
 
 import collections
-import csv
 import functools
 import itertools
 import json
@@ -24,8 +23,8 @@ import numpy as np
 
 from .compiler import HamiltonianSpec, LocalGate, Rotation, TrotterPlan, apply_plan, compile_plan
 from .emission import BeamSplitterOutcome, PhotonEncoding, outcome_probabilities
-from .errors import ConfigError, IncompleteRotationError, ResourceError, UsageError
-from .errors import config_choice, config_errors, config_float, config_int, config_object
+from .errors import ConfigError, FrozenValue, IncompleteRotationError, ResourceError, UsageError
+from .errors import Value, config_choice, config_errors, config_float, config_int, config_object
 from .feedback import EpsilonPolicy, PolicyMode, Program, Rounds, realize_v_kl, round_texts
 from .loss import CNOT_MATRIX, LossConfig, round_branches
 from .pauli import _AXIS_MATRICES, PauliAxis, PauliString
@@ -48,25 +47,34 @@ def _unique_keys(pairs: list) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
+_DEFAULT_POLICY, _DEFAULT_LOSS = EpsilonPolicy(), LossConfig()
+
+
+@dataclass(init=False, repr=False, eq=False)
+class ProtocolConfig(FrozenValue):
+    """One run: the Hamiltonian, evolution time, Trotter steps, feedback policy, loss model,
+    initial state, trajectory count and master seed, each checked when built."""
+
     hamiltonian: HamiltonianSpec
     t: float
     n_steps: int
-    policy: EpsilonPolicy = EpsilonPolicy()
-    loss: LossConfig = LossConfig()
+    policy: EpsilonPolicy = _DEFAULT_POLICY
+    loss: LossConfig = _DEFAULT_LOSS
     initial_state: object = "all_zeros"  # preset name, {"random_seed": k} or {"amplitudes": ...}
     trajectories: int = 1
     master_seed: int = 0
 
-    def __post_init__(self):
+    def __init__(self, hamiltonian: HamiltonianSpec, t: float, n_steps: int,
+                 policy: EpsilonPolicy = _DEFAULT_POLICY, loss: LossConfig = _DEFAULT_LOSS,
+                 initial_state: object = "all_zeros", trajectories: int = 1, master_seed: int = 0):
         """Check every value: UsageError names the key, ResourceError past WORK_BUDGET rounds."""
-        setattr_ = functools.partial(object.__setattr__, self)
-        setattr_("t", config_float(self.t, "t"))
-        setattr_("n_steps", self.plan.n_steps)  # compile_plan checks every rotation angle
-        for key in ("trajectories", "master_seed"):
-            setattr_(key, config_int(getattr(self, key), key, 0))
-        _initial_state(self.initial_state, self.hamiltonian.n_qubits)
+        self.__dict__.update(hamiltonian=hamiltonian, t=config_float(t, "t"), n_steps=n_steps,
+                             policy=policy, loss=loss, initial_state=initial_state,
+                             trajectories=trajectories, master_seed=master_seed)
+        self.__dict__.update(n_steps=self.plan.n_steps,  # compile_plan checks every rotation angle
+                             trajectories=config_int(trajectories, "trajectories", 0),
+                             master_seed=config_int(master_seed, "master_seed", 0))
+        _initial_state(initial_state, hamiltonian.n_qubits)
         work = self.trajectories * self.plan.total_rotations * self.policy.max_rounds
         if work > WORK_BUDGET:
             from decimal import Decimal  # formats an int of any size, where float overflows
@@ -308,8 +316,8 @@ def build_register(cfg: ProtocolConfig) -> StateVector:
     return StateVector._wrap(cfg.initial_amplitudes, n)
 
 
-@dataclass
-class TrajectoryStats:
+@dataclass(init=False, repr=False, eq=False)
+class TrajectoryStats(Value):
     """One trajectory; ``records`` reads its rounds' ``codes`` through its program's ``rows``, and
     ``tallies`` (outcome histogram, photon retry counts) counts their outcomes once, when first read.
     """
@@ -321,6 +329,17 @@ class TrajectoryStats:
     failure_reason: Optional[str]
     codes: list[int] = field(default_factory=list)
     rows: Sequence[tuple] = field(default=(), repr=False)
+
+    def __init__(self, index: int, rounds_per_rotation: list[int], final_frame: str,
+                 fidelity_vs_oracle: float, failure_reason: Optional[str],
+                 codes: Optional[list[int]] = None, rows: Sequence[tuple] = ()):
+        self.index = index
+        self.rounds_per_rotation = rounds_per_rotation
+        self.final_frame = final_frame
+        self.fidelity_vs_oracle = fidelity_vs_oracle
+        self.failure_reason = failure_reason
+        self.codes = [] if codes is None else codes
+        self.rows = rows
 
     records = property(lambda self: Rounds(self.codes, self.rows))
     rounds_total = property(lambda self: len(self.codes))
@@ -578,6 +597,8 @@ def emit_report(
     written.append(audit_path)
 
     if fmt == "csv":
+        import csv  # here alone, so a run that writes no CSV does not load the module
+
         csv_path = out / "rounds_per_rotation.csv"
         with open(csv_path, "w", newline="") as f:
             w = csv.writer(f)

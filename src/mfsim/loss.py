@@ -32,7 +32,7 @@ from .emission import (
     joint_emission,
     _require_vacuum,
 )
-from .errors import ProtocolError, UsageError, config_float
+from .errors import FrozenValue, ProtocolError, UsageError, config_float
 from .pauli import PauliAxis
 from .statevec import RegisterLayout, StateVector, _apply, measure_and_reset
 
@@ -47,26 +47,26 @@ CNOT_MATRIX = np.array(
 )
 
 
-@dataclass(frozen=True)
-class LossConfig:
+@dataclass(init=False, repr=False, eq=False)
+class LossConfig(FrozenValue):
     """The loss model of every round; UsageError names the first bad ``loss`` key."""
 
     p_loss: float = 0.0
     encoding: PhotonEncoding = PhotonEncoding.POLARIZATION
     backup_enabled: bool = False
 
-    def __post_init__(self):
-        p_loss = config_float(self.p_loss, "loss.p_loss")
+    def __init__(self, p_loss: float = 0.0, encoding: PhotonEncoding = PhotonEncoding.POLARIZATION,
+                 backup_enabled: bool = False):
+        p_loss = config_float(p_loss, "loss.p_loss")
         if not 0.0 <= p_loss <= 1.0:
             raise UsageError(f"loss.p_loss must lie in [0, 1], got {p_loss}")
-        object.__setattr__(self, "p_loss", p_loss)
-        if not isinstance(self.encoding, PhotonEncoding):
-            raise UsageError(f"loss.encoding must be a PhotonEncoding member, got {self.encoding!r}")
-        if not isinstance(self.backup_enabled, bool):
-            raise UsageError(
-                f"loss.backup_enabled must be true or false, got {self.backup_enabled!r}")
-        if self.backup_enabled and self.encoding is not PhotonEncoding.POLARIZATION:
+        if not isinstance(encoding, PhotonEncoding):
+            raise UsageError(f"loss.encoding must be a PhotonEncoding member, got {encoding!r}")
+        if not isinstance(backup_enabled, bool):
+            raise UsageError(f"loss.backup_enabled must be true or false, got {backup_enabled!r}")
+        if backup_enabled and encoding is not PhotonEncoding.POLARIZATION:
             raise UsageError("loss.backup_enabled requires loss.encoding 'polarization'")
+        self.__dict__.update(p_loss=p_loss, encoding=encoding, backup_enabled=backup_enabled)
 
 
 def photon_copy(state: StateVector, atom_b: int, photon: int) -> StateVector:
@@ -98,8 +98,8 @@ def loss_channel(
     return state, (lost[0], lost[1])
 
 
-@dataclass(frozen=True)
-class RoundBranch:
+@dataclass(init=False, repr=False, eq=False)
+class RoundBranch(FrozenValue):
     """What the controller records for one way a round can act on the atom pair.
 
     ``backup_round`` returns the record of the branch it drew, the row that
@@ -113,6 +113,12 @@ class RoundBranch:
     flips: tuple[bool, bool]  # s_k on the first atom, s_l on the second
     b_bits: Optional[tuple[int, int]] = None  # backup-atom readings
     lost: Optional[tuple[bool, bool]] = None  # photons lost, where loss is modeled
+
+    def __init__(self, label: str, direction: Optional[int], flips: tuple[bool, bool],
+                 b_bits: Optional[tuple[int, int]] = None,
+                 lost: Optional[tuple[bool, bool]] = None):
+        self.__dict__.update(label=label, direction=direction, flips=flips, b_bits=b_bits,
+                             lost=lost)
 
 
 # Direct-round effect of each beam-splitter outcome: (rotation direction, X flips on the pair).
@@ -192,8 +198,8 @@ def backup_round(
     return state, RoundBranch(label, *_backup_effect(outcome, (b1, b2)), (b1, b2), lost)
 
 
-@dataclass(frozen=True, eq=False)
-class RoundTable:
+@dataclass(init=False, repr=False, eq=False)
+class RoundTable(FrozenValue):
     """Every branch of one round: ``kraus[i]`` is the operator of ``branches[i]``.
 
     A table compares and hashes by identity, as its Kraus stack is an array.
@@ -209,6 +215,11 @@ class RoundTable:
     branches: tuple[RoundBranch, ...]
     cumulative: tuple[float, ...]
     forms: tuple[tuple[float, int, int], ...]
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, kraus: np.ndarray, branches: tuple[RoundBranch, ...],
+                 cumulative: tuple[float, ...], forms: tuple[tuple[float, int, int], ...]):
+        self.__dict__.update(kraus=kraus, branches=branches, cumulative=cumulative, forms=forms)
 
 
 _LOSS_PATTERNS = ((True, False), (False, True), (True, True))

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import FrozenValue, UsageError
 
 
 class PauliAxis(Enum):
@@ -52,8 +52,8 @@ _AXIS_MATRICES = {  # by letter, so a string's text picks its site gates
 }
 
 
-@dataclass(frozen=True)
-class PauliString:
+@dataclass(init=False, repr=False, eq=False)
+class PauliString(FrozenValue):
     """Tensor product of Pauli axes over a fixed-size register, held as x/z masks, up to phase.
 
     ``key`` and ``text`` (qubit 0 first, letter x + 2z of "IXZY") are each

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ResourceError, UsageError
+from .errors import FrozenValue, ResourceError, UsageError, Value
 from .pauli import _AXIS_MATRICES, PauliString
 
 DEFAULT_QUBIT_CAP = 12
@@ -24,8 +24,8 @@ _UNITARY_ATOL = 1e-12
 _BASIS_ATOL = 1e-10
 
 
-@dataclass(frozen=True)
-class RegisterLayout:
+@dataclass(init=False, repr=False, eq=False)
+class RegisterLayout(FrozenValue):
     """A register's size, counted as data qubits, then one backup per data qubit, then photon modes.
 
     Photon-mode qubits live in the single-excitation subspace with
@@ -34,22 +34,25 @@ class RegisterLayout:
 
     n_qubits: int
 
+    def __init__(self, n_qubits: int):
+        self.__dict__["n_qubits"] = n_qubits
+
     @classmethod
     def build(cls, n_data: int, with_backup: bool = False, n_photons: int = 2) -> "RegisterLayout":
         """Standard layout: data qubits first, then backups, then photon modes."""
         return cls(n_data * (2 if with_backup else 1) + n_photons)
 
 
-@dataclass(slots=True)
-class StateVector:
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class StateVector(Value):
     """Normalized amplitudes over ``n_qubits`` qubits, read from their length 2^n_qubits."""
 
     amplitudes: np.ndarray
     n_qubits: int = field(init=False)
 
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        shape = self.amplitudes.shape
+    def __init__(self, amplitudes: np.ndarray):
+        self.amplitudes = amplitudes = np.asarray(amplitudes, dtype=complex)
+        shape = amplitudes.shape
         dim = shape[0] if len(shape) == 1 else 0
         if dim < 2 or dim & (dim - 1):
             raise UsageError(f"amplitude vector has shape {shape}, expected (2^n,) with n >= 1")

@@ -2,7 +2,7 @@
 
 ``realize_v_kl``'s round loop adds each drawn branch's angle and XORs its
 flip code; the operator of the product, up to a power of i, is kept in the
-rotation's ``_rotation`` entry by those two values.  The amplitudes must
+rotation's entry of its ``Program`` (``Program.entries``) by those two values.  The amplitudes must
 agree within 1e-13, up to exactly one power of i, with those of
 ``conftest.reference_rotation``, which multiplies the drawn branches' dense
 unitaries K / sqrt(w), on a register that applies the operator as a dense
@@ -16,7 +16,7 @@ import pytest
 
 from mfsim.emission import PhotonEncoding
 from mfsim.errors import IncompleteRotationError
-from mfsim.feedback import EpsilonPolicy, PolicyMode, realize_v_kl
+from mfsim.feedback import EpsilonPolicy, PolicyMode, Program, realize_v_kl
 from mfsim.harness import haar_random_amplitudes
 from mfsim.loss import LossConfig
 from mfsim.pauli import ErrorFrame, PauliAxis, PauliString, frame_conjugate_direction
@@ -44,13 +44,13 @@ def frame_with_sign(n, axes, sign):
     return frame
 
 
-def compare(state, axes, t, policy, frame, seed, loss):
+def compare(state, axes, t, policy, frame, seed, loss, program=None):
     """Run one rotation both ways on the same uniforms; return whether it closed."""
     want, want_frame, outcomes, closed = reference_rotation(
         state, PAIR, *axes, t, policy, frame, np.random.default_rng(seed), loss)
     try:
         got, got_frame, records = realize_v_kl(state, PAIR, *axes, t, policy, frame,
-                                               np.random.default_rng(seed), loss)
+                                               np.random.default_rng(seed), loss, program)
         assert closed
     except IncompleteRotationError as err:
         assert not closed
@@ -68,13 +68,25 @@ def compare(state, axes, t, policy, frame, seed, loss):
 def test_amplitudes_equal_the_running_product(n, name, mode, sign):
     loss, rng = LOSSES[name], np.random.default_rng(17)
     state = StateVector(haar_random_amplitudes(n, rng))
+    programs = {m: Program(n, EpsilonPolicy(mode, m), loss) for m in (2, 10_000)}
     closed = []
     for axes, t, max_rounds in itertools.product(itertools.product(AXES, repeat=2),
                                                  (0.7, -2.9, 1e-3), (2, 10_000)):
         policy, frame = EpsilonPolicy(mode, max_rounds), frame_with_sign(n, axes, sign)
-        for seed in range(6):  # each seed twice: the second rotation reads the cache
-            closed += [compare(state, axes, t, policy, frame, seed, loss) for _ in range(2)]
+        program = programs[max_rounds]
+        for seed in range(6):  # each seed twice: the second rotation reads what the first built
+            closed.append(compare(state, axes, t, policy, frame, seed, loss, program))
+            assert (*PAIR, *axes, t) in program.entries
+            built = compiled(program)
+            closed.append(compare(state, axes, t, policy, frame, seed, loss, program))
+            assert compiled(program) == built
     assert True in closed and False in closed  # some rotations ran out of rounds
+
+
+def compiled(program):
+    """How many levels, pair records, entries, operators and rows ``program`` has built."""
+    return (len(program.levels), len(program.pairs), len(program.entries),
+            sum(len(entry[-1]) for entry in program.entries.values()), len(program.rows))
 
 
 def test_the_power_of_i_check_fails_any_other_phase_or_change():
