@@ -18,7 +18,7 @@ from .feedback import EpsilonPolicy, PolicyMode, RoundRecord, Rounds, realize_v,
 from .harness import (ProtocolConfig, TrajectoryStats, cnot_demo, emit_report, probe_rounds,
                       run_ensemble, run_trajectory)
 from .loss import (LossConfig, RoundBranch, RoundTable, backup_round, loss_channel, photon_copy,
-                   round_branches)
+                   photon_round, round_branches)
 from .pauli import ErrorFrame, PauliAxis, PauliString, commutes, frame_conjugate_direction
 from .statevec import (RegisterLayout, StateVector, apply_local, apply_pauli_string,
                        apply_two_qubit, exact_evolution, measure)

@@ -126,7 +126,7 @@ def beamsplitter_measure(
     photons: tuple[int, int],
     rng: np.random.Generator,
 ) -> tuple[BeamSplitterOutcome, StateVector, float]:
-    """Incomplete Bell measurement of the two photon modes; modes are emptied after."""
+    """Incomplete Bell measurement of the two photon modes, emptied after; no round calls it."""
     idx, emptied, prob = measure_and_reset(state, photons, list(BELL_STATES.values()), rng)
     return tuple(BELL_STATES)[idx], emptied, prob
 

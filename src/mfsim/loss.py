@@ -1,17 +1,16 @@
-"""Photon-loss channel, the backup-qubit protocol, and each round compiled to Kraus operators.
+"""Photon loss, the backup-qubit protocol, and each round compiled to Kraus operators.
 
-A lost photon is modeled as an environment measurement of its mode in the
-computational {V, H} basis whose outcome is sampled but hidden from the
-protocol; the mode is then emptied.  This keeps every trajectory a pure
-state while reproducing the dephasing the loss induces on the protocol's
-branch structure.
-
-``round_branches`` compiles one round of this photon-level model into 4x4
-Kraus operators on the atom pair, each a weighted unitary, so trajectories
-evolve data qubits only and draw each round from the weights alone.  Each
-unitary is i^g X^f e^{i theta XX} in the XX picture, a Pauli byproduct times
-a rotation, and the table gives every branch as that form (theta, g, f).  The
-model runs once per loss config, at three eps, and checks itself at a fourth.
+A round is written once.  ``_stage`` emits into its mode register (the backup
+atoms, if any, as the two low qubits, then the photons), each photon is lost
+with probability p_loss, and ``_reads`` lists the reads that follow, each of
+which measures some modes in an orthonormal basis and empties them.  A lost
+photon is read by the environment in the {V, H} basis, its outcome hidden from
+the protocol, so every trajectory stays a pure state.  ``_record`` holds the
+paper's record rules.  ``photon_round`` samples one outcome; ``round_branches``
+enumerates them all into 4x4 Kraus operators on the atom pair, each a weighted
+unitary i^g X^f e^{i theta XX} in the XX picture, so trajectories evolve data
+qubits only and draw each round from the weights alone.  The model runs once
+per loss config, at three eps, and checks itself at a fourth.
 """
 
 from __future__ import annotations
@@ -27,14 +26,12 @@ import numpy as np
 from .emission import (
     BELL_STATES,
     PhotonEncoding,
-    beamsplitter_measure,
-    BeamSplitterOutcome,
     joint_emission,
     _require_vacuum,
 )
 from .errors import FrozenValue, ProtocolError, UsageError, config_float
 from .pauli import PauliAxis
-from .statevec import RegisterLayout, StateVector, _apply, measure_and_reset
+from .statevec import StateVector, _apply, measure_and_reset
 
 # Measurement bases, one vector per row: computational (one qubit, a mode pair)
 # and sign {|+>, |->}.  The sampled model and the round tables both read them.
@@ -87,7 +84,8 @@ def loss_channel(
     """Independently lose each photon with probability ``p_loss``.
 
     Returns the state and which of the two photons were lost; a lost mode is
-    read by the environment in the {V, H} basis and emptied.
+    read by the environment in the {V, H} basis and emptied.  No round calls
+    it: ``photon_round`` draws its loss and reads the lost modes itself.
     """
     lost = []
     for q in photons:
@@ -102,7 +100,7 @@ def loss_channel(
 class RoundBranch(FrozenValue):
     """What the controller records for one way a round can act on the atom pair.
 
-    ``backup_round`` returns the record of the branch it drew, the row that
+    ``photon_round`` returns the record of the branch it drew, the row that
     ``round_branches`` stores for it.  ``label`` is the Bell outcome's value,
     or "loss" when the round lost a photon.  Branches that differ only in a
     hidden environment bit share their record.
@@ -121,81 +119,88 @@ class RoundBranch(FrozenValue):
                              lost=lost)
 
 
-# Direct-round effect of each beam-splitter outcome: (rotation direction, X flips on the pair).
-_OUTCOME_EFFECT = {
-    BeamSplitterOutcome.MINUS: (-1, (False, False)),
-    BeamSplitterOutcome.PLUS: (1, (False, False)),
-    BeamSplitterOutcome.HH: (None, (True, False)),
-    BeamSplitterOutcome.VV: (None, (False, True)),
-}
-
-
-def _backup_effect(outcome: Optional[BeamSplitterOutcome], bits: tuple[int, int]):
-    """(rotation direction, X flips) of a backup round.
-
-    With both photons detected, ``bits`` are the backups' sign bits and their
-    product fixes the time direction.  After a loss (``outcome`` None) they
-    are the backups' computational values, which name the Pauli branch.
-    """
-    if outcome is None:
-        return None, (bits[0] == 1, bits[1] == 0)
-    direction, flips = _OUTCOME_EFFECT[outcome]
-    if direction is not None and (bits[0] + bits[1]) % 2:
-        direction = -direction
-    return direction, flips
-
-
-def _backup_stage(
-    state: StateVector,
-    pair_a: tuple[int, int],
-    pair_b: tuple[int, int],
-    photons: tuple[int, int],
-    eps: float,
-) -> StateVector:
-    """Unitary part of a backup round: joint emission into the backup atoms, two photon copies.
+def _stage(state: StateVector, pair: tuple[int, int], modes: tuple[int, ...], eps: float,
+           loss: LossConfig) -> StateVector:
+    """Unitary part of a round: joint emission into the photons, or into the backups and two copies.
 
     A copy is diagonal on its control, so the i phase on backup 1 acts as on photon 1.
     """
-    state = joint_emission(state, pair_a, pair_b, eps)
-    state = photon_copy(state, pair_b[0], photons[0])
-    return photon_copy(state, pair_b[1], photons[1])
+    if not loss.backup_enabled:
+        return joint_emission(state, pair, modes, eps)
+    state = joint_emission(state, pair, modes[:2], eps)
+    state = photon_copy(state, modes[0], modes[2])
+    return photon_copy(state, modes[1], modes[3])
 
 
-def backup_round(
-    state: StateVector,
-    pair_a: tuple[int, int],
-    pair_b: tuple[int, int],
-    photons: tuple[int, int],
-    eps: float,
-    cfg: LossConfig,
-    rng: np.random.Generator,
-) -> tuple[StateVector, RoundBranch]:
-    """One loss-tolerant round: backup entangling, photon copy, loss, measurements.
+_BELL = np.array(list(BELL_STATES.values()))  # outcome o: minus, plus, hh, vv
+_BELL_LABELS = tuple(o.value for o in BELL_STATES)
+# Row b1 + 2 b2 reads sign bit b1 on the first backup, the low qubit, and b2 on the second.
+_SIGN_PAIRS = np.kron(_SIGNS, _SIGNS)
 
-    If both photons arrive the photons get the incomplete Bell measurement and
-    the backup atoms are measured in the sign basis; the product of the sign
-    bits fixes the rotation's time direction.  If any photon is lost the
-    backup atoms are measured in the computational basis instead, which
-    collapses the register onto a known Pauli branch (no rotation, retry).
-    Returns the state and the drawn branch's record, the one
-    ``round_branches(eps, cfg)`` stores for it.
+
+def _reads(loss: LossConfig, lost: tuple[bool, bool]) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """The reads after the loss draw ``lost``, in order: (modes, basis) on the mode register.
+
+    Each read's modes ascend; its basis holds one vector per row, the first mode the low bit.
     """
-    state = _backup_stage(state, pair_a, pair_b, photons, eps)
-    state, lost = loss_channel(state, photons, cfg, rng)
-    if any(lost):
-        # A photon is missing: clear any surviving mode, then read the backups in
-        # the computational basis to collapse onto a known Pauli branch.
-        outcome, basis = None, _E2
-        for q, was_lost in zip(photons, lost):
-            if not was_lost:
-                _, state, _ = measure_and_reset(state, [q], _E2, rng)
-    else:
-        outcome, state, _ = beamsplitter_measure(state, photons, rng)
-        basis = _SIGNS
-    b1, state, _ = measure_and_reset(state, [pair_b[0]], basis, rng)
-    b2, state, _ = measure_and_reset(state, [pair_b[1]], basis, rng)
-    label = "loss" if outcome is None else outcome.value
-    return state, RoundBranch(label, *_backup_effect(outcome, (b1, b2)), (b1, b2), lost)
+    photons = (2, 3) if loss.backup_enabled else (0, 1)
+    if loss.backup_enabled and any(lost):
+        # the environment reads both photons; the backups' values name the Pauli branch
+        return [(photons, _E4), ((0, 1), _E4)]
+    if loss.backup_enabled:
+        return [(photons, _BELL), ((0, 1), _SIGN_PAIRS)]
+    if any(lost) and loss.encoding is PhotonEncoding.POLARIZATION:
+        return [(photons, _E4)]  # heralded: the round is discarded, the environment reads both
+    # silent: each lost photon is read by the environment and emptied before the Bell measurement
+    return [((q,), _E2) for q, gone in zip(photons, lost) if gone] + [(photons, _BELL)]
+
+
+def _record(loss: LossConfig, lost: tuple[bool, bool], outcomes: Sequence[int]) -> tuple:
+    """The ``RoundBranch`` fields of a round that drew ``lost`` and read ``outcomes``.
+
+    ``outcomes[i]`` indexes the basis rows of ``_reads(loss, lost)[i]``.  The paper's rules:
+    Bell outcome minus rotates by e^{-i theta XX}, plus by e^{+i theta XX}, hh flips the
+    first atom and vv the second.  In the backup round an odd sum of the backups' sign bits
+    reverses the rotation, and after a loss their computational bits (b1, b2) flip the first
+    atom if b1 = 1 and the second if b2 = 0.  A heralded loss is a discarded round.
+    """
+    backup = loss.backup_enabled
+    bits = (outcomes[-1] & 1, outcomes[-1] >> 1) if backup else None
+    if backup and any(lost):
+        return "loss", None, (bits[0] == 1, bits[1] == 0), bits, lost
+    if any(lost) and loss.encoding is PhotonEncoding.POLARIZATION:
+        return "loss", None, (False, False), None, lost
+    o = outcomes[0] if backup else outcomes[-1]  # the Bell outcome
+    direction = (-1, 1, None, None)[o]
+    if direction is not None and backup and sum(bits) % 2:
+        direction = -direction
+    seen = lost if backup or loss.p_loss > 0.0 else None
+    return _BELL_LABELS[o], direction, (o == 2, o == 3), bits, seen
+
+
+def photon_round(state: StateVector, pair: tuple[int, int], modes: tuple[int, ...], eps: float,
+                 loss: LossConfig, rng: np.random.Generator) -> tuple[StateVector, RoundBranch]:
+    """One round of the photon-level model on ``state``, sampled: stage, loss draw, reads.
+
+    ``modes`` is the round's mode register, in |0>: the two backup atoms under
+    ``loss.backup_enabled``, then the two photons.  Each read measures and
+    resets its modes, so every mode ends the round emptied.  Returns the state
+    and the drawn branch's record, the one ``round_branches(eps, loss)`` stores.
+    """
+    state = _stage(state, pair, modes, eps, loss)
+    lost = (bool(rng.random() < loss.p_loss), bool(rng.random() < loss.p_loss))
+    outcomes = []
+    for read, basis in _reads(loss, lost):
+        outcome, state, _ = measure_and_reset(state, [modes[m] for m in read], basis, rng)
+        outcomes.append(outcome)
+    return state, RoundBranch(*_record(loss, lost, outcomes))
+
+
+def backup_round(state: StateVector, pair_a: tuple[int, int], pair_b: tuple[int, int],
+                 photons: tuple[int, int], eps: float, cfg: LossConfig,
+                 rng: np.random.Generator) -> tuple[StateVector, RoundBranch]:
+    """``photon_round`` on the mode register of backups ``pair_b`` and ``photons``."""
+    return photon_round(state, pair_a, (*pair_b, *photons), eps, cfg, rng)
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -223,7 +228,6 @@ class RoundTable(FrozenValue):
 
 
 _LOSS_PATTERNS = ((True, False), (False, True), (True, True))
-_PAIR_BITS = ((0, 0), (1, 0), (0, 1), (1, 1))  # (first, second): index first + 2*second
 _ZERO_BRANCH = 1e-24  # weight w (K^dag K = w 1) under which a branch counts as zero
 
 # The read-only stack (1 +- X)/2 (x) (1 +- X)/2, first atom low bit: P_j with
@@ -243,34 +247,26 @@ _FORM_ATOL = 1e-12  # a branch's phases lie within about 1e-16 of its form, or O
 def _round_outcomes(loss: LossConfig):
     """(mode state, record) for every outcome of a round, the state weighted by its loss amplitude.
 
-    Mode states run over the photon pair, index p1 + 2*p2; in the backup
-    round the backup pair adds two low bits.
+    Outcomes run over the loss draws, no loss first, and within a draw over the
+    product of its ``_reads``, the first read's outcome slowest.  Reading v_i
+    resets its modes, K_i = |0><v_i|, so the mode state is K_1^dag ... K_n^dag |0>:
+    built from the last read back, one broadcast a read over all of the draw's
+    outcomes.  It runs over the mode register, index b1 + 2 b2 + 4 p1 + 8 p2 with
+    backups and p1 + 2 p2 without.
     """
-    p, backup = loss.p_loss, loss.backup_enabled
-    lost = (False, False) if p > 0.0 or backup else None
-    for o, v in BELL_STATES.items():
-        if not backup:
-            yield (1.0 - p) * v, (o.value, *_OUTCOME_EFFECT[o], None, lost)
-        for bits in _PAIR_BITS if backup else ():  # backups read in the sign basis
-            modes = np.outer(v, np.outer(_SIGNS[bits[1]], _SIGNS[bits[0]])).ravel()
-            yield (1.0 - p) * modes, (o.value, *_backup_effect(o, bits), bits, lost)
-    for lost in _LOSS_PATTERNS if p > 0.0 else ():
-        w = math.sqrt(p ** sum(lost) * (1.0 - p) ** (2 - sum(lost)))
-        if backup:  # the environment reads both photons, then the backups are read
-            for h, (i, bits) in itertools.product(_E4, enumerate(_PAIR_BITS)):
-                modes = np.outer(h, _E4[i]).ravel()
-                yield w * modes, ("loss", *_backup_effect(None, bits), bits, lost)
-        elif loss.encoding is PhotonEncoding.POLARIZATION:
-            # heralded: the round is discarded, the environment reads both photons
-            for h in _E4:
-                yield w * h, ("loss", None, (False, False), None, lost)
-        else:  # silent: a lost photon is read (bit h) and emptied before the Bell measurement
-            for bits in itertools.product(*((0, 1) if l else (None,) for l in lost)):
-                first, second = (_E2 if h is None else np.outer(_E2[0], _E2[h]) for h in bits)
-                emptied = np.kron(second, first)
-                for o, v in BELL_STATES.items():  # the mode state emptied^T v, weighted
-                    modes = np.einsum("ji,j->i", w * emptied, v)
-                    yield modes, (o.value, *_OUTCOME_EFFECT[o], None, lost)
+    p, n = loss.p_loss, 4 if loss.backup_enabled else 2
+    for lost in ((False, False), *(_LOSS_PATTERNS if p > 0.0 else ())):
+        w = math.sqrt(p ** sum(lost) * (1.0 - p) ** (2 - sum(lost))) if any(lost) else 1.0 - p
+        reads = _reads(loss, lost)
+        modes = np.eye(1, 1 << n, dtype=complex).reshape((1,) + (2,) * n)  # |0>; qubit n-1 first
+        for qubits, basis in reversed(reads):
+            read = [q in qubits for q in reversed(range(n))]
+            zero = tuple(slice(0, 1) if r else slice(None) for r in read)
+            v = basis.reshape((len(basis), 1, *(2 if r else 1 for r in read)))
+            modes = (v * modes[(slice(None), *zero)]).reshape((-1,) + (2,) * n)
+        outcomes = itertools.product(*(range(len(basis)) for _, basis in reads))
+        for m, o in zip(w * modes.reshape(-1, 1 << n), outcomes):
+            yield m, _record(loss, lost, o)
 
 
 @functools.lru_cache(maxsize=64)
@@ -286,16 +282,13 @@ def _outcome_stack(loss: LossConfig) -> tuple[np.ndarray, tuple[RoundBranch, ...
     s^2 = eps (1 - eps): five independent functions of eps, so the law holds exactly when each
     form agrees over j and the forms' branch sums are (1, 1, 2, 0, 0), as in ((1-eps) + eps)^2.
     """
-    if loss.backup_enabled:
-        stage = functools.partial(_backup_stage, pair_a=(0, 1), pair_b=(2, 3), photons=(4, 5))
-    else:
-        stage = functools.partial(joint_emission, pair=(0, 1), photons=(2, 3))
-    # One run on the pair maximally entangled with two reference qubits, counted as two more
-    # modes above the photon modes, covers all four input basis states: the references label them.
-    n = RegisterLayout.build(2, with_backup=loss.backup_enabled, n_photons=2 + 2).n_qubits
+    # One run on the pair maximally entangled with two reference qubits above the mode
+    # register covers all four input basis states: the references label them.
+    modes = (2, 3, 4, 5) if loss.backup_enabled else (2, 3)
+    n = len(modes) + 4
     choi = np.zeros(1 << n, dtype=complex)
     choi[[j + (j << n - 2) for j in range(4)]] = 1.0
-    runs = [stage(StateVector(choi), eps=eps).amplitudes.reshape(4, -1, 4)
+    runs = [_stage(StateVector(choi), (0, 1), modes, eps, loss).amplitudes.reshape(4, -1, 4)
             for eps in (0.0, 1.0, 0.5, 0.3)]  # (atom in, modes, atom out)
     modes, records = zip(*_round_outcomes(loss))
     k0, k1, half, probe = np.einsum("bm,eimo->eboi", np.conj(modes), np.array(runs))

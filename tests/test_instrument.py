@@ -25,11 +25,11 @@ import mfsim.harness
 import mfsim.loss
 import mfsim.pauli
 import mfsim.statevec
-from mfsim.emission import PhotonEncoding, beamsplitter_measure, joint_emission
+from mfsim.emission import PhotonEncoding, joint_emission
 from mfsim.errors import IncompleteRotationError, ProtocolError, UsageError
 from mfsim.feedback import EpsilonPolicy, PolicyMode, RoundRecord, realize_v_kl, reduce_angle
 from mfsim.harness import ProtocolConfig, haar_random_amplitudes, run_trajectory
-from mfsim.loss import LossConfig, backup_round, loss_channel, round_branches
+from mfsim.loss import LossConfig, photon_round, round_branches
 from mfsim.pauli import ErrorFrame, PauliAxis, PauliString, frame_conjugate_direction
 from mfsim.statevec import RegisterLayout, StateVector, measure
 
@@ -82,27 +82,33 @@ def record(branch):
     return (branch.label, branch.direction, branch.flips, branch.b_bits, branch.lost)
 
 
+def check_record_rules(branch, loss):
+    """The paper's record rules, written out here, not read from the round model."""
+    if loss.backup_enabled and branch.label == "loss":
+        # the backups' computational bits name the branch: X on the first atom
+        # if b1 = 1, X on the second if b2 = 0
+        b1, b2 = branch.b_bits
+        assert (branch.direction, branch.flips) == (None, (b1 == 1, b2 == 0)), record(branch)
+    elif branch.label == "loss":  # heralded: the round is discarded
+        assert (branch.direction, branch.flips) == (None, (False, False)), record(branch)
+    else:
+        direction, flips = DIRECT_EFFECT[branch.label]
+        if loss.backup_enabled and direction is not None and sum(branch.b_bits) % 2:
+            direction = -direction  # an odd number of minus sign bits reverses the rotation
+        assert (branch.direction, branch.flips) == (direction, flips), record(branch)
+
+
 def photon_level_round(psi, eps, loss, rng):
-    """One round of the photon-level model on the pair state ``psi``.
+    """``photon_round`` on the pair state ``psi``, its record checked against the paper's rules.
 
     Returns the record the controller sees and the pair's state afterwards;
     photon and backup modes end every round emptied.
     """
-    if loss.backup_enabled:
-        layout = RegisterLayout.build(2, with_backup=True)
-        st, res = backup_round(embedded_state(psi, layout), (0, 1), (2, 3), (4, 5), eps, loss, rng)
-        return record(res), st.amplitudes
-    photons = (2, 3)
-    st = joint_emission(embedded_state(psi, RegisterLayout.build(2)), (0, 1), photons, eps)
-    lost = None
-    if loss.p_loss > 0.0:
-        st, lost = loss_channel(st, photons, loss, rng)
-        if any(lost) and loss.encoding is PhotonEncoding.POLARIZATION:
-            # the round is discarded; the environment also reads the surviving mode
-            st, _ = loss_channel(st, photons, LossConfig(p_loss=1.0), rng)
-            return ("loss", None, (False, False), None, lost), st.amplitudes
-    outcome, st, _ = beamsplitter_measure(st, photons, rng)
-    return (outcome.value, *DIRECT_EFFECT[outcome.value], None, lost), st.amplitudes
+    layout = RegisterLayout.build(2, with_backup=loss.backup_enabled)
+    modes = tuple(range(2, layout.n_qubits))  # the backups, if any, then the photons
+    st, branch = photon_round(embedded_state(psi, layout), (0, 1), modes, eps, loss, rng)
+    check_record_rules(branch, loss)
+    return record(branch), st.amplitudes
 
 
 def named_operation(branch, eps, axes):
@@ -201,10 +207,42 @@ def test_branches_are_their_named_operation(kind):
             assert np.max(np.abs(k - c * u)) <= 1e-10, (eps, axes, record(b))
 
 
-def test_lossless_table_is_the_four_outcomes_in_order():
+# Each kind's branches as (label, b_bits, lost), in table order: the no-loss branches first,
+# then the loss draws (T,F), (F,T) and (T,T); Bell outcomes as minus, plus, hh, vv; backup
+# bits, and photon readings after a loss, as b1 + 2 b2 and p1 + 2 p2.  Zero branches are gone:
+# a silent loss keeps the Bell outcomes with vacuum in the lost mode, and after a backup
+# round's loss the photons read what the backups read.  The order sets ``cumulative``, and
+# so every draw.
+_F, _T = False, True
+_BELL, _BITS = ("minus", "plus", "hh", "vv"), ((0, 0), (1, 0), (0, 1), (1, 1))
+_DRAWS = ((_T, _F), (_F, _T), (_T, _T))
+BRANCH_ORDER = {
+    "lossless": [(o, None, None) for o in _BELL],
+    "heralded": [(o, None, (_F, _F)) for o in _BELL]
+                + [("loss", None, lost) for lost in _DRAWS for _ in range(4)],
+    "occupation": [(o, None, (_F, _F)) for o in _BELL]
+                  + [(o, None, lost) for lost in _DRAWS[:2] for _ in range(2)
+                     for o in ("minus", "plus", "vv")] + [("vv", None, (_T, _T))] * 4,
+    "backup": [(o, bits, (_F, _F)) for o in _BELL for bits in _BITS],
+    "backup-loss60": [(o, bits, (_F, _F)) for o in _BELL for bits in _BITS]
+                     + [("loss", bits, lost) for lost in _DRAWS for bits in _BITS],
+}
+
+
+@pytest.mark.parametrize("kind", BRANCH_ORDER)
+def test_tables_list_their_branches_in_order(kind):
+    loss = KINDS[kind]
     for eps in EPS_GRID:
-        labels = [b.label for b in round_branches(eps, LossConfig()).branches]
-        assert labels == ["minus", "plus", "hh", "vv"]
+        table = round_branches(eps, loss)
+        assert [(b.label, b.b_bits, b.lost) for b in table.branches] == BRANCH_ORDER[kind], eps
+        if kind == "heralded":
+            # the four photon readings of a loss draw weigh |VV>, |HV>, |VH>, |HH> of the
+            # emitted pair, p1 + 2 p2: p1 read slower than p2 would swap the middle two
+            p, s = loss.p_loss, eps * (1 - eps)
+            weights = np.diff(table.cumulative, prepend=0.0)[4:]
+            want = [p ** sum(lost) * (1 - p) ** (2 - sum(lost)) * w for lost in _DRAWS
+                    for w in (s, eps ** 2, (1 - eps) ** 2, s)]
+            assert np.abs(weights - want).max() <= 1e-12, eps
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -282,7 +320,8 @@ def test_warm_trajectory_evolves_data_qubits_only(monkeypatch):
         raise AssertionError("the photon-level model ran inside a trajectory")
 
     for module in (mfsim.emission, mfsim.loss, mfsim.feedback, mfsim.harness):
-        for name in ("joint_emission", "beamsplitter_measure", "loss_channel", "backup_round"):
+        for name in ("joint_emission", "beamsplitter_measure", "loss_channel", "backup_round",
+                     "photon_round"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     sizes = []

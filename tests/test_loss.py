@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import mfsim.loss
 from mfsim.emission import BeamSplitterOutcome, PhotonEncoding, outcome_probabilities, u_eps
 from mfsim.errors import ProtocolError, UsageError
 from mfsim.harness import haar_random_amplitudes
@@ -308,3 +309,25 @@ class TestClassifyRoundEffect:
                 assert eff is RoundEffect.MINUS_ROTATION
             else:
                 assert eff is RoundEffect.KNOWN_PAULI
+
+    def test_backups_read_in_the_sign_basis_after_a_loss_are_caught(self, rng, monkeypatch):
+        # A mutation check of the one round model: the classifier reads states, not the
+        # model, so a round whose reads no longer match its record rules is unresolved.
+        reads = mfsim.loss._reads
+
+        def sign_read_after_loss(loss, lost):
+            steps = reads(loss, lost)
+            return steps[:-1] + [(steps[-1][0], mfsim.loss._SIGN_PAIRS)] if any(lost) else steps
+
+        monkeypatch.setattr(mfsim.loss, "_reads", sign_read_after_loss)
+        cfg = LossConfig(p_loss=1.0, backup_enabled=True)
+        eps = 0.3
+        psi, layout, _ = backup_register(rng)
+        effects = set()
+        for _ in range(50):
+            st = fresh_round_state(psi, layout)
+            out, res = backup_round(st, (0, 1), BACKUPS, PHOTONS, eps, cfg, rng)
+            flipped = {q: PauliAxis.X for q, f in enumerate(res.flips) if f}
+            delta = PauliString.embed(layout.n_qubits, flipped)
+            effects.add(classify_round_effect(st, out, (0, 1), math.atan2(eps, 1 - eps), delta))
+        assert RoundEffect.UNRESOLVED in effects

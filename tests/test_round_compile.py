@@ -39,10 +39,8 @@ def direct_table(eps, loss):
     n = layout.n_qubits - 2
     choi = np.zeros(1 << layout.n_qubits, dtype=complex)
     choi[[j + (j << n) for j in range(4)]] = 1.0
-    if loss.backup_enabled:
-        out = mfsim.loss._backup_stage(StateVector(choi), (0, 1), (2, 3), (4, 5), eps)
-    else:
-        out = joint_emission(StateVector(choi), (0, 1), (2, 3), eps)
+    modes = tuple(range(2, n))  # the backups, if any, then the photons
+    out = mfsim.loss._stage(StateVector(choi), (0, 1), modes, eps, loss)
     tensor = out.amplitudes.reshape(4, -1, 4).transpose(1, 2, 0)  # (mode state, out, in)
     modes, records = zip(*mfsim.loss._round_outcomes(loss))
     kraus = np.tensordot(np.conj(modes), tensor, axes=1)

@@ -19,7 +19,7 @@ from mfsim import loss, statevec
 from mfsim.errors import UsageError
 from mfsim.statevec import StateVector, _apply, _check_unitary
 
-SMALL_PRODUCTS = [statevec._apply, statevec._check_unitary, loss._round_outcomes,
+SMALL_PRODUCTS = [statevec._apply, statevec._check_unitary, loss._stage, loss._round_outcomes,
                   loss._outcome_stack, loss.round_tables]
 BLAS_CALLS = {"dot", "matmul", "tensordot"}
 
