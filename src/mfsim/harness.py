@@ -167,7 +167,8 @@ def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     """Deterministic per-trajectory generator, a pure function of (seed, index).
 
     Bit for bit ``Generator(PCG64(SeedSequence([master_seed, index])))``, seeded with words
-    from the index's ``_seed_block``; ``run_trajectory`` reads it through ``_trajectory_uniforms``.
+    from the index's ``_seed_block``.  ``run_trajectory`` reads its draws through
+    ``_trajectory_uniforms``, the first 256 from a ``_draw_block`` row; ``cnot_demo`` reads it.
     """
     if master_seed < 0 or index < 0:
         raise ValueError("expected non-negative integer")  # SeedSequence's error
@@ -177,6 +178,7 @@ def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
 
 
 _SEED_BLOCK = 256
+_DRAW_BLOCK, _DRAWS = 32, 256  # trajectories a draw block holds, and the draws of each
 
 
 def _words(n: int) -> list[int]:
@@ -244,14 +246,41 @@ def _seed_words():
     return SeedWords
 
 
+@functools.lru_cache(maxsize=1)
+def _draw_block(master_seed: int, block: int) -> np.ndarray:
+    """The first 256 ``random()`` draws of trajectories 32 block .. 32 block + 31, one row each.
+
+    Read-only, (32, 256) float64, 64 KB; as 32 divides 256, its rows read one ``_seed_block``.
+    """
+    first = block * _DRAW_BLOCK
+    seeds = _seed_block(master_seed, first // _SEED_BLOCK)
+    draws, seed_words = np.empty((_DRAW_BLOCK, _DRAWS)), _seed_words()
+    for row, words in zip(draws, seeds[first % _SEED_BLOCK:]):
+        np.random.Generator(np.random.PCG64(seed_words(words))).random(out=row)
+    draws.flags.writeable = False
+    return draws
+
+
+def _uniform_lists(master_seed: int, index: int):
+    """The draws of the index's generator in lists of 64: its ``_draw_block`` row, then its own."""
+    block, row = divmod(index, _DRAW_BLOCK)
+    draws = _draw_block(master_seed, block)
+    for start in range(0, _DRAWS, 64):
+        yield draws[row, start:start + 64].tolist()
+    rng = trajectory_rng(master_seed, index)
+    rng.bit_generator.advance(_DRAWS)  # PCG64's exact jump-ahead, past the row's draws
+    yield from iter(lambda: rng.random(64).tolist(), None)
+
+
 def _trajectory_uniforms(master_seed: int, index: int):
     """An object whose ``random()`` yields the draws of ``trajectory_rng(master_seed, index)``.
 
-    Each draw is a C-level ``next`` over lists of 64 from the trajectory's own generator, whose
-    ``random(k)`` returns its next k scalar draws in order.
+    Each draw is a C-level ``next`` over ``_uniform_lists``; a negative seed or index raises
+    numpy's ValueError here, before any cache is read.
     """
-    rng = trajectory_rng(master_seed, index)
-    uniforms = itertools.chain.from_iterable(iter(lambda: rng.random(64).tolist(), None))
+    if master_seed < 0 or index < 0:
+        raise ValueError("expected non-negative integer")  # SeedSequence's error
+    uniforms = itertools.chain.from_iterable(_uniform_lists(master_seed, index))
     return types.SimpleNamespace(random=functools.partial(next, uniforms))
 
 
@@ -531,7 +560,7 @@ def cnot_demo(
     total_rounds = 0
     for i, data_amp in enumerate(_cnot_demo_inputs()):
         state, _, rounds, _, stop = _run_operations(
-            operations, StateVector(data_amp), _trajectory_uniforms(master_seed, i), program)
+            operations, StateVector(data_amp), trajectory_rng(master_seed, i), program)
         if stop is not None:
             raise stop
         total_rounds += len(rounds)

@@ -76,9 +76,10 @@ CONFIGS = {
                              for i in range(80)]},
                          "t": 0.5, "n_steps": 2, "trajectories": 3, "master_seed": 5},
     # 260 trajectories of a two-word master seed, whose index 256 opens the
-    # second block of trajectory seeds; trajectories 77, 115 and 187 take more
-    # than 256 draws (258, 361 and 263 rounds), so they read past the fourth of
-    # their generator's 64-draw lists
+    # second block of trajectory seeds, and every 32nd index a block of first
+    # draws; trajectories 77, 115 and 187 take more than 256 draws (258, 361 and
+    # 263 rounds), so they read past their draw block row into their generator,
+    # moved on by advance(256)
     "block-edge": {"hamiltonian": _PAIR, "t": 0.8, "n_steps": 5, "trajectories": 260,
                    "master_seed": 1099511627781, "policy": {"max_rounds": 40000},
                    "loss": _BACKUP_LOSS},

@@ -27,6 +27,7 @@ from mfsim.statevec import (
 # with it.  A test that scans the package fails when a cache is missing here.
 MODULE_CACHES = (
     (mfsim.pauli, "frame_of_key"),
+    (mfsim.harness, "_draw_block"),
     (mfsim.harness, "_seed_block"),
     (mfsim.harness, "_seed_words"),
     (mfsim.loss, "_outcome_stack"),

@@ -451,7 +451,7 @@ def test_trajectory_tallies_equal_a_recount_of_its_records(p_loss, max_rounds):
                                   "block-edge"])
 def test_trajectories_do_not_depend_on_execution_order(name):
     # The second config's program builds its levels, their rows and the pair
-    # records in another order, the seed blocks are rebuilt last block first,
+    # records in another order, the seed and draw blocks are rebuilt last block first,
     # and another config's framed oracles are filled.
     def audit(cfg, indices):
         return {i: json.dumps(run_trajectory(cfg, i).to_dict(), sort_keys=True) for i in indices}

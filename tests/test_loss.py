@@ -71,12 +71,6 @@ class TestBackupEntangle:
         assert st.amplitudes[0] == pytest.approx(0.8)
         assert st.amplitudes[3] == pytest.approx(0.6)
 
-    def test_rejects_dirty_backup(self, rng):
-        amp = np.zeros(4, dtype=complex)
-        amp[2] = 1.0  # backup already |1>
-        with pytest.raises(ProtocolError):
-            u_eps(StateVector(amp), 0, 1, 0.3)
-
 
 class TestPhotonCopy:
     def test_copies_each_branch(self):

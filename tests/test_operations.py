@@ -21,6 +21,7 @@ from mfsim.compiler import HamiltonianSpec, LocalGate, PairTerm, Rotation, compi
 from mfsim.feedback import EpsilonPolicy, Program
 from mfsim.errors import UsageError
 from mfsim.harness import (
+    _draw_block,
     _run_operations,
     _trajectory_uniforms,
     cnot_demo,
@@ -64,6 +65,14 @@ def demo_digest(name: str) -> str:
 @pytest.mark.parametrize("name", CNOT_DEMOS)
 def test_cnot_demo_output_matches_golden_digest(name):
     assert demo_digest(name) == GOLDEN[name]
+
+
+def test_cnot_demo_leaves_the_draw_block_cache():
+    # each input draws from its own generator, so a demo neither builds nor evicts a block
+    _trajectory_uniforms(5, 40).random()  # an ensemble's block
+    before = _draw_block.cache_info()
+    demo_digest("ci-seed3-loss50")
+    assert _draw_block.cache_info() == before
 
 
 def operations_unitary(operations, n: int) -> np.ndarray:

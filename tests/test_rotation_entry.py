@@ -59,8 +59,8 @@ def package_caches():
 def test_the_package_caches_are_the_shared_ones():
     assert package_caches().keys() == {id(getattr(module, name)) for module, name in MODULE_CACHES}
     assert sorted(f"{module.__name__}.{name}" for module, name in MODULE_CACHES) == [
-        "mfsim.harness._seed_block", "mfsim.harness._seed_words", "mfsim.loss._outcome_stack",
-        "mfsim.pauli.frame_of_key", "mfsim.statevec._subset_index"]
+        "mfsim.harness._draw_block", "mfsim.harness._seed_block", "mfsim.harness._seed_words",
+        "mfsim.loss._outcome_stack", "mfsim.pauli.frame_of_key", "mfsim.statevec._subset_index"]
 
 
 def test_no_module_dict_or_list_grows_and_no_feedback_global_is_rebound_while_a_config_runs():

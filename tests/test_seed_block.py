@@ -4,7 +4,10 @@
 derives for 256 indices at once, a port of SeedSequence's hashing on uint32
 arrays.  Its streams must equal ``Generator(PCG64(SeedSequence([s, i])))``
 bit for bit, and so must ``run_trajectory``'s stream of uniforms, which reads
-the draws of that one generator 64 at a time.  The module runs with warnings as errors: the
+the first 256 draws from the trajectory's row of a ``harness._draw_block``
+(32 trajectories' first draws, built by the first trajectory that reads it)
+and the rest from that one generator, moved past them by ``advance(256)``,
+64 draws at a time.  The module runs with warnings as errors: the
 port's uint32 products wrap, and numpy must not warn about that on any
 supported version.
 """
@@ -82,6 +85,35 @@ def test_uniform_stream_equals_generator_draws(seed, index):
     assert [stream.random() for _ in range(count)] == [rng.random() for _ in range(count)]
 
 
+def test_draw_block_holds_each_rows_first_draws_read_only():
+    block = harness._draw_block(2**40 + 5, 9)
+    assert block.shape == (32, 256) and block.dtype == np.float64 and not block.flags.writeable
+    for row in (0, 1, 31):
+        assert np.array_equal(block[row], reference_rng(2**40 + 5, 288 + row).random(256))
+
+
+def test_run_trajectory_builds_the_draw_blocks_and_run_ensemble_does_not(monkeypatch):
+    cfg = ProtocolConfig.from_dict({**TROTTER3, "trajectories": 40})
+    run = harness.run_trajectory
+    builds = []  # draw blocks built outside and inside each trajectory
+
+    def misses():
+        return harness._draw_block.cache_info().misses
+
+    def trajectory(cfg, index):
+        before = misses()
+        stats = run(cfg, index)
+        builds.append((before, misses() - before))
+        return stats
+
+    harness._draw_block.cache_clear()
+    monkeypatch.setattr(harness, "run_trajectory", trajectory)
+    run_ensemble(cfg)
+    # blocks 0 and 1, by trajectories 0 and 32, and none between the trajectories
+    assert [before for before, _ in builds] == [0] + [1] * 32 + [2] * 7
+    assert [i for i, (_, built) in enumerate(builds) if built] == [0, 32] and misses() == 2
+
+
 def test_seed_words_serve_only_the_pcg64_request():
     seed = trajectory_rng(3, 4).bit_generator.seed_seq
     with pytest.raises(ValueError, match="four uint64 words"):
@@ -92,7 +124,7 @@ _NEGATIVE = f"""
 import dataclasses
 import numpy as np
 from mfsim.errors import UsageError
-from mfsim.harness import ProtocolConfig, _seed_block, run_trajectory, trajectory_rng
+from mfsim.harness import ProtocolConfig, _draw_block, _seed_block, run_trajectory, trajectory_rng
 
 cfg = ProtocolConfig.from_dict({TROTTER3!r})
 run_trajectory(cfg, 300)
@@ -101,7 +133,7 @@ for seed, index in [(-1, 0), (0, -1), (-2**40, 3), (5, -2**70), (-1, -1)]:
         np.random.SeedSequence([seed, index])
     except ValueError as exc:
         expected = str(exc)
-    before = _seed_block.cache_info()
+    before = _seed_block.cache_info(), _draw_block.cache_info()
     builds = [trajectory_rng]
     try:  # no config holds a negative seed
         seeded = dataclasses.replace(cfg, master_seed=seed)
@@ -116,7 +148,7 @@ for seed, index in [(-1, 0), (0, -1), (-2**40, 3), (5, -2**70), (-1, -1)]:
             assert str(exc) == expected, (seed, index, str(exc), expected)
         else:
             raise AssertionError(f"no error for {{(seed, index)}}")
-    assert _seed_block.cache_info() == before, (seed, index)
+    assert (_seed_block.cache_info(), _draw_block.cache_info()) == before, (seed, index)
 print("raised")
 """
 
@@ -124,8 +156,8 @@ print("raised")
 def test_negative_seed_or_index_raises_and_leaves_the_cache():
     """A negative int must raise numpy's ValueError at once, not loop on its words.
 
-    ``trajectory_rng`` and ``run_trajectory`` raise it on each call and build no seed block;
-    a config with a negative ``master_seed`` is not built.
+    ``trajectory_rng`` and ``run_trajectory`` raise it on each call and build no seed or draw
+    block; a config with a negative ``master_seed`` is not built.
     """
     proc = subprocess.run([sys.executable, "-c", _NEGATIVE], capture_output=True, text=True,
                           env=CHILD_ENV, timeout=60)
@@ -160,7 +192,7 @@ def test_warm_trajectory_builds_no_seed_sequence_or_layout(monkeypatch):
     # PCG64 got ready words, so it built no SeedSequence of its own
     from numpy.random.bit_generator import ISeedSequence, SeedSequence
 
-    assert len(seeds) == 2  # the warm trajectory's generator and the cold trajectory_rng
+    assert len(seeds) == 1  # the cold trajectory_rng; the warm trajectory reads its draw block
     assert all(isinstance(s, ISeedSequence) and not isinstance(s, SeedSequence) for s in seeds)
 
 
@@ -176,6 +208,19 @@ def test_audit_lines_do_not_depend_on_the_ensemble_size(tmp_path):
     assert len(every) == 300
     for k in (1, 33, 257):
         assert audit_lines(k) == every[:k], k
+
+
+def test_configs_run_in_turn_give_their_own_audit_entries():
+    # each trajectory of one config evicts the other's draw block
+    configs = [ProtocolConfig.from_dict({**TROTTER3, "trajectories": 40, "master_seed": seed})
+               for seed in (123456789, 2**64 + 3)]
+    alone = [[run_trajectory(cfg, i).to_dict() for i in range(cfg.trajectories)]
+             for cfg in configs]
+    in_turn = [[], []]
+    for i in range(40):
+        for entries, cfg in zip(in_turn, configs):
+            entries.append(run_trajectory(cfg, i).to_dict())
+    assert in_turn == alone and alone[0] != alone[1]
 
 
 def _child_loads_numpy_random(code: str) -> bool:
