@@ -22,7 +22,7 @@ import numpy as np
 
 from .emission import BeamSplitterOutcome, outcome_probabilities
 from .errors import FrozenValue, UsageError, config_errors, config_float, config_int, config_object
-from .feedback import _ANGLE_TOL, EpsilonPolicy
+from .feedback import EpsilonPolicy, reduce_angle
 from .pauli import PauliAxis, PauliString, commutes
 from .statevec import _check_unitary, _pauli_stack, _vector_first
 
@@ -290,10 +290,10 @@ def apply_plan(plan: TrotterPlan, amplitudes: np.ndarray) -> np.ndarray:
 
 def _round_success_probability(angle: float) -> Optional[float]:
     """Plus probability ((1-eps)^2 + eps^2)/2 of the first round at ``angle``; None if no round."""
-    a = abs(math.remainder(angle, math.pi))
-    if a <= _ANGLE_TOL:
+    residual = reduce_angle(angle)
+    if residual is None:
         return None
-    return outcome_probabilities(EpsilonPolicy().eps_for(a))[BeamSplitterOutcome.PLUS]
+    return outcome_probabilities(EpsilonPolicy().eps_for(abs(residual)))[BeamSplitterOutcome.PLUS]
 
 
 def round_budget(plan: TrotterPlan, confidence: float = 0.99) -> dict:
@@ -301,9 +301,9 @@ def round_budget(plan: TrotterPlan, confidence: float = 0.99) -> dict:
 
     Each rotation counts 1/q rounds, q the Plus probability of its first
     round under the default policy with no loss; later doubling levels, the
-    plan's policy and loss are left out, so the counts run low.  As in the
-    feedback loop, a rotation within _ANGLE_TOL of a multiple of pi is the
-    identity up to phase and draws none.
+    plan's policy and loss are left out, so the counts run low.  A rotation's
+    first residual is the feedback loop's, ``feedback.reduce_angle``, so one
+    at a multiple of pi, the identity up to phase, draws none.
     serial_rounds: the sum of 1/q over all rotations.  parallel_depth: per
     layer, the smallest round allowance r with (1 - (1-q_min)^r)^g >=
     confidence for the g rotations in the layer that draw rounds, summed

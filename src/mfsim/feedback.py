@@ -95,12 +95,14 @@ class EpsilonPolicy(FrozenValue):
         return min(1.0, max(0.0, math.sin(aimed)))
 
 
-def reduce_angle(t: float) -> float:
-    """Reduce modulo pi into (-pi/2, pi/2]; e^{i pi XX} is a global phase."""
+def reduce_angle(t: float) -> Optional[float]:
+    """The residual a rotation by ``t`` aims at, ``t`` mod pi in (-pi/2, pi/2]: ``math.remainder``'s
+    [-pi/2, pi/2] with its tie -pi/2 moved up to pi/2.  None within _ANGLE_TOL of a multiple of
+    pi, where e^{it XX} is a global phase and no round is drawn."""
     r = math.remainder(t, math.pi)
-    if r <= -math.pi / 2 + _ANGLE_TOL:
-        r += math.pi
-    return r
+    if abs(r) <= _ANGLE_TOL:
+        return None
+    return math.pi / 2 if r == -math.pi / 2 else r
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -239,13 +241,13 @@ class Program:
         if angle not in self.levels:
             _check_angle(angle)
             residual = reduce_angle(angle)
-            self.levels[angle] = _Level(residual, self) if abs(residual) > _ANGLE_TOL else None
+            self.levels[angle] = None if residual is None else _Level(residual, self)
         return self.levels[angle]
 
     def tables_ahead(self, residual: float) -> tuple:
         """The table of ``residual``'s level; its chain's next levels' tables are left waiting."""
         eps = []
-        while len(eps) < _BLOCK and abs(residual) > _ANGLE_TOL:  # as ``level`` doubles and closes
+        while len(eps) < _BLOCK and residual is not None:  # as ``level`` doubles and closes
             eps.append(self.policy.eps_for(abs(residual)))
             residual = reduce_angle(residual + residual)
         tables = [(t.cumulative, t.branches, t.forms) for t in round_tables(eps, self.loss)]

@@ -74,7 +74,7 @@ class ProtocolConfig(FrozenValue):
         self.__dict__.update(n_steps=self.plan.n_steps,  # compile_plan checks every rotation angle
                              trajectories=config_int(trajectories, "trajectories", 0),
                              master_seed=config_int(master_seed, "master_seed", 0))
-        _initial_state(initial_state, hamiltonian.n_qubits)
+        self.__dict__["_build_amplitudes"] = _initial_state(initial_state, hamiltonian.n_qubits)
         work = self.trajectories * self.plan.total_rotations * self.policy.max_rounds
         if work > WORK_BUDGET:
             from decimal import Decimal  # formats an int of any size, where float overflows
@@ -115,7 +115,7 @@ class ProtocolConfig(FrozenValue):
     @functools.cached_property
     def initial_amplitudes(self) -> np.ndarray:
         """Normalized initial data amplitudes, computed once per config (read-only)."""
-        amp = _initial_state(self.initial_state, self.hamiltonian.n_qubits)()
+        amp = self._build_amplitudes()  # checked when the config was built
         amp.flags.writeable = False
         return amp
 
@@ -167,8 +167,8 @@ def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     """Deterministic per-trajectory generator, a pure function of (seed, index).
 
     Bit for bit ``Generator(PCG64(SeedSequence([master_seed, index])))``, seeded with words
-    from the index's ``_seed_block``.  ``run_trajectory`` reads its draws through
-    ``_trajectory_uniforms``, the first 256 from a ``_draw_block`` row; ``cnot_demo`` reads it.
+    from the index's ``_seed_block``.  Every stream starts here: ``_draw_block`` fills its rows
+    from it, ``run_trajectory`` reads them first, and ``cnot_demo`` reads it directly.
     """
     if master_seed < 0 or index < 0:
         raise ValueError("expected non-negative integer")  # SeedSequence's error
@@ -250,13 +250,11 @@ def _seed_words():
 def _draw_block(master_seed: int, block: int) -> np.ndarray:
     """The first 256 ``random()`` draws of trajectories 32 block .. 32 block + 31, one row each.
 
-    Read-only, (32, 256) float64, 64 KB; as 32 divides 256, its rows read one ``_seed_block``.
+    Read-only, (32, 256) float64, 64 KB; row r is ``trajectory_rng``'s, of index 32 block + r.
     """
-    first = block * _DRAW_BLOCK
-    seeds = _seed_block(master_seed, first // _SEED_BLOCK)
-    draws, seed_words = np.empty((_DRAW_BLOCK, _DRAWS)), _seed_words()
-    for row, words in zip(draws, seeds[first % _SEED_BLOCK:]):
-        np.random.Generator(np.random.PCG64(seed_words(words))).random(out=row)
+    draws = np.empty((_DRAW_BLOCK, _DRAWS))
+    for index, row in enumerate(draws, block * _DRAW_BLOCK):
+        trajectory_rng(master_seed, index).random(out=row)
     draws.flags.writeable = False
     return draws
 
@@ -399,7 +397,7 @@ class TrajectoryStats(Value):
             "trajectory": self.index,
             "rounds_total": self.rounds_total,
             "rounds_per_rotation": self.rounds_per_rotation,
-            "outcome_histogram": dict(sorted(self.outcome_histogram.items())),
+            "outcome_histogram": dict(self.outcome_histogram),  # a copy of the cached, sorted one
             "loss_events": self.loss_events,
             "photon_retry_counts": self.photon_retry_counts,
             "final_frame": self.final_frame,

@@ -213,7 +213,8 @@ def reference_rotation(state, pair, k, l, t, policy, frame, rng, loss=None):
     masks = [(p.x, p.z) for p in strings]
     sign = frame_conjugate_direction(frame, strings[3])
     loss = loss or LossConfig()
-    residual, product, outcomes = reduce_angle(t), np.eye(4, dtype=complex), []
+    # reduce_angle's None, a multiple of pi, reads as a closed residual 0.0
+    residual, product, outcomes = reduce_angle(t) or 0.0, np.eye(4, dtype=complex), []
     for _ in range(policy.max_rounds):
         if abs(residual) <= 1e-12:
             break
@@ -226,7 +227,7 @@ def reference_rotation(state, pair, k, l, t, policy, frame, rng, loss=None):
         outcomes.append(branch.label)
         if branch.direction is not None:
             closes = sign * branch.direction == (1 if residual > 0 else -1)
-            residual = 0.0 if closes else reduce_angle(residual + residual)
+            residual = 0.0 if closes else reduce_angle(residual + residual) or 0.0
     coeffs = [np.trace(s @ product) / 4 for s in XX_STRINGS]
     state = four_string_sum(state, masks, coeffs)
     return state, frame, outcomes, abs(residual) <= 1e-12

@@ -101,6 +101,19 @@ class TestProtocolConfig:
 
 
 class TestInitialStates:
+    def test_amplitudes_are_parsed_once(self, monkeypatch):
+        parse, keys = mfsim.harness.config_float, []
+
+        def counted(value, key):
+            keys.append(key)
+            return parse(value, key)
+
+        monkeypatch.setattr(mfsim.harness, "config_float", counted)
+        amp = [[0.6, 0.0], [0.0, 0.8]] + [[0.0, 0.0]] * 6
+        cfg = chain_config(initial_state={"amplitudes": amp})
+        assert cfg.initial_amplitudes[1] == pytest.approx(0.8j)
+        assert keys.count("initial_state.amplitudes") == 2 * len(amp)  # re and im, once each
+
     def test_all_zeros(self):
         cfg = chain_config(initial_state="all_zeros")
         st = build_register(cfg)

@@ -2,7 +2,7 @@
 
 ``mfsim/__init__.py`` is left out: its imports are the package's exports.
 An import line that carries ``noqa`` is kept on purpose and is skipped.
-Only ``feedback`` reads the layout of a round's code.
+Only ``feedback`` reads the layout of a round's code, and only it reduces an angle mod pi.
 """
 
 import ast
@@ -54,3 +54,10 @@ def test_round_codes_are_read_in_feedback_alone():
             for name in ("_ROW_BITS", "_ROW_MASK")} == {"_ROW_BITS": ["feedback.py"],
                                                         "_ROW_MASK": ["feedback.py"]}
     assert package["harness.py"] & {"RoundRecord", "frame_of_key"} == set()
+
+
+def test_the_angle_rule_is_read_in_feedback_alone():
+    package = {p.name: names_read(p.read_text()) for p in (ROOT / "src" / "mfsim").glob("*.py")}
+    assert {name: sorted(m for m, names in package.items() if name in names)
+            for name in ("remainder", "_ANGLE_TOL")} == {"remainder": ["feedback.py"],
+                                                         "_ANGLE_TOL": ["feedback.py"]}

@@ -433,7 +433,7 @@ def state_draw_rotation(state, pair, axes, t, policy, frame, rng, loss):
     """
     n = state.n_qubits
     sign_swap = frame_conjugate_direction(frame, PauliString.embed(n, dict(zip(pair, axes))))
-    residual, records = reduce_angle(t), []
+    residual, records = reduce_angle(t) or 0.0, []  # None, a multiple of pi, closed
     for _ in range(policy.max_rounds):
         if abs(residual) <= 1e-12:
             break
@@ -446,7 +446,7 @@ def state_draw_rotation(state, pair, axes, t, policy, frame, rng, loss):
         if flipped:
             frame = frame.updated(PauliString.embed(n, flipped))
         if b.direction is not None:
-            residual = reduce_angle(residual - sign_swap * b.direction * aimed)
+            residual = reduce_angle(residual - sign_swap * b.direction * aimed) or 0.0
         records.append(RoundRecord(b.label, eps, aimed, str(frame), b.b_bits, b.lost))
     return state, frame, records, residual
 
@@ -603,7 +603,7 @@ def unclosed_rotation(axes, t, policy, sign_swap, loss, rng):
     matmul a round.  Minus-type branches still move the rotation to ever
     deeper doubling levels, so the product mixes rotations and byproducts.
     """
-    residual, uniforms, product = reduce_angle(t), [], np.eye(4)
+    residual, uniforms, product = reduce_angle(t) or 0.0, [], np.eye(4)
     while len(uniforms) < policy.max_rounds:
         aimed = abs(residual)
         table = axis_table(policy.eps_for(aimed), loss, axes)
@@ -612,7 +612,7 @@ def unclosed_rotation(axes, t, policy, sign_swap, loss, rng):
         direction = table.branches[i].direction
         moved = residual if direction is None else reduce_angle(
             residual - sign_swap * direction * aimed)
-        if abs(moved) <= 1e-12:
+        if moved is None:
             continue  # this branch would close the rotation: draw again
         uniforms.append(u)
         product = table.unitaries[i] @ product

@@ -1,13 +1,14 @@
-"""The once-per-rotation state update as a Pauli sum, and the trajectory's stream of uniforms.
+"""The once-per-rotation state update as a Pauli sum, and a trajectory's records from its stream.
 
 A rotation's operator sum_j d_j P_j on the eigenprojectors of s_k (x) 1 and
 1 (x) s_l is c0 + c1 s_k + c2 s_l + c3 s_k s_l.  ``conftest.four_string_sum``
 gathers all four strings; these tests check it against dense Pauli matrices
 and against the 4x4 pair operator, and check the rotation's operator, two of
 the strings applied as a dense matrix on small registers and as a two-row
-gather on large ones, against it.  They also check that ``run_trajectory``'s
-stream of uniforms, lists of 64 draws from the trajectory's generator, gives
-the records a bare generator gives.
+gather on large ones, against it.  They also check that ``run_trajectory``,
+which reads its uniforms through ``_trajectory_uniforms``, gives the records
+a bare generator gives; ``tests/test_seed_block.py`` checks that stream draw
+for draw.
 """
 
 import itertools
@@ -21,7 +22,6 @@ from mfsim.errors import IncompleteRotationError, UsageError
 from mfsim.feedback import EpsilonPolicy, Program, realize_v_kl
 from mfsim.harness import (
     ProtocolConfig,
-    _trajectory_uniforms,
     haar_random_amplitudes,
     run_trajectory,
     trajectory_rng,
@@ -125,14 +125,6 @@ def test_float_site_fails_after_its_integer_pair_is_cached():
     for _ in range(2):
         with pytest.raises(TypeError):
             rotate((0, 1.0))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
-def test_block_stream_equals_scalar_draws_across_block_boundaries(seed):
-    stream = _trajectory_uniforms(seed, 3)
-    scalar = trajectory_rng(seed, 3)
-    count = 256 + 2 * 64 + 29  # six lists of 64 draws and part of a seventh
-    assert [stream.random() for _ in range(count)] == [scalar.random() for _ in range(count)]
 
 
 def reference_trajectory(cfg, index):

@@ -18,7 +18,7 @@ import mfsim.feedback
 import mfsim.loss
 from mfsim.emission import PhotonEncoding
 from mfsim.errors import ProtocolError, UsageError
-from mfsim.feedback import _ANGLE_TOL, EpsilonPolicy, PolicyMode, Program, reduce_angle
+from mfsim.feedback import EpsilonPolicy, PolicyMode, Program, reduce_angle
 from mfsim.harness import ProtocolConfig, emit_report, run_ensemble
 from mfsim.loss import LossConfig, RoundTable, round_branches, round_tables
 
@@ -35,7 +35,7 @@ LOSSES = {
 def chain_eps(t, mode, length):
     """The eps of the first ``length`` levels of ``t``'s doubling chain, up to where it closes."""
     rule, residual, eps = EpsilonPolicy(mode).eps_for, reduce_angle(t), []
-    while len(eps) < length and abs(residual) > _ANGLE_TOL:
+    while len(eps) < length and residual is not None:
         eps.append(rule(abs(residual)))
         residual = reduce_angle(residual + residual)
     return eps
