@@ -186,9 +186,11 @@ class TrotterPlan(FrozenValue):
         for layer in self.layers:
             yield from layer
 
+    sweep = functools.cached_property(lambda self: tuple(self.sweep_rotations()))
+
     def operations(self):
-        """An iterator over the operations in the order they run: the sweep, n_steps times."""
-        sweep = tuple(self.sweep_rotations())
+        """An iterator over the operations in the order they run: ``sweep``, n_steps times."""
+        sweep = self.sweep
         return itertools.chain.from_iterable(itertools.repeat(sweep, self.n_steps if sweep else 0))
 
     def to_dict(self) -> dict:
@@ -252,7 +254,7 @@ def plan_unitary(plan: TrotterPlan) -> np.ndarray:
     by repeated squaring (1e-8 at 10^15 steps), so its nearest unitary is taken: the polar
     factor W V^dag of its SVD W S V^dag.
     """
-    n, sweep = plan.n_qubits, list(plan.sweep_rotations())
+    n, sweep = plan.n_qubits, plan.sweep
     strings = [PauliString.embed(n, dict(zip(rot.sites, rot.axes))) for rot in sweep]
     commuting = all(itertools.starmap(commutes, itertools.combinations(strings, 2)))
     power, u = plan.n_steps if commuting else 1, np.eye(1 << n, dtype=complex)
@@ -272,7 +274,7 @@ def apply_plan(plan: TrotterPlan, amplitudes: np.ndarray) -> np.ndarray:
     ``n_steps`` times over.  Where those gathers cost more than ``plan_unitary``'s products
     (``statevec._vector_first``), this is ``plan_unitary(plan) @ psi``.
     """
-    sweep = tuple(plan.sweep_rotations())
+    sweep = plan.sweep
     products = len(sweep) + plan.n_steps.bit_length()  # the sweep's, then matrix_power's
     if not _vector_first(plan.n_steps * len(sweep), 1, plan.n_qubits, products):
         return plan_unitary(plan) @ amplitudes

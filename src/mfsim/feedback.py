@@ -321,13 +321,14 @@ def realize_v_kl(
     doubling levels with one ``rng.random()`` (a numpy Generator or any
     object whose ``random()`` returns a uniform in [0, 1)).  The levels and
     the rotation's entry come from ``program``, compiled for the state's
-    register size, ``policy`` and ``loss`` (UsageError for another), or,
-    when None, from a program compiled for this call.  When the rotation
-    ends or runs out of rounds, the product of the drawn unitaries up to a
-    power of i, X^F e^{i Theta XX} carried to (k, l), a sum of two of the
-    Pauli strings I, s_k, s_l and s_k s_l on the pair, is applied once, its
-    operator kept in the rotation's entry by (Theta, F) as the callable that
-    maps the input amplitudes to the output's, wrapped once.  The output
+    register size, ``policy`` and ``loss`` (checked by identity first, then
+    by value; UsageError for another), or, when None, from a program compiled
+    for this call.  When the rotation ends or runs out of rounds, the product
+    of the drawn unitaries up to a power of i, X^F e^{i Theta XX} carried to
+    (k, l), a sum of two of the Pauli strings I, s_k, s_l and s_k s_l on the
+    pair, is applied once, its operator kept in the rotation's entry by
+    (Theta, F) as the callable that maps the input amplitudes to the output's,
+    wrapped once.  The output
     equals the exact product of the drawn unitaries applied to the input up
     to a power of i; on success the frame-corrected output equals the exact
     rotation applied to the frame-corrected input, up to global phase.
@@ -341,7 +342,8 @@ def realize_v_kl(
     n = state.n_qubits
     if program is None:
         program = Program(n, policy, loss)
-    elif (program.n_qubits, program.policy, program.loss) != (n, policy, loss or _LOSSLESS):
+    elif (program.policy is not policy or program.loss is not loss or program.n_qubits != n) and (
+            (program.n_qubits, program.policy, program.loss) != (n, policy, loss or _LOSSLESS)):
         raise UsageError("the program was compiled for another register size, policy or loss")
     if frame.n != n:
         raise UsageError(f"length mismatch: {frame.n} vs {n}")

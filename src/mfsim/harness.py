@@ -120,6 +120,15 @@ class ProtocolConfig(FrozenValue):
         return amp
 
     @functools.cached_property
+    def register(self) -> StateVector:
+        """The initial data register (no gate changes it), built once per config.
+
+        ResourceError past the register cap on every access, before the amplitudes are built.
+        """
+        n = _check_cap(self.hamiltonian.n_qubits)
+        return StateVector._wrap(self.initial_amplitudes, n)
+
+    @functools.cached_property
     def oracle_state(self) -> np.ndarray:
         """Exact final data amplitudes e^{itH}|psi_0>, computed once per config (read-only)."""
         oracle = apply_evolution(self.hamiltonian, self.t, self.initial_amplitudes)
@@ -247,24 +256,20 @@ def _seed_words():
 
 
 @functools.lru_cache(maxsize=1)
-def _draw_block(master_seed: int, block: int) -> np.ndarray:
+def _draw_block(master_seed: int, block: int) -> tuple[tuple[float, ...], ...]:
     """The first 256 ``random()`` draws of trajectories 32 block .. 32 block + 31, one row each.
 
-    Read-only, (32, 256) float64, 64 KB; row r is ``trajectory_rng``'s, of index 32 block + r.
+    32 tuples of 256 floats, about 0.26 MB against the 64 KB of their array, all made by one
+    ``tolist``; row r is ``trajectory_rng``'s, of index 32 block + r.
     """
     draws = np.empty((_DRAW_BLOCK, _DRAWS))
     for index, row in enumerate(draws, block * _DRAW_BLOCK):
         trajectory_rng(master_seed, index).random(out=row)
-    draws.flags.writeable = False
-    return draws
+    return tuple(map(tuple, draws.tolist()))
 
 
-def _uniform_lists(master_seed: int, index: int):
-    """The draws of the index's generator in lists of 64: its ``_draw_block`` row, then its own."""
-    block, row = divmod(index, _DRAW_BLOCK)
-    draws = _draw_block(master_seed, block)
-    for start in range(0, _DRAWS, 64):
-        yield draws[row, start:start + 64].tolist()
+def _lists_past_row(master_seed: int, index: int):
+    """The draws of the index's generator past its row, in lists of 64; built on the first read."""
     rng = trajectory_rng(master_seed, index)
     rng.bit_generator.advance(_DRAWS)  # PCG64's exact jump-ahead, past the row's draws
     yield from iter(lambda: rng.random(64).tolist(), None)
@@ -273,13 +278,16 @@ def _uniform_lists(master_seed: int, index: int):
 def _trajectory_uniforms(master_seed: int, index: int):
     """An object whose ``random()`` yields the draws of ``trajectory_rng(master_seed, index)``.
 
-    Each draw is a C-level ``next`` over ``_uniform_lists``; a negative seed or index raises
-    numpy's ValueError here, before any cache is read.
+    ``random`` is the C-level ``__next__`` of a chain: the index's ``_draw_block`` row, then
+    ``_lists_past_row``, so the first 256 draws call no numpy function and make no float.  A
+    negative seed or index raises numpy's ValueError here, before any cache is read.
     """
     if master_seed < 0 or index < 0:
         raise ValueError("expected non-negative integer")  # SeedSequence's error
-    uniforms = itertools.chain.from_iterable(_uniform_lists(master_seed, index))
-    return types.SimpleNamespace(random=functools.partial(next, uniforms))
+    block, row = divmod(index, _DRAW_BLOCK)
+    later = itertools.chain.from_iterable(_lists_past_row(master_seed, index))
+    return types.SimpleNamespace(
+        random=itertools.chain(_draw_block(master_seed, block)[row], later).__next__)
 
 
 def haar_random_amplitudes(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
@@ -335,12 +343,8 @@ def _initial_state(init, n: int):
 
 
 def build_register(cfg: ProtocolConfig) -> StateVector:
-    """The data register in its initial state; photons and backups live in the round tables.
-
-    ResourceError past the register cap, checked before the amplitudes are built.
-    """
-    n = _check_cap(cfg.hamiltonian.n_qubits)
-    return StateVector._wrap(cfg.initial_amplitudes, n)
+    """The config's ``register``; photons and backups live in the round tables."""
+    return cfg.register
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -442,7 +446,7 @@ def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
     """Execute the compiled plan once, then compare against the exact oracle."""
     rng = _trajectory_uniforms(cfg.master_seed, index)
     state, frame, rounds, rounds_per_rotation, stop = _run_operations(
-        cfg.plan.operations(), build_register(cfg), rng, cfg.program)
+        cfg.plan.operations(), cfg.register, rng, cfg.program)
     failure_reason = None if stop is None else (
         f"rotation on {stop.rotation.sites} incomplete, residual {stop.residual:.3e}")
 

@@ -18,6 +18,7 @@ frame of the measurement protocol is the Pauli string of its known flips, so
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
@@ -42,6 +43,13 @@ class PauliAxis(Enum):
 
     def matrix(self) -> np.ndarray:
         return _AXIS_MATRICES[self.value]
+
+
+def _checked_axis(a) -> PauliAxis:
+    """``a``, or UsageError naming it unless it is a ``PauliAxis``."""
+    if not isinstance(a, PauliAxis):
+        raise UsageError(f"invalid Pauli axis {a!r}, expected a PauliAxis")
+    return a
 
 
 _AXIS_MATRICES = {  # by letter, so a string's text picks its site gates
@@ -72,7 +80,7 @@ class PauliString(FrozenValue):
     anticommutation_mask = property(lambda self: self.x << self.n | self.z)
 
     def __init__(self, axes: Iterable[PauliAxis]):
-        axes = tuple(axes)
+        axes = tuple(map(_checked_axis, axes))
         self.__dict__.update(n=len(axes), x=sum(a.x_bit << q for q, a in enumerate(axes)),
                              z=sum(a.z_bit << q for q, a in enumerate(axes)))
 
@@ -97,9 +105,11 @@ class PauliString(FrozenValue):
 
     @classmethod
     def embed(cls, n: int, sites: Mapping[int, PauliAxis]) -> "PauliString":
-        """All-identity string of length ``n`` with the given axes placed at ``sites``."""
+        """All-identity string on ``n`` qubits with the axes placed at ``sites``; UsageError for a
+        site outside the register or a non-``PauliAxis`` axis, TypeError for a non-integer site."""
         x = z = 0
         for q, a in sites.items():
+            q, a = operator.index(q), _checked_axis(a)
             if not 0 <= q < n:
                 raise UsageError(f"site {q} outside register of size {n}")
             x |= a.x_bit << q

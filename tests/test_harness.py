@@ -207,6 +207,21 @@ class TestInitialStates:
         with pytest.raises(ResourceError):
             build_register(cfg)  # 13 data qubits > 12-qubit cap
 
+    @pytest.mark.parametrize("n_qubits", [13, 40])
+    def test_past_cap_config_raises_on_every_trajectory(self, n_qubits, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("amplitudes built")
+
+        presets = dict.fromkeys(mfsim.harness._PRESETS, forbidden)
+        monkeypatch.setattr(mfsim.harness, "_PRESETS", presets)
+        pair = [{"sites": [0, 1], "axes": "XX", "coeff": 1.0}]
+        cfg = ProtocolConfig.from_dict(
+            {"hamiltonian": {"n_qubits": n_qubits, "terms": pair}, "t": 0.1, "n_steps": 1})
+        for index in (0, 0, 1):  # the cached register keeps no failure; the cap comes first
+            with pytest.raises(ResourceError, match="dense cap"):
+                run_trajectory(cfg, index)
+            assert "register" not in vars(cfg)
+
 
 class TestTrajectoryRng:
     def test_same_key_same_stream(self):

@@ -219,7 +219,8 @@ def test_a_program_serves_only_its_own_register_policy_and_loss(loss, built_leve
     short = rotation_records(0.7, 1, loss, [close], program)
     others = [(4, EpsilonPolicy(max_rounds=1), loss), (3, EpsilonPolicy(max_rounds=10_000), loss),
               (3, EpsilonPolicy(PolicyMode.PAPER_DOUBLING, 1), loss),
-              (3, EpsilonPolicy(max_rounds=1), LossConfig(p_loss=0.45))]
+              (3, EpsilonPolicy(max_rounds=1), LossConfig(p_loss=0.45)),
+              (4, program.policy, program.loss)]  # the program's own policy and loss
     for n, policy, other_loss in others:
         state = StateVector(haar_random_amplitudes(n, np.random.default_rng(3)))
         with pytest.raises(UsageError, match="another register size, policy or loss"):

@@ -209,3 +209,25 @@ def test_string_from_masks_outside_the_register_raises(x, z):
 def test_frame_update_length_mismatch():
     with pytest.raises(UsageError, match=r"length mismatch: 1 vs 2"):
         ErrorFrame.identity(2).updated(PauliString.from_str("X"))
+
+
+@pytest.mark.parametrize("build, axis", [
+    (lambda: PauliString.embed(3, {0: "X"}), "'X'"),
+    (lambda: PauliString("XZ"), "'X'"),
+    (lambda: PauliString([PauliAxis.Z, 1]), "1"),
+    (lambda: PauliString.embed(3, {1: PauliAxis.Y, 2: None}), "None"),
+], ids=["embed-letter", "letters", "int-axis", "embed-none"])
+def test_an_axis_that_is_not_a_pauli_axis_raises_usage_error_naming_it(build, axis):
+    with pytest.raises(UsageError, match=f"invalid Pauli axis {axis}, expected a PauliAxis"):
+        build()
+
+
+@pytest.mark.parametrize("site", ["a", 1.0, None])
+def test_a_site_that_is_not_an_integer_raises_type_error(site):
+    with pytest.raises(TypeError):
+        PauliString.embed(3, {site: PauliAxis.X})
+
+
+def test_an_integer_site_of_any_type_places_its_axis():
+    assert PauliString.embed(3, {np.int64(2): PauliAxis.Z}) is PauliString.from_masks(3, 0, 4)
+    assert PauliString.embed(3, {True: PauliAxis.Y}) is PauliString.from_masks(3, 2, 2)

@@ -5,11 +5,11 @@ derives for 256 indices at once, a port of SeedSequence's hashing on uint32
 arrays.  Its streams must equal ``Generator(PCG64(SeedSequence([s, i])))``
 bit for bit, and so must ``run_trajectory``'s stream of uniforms, which reads
 the first 256 draws from the trajectory's row of a ``harness._draw_block``
-(32 trajectories' first draws, built by the first trajectory that reads it)
-and the rest from that one generator, moved past them by ``advance(256)``,
-64 draws at a time.  The module runs with warnings as errors: the
-port's uint32 products wrap, and numpy must not warn about that on any
-supported version.
+(32 trajectories' first draws as tuples of floats, built by the first
+trajectory that reads it) and the rest from that one generator, moved past
+them by ``advance(256)``, 64 draws at a time.  The module runs with warnings
+as errors: the port's uint32 products wrap, and numpy must not warn about
+that on any supported version.
 """
 
 import subprocess
@@ -23,7 +23,10 @@ from hypothesis import strategies as st
 
 from mfsim import harness
 from mfsim.harness import ProtocolConfig, emit_report, run_ensemble, run_trajectory, trajectory_rng
-from mfsim.statevec import RegisterLayout
+from mfsim.compiler import TrotterPlan
+from mfsim.statevec import RegisterLayout, StateVector
+
+from byte_identity_configs import CONFIGS
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -87,9 +90,39 @@ def test_uniform_stream_equals_generator_draws(seed, index):
 
 def test_draw_block_holds_each_rows_first_draws_read_only():
     block = harness._draw_block(2**40 + 5, 9)
-    assert block.shape == (32, 256) and block.dtype == np.float64 and not block.flags.writeable
+    assert type(block) is tuple and len(block) == 32
     for row in (0, 1, 31):
-        assert np.array_equal(block[row], reference_rng(2**40 + 5, 288 + row).random(256))
+        draws = block[row]
+        assert type(draws) is tuple and all(type(d) is float for d in draws)
+        expected = reference_rng(2**40 + 5, 288 + row).random(256)
+        assert np.array_equal(np.array(draws).view(np.uint64), expected.view(np.uint64))
+        with pytest.raises(TypeError):
+            draws[0] = 0.5
+
+
+def test_streams_and_codes_do_not_depend_on_what_the_draw_block_cache_holds():
+    """Block 2 of block-edge, indices 64 to 95; index 77 reads 258 draws, past its row."""
+    cfg = ProtocolConfig.from_dict(CONFIGS["block-edge"])
+    other = ProtocolConfig.from_dict({**CONFIGS["block-edge"], "master_seed": 5})
+    indices, count = (64, 77, 95), 300
+
+    def run(index):
+        stream = harness._trajectory_uniforms(cfg.master_seed, index)
+        return [stream.random() for _ in range(count)], run_trajectory(cfg, index).codes
+
+    expected = {}
+    for index in indices:
+        harness._draw_block.cache_clear()
+        draws = trajectory_rng(cfg.master_seed, index).random(count).tolist()
+        expected[index] = draws, run(index)[1]
+    assert len(expected[77][1]) > 256 > max(len(expected[i][1]) for i in (64, 95))
+    for index in indices:  # each index twice in a row
+        assert run(index) == expected[index] and run(index) == expected[index], index
+    for index in reversed(indices):  # within the block in reverse
+        assert run(index) == expected[index], index
+    for index in indices:  # after the other seed's trajectory has evicted the block
+        run_trajectory(other, index)
+        assert run(index) == expected[index], index
 
 
 def test_run_trajectory_builds_the_draw_blocks_and_run_ensemble_does_not(monkeypatch):
@@ -166,6 +199,7 @@ def test_negative_seed_or_index_raises_and_leaves_the_cache():
 
 
 def test_warm_trajectory_builds_no_seed_sequence_or_layout(monkeypatch):
+    """Nor a register or a sweep tuple: the config and its plan keep them."""
     cfg = ProtocolConfig.from_dict(TROTTER3)
     run_trajectory(cfg, 1)  # warm: the config's caches, this trajectory's round tables, its block
     built, seeds = [], []
@@ -185,6 +219,9 @@ def test_warm_trajectory_builds_no_seed_sequence_or_layout(monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", spy("SeedSequence", np.random.SeedSequence))
     monkeypatch.setattr(np.random, "PCG64", pcg64)
     monkeypatch.setattr(RegisterLayout, "__init__", spy("RegisterLayout", RegisterLayout.__init__))
+    wrap = spy("register", StateVector._wrap.__func__)
+    monkeypatch.setattr(StateVector, "_wrap", classmethod(wrap))
+    monkeypatch.setattr(TrotterPlan, "sweep_rotations", spy("sweep", TrotterPlan.sweep_rotations))
     stats = run_trajectory(cfg, 1)
     trajectory_rng(cfg.master_seed, 1000)  # a cold block
     assert not stats.failed and stats.rounds_total > 0
