@@ -23,25 +23,8 @@ import numpy as np
 from .emission import BeamSplitterOutcome, outcome_probabilities
 from .errors import FrozenValue, UsageError, config_errors, config_float, config_int, config_object
 from .feedback import EpsilonPolicy, reduce_angle
-from .pauli import PauliAxis, PauliString, commutes
+from .pauli import PauliAxis, PauliString, _check_pair, commutes
 from .statevec import _check_unitary, _pauli_stack, _vector_first
-
-
-def _check_pair(sites, axes, least=None) -> tuple:
-    """The checked ``sites``, two distinct integers (at least ``least`` if given), and ``axes``,
-    two of X, Y, Z as members or letters ("XY"), as tuples; UsageError names the field."""
-    if not isinstance(sites, (list, tuple)) or len(sites) != 2:
-        raise UsageError(f"sites must be a list of two sites, got {sites!r}")
-    checked = tuple(config_int(s, "sites", least) for s in sites)
-    if checked[0] == checked[1]:
-        raise UsageError(f"sites must be two distinct sites, got {sites!r}")
-    members = axes
-    if isinstance(members, str):  # the config's letters
-        members = [PauliAxis.__members__.get(a) for a in members]
-    if not (isinstance(members, (list, tuple)) and len(members) == 2
-            and all(a in (PauliAxis.X, PauliAxis.Y, PauliAxis.Z) for a in members)):
-        raise UsageError(f"axes must be two letters of X, Y, Z, got {axes!r}")
-    return checked, tuple(members)
 
 
 @dataclass(init=False, repr=False, eq=False)

@@ -52,9 +52,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FrozenValue, IncompleteRotationError, UsageError, Value, config_int
+from .errors import FrozenValue, IncompleteRotationError, UsageError, Value, config_float
+from .errors import config_int
 from .loss import LossConfig, round_tables
-from .pauli import PauliAxis, PauliString, frame_of_key
+from .pauli import PauliAxis, PauliString, _check_pair, frame_of_key
 from .statevec import StateVector, apply_local  # noqa: F401 (perfbench traces it)
 from .statevec import _pair_operator, _pauli_pairs
 
@@ -210,8 +211,9 @@ class Program:
         self.rows: list[tuple] = []
 
     def entry(self, a: int, b: int, k: PauliAxis, l: PauliAxis, angle: float) -> tuple:
-        """Build and keep the entry of e^{i angle s_k x s_l} on sites (a, b)."""
-        _check_angle(angle)
+        """Build and keep the entry of e^{i angle s_k x s_l} on sites (a, b); the angle is
+        checked first, as a ``Rotation``'s (``errors.config_float``), then the pair record's."""
+        config_float(angle, "angle")
         pair = self.pairs.get((a, b, k, l)) or self.pair_record(a, b, k, l)
         entry = self.entries[a, b, k, l, angle] = (*pair, self.level(angle), {})
         return entry
@@ -219,16 +221,14 @@ class Program:
     def pair_record(self, a: int, b: int, k: PauliAxis, l: PauliAxis) -> tuple:
         """Build and keep (keys, swap, pairs), the checked record of sites (a, b) and axes (k, l).
 
-        ``keys[c]``, shifted up by ``_ROW_BITS`` as in a code, is the ``xor_mask`` of string c of
-        I, s_k, s_l and s_k s_l from ``PauliString.embed`` (which checks the sites): a branch
-        with flip code c XORs it into the frame key.  ``swap`` is the target's
-        ``anticommutation_mask``.  ``pairs`` are the strings as ``statevec._pauli_pairs``: dense
-        up to 4 qubits (16 KB at 4), else gather rows (384 KB at the 12-qubit cap).
+        ``pauli._check_pair`` checks them as a ``Rotation``'s (two distinct sites >= 0, two axes
+        of X, Y, Z), then ``PauliString.embed`` the sites against the register.  ``keys[c]``,
+        shifted up by ``_ROW_BITS`` as in a code, is the ``xor_mask`` of string c of I, s_k, s_l
+        and s_k s_l: a branch with flip code c XORs it into the frame key.  ``swap`` is the
+        target's ``anticommutation_mask``.  ``pairs`` are the strings as ``statevec._pauli_pairs``:
+        dense up to 4 qubits (16 KB at 4), else gather rows (384 KB at the 12-qubit cap).
         """
-        if not (isinstance(k, PauliAxis) and isinstance(l, PauliAxis)) or PauliAxis.I in (k, l):
-            raise UsageError("rotation axes must be X, Y, or Z")
-        if a == b:
-            raise UsageError("rotation needs two distinct qubits")
+        _check_pair((a, b), (k, l), 0)
         n = self.n_qubits
         strings = [PauliString.embed(n, sites) for sites in ({}, {a: k}, {b: l}, {a: k, b: l})]
         pair = self.pairs[a, b, k, l] = (
@@ -239,7 +239,7 @@ class Program:
     def level(self, angle: float) -> Optional[_Level]:
         """The level at ``angle`` mod pi, first or doubled, built once; None at 0."""
         if angle not in self.levels:
-            _check_angle(angle)
+            config_float(angle, "angle")
             residual = reduce_angle(angle)
             self.levels[angle] = None if residual is None else _Level(residual, self)
         return self.levels[angle]
@@ -253,16 +253,6 @@ class Program:
         tables = [(t.cumulative, t.branches, t.forms) for t in round_tables(eps, self.loss)]
         self.waiting.update(zip(eps[1:], tables[1:]))
         return tables[0]
-
-
-def _check_angle(angle) -> None:
-    """UsageError unless ``angle`` is a finite real number."""
-    try:
-        finite = math.isfinite(angle)
-    except TypeError:  # not a number
-        finite = False
-    if not finite:
-        raise UsageError(f"rotation angle must be finite, got {angle}")
 
 
 class _Level:
@@ -328,14 +318,14 @@ def realize_v_kl(
     (k, l), a sum of two of the Pauli strings I, s_k, s_l and s_k s_l on the
     pair, is applied once, its operator kept in the rotation's entry by
     (Theta, F) as the callable that maps the input amplitudes to the output's,
-    wrapped once.  The output
-    equals the exact product of the drawn unitaries applied to the input up
-    to a power of i; on success the frame-corrected output equals the exact
-    rotation applied to the frame-corrected input, up to global phase.
+    wrapped once.  The output equals the exact product of the drawn unitaries
+    applied to the input up to a power of i; on success the frame-corrected
+    output equals the exact rotation applied to the frame-corrected input, up to global phase.
     The rounds come as ``Rounds``.  Sites are integers: a float site raises TypeError.
-    A frame of another size, a pair that is not two distinct sites of the register, an
-    axis that is not X, Y or Z, or an angle that is not a finite number raises
-    UsageError, and ``program`` keeps nothing of the call.
+    A frame of another size, or a site outside the register, raises UsageError; so does any
+    pair, axis or angle that ``Rotation`` rejects, with ``Rotation``'s text (``_check_pair``,
+    ``errors.config_float``), checked when the rotation's entry is built.  ``program`` keeps
+    nothing of a call that raises.
     Raises IncompleteRotationError (with state, frame, and residual attached)
     if max_rounds is exhausted.
     """
@@ -350,7 +340,8 @@ def realize_v_kl(
     try:
         a, b = pair
     except (TypeError, ValueError):
-        raise UsageError(f"rotation pair must be two sites, got {pair!r}") from None
+        _check_pair(pair, (k, l), 0)  # raises: not two sites
+        raise
     rot = index(a), index(b), k, l, t_target
     keys, swap, pairs, level, operators = program.entries.get(rot) or program.entry(*rot)
     # A round's byproducts s_k (x) 1 and 1 (x) s_l both commute with the target

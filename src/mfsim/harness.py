@@ -114,23 +114,23 @@ class ProtocolConfig(FrozenValue):
 
     @functools.cached_property
     def initial_amplitudes(self) -> np.ndarray:
-        """Normalized initial data amplitudes, computed once per config (read-only)."""
+        """Normalized initial data amplitudes (read-only), computed once per config, where alone
+        it builds any: ResourceError past the register cap on every access, before allocating."""
+        _check_cap(self.hamiltonian.n_qubits)
         amp = self._build_amplitudes()  # checked when the config was built
         amp.flags.writeable = False
         return amp
 
     @functools.cached_property
     def register(self) -> StateVector:
-        """The initial data register (no gate changes it), built once per config.
-
-        ResourceError past the register cap on every access, before the amplitudes are built.
-        """
-        n = _check_cap(self.hamiltonian.n_qubits)
-        return StateVector._wrap(self.initial_amplitudes, n)
+        """The initial data register (no gate changes it), built once per config; ResourceError
+        past the register cap on every access, from ``initial_amplitudes``."""
+        return StateVector._wrap(self.initial_amplitudes, self.hamiltonian.n_qubits)
 
     @functools.cached_property
     def oracle_state(self) -> np.ndarray:
-        """Exact final data amplitudes e^{itH}|psi_0>, computed once per config (read-only)."""
+        """Exact final data amplitudes e^{itH}|psi_0>, computed once per config (read-only);
+        ResourceError past the register cap on every access, from ``initial_amplitudes``."""
         oracle = apply_evolution(self.hamiltonian, self.t, self.initial_amplitudes)
         oracle.flags.writeable = False
         return oracle
@@ -147,11 +147,11 @@ class ProtocolConfig(FrozenValue):
 
     @classmethod
     def from_json_file(cls, path) -> "ProtocolConfig":
-        """Parse a JSON config file; ConfigError for an unreadable file, bad JSON or repeated key."""
+        """Parse a JSON config file; ConfigError if unreadable, too deep, bad JSON or keys repeat."""
         try:
             with open(path) as f:
                 data = json.load(f, object_pairs_hook=_unique_keys)
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or integer literal
+        except (OSError, ValueError, RecursionError) as exc:  # bad JSON, UTF-8, integer, depth
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(data)
 
@@ -342,11 +342,6 @@ def _initial_state(init, n: int):
     return lambda: unit / scaled
 
 
-def build_register(cfg: ProtocolConfig) -> StateVector:
-    """The config's ``register``; photons and backups live in the round tables."""
-    return cfg.register
-
-
 @dataclass(init=False, repr=False, eq=False)
 class TrajectoryStats(Value):
     """One trajectory; ``records`` reads its rounds' ``codes`` through its program's ``rows``, and
@@ -464,7 +459,7 @@ def run_trajectory(cfg: ProtocolConfig, index: int) -> TrajectoryStats:
 
 def run_ensemble(cfg: ProtocolConfig) -> tuple[dict, list[TrajectoryStats]]:
     """Run all trajectories and aggregate; failed trajectories are kept, not resampled."""
-    build_register(cfg)  # the register cap and the initial state hold even for no trajectory
+    cfg.register  # the register cap and the initial state hold even for no trajectory
     stats = [run_trajectory(cfg, i) for i in range(cfg.trajectories)]
     return aggregate_report(cfg, stats), stats
 
@@ -580,7 +575,7 @@ def cnot_demo(
 
 def noiseless_plan_fidelity(cfg: ProtocolConfig) -> float:
     """Fidelity of the noiseless plan execution (``apply_plan``) against the exact oracle."""
-    oracle = cfg.oracle_state  # checks the dense cap before the plan runs
+    oracle = cfg.oracle_state  # initial_amplitudes checks the cap before any allocation
     return float(abs(np.vdot(oracle, apply_plan(cfg.plan, cfg.initial_amplitudes))) ** 2)
 
 

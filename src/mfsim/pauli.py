@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import FrozenValue, UsageError
+from .errors import FrozenValue, UsageError, config_int
 
 
 class PauliAxis(Enum):
@@ -50,6 +50,23 @@ def _checked_axis(a) -> PauliAxis:
     if not isinstance(a, PauliAxis):
         raise UsageError(f"invalid Pauli axis {a!r}, expected a PauliAxis")
     return a
+
+
+def _check_pair(sites, axes, least=None) -> tuple:
+    """The checked ``sites``, two distinct integers (at least ``least`` if given), and ``axes``,
+    two of X, Y, Z as members or letters ("XY"), as tuples; UsageError names the field."""
+    if not isinstance(sites, (list, tuple)) or len(sites) != 2:
+        raise UsageError(f"sites must be a list of two sites, got {sites!r}")
+    checked = tuple(config_int(s, "sites", least) for s in sites)
+    if checked[0] == checked[1]:
+        raise UsageError(f"sites must be two distinct sites, got {sites!r}")
+    members = axes
+    if isinstance(members, str):  # the config's letters
+        members = [PauliAxis.__members__.get(a) for a in members]
+    if not (isinstance(members, (list, tuple)) and len(members) == 2
+            and all(a in (PauliAxis.X, PauliAxis.Y, PauliAxis.Z) for a in members)):
+        raise UsageError(f"axes must be two letters of X, Y, Z, got {axes!r}")
+    return checked, tuple(members)
 
 
 _AXIS_MATRICES = {  # by letter, so a string's text picks its site gates

@@ -266,20 +266,13 @@ def measure_and_reset(
     return measure(state, qubits, kraus, rng)
 
 
-def expm_i_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(i t H) for Hermitian H via eigendecomposition."""
-    h = np.asarray(h, dtype=complex)
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * t * w)) @ v.conj().T
-
-
 def exact_evolution(h, t: float) -> np.ndarray:
-    """Exact unitary exp(i t H) for a Hamiltonian given as weighted Pauli terms.
-
-    ``h`` is a HamiltonianSpec (anything with ``n_qubits`` and ``to_matrix()``).
-    """
+    """Exact unitary exp(i t H) for a Hamiltonian given as weighted Pauli terms, by the
+    eigendecomposition of H; ``h`` is a HamiltonianSpec (anything with ``n_qubits`` and
+    ``to_matrix()``)."""
     _check_cap(h.n_qubits)
-    return expm_i_hermitian(h.to_matrix(), t)
+    w, v = np.linalg.eigh(np.asarray(h.to_matrix(), dtype=complex))
+    return (v * np.exp(1j * t * w)) @ v.conj().T
 
 
 def _check_cap(n: int) -> int:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mfsim.compiler
+import mfsim.harness
 from mfsim.cli import EXIT_CONFIG, EXIT_INCOMPLETE, EXIT_OK, EXIT_PIPE, EXIT_RESOURCE, main
 from mfsim.harness import ProtocolConfig
 from mfsim.statevec import apply_evolution
@@ -240,6 +241,22 @@ class TestSimulate:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("config error: cannot read config")
 
+    @pytest.mark.parametrize("command", ["simulate", "schedule", "oracle"])
+    def test_over_deep_config_exits_2(self, command, tmp_path):
+        # json.load raises RecursionError, not ValueError, on arrays nested this deep
+        path = tmp_path / "deep.json"
+        deep = "[" * 100_000 + "]" * 100_000
+        path.write_text('{"hamiltonian": ' + deep + ', "t": 0.3, "n_steps": 1}')
+        out = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfsim.cli", command, "--config", str(path), *out],
+            capture_output=True, text=True, env=CHILD_ENV,
+        )
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"config error: cannot read config {path}:")
+        assert not (tmp_path / "out").exists()
+
 
 class TestProbeRound:
     def test_prints_distribution(self, capsys):
@@ -377,6 +394,21 @@ class TestOracle:
         path = tmp_path / "big.json"
         path.write_text(json.dumps(cfg))
         assert main(["oracle", "--config", str(path)]) == EXIT_RESOURCE
+
+    @pytest.mark.parametrize("n_qubits", [13, 40])
+    def test_past_cap_exits_3_before_building_amplitudes(self, n_qubits, tmp_path, monkeypatch,
+                                                          capsys):
+        def forbidden(*args):  # a preset built at 40 qubits would ask for 16 TiB
+            raise AssertionError("amplitudes built")
+
+        monkeypatch.setattr(mfsim.harness, "_PRESETS", dict.fromkeys(mfsim.harness._PRESETS,
+                                                                     forbidden))
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"hamiltonian": {**XX_PAIR, "n_qubits": n_qubits},
+                                    "t": 0.1, "n_steps": 1}))
+        assert main(["oracle", "--config", str(path)]) == EXIT_RESOURCE
+        assert capsys.readouterr().err == (f"resource error: register of {n_qubits} qubits "
+                                           "exceeds the dense cap of 12\n")
 
 
     @pytest.mark.parametrize("config", [

@@ -1,10 +1,11 @@
 import itertools
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from mfsim.compiler import HamiltonianSpec
+from mfsim.compiler import HamiltonianSpec, Rotation
 from mfsim.errors import IncompleteRotationError, UsageError
 from mfsim.feedback import (
     EpsilonPolicy,
@@ -260,66 +261,74 @@ class TestRealizeVkl:
             for flip in flips:
                 assert frame_conjugate_direction(frame.updated(flip), target) == sign
 
-    def test_rejects_identity_axis(self, rng):
-        psi, st = two_atom_state(rng)
-        with pytest.raises(UsageError):
-            realize_v_kl(
-                st, (0, 1), PauliAxis.I, PauliAxis.X, 0.1, POLICY,
-                ErrorFrame.identity(4), rng,
-            )
+X, Y, Z, I = PauliAxis.X, PauliAxis.Y, PauliAxis.Z, PauliAxis.I
+AXES_TEXT = "axes must be two letters of X, Y, Z, got "
+ANGLE_TEXT = "angle must be finite and a JSON number, got "
 
-    def test_rejects_frame_of_another_length(self, rng):
-        _, st = two_atom_state(rng)
-        n = st.n_qubits
-        with pytest.raises(UsageError, match=f"length mismatch: {n + 1} vs {n}"):
-            realize_v_kl(
-                st, (0, 1), PauliAxis.X, PauliAxis.Z, 0.1, POLICY,
-                ErrorFrame.identity(n + 1), rng,
-            )
+# id: (register qubits, pair, k, l, angle, frame qubits, error, its text); an id that ends
+# in "realize_v" calls realize_v, whose axes are X, X
+BAD_ROTATIONS = {
+    "identity-axis": (4, (0, 1), I, X, 0.1, 4, UsageError, AXES_TEXT + repr((I, X))),
+    "identity-axis-3q": (3, (0, 1), I, Z, 0.3, 3, UsageError, AXES_TEXT + repr((I, Z))),
+    "str-axes": (2, (0, 1), "X", "X", 0.3, 2, UsageError, AXES_TEXT + "('X', 'X')"),
+    "frame-size": (4, (0, 1), X, Z, 0.1, 5, UsageError, "length mismatch: 5 vs 4"),
+    "frame-size-2q": (2, (0, 1), X, X, 0.3, 3, UsageError, "length mismatch: 3 vs 2"),
+    "three-sites": (2, (0, 1, 1), X, X, 0.3, 2, UsageError,
+                    "sites must be a list of two sites, got (0, 1, 1)"),
+    "equal-sites": (3, (1, 1), X, Z, 0.3, 3, UsageError,
+                    "sites must be two distinct sites, got (1, 1)"),
+    "negative-site": (3, (-1, 2), X, Z, 0.3, 3, UsageError, "sites must be non-negative"),
+    "site-past-register": (3, (0, 3), X, Z, 0.3, 3, UsageError,
+                           "site 3 outside register of size 3"),
+    "first-site-past-register": (3, (5, 1), X, Z, 0.3, 3, UsageError,
+                                 "site 5 outside register of size 3"),
+    "float-site": (2, (0, 1.0), X, X, 0.3, 2, TypeError,
+                   "'float' object cannot be interpreted as an integer"),
+    "nan-angle": (4, (0, 1), Z, Y, math.nan, 4, UsageError, ANGLE_TEXT + "nan"),
+    "inf-angle": (4, (0, 1), Z, Y, math.inf, 4, UsageError, ANGLE_TEXT + "inf"),
+    "-inf-angle": (4, (0, 1), Z, Y, -math.inf, 4, UsageError, ANGLE_TEXT + "-inf"),
+    "nan-angle-2q": (2, (0, 1), X, X, math.nan, 2, UsageError, ANGLE_TEXT + "nan"),
+    "nan-angle-realize_v": (4, (0, 1), X, X, math.nan, 4, UsageError, ANGLE_TEXT + "nan"),
+    "inf-angle-realize_v": (4, (0, 1), X, X, math.inf, 4, UsageError, ANGLE_TEXT + "inf"),
+    "-inf-angle-realize_v": (4, (0, 1), X, X, -math.inf, 4, UsageError, ANGLE_TEXT + "-inf"),
+    "str-angle": (2, (0, 1), X, X, "0.3", 2, UsageError, ANGLE_TEXT + "'0.3'"),
+    "bool-angle": (2, (0, 1), X, X, True, 2, UsageError, ANGLE_TEXT + "True"),
+    "numpy-bool-angle": (2, (0, 1), X, X, np.True_, 2, UsageError, ANGLE_TEXT + repr(np.True_)),
+    "decimal-angle": (2, (0, 1), X, X, Decimal("0.3"), 2, UsageError,
+                      ANGLE_TEXT + "Decimal('0.3')"),
+}
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("kl", [False, True], ids=["realize_v", "realize_v_kl"])
-def test_non_finite_angle_raises_on_every_call_and_is_not_cached(t, kl):
-    rng = np.random.default_rng(3)
-    _, st = two_atom_state(rng)
-    frame = ErrorFrame.identity(4)
-    program = Program(4, POLICY)
+@pytest.mark.parametrize("case", BAD_ROTATIONS)
+def test_bad_rotation_raises_on_every_call_and_leaves_the_program_empty(case):
+    n, pair, k, l, t, frame_size, error, text = BAD_ROTATIONS[case]
+    program, state = Program(n, POLICY), StateVector(np.eye(1 << n)[0])
+    frame, raised = PauliString.identity(frame_size), []
     for _ in range(2):
-        with pytest.raises(UsageError, match=f"rotation angle must be finite, got {t}"):
-            if kl:
-                realize_v_kl(st, (0, 1), PauliAxis.Z, PauliAxis.Y, t, POLICY, frame, rng,
-                             program=program)
+        with pytest.raises(error) as exc:
+            if case.endswith("realize_v"):
+                realize_v(state, pair, t, POLICY, frame, np.random.default_rng(0), program=program)
             else:
-                realize_v(st, (0, 1), t, POLICY, frame, rng, program=program)
-    assert program.levels == {} and program.entries == {}
-
-
-X = PauliAxis.X
-
-
-@pytest.mark.parametrize("pair, k, l, t, frame_size, message", [
-    ((0, 1), X, X, 0.3, 3, "length mismatch: 3 vs 2"),
-    ((0, 1), X, X, math.nan, 2, "rotation angle must be finite, got nan"),
-    ((0, 1), X, X, "0.3", 2, "rotation angle must be finite, got 0.3"),
-    ((0, 1), "X", "X", 0.3, 2, "rotation axes must be X, Y, or Z"),
-    ((0, 1, 1), X, X, 0.3, 2, r"rotation pair must be two sites, got \(0, 1, 1\)"),
-], ids=["frame-size", "nan-angle", "str-angle", "str-axes", "three-sites"])
-def test_bad_input_raises_usage_error_and_leaves_the_program_empty(pair, k, l, t, frame_size,
-                                                                    message):
-    program = Program(2, POLICY)
-    state = StateVector(np.eye(4)[0])
-    for _ in range(2):
-        with pytest.raises(UsageError, match=message):
-            realize_v_kl(state, pair, k, l, t, POLICY, PauliString.identity(frame_size),
-                         np.random.default_rng(0), program=program)
+                realize_v_kl(state, pair, k, l, t, POLICY, frame, np.random.default_rng(0),
+                             program=program)
+        raised.append((type(exc.value), str(exc.value)))
+    assert raised == [(error, text)] * 2
     assert (program.entries, program.pairs, program.levels, program.waiting, program.rows) == (
         {}, {}, {}, {}, [])
 
 
-def test_a_float_site_still_raises_type_error_and_leaves_the_program_empty():
-    program = Program(2, POLICY)
-    with pytest.raises(TypeError):
-        realize_v_kl(StateVector(np.eye(4)[0]), (0, 1.0), X, X, 0.3, POLICY,
-                     PauliString.identity(2), np.random.default_rng(0), program=program)
-    assert (program.entries, program.pairs, program.levels, program.waiting) == ({}, {}, {}, {})
+@pytest.mark.parametrize("sites, axes, angle", [
+    ((1, 1), (X, Z), 0.3), ((-1, 1), (X, Z), 0.3), ((0, 1), (I, Z), 0.3),
+    ((0, 1), (X, "Z"), 0.3), ((0, 1, 2), (X, Z), 0.3), ((0, 1), (X, Z), math.nan),
+    ((0, 1), (X, Z), math.inf), ((0, 1), (X, Z), True), ((0, 1), (X, Z), "0.3"),
+    ((0, 1), (X, Z), Decimal("0.3")),
+], ids=["equal-sites", "negative-site", "identity-axis", "letter-axis", "three-sites",
+        "nan-angle", "inf-angle", "bool-angle", "str-angle", "decimal-angle"])
+def test_a_bad_rotation_raises_the_text_rotation_raises(sites, axes, angle):
+    """The library path and the config path share one rule, and so one text, per bad input."""
+    with pytest.raises(UsageError) as want:
+        Rotation(sites, axes, angle)
+    with pytest.raises(UsageError) as got:
+        realize_v_kl(StateVector(np.eye(8)[0]), sites, *axes, angle, POLICY,
+                     PauliString.identity(3), np.random.default_rng(0))
+    assert str(got.value) == str(want.value)

@@ -14,7 +14,6 @@ from mfsim.pauli import PauliAxis
 from mfsim.harness import (
     CNOT_MATRIX,
     ProtocolConfig,
-    build_register,
     cnot_demo,
     cnot_program,
     emit_report,
@@ -116,25 +115,25 @@ class TestInitialStates:
 
     def test_all_zeros(self):
         cfg = chain_config(initial_state="all_zeros")
-        st = build_register(cfg)
+        st = cfg.register
         assert st.amplitudes[0] == pytest.approx(1.0)
 
     def test_all_plus(self):
         cfg = chain_config(initial_state="all_plus")
-        st = build_register(cfg)
+        st = cfg.register
         assert np.allclose(st.amplitudes[:8], np.full(8, 1 / math.sqrt(8)))
 
     def test_explicit_amplitudes_normalized(self):
         amp = [[2.0, 0.0]] + [[0.0, 0.0]] * 7
         cfg = chain_config(initial_state={"amplitudes": amp})
-        st = build_register(cfg)
+        st = cfg.register
         assert st.amplitudes[0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("scale", [1e-11, 0.3, 1.0, 3.0, 1e150, 1e200, 1e307])
     def test_explicit_amplitudes_of_any_finite_norm(self, scale):
         # |1e200|^2 overflows: the norm is taken after an exact power-of-two scaling
         amp = [[scale, 0.0]] + [[0.0, 0.0]] * 7
-        st = build_register(chain_config(initial_state={"amplitudes": amp}))
+        st = chain_config(initial_state={"amplitudes": amp}).register
         assert np.allclose(st.amplitudes, np.eye(1, 8)[0], rtol=0, atol=1e-15)
         mixed = [[0.6 * scale, -0.48 * scale], [0.0, 0.64 * scale]] + [[0.0, 0.0]] * 6
         cfg = chain_config(initial_state={"amplitudes": mixed})
@@ -145,11 +144,11 @@ class TestInitialStates:
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ConfigError):
-            build_register(chain_config(initial_state={"amplitudes": [[1.0, 0.0], [0.0, 0.0]]}))
+            chain_config(initial_state={"amplitudes": [[1.0, 0.0], [0.0, 0.0]]}).register
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
-            build_register(chain_config(initial_state="sideways"))
+            chain_config(initial_state="sideways").register
 
     def test_parsing_builds_no_amplitudes(self, monkeypatch):
         def forbidden(*args):
@@ -205,7 +204,7 @@ class TestInitialStates:
             {"hamiltonian": {"n_qubits": 13, "terms": []}, "t": 0.1, "n_steps": 1}
         )
         with pytest.raises(ResourceError):
-            build_register(cfg)  # 13 data qubits > 12-qubit cap
+            cfg.register  # 13 data qubits > 12-qubit cap
 
     @pytest.mark.parametrize("n_qubits", [13, 40])
     def test_past_cap_config_raises_on_every_trajectory(self, n_qubits, monkeypatch):
@@ -221,6 +220,27 @@ class TestInitialStates:
             with pytest.raises(ResourceError, match="dense cap"):
                 run_trajectory(cfg, index)
             assert "register" not in vars(cfg)
+
+    @pytest.mark.parametrize("n_qubits", [13, 40])
+    @pytest.mark.parametrize("read", ["initial_amplitudes", "register", "oracle_state",
+                                      "noiseless_plan_fidelity"])
+    def test_past_cap_config_raises_before_building_amplitudes(self, read, n_qubits, monkeypatch):
+        # a preset built at 40 qubits would ask for 16 TiB, so every preset fails if built
+        def forbidden(*args):
+            raise AssertionError("amplitudes built")
+
+        monkeypatch.setattr(mfsim.harness, "_PRESETS", dict.fromkeys(mfsim.harness._PRESETS,
+                                                                     forbidden))
+        pair = [{"sites": [0, 1], "axes": "XX", "coeff": 1.0}]
+        cfg = ProtocolConfig.from_dict(
+            {"hamiltonian": {"n_qubits": n_qubits, "terms": pair}, "t": 0.1, "n_steps": 1})
+        for _ in range(3):  # each access checks the cap again, and no failure is cached
+            with pytest.raises(ResourceError, match=f"register of {n_qubits} qubits exceeds"):
+                if read == "noiseless_plan_fidelity":
+                    noiseless_plan_fidelity(cfg)
+                else:
+                    getattr(cfg, read)
+            assert vars(cfg).keys().isdisjoint({"initial_amplitudes", "register", "oracle_state"})
 
 
 class TestTrajectoryRng:

@@ -3,6 +3,7 @@
 ``mfsim/__init__.py`` is left out: its imports are the package's exports.
 An import line that carries ``noqa`` is kept on purpose and is skipped.
 Only ``feedback`` reads the layout of a round's code, and only it reduces an angle mod pi.
+A rotation's sites and axes, and the register cap, are each checked in one place.
 """
 
 import ast
@@ -61,3 +62,22 @@ def test_the_angle_rule_is_read_in_feedback_alone():
     assert {name: sorted(m for m, names in package.items() if name in names)
             for name in ("remainder", "_ANGLE_TOL")} == {"remainder": ["feedback.py"],
                                                          "_ANGLE_TOL": ["feedback.py"]}
+
+
+def test_each_rotation_and_cap_check_has_one_home():
+    """``_check_pair`` lives beside ``PauliAxis``, ``feedback`` keeps no angle check of its own,
+    and ``harness`` checks the register cap where a config builds its amplitudes, alone."""
+    trees = {p.name: ast.parse(p.read_text()) for p in (ROOT / "src" / "mfsim").glob("*.py")}
+    defined = sorted(name for name, tree in trees.items() for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef) and node.name == "_check_pair")
+    assert defined == ["pauli.py"]
+    assert "isfinite" not in names_read((ROOT / "src" / "mfsim" / "feedback.py").read_text())
+
+    def calls_cap(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name) and n.func.id == "_check_cap"]
+
+    harness = trees["harness.py"]
+    callers = sorted(node.name for node in ast.walk(harness)
+                     if isinstance(node, ast.FunctionDef) and calls_cap(node))
+    assert callers == ["initial_amplitudes"] and len(calls_cap(harness)) == 1

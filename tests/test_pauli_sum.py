@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import mfsim.statevec
-from mfsim.errors import IncompleteRotationError, UsageError
+from mfsim.errors import IncompleteRotationError
 from mfsim.feedback import EpsilonPolicy, Program, realize_v_kl
 from mfsim.harness import (
     ProtocolConfig,
@@ -86,31 +86,6 @@ def test_rotation_operator_equals_the_four_string_sum(n, k, l):
             got = apply(state.amplitudes)
             assert got.shape == state.amplitudes.shape
             assert np.abs(got - want.amplitudes).max() <= 1e-15
-
-
-@pytest.mark.parametrize("pair, site", [((0, 3), 3), ((5, 1), 5), ((-1, 2), -1)])
-def test_rotation_on_a_site_outside_the_register_raises(pair, site):
-    state = StateVector(haar_random_amplitudes(3, np.random.default_rng(0)))
-    with pytest.raises(UsageError, match=f"site {site} outside register of size 3"):
-        realize_v_kl(state, pair, PauliAxis.X, PauliAxis.Z, 0.3, EpsilonPolicy(),
-                     ErrorFrame.identity(3), np.random.default_rng(0))
-
-
-@pytest.mark.parametrize("pair, k, message", [
-    ((0, 3), PauliAxis.X, "site 3 outside register of size 3"),
-    ((1, 1), PauliAxis.X, "rotation needs two distinct qubits"),
-    ((0, 1), PauliAxis.I, "rotation axes must be X, Y, or Z"),
-])
-def test_bad_rotation_raises_on_every_call_and_is_not_cached(pair, k, message):
-    state = StateVector(haar_random_amplitudes(3, np.random.default_rng(0)))
-    program, raised = Program(3, EpsilonPolicy()), []
-    for _ in range(2):
-        with pytest.raises(UsageError) as exc:
-            realize_v_kl(state, pair, k, PauliAxis.Z, 0.3, EpsilonPolicy(),
-                         ErrorFrame.identity(3), np.random.default_rng(0), program=program)
-        raised.append((type(exc.value), str(exc.value)))
-    assert raised == [(UsageError, message)] * 2
-    assert program.pairs == {} and program.entries == {}
 
 
 def test_float_site_fails_after_its_integer_pair_is_cached():
